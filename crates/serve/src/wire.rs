@@ -418,7 +418,14 @@ fn dec_rows(d: &mut Dec<'_>) -> Result<Vec<RollupRow>> {
 
 /// Encodes a reply as one CRC frame ready for the socket.
 pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
-    let mut e = Enc::new();
+    // Rows and cells replies run to hundreds of KB: size the buffer once
+    // from the count (each item's largest form, plus the reply header).
+    let body = match reply {
+        ServeReply::Rows(rows) | ServeReply::ShardedRows { rows, .. } => rows.len() * MAX_ROW,
+        ServeReply::Cells(cells) => cells.len() * MAX_CELL,
+        _ => 0,
+    };
+    let mut e = Enc::with_capacity(body + 32);
     match reply {
         ServeReply::Pong => e.u8(REPLY_PONG),
         ServeReply::Rows(rows) => {
@@ -470,6 +477,11 @@ pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
 /// Per-row wire cost: granule `i64` + geo flag byte + value bits. A
 /// rows reply declaring more rows than `remaining / MIN_ROW` is lying.
 const MIN_ROW: usize = 8 + 1 + 8;
+
+/// Largest wire cost of one row (its geo id present), and of one
+/// `(hour, geo)` cell: key, geo flag and id, two 32-byte partials.
+const MAX_ROW: usize = MIN_ROW + 4;
+const MAX_CELL: usize = 8 + 1 + 4 + 2 * 32;
 
 /// Minimum wire cost of one notification (ids, partition, empty rows,
 /// optional-value flags and the crossing byte) — the plausibility bound
@@ -698,6 +710,39 @@ mod tests {
         e.u64(u64::MAX / 32);
         let err = decode_reply(&e.into_bytes()).unwrap_err();
         assert!(err.to_string().contains("declares"), "{err}");
+    }
+
+    #[test]
+    fn cell_hours_past_the_multipliable_range_are_rejected() {
+        let cell = CellPartial::default();
+        let decode = |hour: i64| {
+            let framed = encode_reply(&ServeReply::Cells(vec![((hour, Some(1)), cell)]));
+            let payload = read_message(&mut framed.as_slice()).unwrap().unwrap();
+            decode_reply(&payload)
+        };
+        let max = i64::MAX / 3600;
+        for hostile in [i64::MAX, i64::MIN, max + 1, -max - 1] {
+            let err = decode(hostile).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
+        // The bound itself is a legal key, and masking it cannot overflow.
+        for hour in [max, -max] {
+            assert!(decode(hour).is_ok());
+            let everything = Some((TimeId(i64::MIN), TimeId(i64::MAX)));
+            assert!(gisolap_stream::hour_in_window(hour, everything));
+        }
+    }
+
+    #[test]
+    fn presized_item_costs_are_the_encoded_ones() {
+        let grow =
+            |one: ServeReply, two: ServeReply| encode_reply(&two).len() - encode_reply(&one).len();
+        let row = sample_rows()[1];
+        assert!(row.geo.is_some());
+        let rows = |n| ServeReply::Rows(vec![row; n]);
+        assert_eq!(grow(rows(1), rows(2)), MAX_ROW);
+        let cells = |n| ServeReply::Cells(vec![((7, Some(12)), CellPartial::default()); n]);
+        assert_eq!(grow(cells(1), cells(2)), MAX_CELL);
     }
 
     #[test]

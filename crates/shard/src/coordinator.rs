@@ -11,29 +11,38 @@
 //!    drop out-of-window cells at the fetch edge ([`filter_window`] —
 //!    result-neutral because the rollup's `between` masks the same
 //!    hours).
-//! 3. **Gather** — absorb the per-shard cell lists into one fresh
-//!    [`DeltaCube`] in **ascending shard order**, then answer the
-//!    rollup from it.
+//! 3. **Gather** — stream the per-shard runs through one k-way merge
+//!    (`O(n log k)`, ties broken by **ascending shard index**) straight
+//!    into the linear fold ([`fold_rollup`], `O(n)`); no cube is built.
 //!
-//! Why this is bit-identical to a single store: each shard's extraction
-//! is ascending by key, and the gather absorbs per key. Under a spatial
-//! partitioner shard key sets are disjoint, so the gather is a pure
-//! concatenation — the exact cell multiset a single store would hold.
-//! Under a hash partitioner the same key can appear in several shards;
-//! absorbing in ascending shard order fixes one deterministic merge
-//! order, so results are reproducible run-to-run and machine-to-machine
-//! (and exactly equal to the single store's whenever the measure sums
-//! are exactly representable, e.g. quantized coordinates — see
+//! Why this is bit-identical to a single store: f64 sums depend only on
+//! the *merge tree*, and the gather keeps the one [`eval_single`] builds
+//! with a plain [`DeltaCube`] `absorb` + `rollup`. Per `(hour, geo)` key,
+//! the cell is the left-to-right merge, from the empty partial, of the
+//! key's entries with shards ascending (a run a remote executor returns
+//! out of order is stably sorted first); per `(granule, geo)` group, the
+//! row is that of those cells with hours ascending. Under a spatial
+//! partitioner shard key sets are disjoint, so every key has one entry —
+//! the exact cell multiset a single store would hold. Under a hash
+//! partitioner a key can appear in several shards; the shard order fixes
+//! one tree, so results are reproducible run-to-run and machine-to-machine
+//! (and equal to the single store's whenever the measure sums are exactly
+//! representable, e.g. quantized coordinates — see
 //! `tests/shard_equivalence.rs`).
 
 use crate::partition::{GridSpec, Partitioner, PartitionerSpec};
 use gisolap_geom::BBox;
 use gisolap_obs::{MetricsRegistry, Span, Tracer};
+use gisolap_olap::agg::Partial;
 use gisolap_olap::time::TimeId;
 use gisolap_store::{Result, StoreError};
-use gisolap_stream::{CellPartial, DeltaCube, GroupKey, RollupQuery, RollupRow, StreamIngest};
+use gisolap_stream::{
+    fold_rollup, hour_in_window, CellPartial, DeltaCube, GroupKey, Measure, RollupQuery, RollupRow,
+    StreamIngest,
+};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{binary_heap::PeekMut, BTreeMap, BinaryHeap};
 use std::time::Instant;
 
 /// A rollup plus optional geometric and temporal filters: only cells
@@ -329,8 +338,12 @@ impl<E: ShardExecutor> Coordinator<E> {
         let fetch_one = |s: usize| -> Result<ShardFetch> {
             let cells = self.executor.fetch(s, q.region.as_ref())?;
             let before = cells.len();
-            let kept = filter_window(cells, window);
+            let mut kept = filter_window(cells, window);
             let pruned = (before - kept.len()) as u64;
+            // The merge needs ascending runs; a remote executor's may not be.
+            if !kept.windows(2).all(|w| w[0].0 <= w[1].0) {
+                kept.sort_by_key(|(key, _)| *key);
+            }
             Ok((kept, pruned))
         };
         let fetched: Result<Vec<ShardFetch>> = if self.parallel {
@@ -345,19 +358,15 @@ impl<E: ShardExecutor> Coordinator<E> {
         self.stats.cells_gathered += cells_gathered;
         self.stats.cells_window_pruned += cells_window_pruned;
 
-        // Gather: absorb in ascending shard order (targets are
-        // ascending, `fetched` is positionally aligned with them) so the
-        // per-key merge order is deterministic.
+        // Gather: one pass of the runs (targets are ascending, `fetched`
+        // is positionally aligned with them) through merge and fold.
         let t_gather = Instant::now();
-        let mut cube = DeltaCube::new();
-        let mut cells_merged = 0u64;
-        for (cells, _) in &fetched {
-            cells_merged += cube.absorb(cells).merged;
-        }
+        let runs: Vec<_> = fetched.iter().map(|(cells, _)| &cells[..]).collect();
+        let mut keys = 0u64;
+        let merged = merge_runs(&runs, q.rollup.measure).inspect(|_| keys += 1);
+        let rows = fold_rollup(&q.rollup, merged).map_err(StoreError::Stream)?;
+        let cells_merged = cells_gathered - keys;
         self.stats.gather_merges += cells_merged;
-        let rows = cube
-            .rollup(&q.rollup, &BTreeMap::new())
-            .map_err(StoreError::Stream)?;
         let gather_ns = t_gather.elapsed().as_nanos() as u64;
 
         let explain = ShardExplain {
@@ -495,24 +504,45 @@ pub fn filter_region(
     }
 }
 
+/// Streams ascending runs as one strictly ascending sequence of per-key
+/// `measure` partials: each the left-to-right merge, from the empty
+/// partial, of the key's entries by run index, then position in the run
+/// — what absorbing the runs in turn into a [`DeltaCube`] would hold.
+fn merge_runs<'a>(
+    runs: &'a [&'a [(GroupKey, CellPartial)]],
+    measure: Measure,
+) -> impl Iterator<Item = (GroupKey, Partial)> + 'a {
+    // Each run's unread head as `(key, run, position)`, smallest on top.
+    let mut heads: BinaryHeap<_> = (runs.iter().enumerate())
+        .filter_map(|(r, run)| Some(Reverse((run.first()?.0, r, 0))))
+        .collect();
+    std::iter::from_fn(move || {
+        let key = heads.peek()?.0 .0;
+        let mut partial = Partial::new();
+        while let Some(mut head) = heads.peek_mut().filter(|head| head.0 .0 == key) {
+            let Reverse((_, r, at)) = *head;
+            partial.merge(runs[r][at].1.measure(measure));
+            match runs[r].get(at + 1) {
+                Some((next, _)) => *head = Reverse((*next, r, at + 1)),
+                None => drop(PeekMut::pop(head)),
+            }
+        }
+        Some((key, partial))
+    })
+}
+
 /// Applies the time-window cell prune: keep cells whose hour span
-/// `[h·3600, h·3600+3599]` intersects `[lo, hi]` — the *same* predicate
-/// [`DeltaCube::rollup`] applies for `RollupQuery::between`, which is
-/// what makes pruning before the gather result-neutral.
+/// `[h·3600, h·3600+3599]` intersects `[lo, hi]` — [`hour_in_window`],
+/// the *same* predicate the rollup applies for `RollupQuery::between`,
+/// which is what makes pruning before the gather result-neutral.
 pub fn filter_window(
-    cells: Vec<(GroupKey, CellPartial)>,
+    mut cells: Vec<(GroupKey, CellPartial)>,
     window: Option<(TimeId, TimeId)>,
 ) -> Vec<(GroupKey, CellPartial)> {
-    match window {
-        None => cells,
-        Some((lo, hi)) => cells
-            .into_iter()
-            .filter(|&((hour, _), _)| {
-                let start = hour * 3600;
-                start + 3599 >= lo.0 && start <= hi.0
-            })
-            .collect(),
+    if window.is_some() {
+        cells.retain(|((hour, _), _)| hour_in_window(*hour, window));
     }
+    cells
 }
 
 /// The reference evaluator sharded execution must match bit-for-bit: a
@@ -605,6 +635,7 @@ mod tests {
     use gisolap_store::{ScratchDir, StoreConfig, Vfs};
     use gisolap_stream::{Measure, StreamConfig};
     use gisolap_traj::{ObjectId, Record};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn grid() -> GridSpec {
@@ -880,5 +911,196 @@ mod tests {
             line.contains("stale:"),
             "explain surfaces staleness: {line}"
         );
+    }
+
+    /// Hands back canned per-shard runs, region-filtered like a real
+    /// executor — including runs no local pipeline would produce.
+    struct StubExecutor {
+        runs: Vec<Vec<(GroupKey, CellPartial)>>,
+    }
+
+    impl ShardExecutor for StubExecutor {
+        fn shards(&self) -> usize {
+            self.runs.len()
+        }
+
+        fn fetch(
+            &self,
+            shard: usize,
+            region: Option<&BBox>,
+        ) -> Result<Vec<(GroupKey, CellPartial)>> {
+            filter_region(self.runs[shard].clone(), Some(grid()), region)
+        }
+    }
+
+    fn hash_spec(shards: usize) -> PartitionerSpec {
+        PartitionerSpec::Hash {
+            shards: shards as u32,
+            grid: Some(grid()),
+        }
+    }
+
+    /// The oracle's path over the same runs: filter, absorb into a plain
+    /// cube shard by shard, roll up. Returns row bits and the merge count.
+    fn absorbed(
+        runs: &[Vec<(GroupKey, CellPartial)>],
+        q: &ShardQuery,
+    ) -> (Vec<(i64, Option<u32>, u64)>, u64) {
+        let mut cube = DeltaCube::new();
+        let mut merged = 0;
+        for run in runs {
+            let cells = filter_region(run.clone(), Some(grid()), q.region.as_ref()).unwrap();
+            merged += cube.absorb(&filter_window(cells, q.window)).merged;
+        }
+        let rows = cube.rollup(&q.rollup, &BTreeMap::new()).unwrap();
+        (row_bits(&rows), merged)
+    }
+
+    fn row_bits(rows: &[RollupRow]) -> Vec<(i64, Option<u32>, u64)> {
+        let bits = |r: &RollupRow| (r.granule, r.geo, r.value.to_bits());
+        rows.iter().map(bits).collect()
+    }
+
+    fn cell(count: u64, sum: f64) -> CellPartial {
+        let p = Partial::from_raw(count, sum, sum, sum);
+        CellPartial { x: p, y: p }
+    }
+
+    #[test]
+    fn shared_keys_merge_in_ascending_shard_order() {
+        // 1 + 1e16 rounds to 1e16: shards 0, 1, 2 in that order sum the
+        // shared key to exactly 0, the reverse order to 1.
+        let key = (5, Some(2));
+        let runs = vec![
+            vec![((4, None), cell(1, 0.5)), (key, cell(1, 1.0))],
+            vec![(key, cell(1, 1e16)), ((6, Some(2)), cell(1, 0.25))],
+            vec![(key, cell(1, -1e16))],
+            vec![],
+        ];
+        let mut coord =
+            Coordinator::new(StubExecutor { runs: runs.clone() }, hash_spec(4)).unwrap();
+        let q = ShardQuery::new(RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Sum));
+        let got = coord.eval(&q).unwrap();
+        assert_eq!(got.explain.cells_gathered, 5);
+        assert_eq!(got.explain.cells_merged, 2);
+        assert_eq!(coord.stats().gather_merges, 2);
+        assert_eq!(got.rows[1].value.to_bits(), 0f64.to_bits());
+        assert_eq!((row_bits(&got.rows), 2), absorbed(&runs, &q));
+        // The day-level group folds hours 4, 5, 6 in that order.
+        let q = ShardQuery::new(RollupQuery::new(TimeLevel::Day, Measure::X, AggFn::Sum));
+        let got = coord.eval(&q).unwrap();
+        assert_eq!(got.rows.len(), 2);
+        assert_eq!((row_bits(&got.rows), 2), absorbed(&runs, &q));
+    }
+
+    #[test]
+    fn empty_single_and_fully_pruned_clusters() {
+        let q = ShardQuery::new(RollupQuery::new(TimeLevel::Day, Measure::Y, AggFn::Avg));
+        let stub = |runs: &[Vec<_>]| StubExecutor {
+            runs: runs.to_vec(),
+        };
+        // Every shard empty.
+        let runs = vec![Vec::new(); 3];
+        let got = Coordinator::new(stub(&runs), hash_spec(3))
+            .unwrap()
+            .eval(&q)
+            .unwrap();
+        assert!(got.rows.is_empty());
+        assert_eq!(
+            (got.explain.cells_gathered, got.explain.cells_merged),
+            (0, 0)
+        );
+        // One shard.
+        let runs = vec![vec![
+            ((0, Some(1)), cell(2, 3.0)),
+            ((30, Some(1)), cell(1, 4.0)),
+        ]];
+        let got = Coordinator::new(stub(&runs), hash_spec(1))
+            .unwrap()
+            .eval(&q)
+            .unwrap();
+        assert_eq!((row_bits(&got.rows), 0), absorbed(&runs, &q));
+        assert_eq!(got.rows.len(), 2);
+        // A region outside the grid prunes every spatial shard: nothing
+        // is fetched, nothing merged.
+        let spec = PartitionerSpec::Spatial {
+            shards: 2,
+            grid: grid(),
+        };
+        let runs = vec![runs[0].clone(), vec![((0, Some(9)), cell(1, 1.0))]];
+        let q = q.in_region(BBox::new(100.0, 100.0, 101.0, 101.0));
+        let got = Coordinator::new(stub(&runs), spec)
+            .unwrap()
+            .eval(&q)
+            .unwrap();
+        assert!(got.rows.is_empty());
+        assert_eq!(
+            (got.explain.shards_pruned, got.explain.shards_queried),
+            (2, 0)
+        );
+    }
+
+    /// Runs with full-mantissa sums (so every merge order shows), keys
+    /// from a small space (so shards overlap), in the order `shape` picks:
+    /// ascending, ascending with repeats, or as generated.
+    fn synth_run(seed: u64, n: usize, shape: u64) -> Vec<(GroupKey, CellPartial)> {
+        let mut z = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(3);
+        let mut next = move || {
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 27)
+        };
+        let mut run: Vec<_> = (0..n)
+            .map(|_| {
+                let key = (
+                    (next() % 60) as i64,
+                    (next() % 5 != 0).then(|| (next() % 16) as u32),
+                );
+                let sum = ((next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0)
+                    * 2f64.powi((next() % 41) as i32 - 20);
+                (key, cell(next() % 9 + 1, sum))
+            })
+            .collect();
+        if shape % 3 > 0 {
+            run.sort_by_key(|(key, _)| *key);
+        }
+        if shape % 3 > 1 {
+            run.dedup_by_key(|(key, _)| *key);
+        }
+        run
+    }
+
+    proptest! {
+        /// The streaming gather against absorb + rollup over the same
+        /// runs — some of them not ascending — for every level, with and
+        /// without a region and a window: same row bits, same merge count.
+        #[test]
+        fn gather_matches_absorbing_the_runs(seed in 0u64..100_000, shards in 1usize..6) {
+            let runs: Vec<_> = (0..shards as u64)
+                .map(|s| synth_run(seed ^ (s << 20), (seed >> s) as usize % 50, seed >> (2 * s)))
+                .collect();
+            let mut coord = Coordinator::new(StubExecutor { runs: runs.clone() }, hash_spec(shards)).unwrap();
+            coord.set_parallel(seed % 2 == 0);
+            let levels = [
+                TimeLevel::Hour,
+                TimeLevel::Day,
+                TimeLevel::Month,
+                TimeLevel::TimeOfDayLevel,
+                TimeLevel::DayOfWeekLevel,
+                TimeLevel::TypeOfDayLevel,
+                TimeLevel::All,
+            ];
+            for level in levels {
+                let f = [AggFn::Sum, AggFn::Avg, AggFn::Min][(seed % 3) as usize];
+                let whole = ShardQuery::new(RollupQuery::new(level, Measure::X, f));
+                let windowed = whole.clone().in_window(TimeId(7 * 3600 + 11), TimeId(40 * 3600));
+                let regional = windowed.clone().in_region(BBox::new(0.5, 0.5, 5.5, 3.5));
+                for q in [whole, windowed, regional] {
+                    let got = coord.eval(&q).unwrap();
+                    let (rows, merged) = absorbed(&runs, &q);
+                    prop_assert_eq!(row_bits(&got.rows), rows, "{:?}", q);
+                    prop_assert_eq!(got.explain.cells_merged, merged);
+                }
+            }
+        }
     }
 }

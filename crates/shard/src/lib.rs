@@ -13,8 +13,9 @@
 //!   one root with a persisted membership manifest, routed ingest, and
 //!   per-shard replication leaders/replica sets.
 //! * [`coordinator`] — [`Coordinator`]: prune → parallel scatter →
-//!   ascending-shard-order gather through a fresh
-//!   [`DeltaCube`](gisolap_stream::DeltaCube), plus the
+//!   gather (a k-way merge of the per-shard runs, ties in ascending
+//!   shard order, streamed into
+//!   [`fold_rollup`](gisolap_stream::fold_rollup)), plus the
 //!   [`eval_single`] reference evaluator the equivalence tests compare
 //!   against.
 //! * [`wire`] — codecs for manifests, regions, grids and shipped cell
@@ -29,7 +30,7 @@
 //! ([`extract_partials`](gisolap_store::DurableIngest::extract_partials))
 //! are exactly the
 //! canonical accumulation of every record it accepted, independent of
-//! seal/flush/compaction state; absorbing the per-shard lists in
+//! seal/flush/compaction state; merging the per-shard lists per key in
 //! ascending shard order therefore replays the same ascending-key fold
 //! a single store performs.
 

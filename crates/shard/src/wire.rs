@@ -285,6 +285,7 @@ pub fn decode_cells_payload(bytes: &[u8]) -> Result<Vec<(GroupKey, CellPartial)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gisolap_olap::time::TimeId;
     use proptest::prelude::*;
 
     fn grid() -> GridSpec {
@@ -505,6 +506,27 @@ mod tests {
         cells.sort_by_key(|(k, _)| *k);
         cells.dedup_by_key(|(k, _)| *k);
         cells
+    }
+
+    #[test]
+    fn cells_payload_rejects_hours_whose_seconds_overflow() {
+        let max = i64::MAX / 3600;
+        for (hour, ok) in [
+            (i64::MAX, false),
+            (i64::MIN, false),
+            (max + 1, false),
+            (max, true),
+            (-max, true),
+        ] {
+            let cells = vec![((hour, None), CellPartial::default())];
+            let got = decode_cells_payload(&encode_cells_payload(&cells));
+            assert_eq!(got.is_ok(), ok, "hour {hour}: {got:?}");
+            // What does decode survives the window prune without overflow.
+            if let Ok(cells) = got {
+                let window = Some((TimeId(i64::MIN), TimeId(i64::MAX)));
+                assert_eq!(crate::filter_window(cells, window).len(), 1);
+            }
+        }
     }
 
     proptest! {

@@ -159,6 +159,13 @@ impl Enc {
         Enc::default()
     }
 
+    /// An empty encoder with room for `bytes` before it reallocates.
+    pub fn with_capacity(bytes: usize) -> Enc {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -467,6 +474,11 @@ fn enc_cell(e: &mut Enc, key: &GroupKey, cell: &CellPartial) {
 
 fn dec_cell(d: &mut Dec<'_>) -> Result<(GroupKey, CellPartial)> {
     let hour = d.i64()?;
+    // Window masks and rollups compute `hour * 3600`; no record's hour
+    // overflows that, so one that does can only be hostile or corrupt.
+    if hour.checked_mul(3600).is_none() {
+        return Err(corrupt(d.file, format!("cell hour {hour} out of range")));
+    }
     let geo = match d.u8()? {
         0 => None,
         1 => Some(d.u32()?),

@@ -1,6 +1,8 @@
 //! The incremental rollup state: per-hour partials merged into a
-//! queryable [`DeltaCube`].
+//! queryable [`DeltaCube`] — a sorted run of `(hour, geo)` cells — and
+//! the linear roll-up fold over such runs, [`fold_rollup`].
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use gisolap_olap::agg::{AggFn, Partial};
@@ -154,11 +156,24 @@ pub struct AbsorbOutcome {
     pub created: u64,
 }
 
+/// Whether `hour`'s span `[h·3600, h·3600+3599]` intersects `window` —
+/// the one predicate both the rollup's `between` mask and the shard-side
+/// window prune apply, which is what makes that prune result-neutral.
+/// `hour * 3600` fits an `i64` for every hour bucketed from a record;
+/// decoders reject the rest (`gisolap_store::codec`).
+pub fn hour_in_window(hour: i64, window: Option<(TimeId, TimeId)>) -> bool {
+    window.map_or(true, |(a, b)| {
+        let start = hour * 3600;
+        start >= a.0.saturating_sub(3599) && start <= b.0
+    })
+}
+
 /// The queryable incremental state: one [`CellPartial`] per
-/// `(hour, geometry)` group, absorbed from sealed segments.
+/// `(hour, geometry)` group, absorbed from sealed segments, held as one
+/// **sorted run** — a `Vec` strictly ascending by key.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaCube {
-    cells: BTreeMap<GroupKey, CellPartial>,
+    cells: Vec<(GroupKey, CellPartial)>,
     merges: u64,
 }
 
@@ -184,9 +199,14 @@ impl DeltaCube {
         self.merges
     }
 
-    /// Iterates the groups in ascending `(hour, geo)` order.
+    /// Iterates the groups in strictly ascending `(hour, geo)` order.
     pub fn cells(&self) -> impl Iterator<Item = (&GroupKey, &CellPartial)> {
-        self.cells.iter()
+        self.cells.iter().map(|(k, c)| (k, c))
+    }
+
+    /// The groups as one run, strictly ascending by `(hour, geo)`.
+    pub fn as_slice(&self) -> &[(GroupKey, CellPartial)] {
+        &self.cells
     }
 
     /// Merges a sealed segment's partials into the cube, reporting how
@@ -194,23 +214,60 @@ impl DeltaCube {
     /// distinction the `partial-merge` ingest span surfaces). Segments
     /// must be absorbed in ascending partition order to keep coarse-level
     /// folds canonical.
+    ///
+    /// A run starting past the cube's last key (every live seal and
+    /// restore) is an append; any other ascending run merges in place in
+    /// one backward pass. Total: a run that is not ascending is stably
+    /// sorted first and entries sharing a key merge in arrival order —
+    /// the result of inserting them one by one into an ordered map.
     pub fn absorb(&mut self, partials: &[(GroupKey, CellPartial)]) -> AbsorbOutcome {
-        let mut created = 0u64;
-        for (key, cell) in partials {
-            match self.cells.entry(*key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(CellPartial::default()).merge(cell);
-                    created += 1;
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge(cell);
-                }
+        let mut run = Cow::Borrowed(partials);
+        if !run.windows(2).all(|w| w[0].0 <= w[1].0) {
+            run.to_mut().sort_by_key(|(key, _)| *key);
+        }
+        // Cells below the run's first key stay put. Count the run's distinct
+        // keys the rest lacks, open that many slots at the end...
+        let first = run.first().map(|(key, _)| *key);
+        let lo = self.cells.partition_point(|(key, _)| Some(*key) < first);
+        let mut old = self.cells[lo..].iter().map(|(key, _)| key).peekable();
+        let mut created = 0;
+        for (i, (key, _)) in run.iter().enumerate() {
+            if i == 0 || run[i - 1].0 != *key {
+                while old.next_if(|k| *k < key).is_some() {}
+                created += usize::from(old.next_if_eq(&key).is_none());
             }
         }
+        let mut read = self.cells.len();
+        let mut write = read + created;
+        self.cells.resize(write, Default::default());
+        // ...and merge backwards into them: each key's entries fold onto
+        // its old cell (or a fresh one), first to last, landing at `write`.
+        let mut end = run.len();
+        while end > 0 {
+            let key = run[end - 1].0;
+            let same = run[..end].iter().rev().take_while(|(k, _)| *k == key);
+            let start = end - same.count();
+            while read > lo && self.cells[read - 1].0 > key {
+                (read, write) = (read - 1, write - 1);
+                self.cells[write] = self.cells[read];
+            }
+            let mut cell = CellPartial::default();
+            if read > lo && self.cells[read - 1].0 == key {
+                read -= 1;
+                cell = self.cells[read].1;
+            }
+            for (_, entry) in &run[start..end] {
+                cell.merge(entry);
+            }
+            write -= 1;
+            self.cells[write] = (key, cell);
+            end = start;
+        }
+        debug_assert_eq!(write, read, "every opened slot is filled");
         self.merges += partials.len() as u64;
         AbsorbOutcome {
-            merged: partials.len() as u64 - created,
-            created,
+            merged: (partials.len() - created) as u64,
+            created: created as u64,
         }
     }
 
@@ -218,8 +275,8 @@ impl DeltaCube {
     /// (from the live, unsealed records — computed by the caller with the
     /// same canonical bucketing). Rows are sorted by `(granule, geo)`.
     ///
-    /// The fold visits sealed hours in ascending order, then tail hours
-    /// in ascending order; since every tail hour is later than every
+    /// [`fold_rollup`] visits sealed hours in ascending order, then tail
+    /// hours in ascending order; since every tail hour is later than every
     /// sealed hour, this is a single ascending-hour fold — the same one a
     /// from-scratch batch build performs, hence bit-identical sums.
     pub fn rollup(
@@ -227,38 +284,101 @@ impl DeltaCube {
         q: &RollupQuery,
         tail: &BTreeMap<GroupKey, CellPartial>,
     ) -> Result<Vec<RollupRow>> {
-        if matches!(q.level, TimeLevel::TimeId | TimeLevel::Minute) {
-            return Err(StreamError::UnsupportedLevel(q.level));
-        }
-        let td = TimeDimension::new();
-        let hour_in_window = |hour: i64| match q.between {
-            None => true,
-            Some((a, b)) => {
-                let start = hour * 3600;
-                start + 3599 >= a.0 && start <= b.0
+        let cells = self.cells().chain(tail);
+        fold_rollup(q, cells.map(|(k, c)| (*k, *c.measure(q.measure))))
+    }
+}
+
+/// One granule's accumulating groups, ascending by geo.
+type Groups = Vec<(Option<u32>, Partial)>;
+
+/// The roll-up `γ` along the Time hierarchy: folds `(hour, geo)` measure
+/// partials into one row per `(granule, geo)` group, sorted by group.
+///
+/// Each group is the left-to-right merge, from the empty partial, of its
+/// cells **in the order given** — for any input order. Ascending input is
+/// what makes it linear: cells then arrive in hour runs sorted by geo, so
+/// the target granule and the window mask are computed once per run, and
+/// the run is merge-accumulated into that granule's geo-sorted table
+/// (at the `Hour` level, a move). The only index is per granule.
+pub fn fold_rollup(
+    q: &RollupQuery,
+    cells: impl IntoIterator<Item = (GroupKey, Partial)>,
+) -> Result<Vec<RollupRow>> {
+    if matches!(q.level, TimeLevel::TimeId | TimeLevel::Minute) {
+        return Err(StreamError::UnsupportedLevel(q.level));
+    }
+    let td = TimeDimension::new();
+    // One table per granule, ascending; each ascending by geo.
+    let mut tables: Vec<(i64, Groups)> = Vec::new();
+    // The current run's table (`None`: hour masked), the scan position
+    // in it, and the run's new groups that belong before that position.
+    let (mut table, mut pos) = (None::<usize>, 0);
+    let mut inserts: Vec<(usize, (Option<u32>, Partial))> = Vec::new();
+    let mut prev: Option<GroupKey> = None;
+    for (key @ (hour, geo), partial) in cells {
+        if !prev.is_some_and(|p| p.0 == hour && p < key) {
+            if let Some(t) = table {
+                insert_all(&mut tables[t].1, &mut inserts);
             }
-        };
-        let mut groups: BTreeMap<(i64, Option<u32>), Partial> = BTreeMap::new();
-        for (&(hour, geo), cell) in self.cells.iter().chain(tail.iter()) {
-            if !hour_in_window(hour) {
+            table = hour_in_window(hour, q.between).then(|| {
+                let granule = td.granule(TimeId(hour * 3600), q.level);
+                let t = tables.partition_point(|(g, _)| *g < granule);
+                if tables.get(t).map_or(true, |(g, _)| *g != granule) {
+                    tables.insert(t, (granule, Vec::new()));
+                }
+                t
+            });
+            pos = 0;
+        }
+        prev = Some(key);
+        let Some(t) = table else { continue };
+        let groups = &mut tables[t].1;
+        if groups.get(pos).is_some_and(|g| g.0 < geo) {
+            pos += groups[pos..].partition_point(|g| g.0 < geo);
+        }
+        let mut fresh = Partial::new();
+        match groups.get_mut(pos) {
+            Some(group) if group.0 == geo => group.1.merge(&partial),
+            Some(_) => {
+                fresh.merge(&partial);
+                inserts.push((pos, (geo, fresh)));
                 continue;
             }
-            let granule = td.granule(TimeId(hour * 3600), q.level);
-            groups
-                .entry((granule, geo))
-                .or_default()
-                .merge(cell.measure(q.measure));
+            None => {
+                fresh.merge(&partial);
+                groups.push((geo, fresh));
+            }
         }
-        Ok(groups
-            .into_iter()
-            .filter_map(|((granule, geo), partial)| {
-                partial.eval(q.f).map(|value| RollupRow {
-                    granule,
-                    geo,
-                    value,
-                })
+        pos += 1;
+    }
+    if let Some(t) = table {
+        insert_all(&mut tables[t].1, &mut inserts);
+    }
+    let mut rows = Vec::with_capacity(tables.iter().map(|(_, groups)| groups.len()).sum());
+    for (granule, groups) in tables {
+        rows.extend(groups.into_iter().filter_map(|(geo, partial)| {
+            partial.eval(q.f).map(|value| RollupRow {
+                granule,
+                geo,
+                value,
             })
-            .collect())
+        }));
+    }
+    Ok(rows)
+}
+
+/// Applies a run's pending `(position, group)` inserts — ascending by
+/// position, then geo — to its table in one backward pass.
+fn insert_all(groups: &mut Groups, inserts: &mut Vec<(usize, (Option<u32>, Partial))>) {
+    let mut end = groups.len();
+    groups.resize(end + inserts.len(), (None, Partial::new()));
+    let mut shift = inserts.len();
+    for (at, group) in inserts.drain(..).rev() {
+        groups.copy_within(at..end, at + shift);
+        shift -= 1;
+        groups[at + shift] = group;
+        end = at;
     }
 }
 

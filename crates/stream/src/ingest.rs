@@ -357,7 +357,7 @@ impl StreamIngest {
     }
 
     /// Every `(hour, geo)` partial cell the pipeline currently holds —
-    /// the sealed [`DeltaCube`]'s cells followed by a canonical
+    /// a copy of the sealed [`DeltaCube`]'s run followed by a canonical
     /// accumulation of the live tail — strictly ascending by key.
     ///
     /// This is the *scatter unit* of sharded evaluation
@@ -374,10 +374,9 @@ impl StreamIngest {
         self.tail_records_scanned
             .fetch_add(tail.len() as u64, Ordering::Relaxed);
         let tail_cells = bucket_partials(&tail, self.resolver.as_ref());
-        let mut out: Vec<(GroupKey, CellPartial)> =
-            Vec::with_capacity(self.cube.len() + tail_cells.len());
-        out.extend(self.cube.cells().map(|(k, c)| (*k, *c)));
-        out.extend(tail_cells.iter().map(|(k, c)| (*k, *c)));
+        let mut out = Vec::with_capacity(self.cube.len() + tail_cells.len());
+        out.extend_from_slice(self.cube.as_slice());
+        out.extend(tail_cells);
         debug_assert!(
             out.windows(2).all(|w| w[0].0 < w[1].0),
             "extracted cells must be strictly ascending by key"

@@ -57,7 +57,10 @@ pub mod ingest;
 pub mod segment;
 
 pub use config::{GeoResolver, StreamConfig};
-pub use delta::{AbsorbOutcome, CellPartial, DeltaCube, GroupKey, Measure, RollupQuery, RollupRow};
+pub use delta::{
+    fold_rollup, hour_in_window, AbsorbOutcome, CellPartial, DeltaCube, GroupKey, Measure,
+    RollupQuery, RollupRow,
+};
 pub use ingest::{
     IngestReport, IngestStats, ReplayOp, ReplayReport, SealEvent, SealHook, StreamIngest,
     StreamSnapshot, TailState,
