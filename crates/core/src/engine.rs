@@ -53,10 +53,10 @@ use crate::region::{
     eval_time, CmpOp, GeoFilter, RegionC, SpatialPredicate, SpatialSemantics, TimePredicate,
 };
 use crate::result::CTuple;
-use crate::stats::{EngineStats, PhaseTrace, StatsSnapshot};
+use crate::stats::{elapsed_ns, EngineStats, PhaseTrace, StatsSnapshot};
 use crate::{CoreError, Result};
 
-use gisolap_obs::{QueryObs, Span};
+use gisolap_obs::{CounterSet, QueryObs, Span};
 
 /// Geometric sub-queries resolved ahead of evaluation, keyed by
 /// `(layer name, filter)`. [`QueryEngine::eval_many`] fills one per
@@ -253,7 +253,7 @@ pub trait QueryEngine: Sync {
         let records = self.moft().records();
         let stats = self.stats();
         if let (Some(idx), Some((lo, hi))) = (self.moft_index(), conservative_window(time_preds)) {
-            stats.add_index_interval_probes(1);
+            stats.index_interval_probes.inc();
             // Per-candidate windows: binary-search each object's
             // t-sorted run down to [lo, hi].
             let mut windows: Vec<&[Record]> = Vec::new();
@@ -274,17 +274,19 @@ pub trait QueryEngine: Sync {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            stats.add_records_scanned(examined);
-            stats.add_index_records_pruned(records.len() as u64 - examined);
-            stats.add_time_filter_ns(t0);
+            stats.records_scanned.add(examined);
+            stats
+                .index_records_pruned
+                .add(records.len() as u64 - examined);
+            stats.time_filter_ns.add(elapsed_ns(t0));
             return out;
         }
         let out: Vec<Record> = records
             .par_iter()
             .flat_map(|r| eval_time(time_preds, time, r.t).then_some(*r))
             .collect();
-        stats.add_records_scanned(records.len() as u64);
-        stats.add_time_filter_ns(t0);
+        stats.records_scanned.add(records.len() as u64);
+        stats.time_filter_ns.add(elapsed_ns(t0));
         out
     }
 
@@ -392,7 +394,7 @@ pub trait QueryEngine: Sync {
                 }
             }
         }
-        self.stats().add_filter_resolve_ns(t0);
+        self.stats().filter_resolve_ns.add(elapsed_ns(t0));
         regions
             .par_iter()
             .map(|region| self.eval_resolved(region, &resolved))
@@ -446,7 +448,7 @@ pub trait QueryEngine: Sync {
         resolved: &ResolvedFilters,
         trace: &mut PhaseTrace,
     ) -> Result<Vec<CTuple>> {
-        self.stats().add_query();
+        self.stats().queries.inc();
         let tf_t0 = Instant::now();
         let records = self.time_filtered(&region.time);
         trace.phase(self.stats(), "time-filter", tf_t0);
@@ -473,7 +475,7 @@ pub trait QueryEngine: Sync {
 
         let Some(spatial) = &region.spatial else {
             // Type 3: no spatial condition; C is the time-filtered MOFT.
-            self.stats().add_filter_resolve_ns(resolve_t0);
+            self.stats().filter_resolve_ns.add(elapsed_ns(resolve_t0));
             trace.phase(self.stats(), "filter-resolve", resolve_t0);
             return Ok(records
                 .iter()
@@ -489,7 +491,7 @@ pub trait QueryEngine: Sync {
 
         let (layer, geos) = self.resolve_spatial(spatial, resolved)?;
         let geo_set: HashSet<GeoId> = geos.iter().copied().collect();
-        self.stats().add_filter_resolve_ns(resolve_t0);
+        self.stats().filter_resolve_ns.add(elapsed_ns(resolve_t0));
         trace.phase(self.stats(), "filter-resolve", resolve_t0);
 
         let match_t0 = Instant::now();
@@ -514,12 +516,12 @@ pub trait QueryEngine: Sync {
                             let mut out = Vec::with_capacity(records.len());
                             for z in idx.zone_map().zones() {
                                 if z.bbox.intersects(&qual) {
-                                    stats.add_index_zones_scanned(1);
+                                    stats.index_zones_scanned.inc();
                                     let (s, e) = (z.start as usize, (z.start + z.len) as usize);
                                     out.extend_from_slice(&records[s..e]);
                                 } else {
-                                    stats.add_index_zones_pruned(1);
-                                    stats.add_index_records_pruned(z.len as u64);
+                                    stats.index_zones_pruned.inc();
+                                    stats.index_records_pruned.add(z.len as u64);
                                 }
                             }
                             out
@@ -529,7 +531,7 @@ pub trait QueryEngine: Sync {
                                 .into_iter()
                                 .filter(|r| qual.contains(r.pos()))
                                 .collect();
-                            stats.add_index_records_pruned((before - out.len()) as u64);
+                            stats.index_records_pruned.add((before - out.len()) as u64);
                             out
                         };
                         trace.phase(stats, "index-prune", prune_t0);
@@ -573,7 +575,7 @@ pub trait QueryEngine: Sync {
                             return Ok(Vec::new());
                         };
                         let legs = time_filtered_legs(&lit, &region.time, self.gis().time());
-                        self.stats().add_legs_cut(legs.len() as u64);
+                        self.stats().legs_cut.add(legs.len() as u64);
                         let mut out = Vec::new();
                         for &g in &geos {
                             let ivs =
@@ -599,7 +601,7 @@ pub trait QueryEngine: Sync {
                 Ok(out)
             }
         };
-        self.stats().add_spatial_match_ns(match_t0);
+        self.stats().spatial_match_ns.add(elapsed_ns(match_t0));
         trace.phase(self.stats(), "spatial-match", match_t0);
         out
     }
@@ -729,7 +731,7 @@ pub trait QueryEngine: Sync {
         // unpruned evaluation exactly.
         let oids: Vec<ObjectId> = match self.moft_index() {
             Some(idx) => {
-                self.stats().add_index_bvh_probes(1);
+                self.stats().index_bvh_probes.inc();
                 let qual = qualifying_bbox(self.gis(), layer, &geos, spatial.within_distance);
                 idx.objects_intersecting(&qual)
                     .into_iter()
@@ -748,7 +750,7 @@ pub trait QueryEngine: Sync {
                 if legs.is_empty() {
                     return None;
                 }
-                self.stats().add_legs_cut(legs.len() as u64);
+                self.stats().legs_cut.add(legs.len() as u64);
                 let hit = geos.iter().any(|&g| {
                     !self
                         .legs_intersect_geo(&legs, layer, g, spatial.within_distance)
@@ -848,7 +850,7 @@ pub trait QueryEngine: Sync {
                 if legs.is_empty() {
                     return Ok(None);
                 }
-                self.stats().add_legs_cut(legs.len() as u64);
+                self.stats().legs_cut.add(legs.len() as u64);
                 // Merge per-geometry intervals so overlapping geometries
                 // don't double-count time.
                 let mut all: Vec<TimeInterval> = Vec::new();
@@ -1382,12 +1384,12 @@ impl QueryEngine for NaiveEngine<'_> {
             .filter(|(_, g)| g.bbox().intersects(bbox))
             .map(|(id, _)| id)
             .collect();
-        self.stats.add_bbox_rejections(scanned - out.len() as u64);
+        self.stats.bbox_rejections.add(scanned - out.len() as u64);
         out
     }
 
     fn layer_pairs(&self, a: LayerId, b: LayerId) -> Result<Vec<(GeoId, GeoId)>> {
-        self.stats.add_overlay_misses(1); // computed per call, no cache
+        self.stats.overlay_misses.inc(); // computed per call, no cache
         let la = self.gis.layer(a);
         let lb = self.gis.layer(b);
         let mut out = Vec::new();
@@ -1487,7 +1489,7 @@ impl QueryEngine for IndexedEngine<'_> {
     }
 
     fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
-        self.stats.add_rtree_probes(1);
+        self.stats.rtree_probes.inc();
         self.rtrees[&layer]
             .search(bbox)
             .into_iter()
@@ -1496,13 +1498,13 @@ impl QueryEngine for IndexedEngine<'_> {
     }
 
     fn layer_pairs(&self, a: LayerId, b: LayerId) -> Result<Vec<(GeoId, GeoId)>> {
-        self.stats.add_overlay_misses(1); // computed per call, no cache
+        self.stats.overlay_misses.inc(); // computed per call, no cache
         let la = self.gis.layer(a);
         let lb = self.gis.layer(b);
         let tree_b = &self.rtrees[&b];
         let mut out = Vec::new();
         for (ga, ra) in la.iter() {
-            self.stats.add_rtree_probes(1);
+            self.stats.rtree_probes.inc();
             for &gb in tree_b.search(&ra.bbox()) {
                 let rb = lb.geometry(gb)?;
                 if georef_intersects(&ra, &rb) {
@@ -1609,7 +1611,7 @@ impl QueryEngine for OverlayEngine<'_> {
     }
 
     fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
-        self.stats.add_rtree_probes(1);
+        self.stats.rtree_probes.inc();
         self.rtrees[&layer]
             .search(bbox)
             .into_iter()
@@ -1620,11 +1622,11 @@ impl QueryEngine for OverlayEngine<'_> {
     fn layer_pairs(&self, a: LayerId, b: LayerId) -> Result<Vec<(GeoId, GeoId)>> {
         match self.cache.pairs_for(a, b) {
             Some(pairs) => {
-                self.stats.add_overlay_hits(1);
+                self.stats.overlay_hits.inc();
                 Ok(pairs)
             }
             None => {
-                self.stats.add_overlay_misses(1);
+                self.stats.overlay_misses.inc();
                 Err(CoreError::InvalidSchema(format!(
                     "overlay cache missing layer pair ({}, {})",
                     self.gis.layer(a).name(),

@@ -1,4 +1,5 @@
-//! Prometheus-style exposition of engine and ingest counters.
+//! Text renderings of engine counters: the Prometheus exposition and
+//! the one-line `stats:` summary explain plans embed.
 //!
 //! Bridges the domain side (engines, [`crate::stats::StatsSnapshot`],
 //! [`gisolap_obs::QueryObs`]) to the generic
@@ -8,40 +9,16 @@
 //! rendered exposition text. Metric names, labels and units are
 //! documented exhaustively in `OBSERVABILITY.md`.
 
-use gisolap_obs::MetricsRegistry;
+use gisolap_obs::{CounterSet, MetricsRegistry};
 
 use crate::engine::QueryEngine;
 use crate::stats::StatsSnapshot;
 
-/// Help text for a counter field of [`StatsSnapshot::fields`].
-fn field_help(name: &str) -> &'static str {
-    match name {
-        "records_scanned" => "MOFT records examined by time filtering.",
-        "bbox_rejections" => "Geometry elements discarded on bounding box alone.",
-        "rtree_probes" => "R-tree searches issued.",
-        "overlay_hits" => "Layer-pair lookups answered from the precomputed overlay.",
-        "overlay_misses" => "Layer-pair requests computed per call (no precomputation).",
-        "legs_cut" => "Trajectory sub-legs produced by time-window cutting.",
-        "queries" => "Region evaluations started.",
-        "records_ingested" => "Stream records accepted into ingest buffers.",
-        "records_late_dropped" => "Stream records dead-lettered as later than the watermark.",
-        "segments_sealed" => "Stream segments sealed.",
-        "partials_merged" => "Partial-aggregate entries merged into the delta cube.",
-        "tail_records_scanned" => "Live tail records scanned by incremental rollups.",
-        "index_interval_probes" => "Interval-tree window searches over object time extents.",
-        "index_bvh_probes" => "BVH searches over object bounding boxes.",
-        "index_zones_scanned" => "Zone-map blocks scanned after index pruning.",
-        "index_zones_pruned" => "Zone-map blocks skipped wholesale by index pruning.",
-        "index_records_pruned" => "Records excluded by index pruning before exact tests.",
-        _ => "Engine counter.",
-    }
-}
-
 /// Publishes one engine's counters into `registry`, labelled
 /// `engine="<name>"`:
 ///
-/// * every event counter of [`StatsSnapshot::fields`] as
-///   `gisolap_<field>_total`;
+/// * every event counter of [`StatsSnapshot`] as `gisolap_<field>_total`,
+///   its declaration doc line as the help text;
 /// * every `*_ns` timing field as
 ///   `gisolap_phase_seconds_total{engine, phase}` (seconds, fractional);
 /// * with a [`gisolap_obs::QueryObs`] attached: the
@@ -53,7 +30,7 @@ fn field_help(name: &str) -> &'static str {
 pub fn fill_engine_metrics<E: QueryEngine + ?Sized>(registry: &mut MetricsRegistry, engine: &E) {
     let name = engine.name();
     let snap = engine.stats().snapshot();
-    for (field, value) in snap.fields() {
+    for ((field, value), help) in snap.fields().into_iter().zip(StatsSnapshot::DOCS) {
         if StatsSnapshot::is_timing_field(field) {
             let phase = field.trim_end_matches("_ns");
             registry.set_counter(
@@ -63,10 +40,8 @@ pub fn fill_engine_metrics<E: QueryEngine + ?Sized>(registry: &mut MetricsRegist
                 value as f64 / 1e9,
             );
         } else {
-            // Metric names must be 'static-ish strings; build the
-            // conventional `_total` name from the field name.
-            let metric = format!("gisolap_{field}_total");
-            registry.set_counter_u64(&metric, field_help(field), &[("engine", name)], value);
+            let metric = format!("{}{field}_total", StatsSnapshot::PREFIX);
+            registry.set_counter_u64(&metric, help.trim(), &[("engine", name)], value);
         }
     }
     if let Some(obs) = engine.obs() {
@@ -93,6 +68,62 @@ pub fn engine_metrics<E: QueryEngine + ?Sized>(engine: &E) -> String {
     registry.render_prometheus()
 }
 
+/// The one-line `stats:` / `delta:` rendering of explain plans.
+impl std::fmt::Display for StatsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "queries={} records_scanned={} bbox_rejections={} rtree_probes={} \
+             overlay_hits={} overlay_misses={} legs_cut={} \
+             time_filter={:.3}ms filter_resolve={:.3}ms spatial_match={:.3}ms",
+            self.queries,
+            self.records_scanned,
+            self.bbox_rejections,
+            self.rtree_probes,
+            self.overlay_hits,
+            self.overlay_misses,
+            self.legs_cut,
+            self.time_filter_ns as f64 / 1e6,
+            self.filter_resolve_ns as f64 / 1e6,
+            self.spatial_match_ns as f64 / 1e6,
+        )?;
+        // Index counters only appear once index-assisted evaluation ran,
+        // so scan-only engines (and the pinned explain goldens) keep the
+        // compact line.
+        if self.index_interval_probes > 0
+            || self.index_bvh_probes > 0
+            || self.index_zones_scanned > 0
+            || self.index_zones_pruned > 0
+            || self.index_records_pruned > 0
+        {
+            write!(
+                f,
+                " index_interval_probes={} index_bvh_probes={} index_zones_scanned={} \
+                 index_zones_pruned={} index_records_pruned={}",
+                self.index_interval_probes,
+                self.index_bvh_probes,
+                self.index_zones_scanned,
+                self.index_zones_pruned,
+                self.index_records_pruned,
+            )?;
+        }
+        // Ingest counters only appear for stream-fed engines.
+        if self.records_ingested > 0 || self.segments_sealed > 0 {
+            write!(
+                f,
+                " ingested={} late_dropped={} segments_sealed={} partials_merged={} \
+                 tail_scanned={}",
+                self.records_ingested,
+                self.records_late_dropped,
+                self.segments_sealed,
+                self.partials_merged,
+                self.tail_records_scanned,
+            )?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +140,7 @@ mod tests {
     fn every_snapshot_field_is_exported() {
         let (gis, moft) = empty_world();
         let engine = NaiveEngine::new(&gis, &moft);
-        engine.stats().add_records_scanned(3);
+        engine.stats().records_scanned.add(3);
         let text = engine_metrics(&engine);
         for (field, _) in engine.stats().snapshot().fields() {
             if StatsSnapshot::is_timing_field(field) {
@@ -152,7 +183,7 @@ mod tests {
         let engine = NaiveEngine::new(&gis, &moft);
         let mut registry = MetricsRegistry::new();
         fill_engine_metrics(&mut registry, &engine);
-        engine.stats().add_rtree_probes(9);
+        engine.stats().rtree_probes.add(9);
         fill_engine_metrics(&mut registry, &engine);
         let text = registry.render_prometheus();
         assert!(
@@ -160,5 +191,18 @@ mod tests {
             "{text}"
         );
         assert_eq!(text.matches("# TYPE gisolap_rtree_probes_total").count(), 1);
+    }
+
+    #[test]
+    fn snapshot_is_display() {
+        let stats = crate::stats::EngineStats::new();
+        stats.queries.inc();
+        let text = stats.snapshot().to_string();
+        assert!(text.contains("queries=1"), "{text}");
+        // Index counters stay hidden until index-assisted work happens.
+        assert!(!text.contains("index_"), "{text}");
+        stats.index_zones_pruned.add(2);
+        let text = stats.snapshot().to_string();
+        assert!(text.contains("index_zones_pruned=2"), "{text}");
     }
 }

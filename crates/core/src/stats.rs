@@ -9,274 +9,60 @@
 //! never used for synchronization — and atomics keep them sound under
 //! the parallel evaluation paths.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gisolap_obs::Span;
+use gisolap_obs::{counters, CounterSet, Span};
 
-/// Monotone evaluation counters owned by an engine. Cheap to bump from
-/// parallel workers; read via [`EngineStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    records_scanned: AtomicU64,
-    bbox_rejections: AtomicU64,
-    rtree_probes: AtomicU64,
-    overlay_hits: AtomicU64,
-    overlay_misses: AtomicU64,
-    legs_cut: AtomicU64,
-    queries: AtomicU64,
-    time_filter_ns: AtomicU64,
-    filter_resolve_ns: AtomicU64,
-    spatial_match_ns: AtomicU64,
-    records_ingested: AtomicU64,
-    records_late_dropped: AtomicU64,
-    segments_sealed: AtomicU64,
-    partials_merged: AtomicU64,
-    tail_records_scanned: AtomicU64,
-    index_interval_probes: AtomicU64,
-    index_bvh_probes: AtomicU64,
-    index_zones_scanned: AtomicU64,
-    index_zones_pruned: AtomicU64,
-    index_records_pruned: AtomicU64,
-}
-
-impl EngineStats {
-    /// A fresh, all-zero counter set.
-    pub fn new() -> EngineStats {
-        EngineStats::default()
+counters! {
+    /// A point-in-time copy of an engine's [`EngineStats`]. Each doc line
+    /// below doubles as the counter's Prometheus help text
+    /// ([`crate::metrics::fill_engine_metrics`]).
+    pub struct StatsSnapshot["gisolap_", "Engine counter."] cells EngineStats {
+        /// MOFT records examined by time filtering.
+        records_scanned,
+        /// Geometry elements discarded on bounding box alone.
+        bbox_rejections,
+        /// R-tree searches issued.
+        rtree_probes,
+        /// Layer-pair lookups answered from the precomputed overlay.
+        overlay_hits,
+        /// Layer-pair requests computed per call (no precomputation).
+        overlay_misses,
+        /// Trajectory sub-legs produced by time-window cutting.
+        legs_cut,
+        /// Region evaluations started.
+        queries,
+        /// Wall time (ns) filtering the MOFT by time predicates.
+        time_filter_ns,
+        /// Wall time (ns) resolving geometric sub-queries.
+        filter_resolve_ns,
+        /// Wall time (ns) matching records/trajectories spatially.
+        spatial_match_ns,
+        /// Stream records accepted into ingest buffers.
+        records_ingested,
+        /// Stream records dead-lettered as later than the watermark.
+        records_late_dropped,
+        /// Stream segments sealed.
+        segments_sealed,
+        /// Partial-aggregate entries merged into the delta cube.
+        partials_merged,
+        /// Live tail records scanned by incremental rollups.
+        tail_records_scanned,
+        /// Interval-tree window searches over object time extents.
+        index_interval_probes,
+        /// BVH searches over object bounding boxes.
+        index_bvh_probes,
+        /// Zone-map blocks scanned after index pruning.
+        index_zones_scanned,
+        /// Zone-map blocks skipped wholesale by index pruning.
+        index_zones_pruned,
+        /// Records excluded by index pruning before exact tests.
+        index_records_pruned,
     }
-
-    /// MOFT records examined by time filtering.
-    pub fn add_records_scanned(&self, n: u64) {
-        self.records_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Geometry elements discarded on bounding box alone.
-    pub fn add_bbox_rejections(&self, n: u64) {
-        self.bbox_rejections.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// R-tree searches issued.
-    pub fn add_rtree_probes(&self, n: u64) {
-        self.rtree_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Layer-pair lookups answered from the precomputed overlay.
-    pub fn add_overlay_hits(&self, n: u64) {
-        self.overlay_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Layer-pair requests the overlay could not answer (computed per
-    /// call, or missing from a selective precomputation).
-    pub fn add_overlay_misses(&self, n: u64) {
-        self.overlay_misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Trajectory sub-legs produced by time-window cutting.
-    pub fn add_legs_cut(&self, n: u64) {
-        self.legs_cut.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Region evaluations started.
-    pub fn add_query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds wall time spent filtering the MOFT by time predicates.
-    pub fn add_time_filter_ns(&self, since: Instant) {
-        self.time_filter_ns
-            .fetch_add(elapsed_ns(since), Ordering::Relaxed);
-    }
-
-    /// Adds wall time spent resolving geometric sub-queries.
-    pub fn add_filter_resolve_ns(&self, since: Instant) {
-        self.filter_resolve_ns
-            .fetch_add(elapsed_ns(since), Ordering::Relaxed);
-    }
-
-    /// Adds wall time spent matching records/trajectories spatially.
-    pub fn add_spatial_match_ns(&self, since: Instant) {
-        self.spatial_match_ns
-            .fetch_add(elapsed_ns(since), Ordering::Relaxed);
-    }
-
-    /// Interval-tree window searches issued over object time extents.
-    pub fn add_index_interval_probes(&self, n: u64) {
-        self.index_interval_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// BVH searches issued over object bounding boxes.
-    pub fn add_index_bvh_probes(&self, n: u64) {
-        self.index_bvh_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Zone-map blocks whose records were scanned after the prune.
-    pub fn add_index_zones_scanned(&self, n: u64) {
-        self.index_zones_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Zone-map blocks skipped wholesale by the prune.
-    pub fn add_index_zones_pruned(&self, n: u64) {
-        self.index_zones_pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records excluded by index pruning before any exact test ran.
-    pub fn add_index_records_pruned(&self, n: u64) {
-        self.index_records_pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Seeds the ingest counters from a streaming pipeline's tallies —
-    /// used by the `from_snapshot` engine constructors so stream-fed
-    /// engines surface ingestion work next to their query work.
-    pub fn set_ingest_counters(
-        &self,
-        ingested: u64,
-        late_dropped: u64,
-        sealed: u64,
-        merged: u64,
-        tail_scanned: u64,
-    ) {
-        self.records_ingested.store(ingested, Ordering::Relaxed);
-        self.records_late_dropped
-            .store(late_dropped, Ordering::Relaxed);
-        self.segments_sealed.store(sealed, Ordering::Relaxed);
-        self.partials_merged.store(merged, Ordering::Relaxed);
-        self.tail_records_scanned
-            .store(tail_scanned, Ordering::Relaxed);
-    }
-
-    /// A consistent point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            records_scanned: self.records_scanned.load(Ordering::Relaxed),
-            bbox_rejections: self.bbox_rejections.load(Ordering::Relaxed),
-            rtree_probes: self.rtree_probes.load(Ordering::Relaxed),
-            overlay_hits: self.overlay_hits.load(Ordering::Relaxed),
-            overlay_misses: self.overlay_misses.load(Ordering::Relaxed),
-            legs_cut: self.legs_cut.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            time_filter_ns: self.time_filter_ns.load(Ordering::Relaxed),
-            filter_resolve_ns: self.filter_resolve_ns.load(Ordering::Relaxed),
-            spatial_match_ns: self.spatial_match_ns.load(Ordering::Relaxed),
-            records_ingested: self.records_ingested.load(Ordering::Relaxed),
-            records_late_dropped: self.records_late_dropped.load(Ordering::Relaxed),
-            segments_sealed: self.segments_sealed.load(Ordering::Relaxed),
-            partials_merged: self.partials_merged.load(Ordering::Relaxed),
-            tail_records_scanned: self.tail_records_scanned.load(Ordering::Relaxed),
-            index_interval_probes: self.index_interval_probes.load(Ordering::Relaxed),
-            index_bvh_probes: self.index_bvh_probes.load(Ordering::Relaxed),
-            index_zones_scanned: self.index_zones_scanned.load(Ordering::Relaxed),
-            index_zones_pruned: self.index_zones_pruned.load(Ordering::Relaxed),
-            index_records_pruned: self.index_records_pruned.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter (e.g. between benchmark phases).
-    pub fn reset(&self) {
-        self.records_scanned.store(0, Ordering::Relaxed);
-        self.bbox_rejections.store(0, Ordering::Relaxed);
-        self.rtree_probes.store(0, Ordering::Relaxed);
-        self.overlay_hits.store(0, Ordering::Relaxed);
-        self.overlay_misses.store(0, Ordering::Relaxed);
-        self.legs_cut.store(0, Ordering::Relaxed);
-        self.queries.store(0, Ordering::Relaxed);
-        self.time_filter_ns.store(0, Ordering::Relaxed);
-        self.filter_resolve_ns.store(0, Ordering::Relaxed);
-        self.spatial_match_ns.store(0, Ordering::Relaxed);
-        self.records_ingested.store(0, Ordering::Relaxed);
-        self.records_late_dropped.store(0, Ordering::Relaxed);
-        self.segments_sealed.store(0, Ordering::Relaxed);
-        self.partials_merged.store(0, Ordering::Relaxed);
-        self.tail_records_scanned.store(0, Ordering::Relaxed);
-        self.index_interval_probes.store(0, Ordering::Relaxed);
-        self.index_bvh_probes.store(0, Ordering::Relaxed);
-        self.index_zones_scanned.store(0, Ordering::Relaxed);
-        self.index_zones_pruned.store(0, Ordering::Relaxed);
-        self.index_records_pruned.store(0, Ordering::Relaxed);
-    }
-}
-
-fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A point-in-time copy of an engine's [`EngineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// MOFT records examined by time filtering.
-    pub records_scanned: u64,
-    /// Geometry elements discarded on bounding box alone.
-    pub bbox_rejections: u64,
-    /// R-tree searches issued.
-    pub rtree_probes: u64,
-    /// Layer-pair lookups answered from the precomputed overlay.
-    pub overlay_hits: u64,
-    /// Layer-pair requests computed per call (no precomputation).
-    pub overlay_misses: u64,
-    /// Trajectory sub-legs produced by time-window cutting.
-    pub legs_cut: u64,
-    /// Region evaluations started.
-    pub queries: u64,
-    /// Wall time (ns) filtering the MOFT by time predicates.
-    pub time_filter_ns: u64,
-    /// Wall time (ns) resolving geometric sub-queries.
-    pub filter_resolve_ns: u64,
-    /// Wall time (ns) matching records/trajectories spatially.
-    pub spatial_match_ns: u64,
-    /// Stream records accepted into ingest buffers.
-    pub records_ingested: u64,
-    /// Stream records dead-lettered as later than the watermark.
-    pub records_late_dropped: u64,
-    /// Stream segments sealed.
-    pub segments_sealed: u64,
-    /// Partial-aggregate entries merged into the delta cube.
-    pub partials_merged: u64,
-    /// Live tail records scanned by incremental rollups.
-    pub tail_records_scanned: u64,
-    /// Interval-tree window searches issued over object time extents.
-    pub index_interval_probes: u64,
-    /// BVH searches issued over object bounding boxes.
-    pub index_bvh_probes: u64,
-    /// Zone-map blocks whose records were scanned after the prune.
-    pub index_zones_scanned: u64,
-    /// Zone-map blocks skipped wholesale by the prune.
-    pub index_zones_pruned: u64,
-    /// Records excluded by index pruning before any exact test ran.
-    pub index_records_pruned: u64,
 }
 
 impl StatsSnapshot {
-    /// Every counter as a `(name, value)` pair, in declaration order.
-    /// This is the single source of truth the metrics exporter, the span
-    /// tracer and the `OBSERVABILITY.md` coverage test all iterate, so a
-    /// counter added here is automatically exported and documented-or-
-    /// caught.
-    pub fn fields(&self) -> [(&'static str, u64); 20] {
-        [
-            ("records_scanned", self.records_scanned),
-            ("bbox_rejections", self.bbox_rejections),
-            ("rtree_probes", self.rtree_probes),
-            ("overlay_hits", self.overlay_hits),
-            ("overlay_misses", self.overlay_misses),
-            ("legs_cut", self.legs_cut),
-            ("queries", self.queries),
-            ("time_filter_ns", self.time_filter_ns),
-            ("filter_resolve_ns", self.filter_resolve_ns),
-            ("spatial_match_ns", self.spatial_match_ns),
-            ("records_ingested", self.records_ingested),
-            ("records_late_dropped", self.records_late_dropped),
-            ("segments_sealed", self.segments_sealed),
-            ("partials_merged", self.partials_merged),
-            ("tail_records_scanned", self.tail_records_scanned),
-            ("index_interval_probes", self.index_interval_probes),
-            ("index_bvh_probes", self.index_bvh_probes),
-            ("index_zones_scanned", self.index_zones_scanned),
-            ("index_zones_pruned", self.index_zones_pruned),
-            ("index_records_pruned", self.index_records_pruned),
-        ]
-    }
-
-    /// Whether a [`StatsSnapshot::fields`] name is a wall-time tally
+    /// Whether a [`CounterSet::fields`] name is a wall-time tally
     /// (nanoseconds) rather than an event count. Timing fields are the
     /// ones excluded from "identical counts" comparisons between
     /// parallel and sequential runs.
@@ -284,63 +70,16 @@ impl StatsSnapshot {
         name.ends_with("_ns")
     }
 
-    /// The field-wise difference `self − earlier` (saturating, so a
-    /// reset between snapshots yields zeros instead of wrapping). This
-    /// is "the counters this query cost" when `earlier` was taken just
-    /// before it ran.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            records_scanned: self.records_scanned.saturating_sub(earlier.records_scanned),
-            bbox_rejections: self.bbox_rejections.saturating_sub(earlier.bbox_rejections),
-            rtree_probes: self.rtree_probes.saturating_sub(earlier.rtree_probes),
-            overlay_hits: self.overlay_hits.saturating_sub(earlier.overlay_hits),
-            overlay_misses: self.overlay_misses.saturating_sub(earlier.overlay_misses),
-            legs_cut: self.legs_cut.saturating_sub(earlier.legs_cut),
-            queries: self.queries.saturating_sub(earlier.queries),
-            time_filter_ns: self.time_filter_ns.saturating_sub(earlier.time_filter_ns),
-            filter_resolve_ns: self
-                .filter_resolve_ns
-                .saturating_sub(earlier.filter_resolve_ns),
-            spatial_match_ns: self
-                .spatial_match_ns
-                .saturating_sub(earlier.spatial_match_ns),
-            records_ingested: self
-                .records_ingested
-                .saturating_sub(earlier.records_ingested),
-            records_late_dropped: self
-                .records_late_dropped
-                .saturating_sub(earlier.records_late_dropped),
-            segments_sealed: self.segments_sealed.saturating_sub(earlier.segments_sealed),
-            partials_merged: self.partials_merged.saturating_sub(earlier.partials_merged),
-            tail_records_scanned: self
-                .tail_records_scanned
-                .saturating_sub(earlier.tail_records_scanned),
-            index_interval_probes: self
-                .index_interval_probes
-                .saturating_sub(earlier.index_interval_probes),
-            index_bvh_probes: self
-                .index_bvh_probes
-                .saturating_sub(earlier.index_bvh_probes),
-            index_zones_scanned: self
-                .index_zones_scanned
-                .saturating_sub(earlier.index_zones_scanned),
-            index_zones_pruned: self
-                .index_zones_pruned
-                .saturating_sub(earlier.index_zones_pruned),
-            index_records_pruned: self
-                .index_records_pruned
-                .saturating_sub(earlier.index_records_pruned),
-        }
-    }
-
     /// A copy with every timing field zeroed — what the parallel-vs-
     /// sequential determinism tests compare.
-    pub fn zero_timings(mut self) -> StatsSnapshot {
-        self.time_filter_ns = 0;
-        self.filter_resolve_ns = 0;
-        self.spatial_match_ns = 0;
-        self
+    pub fn zero_timings(self) -> StatsSnapshot {
+        self.map(|name, v| if Self::is_timing_field(name) { 0 } else { v })
     }
+}
+
+/// Nanoseconds elapsed since `since`, for wall-time tallies and spans.
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Collects one query's phase spans from [`EngineStats`] snapshots.
@@ -437,61 +176,6 @@ fn nonzero_fields(snap: &StatsSnapshot) -> Vec<(&'static str, u64)> {
     out
 }
 
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "queries={} records_scanned={} bbox_rejections={} rtree_probes={} \
-             overlay_hits={} overlay_misses={} legs_cut={} \
-             time_filter={:.3}ms filter_resolve={:.3}ms spatial_match={:.3}ms",
-            self.queries,
-            self.records_scanned,
-            self.bbox_rejections,
-            self.rtree_probes,
-            self.overlay_hits,
-            self.overlay_misses,
-            self.legs_cut,
-            self.time_filter_ns as f64 / 1e6,
-            self.filter_resolve_ns as f64 / 1e6,
-            self.spatial_match_ns as f64 / 1e6,
-        )?;
-        // Index counters only appear once index-assisted evaluation ran,
-        // so scan-only engines (and the pinned explain goldens) keep the
-        // compact line.
-        if self.index_interval_probes > 0
-            || self.index_bvh_probes > 0
-            || self.index_zones_scanned > 0
-            || self.index_zones_pruned > 0
-            || self.index_records_pruned > 0
-        {
-            write!(
-                f,
-                " index_interval_probes={} index_bvh_probes={} index_zones_scanned={} \
-                 index_zones_pruned={} index_records_pruned={}",
-                self.index_interval_probes,
-                self.index_bvh_probes,
-                self.index_zones_scanned,
-                self.index_zones_pruned,
-                self.index_records_pruned,
-            )?;
-        }
-        // Ingest counters only appear for stream-fed engines.
-        if self.records_ingested > 0 || self.segments_sealed > 0 {
-            write!(
-                f,
-                " ingested={} late_dropped={} segments_sealed={} partials_merged={} \
-                 tail_scanned={}",
-                self.records_ingested,
-                self.records_late_dropped,
-                self.segments_sealed,
-                self.partials_merged,
-                self.tail_records_scanned,
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,14 +183,14 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let stats = EngineStats::new();
-        stats.add_records_scanned(10);
-        stats.add_records_scanned(5);
-        stats.add_bbox_rejections(3);
-        stats.add_rtree_probes(2);
-        stats.add_overlay_hits(1);
-        stats.add_overlay_misses(4);
-        stats.add_legs_cut(7);
-        stats.add_query();
+        stats.records_scanned.add(10);
+        stats.records_scanned.add(5);
+        stats.bbox_rejections.add(3);
+        stats.rtree_probes.add(2);
+        stats.overlay_hits.add(1);
+        stats.overlay_misses.add(4);
+        stats.legs_cut.add(7);
+        stats.queries.inc();
         let snap = stats.snapshot();
         assert_eq!(snap.records_scanned, 15);
         assert_eq!(snap.bbox_rejections, 3);
@@ -524,21 +208,22 @@ mod tests {
         let stats = EngineStats::new();
         let t0 = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(1));
-        stats.add_time_filter_ns(t0);
+        stats.time_filter_ns.add(elapsed_ns(t0));
         assert!(stats.snapshot().time_filter_ns >= 1_000_000);
     }
 
     #[test]
     fn fields_cover_every_counter() {
         let stats = EngineStats::new();
-        stats.add_records_scanned(2);
-        stats.add_query();
-        stats.set_ingest_counters(5, 1, 3, 4, 6);
-        stats.add_index_interval_probes(1);
-        stats.add_index_bvh_probes(2);
-        stats.add_index_zones_scanned(3);
-        stats.add_index_zones_pruned(4);
-        stats.add_index_records_pruned(9);
+        stats.records_scanned.add(2);
+        stats.queries.inc();
+        stats.records_ingested.set(5);
+        stats.tail_records_scanned.set(6);
+        stats.index_interval_probes.add(1);
+        stats.index_bvh_probes.add(2);
+        stats.index_zones_scanned.add(3);
+        stats.index_zones_pruned.add(4);
+        stats.index_records_pruned.add(9);
         let snap = stats.snapshot();
         let fields = snap.fields();
         assert_eq!(fields.len(), 20);
@@ -556,10 +241,10 @@ mod tests {
     #[test]
     fn delta_subtracts_and_saturates() {
         let stats = EngineStats::new();
-        stats.add_records_scanned(10);
+        stats.records_scanned.add(10);
         let before = stats.snapshot();
-        stats.add_records_scanned(7);
-        stats.add_rtree_probes(2);
+        stats.records_scanned.add(7);
+        stats.rtree_probes.add(2);
         let delta = stats.snapshot().delta(&before);
         assert_eq!(delta.records_scanned, 7);
         assert_eq!(delta.rtree_probes, 2);
@@ -573,10 +258,10 @@ mod tests {
     #[test]
     fn zero_timings_clears_only_ns_fields() {
         let stats = EngineStats::new();
-        stats.add_records_scanned(3);
-        stats.add_time_filter_ns(Instant::now());
-        stats.add_filter_resolve_ns(Instant::now());
-        stats.add_spatial_match_ns(Instant::now());
+        stats.records_scanned.add(3);
+        stats.time_filter_ns.add(elapsed_ns(Instant::now()));
+        stats.filter_resolve_ns.add(elapsed_ns(Instant::now()));
+        stats.spatial_match_ns.add(elapsed_ns(Instant::now()));
         let snap = stats.snapshot().zero_timings();
         assert_eq!(snap.time_filter_ns, 0);
         assert_eq!(snap.filter_resolve_ns, 0);
@@ -587,7 +272,7 @@ mod tests {
     #[test]
     fn phase_trace_partitions_the_delta() {
         let stats = EngineStats::new();
-        stats.add_records_scanned(100); // pre-existing work, not this query's
+        stats.records_scanned.add(100); // pre-existing work, not this query's
         let before = stats.snapshot();
 
         let t0 = Instant::now();
@@ -595,15 +280,15 @@ mod tests {
         assert!(trace.is_enabled());
 
         let p = Instant::now();
-        stats.add_records_scanned(40);
+        stats.records_scanned.add(40);
         trace.phase(&stats, "time-filter", p);
 
         let p = Instant::now();
-        stats.add_rtree_probes(3);
-        stats.add_records_scanned(2);
+        stats.rtree_probes.add(3);
+        stats.records_scanned.add(2);
         trace.phase(&stats, "spatial-match", p);
 
-        stats.add_query(); // residual: bumped outside any named phase
+        stats.queries.inc(); // residual: bumped outside any named phase
         let root = trace.finish(&stats, "eval", t0).expect("enabled trace");
 
         assert_eq!(root.name, "eval");
@@ -627,18 +312,5 @@ mod tests {
         assert!(!trace.is_enabled());
         trace.phase(&stats, "time-filter", Instant::now());
         assert!(trace.finish(&stats, "eval", Instant::now()).is_none());
-    }
-
-    #[test]
-    fn snapshot_is_display() {
-        let stats = EngineStats::new();
-        stats.add_query();
-        let text = stats.snapshot().to_string();
-        assert!(text.contains("queries=1"), "{text}");
-        // Index counters stay hidden until index-assisted work happens.
-        assert!(!text.contains("index_"), "{text}");
-        stats.add_index_zones_pruned(2);
-        let text = stats.snapshot().to_string();
-        assert!(text.contains("index_zones_pruned=2"), "{text}");
     }
 }

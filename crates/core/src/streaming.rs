@@ -91,13 +91,11 @@ pub fn recover_snapshot(
 
 /// Seeds an engine's [`EngineStats`] with a pipeline's ingest tallies.
 pub(crate) fn seed_ingest_stats(stats: &EngineStats, s: &IngestStats) {
-    stats.set_ingest_counters(
-        s.records_ingested,
-        s.late_dropped,
-        s.segments_sealed,
-        s.partials_merged,
-        s.tail_records_scanned,
-    );
+    stats.records_ingested.set(s.records_ingested);
+    stats.records_late_dropped.set(s.late_dropped);
+    stats.segments_sealed.set(s.segments_sealed);
+    stats.partials_merged.set(s.partials_merged);
+    stats.tail_records_scanned.set(s.tail_records_scanned);
 }
 
 #[cfg(test)]

@@ -51,6 +51,23 @@ pub const SLOW_QUERY_MS: EnvFlag = EnvFlag {
     doc: "latency threshold (ms) above which queries land in the slow-query log",
 };
 
+/// Case count for the seeded fault-injection and equivalence property
+/// suites under `tests/tests/` (`store_recovery`, `repl_faults`,
+/// `shard_equivalence`, `index_equivalence`, `sub_equivalence`,
+/// `elastic_failover`); CI raises it well above the local default for
+/// each.
+pub const CASES: EnvFlag = EnvFlag {
+    name: "GISOLAP_CASES",
+    default: "16",
+    doc: "property-test cases per fault-injection / equivalence suite",
+};
+
+/// The case count the property suites run: [`CASES`] when set (clamped
+/// to `1..=100_000`), else 16.
+pub fn cases() -> u32 {
+    CASES.parse_u64().map_or(16, |v| v.clamp(1, 100_000) as u32)
+}
+
 /// Durable-store WAL fsync policy: `always`, `never`, or an integer `n`
 /// meaning fsync every `n` appends.
 pub const STORE_SYNC: EnvFlag = EnvFlag {
@@ -66,15 +83,6 @@ pub const STORE_COMPACT_SEGMENTS: EnvFlag = EnvFlag {
     name: "GISOLAP_STORE_COMPACT_SEGMENTS",
     default: "0 (disabled)",
     doc: "segment-file count that triggers store compaction after a flush (0 = off)",
-};
-
-/// Case count for the crash-recovery fault-injection property tests
-/// (`tests/tests/store_recovery.rs`); CI's fault-injection job raises it
-/// well above the local default.
-pub const FAULT_CASES: EnvFlag = EnvFlag {
-    name: "GISOLAP_FAULT_CASES",
-    default: "16",
-    doc: "property-test cases for the store fault-injection suite",
 };
 
 /// Retired WAL generations a replication leader's store keeps on disk
@@ -102,15 +110,6 @@ pub const REPL_BACKOFF_MS: EnvFlag = EnvFlag {
     name: "GISOLAP_REPL_BACKOFF_MS",
     default: "10",
     doc: "base follower retry backoff in ms (exponential, jittered, capped)",
-};
-
-/// Case count for the replication fault-injection property tests
-/// (`tests/tests/repl_faults.rs`); CI's replication job raises it well
-/// above the local default.
-pub const REPL_FAULT_CASES: EnvFlag = EnvFlag {
-    name: "GISOLAP_REPL_FAULT_CASES",
-    default: "16",
-    doc: "property-test cases for the replication fault-injection suite",
 };
 
 /// Concurrent connections the query/replication server admits; one
@@ -147,15 +146,6 @@ pub const SHARD_PARALLEL: EnvFlag = EnvFlag {
     doc: "shard coordinator scatter mode: 1 = parallel over the rayon pool, 0 = sequential",
 };
 
-/// Case count for the sharded-vs-single-store equivalence property
-/// tests (`tests/tests/shard_equivalence.rs`); CI's shard job raises it
-/// well above the local default.
-pub const SHARD_CASES: EnvFlag = EnvFlag {
-    name: "GISOLAP_SHARD_CASES",
-    default: "16",
-    doc: "property-test cases for the sharded scatter-gather equivalence suite",
-};
-
 /// Whether engines that build a `MoftIndex` consult it during
 /// evaluation (`1`, the default) or fall back to pure scans (`0`) —
 /// the scan path is the reference the equivalence proptests compare
@@ -173,15 +163,6 @@ pub const INDEX_ZONE_ROWS: EnvFlag = EnvFlag {
     name: "GISOLAP_INDEX_ZONE_ROWS",
     default: "256",
     doc: "rows per zone-map block for segment and MoftIndex zone maps",
-};
-
-/// Case count for the index-vs-scan equivalence property tests
-/// (`tests/tests/index_equivalence.rs`); CI's index job raises it well
-/// above the local default.
-pub const INDEX_CASES: EnvFlag = EnvFlag {
-    name: "GISOLAP_INDEX_CASES",
-    default: "16",
-    doc: "property-test cases for the index-vs-scan equivalence suite",
 };
 
 /// Delta checkpoints a store chains after its last full checkpoint
@@ -212,15 +193,6 @@ pub const SUB_BUFFER: EnvFlag = EnvFlag {
     doc: "buffered notifications kept for standing-query catch-up reads (oldest dropped first)",
 };
 
-/// Case count for the standing-query incremental-vs-batch equivalence
-/// property tests (`tests/tests/sub_equivalence.rs`); CI's sub job
-/// raises it well above the local default.
-pub const SUB_CASES: EnvFlag = EnvFlag {
-    name: "GISOLAP_SUB_CASES",
-    default: "16",
-    doc: "property-test cases for the standing-query equivalence suite",
-};
-
 /// Ticks a shard leader's lease stays valid after its last successful
 /// probe. Failover may begin only once the lease has expired *and* the
 /// current probe failed, so one dropped probe never deposes a healthy
@@ -238,41 +210,27 @@ pub const ELASTIC_PROBE_TICKS: EnvFlag = EnvFlag {
     doc: "controller ticks between shard-leader health probes",
 };
 
-/// Case count for the elasticity fault-injection property tests
-/// (`tests/tests/elastic_failover.rs`); CI's elasticity job raises it
-/// well above the local default.
-pub const ELASTIC_CASES: EnvFlag = EnvFlag {
-    name: "GISOLAP_ELASTIC_CASES",
-    default: "16",
-    doc: "property-test cases for the shard-elasticity fault-injection suite",
-};
-
 /// Every flag the workspace reads, for discovery and doc-coverage tests.
-pub const ALL: [&EnvFlag; 24] = [
+pub const ALL: [&EnvFlag; 19] = [
     &THREADS,
     &SLOW_QUERY_MS,
+    &CASES,
     &STORE_SYNC,
     &STORE_COMPACT_SEGMENTS,
     &STORE_MAX_DELTAS,
-    &FAULT_CASES,
     &REPL_RETAIN_WALS,
     &REPL_MAX_LAG_SEQS,
     &REPL_BACKOFF_MS,
-    &REPL_FAULT_CASES,
     &SERVE_MAX_CONNS,
     &SERVE_MAX_INFLIGHT,
     &SERVE_TENANT_QUOTA,
     &SHARD_PARALLEL,
-    &SHARD_CASES,
     &INDEX,
     &INDEX_ZONE_ROWS,
-    &INDEX_CASES,
     &SUB_MAX,
     &SUB_BUFFER,
-    &SUB_CASES,
     &ELASTIC_LEASE_TICKS,
     &ELASTIC_PROBE_TICKS,
-    &ELASTIC_CASES,
 ];
 
 #[cfg(test)]

@@ -24,6 +24,10 @@
 //! * [`QueryObs`] — the bundle of the above that a query engine owns:
 //!   tracer + eval-latency histogram + slow-query log + the most recent
 //!   span tree.
+//! * [`counters!`] / [`CounterSet`] — the one declaration form for a
+//!   counter family: snapshot struct, exported names, delta and (where
+//!   needed) shared atomic cells from a single documented field list,
+//!   exported by [`MetricsRegistry::fill`].
 //! * [`config`] — the registry of every `GISOLAP_*` environment flag the
 //!   workspace reads, each documented and coverage-tested against the
 //!   repository docs.
@@ -38,11 +42,13 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod counters;
 pub mod metrics;
 pub mod query_obs;
 pub mod slow;
 pub mod span;
 
+pub use counters::{Counter, CounterSet};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
 pub use query_obs::QueryObs;
 pub use slow::{SlowQueryEntry, SlowQueryLog, SLOW_QUERY_ENV};

@@ -3,6 +3,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::counters::CounterSet;
+
 /// Number of log₂ buckets: upper bounds `2^1 … 2^BUCKETS` nanoseconds
 /// (≈ 2 ns … ≈ 17.6 min), observations above the last bound land in the
 /// implicit `+Inf` overflow.
@@ -190,6 +192,16 @@ impl MetricsRegistry {
     /// export should come through here.
     pub fn set_counter_u64(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
         self.upsert(name, help, Kind::Counter, labels, Value::Uint(value));
+    }
+
+    /// Publishes every counter of a [`CounterSet`] family as
+    /// `<PREFIX><name>_total` under the family's help text — the one
+    /// export path for every `counters!` declaration.
+    pub fn fill<C: CounterSet>(&mut self, counters: &C, labels: &[(&str, &str)]) {
+        for (name, value) in counters.fields() {
+            let metric = format!("{}{name}_total", C::PREFIX);
+            self.set_counter_u64(&metric, C::HELP, labels, value);
+        }
     }
 
     /// Sets a gauge sample (a value that can go up or down).

@@ -6,7 +6,7 @@ use crate::leader::{EpochFence, Leader};
 use crate::transport::Transport;
 use crate::wire::{self, Reply, Request, SnapshotTransfer};
 use gisolap_obs::config as obs_config;
-use gisolap_obs::{MetricsRegistry, Span, Tracer};
+use gisolap_obs::{counters, MetricsRegistry, Span, Tracer};
 use gisolap_store::{DurableIngest, FlushReport, Result, StoreConfig, StoreError, Vfs};
 use gisolap_stream::{
     GeoResolver, ReplayOp, RollupQuery, RollupRow, StreamConfig, StreamIngest, StreamSnapshot,
@@ -130,69 +130,37 @@ pub enum PollOutcome {
     Retry,
 }
 
-/// Counters for follower-side replication work. Field order is the
-/// single source for [`ReplStats::fields`], metrics names and the
-/// `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplStats {
-    /// Poll rounds attempted.
-    pub polls: u64,
-    /// WAL entries applied.
-    pub entries_applied: u64,
-    /// Records inside applied batch entries.
-    pub records_applied: u64,
-    /// Entries (or stale snapshots) skipped because the cursor had
-    /// already passed them — the idempotence guard.
-    pub duplicates_skipped: u64,
-    /// Rounds abandoned because a shipped entry jumped past the cursor.
-    pub seq_gaps: u64,
-    /// Shipped WAL frames flagged corrupt (checksum/decode) and dropped.
-    pub corrupt_frames: u64,
-    /// Replies whose head failed structural validation.
-    pub corrupt_replies: u64,
-    /// Exchanges that failed at the transport layer.
-    pub transport_errors: u64,
-    /// Backoffs performed (every failed round counts one).
-    pub retries: u64,
-    /// Successful rounds that ended a failure streak.
-    pub reconnects: u64,
-    /// `Compacted` replies received (cursor predates leader retention).
-    pub snapshot_fallbacks: u64,
-    /// Full snapshots installed.
-    pub snapshots_installed: u64,
-    /// Replies dropped because they carried an epoch below the highest
-    /// this follower has seen — a deposed leader still answering.
-    pub stale_epoch_rejections: u64,
-}
-
-impl ReplStats {
-    /// Every follower counter as a `(name, value)` pair, in declaration
-    /// order.
-    pub fn fields(&self) -> [(&'static str, u64); 13] {
-        [
-            ("polls", self.polls),
-            ("entries_applied", self.entries_applied),
-            ("records_applied", self.records_applied),
-            ("duplicates_skipped", self.duplicates_skipped),
-            ("seq_gaps", self.seq_gaps),
-            ("corrupt_frames", self.corrupt_frames),
-            ("corrupt_replies", self.corrupt_replies),
-            ("transport_errors", self.transport_errors),
-            ("retries", self.retries),
-            ("reconnects", self.reconnects),
-            ("snapshot_fallbacks", self.snapshot_fallbacks),
-            ("snapshots_installed", self.snapshots_installed),
-            ("stale_epoch_rejections", self.stale_epoch_rejections),
-        ]
-    }
-
-    /// Publishes the follower counters into `registry` as
-    /// `gisolap_repl_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_repl_{field}_total");
-            registry.set_counter_u64(&name, "Replication follower counter.", &[], value);
-        }
+counters! {
+    /// Counters for follower-side replication work.
+    pub struct ReplStats["gisolap_repl_", "Replication follower counter."] {
+        /// Poll rounds attempted.
+        polls,
+        /// WAL entries applied.
+        entries_applied,
+        /// Records inside applied batch entries.
+        records_applied,
+        /// Entries (or stale snapshots) skipped because the cursor had
+        /// already passed them — the idempotence guard.
+        duplicates_skipped,
+        /// Rounds abandoned because a shipped entry jumped past the cursor.
+        seq_gaps,
+        /// Shipped WAL frames flagged corrupt (checksum/decode) and dropped.
+        corrupt_frames,
+        /// Replies whose head failed structural validation.
+        corrupt_replies,
+        /// Exchanges that failed at the transport layer.
+        transport_errors,
+        /// Backoffs performed (every failed round counts one).
+        retries,
+        /// Successful rounds that ended a failure streak.
+        reconnects,
+        /// `Compacted` replies received (cursor predates leader retention).
+        snapshot_fallbacks,
+        /// Full snapshots installed.
+        snapshots_installed,
+        /// Replies dropped because they carried an epoch below the highest
+        /// this follower has seen — a deposed leader still answering.
+        stale_epoch_rejections,
     }
 }
 
@@ -836,7 +804,7 @@ impl<T: Transport> Follower<T> {
     /// Publishes follower counters plus the `gisolap_repl_lag_seqs`
     /// gauge (once the leader has been contacted).
     pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        self.stats.fill_metrics(registry);
+        registry.fill(&self.stats, &[]);
         if let Some(seqs) = self.lag().seqs {
             registry.set_gauge(
                 "gisolap_repl_lag_seqs",
@@ -1427,7 +1395,7 @@ mod tests {
         assert!(text.contains("gisolap_repl_polls_total"));
         assert!(text.contains("gisolap_repl_lag_seqs"));
         let mut reg = MetricsRegistry::new();
-        leader.lock().unwrap().stats().fill_metrics(&mut reg);
+        reg.fill(&leader.lock().unwrap().stats(), &[]);
         assert!(reg
             .render_prometheus()
             .contains("gisolap_repl_leader_requests_total"));

@@ -2,7 +2,7 @@
 //! requests from its retained + live WAL generations.
 
 use crate::wire::{self, Request};
-use gisolap_obs::MetricsRegistry;
+use gisolap_obs::counters;
 use gisolap_store::{DurableIngest, Result, StoreError, WalFetch};
 use gisolap_stream::{IngestReport, RollupQuery, RollupRow};
 use gisolap_traj::Record;
@@ -16,47 +16,22 @@ use std::sync::Arc;
 /// leader the shard has ever had.
 pub type EpochFence = Arc<AtomicU64>;
 
-/// Counters for leader-side replication work. Field order is the single
-/// source for [`LeaderStats::fields`], metrics names and the
-/// `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeaderStats {
-    /// Requests decoded and answered (any reply type).
-    pub requests: u64,
-    /// WAL entries shipped in frames replies.
-    pub frames_shipped: u64,
-    /// `Compacted` replies (follower cursor predates WAL retention).
-    pub compacted_replies: u64,
-    /// Full snapshot transfers served.
-    pub snapshots_shipped: u64,
-    /// Requests rejected as structurally corrupt.
-    pub bad_requests: u64,
-    /// Operations refused because this leader's epoch was fenced (a
-    /// newer leader exists) or a request proved a newer epoch.
-    pub fenced_rejections: u64,
-}
-
-impl LeaderStats {
-    /// Every leader counter as a `(name, value)` pair, in declaration
-    /// order.
-    pub fn fields(&self) -> [(&'static str, u64); 6] {
-        [
-            ("requests", self.requests),
-            ("frames_shipped", self.frames_shipped),
-            ("compacted_replies", self.compacted_replies),
-            ("snapshots_shipped", self.snapshots_shipped),
-            ("bad_requests", self.bad_requests),
-            ("fenced_rejections", self.fenced_rejections),
-        ]
-    }
-
-    /// Publishes the leader counters into `registry` as
-    /// `gisolap_repl_leader_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_repl_leader_{field}_total");
-            registry.set_counter_u64(&name, "Replication leader counter.", &[], value);
-        }
+counters! {
+    /// Counters for leader-side replication work.
+    pub struct LeaderStats["gisolap_repl_leader_", "Replication leader counter."] {
+        /// Requests decoded and answered (any reply type).
+        requests,
+        /// WAL entries shipped in frames replies.
+        frames_shipped,
+        /// `Compacted` replies (follower cursor predates WAL retention).
+        compacted_replies,
+        /// Full snapshot transfers served.
+        snapshots_shipped,
+        /// Requests rejected as structurally corrupt.
+        bad_requests,
+        /// Operations refused because this leader's epoch was fenced (a
+        /// newer leader exists) or a request proved a newer epoch.
+        fenced_rejections,
     }
 }
 

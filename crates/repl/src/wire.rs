@@ -161,6 +161,11 @@ pub const MAX_FRAMES_PER_REPLY: usize = u32::MAX as usize;
 /// declaring more entries than `remaining / MIN_ENTRY_FRAME` is lying.
 const MIN_ENTRY_FRAME: usize = 4 + 9 + 4;
 
+/// The smallest length-prefixed segment inside a snapshot reply: 4-byte
+/// prefix + partition + three empty sequences (records, cells, zones)
+/// + the zone map's `rows_per_zone`.
+const MIN_SEGMENT_BYTES: usize = 4 + 8 + 3 * 8 + 4;
+
 /// The head's count field for a batch of `len` entries, or an error
 /// when `len` exceeds [`MAX_FRAMES_PER_REPLY`] (the old code did
 /// `len as u32` here, silently truncating oversized batches into a
@@ -246,20 +251,15 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply> {
     match d.u8()? {
         REPLY_FRAMES => {
             let epoch = d.u64()?;
-            let count = d.u32()? as usize;
+            let count = u64::from(d.u32()?);
             let leader_next_seq = d.u64()?;
             let retained_from = d.u64()?;
             d.finish()?;
-            // Fail fast on implausible counts: the remaining bytes
-            // cannot possibly hold `count` framed entries, so this is
-            // structural damage (a lying head), not a truncated tail.
-            if count.saturating_mul(MIN_ENTRY_FRAME) > rest.len() {
-                return Err(wire_corrupt(format!(
-                    "frames reply declares {count} entries but only {} bytes follow",
-                    rest.len()
-                )));
-            }
-            let mut entries = Vec::with_capacity(count.min(1024));
+            // A head declaring more entries than the bytes after it
+            // could frame is structural damage (a lying head), not a
+            // truncated tail.
+            let count = Dec::new(rest, WIRE).count(count, MIN_ENTRY_FRAME, "entries")?;
+            let mut entries = Vec::with_capacity(count);
             let mut corrupt_frames = 0u64;
             for _ in 0..count {
                 match read_frame(rest) {
@@ -305,17 +305,9 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply> {
             let lateness_seconds = d.i64()?;
             let segment_seconds = d.i64()?;
             let next_seq = d.u64()?;
-            let n = d.u32()? as usize;
-            // Every encoded segment costs at least its 4-byte length
-            // prefix; reject declared counts the payload cannot hold
-            // before allocating or looping over them.
-            if n.saturating_mul(4) > d.remaining() {
-                return Err(wire_corrupt(format!(
-                    "snapshot declares {n} segments but only {} payload bytes remain",
-                    d.remaining()
-                )));
-            }
-            let mut segments = Vec::with_capacity(n.min(1024));
+            let n = u64::from(d.u32()?);
+            let n = d.count(n, MIN_SEGMENT_BYTES, "segments")?;
+            let mut segments = Vec::with_capacity(n);
             for _ in 0..n {
                 segments.push(decode_segment(d.bytes()?, WIRE)?);
             }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use gisolap_obs::{config as obs_config, MetricsRegistry};
+use gisolap_obs::{config as obs_config, counters};
 use gisolap_repl::Leader;
 use gisolap_shard::{
     filter_region, ClusterExecutor, Coordinator, GridSpec, ShardQuery, ShardedIngest,
@@ -74,116 +74,41 @@ impl ServeConfig {
     }
 }
 
-/// A point-in-time copy of a server's counters. Field order is the
-/// single source for [`ServeStats::fields`], the
-/// `gisolap_serve_<field>_total` metric names and the
-/// `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Connections accepted and admitted.
-    pub connections_accepted: u64,
-    /// Connections turned away at the connection cap.
-    pub connections_rejected: u64,
-    /// Requests decoded (any reply).
-    pub requests: u64,
-    /// Rollup evaluations served.
-    pub rollup_requests: u64,
-    /// Replication exchanges served.
-    pub repl_requests: u64,
-    /// Pings answered.
-    pub ping_requests: u64,
-    /// Requests answered `Busy` at the global in-flight cap.
-    pub busy_rejections: u64,
-    /// Requests answered `Busy` at the per-tenant quota.
-    pub quota_rejections: u64,
-    /// Shard-leaf partial-cell extractions served.
-    pub partials_requests: u64,
-    /// Server-side scatter-gather rollups served.
-    pub sharded_requests: u64,
-    /// Standing-query registrations served.
-    pub subscribe_requests: u64,
-    /// Standing-query catch-up reads served.
-    pub notifications_requests: u64,
-    /// Requests rejected as structurally corrupt or inadmissible.
-    pub bad_requests: u64,
-    /// Request bytes read off sockets.
-    pub bytes_in: u64,
-    /// Reply bytes written to sockets.
-    pub bytes_out: u64,
-}
-
-impl ServeStats {
-    /// Every server counter as a `(name, value)` pair, in declaration
-    /// order.
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
-        [
-            ("connections_accepted", self.connections_accepted),
-            ("connections_rejected", self.connections_rejected),
-            ("requests", self.requests),
-            ("rollup_requests", self.rollup_requests),
-            ("repl_requests", self.repl_requests),
-            ("ping_requests", self.ping_requests),
-            ("partials_requests", self.partials_requests),
-            ("sharded_requests", self.sharded_requests),
-            ("subscribe_requests", self.subscribe_requests),
-            ("notifications_requests", self.notifications_requests),
-            ("busy_rejections", self.busy_rejections),
-            ("quota_rejections", self.quota_rejections),
-            ("bad_requests", self.bad_requests),
-            ("bytes_in", self.bytes_in),
-            ("bytes_out", self.bytes_out),
-        ]
-    }
-
-    /// Publishes the server counters into `registry` as
-    /// `gisolap_serve_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_serve_{field}_total");
-            registry.set_counter_u64(&name, "Query/replication server counter.", &[], value);
-        }
-    }
-}
-
-/// Shared-atomic mirror of [`ServeStats`], bumped by handler threads.
-#[derive(Debug, Default)]
-struct Counters {
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    requests: AtomicU64,
-    rollup_requests: AtomicU64,
-    repl_requests: AtomicU64,
-    ping_requests: AtomicU64,
-    partials_requests: AtomicU64,
-    sharded_requests: AtomicU64,
-    subscribe_requests: AtomicU64,
-    notifications_requests: AtomicU64,
-    busy_rejections: AtomicU64,
-    quota_rejections: AtomicU64,
-    bad_requests: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            rollup_requests: self.rollup_requests.load(Ordering::Relaxed),
-            repl_requests: self.repl_requests.load(Ordering::Relaxed),
-            ping_requests: self.ping_requests.load(Ordering::Relaxed),
-            partials_requests: self.partials_requests.load(Ordering::Relaxed),
-            sharded_requests: self.sharded_requests.load(Ordering::Relaxed),
-            subscribe_requests: self.subscribe_requests.load(Ordering::Relaxed),
-            notifications_requests: self.notifications_requests.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            quota_rejections: self.quota_rejections.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
+counters! {
+    /// A point-in-time copy of a server's counters.
+    pub struct ServeStats["gisolap_serve_", "Query/replication server counter."]
+        cells ServeCounters
+    {
+        /// Connections accepted and admitted.
+        connections_accepted,
+        /// Connections turned away at the connection cap.
+        connections_rejected,
+        /// Requests decoded (any reply).
+        requests,
+        /// Rollup evaluations served.
+        rollup_requests,
+        /// Replication exchanges served.
+        repl_requests,
+        /// Pings answered.
+        ping_requests,
+        /// Shard-leaf partial-cell extractions served.
+        partials_requests,
+        /// Server-side scatter-gather rollups served.
+        sharded_requests,
+        /// Standing-query registrations served.
+        subscribe_requests,
+        /// Standing-query catch-up reads served.
+        notifications_requests,
+        /// Requests answered `Busy` at the global in-flight cap.
+        busy_rejections,
+        /// Requests answered `Busy` at the per-tenant quota.
+        quota_rejections,
+        /// Requests rejected as structurally corrupt or inadmissible.
+        bad_requests,
+        /// Request bytes read off sockets.
+        bytes_in,
+        /// Reply bytes written to sockets.
+        bytes_out,
     }
 }
 
@@ -201,7 +126,7 @@ pub fn tenant_admissible(tenant: &str) -> bool {
 struct Shared {
     root: PathBuf,
     config: ServeConfig,
-    counters: Counters,
+    counters: ServeCounters,
     shutdown: AtomicBool,
     conns: AtomicUsize,
     inflight: AtomicUsize,
@@ -224,6 +149,23 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(root: &Path, config: ServeConfig) -> Shared {
+        Shared {
+            root: root.to_path_buf(),
+            config,
+            counters: ServeCounters::default(),
+            shutdown: AtomicBool::new(false),
+            conns: AtomicUsize::new(0),
+            inflight: AtomicUsize::new(0),
+            tenants: Mutex::new(HashMap::new()),
+            clusters: Mutex::new(HashMap::new()),
+            subs: Mutex::new(HashMap::new()),
+            tenant_inflight: Mutex::new(HashMap::new()),
+            open_conns: Mutex::new(HashMap::new()),
+            next_conn_id: AtomicU64::new(0),
+        }
+    }
+
     /// The cached leader for `tenant`, opening (create-or-recover) its
     /// store under `root/<tenant>` on first use.
     fn leader(&self, tenant: &str) -> Result<Arc<Mutex<Leader>>, String> {
@@ -319,7 +261,9 @@ impl Shared {
             .clone()
     }
 
-    /// Claims one per-tenant in-flight slot, or says why not.
+    /// Claims one per-tenant in-flight slot, or says why not. Callers
+    /// vet the name first ([`tenant_admissible`]), so the quota map only
+    /// ever keys admissible tenants with work in flight.
     fn claim_tenant_slot(&self, tenant: &str) -> Result<(), String> {
         if self.config.tenant_quota == 0 {
             return Ok(());
@@ -343,6 +287,10 @@ impl Shared {
         let mut map = self.tenant_inflight.lock().expect("quota map poisoned");
         if let Some(slot) = map.get_mut(tenant) {
             *slot = slot.saturating_sub(1);
+            // Idle tenants leave the map: it holds in-flight work only.
+            if *slot == 0 {
+                map.remove(tenant);
+            }
         }
     }
 
@@ -350,19 +298,12 @@ impl Shared {
     /// already claimed).
     fn evaluate(&self, req: &ServeRequest) -> ServeReply {
         match req {
-            ServeRequest::Ping { tenant } => {
-                self.counters.ping_requests.fetch_add(1, Ordering::Relaxed);
-                if tenant_admissible(tenant) {
-                    ServeReply::Pong
-                } else {
-                    self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    ServeReply::Err(format!("inadmissible tenant name {tenant:?}"))
-                }
+            ServeRequest::Ping { .. } => {
+                self.counters.ping_requests.inc();
+                ServeReply::Pong
             }
             ServeRequest::Rollup { tenant, query } => {
-                self.counters
-                    .rollup_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.rollup_requests.inc();
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let leader = leader.lock().expect("leader poisoned");
@@ -372,13 +313,13 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bad_requests.inc();
                         ServeReply::Err(detail)
                     }
                 }
             }
             ServeRequest::Repl { tenant, request } => {
-                self.counters.repl_requests.fetch_add(1, Ordering::Relaxed);
+                self.counters.repl_requests.inc();
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let mut leader = leader.lock().expect("leader poisoned");
@@ -388,7 +329,7 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bad_requests.inc();
                         ServeReply::Err(detail)
                     }
                 }
@@ -398,9 +339,7 @@ impl Shared {
                 grid,
                 region,
             } => {
-                self.counters
-                    .partials_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.partials_requests.inc();
                 match self.leader_with_grid(tenant, *grid) {
                     Ok(leader) => {
                         let leader = leader.lock().expect("leader poisoned");
@@ -410,7 +349,7 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bad_requests.inc();
                         ServeReply::Err(detail)
                     }
                 }
@@ -420,9 +359,7 @@ impl Shared {
                 query,
                 region,
             } => {
-                self.counters
-                    .sharded_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.sharded_requests.inc();
                 match self.cluster(tenant) {
                     Ok(cluster) => {
                         let cluster = cluster.lock().expect("cluster poisoned");
@@ -441,15 +378,13 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bad_requests.inc();
                         ServeReply::Err(detail)
                     }
                 }
             }
             ServeRequest::Subscribe { tenant, sub } => {
-                self.counters
-                    .subscribe_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.subscribe_requests.inc();
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let evaluator = self.sub_evaluator(tenant);
@@ -462,21 +397,19 @@ impl Shared {
                         match evaluator.register(sub.clone()) {
                             Ok(id) => ServeReply::Subscribed(id),
                             Err(e) => {
-                                self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                                self.counters.bad_requests.inc();
                                 ServeReply::Err(format!("subscribe failed: {e}"))
                             }
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bad_requests.inc();
                         ServeReply::Err(detail)
                     }
                 }
             }
             ServeRequest::Notifications { tenant, since } => {
-                self.counters
-                    .notifications_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.notifications_requests.inc();
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let evaluator = self.sub_evaluator(tenant);
@@ -487,7 +420,7 @@ impl Shared {
                         ServeReply::Notifications { items, next }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bad_requests.inc();
                         ServeReply::Err(detail)
                     }
                 }
@@ -513,41 +446,39 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             // wire: either way this connection is done.
             Ok(None) | Err(_) => break,
         };
-        shared
-            .counters
-            .bytes_in
-            .fetch_add(payload.len() as u64 + 8, Ordering::Relaxed);
+        shared.counters.bytes_in.add(payload.len() as u64 + 8);
         let reply = handle_payload(shared, &payload);
         let framed = wire::encode_reply(&reply);
-        shared
-            .counters
-            .bytes_out
-            .fetch_add(framed.len() as u64, Ordering::Relaxed);
+        shared.counters.bytes_out.add(framed.len() as u64);
         if wire::write_message(&mut writer, &framed).is_err() {
             break;
         }
     }
 }
 
-/// Decodes, admits (in-flight + quota) and evaluates one request.
+/// Decodes, vets, admits (in-flight + quota) and evaluates one request.
 fn handle_payload(shared: &Shared, payload: &[u8]) -> ServeReply {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+    shared.counters.requests.inc();
     let req = match wire::decode_request(payload) {
         Ok(req) => req,
         Err(e) => {
-            shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.counters.bad_requests.inc();
             return ServeReply::Err(format!("bad request: {e}"));
         }
     };
+
+    // Vet the tenant before it can key any server state: an arbitrary
+    // client-chosen string must not reach the quota map or the disk.
+    if !tenant_admissible(req.tenant()) {
+        shared.counters.bad_requests.inc();
+        return ServeReply::Err(format!("inadmissible tenant name {:?}", req.tenant()));
+    }
 
     // Global in-flight cap: claim optimistically, back out over the cap.
     let inflight = shared.inflight.fetch_add(1, Ordering::AcqRel) + 1;
     if inflight > shared.config.max_inflight {
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        shared
-            .counters
-            .busy_rejections
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.busy_rejections.inc();
         return ServeReply::Busy(format!(
             "server at its cap of {} in-flight requests",
             shared.config.max_inflight
@@ -555,10 +486,7 @@ fn handle_payload(shared: &Shared, payload: &[u8]) -> ServeReply {
     }
     let reply = match shared.claim_tenant_slot(req.tenant()) {
         Err(detail) => {
-            shared
-                .counters
-                .quota_rejections
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters.quota_rejections.inc();
             ServeReply::Busy(detail)
         }
         Ok(()) => {
@@ -600,20 +528,7 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, root: &Path, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            root: root.to_path_buf(),
-            config,
-            counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
-            conns: AtomicUsize::new(0),
-            inflight: AtomicUsize::new(0),
-            tenants: Mutex::new(HashMap::new()),
-            clusters: Mutex::new(HashMap::new()),
-            subs: Mutex::new(HashMap::new()),
-            tenant_inflight: Mutex::new(HashMap::new()),
-            open_conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(root, config));
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
             .name("gisolap-serve-accept".into())
@@ -634,12 +549,6 @@ impl Server {
     /// A point-in-time copy of the server counters.
     pub fn stats(&self) -> ServeStats {
         self.shared.counters.snapshot()
-    }
-
-    /// Publishes the server counters into `registry` as
-    /// `gisolap_serve_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        self.stats().fill_metrics(registry);
     }
 
     /// The cached leader for `tenant`, opening its store on first use —
@@ -710,10 +619,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let conns = shared.conns.fetch_add(1, Ordering::AcqRel) + 1;
         if conns > shared.config.max_conns {
             shared.conns.fetch_sub(1, Ordering::AcqRel);
-            shared
-                .counters
-                .connections_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters.connections_rejected.inc();
             // One explicit Busy so the client can tell backpressure
             // from a network failure, then close.
             let framed = wire::encode_reply(&ServeReply::Busy(format!(
@@ -724,10 +630,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             let _ = wire::write_message(&mut stream, &framed);
             continue;
         }
-        shared
-            .counters
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.connections_accepted.inc();
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             shared
@@ -759,6 +662,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gisolap_obs::{CounterSet, MetricsRegistry};
+    use gisolap_store::ScratchDir;
 
     #[test]
     fn tenant_names_are_vetted() {
@@ -769,6 +674,59 @@ mod tests {
         assert!(!tenant_admissible("a/b"));
         assert!(!tenant_admissible("dot.dot"));
         assert!(!tenant_admissible(&"x".repeat(65)));
+    }
+
+    fn shared(root: &ScratchDir, tenant_quota: usize) -> Shared {
+        let config = ServeConfig::with_caps(
+            StreamConfig::new(0, 3600).unwrap(),
+            StoreConfig::default(),
+            8,
+            8,
+            tenant_quota,
+        );
+        Shared::new(root.path(), config)
+    }
+
+    fn ping(tenant: String) -> Vec<u8> {
+        let framed = wire::encode_request(&ServeRequest::Ping { tenant });
+        wire::read_message(&mut framed.as_slice()).unwrap().unwrap()
+    }
+
+    #[test]
+    fn junk_tenants_never_reach_the_quota_map() {
+        let root = ScratchDir::new("serve-quota-junk");
+        let shared = shared(&root, 1);
+        let n = 50;
+        for i in 0..n {
+            let junk = format!("../no such tenant #{i}/{}", "x".repeat(i));
+            match handle_payload(&shared, &ping(junk)) {
+                ServeReply::Err(detail) => assert!(detail.contains("inadmissible"), "{detail}"),
+                other => panic!("junk tenant answered {other:?}"),
+            }
+        }
+        // Admissible tenants come and go without leaving an entry either.
+        for i in 0..n {
+            assert_eq!(
+                handle_payload(&shared, &ping(format!("tenant-{i}"))),
+                ServeReply::Pong
+            );
+        }
+        assert!(shared.tenant_inflight.lock().unwrap().is_empty());
+        let stats = shared.counters.snapshot();
+        assert_eq!(stats.bad_requests, n as u64);
+        assert_eq!(stats.ping_requests, n as u64);
+        assert_eq!(stats.quota_rejections, 0);
+
+        // The quota itself still bites: a tenant with its one slot held
+        // is answered Busy, and the slot's release empties the map.
+        shared.claim_tenant_slot("acme").unwrap();
+        match handle_payload(&shared, &ping("acme".into())) {
+            ServeReply::Busy(detail) => assert!(detail.contains("quota"), "{detail}"),
+            other => panic!("tenant at quota answered {other:?}"),
+        }
+        assert_eq!(shared.counters.snapshot().quota_rejections, 1);
+        shared.release_tenant_slot("acme");
+        assert!(shared.tenant_inflight.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -787,11 +745,13 @@ mod tests {
     #[test]
     fn stats_render_as_serve_metrics() {
         let mut registry = MetricsRegistry::new();
-        ServeStats {
-            requests: 5,
-            ..ServeStats::default()
-        }
-        .fill_metrics(&mut registry);
+        registry.fill(
+            &ServeStats {
+                requests: 5,
+                ..ServeStats::default()
+            },
+            &[],
+        );
         let text = registry.render_prometheus();
         assert!(text.contains("gisolap_serve_requests_total 5\n"), "{text}");
         assert!(

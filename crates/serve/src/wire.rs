@@ -13,19 +13,24 @@
 //! bytes are themselves the replication wire format with its own
 //! per-entry CRCs, nested intact inside the envelope.
 //!
-//! Floats (rollup values) cross the wire as IEEE-754 bit patterns
-//! (`f64::to_bits`), so a follower or client sees *bit-identical*
-//! aggregates — the convergence contract survives serialization.
+//! Field formats (floats as IEEE-754 bit patterns, optional fields,
+//! counted sequences, the level/aggregate/measure code tables, rollup
+//! queries, rows and cells) are `gisolap_store::codec`'s, shared with
+//! every other protocol; this module owns the message tags and layouts.
+//! A follower or client therefore sees *bit-identical* aggregates — the
+//! convergence contract survives serialization.
 
 use gisolap_geom::BBox;
-use gisolap_olap::agg::AggFn;
-use gisolap_olap::time::{TimeId, TimeLevel};
-use gisolap_shard::wire as shard_wire;
+use gisolap_shard::wire::{dec_grid, enc_grid};
 use gisolap_shard::GridSpec;
-use gisolap_store::codec::{decode_cells, encode_cells, frame, Dec, Enc};
+use gisolap_store::codec::{
+    dec_bbox, dec_rollup_query, decode_cells, decode_rows, enc_bbox, enc_rollup_query,
+    encode_cells, encode_rows, frame, Dec, Enc, CELL_MAX_BYTES, ROW_MAX_BYTES,
+};
 use gisolap_store::framing;
 use gisolap_store::{Result, StoreError};
-use gisolap_stream::{CellPartial, GroupKey, Measure, RollupQuery, RollupRow};
+use gisolap_stream::{CellPartial, GroupKey, RollupQuery, RollupRow};
+use gisolap_sub::wire::{dec_notification, dec_subscription, enc_notification, enc_subscription};
 use gisolap_sub::{Notification, SubId, Subscription};
 
 // The socket envelope is the shared framing module's: one CRC frame
@@ -185,104 +190,6 @@ const REPLY_SHARDED_ROWS: u8 = 7;
 const REPLY_SUBSCRIBED: u8 = 8;
 const REPLY_NOTIFICATIONS: u8 = 9;
 
-fn level_code(level: TimeLevel) -> u8 {
-    match level {
-        TimeLevel::TimeId => 0,
-        TimeLevel::Minute => 1,
-        TimeLevel::Hour => 2,
-        TimeLevel::Day => 3,
-        TimeLevel::Month => 4,
-        TimeLevel::Year => 5,
-        TimeLevel::TimeOfDayLevel => 6,
-        TimeLevel::DayOfWeekLevel => 7,
-        TimeLevel::TypeOfDayLevel => 8,
-        TimeLevel::All => 9,
-    }
-}
-
-fn level_from(code: u8) -> Result<TimeLevel> {
-    Ok(match code {
-        0 => TimeLevel::TimeId,
-        1 => TimeLevel::Minute,
-        2 => TimeLevel::Hour,
-        3 => TimeLevel::Day,
-        4 => TimeLevel::Month,
-        5 => TimeLevel::Year,
-        6 => TimeLevel::TimeOfDayLevel,
-        7 => TimeLevel::DayOfWeekLevel,
-        8 => TimeLevel::TypeOfDayLevel,
-        9 => TimeLevel::All,
-        c => return Err(wire_corrupt(format!("unknown time level code {c}"))),
-    })
-}
-
-fn agg_code(f: AggFn) -> u8 {
-    match f {
-        AggFn::Min => 0,
-        AggFn::Max => 1,
-        AggFn::Count => 2,
-        AggFn::Sum => 3,
-        AggFn::Avg => 4,
-    }
-}
-
-fn agg_from(code: u8) -> Result<AggFn> {
-    Ok(match code {
-        0 => AggFn::Min,
-        1 => AggFn::Max,
-        2 => AggFn::Count,
-        3 => AggFn::Sum,
-        4 => AggFn::Avg,
-        c => return Err(wire_corrupt(format!("unknown aggregate code {c}"))),
-    })
-}
-
-fn measure_code(m: Measure) -> u8 {
-    match m {
-        Measure::X => 0,
-        Measure::Y => 1,
-    }
-}
-
-fn measure_from(code: u8) -> Result<Measure> {
-    Ok(match code {
-        0 => Measure::X,
-        1 => Measure::Y,
-        c => return Err(wire_corrupt(format!("unknown measure code {c}"))),
-    })
-}
-
-fn enc_rollup(e: &mut Enc, query: &RollupQuery) {
-    e.u8(level_code(query.level));
-    e.u8(measure_code(query.measure));
-    e.u8(agg_code(query.f));
-    match query.between {
-        None => e.u8(0),
-        Some((a, b)) => {
-            e.u8(1);
-            e.i64(a.0);
-            e.i64(b.0);
-        }
-    }
-}
-
-fn dec_rollup(d: &mut Dec<'_>) -> Result<RollupQuery> {
-    let level = level_from(d.u8()?)?;
-    let measure = measure_from(d.u8()?)?;
-    let f = agg_from(d.u8()?)?;
-    let between = match d.u8()? {
-        0 => None,
-        1 => Some((TimeId(d.i64()?), TimeId(d.i64()?))),
-        c => return Err(wire_corrupt(format!("bad between flag {c}"))),
-    };
-    Ok(RollupQuery {
-        level,
-        measure,
-        f,
-        between,
-    })
-}
-
 /// Encodes a request as one CRC frame ready for the socket.
 pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
     let mut e = Enc::new();
@@ -294,7 +201,7 @@ pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
         ServeRequest::Rollup { tenant, query } => {
             e.u8(REQ_ROLLUP);
             e.str(tenant);
-            enc_rollup(&mut e, query);
+            enc_rollup_query(&mut e, query);
         }
         ServeRequest::Repl { tenant, request } => {
             e.u8(REQ_REPL);
@@ -308,8 +215,8 @@ pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
         } => {
             e.u8(REQ_PARTIALS);
             e.str(tenant);
-            shard_wire::enc_opt_grid(&mut e, grid.as_ref());
-            shard_wire::enc_region(&mut e, region.as_ref());
+            e.opt(grid.as_ref(), enc_grid);
+            e.opt(region.as_ref(), enc_bbox);
         }
         ServeRequest::ShardedRollup {
             tenant,
@@ -318,13 +225,13 @@ pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
         } => {
             e.u8(REQ_SHARDED);
             e.str(tenant);
-            enc_rollup(&mut e, query);
-            shard_wire::enc_region(&mut e, region.as_ref());
+            enc_rollup_query(&mut e, query);
+            e.opt(region.as_ref(), enc_bbox);
         }
         ServeRequest::Subscribe { tenant, sub } => {
             e.u8(REQ_SUBSCRIBE);
             e.str(tenant);
-            gisolap_sub::wire::enc_subscription(&mut e, sub);
+            enc_subscription(&mut e, sub);
         }
         ServeRequest::Notifications { tenant, since } => {
             e.u8(REQ_NOTIFICATIONS);
@@ -345,7 +252,7 @@ pub fn decode_request(payload: &[u8]) -> Result<ServeRequest> {
         REQ_PING => ServeRequest::Ping { tenant },
         REQ_ROLLUP => ServeRequest::Rollup {
             tenant,
-            query: dec_rollup(&mut d)?,
+            query: dec_rollup_query(&mut d)?,
         },
         REQ_REPL => ServeRequest::Repl {
             tenant,
@@ -353,17 +260,17 @@ pub fn decode_request(payload: &[u8]) -> Result<ServeRequest> {
         },
         REQ_PARTIALS => ServeRequest::Partials {
             tenant,
-            grid: shard_wire::dec_opt_grid(&mut d)?,
-            region: shard_wire::dec_region(&mut d)?,
+            grid: d.opt("grid", dec_grid)?,
+            region: d.opt("region", dec_bbox)?,
         },
         REQ_SHARDED => ServeRequest::ShardedRollup {
             tenant,
-            query: dec_rollup(&mut d)?,
-            region: shard_wire::dec_region(&mut d)?,
+            query: dec_rollup_query(&mut d)?,
+            region: d.opt("region", dec_bbox)?,
         },
         REQ_SUBSCRIBE => ServeRequest::Subscribe {
             tenant,
-            sub: gisolap_sub::wire::dec_subscription(&mut d)?,
+            sub: dec_subscription(&mut d)?,
         },
         REQ_NOTIFICATIONS => ServeRequest::Notifications {
             tenant,
@@ -375,54 +282,13 @@ pub fn decode_request(payload: &[u8]) -> Result<ServeRequest> {
     Ok(req)
 }
 
-fn enc_rows(e: &mut Enc, rows: &[RollupRow]) {
-    e.u64(rows.len() as u64);
-    for row in rows {
-        e.i64(row.granule);
-        match row.geo {
-            None => e.u8(0),
-            Some(g) => {
-                e.u8(1);
-                e.u32(g);
-            }
-        }
-        e.u64(row.value.to_bits());
-    }
-}
-
-fn dec_rows(d: &mut Dec<'_>) -> Result<Vec<RollupRow>> {
-    let count = d.u64()?;
-    if count.saturating_mul(MIN_ROW as u64) > d.remaining() as u64 {
-        return Err(wire_corrupt(format!(
-            "rows reply declares {count} rows but only {} payload bytes remain",
-            d.remaining()
-        )));
-    }
-    let mut rows = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let granule = d.i64()?;
-        let geo = match d.u8()? {
-            0 => None,
-            1 => Some(d.u32()?),
-            c => return Err(wire_corrupt(format!("bad geo flag {c}"))),
-        };
-        let value = f64::from_bits(d.u64()?);
-        rows.push(RollupRow {
-            granule,
-            geo,
-            value,
-        });
-    }
-    Ok(rows)
-}
-
 /// Encodes a reply as one CRC frame ready for the socket.
 pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
     // Rows and cells replies run to hundreds of KB: size the buffer once
     // from the count (each item's largest form, plus the reply header).
     let body = match reply {
-        ServeReply::Rows(rows) | ServeReply::ShardedRows { rows, .. } => rows.len() * MAX_ROW,
-        ServeReply::Cells(cells) => cells.len() * MAX_CELL,
+        ServeReply::Rows(rows) | ServeReply::ShardedRows { rows, .. } => rows.len() * ROW_MAX_BYTES,
+        ServeReply::Cells(cells) => cells.len() * CELL_MAX_BYTES,
         _ => 0,
     };
     let mut e = Enc::with_capacity(body + 32);
@@ -430,7 +296,7 @@ pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
         ServeReply::Pong => e.u8(REPLY_PONG),
         ServeReply::Rows(rows) => {
             e.u8(REPLY_ROWS);
-            enc_rows(&mut e, rows);
+            encode_rows(&mut e, rows);
         }
         ServeReply::Repl(bytes) => {
             e.u8(REPLY_REPL);
@@ -456,7 +322,7 @@ pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
             e.u8(REPLY_SHARDED_ROWS);
             e.u32(*shards_pruned);
             e.u32(*shards_queried);
-            enc_rows(&mut e, rows);
+            encode_rows(&mut e, rows);
         }
         ServeReply::Subscribed(id) => {
             e.u8(REPLY_SUBSCRIBED);
@@ -465,23 +331,11 @@ pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
         ServeReply::Notifications { items, next } => {
             e.u8(REPLY_NOTIFICATIONS);
             e.u64(*next);
-            e.u64(items.len() as u64);
-            for n in items {
-                gisolap_sub::wire::enc_notification(&mut e, n);
-            }
+            e.seq(items, enc_notification);
         }
     }
     frame(&e.into_bytes())
 }
-
-/// Per-row wire cost: granule `i64` + geo flag byte + value bits. A
-/// rows reply declaring more rows than `remaining / MIN_ROW` is lying.
-const MIN_ROW: usize = 8 + 1 + 8;
-
-/// Largest wire cost of one row (its geo id present), and of one
-/// `(hour, geo)` cell: key, geo flag and id, two 32-byte partials.
-const MAX_ROW: usize = MIN_ROW + 4;
-const MAX_CELL: usize = 8 + 1 + 4 + 2 * 32;
 
 /// Minimum wire cost of one notification (ids, partition, empty rows,
 /// optional-value flags and the crossing byte) — the plausibility bound
@@ -493,7 +347,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<ServeReply> {
     let mut d = Dec::new(payload, WIRE);
     let reply = match d.u8()? {
         REPLY_PONG => ServeReply::Pong,
-        REPLY_ROWS => ServeReply::Rows(dec_rows(&mut d)?),
+        REPLY_ROWS => ServeReply::Rows(decode_rows(&mut d)?),
         REPLY_REPL => ServeReply::Repl(d.bytes()?.to_vec()),
         REPLY_BUSY => ServeReply::Busy(d.str()?),
         REPLY_ERR => ServeReply::Err(d.str()?),
@@ -502,7 +356,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<ServeReply> {
             let shards_pruned = d.u32()?;
             let shards_queried = d.u32()?;
             ServeReply::ShardedRows {
-                rows: dec_rows(&mut d)?,
+                rows: decode_rows(&mut d)?,
                 shards_pruned,
                 shards_queried,
             }
@@ -510,17 +364,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<ServeReply> {
         REPLY_SUBSCRIBED => ServeReply::Subscribed(SubId(d.u64()?)),
         REPLY_NOTIFICATIONS => {
             let next = d.u64()?;
-            let count = d.u64()?;
-            if count.saturating_mul(MIN_NOTIFICATION as u64) > d.remaining() as u64 {
-                return Err(wire_corrupt(format!(
-                    "notifications reply declares {count} items but only {} payload bytes remain",
-                    d.remaining()
-                )));
-            }
-            let mut items = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                items.push(gisolap_sub::wire::dec_notification(&mut d)?);
-            }
+            let items = d.seq("notifications", MIN_NOTIFICATION, dec_notification)?;
             ServeReply::Notifications { items, next }
         }
         t => return Err(wire_corrupt(format!("unknown reply tag {t}"))),
@@ -532,6 +376,9 @@ pub fn decode_reply(payload: &[u8]) -> Result<ServeReply> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gisolap_olap::agg::AggFn;
+    use gisolap_olap::time::{TimeId, TimeLevel};
+    use gisolap_stream::Measure;
     use proptest::prelude::*;
     use std::io;
 
@@ -669,32 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn every_level_and_aggregate_roundtrips() {
-        let levels = [
-            TimeLevel::TimeId,
-            TimeLevel::Minute,
-            TimeLevel::Hour,
-            TimeLevel::Day,
-            TimeLevel::Month,
-            TimeLevel::Year,
-            TimeLevel::TimeOfDayLevel,
-            TimeLevel::DayOfWeekLevel,
-            TimeLevel::TypeOfDayLevel,
-            TimeLevel::All,
-        ];
-        let aggs = [AggFn::Min, AggFn::Max, AggFn::Count, AggFn::Sum, AggFn::Avg];
-        for level in levels {
-            for f in aggs {
-                for measure in [Measure::X, Measure::Y] {
-                    assert_eq!(level_from(level_code(level)).unwrap(), level);
-                    assert_eq!(agg_from(agg_code(f)).unwrap(), f);
-                    assert_eq!(measure_from(measure_code(measure)).unwrap(), measure);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn oversized_length_prefix_is_rejected_before_allocating() {
         let mut bytes = (MAX_MESSAGE + 1).to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0; 16]);
@@ -740,9 +561,9 @@ mod tests {
         let row = sample_rows()[1];
         assert!(row.geo.is_some());
         let rows = |n| ServeReply::Rows(vec![row; n]);
-        assert_eq!(grow(rows(1), rows(2)), MAX_ROW);
+        assert_eq!(grow(rows(1), rows(2)), ROW_MAX_BYTES);
         let cells = |n| ServeReply::Cells(vec![((7, Some(12)), CellPartial::default()); n]);
-        assert_eq!(grow(cells(1), cells(2)), MAX_CELL);
+        assert_eq!(grow(cells(1), cells(2)), CELL_MAX_BYTES);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::partition::{Partitioner, PartitionerSpec};
 use crate::wire::{self, ShardManifest};
-use gisolap_obs::MetricsRegistry;
+use gisolap_obs::counters;
 use gisolap_repl::{DirectTransport, Follower, FollowerConfig, Leader};
 use gisolap_store::codec::{frame, header, FileKind};
 use gisolap_store::framing::decode_single_frame;
@@ -48,34 +48,13 @@ pub fn write_manifest(vfs: &dyn Vfs, root: &Path, manifest: &ShardManifest) -> R
     vfs.write_atomic(&root.join(SHARDS_MANIFEST), &bytes, true)
 }
 
-/// Counters for ingest routing across the cluster. Field order is the
-/// single source for [`RouteStats::fields`], metrics names and the
-/// `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteStats {
-    /// Batches routed through [`ShardedIngest::ingest`].
-    pub routed_batches: u64,
-    /// Records routed to a shard store.
-    pub routed_records: u64,
-}
-
-impl RouteStats {
-    /// Every routing counter as a `(name, value)` pair, in declaration
-    /// order.
-    pub fn fields(&self) -> [(&'static str, u64); 2] {
-        [
-            ("routed_batches", self.routed_batches),
-            ("routed_records", self.routed_records),
-        ]
-    }
-
-    /// Publishes the routing counters into `registry` as
-    /// `gisolap_shard_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_shard_{field}_total");
-            registry.set_counter_u64(&name, "Shard routing counter.", &[], value);
-        }
+counters! {
+    /// Counters for ingest routing across the cluster.
+    pub struct RouteStats["gisolap_shard_", "Shard routing counter."] {
+        /// Batches routed through [`ShardedIngest::ingest`].
+        routed_batches,
+        /// Records routed to a shard store.
+        routed_records,
     }
 }
 
@@ -286,11 +265,6 @@ impl ShardedIngest {
     /// Routing counters.
     pub fn stats(&self) -> RouteStats {
         self.stats
-    }
-
-    /// Publishes routing counters as `gisolap_shard_*` metrics.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        self.stats.fill_metrics(registry);
     }
 
     /// Converts every shard store into a replication [`Leader`], in

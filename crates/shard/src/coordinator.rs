@@ -32,7 +32,7 @@
 
 use crate::partition::{GridSpec, Partitioner, PartitionerSpec};
 use gisolap_geom::BBox;
-use gisolap_obs::{MetricsRegistry, Span, Tracer};
+use gisolap_obs::{counters, Span, Tracer};
 use gisolap_olap::agg::Partial;
 use gisolap_olap::time::TimeId;
 use gisolap_store::{Result, StoreError};
@@ -158,54 +158,27 @@ pub struct ShardResult {
     pub explain: ShardExplain,
 }
 
-/// Counters for coordinator work. Field order is the single source for
-/// [`ShardStats::fields`], metrics names and the `OBSERVABILITY.md`
-/// table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Sharded queries evaluated.
-    pub queries: u64,
-    /// Shard fetches issued (after pruning).
-    pub shards_queried: u64,
-    /// Shards excluded by region pruning before any fetch.
-    pub shards_pruned: u64,
-    /// Partial cells gathered from shards.
-    pub cells_gathered: u64,
-    /// Fetched cells dropped by the time-window prune before the gather.
-    pub cells_window_pruned: u64,
-    /// Gathered cells merged into an existing key during gather.
-    pub gather_merges: u64,
-    /// Shard fetches answered by a source past its staleness bound
-    /// (served, but flagged in the explain).
-    pub stale_fetches: u64,
-    /// Evaluations re-routed after `NotLeader`/`StaleEpoch` (the
-    /// executor re-read leadership and the query was retried).
-    pub leadership_retries: u64,
-}
-
-impl ShardStats {
-    /// Every coordinator counter as a `(name, value)` pair, in
-    /// declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
-        [
-            ("queries", self.queries),
-            ("shards_queried", self.shards_queried),
-            ("shards_pruned", self.shards_pruned),
-            ("cells_gathered", self.cells_gathered),
-            ("cells_window_pruned", self.cells_window_pruned),
-            ("gather_merges", self.gather_merges),
-            ("stale_fetches", self.stale_fetches),
-            ("leadership_retries", self.leadership_retries),
-        ]
-    }
-
-    /// Publishes the coordinator counters into `registry` as
-    /// `gisolap_shard_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_shard_{field}_total");
-            registry.set_counter_u64(&name, "Shard coordinator counter.", &[], value);
-        }
+counters! {
+    /// Counters for coordinator work.
+    pub struct ShardStats["gisolap_shard_", "Shard coordinator counter."] {
+        /// Sharded queries evaluated.
+        queries,
+        /// Shard fetches issued (after pruning).
+        shards_queried,
+        /// Shards excluded by region pruning before any fetch.
+        shards_pruned,
+        /// Partial cells gathered from shards.
+        cells_gathered,
+        /// Fetched cells dropped by the time-window prune before the gather.
+        cells_window_pruned,
+        /// Gathered cells merged into an existing key during gather.
+        gather_merges,
+        /// Shard fetches answered by a source past its staleness bound
+        /// (served, but flagged in the explain).
+        stale_fetches,
+        /// Evaluations re-routed after `NotLeader`/`StaleEpoch` (the
+        /// executor re-read leadership and the query was retried).
+        leadership_retries,
     }
 }
 
@@ -448,11 +421,6 @@ impl<E: ShardExecutor> Coordinator<E> {
     /// Coordinator counters.
     pub fn stats(&self) -> ShardStats {
         self.stats
-    }
-
-    /// Publishes coordinator counters as `gisolap_shard_*` metrics.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        self.stats.fill_metrics(registry);
     }
 
     /// Switches `shard-eval` span collection.

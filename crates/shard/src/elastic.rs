@@ -42,7 +42,7 @@ use crate::coordinator::ShardExecutor;
 use crate::partition::{GridSpec, Partitioner, PartitionerSpec, SpatialPartitioner};
 use crate::wire::{self, RebalanceJournal};
 use gisolap_obs::config as obs_config;
-use gisolap_obs::MetricsRegistry;
+use gisolap_obs::counters;
 use gisolap_olap::time::TimeDimension;
 use gisolap_repl::{
     wire as repl_wire, DirectTransport, EpochFence, Follower, FollowerConfig, Leader, Request,
@@ -107,57 +107,32 @@ impl ElasticConfig {
     }
 }
 
-/// Counters for elasticity work (failover probing and rebalancing).
-/// Field order is the single source for [`ElasticStats::fields`],
-/// metrics names and the `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElasticStats {
-    /// Leader health probes sent.
-    pub probes: u64,
-    /// Probes that failed (leader unreachable or fenced).
-    pub probe_failures: u64,
-    /// Leases renewed by a successful probe.
-    pub lease_renewals: u64,
-    /// Failovers completed (a replica promoted under a new epoch).
-    pub failovers: u64,
-    /// Rebalances committed (manifest flipped to the new assignment).
-    pub rebalances_committed: u64,
-    /// Interrupted rebalances rolled back on recovery (crash before
-    /// the manifest flip).
-    pub rebalance_rollbacks: u64,
-    /// Interrupted rebalances rolled forward on recovery (crash after
-    /// the manifest flip).
-    pub rebalance_rollforwards: u64,
-    /// Grid cells whose owning shard changed across committed
-    /// rebalances.
-    pub cells_reassigned: u64,
+counters! {
+    /// Counters for elasticity work (failover probing and rebalancing).
+    pub struct ElasticStats["gisolap_elastic_", "Shard elasticity counter."] {
+        /// Leader health probes sent.
+        probes,
+        /// Probes that failed (leader unreachable or fenced).
+        probe_failures,
+        /// Leases renewed by a successful probe.
+        lease_renewals,
+        /// Failovers completed (a replica promoted under a new epoch).
+        failovers,
+        /// Rebalances committed (manifest flipped to the new assignment).
+        rebalances_committed,
+        /// Interrupted rebalances rolled back on recovery (crash before
+        /// the manifest flip).
+        rebalance_rollbacks,
+        /// Interrupted rebalances rolled forward on recovery (crash after
+        /// the manifest flip).
+        rebalance_rollforwards,
+        /// Grid cells whose owning shard changed across committed
+        /// rebalances.
+        cells_reassigned,
+    }
 }
 
 impl ElasticStats {
-    /// Every elasticity counter as a `(name, value)` pair, in
-    /// declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
-        [
-            ("probes", self.probes),
-            ("probe_failures", self.probe_failures),
-            ("lease_renewals", self.lease_renewals),
-            ("failovers", self.failovers),
-            ("rebalances_committed", self.rebalances_committed),
-            ("rebalance_rollbacks", self.rebalance_rollbacks),
-            ("rebalance_rollforwards", self.rebalance_rollforwards),
-            ("cells_reassigned", self.cells_reassigned),
-        ]
-    }
-
-    /// Publishes the elasticity counters into `registry` as
-    /// `gisolap_elastic_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_elastic_{field}_total");
-            registry.set_counter_u64(&name, "Shard elasticity counter.", &[], value);
-        }
-    }
-
     /// Folds a committed rebalance into the counters.
     pub fn note_rebalance(&mut self, report: &RebalanceReport) {
         self.rebalances_committed += 1;
@@ -521,11 +496,6 @@ impl ShardGroup {
     /// Elasticity counters.
     pub fn stats(&self) -> ElasticStats {
         self.stats
-    }
-
-    /// Publishes the counters as `gisolap_elastic_*` metrics.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        self.stats.fill_metrics(registry);
     }
 }
 
@@ -1016,6 +986,7 @@ pub fn rebalance(
 mod tests {
     use super::*;
     use gisolap_geom::BBox;
+    use gisolap_obs::{CounterSet, MetricsRegistry};
     use gisolap_olap::agg::AggFn;
     use gisolap_olap::time::{TimeId, TimeLevel};
     use gisolap_store::{RealFs, ScratchDir};
@@ -1477,7 +1448,7 @@ mod tests {
         assert_eq!(stats.rebalance_rollbacks, 1);
         assert_eq!(stats.rebalance_rollforwards, 1);
         let mut registry = MetricsRegistry::new();
-        stats.fill_metrics(&mut registry);
+        registry.fill(&stats, &[]);
         let text = registry.render_prometheus();
         for (field, _) in stats.fields() {
             assert!(

@@ -1,12 +1,13 @@
-//! Byte codecs for everything sharding persists or ships: partitioner
-//! specs (the `SHARDS` manifest payload), region filters, grids, and
-//! per-shard cell sets. All of it rides the store's CRC framing — no
-//! third framing implementation.
+//! Byte layouts for everything sharding persists or ships: partitioner
+//! specs (the `SHARDS` manifest payload), the rebalance journal, grids,
+//! and per-shard cell sets. All of it rides the store's CRC framing, and
+//! every field (boxes, optional grids, cells) uses
+//! `gisolap_store::codec`'s formats — this module owns only the message
+//! layouts and their version bytes.
 
 use crate::partition::{GridSpec, PartitionerSpec};
-use gisolap_geom::BBox;
-use gisolap_store::codec::{frame, Dec, Enc};
-use gisolap_store::framing::{decode_single_frame, wire_corrupt};
+use gisolap_store::codec::{dec_bbox, decode_cells, enc_bbox, encode_cells, frame, Dec, Enc};
+use gisolap_store::framing::decode_single_frame;
 use gisolap_store::{Result, StoreError};
 use gisolap_stream::{CellPartial, GroupKey};
 
@@ -22,20 +23,9 @@ const KIND_SPATIAL: u8 = 2;
 /// confused.
 const MANIFEST_V2: u8 = 0x32;
 
-fn enc_f64(e: &mut Enc, v: f64) {
-    e.u64(v.to_bits());
-}
-
-fn dec_f64(d: &mut Dec<'_>) -> Result<f64> {
-    Ok(f64::from_bits(d.u64()?))
-}
-
-/// Appends a grid spec (bbox as four bit-exact floats, then nx, ny).
+/// Appends a grid spec (bbox, then nx, ny).
 pub fn enc_grid(e: &mut Enc, g: &GridSpec) {
-    enc_f64(e, g.bbox.min_x);
-    enc_f64(e, g.bbox.min_y);
-    enc_f64(e, g.bbox.max_x);
-    enc_f64(e, g.bbox.max_y);
+    enc_bbox(e, &g.bbox);
     e.u32(g.nx);
     e.u32(g.ny);
 }
@@ -43,58 +33,10 @@ pub fn enc_grid(e: &mut Enc, g: &GridSpec) {
 /// Reads a grid spec, re-validating it (a manifest edited by hand must
 /// not smuggle a zero-cell grid past the constructor).
 pub fn dec_grid(d: &mut Dec<'_>) -> Result<GridSpec> {
-    let bbox = BBox::new(dec_f64(d)?, dec_f64(d)?, dec_f64(d)?, dec_f64(d)?);
+    let bbox = dec_bbox(d)?;
     let nx = d.u32()?;
     let ny = d.u32()?;
     GridSpec::new(bbox, nx, ny)
-}
-
-/// Appends an optional region filter (presence flag, then the box).
-pub fn enc_region(e: &mut Enc, region: Option<&BBox>) {
-    match region {
-        None => e.u8(0),
-        Some(b) => {
-            e.u8(1);
-            enc_f64(e, b.min_x);
-            enc_f64(e, b.min_y);
-            enc_f64(e, b.max_x);
-            enc_f64(e, b.max_y);
-        }
-    }
-}
-
-/// Reads an optional region filter.
-pub fn dec_region(d: &mut Dec<'_>) -> Result<Option<BBox>> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(BBox::new(
-            dec_f64(d)?,
-            dec_f64(d)?,
-            dec_f64(d)?,
-            dec_f64(d)?,
-        ))),
-        b => Err(wire_corrupt(WIRE, format!("bad region flag {b}"))),
-    }
-}
-
-/// Appends an optional grid (presence flag, then the grid).
-pub fn enc_opt_grid(e: &mut Enc, grid: Option<&GridSpec>) {
-    match grid {
-        None => e.u8(0),
-        Some(g) => {
-            e.u8(1);
-            enc_grid(e, g);
-        }
-    }
-}
-
-/// Reads an optional grid.
-pub fn dec_opt_grid(d: &mut Dec<'_>) -> Result<Option<GridSpec>> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(dec_grid(d)?)),
-        b => Err(wire_corrupt(WIRE, format!("bad grid flag {b}"))),
-    }
 }
 
 fn enc_spec(e: &mut Enc, spec: &PartitionerSpec) {
@@ -102,7 +44,7 @@ fn enc_spec(e: &mut Enc, spec: &PartitionerSpec) {
         PartitionerSpec::Hash { shards, grid } => {
             e.u8(KIND_HASH);
             e.u32(shards);
-            enc_opt_grid(e, grid.as_ref());
+            e.opt(grid.as_ref(), enc_grid);
         }
         PartitionerSpec::Spatial { shards, grid } => {
             e.u8(KIND_SPATIAL);
@@ -116,7 +58,7 @@ fn dec_spec(d: &mut Dec<'_>, file: &str) -> Result<PartitionerSpec> {
     let spec = match d.u8()? {
         KIND_HASH => PartitionerSpec::Hash {
             shards: d.u32()?,
-            grid: dec_opt_grid(d)?,
+            grid: d.opt("grid", dec_grid)?,
         },
         KIND_SPATIAL => PartitionerSpec::Spatial {
             shards: d.u32()?,
@@ -269,7 +211,7 @@ pub fn decode_journal(payload: &[u8], file: &str) -> Result<RebalanceJournal> {
 /// shard ships back to the coordinator.
 pub fn encode_cells_payload(cells: &[(GroupKey, CellPartial)]) -> Vec<u8> {
     let mut e = Enc::new();
-    gisolap_store::codec::encode_cells(&mut e, cells);
+    encode_cells(&mut e, cells);
     frame(&e.into_bytes())
 }
 
@@ -277,7 +219,7 @@ pub fn encode_cells_payload(cells: &[(GroupKey, CellPartial)]) -> Vec<u8> {
 pub fn decode_cells_payload(bytes: &[u8]) -> Result<Vec<(GroupKey, CellPartial)>> {
     let payload = decode_single_frame(bytes, WIRE, "cells")?;
     let mut d = Dec::new(payload, WIRE);
-    let cells = gisolap_store::codec::decode_cells(&mut d)?;
+    let cells = decode_cells(&mut d)?;
     d.finish()?;
     Ok(cells)
 }
@@ -285,6 +227,7 @@ pub fn decode_cells_payload(bytes: &[u8]) -> Result<Vec<(GroupKey, CellPartial)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gisolap_geom::BBox;
     use gisolap_olap::time::TimeId;
     use proptest::prelude::*;
 
@@ -467,18 +410,6 @@ mod tests {
                 assert!(back.to.build().is_ok() && back.from.build().is_ok());
             }
             z[i] ^= 0x08;
-        }
-    }
-
-    #[test]
-    fn region_roundtrips() {
-        for region in [None, Some(BBox::new(0.5, -1.5, 3.25, 0.75))] {
-            let mut e = Enc::new();
-            enc_region(&mut e, region.as_ref());
-            let bytes = e.into_bytes();
-            let mut d = Dec::new(&bytes, WIRE);
-            assert_eq!(dec_region(&mut d).unwrap(), region);
-            d.finish().unwrap();
         }
     }
 

@@ -14,12 +14,34 @@
 //! IEEE-754 bit patterns ([`f64::to_bits`]), so every round-trip is
 //! **bit-identical** — including the `Partial` sums whose exact values
 //! the stream-vs-batch equivalence properties pin down.
+//!
+//! ## Field formats
+//!
+//! This module is the only owner of how a *field* is laid out, on disk
+//! and on every wire protocol built over these frames:
+//!
+//! ```text
+//! f64      := to_bits (u64 LE)                     // Enc::f64 / Dec::f64
+//! opt(T)   := 0u8 | 1u8 T                          // Enc::opt / Dec::opt
+//! seq(T)   := count (u64 LE) T*                    // Enc::seq / Dec::seq
+//! ```
+//!
+//! plus the `TimeLevel`/`AggFn`/`Measure` code tables and the shared
+//! `Option<geo>`, `BBox`, `RollupQuery`, `RollupRow` and cell codecs
+//! below. [`Dec::opt`] rejects any flag byte but 0/1 and [`Dec::count`]
+//! (which [`Dec::seq`] applies) rejects a declared count the remaining
+//! bytes cannot hold *before* allocating, so a hostile length can never
+//! drive an allocation ahead of the bytes actually received. Protocol
+//! modules own their message layouts (tags, version bytes, nested
+//! frames) and call these for every field.
 
 use gisolap_geom::BBox;
 use gisolap_index::{Zone, ZoneMap};
-use gisolap_olap::agg::Partial;
-use gisolap_olap::time::TimeId;
-use gisolap_stream::{CellPartial, GroupKey, ReplayOp, Segment, TailState};
+use gisolap_olap::agg::{AggFn, Partial};
+use gisolap_olap::time::{TimeId, TimeLevel};
+use gisolap_stream::{
+    CellPartial, GroupKey, Measure, ReplayOp, RollupQuery, RollupRow, Segment, TailState,
+};
 use gisolap_traj::{ObjectId, Record};
 
 use crate::{corrupt, Result};
@@ -191,8 +213,31 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64_bits(&mut self, v: f64) {
+    /// Appends an `f64` as its IEEE-754 bit pattern (bit-exact, NaN
+    /// payloads included).
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// Appends an optional field: flag byte `0`, or `1` then the item.
+    #[inline]
+    pub fn opt<T>(&mut self, v: Option<T>, item: impl FnOnce(&mut Enc, T)) {
+        match v {
+            None => self.u8(0),
+            Some(v) => {
+                self.u8(1);
+                item(self, v);
+            }
+        }
+    }
+
+    /// Appends a sequence: `u64` count, then every item.
+    #[inline]
+    pub fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Enc, &T)) {
+        self.u64(items.len() as u64);
+        for it in items {
+            item(self, it);
+        }
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -260,8 +305,61 @@ impl<'a> Dec<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64_bits(&mut self) -> Result<f64> {
+    /// Reads an `f64` from its IEEE-754 bit pattern.
+    pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads an optional field written by [`Enc::opt`]; any flag byte
+    /// other than 0 or 1 is corruption (`what` names the field).
+    #[inline]
+    pub fn opt<T>(
+        &mut self,
+        what: &str,
+        item: impl FnOnce(&mut Dec<'a>) -> Result<T>,
+    ) -> Result<Option<T>> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => item(self).map(Some),
+            flag => Err(corrupt(self.file, format!("bad {what} flag {flag}"))),
+        }
+    }
+
+    /// The one plausibility guard for declared counts: `declared` items
+    /// of at least `min_item_bytes` each must fit the bytes not yet
+    /// consumed, else the header is lying. Callers allocate for the
+    /// returned count only, so capacity never runs ahead of
+    /// [`Dec::remaining`].
+    pub fn count(&self, declared: u64, min_item_bytes: usize, noun: &str) -> Result<usize> {
+        let fit = self.remaining() / min_item_bytes.max(1);
+        if declared > fit as u64 {
+            return Err(corrupt(
+                self.file,
+                format!(
+                    "declares {declared} {noun} but only {} bytes remain",
+                    self.remaining()
+                ),
+            ));
+        }
+        Ok(declared as usize)
+    }
+
+    /// Reads a sequence written by [`Enc::seq`]: the `u64` count passes
+    /// [`Dec::count`] before anything is allocated.
+    #[inline]
+    pub fn seq<T>(
+        &mut self,
+        noun: &str,
+        min_item_bytes: usize,
+        mut item: impl FnMut(&mut Dec<'a>) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let declared = self.u64()?;
+        let n = self.count(declared, min_item_bytes, noun)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -409,27 +507,177 @@ pub fn read_single_frame<'a>(bytes: &'a [u8], file: &str) -> Result<&'a [u8]> {
     }
 }
 
-// --- records, partials, cells ----------------------------------------
+// --- code tables -------------------------------------------------------
 
-fn enc_record(e: &mut Enc, r: &Record) {
-    e.u64(r.oid.0);
-    e.i64(r.t.0);
-    e.f64_bits(r.x);
-    e.f64_bits(r.y);
+/// The wire code of a Time-dimension level.
+pub fn level_code(level: TimeLevel) -> u8 {
+    match level {
+        TimeLevel::TimeId => 0,
+        TimeLevel::Minute => 1,
+        TimeLevel::Hour => 2,
+        TimeLevel::Day => 3,
+        TimeLevel::Month => 4,
+        TimeLevel::Year => 5,
+        TimeLevel::TimeOfDayLevel => 6,
+        TimeLevel::DayOfWeekLevel => 7,
+        TimeLevel::TypeOfDayLevel => 8,
+        TimeLevel::All => 9,
+    }
 }
 
-fn enc_records(e: &mut Enc, records: &[Record]) {
-    e.u64(records.len() as u64);
-    for r in records {
-        enc_record(e, r);
+/// Reads a Time-dimension level code.
+pub fn dec_level(d: &mut Dec<'_>) -> Result<TimeLevel> {
+    Ok(match d.u8()? {
+        0 => TimeLevel::TimeId,
+        1 => TimeLevel::Minute,
+        2 => TimeLevel::Hour,
+        3 => TimeLevel::Day,
+        4 => TimeLevel::Month,
+        5 => TimeLevel::Year,
+        6 => TimeLevel::TimeOfDayLevel,
+        7 => TimeLevel::DayOfWeekLevel,
+        8 => TimeLevel::TypeOfDayLevel,
+        9 => TimeLevel::All,
+        c => return Err(corrupt(d.file, format!("unknown time level code {c}"))),
+    })
+}
+
+/// The wire code of an aggregate function (`AGG` of Definition 7).
+pub fn agg_code(f: AggFn) -> u8 {
+    match f {
+        AggFn::Min => 0,
+        AggFn::Max => 1,
+        AggFn::Count => 2,
+        AggFn::Sum => 3,
+        AggFn::Avg => 4,
     }
+}
+
+/// Reads an aggregate-function code.
+pub fn dec_agg(d: &mut Dec<'_>) -> Result<AggFn> {
+    Ok(match d.u8()? {
+        0 => AggFn::Min,
+        1 => AggFn::Max,
+        2 => AggFn::Count,
+        3 => AggFn::Sum,
+        4 => AggFn::Avg,
+        c => return Err(corrupt(d.file, format!("unknown aggregate code {c}"))),
+    })
+}
+
+/// The wire code of a measure.
+pub fn measure_code(m: Measure) -> u8 {
+    match m {
+        Measure::X => 0,
+        Measure::Y => 1,
+    }
+}
+
+/// Reads a measure code.
+pub fn dec_measure(d: &mut Dec<'_>) -> Result<Measure> {
+    Ok(match d.u8()? {
+        0 => Measure::X,
+        1 => Measure::Y,
+        c => return Err(corrupt(d.file, format!("unknown measure code {c}"))),
+    })
+}
+
+// --- shared value codecs ----------------------------------------------
+
+/// Appends an optional geometry id (the `geo` of a group key or row).
+#[inline]
+pub fn enc_geo(e: &mut Enc, geo: Option<u32>) {
+    e.opt(geo, |e, g| e.u32(g));
+}
+
+/// Reads an optional geometry id.
+#[inline]
+pub fn dec_geo(d: &mut Dec<'_>) -> Result<Option<u32>> {
+    d.opt("geo", |d| d.u32())
+}
+
+/// Appends a box as four bit-exact floats: min x, min y, max x, max y.
+pub fn enc_bbox(e: &mut Enc, b: &BBox) {
+    e.f64(b.min_x);
+    e.f64(b.min_y);
+    e.f64(b.max_x);
+    e.f64(b.max_y);
+}
+
+/// Reads a box, verbatim: an inverted box is the legal empty box, so
+/// any ordering constraint is the caller's to check.
+pub fn dec_bbox(d: &mut Dec<'_>) -> Result<BBox> {
+    Ok(BBox {
+        min_x: d.f64()?,
+        min_y: d.f64()?,
+        max_x: d.f64()?,
+        max_y: d.f64()?,
+    })
+}
+
+/// Appends a rollup query: level, measure, aggregate, optional window.
+pub fn enc_rollup_query(e: &mut Enc, query: &RollupQuery) {
+    e.u8(level_code(query.level));
+    e.u8(measure_code(query.measure));
+    e.u8(agg_code(query.f));
+    e.opt(query.between, |e, (a, b)| {
+        e.i64(a.0);
+        e.i64(b.0);
+    });
+}
+
+/// Reads a rollup query.
+pub fn dec_rollup_query(d: &mut Dec<'_>) -> Result<RollupQuery> {
+    Ok(RollupQuery {
+        level: dec_level(d)?,
+        measure: dec_measure(d)?,
+        f: dec_agg(d)?,
+        between: d.opt("between", |d| Ok((TimeId(d.i64()?), TimeId(d.i64()?))))?,
+    })
+}
+
+/// Wire cost of one rollup row without its geo id: granule, geo flag,
+/// value bits — the plausibility bound for declared row counts.
+const ROW_MIN_BYTES: usize = 8 + 1 + 8;
+
+/// Largest wire cost of one rollup row (geo id present) — what reply
+/// encoders pre-size their buffers with.
+pub const ROW_MAX_BYTES: usize = ROW_MIN_BYTES + 4;
+
+/// Appends rollup rows `(granule, geo, value)`, values bit-exact.
+pub fn encode_rows(e: &mut Enc, rows: &[RollupRow]) {
+    e.seq(rows, |e, row| {
+        e.i64(row.granule);
+        enc_geo(e, row.geo);
+        e.f64(row.value);
+    });
+}
+
+/// Reads rollup rows written by [`encode_rows`].
+pub fn decode_rows(d: &mut Dec<'_>) -> Result<Vec<RollupRow>> {
+    d.seq("rows", ROW_MIN_BYTES, |d| {
+        Ok(RollupRow {
+            granule: d.i64()?,
+            geo: dec_geo(d)?,
+            value: d.f64()?,
+        })
+    })
+}
+
+// --- records, partials, cells ----------------------------------------
+
+fn enc_records(e: &mut Enc, records: &[Record]) {
+    e.seq(records, |e, r| {
+        e.u64(r.oid.0);
+        e.i64(r.t.0);
+        e.f64(r.x);
+        e.f64(r.y);
+    });
 }
 
 fn dec_records(d: &mut Dec<'_>) -> Result<Vec<Record>> {
-    let n = d.u64()? as usize;
-    if d.remaining() < n.saturating_mul(32) {
-        return Err(corrupt(d.file, format!("record count {n} exceeds payload")));
-    }
+    let declared = d.u64()?;
+    let n = d.count(declared, 32, "records")?;
     // Records are fixed-width: take the whole run in one bounds check
     // and decode per 32-byte chunk — the recovery hot loop.
     let bytes = d.take(n * 32)?;
@@ -446,31 +694,26 @@ fn dec_records(d: &mut Dec<'_>) -> Result<Vec<Record>> {
 
 fn enc_partial(e: &mut Enc, p: &Partial) {
     e.u64(p.count());
-    e.f64_bits(p.sum());
-    e.f64_bits(p.min());
-    e.f64_bits(p.max());
+    e.f64(p.sum());
+    e.f64(p.min());
+    e.f64(p.max());
 }
 
 fn dec_partial(d: &mut Dec<'_>) -> Result<Partial> {
     let count = d.u64()?;
-    let sum = d.f64_bits()?;
-    let min = d.f64_bits()?;
-    let max = d.f64_bits()?;
+    let sum = d.f64()?;
+    let min = d.f64()?;
+    let max = d.f64()?;
     Ok(Partial::from_raw(count, sum, min, max))
 }
 
-fn enc_cell(e: &mut Enc, key: &GroupKey, cell: &CellPartial) {
-    e.i64(key.0);
-    match key.1 {
-        None => e.u8(0),
-        Some(g) => {
-            e.u8(1);
-            e.u32(g);
-        }
-    }
-    enc_partial(e, &cell.x);
-    enc_partial(e, &cell.y);
-}
+/// Wire cost of one `(hour, geo)` cell without its geo id: hour, geo
+/// flag, two 32-byte partials.
+const CELL_MIN_BYTES: usize = 8 + 1 + 2 * 32;
+
+/// Largest wire cost of one cell (geo id present) — what reply encoders
+/// pre-size their buffers with.
+pub const CELL_MAX_BYTES: usize = CELL_MIN_BYTES + 4;
 
 fn dec_cell(d: &mut Dec<'_>) -> Result<(GroupKey, CellPartial)> {
     let hour = d.i64()?;
@@ -479,38 +722,29 @@ fn dec_cell(d: &mut Dec<'_>) -> Result<(GroupKey, CellPartial)> {
     if hour.checked_mul(3600).is_none() {
         return Err(corrupt(d.file, format!("cell hour {hour} out of range")));
     }
-    let geo = match d.u8()? {
-        0 => None,
-        1 => Some(d.u32()?),
-        tag => return Err(corrupt(d.file, format!("bad geo tag {tag}"))),
-    };
+    let geo = dec_geo(d)?;
     let x = dec_partial(d)?;
     let y = dec_partial(d)?;
     Ok(((hour, geo), CellPartial { x, y }))
 }
 
-/// Encodes a batch of `(key, cell)` partials into `e` — the scatter
-/// payload of the sharding wire. Keys travel in the given order (the
-/// coordinator relies on ascending-key extraction for its canonical
-/// merge order).
+/// Encodes a batch of `(key, cell)` partials into `e` — a segment's
+/// partial cells on disk and the scatter payload of the sharding wire.
+/// Keys travel in the given order (the coordinator relies on
+/// ascending-key extraction for its canonical merge order).
 pub fn encode_cells(e: &mut Enc, cells: &[(GroupKey, CellPartial)]) {
-    e.u64(cells.len() as u64);
-    for (key, cell) in cells {
-        enc_cell(e, key, cell);
-    }
+    e.seq(cells, |e, (key, cell)| {
+        e.i64(key.0);
+        enc_geo(e, key.1);
+        enc_partial(e, &cell.x);
+        enc_partial(e, &cell.y);
+    });
 }
 
 /// Decodes a batch of `(key, cell)` partials written by
-/// [`encode_cells`]. The declared count is plausibility-checked against
-/// the remaining payload before allocation.
+/// [`encode_cells`].
 pub fn decode_cells(d: &mut Dec<'_>) -> Result<Vec<(GroupKey, CellPartial)>> {
-    let n = d.u64()? as usize;
-    // Every cell costs at least hour (8) + geo flag (1) + two partials
-    // (2 × 32); a bigger declared count is a lying header.
-    if d.remaining() < n.saturating_mul(8 + 1 + 64) {
-        return Err(corrupt(d.file, format!("cell count {n} exceeds payload")));
-    }
-    (0..n).map(|_| dec_cell(d)).collect()
+    d.seq("cells", CELL_MIN_BYTES, dec_cell)
 }
 
 // --- segment ----------------------------------------------------------
@@ -521,54 +755,30 @@ const ZONE_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 8 + 32;
 
 fn enc_zone_map(e: &mut Enc, zm: &ZoneMap) {
     e.u32(zm.rows_per_zone);
-    e.u64(zm.zones.len() as u64);
-    for z in &zm.zones {
+    e.seq(&zm.zones, |e, z| {
         e.u32(z.start);
         e.u32(z.len);
         e.u64(z.oid_min);
         e.u64(z.oid_max);
         e.i64(z.t_min);
         e.i64(z.t_max);
-        e.f64_bits(z.bbox.min_x);
-        e.f64_bits(z.bbox.min_y);
-        e.f64_bits(z.bbox.max_x);
-        e.f64_bits(z.bbox.max_y);
-    }
+        enc_bbox(e, &z.bbox);
+    });
 }
 
 fn dec_zone_map(d: &mut Dec<'_>) -> Result<ZoneMap> {
     let rows_per_zone = d.u32()?;
-    let n = d.u64()? as usize;
-    if d.remaining() < n.saturating_mul(ZONE_BYTES) {
-        return Err(corrupt(d.file, format!("zone count {n} exceeds payload")));
-    }
-    let mut zones = Vec::with_capacity(n);
-    for _ in 0..n {
-        let start = d.u32()?;
-        let len = d.u32()?;
-        let oid_min = d.u64()?;
-        let oid_max = d.u64()?;
-        let t_min = d.i64()?;
-        let t_max = d.i64()?;
-        let min_x = d.f64_bits()?;
-        let min_y = d.f64_bits()?;
-        let max_x = d.f64_bits()?;
-        let max_y = d.f64_bits()?;
-        zones.push(Zone {
-            start,
-            len,
-            oid_min,
-            oid_max,
-            t_min,
-            t_max,
-            bbox: BBox {
-                min_x,
-                min_y,
-                max_x,
-                max_y,
-            },
-        });
-    }
+    let zones = d.seq("zones", ZONE_BYTES, |d| {
+        Ok(Zone {
+            start: d.u32()?,
+            len: d.u32()?,
+            oid_min: d.u64()?,
+            oid_max: d.u64()?,
+            t_min: d.i64()?,
+            t_max: d.i64()?,
+            bbox: dec_bbox(d)?,
+        })
+    })?;
     Ok(ZoneMap {
         rows_per_zone,
         zones,
@@ -584,10 +794,7 @@ pub fn encode_segment(seg: &Segment) -> Vec<u8> {
     let mut e = Enc::new();
     e.i64(seg.meta().partition);
     enc_records(&mut e, seg.records());
-    e.u64(seg.partials().len() as u64);
-    for (key, cell) in seg.partials() {
-        enc_cell(&mut e, key, cell);
-    }
+    encode_cells(&mut e, seg.partials());
     enc_zone_map(&mut e, seg.zone_map());
     e.into_bytes()
 }
@@ -601,13 +808,7 @@ pub fn decode_segment(payload: &[u8], file: &str) -> Result<Segment> {
     let mut d = Dec::new(payload, file);
     let partition = d.i64()?;
     let records = dec_records(&mut d)?;
-    let n = d.u64()? as usize;
-    if d.remaining() < n.saturating_mul(8) {
-        return Err(corrupt(file, format!("partial count {n} exceeds payload")));
-    }
-    let partials = (0..n)
-        .map(|_| dec_cell(&mut d))
-        .collect::<Result<Vec<_>>>()?;
+    let partials = decode_cells(&mut d)?;
     let baked = dec_zone_map(&mut d)?;
     d.finish()?;
     let derived = ZoneMap::build(
@@ -626,49 +827,40 @@ pub fn decode_segment(payload: &[u8], file: &str) -> Result<Segment> {
 
 // --- checkpoint (TailState) ------------------------------------------
 
+/// Open partition buffers: `(partition, records)` pairs. Each costs at
+/// least its partition and its record count.
+fn enc_buffers(e: &mut Enc, buffers: &[(i64, Vec<Record>)]) {
+    e.seq(buffers, |e, (partition, records)| {
+        e.i64(*partition);
+        enc_records(e, records);
+    });
+}
+
+fn dec_buffers(d: &mut Dec<'_>) -> Result<Vec<(i64, Vec<Record>)>> {
+    d.seq("buffers", 16, |d| Ok((d.i64()?, dec_records(d)?)))
+}
+
 /// Encodes a checkpointed [`TailState`] as one frame payload.
 pub fn encode_tail(tail: &TailState) -> Vec<u8> {
     let mut e = Enc::new();
-    match tail.max_event_time {
-        None => e.u8(0),
-        Some(t) => {
-            e.u8(1);
-            e.i64(t.0);
-        }
-    }
+    e.opt(tail.max_event_time, |e, t| e.i64(t.0));
     e.i64(tail.sealed_before);
     e.u64(tail.records_ingested);
     e.u64(tail.segments_sealed);
     enc_records(&mut e, &tail.dead_letters);
-    e.u64(tail.buffers.len() as u64);
-    for (partition, records) in &tail.buffers {
-        e.i64(*partition);
-        enc_records(&mut e, records);
-    }
+    enc_buffers(&mut e, &tail.buffers);
     e.into_bytes()
 }
 
 /// Decodes a checkpoint payload.
 pub fn decode_tail(payload: &[u8], file: &str) -> Result<TailState> {
     let mut d = Dec::new(payload, file);
-    let max_event_time = match d.u8()? {
-        0 => None,
-        1 => Some(TimeId(d.i64()?)),
-        tag => return Err(corrupt(file, format!("bad watermark tag {tag}"))),
-    };
+    let max_event_time = d.opt("watermark", |d| Ok(TimeId(d.i64()?)))?;
     let sealed_before = d.i64()?;
     let records_ingested = d.u64()?;
     let segments_sealed = d.u64()?;
     let dead_letters = dec_records(&mut d)?;
-    let n = d.u64()? as usize;
-    if d.remaining() < n.saturating_mul(16) {
-        return Err(corrupt(file, format!("buffer count {n} exceeds payload")));
-    }
-    let mut buffers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let partition = d.i64()?;
-        buffers.push((partition, dec_records(&mut d)?));
-    }
+    let buffers = dec_buffers(&mut d)?;
     d.finish()?;
     Ok(TailState {
         max_event_time,
@@ -765,55 +957,26 @@ impl TailDelta {
 /// Encodes a delta checkpoint as one frame payload.
 pub fn encode_tail_delta(delta: &TailDelta) -> Vec<u8> {
     let mut e = Enc::new();
-    match delta.max_event_time {
-        None => e.u8(0),
-        Some(t) => {
-            e.u8(1);
-            e.i64(t.0);
-        }
-    }
+    e.opt(delta.max_event_time, |e, t| e.i64(t.0));
     e.i64(delta.sealed_before);
     e.u64(delta.records_ingested);
     e.u64(delta.segments_sealed);
     enc_records(&mut e, &delta.new_dead_letters);
-    e.u64(delta.changed_buffers.len() as u64);
-    for (partition, records) in &delta.changed_buffers {
-        e.i64(*partition);
-        enc_records(&mut e, records);
-    }
-    e.u64(delta.removed_buffers.len() as u64);
-    for p in &delta.removed_buffers {
-        e.i64(*p);
-    }
+    enc_buffers(&mut e, &delta.changed_buffers);
+    e.seq(&delta.removed_buffers, |e, p| e.i64(*p));
     e.into_bytes()
 }
 
 /// Decodes a delta-checkpoint payload.
 pub fn decode_tail_delta(payload: &[u8], file: &str) -> Result<TailDelta> {
     let mut d = Dec::new(payload, file);
-    let max_event_time = match d.u8()? {
-        0 => None,
-        1 => Some(TimeId(d.i64()?)),
-        tag => return Err(corrupt(file, format!("bad watermark tag {tag}"))),
-    };
+    let max_event_time = d.opt("watermark", |d| Ok(TimeId(d.i64()?)))?;
     let sealed_before = d.i64()?;
     let records_ingested = d.u64()?;
     let segments_sealed = d.u64()?;
     let new_dead_letters = dec_records(&mut d)?;
-    let n = d.u64()? as usize;
-    if d.remaining() < n.saturating_mul(16) {
-        return Err(corrupt(file, format!("buffer count {n} exceeds payload")));
-    }
-    let mut changed_buffers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let partition = d.i64()?;
-        changed_buffers.push((partition, dec_records(&mut d)?));
-    }
-    let m = d.u64()? as usize;
-    if d.remaining() < m.saturating_mul(8) {
-        return Err(corrupt(file, format!("removal count {m} exceeds payload")));
-    }
-    let removed_buffers = (0..m).map(|_| d.i64()).collect::<Result<Vec<_>>>()?;
+    let changed_buffers = dec_buffers(&mut d)?;
+    let removed_buffers = d.seq("removed buffers", 8, |d| d.i64())?;
     d.finish()?;
     Ok(TailDelta {
         max_event_time,
@@ -898,23 +1061,13 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     e.u64(m.gen);
     e.i64(m.lateness_seconds);
     e.i64(m.segment_seconds);
-    e.u64(m.segments.len() as u64);
-    for s in &m.segments {
+    e.seq(&m.segments, |e, s| {
         e.i64(s.lo);
         e.i64(s.hi);
         e.str(&s.file);
-    }
-    match &m.checkpoint {
-        None => e.u8(0),
-        Some(f) => {
-            e.u8(1);
-            e.str(f);
-        }
-    }
-    e.u64(m.checkpoint_deltas.len() as u64);
-    for f in &m.checkpoint_deltas {
-        e.str(f);
-    }
+    });
+    e.opt(m.checkpoint.as_deref(), |e, f| e.str(f));
+    e.seq(&m.checkpoint_deltas, |e, f| e.str(f));
     e.str(&m.wal);
     e.u64(m.wal_start_seq);
     e.into_bytes()
@@ -926,34 +1079,18 @@ pub fn decode_manifest(payload: &[u8], file: &str) -> Result<Manifest> {
     let gen = d.u64()?;
     let lateness_seconds = d.i64()?;
     let segment_seconds = d.i64()?;
-    let n = d.u64()? as usize;
-    if d.remaining() < n.saturating_mul(20) {
-        return Err(corrupt(file, format!("segment count {n} exceeds payload")));
-    }
-    let mut segments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lo = d.i64()?;
-        let hi = d.i64()?;
-        let file_name = d.str()?;
-        segments.push(SegmentEntry {
-            lo,
-            hi,
-            file: file_name,
-        });
-    }
+    let segments = d.seq("segments", 8 + 8 + 4, |d| {
+        Ok(SegmentEntry {
+            lo: d.i64()?,
+            hi: d.i64()?,
+            file: d.str()?,
+        })
+    })?;
     if segments.windows(2).any(|w| w[0].hi >= w[1].lo) {
         return Err(corrupt(file, "segment entries overlap or are unsorted"));
     }
-    let checkpoint = match d.u8()? {
-        0 => None,
-        1 => Some(d.str()?),
-        tag => return Err(corrupt(file, format!("bad checkpoint tag {tag}"))),
-    };
-    let nd = d.u64()? as usize;
-    if d.remaining() < nd.saturating_mul(4) {
-        return Err(corrupt(file, format!("delta count {nd} exceeds payload")));
-    }
-    let checkpoint_deltas = (0..nd).map(|_| d.str()).collect::<Result<Vec<_>>>()?;
+    let checkpoint = d.opt("checkpoint", |d| d.str())?;
+    let checkpoint_deltas = d.seq("checkpoint deltas", 4, |d| d.str())?;
     if checkpoint.is_none() && !checkpoint_deltas.is_empty() {
         return Err(corrupt(file, "delta chain without a base checkpoint"));
     }
@@ -990,6 +1127,54 @@ mod tests {
         // The classic check value for IEEE CRC32.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn every_level_aggregate_and_measure_code_roundtrips() {
+        let one = |code: u8| [code];
+        for level in [
+            TimeLevel::TimeId,
+            TimeLevel::Minute,
+            TimeLevel::Hour,
+            TimeLevel::Day,
+            TimeLevel::Month,
+            TimeLevel::Year,
+            TimeLevel::TimeOfDayLevel,
+            TimeLevel::DayOfWeekLevel,
+            TimeLevel::TypeOfDayLevel,
+            TimeLevel::All,
+        ] {
+            let bytes = one(level_code(level));
+            assert_eq!(dec_level(&mut Dec::new(&bytes, "t")).unwrap(), level);
+        }
+        for f in [AggFn::Min, AggFn::Max, AggFn::Count, AggFn::Sum, AggFn::Avg] {
+            let bytes = one(agg_code(f));
+            assert_eq!(dec_agg(&mut Dec::new(&bytes, "t")).unwrap(), f);
+        }
+        for m in [Measure::X, Measure::Y] {
+            let bytes = one(measure_code(m));
+            assert_eq!(dec_measure(&mut Dec::new(&bytes, "t")).unwrap(), m);
+        }
+        assert!(dec_level(&mut Dec::new(&[10], "t")).is_err());
+        assert!(dec_agg(&mut Dec::new(&[5], "t")).is_err());
+        assert!(dec_measure(&mut Dec::new(&[2], "t")).is_err());
+    }
+
+    #[test]
+    fn optional_box_roundtrips() {
+        for region in [None, Some(BBox::new(0.5, -1.5, 3.25, 0.75))] {
+            let mut e = Enc::new();
+            e.opt(region.as_ref(), enc_bbox);
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes, "t");
+            assert_eq!(d.opt("region", dec_bbox).unwrap(), region);
+            d.finish().unwrap();
+        }
+        // An inverted (empty) box is data, not a decode panic.
+        let mut e = Enc::new();
+        enc_bbox(&mut e, &BBox::empty());
+        let bytes = e.into_bytes();
+        assert!(dec_bbox(&mut Dec::new(&bytes, "t")).unwrap().is_empty());
     }
 
     #[test]

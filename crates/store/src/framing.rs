@@ -18,7 +18,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::codec::{read_frame, FrameRead};
+use crate::codec::{crc32, read_frame, FrameRead};
 use crate::{Result, StoreError};
 
 /// Largest message a socket peer accepts: mirrors the codec's frame
@@ -59,8 +59,13 @@ pub fn write_message(w: &mut impl Write, framed: &[u8]) -> io::Result<()> {
 
 /// Reads one framed message off the socket and returns its CRC-checked
 /// payload. `Ok(None)` is clean end-of-stream (peer closed between
-/// messages); a length prefix beyond [`MAX_MESSAGE`], a short read
-/// mid-frame, or a checksum mismatch is `InvalidData`.
+/// messages); a length prefix beyond [`MAX_MESSAGE`] or a checksum
+/// mismatch is `InvalidData`, a stream that ends mid-frame
+/// `UnexpectedEof`.
+///
+/// The length prefix is not trusted with memory: the one buffer grows
+/// with the bytes that actually arrive, so a peer that announces
+/// [`MAX_MESSAGE`] and sends nothing costs a few KB, not a gigabyte.
 pub fn read_message(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
@@ -75,26 +80,24 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("message length {len} exceeds the {MAX_MESSAGE}-byte cap"),
         ));
     }
-    let mut rest = vec![0u8; len as usize + 4];
-    r.read_exact(&mut rest)?;
-    let mut full = Vec::with_capacity(8 + len as usize);
-    full.extend_from_slice(&len_bytes);
-    full.extend_from_slice(&rest);
-    match read_frame(&full) {
-        FrameRead::Ok { payload, rest: [] } => Ok(Some(payload.to_vec())),
-        FrameRead::Ok { .. } => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trailing bytes inside message envelope",
-        )),
-        FrameRead::End => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "empty message envelope",
-        )),
-        FrameRead::Torn { detail } => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("torn message: {detail}"),
-        )),
+    let len = len as usize;
+    let mut buf = Vec::new();
+    r.by_ref().take(len as u64 + 4).read_to_end(&mut buf)?;
+    if buf.len() < len + 4 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("torn message: needed {} bytes, had {}", len + 4, buf.len()),
+        ));
     }
+    let stored = u32::from_le_bytes(buf[len..].try_into().expect("4 checksum bytes"));
+    buf.truncate(len);
+    if crc32(&buf) != stored {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "torn message: frame checksum mismatch",
+        ));
+    }
+    Ok(Some(buf))
 }
 
 #[cfg(test)]
@@ -153,5 +156,41 @@ mod tests {
         let mut out = Vec::new();
         write_message(&mut out, &framed).unwrap();
         assert_eq!(out, framed);
+    }
+
+    /// Records the largest buffer any single `read` call was handed.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        largest_request: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn announced_length_is_not_allocated_before_bytes_arrive() {
+        // A peer announces the largest legal message, then goes away.
+        let prefix = MAX_MESSAGE.to_le_bytes();
+        let mut r = CountingReader {
+            bytes: &prefix,
+            largest_request: 0,
+        };
+        let err = read_message(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            r.largest_request <= 64 * 1024,
+            "read_message asked for {} bytes on the strength of the prefix alone",
+            r.largest_request
+        );
+
+        // A flipped payload bit is still caught in place.
+        let mut framed = frame(b"hello");
+        framed[5] ^= 1;
+        let err = read_message(&mut framed.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gisolap_obs::{MetricsRegistry, Span, Tracer};
+use gisolap_obs::{counters, Span, Tracer};
 use gisolap_stream::{
     GeoResolver, IngestReport, IngestStats, ReplayOp, ReplayReport, RollupQuery, RollupRow,
     Segment, StreamConfig, StreamIngest, StreamSnapshot, TailState,
@@ -112,73 +112,41 @@ impl StoreConfig {
     }
 }
 
-/// Cumulative durable-store counters, published as
-/// `gisolap_store_<field>_total`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// WAL entries appended (batches + finishes).
-    pub wal_appends: u64,
-    /// Records inside appended batch entries.
-    pub wal_records: u64,
-    /// Frame bytes appended to the WAL.
-    pub wal_bytes: u64,
-    /// Fsyncs issued by the WAL policy.
-    pub wal_syncs: u64,
-    /// Segment files written by flushes.
-    pub segments_flushed: u64,
-    /// Bytes written by flushes (segments + checkpoint + manifest).
-    pub flush_bytes: u64,
-    /// Full checkpoints written.
-    pub checkpoints: u64,
-    /// Delta checkpoints written (incremental flushes that diffed the
-    /// tail against the previous checkpoint instead of rewriting it).
-    pub delta_checkpoints: u64,
-    /// Successful recoveries performed.
-    pub recoveries: u64,
-    /// WAL entries replayed during recovery.
-    pub wal_entries_replayed: u64,
-    /// Records replayed from WAL batches during recovery.
-    pub wal_records_replayed: u64,
-    /// Torn WAL tail bytes dropped by recovery.
-    pub wal_truncated_bytes: u64,
-    /// Compaction passes run.
-    pub compactions: u64,
-    /// Segment files merged away by compaction.
-    pub segments_compacted: u64,
-    /// Times recovery detected (and contained) torn or corrupt bytes.
-    pub corruption_detected: u64,
-}
-
-impl StoreStats {
-    /// Every store counter as a `(name, value)` pair, in declaration
-    /// order — the single source for metrics and `OBSERVABILITY.md`.
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
-        [
-            ("wal_appends", self.wal_appends),
-            ("wal_records", self.wal_records),
-            ("wal_bytes", self.wal_bytes),
-            ("wal_syncs", self.wal_syncs),
-            ("segments_flushed", self.segments_flushed),
-            ("flush_bytes", self.flush_bytes),
-            ("checkpoints", self.checkpoints),
-            ("delta_checkpoints", self.delta_checkpoints),
-            ("recoveries", self.recoveries),
-            ("wal_entries_replayed", self.wal_entries_replayed),
-            ("wal_records_replayed", self.wal_records_replayed),
-            ("wal_truncated_bytes", self.wal_truncated_bytes),
-            ("compactions", self.compactions),
-            ("segments_compacted", self.segments_compacted),
-            ("corruption_detected", self.corruption_detected),
-        ]
-    }
-
-    /// Publishes the store counters into `registry` as
+counters! {
+    /// Cumulative durable-store counters, published as
     /// `gisolap_store_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_store_{field}_total");
-            registry.set_counter_u64(&name, "Durable segment store counter.", &[], value);
-        }
+    pub struct StoreStats["gisolap_store_", "Durable segment store counter."] {
+        /// WAL entries appended (batches + finishes).
+        wal_appends,
+        /// Records inside appended batch entries.
+        wal_records,
+        /// Frame bytes appended to the WAL.
+        wal_bytes,
+        /// Fsyncs issued by the WAL policy.
+        wal_syncs,
+        /// Segment files written by flushes.
+        segments_flushed,
+        /// Bytes written by flushes (segments + checkpoint + manifest).
+        flush_bytes,
+        /// Full checkpoints written.
+        checkpoints,
+        /// Delta checkpoints written (incremental flushes that diffed the
+        /// tail against the previous checkpoint instead of rewriting it).
+        delta_checkpoints,
+        /// Successful recoveries performed.
+        recoveries,
+        /// WAL entries replayed during recovery.
+        wal_entries_replayed,
+        /// Records replayed from WAL batches during recovery.
+        wal_records_replayed,
+        /// Torn WAL tail bytes dropped by recovery.
+        wal_truncated_bytes,
+        /// Compaction passes run.
+        compactions,
+        /// Segment files merged away by compaction.
+        segments_compacted,
+        /// Times recovery detected (and contained) torn or corrupt bytes.
+        corruption_detected,
     }
 }
 
@@ -1213,6 +1181,7 @@ impl DurableIngest {
 mod tests {
     use super::*;
     use crate::vfs::{RealFs, ScratchDir};
+    use gisolap_obs::MetricsRegistry;
     use gisolap_olap::agg::AggFn;
     use gisolap_olap::time::{TimeId, TimeLevel};
     use gisolap_stream::Measure;
@@ -1456,7 +1425,7 @@ mod tests {
         assert_eq!(names.iter().filter(|n| **n == "segment-flush").count(), 1);
 
         let mut registry = MetricsRegistry::new();
-        stats.fill_metrics(&mut registry);
+        registry.fill(&stats, &[]);
         let text = registry.render_prometheus();
         assert!(
             text.contains("gisolap_store_wal_appends_total 5\n"),

@@ -2,10 +2,9 @@
 //! letters, incremental rollups and snapshots.
 
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gisolap_obs::{MetricsRegistry, Span, Tracer};
+use gisolap_obs::{counters, Counter, Span, Tracer};
 use gisolap_olap::time::TimeId;
 use gisolap_traj::{Moft, Record};
 
@@ -14,47 +13,23 @@ use crate::delta::{bucket_partials, CellPartial, DeltaCube, GroupKey, RollupQuer
 use crate::segment::{Segment, SegmentMeta};
 use crate::Result;
 
-/// Point-in-time copy of the ingest counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Records accepted into a buffer (before dedup).
-    pub records_ingested: u64,
-    /// Records older than the sealed frontier, sent to the dead-letter
-    /// sink.
-    pub late_dropped: u64,
-    /// Segments sealed so far.
-    pub segments_sealed: u64,
-    /// Partial-aggregate entries merged into the [`DeltaCube`].
-    pub partials_merged: u64,
-    /// Live tail records scanned by rollup queries (cumulative).
-    pub tail_records_scanned: u64,
-}
-
-impl IngestStats {
-    /// Every ingest counter as a `(name, value)` pair. Names match the
-    /// engine-side [`StatsSnapshot` fields] these counters seed, so span
-    /// attribution, metrics and `OBSERVABILITY.md` stay consistent
-    /// across the batch and streaming paths.
-    ///
-    /// [`StatsSnapshot` fields]: https://docs.rs/gisolap-core
-    pub fn fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("records_ingested", self.records_ingested),
-            ("records_late_dropped", self.late_dropped),
-            ("segments_sealed", self.segments_sealed),
-            ("partials_merged", self.partials_merged),
-            ("tail_records_scanned", self.tail_records_scanned),
-        ]
-    }
-
-    /// Publishes the ingest counters into `registry` as
-    /// `gisolap_ingest_<field>_total` (no labels: one pipeline per
-    /// registry fill; label upstream if you scrape several).
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_ingest_{field}_total");
-            registry.set_counter_u64(&name, "Streaming ingest counter.", &[], value);
-        }
+counters! {
+    /// Point-in-time copy of the ingest counters. Exported names match
+    /// the engine-side `StatsSnapshot` fields these counters seed, so span
+    /// attribution, metrics and `OBSERVABILITY.md` stay consistent across
+    /// the batch and streaming paths.
+    pub struct IngestStats["gisolap_ingest_", "Streaming ingest counter."] {
+        /// Records accepted into a buffer (before dedup).
+        records_ingested,
+        /// Records older than the sealed frontier, sent to the dead-letter
+        /// sink.
+        late_dropped as "records_late_dropped",
+        /// Segments sealed so far.
+        segments_sealed,
+        /// Partial-aggregate entries merged into the [`DeltaCube`].
+        partials_merged,
+        /// Live tail records scanned by rollup queries (cumulative).
+        tail_records_scanned,
     }
 }
 
@@ -145,7 +120,7 @@ pub struct StreamIngest {
     /// convergent across compaction (see [`StreamIngest::restore`]).
     compacted_away: u64,
     /// Rollups run on `&self`; this counter is the only one they bump.
-    tail_records_scanned: AtomicU64,
+    tail_records_scanned: Counter,
     /// Span collection switch; off by default.
     tracer: Tracer,
     /// One `segment-seal` span per sealed segment while tracing.
@@ -169,7 +144,7 @@ impl StreamIngest {
             dead_letters: Vec::new(),
             records_ingested: 0,
             compacted_away: 0,
-            tail_records_scanned: AtomicU64::new(0),
+            tail_records_scanned: Counter::default(),
             tracer: Tracer::default(),
             spans: Vec::new(),
             seal_hook: None,
@@ -332,7 +307,7 @@ impl StreamIngest {
             late_dropped: self.dead_letters.len() as u64,
             segments_sealed: self.segments.len() as u64 + self.compacted_away,
             partials_merged: self.cube.merges(),
-            tail_records_scanned: self.tail_records_scanned.load(Ordering::Relaxed),
+            tail_records_scanned: self.tail_records_scanned.get(),
         }
     }
 
@@ -350,8 +325,7 @@ impl StreamIngest {
     /// scan of only the live tail — never a full-table rescan.
     pub fn rollup(&self, q: &RollupQuery) -> Result<Vec<RollupRow>> {
         let tail = self.tail_records();
-        self.tail_records_scanned
-            .fetch_add(tail.len() as u64, Ordering::Relaxed);
+        self.tail_records_scanned.add(tail.len() as u64);
         let tail_cells = bucket_partials(&tail, self.resolver.as_ref());
         self.cube.rollup(q, &tail_cells)
     }
@@ -371,8 +345,7 @@ impl StreamIngest {
     /// up reproduces [`StreamIngest::rollup`] bit-identically.
     pub fn extract_partials(&self) -> Vec<(GroupKey, CellPartial)> {
         let tail = self.tail_records();
-        self.tail_records_scanned
-            .fetch_add(tail.len() as u64, Ordering::Relaxed);
+        self.tail_records_scanned.add(tail.len() as u64);
         let tail_cells = bucket_partials(&tail, self.resolver.as_ref());
         let mut out = Vec::with_capacity(self.cube.len() + tail_cells.len());
         out.extend_from_slice(self.cube.as_slice());
@@ -496,7 +469,7 @@ impl StreamIngest {
             dead_letters: tail.dead_letters,
             records_ingested: tail.records_ingested,
             compacted_away,
-            tail_records_scanned: AtomicU64::new(0),
+            tail_records_scanned: Counter::default(),
             tracer: Tracer::default(),
             spans: Vec::new(),
             seal_hook: None,
@@ -646,6 +619,7 @@ impl StreamSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gisolap_obs::{CounterSet, MetricsRegistry};
     use gisolap_olap::agg::AggFn;
     use gisolap_olap::time::TimeLevel;
     use gisolap_traj::ObjectId;
@@ -740,7 +714,7 @@ mod tests {
         assert!(fields.contains(&("segments_sealed", 1)));
 
         let mut registry = MetricsRegistry::new();
-        stats.fill_metrics(&mut registry);
+        registry.fill(&stats, &[]);
         let text = registry.render_prometheus();
         assert!(
             text.contains("gisolap_ingest_records_ingested_total 2\n"),

@@ -44,8 +44,8 @@
 //! constructors); [`StreamIngest::set_traced`] turns on `segment-seal`
 //! span collection (one span per sealed partition, with a
 //! `partial-merge` child describing the cube absorb), and
-//! [`IngestStats::fill_metrics`](ingest::IngestStats::fill_metrics)
-//! publishes everything in Prometheus form. See `OBSERVABILITY.md` for
+//! `MetricsRegistry::fill(&stats, …)` publishes everything in
+//! Prometheus form. See `OBSERVABILITY.md` for
 //! the full reference.
 
 #![forbid(unsafe_code)]

@@ -13,7 +13,7 @@
 
 use crate::registry::{Registry, SubId, Subscription};
 use crate::sink::Sink;
-use gisolap_obs::{MetricsRegistry, Span, Tracer};
+use gisolap_obs::{counters, MetricsRegistry, Span, Tracer};
 use gisolap_olap::agg::Partial;
 use gisolap_olap::time::TimeId;
 use gisolap_shard::GridSpec;
@@ -25,40 +25,18 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Point-in-time copy of the standing-query counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubStats {
-    /// Subscriptions admitted by [`StandingEvaluator::register`].
-    pub registered: u64,
-    /// Notifications emitted (to sinks and the catch-up buffer).
-    pub notifications: u64,
-    /// Segment seals folded into running state (silent catch-up folds
-    /// included).
-    pub seals_folded: u64,
-    /// Threshold crossings fired (up and down).
-    pub threshold_fires: u64,
-}
-
-impl SubStats {
-    /// Every standing-query counter as a `(name, value)` pair — the
-    /// single source the metrics fill and the OBSERVABILITY.md coverage
-    /// test read.
-    pub fn fields(&self) -> [(&'static str, u64); 4] {
-        [
-            ("registered", self.registered),
-            ("notifications", self.notifications),
-            ("seals_folded", self.seals_folded),
-            ("threshold_fires", self.threshold_fires),
-        ]
-    }
-
-    /// Publishes the counters into `registry` as
-    /// `gisolap_sub_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_sub_{field}_total");
-            registry.set_counter_u64(&name, "Standing-query counter.", &[], value);
-        }
+counters! {
+    /// Point-in-time copy of the standing-query counters.
+    pub struct SubStats["gisolap_sub_", "Standing-query counter."] {
+        /// Subscriptions admitted by [`StandingEvaluator::register`].
+        registered,
+        /// Notifications emitted (to sinks and the catch-up buffer).
+        notifications,
+        /// Segment seals folded into running state (silent catch-up folds
+        /// included).
+        seals_folded,
+        /// Threshold crossings fired (up and down).
+        threshold_fires,
     }
 }
 
@@ -304,7 +282,7 @@ impl StandingEvaluator {
     /// Publishes counters plus one `gisolap_sub_value{sub="<id>"}` gauge
     /// per subscription with a current value.
     pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        self.stats.fill_metrics(registry);
+        registry.fill(&self.stats, &[]);
         for (id, state) in &self.states {
             if let Some(v) = state.last_value {
                 registry.set_gauge(

@@ -1,173 +1,50 @@
 //! Wire forms for subscriptions and notifications: single CRC frames
 //! over the store codec, like every other protocol in the workspace.
-//! The region codec is shared with the shard wire; the level/aggregate/
-//! measure code tables use the same numbering the serve wire assigned,
-//! so a value that roundtrips there roundtrips here.
+//! Every field format and code table (level/aggregate/measure, region
+//! box, rows, optional values) is `gisolap_store::codec`'s; this module
+//! owns only the two message layouts.
 
 use crate::registry::{SubId, Subscription, Threshold};
 use crate::standing::{Crossing, Notification};
-use gisolap_olap::agg::AggFn;
-use gisolap_olap::time::TimeLevel;
-use gisolap_store::codec::{frame, Dec, Enc};
+use gisolap_store::codec::{
+    agg_code, dec_agg, dec_bbox, dec_level, dec_measure, decode_rows, enc_bbox, encode_rows, frame,
+    level_code, measure_code, Dec, Enc,
+};
 use gisolap_store::framing::decode_single_frame;
 use gisolap_store::Result;
-use gisolap_stream::{Measure, RollupRow};
 
 /// The label corrupt frames are attributed to.
 const WIRE: &str = "sub-wire";
 
-fn wire_corrupt(detail: impl Into<String>) -> gisolap_store::StoreError {
-    gisolap_store::framing::wire_corrupt(WIRE, detail)
-}
-
-/// Bytes one encoded notification row needs at minimum (granule + geo
-/// flag + value) — the plausibility bound for declared row counts.
-const MIN_ROW: usize = 8 + 1 + 8;
-
-fn level_code(level: TimeLevel) -> u8 {
-    match level {
-        TimeLevel::TimeId => 0,
-        TimeLevel::Minute => 1,
-        TimeLevel::Hour => 2,
-        TimeLevel::Day => 3,
-        TimeLevel::Month => 4,
-        TimeLevel::Year => 5,
-        TimeLevel::TimeOfDayLevel => 6,
-        TimeLevel::DayOfWeekLevel => 7,
-        TimeLevel::TypeOfDayLevel => 8,
-        TimeLevel::All => 9,
-    }
-}
-
-fn level_from(code: u8) -> Result<TimeLevel> {
-    Ok(match code {
-        0 => TimeLevel::TimeId,
-        1 => TimeLevel::Minute,
-        2 => TimeLevel::Hour,
-        3 => TimeLevel::Day,
-        4 => TimeLevel::Month,
-        5 => TimeLevel::Year,
-        6 => TimeLevel::TimeOfDayLevel,
-        7 => TimeLevel::DayOfWeekLevel,
-        8 => TimeLevel::TypeOfDayLevel,
-        9 => TimeLevel::All,
-        c => return Err(wire_corrupt(format!("unknown time level code {c}"))),
-    })
-}
-
-fn agg_code(f: AggFn) -> u8 {
-    match f {
-        AggFn::Min => 0,
-        AggFn::Max => 1,
-        AggFn::Count => 2,
-        AggFn::Sum => 3,
-        AggFn::Avg => 4,
-    }
-}
-
-fn agg_from(code: u8) -> Result<AggFn> {
-    Ok(match code {
-        0 => AggFn::Min,
-        1 => AggFn::Max,
-        2 => AggFn::Count,
-        3 => AggFn::Sum,
-        4 => AggFn::Avg,
-        c => return Err(wire_corrupt(format!("unknown aggregate code {c}"))),
-    })
-}
-
-fn measure_code(m: Measure) -> u8 {
-    match m {
-        Measure::X => 0,
-        Measure::Y => 1,
-    }
-}
-
-fn measure_from(code: u8) -> Result<Measure> {
-    Ok(match code {
-        0 => Measure::X,
-        1 => Measure::Y,
-        c => return Err(wire_corrupt(format!("unknown measure code {c}"))),
-    })
-}
-
-fn enc_f64(e: &mut Enc, v: f64) {
-    e.u64(v.to_bits());
-}
-
-fn dec_f64(d: &mut Dec<'_>) -> Result<f64> {
-    Ok(f64::from_bits(d.u64()?))
-}
-
-fn enc_opt_f64(e: &mut Enc, v: Option<f64>) {
-    match v {
-        None => e.u8(0),
-        Some(v) => {
-            e.u8(1);
-            enc_f64(e, v);
-        }
-    }
-}
-
-fn dec_opt_f64(d: &mut Dec<'_>) -> Result<Option<f64>> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(dec_f64(d)?)),
-        c => Err(wire_corrupt(format!("bad optional-value flag {c}"))),
-    }
-}
-
 /// Appends a subscription's raw encoding to `e` (no frame) — for
 /// embedding in a larger message (the serve request body).
 pub fn enc_subscription(e: &mut Enc, sub: &Subscription) {
-    gisolap_shard::wire::enc_region(e, sub.region.as_ref());
+    e.opt(sub.region.as_ref(), enc_bbox);
     e.u8(level_code(sub.level));
     e.u8(measure_code(sub.measure));
     e.u8(agg_code(sub.agg));
-    match sub.window_hours {
-        None => e.u8(0),
-        Some(w) => {
-            e.u8(1);
-            e.u32(w);
-        }
-    }
-    match sub.threshold {
-        None => e.u8(0),
-        Some(t) => {
-            e.u8(1);
-            enc_f64(e, t.rise);
-            enc_f64(e, t.fall);
-        }
-    }
+    e.opt(sub.window_hours, |e, w| e.u32(w));
+    e.opt(sub.threshold, |e, t| {
+        e.f64(t.rise);
+        e.f64(t.fall);
+    });
 }
 
 /// Decodes [`enc_subscription`]'s form. Does **not** re-validate — the
 /// caller does ([`decode_subscription`], or registration itself).
 pub fn dec_subscription(d: &mut Dec<'_>) -> Result<Subscription> {
-    let region = gisolap_shard::wire::dec_region(d)?;
-    let level = level_from(d.u8()?)?;
-    let measure = measure_from(d.u8()?)?;
-    let agg = agg_from(d.u8()?)?;
-    let window_hours = match d.u8()? {
-        0 => None,
-        1 => Some(d.u32()?),
-        c => return Err(wire_corrupt(format!("bad window flag {c}"))),
-    };
-    let threshold = match d.u8()? {
-        0 => None,
-        1 => Some(Threshold {
-            rise: dec_f64(d)?,
-            fall: dec_f64(d)?,
-        }),
-        c => return Err(wire_corrupt(format!("bad threshold flag {c}"))),
-    };
     Ok(Subscription {
-        region,
-        level,
-        measure,
-        agg,
-        window_hours,
-        threshold,
+        region: d.opt("region", dec_bbox)?,
+        level: dec_level(d)?,
+        measure: dec_measure(d)?,
+        agg: dec_agg(d)?,
+        window_hours: d.opt("window", |d| d.u32())?,
+        threshold: d.opt("threshold", |d| {
+            Ok(Threshold {
+                rise: d.f64()?,
+                fall: d.f64()?,
+            })
+        })?,
     })
 }
 
@@ -197,20 +74,9 @@ pub fn enc_notification(e: &mut Enc, n: &Notification) {
     e.u64(n.sub.0);
     e.u64(n.seq);
     e.i64(n.partition);
-    e.u64(n.rows.len() as u64);
-    for row in &n.rows {
-        e.i64(row.granule);
-        match row.geo {
-            None => e.u8(0),
-            Some(g) => {
-                e.u8(1);
-                e.u32(g);
-            }
-        }
-        enc_f64(e, row.value);
-    }
-    enc_opt_f64(e, n.value);
-    enc_opt_f64(e, n.prev);
+    encode_rows(e, &n.rows);
+    e.opt(n.value, Enc::f64);
+    e.opt(n.prev, Enc::f64);
     e.u8(match n.crossing {
         None => 0,
         Some(Crossing::Up) => 1,
@@ -220,47 +86,24 @@ pub fn enc_notification(e: &mut Enc, n: &Notification) {
 
 /// Decodes [`enc_notification`]'s form.
 pub fn dec_notification(d: &mut Dec<'_>) -> Result<Notification> {
-    let sub = SubId(d.u64()?);
-    let seq = d.u64()?;
-    let partition = d.i64()?;
-    let count = d.u64()?;
-    if count as usize > d.remaining() / MIN_ROW + 1 {
-        return Err(wire_corrupt(format!(
-            "notification declares {count} rows but only {} bytes remain",
-            d.remaining()
-        )));
-    }
-    let mut rows = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let granule = d.i64()?;
-        let geo = match d.u8()? {
-            0 => None,
-            1 => Some(d.u32()?),
-            c => return Err(wire_corrupt(format!("bad geo flag {c}"))),
-        };
-        let value = dec_f64(d)?;
-        rows.push(RollupRow {
-            granule,
-            geo,
-            value,
-        });
-    }
-    let value = dec_opt_f64(d)?;
-    let prev = dec_opt_f64(d)?;
-    let crossing = match d.u8()? {
-        0 => None,
-        1 => Some(Crossing::Up),
-        2 => Some(Crossing::Down),
-        c => return Err(wire_corrupt(format!("unknown crossing code {c}"))),
-    };
     Ok(Notification {
-        sub,
-        seq,
-        partition,
-        rows,
-        value,
-        prev,
-        crossing,
+        sub: SubId(d.u64()?),
+        seq: d.u64()?,
+        partition: d.i64()?,
+        rows: decode_rows(d)?,
+        value: d.opt("value", Dec::f64)?,
+        prev: d.opt("previous-value", Dec::f64)?,
+        crossing: match d.u8()? {
+            0 => None,
+            1 => Some(Crossing::Up),
+            2 => Some(Crossing::Down),
+            c => {
+                return Err(gisolap_store::framing::wire_corrupt(
+                    WIRE,
+                    format!("unknown crossing code {c}"),
+                ))
+            }
+        },
     })
 }
 
@@ -284,6 +127,9 @@ pub fn decode_notification(bytes: &[u8]) -> Result<Notification> {
 mod tests {
     use super::*;
     use gisolap_geom::BBox;
+    use gisolap_olap::agg::AggFn;
+    use gisolap_olap::time::TimeLevel;
+    use gisolap_stream::{Measure, RollupRow};
     use proptest::prelude::*;
 
     fn subscriptions() -> Vec<Subscription> {

@@ -12,7 +12,7 @@
 use gisolap_core::engine::{NaiveEngine, QueryEngine};
 use gisolap_core::Gis;
 use gisolap_geom::BBox;
-use gisolap_obs::MetricsRegistry;
+use gisolap_obs::{CounterSet, MetricsRegistry};
 use gisolap_olap::agg::{AggFn, Partial};
 use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_repl::{LeaderStats, ReplStats};
@@ -555,9 +555,17 @@ fn pinned_bytes_decode_and_reencode_identically() {
     }
 }
 
-/// One registry filled from every counter family, counter *i* of each
-/// family (in exported order) holding *i* + 1. Engine phase timers stay
-/// zero: they only advance by wall time.
+/// A family snapshot with counter *i* (in exported order) holding *i* + 1.
+fn numbered<C: CounterSet>() -> C {
+    let mut i = 0;
+    C::default().map(|_, _| {
+        i += 1;
+        i
+    })
+}
+
+/// One registry filled from every counter family, each [`numbered`].
+/// Engine phase timers stay zero: they only advance by wall time.
 fn actual_exposition() -> String {
     let mut registry = MetricsRegistry::new();
 
@@ -565,126 +573,34 @@ fn actual_exposition() -> String {
     let moft = Moft::new();
     let engine = NaiveEngine::new(&gis, &moft);
     let stats = engine.stats();
-    stats.add_records_scanned(1);
-    stats.add_bbox_rejections(2);
-    stats.add_rtree_probes(3);
-    stats.add_overlay_hits(4);
-    stats.add_overlay_misses(5);
-    stats.add_legs_cut(6);
-    for _ in 0..7 {
-        stats.add_query();
-    }
-    stats.set_ingest_counters(11, 12, 13, 14, 15);
-    stats.add_index_interval_probes(16);
-    stats.add_index_bvh_probes(17);
-    stats.add_index_zones_scanned(18);
-    stats.add_index_zones_pruned(19);
-    stats.add_index_records_pruned(20);
+    stats.records_scanned.add(1);
+    stats.bbox_rejections.add(2);
+    stats.rtree_probes.add(3);
+    stats.overlay_hits.add(4);
+    stats.overlay_misses.add(5);
+    stats.legs_cut.add(6);
+    stats.queries.add(7);
+    stats.records_ingested.add(11);
+    stats.records_late_dropped.add(12);
+    stats.segments_sealed.add(13);
+    stats.partials_merged.add(14);
+    stats.tail_records_scanned.add(15);
+    stats.index_interval_probes.add(16);
+    stats.index_bvh_probes.add(17);
+    stats.index_zones_scanned.add(18);
+    stats.index_zones_pruned.add(19);
+    stats.index_records_pruned.add(20);
     gisolap_core::fill_engine_metrics(&mut registry, &engine);
 
-    IngestStats {
-        records_ingested: 1,
-        late_dropped: 2,
-        segments_sealed: 3,
-        partials_merged: 4,
-        tail_records_scanned: 5,
-    }
-    .fill_metrics(&mut registry);
-    StoreStats {
-        wal_appends: 1,
-        wal_records: 2,
-        wal_bytes: 3,
-        wal_syncs: 4,
-        segments_flushed: 5,
-        flush_bytes: 6,
-        checkpoints: 7,
-        delta_checkpoints: 8,
-        recoveries: 9,
-        wal_entries_replayed: 10,
-        wal_records_replayed: 11,
-        wal_truncated_bytes: 12,
-        compactions: 13,
-        segments_compacted: 14,
-        corruption_detected: 15,
-    }
-    .fill_metrics(&mut registry);
-    ReplStats {
-        polls: 1,
-        entries_applied: 2,
-        records_applied: 3,
-        duplicates_skipped: 4,
-        seq_gaps: 5,
-        corrupt_frames: 6,
-        corrupt_replies: 7,
-        transport_errors: 8,
-        retries: 9,
-        reconnects: 10,
-        snapshot_fallbacks: 11,
-        snapshots_installed: 12,
-        stale_epoch_rejections: 13,
-    }
-    .fill_metrics(&mut registry);
-    LeaderStats {
-        requests: 1,
-        frames_shipped: 2,
-        compacted_replies: 3,
-        snapshots_shipped: 4,
-        bad_requests: 5,
-        fenced_rejections: 6,
-    }
-    .fill_metrics(&mut registry);
-    ServeStats {
-        connections_accepted: 1,
-        connections_rejected: 2,
-        requests: 3,
-        rollup_requests: 4,
-        repl_requests: 5,
-        ping_requests: 6,
-        partials_requests: 7,
-        sharded_requests: 8,
-        subscribe_requests: 9,
-        notifications_requests: 10,
-        busy_rejections: 11,
-        quota_rejections: 12,
-        bad_requests: 13,
-        bytes_in: 14,
-        bytes_out: 15,
-    }
-    .fill_metrics(&mut registry);
-    ShardStats {
-        queries: 1,
-        shards_queried: 2,
-        shards_pruned: 3,
-        cells_gathered: 4,
-        cells_window_pruned: 5,
-        gather_merges: 6,
-        stale_fetches: 7,
-        leadership_retries: 8,
-    }
-    .fill_metrics(&mut registry);
-    RouteStats {
-        routed_batches: 1,
-        routed_records: 2,
-    }
-    .fill_metrics(&mut registry);
-    ElasticStats {
-        probes: 1,
-        probe_failures: 2,
-        lease_renewals: 3,
-        failovers: 4,
-        rebalances_committed: 5,
-        rebalance_rollbacks: 6,
-        rebalance_rollforwards: 7,
-        cells_reassigned: 8,
-    }
-    .fill_metrics(&mut registry);
-    SubStats {
-        registered: 1,
-        notifications: 2,
-        seals_folded: 3,
-        threshold_fires: 4,
-    }
-    .fill_metrics(&mut registry);
+    registry.fill(&numbered::<IngestStats>(), &[]);
+    registry.fill(&numbered::<StoreStats>(), &[]);
+    registry.fill(&numbered::<ReplStats>(), &[]);
+    registry.fill(&numbered::<LeaderStats>(), &[]);
+    registry.fill(&numbered::<ServeStats>(), &[]);
+    registry.fill(&numbered::<ShardStats>(), &[]);
+    registry.fill(&numbered::<RouteStats>(), &[]);
+    registry.fill(&numbered::<ElasticStats>(), &[]);
+    registry.fill(&numbered::<SubStats>(), &[]);
     registry.render_prometheus()
 }
 

@@ -15,7 +15,7 @@
 //!   `in_region` pruning matches `eval_single` bit for bit under both
 //!   partitioners, with shards in mixed lifecycle states.
 //!
-//! Case count sweeps with `GISOLAP_INDEX_CASES` (default 16; CI runs
+//! Case count sweeps with `GISOLAP_CASES` (default 16; CI runs
 //! 200 per property).
 
 use gisolap_core::engine::{IndexedEngine, NaiveEngine, OverlayEngine, QueryEngine};
@@ -34,12 +34,6 @@ use gisolap_stream::{Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest
 use gisolap_traj::{Moft, Record};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
-
-fn index_cases() -> u32 {
-    gisolap_obs::config::INDEX_CASES
-        .parse_u64()
-        .map_or(16, |v| v.clamp(1, 100_000) as u32)
-}
 
 /// Serializes the tests that flip `GISOLAP_INDEX` (read at engine
 /// construction) so concurrent test threads never observe each other's
@@ -208,7 +202,7 @@ fn bits(rows: &[RollupRow]) -> Vec<(i64, Option<u32>, u64)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(index_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
     /// Engine-level bit-identity: the index only decides what is
     /// *skipped*, never what is *answered*. The same engine with

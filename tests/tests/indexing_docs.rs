@@ -50,9 +50,9 @@ fn indexing_doc_covers_every_index_flag() {
         .filter(|name| name.contains("INDEX"))
         .collect();
     assert!(
-        index_flags.len() >= 3,
-        "expected at least GISOLAP_INDEX / _ZONE_ROWS / _CASES in the \
-         registry, found {index_flags:?}"
+        index_flags.len() >= 2,
+        "expected at least GISOLAP_INDEX / _ZONE_ROWS in the registry, \
+         found {index_flags:?}"
     );
     for flag in index_flags {
         assert!(

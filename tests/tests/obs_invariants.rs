@@ -11,8 +11,8 @@
 //!    (timings zeroed) is identical whether evaluation runs on one
 //!    worker or four.
 //!
-//! Plus a docs-coverage check: every `StatsSnapshot` field name must
-//! appear in `OBSERVABILITY.md`.
+//! Plus a docs-coverage check: every counter of every `counters!`
+//! family (and every span name) must appear in `OBSERVABILITY.md`.
 
 use gisolap_core::engine::{
     explain_analyze, IndexedEngine, NaiveEngine, OverlayEngine, QueryEngine,
@@ -21,6 +21,7 @@ use gisolap_core::region::{CmpOp, GeoFilter, RegionC, SpatialPredicate, TimePred
 use gisolap_core::stats::StatsSnapshot;
 use gisolap_datagen::movers::RandomWaypoint;
 use gisolap_datagen::{CityConfig, CityScenario};
+use gisolap_obs::CounterSet;
 use gisolap_olap::time::TimeOfDay;
 use gisolap_olap::value::Value;
 use proptest::prelude::*;
@@ -145,20 +146,41 @@ proptest! {
     }
 }
 
-#[test]
-fn observability_doc_covers_every_snapshot_field() {
-    let doc = include_str!("../../OBSERVABILITY.md");
-    let snap = StatsSnapshot::default();
-    let missing: Vec<&str> = snap
-        .fields()
-        .iter()
-        .map(|(name, _)| *name)
+/// `OBSERVABILITY.md` names family `C`'s metric pattern and every one of
+/// its exported counters.
+fn undocumented<C: CounterSet>(doc: &str) -> Vec<String> {
+    let pattern = format!("{}<field>_total", C::PREFIX);
+    std::iter::once(pattern.as_str())
+        .chain(C::NAMES.iter().copied())
         .filter(|name| !doc.contains(name))
-        .collect();
+        .map(|name| format!("{}: {name}", std::any::type_name::<C>()))
+        .collect()
+}
+
+#[test]
+fn observability_doc_covers_every_counter_family() {
+    let doc = include_str!("../../OBSERVABILITY.md");
+    let missing = [
+        undocumented::<StatsSnapshot>(doc),
+        undocumented::<gisolap_stream::IngestStats>(doc),
+        undocumented::<gisolap_store::StoreStats>(doc),
+        undocumented::<gisolap_repl::ReplStats>(doc),
+        undocumented::<gisolap_repl::LeaderStats>(doc),
+        undocumented::<gisolap_serve::ServeStats>(doc),
+        undocumented::<gisolap_shard::ShardStats>(doc),
+        undocumented::<gisolap_shard::RouteStats>(doc),
+        undocumented::<gisolap_shard::ElasticStats>(doc),
+        undocumented::<gisolap_sub::SubStats>(doc),
+    ]
+    .concat();
     assert!(
         missing.is_empty(),
-        "OBSERVABILITY.md does not document: {missing:?}"
+        "OBSERVABILITY.md does not document: {missing:#?}"
     );
+    // The gauges two owners add beside their counters.
+    for gauge in ["gisolap_repl_lag_seqs", "gisolap_sub_value"] {
+        assert!(doc.contains(gauge), "OBSERVABILITY.md missing `{gauge}`");
+    }
 }
 
 #[test]
@@ -185,89 +207,6 @@ fn observability_doc_covers_every_span_name() {
 }
 
 #[test]
-fn observability_doc_covers_every_store_stat_field() {
-    let doc = include_str!("../../OBSERVABILITY.md");
-    let stats = gisolap_store::StoreStats::default();
-    let missing: Vec<&str> = stats
-        .fields()
-        .iter()
-        .map(|(name, _)| *name)
-        .filter(|name| !doc.contains(name))
-        .collect();
-    assert!(
-        missing.is_empty(),
-        "OBSERVABILITY.md does not document store counters: {missing:?}"
-    );
-}
-
-#[test]
-fn observability_doc_covers_every_repl_stat_field() {
-    let doc = include_str!("../../OBSERVABILITY.md");
-    let follower = gisolap_repl::ReplStats::default();
-    let leader = gisolap_repl::LeaderStats::default();
-    let missing: Vec<&str> = follower
-        .fields()
-        .iter()
-        .chain(leader.fields().iter())
-        .map(|(name, _)| *name)
-        .filter(|name| !doc.contains(name))
-        .collect();
-    assert!(
-        missing.is_empty(),
-        "OBSERVABILITY.md does not document replication counters: {missing:?}"
-    );
-    for name in [
-        "gisolap_repl_<field>_total",
-        "gisolap_repl_leader_<field>_total",
-        "gisolap_repl_lag_seqs",
-    ] {
-        assert!(doc.contains(name), "OBSERVABILITY.md missing `{name}`");
-    }
-}
-
-#[test]
-fn observability_doc_covers_every_serve_stat_field() {
-    let doc = include_str!("../../OBSERVABILITY.md");
-    let stats = gisolap_serve::ServeStats::default();
-    let missing: Vec<&str> = stats
-        .fields()
-        .iter()
-        .map(|(name, _)| *name)
-        .filter(|name| !doc.contains(name))
-        .collect();
-    assert!(
-        missing.is_empty(),
-        "OBSERVABILITY.md does not document serving counters: {missing:?}"
-    );
-    assert!(
-        doc.contains("gisolap_serve_<field>_total"),
-        "OBSERVABILITY.md missing `gisolap_serve_<field>_total`"
-    );
-}
-
-#[test]
-fn observability_doc_covers_every_shard_stat_field() {
-    let doc = include_str!("../../OBSERVABILITY.md");
-    let coord = gisolap_shard::ShardStats::default();
-    let route = gisolap_shard::RouteStats::default();
-    let missing: Vec<&str> = coord
-        .fields()
-        .iter()
-        .chain(route.fields().iter())
-        .map(|(name, _)| *name)
-        .filter(|name| !doc.contains(name))
-        .collect();
-    assert!(
-        missing.is_empty(),
-        "OBSERVABILITY.md does not document shard counters: {missing:?}"
-    );
-    assert!(
-        doc.contains("gisolap_shard_<field>_total"),
-        "OBSERVABILITY.md missing `gisolap_shard_<field>_total`"
-    );
-}
-
-#[test]
 fn observability_doc_covers_every_shard_span_name() {
     let doc = include_str!("../../OBSERVABILITY.md");
     for span in ["shard-eval", "shard-scatter", "shard-gather"] {
@@ -276,25 +215,6 @@ fn observability_doc_covers_every_shard_span_name() {
     // The span-only counters the scatter/gather legs report.
     for extra in ["cells_gathered", "cells_window_pruned", "gather_merges"] {
         assert!(doc.contains(extra), "OBSERVABILITY.md missing `{extra}`");
-    }
-}
-
-#[test]
-fn observability_doc_covers_every_sub_stat_field() {
-    let doc = include_str!("../../OBSERVABILITY.md");
-    let stats = gisolap_sub::SubStats::default();
-    let missing: Vec<&str> = stats
-        .fields()
-        .iter()
-        .map(|(name, _)| *name)
-        .filter(|name| !doc.contains(name))
-        .collect();
-    assert!(
-        missing.is_empty(),
-        "OBSERVABILITY.md does not document standing-query counters: {missing:?}"
-    );
-    for name in ["gisolap_sub_<field>_total", "gisolap_sub_value"] {
-        assert!(doc.contains(name), "OBSERVABILITY.md missing `{name}`");
     }
 }
 

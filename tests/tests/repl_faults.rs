@@ -20,7 +20,7 @@
 //!   the replica's snapshot drives a query engine exactly like the
 //!   leader's.
 //!
-//! Case count is `GISOLAP_REPL_FAULT_CASES` (default 16); CI's
+//! Case count is `GISOLAP_CASES` (default 16); CI's
 //! replication job raises it.
 
 use std::sync::{Arc, Mutex};
@@ -40,13 +40,6 @@ use gisolap_store::{
 use gisolap_stream::{Measure, ReplayOp, RollupQuery, StreamConfig, StreamIngest};
 use gisolap_traj::Moft;
 use proptest::prelude::*;
-
-fn repl_fault_cases() -> u32 {
-    gisolap_obs::config::REPL_FAULT_CASES
-        .parse_u64()
-        .map(|n| n.clamp(1, 100_000) as u32)
-        .unwrap_or(16)
-}
 
 fn random_moft(seed: u64) -> Moft {
     let city = CityScenario::generate(CityConfig {
@@ -114,7 +107,7 @@ fn assert_bit_identical(a: &StreamIngest, b: &StreamIngest) -> Result<(), TestCa
 const MAX_POLLS: u64 = 10_000;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(repl_fault_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
     /// The main replication property: for any workload, flush cadence,
     /// WAL retention and fault schedule, a follower that keeps polling

@@ -10,7 +10,7 @@
 //! lattice, so position sums are exact in f64 and bit-identity is a
 //! theorem, not luck (`crates/shard/src/coordinator.rs` module docs).
 //!
-//! Case count sweeps with `GISOLAP_SHARD_CASES` (CI runs a deeper
+//! Case count sweeps with `GISOLAP_CASES` (CI runs a deeper
 //! seeded sweep than the default 16).
 
 use gisolap_datagen::movers::SkewedFleet;
@@ -27,12 +27,6 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 const FNS: [AggFn; 5] = [AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max];
-
-fn shard_cases() -> u32 {
-    gisolap_obs::config::SHARD_CASES
-        .parse_u64()
-        .map_or(16, |v| v.clamp(1, 100_000) as u32)
-}
 
 fn area() -> BBox {
     BBox::new(0.0, 0.0, 64.0, 64.0)
@@ -164,7 +158,7 @@ fn assert_equivalent(cluster: &mut ShardedIngest, single: &StreamIngest, label: 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(shard_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
     /// Spatial partitioning: disjoint shard key sets, so bit-identity
     /// is unconditional — including shards that own no data at all

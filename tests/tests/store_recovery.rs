@@ -15,7 +15,7 @@
 //! * keep working: feeding the remaining operations to the recovered
 //!   pipeline ends in the same state as a never-crashed full run.
 //!
-//! Case count is `GISOLAP_FAULT_CASES` (default 16); CI's fault-injection
+//! Case count is `GISOLAP_CASES` (default 16); CI's fault-injection
 //! job raises it.
 
 use std::sync::Arc;
@@ -30,13 +30,6 @@ use gisolap_store::{
 use gisolap_stream::{Measure, ReplayOp, RollupQuery, StreamConfig, StreamIngest};
 use gisolap_traj::Moft;
 use proptest::prelude::*;
-
-fn fault_cases() -> u32 {
-    gisolap_obs::config::FAULT_CASES
-        .parse_u64()
-        .map(|n| n.clamp(1, 100_000) as u32)
-        .unwrap_or(16)
-}
 
 fn random_moft(seed: u64) -> Moft {
     let city = CityScenario::generate(CityConfig {
@@ -140,7 +133,7 @@ fn assert_bit_identical(a: &StreamIngest, b: &StreamIngest) -> Result<(), TestCa
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fault_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
     /// The main crash property: recovery after a crash at an arbitrary
     /// byte offset converges to the durable op prefix and loses nothing.

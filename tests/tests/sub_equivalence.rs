@@ -13,7 +13,7 @@
 //! coordinate sums stay exact in f64 (bit-identity is a theorem, not
 //! luck).
 //!
-//! Case count sweeps with `GISOLAP_SUB_CASES` (CI runs a deeper seeded
+//! Case count sweeps with `GISOLAP_CASES` (CI runs a deeper seeded
 //! sweep than the default 16).
 
 use gisolap_datagen::EventCrowd;
@@ -29,12 +29,6 @@ use gisolap_traj::Record;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
-
-fn sub_cases() -> u32 {
-    gisolap_obs::config::SUB_CASES
-        .parse_u64()
-        .map_or(16, |v| v.clamp(1, 100_000) as u32)
-}
 
 fn area() -> BBox {
     BBox::new(0.0, 0.0, 64.0, 64.0)
@@ -130,7 +124,7 @@ fn assert_matches_batch(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(sub_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
     /// The tentpole invariant: after **every ingest step and the final
     /// finish** — i.e. at every seal frontier the pipeline ever
