@@ -17,11 +17,25 @@
 //! All three implement [`QueryEngine`] and must agree on every query —
 //! integration tests enforce this; the benchmarks measure the difference.
 //!
+//! ## Sample-semantics evaluation
+//!
+//! One pass, no per-record allocation: the time filter yields borrowed
+//! record runs ([`QueryEngine::time_runs`]), the qualifying elements of
+//! the spatial atom are registered once per query in a uniform
+//! [`GridIndex`] over their (inflated) bounding boxes, and each
+//! time-passing record stabs one cell and runs the exact
+//! `covers`/distance test against that cell's elements only. The
+//! engines differ in the grid they size
+//! ([`QueryEngine::membership_grid_cells`]): [`NaiveEngine`] keeps one
+//! cell, so it still tests every qualifying element per record; the
+//! others use up to 64×64 cells. The layer R-trees serve
+//! [`QueryEngine::candidates`] and [`QueryEngine::layer_pairs`].
+//!
 //! ## Parallelism and observability
 //!
 //! Evaluation is data-parallel: [`QueryEngine::eval`] partitions the
-//! per-record (sample semantics) and per-trajectory (interpolated
-//! semantics) work across threads, and [`QueryEngine::eval_many`]
+//! record runs (sample semantics) and trajectories (interpolated
+//! semantics) across threads, and [`QueryEngine::eval_many`]
 //! additionally fans whole regions out after resolving their shared
 //! geometric sub-queries once. All parallel paths are order-preserving,
 //! so parallel and sequential evaluation produce **bit-identical**
@@ -32,12 +46,13 @@
 //! times — also surfaced on [`Explain`].
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rayon::prelude::*;
 
 use gisolap_geom::{BBox, Point};
-use gisolap_index::RTree;
+use gisolap_index::{GridIndex, RTree};
 use gisolap_olap::time::{TimeDimension, TimeId, TimeOfDay};
 use gisolap_stream::{SegmentMeta, StreamSnapshot};
 use gisolap_traj::bead::{Bead, Reachability};
@@ -46,8 +61,8 @@ use gisolap_traj::ops::{self, TimeInterval};
 use gisolap_traj::trajectory::{Lit, TimedSegment};
 
 use crate::gis::Gis;
-use crate::layer::{GeoId, GeometryKind, LayerId};
-use crate::mindex::{conservative_window, MoftIndex};
+use crate::layer::{GeoId, GeoRef, GeometryKind, LayerId};
+use crate::mindex::{conservative_window, MoftIndex, ObjectExtent};
 use crate::overlay_cache::{georef_intersects, OverlayCache};
 use crate::region::{
     eval_time, CmpOp, GeoFilter, RegionC, SpatialPredicate, SpatialSemantics, TimePredicate,
@@ -236,58 +251,66 @@ pub trait QueryEngine: Sync {
         }
     }
 
-    /// The MOFT records passing the region's time predicates, in
-    /// `(oid, t)` order. Partitioned across threads by record chunk;
-    /// order-preserving, so the output matches the sequential scan.
+    /// The borrowed record runs every time-filtered scan walks. Each
+    /// record passing `time_preds` lies in exactly one run; runs are
+    /// disjoint and in canonical `(oid, t)` order, and a record inside a
+    /// run still needs the exact [`eval_time`] re-check.
     ///
     /// With a [`MoftIndex`] present and a time-bounded region
-    /// (`Between`/`AtInstant`), the interval tree narrows the scan to
-    /// candidate objects' record slices first. Every candidate record is
-    /// still re-checked with the exact predicates, and candidates arrive
-    /// in ascending oid order, so the output is bit-identical to the
-    /// full scan: records of pruned objects (or outside the window)
-    /// fail the bounding predicate anyway.
-    fn time_filtered(&self, time_preds: &[TimePredicate]) -> Vec<Record> {
-        let t0 = Instant::now();
-        let time = self.gis().time();
+    /// (`Between`/`AtInstant`), the runs are the interval tree's
+    /// candidate objects' record slices, narrowed to the window. Candidates arrive in ascending oid order, so walking the
+    /// runs visits the passing records in exactly the order of the full
+    /// scan: records of pruned objects (or outside the window) fail the
+    /// bounding predicate anyway. Otherwise the runs are fixed-size
+    /// chunks of the whole MOFT. Bumps `records_scanned` (and the
+    /// interval-tree counters) by what the runs hold.
+    fn time_runs(&self, time_preds: &[TimePredicate]) -> Vec<&[Record]> {
         let records = self.moft().records();
         let stats = self.stats();
         if let (Some(idx), Some((lo, hi))) = (self.moft_index(), conservative_window(time_preds)) {
             stats.index_interval_probes.inc();
-            // Per-candidate windows: binary-search each object's
-            // t-sorted run down to [lo, hi].
-            let mut windows: Vec<&[Record]> = Vec::new();
-            let mut examined = 0u64;
-            for ext in idx.objects_overlapping(lo, hi) {
-                let track = &records[ext.start..ext.end];
-                let a = track.partition_point(|r| r.t < lo);
-                let b = track.partition_point(|r| r.t <= hi);
-                examined += (b - a) as u64;
-                windows.push(&track[a..b]);
-            }
-            let out: Vec<Record> = windows
-                .par_iter()
-                .flat_map(|w| {
-                    w.iter()
-                        .filter(|r| eval_time(time_preds, time, r.t))
-                        .copied()
-                        .collect::<Vec<_>>()
+            let mut examined = 0;
+            let runs: Vec<&[Record]> = idx
+                .objects_overlapping(lo, hi)
+                .into_iter()
+                .map(|ext| {
+                    let track = &records[ext.start..ext.end];
+                    let (a, b) = window(track, ext, lo, hi);
+                    examined += b - a;
+                    &track[a..b]
                 })
                 .collect();
-            stats.records_scanned.add(examined);
+            stats.records_scanned.add(examined as u64);
             stats
                 .index_records_pruned
-                .add(records.len() as u64 - examined);
-            stats.time_filter_ns.add(elapsed_ns(t0));
-            return out;
+                .add((records.len() - examined) as u64);
+            return runs;
         }
-        let out: Vec<Record> = records
-            .par_iter()
-            .flat_map(|r| eval_time(time_preds, time, r.t).then_some(*r))
-            .collect();
         stats.records_scanned.add(records.len() as u64);
-        stats.time_filter_ns.add(elapsed_ns(t0));
+        records.chunks(SCAN_RUN_ROWS).collect()
+    }
+
+    /// The MOFT records passing the region's time predicates, in
+    /// `(oid, t)` order: the passing records of [`QueryEngine::time_runs`],
+    /// collected (parallel at run granularity, order-preserving).
+    fn time_filtered(&self, time_preds: &[TimePredicate]) -> Vec<Record> {
+        let t0 = Instant::now();
+        let time = self.gis().time();
+        let runs = self.time_runs(time_preds);
+        let out = collect_runs(&runs, |run, out| {
+            out.extend(run.iter().filter(|r| eval_time(time_preds, time, r.t)));
+        });
+        self.stats().time_filter_ns.add(elapsed_ns(t0));
         out
+    }
+
+    /// Cells per axis of the per-query [`GridIndex`] that sample-semantics
+    /// membership stabs, for `qualifying` elements: `8·⌈√n⌉`, capped at
+    /// 64. Every size gives the same answers — the grid only decides
+    /// which elements get the exact test — so this is a speed choice;
+    /// [`NaiveEngine`] overrides it with one cell.
+    fn membership_grid_cells(&self, qualifying: usize) -> usize {
+        (8 * (qualifying as f64).sqrt().ceil() as usize).clamp(1, 64)
     }
 
     /// Resolves a spatial predicate's layer and element set, preferring
@@ -313,9 +336,9 @@ pub trait QueryEngine: Sync {
     /// semantics. Interpolated semantics emit one tuple per *entry event*
     /// (the instant a trajectory leg first enters a qualifying geometry).
     ///
-    /// The per-record / per-trajectory work is partitioned across
-    /// threads in order-preserving chunks, so the result is identical to
-    /// a sequential evaluation (`GISOLAP_THREADS=1`).
+    /// The record runs / trajectories are partitioned across threads in
+    /// order-preserving chunks, so the result is identical to a
+    /// sequential evaluation (`GISOLAP_THREADS=1`).
     ///
     /// # Example
     ///
@@ -448,125 +471,88 @@ pub trait QueryEngine: Sync {
         resolved: &ResolvedFilters,
         trace: &mut PhaseTrace,
     ) -> Result<Vec<CTuple>> {
-        self.stats().queries.inc();
+        let stats = self.stats();
+        stats.queries.inc();
         let tf_t0 = Instant::now();
-        let records = self.time_filtered(&region.time);
-        trace.phase(self.stats(), "time-filter", tf_t0);
+        let runs = self.time_runs(&region.time);
+        stats.time_filter_ns.add(elapsed_ns(tf_t0));
+        trace.phase(stats, "time-filter", tf_t0);
+        let time = self.gis().time();
+        let passes = |r: &Record| eval_time(&region.time, time, r.t);
 
         // Resolve the forbidden set first (query 3): any object with a
         // time-filtered sample matching `forbid` is excluded wholesale.
         let resolve_t0 = Instant::now();
-        let excluded: HashSet<ObjectId> = match &region.forbid {
-            None => HashSet::new(),
+        let excluded: Vec<ObjectId> = match &region.forbid {
+            None => Vec::new(),
             Some(forbid) => {
                 let (layer, geos) = self.resolve_spatial(forbid, resolved)?;
-                let geo_set: HashSet<GeoId> = geos.iter().copied().collect();
-                records
-                    .par_iter()
-                    .flat_map(|r| {
-                        (!self
-                            .matching_geos(layer, &geo_set, r.pos(), forbid.within_distance)
-                            .is_empty())
-                        .then_some(r.oid)
-                    })
-                    .collect()
+                let forbidden = Membership::new(self, layer, &geos, forbid.within_distance);
+                let mut oids = collect_runs(&runs, |run, out| {
+                    for r in run {
+                        if out.last() != Some(&r.oid)
+                            && passes(r)
+                            && forbidden.matches(r.pos()).next().is_some()
+                        {
+                            out.push(r.oid);
+                        }
+                    }
+                });
+                // Runs are oid-ascending, but one object can span two.
+                oids.dedup();
+                oids
             }
         };
+        let allowed = |oid: ObjectId| excluded.binary_search(&oid).is_err();
 
         let Some(spatial) = &region.spatial else {
             // Type 3: no spatial condition; C is the time-filtered MOFT.
-            self.stats().filter_resolve_ns.add(elapsed_ns(resolve_t0));
-            trace.phase(self.stats(), "filter-resolve", resolve_t0);
-            return Ok(records
-                .iter()
-                .filter(|r| !excluded.contains(&r.oid))
-                .map(|r| CTuple {
-                    oid: r.oid,
-                    t: r.t,
-                    pos: r.pos(),
-                    geo: None,
-                })
-                .collect());
+            stats.filter_resolve_ns.add(elapsed_ns(resolve_t0));
+            trace.phase(stats, "filter-resolve", resolve_t0);
+            return Ok(collect_runs(&runs, |run, out| {
+                out.extend(
+                    run.iter()
+                        .filter(|r| passes(r) && allowed(r.oid))
+                        .map(|r| CTuple {
+                            oid: r.oid,
+                            t: r.t,
+                            pos: r.pos(),
+                            geo: None,
+                        }),
+                );
+            }));
         };
 
         let (layer, geos) = self.resolve_spatial(spatial, resolved)?;
-        let geo_set: HashSet<GeoId> = geos.iter().copied().collect();
-        self.stats().filter_resolve_ns.add(elapsed_ns(resolve_t0));
-        trace.phase(self.stats(), "filter-resolve", resolve_t0);
+        let membership = match region.semantics {
+            SpatialSemantics::SampleBased => {
+                Some(Membership::new(self, layer, &geos, spatial.within_distance))
+            }
+            SpatialSemantics::Interpolated => None,
+        };
+        stats.filter_resolve_ns.add(elapsed_ns(resolve_t0));
+        trace.phase(stats, "filter-resolve", resolve_t0);
 
         let match_t0 = Instant::now();
-        let out = match region.semantics {
-            SpatialSemantics::SampleBased => {
-                // Index prune: no record outside the qualifying
-                // geometries' (inflated) bbox union can match, so skip
-                // whole zone-map blocks — or single records when the
-                // time filter broke zone alignment — before the exact
-                // per-record matching. Pruned records emit nothing under
-                // the scan too, and survivors keep canonical order, so
-                // the output is bit-identical.
-                let survivors: Vec<Record> = match self.moft_index() {
-                    None => records,
-                    Some(idx) => {
-                        let prune_t0 = Instant::now();
-                        let qual =
-                            qualifying_bbox(self.gis(), layer, &geos, spatial.within_distance);
-                        let stats = self.stats();
-                        let out = if records.len() == self.moft().records().len() {
-                            // Zone-aligned: one bbox test per block.
-                            let mut out = Vec::with_capacity(records.len());
-                            for z in idx.zone_map().zones() {
-                                if z.bbox.intersects(&qual) {
-                                    stats.index_zones_scanned.inc();
-                                    let (s, e) = (z.start as usize, (z.start + z.len) as usize);
-                                    out.extend_from_slice(&records[s..e]);
-                                } else {
-                                    stats.index_zones_pruned.inc();
-                                    stats.index_records_pruned.add(z.len as u64);
-                                }
-                            }
-                            out
-                        } else {
-                            let before = records.len();
-                            let out: Vec<Record> = records
-                                .into_iter()
-                                .filter(|r| qual.contains(r.pos()))
-                                .collect();
-                            stats.index_records_pruned.add((before - out.len()) as u64);
-                            out
-                        };
-                        trace.phase(stats, "index-prune", prune_t0);
-                        out
-                    }
-                };
-                // One task per record; order-preserving flat_map keeps
-                // the sequential (record, geometry) emission order.
-                let tuples: Vec<CTuple> = survivors
-                    .par_iter()
-                    .flat_map(|r| {
-                        if excluded.contains(&r.oid) {
-                            return Vec::new();
-                        }
-                        self.matching_geos(layer, &geo_set, r.pos(), spatial.within_distance)
-                            .into_iter()
-                            .map(|g| CTuple {
-                                oid: r.oid,
-                                t: r.t,
-                                pos: r.pos(),
-                                geo: Some((layer, g)),
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                Ok(tuples)
-            }
-            SpatialSemantics::Interpolated => {
-                // One task per trajectory (ObjectId partition); the final
-                // sort is on a total key, so ordering is deterministic.
+        let out = match membership {
+            Some(membership) => Ok(sample_tuples(
+                self,
+                runs,
+                &region.time,
+                layer,
+                &membership,
+                allowed,
+                trace,
+            )),
+            None => {
+                // Interpolated: one task per trajectory (ObjectId
+                // partition); the final sort is on a total key, so
+                // ordering is deterministic.
                 let oids: Vec<ObjectId> = self
                     .moft()
                     .objects()
                     .into_iter()
-                    .filter(|oid| !excluded.contains(oid))
+                    .filter(|&oid| allowed(oid))
                     .collect();
                 let per_object: Result<Vec<Vec<CTuple>>> = oids
                     .par_iter()
@@ -574,8 +560,8 @@ pub trait QueryEngine: Sync {
                         let Ok(lit) = self.moft().trajectory(oid) else {
                             return Ok(Vec::new());
                         };
-                        let legs = time_filtered_legs(&lit, &region.time, self.gis().time());
-                        self.stats().legs_cut.add(legs.len() as u64);
+                        let legs = time_filtered_legs(&lit, &region.time, time);
+                        stats.legs_cut.add(legs.len() as u64);
                         let mut out = Vec::new();
                         for &g in &geos {
                             let ivs =
@@ -601,44 +587,8 @@ pub trait QueryEngine: Sync {
                 Ok(out)
             }
         };
-        self.stats().spatial_match_ns.add(elapsed_ns(match_t0));
-        trace.phase(self.stats(), "spatial-match", match_t0);
-        out
-    }
-
-    /// The geometry elements of `geo_set` matched by position `p` (by
-    /// membership, or by distance when `within` is set).
-    fn matching_geos(
-        &self,
-        layer: LayerId,
-        geo_set: &HashSet<GeoId>,
-        p: Point,
-        within: Option<f64>,
-    ) -> Vec<GeoId> {
-        let l = self.gis().layer(layer);
-        let probe = match within {
-            None => BBox::from_point(p),
-            Some(d) => BBox::from_point(p).inflated(d),
-        };
-        let mut out: Vec<GeoId> = self
-            .candidates(layer, &probe)
-            .into_iter()
-            .filter(|g| geo_set.contains(g))
-            .filter(|&g| {
-                let geo = l.geometry(g).expect("candidate ids are valid");
-                match within {
-                    None => geo.covers(p),
-                    Some(d) => match geo {
-                        crate::layer::GeoRef::Node(q) => q.distance(p) <= d,
-                        crate::layer::GeoRef::Polyline(line) => line.distance_to_point(p) <= d,
-                        crate::layer::GeoRef::Polygon(poly) => {
-                            poly.contains(p) || poly.edges().any(|e| e.distance_to_point(p) <= d)
-                        }
-                    },
-                }
-            })
-            .collect();
-        out.sort();
+        stats.spatial_match_ns.add(elapsed_ns(match_t0));
+        trace.phase(stats, "spatial-match", match_t0);
         out
     }
 
@@ -650,56 +600,10 @@ pub trait QueryEngine: Sync {
         geo: GeoId,
         within: Option<f64>,
     ) -> Result<Vec<TimeInterval>> {
-        let l = self.gis().layer(layer);
-        let geo_ref = l.geometry(geo)?;
+        let element = Qualifying::new(geo, self.gis().layer(layer).geometry(geo)?);
         let mut ivs: Vec<TimeInterval> = Vec::new();
         for leg in legs {
-            match (&geo_ref, within) {
-                (crate::layer::GeoRef::Polygon(poly), None) => {
-                    for p in gisolap_geom::clip::clip_segment_to_polygon(&leg.seg, poly) {
-                        ivs.push(TimeInterval {
-                            start: leg.param_to_time(p.start),
-                            end: leg.param_to_time(p.end),
-                        });
-                    }
-                }
-                (crate::layer::GeoRef::Node(q), Some(d)) => {
-                    // Solve |p(t) − q| ≤ d on this leg via a one-leg LIT.
-                    let t0 = leg.t0.round() as i64;
-                    let t1 = leg.t1.round() as i64;
-                    if t1 <= t0 {
-                        continue;
-                    }
-                    let mini = Lit::new(
-                        gisolap_traj::sample::TrajectorySample::from_triples(&[
-                            (t0, leg.seg.a.x, leg.seg.a.y),
-                            (t1, leg.seg.b.x, leg.seg.b.y),
-                        ])
-                        .expect("two increasing instants"),
-                    );
-                    ivs.extend(ops::intervals_within_distance(&mini, *q, d));
-                }
-                _ => {
-                    // Generic fallback: membership of the leg midpoint.
-                    let mid = leg.seg.midpoint();
-                    let hit = match within {
-                        None => geo_ref.covers(mid),
-                        Some(d) => match &geo_ref {
-                            crate::layer::GeoRef::Node(q) => q.distance(mid) <= d,
-                            crate::layer::GeoRef::Polyline(line) => {
-                                line.distance_to_point(mid) <= d
-                            }
-                            crate::layer::GeoRef::Polygon(poly) => poly.contains(mid),
-                        },
-                    };
-                    if hit {
-                        ivs.push(TimeInterval {
-                            start: leg.t0,
-                            end: leg.t1,
-                        });
-                    }
-                }
-            }
+            leg_intervals(leg, &element, within, |iv| ivs.push(iv));
         }
         ivs.sort_by(|a, b| a.start.total_cmp(&b.start));
         // Merge adjacent.
@@ -723,6 +627,8 @@ pub trait QueryEngine: Sync {
     ) -> Result<Vec<ObjectId>> {
         let layer = self.gis().layer_id(&spatial.layer)?;
         let geos = self.resolve_filter(layer, &spatial.filter)?;
+        let elements = qualifying(self.gis(), layer, &geos);
+        let within = spatial.within_distance;
         // BVH prune: a trajectory's legs stay inside its track bbox
         // (legs connect samples; boxes are convex), so an object whose
         // track bbox misses the qualifying bbox union can never pass
@@ -732,8 +638,7 @@ pub trait QueryEngine: Sync {
         let oids: Vec<ObjectId> = match self.moft_index() {
             Some(idx) => {
                 self.stats().index_bvh_probes.inc();
-                let qual = qualifying_bbox(self.gis(), layer, &geos, spatial.within_distance);
-                idx.objects_intersecting(&qual)
+                idx.objects_intersecting(&qualifying_bbox(&elements, within))
                     .into_iter()
                     .map(|e| e.oid)
                     .collect()
@@ -751,11 +656,13 @@ pub trait QueryEngine: Sync {
                     return None;
                 }
                 self.stats().legs_cut.add(legs.len() as u64);
-                let hit = geos.iter().any(|&g| {
-                    !self
-                        .legs_intersect_geo(&legs, layer, g, spatial.within_distance)
-                        .map(|v| v.is_empty())
-                        .unwrap_or(true)
+                // Existence only: leg-major, stopping at the first hit.
+                let hit = legs.iter().any(|leg| {
+                    elements.iter().any(|e| {
+                        let mut met = false;
+                        leg_intervals(leg, e, within, |_| met = true);
+                        met
+                    })
                 });
                 hit.then_some(oid)
             })
@@ -886,24 +793,358 @@ pub trait QueryEngine: Sync {
     }
 }
 
-/// The bounding-box union of the qualifying geometry elements, inflated
-/// by the within-distance margin when set — the conservative spatial
-/// bound behind every index prune: any record or leg matching some
-/// qualifying geometry (by membership or by distance ≤ `within`) lies
-/// inside this box. Empty `geos` yield the empty box, which intersects
-/// and contains nothing — matching the scan, which also matches nothing.
-fn qualifying_bbox(gis: &Gis, layer: LayerId, geos: &[GeoId], within: Option<f64>) -> BBox {
-    let l = gis.layer(layer);
-    let mut bbox = BBox::empty();
-    for &g in geos {
-        if let Ok(geo) = l.geometry(g) {
-            bbox = bbox.union(&geo.bbox());
+/// Records per run when the time predicates bound no absolute window —
+/// the granularity at which record scans are split across threads.
+const SCAN_RUN_ROWS: usize = 1024;
+
+/// The records of one object's t-ascending `track` inside `[lo, hi]`.
+/// Each end is found by galloping outward from a guess — the start from
+/// where `lo` would sit if the samples were evenly spaced over the
+/// extent, the end from the start — so a short window costs a few
+/// probes near it rather than two binary searches over the whole track
+/// (which, across many objects, are mostly cache misses).
+fn window(track: &[Record], extent: &ObjectExtent, lo: TimeId, hi: TimeId) -> (usize, usize) {
+    // In f64: extreme instants must not overflow; the cast saturates.
+    let t_min = extent.t_min.0 as f64;
+    let span = extent.t_max.0 as f64 - t_min + 1.0;
+    let guess = ((lo.0 as f64 - t_min) / span * track.len() as f64) as usize;
+    let a = partition_near(track, guess, |r| r.t < lo);
+    (a, a + partition_near(&track[a..], 0, |r| r.t <= hi))
+}
+
+/// `slice.partition_point(pred)` for a predicate true on a prefix,
+/// searched by galloping outward from `hint` (clamped to the slice).
+fn partition_near(slice: &[Record], hint: usize, pred: impl Fn(&Record) -> bool) -> usize {
+    let hint = hint.min(slice.len());
+    if hint < slice.len() && pred(&slice[hint]) {
+        // Everything before `done` satisfies `pred`.
+        let (mut done, mut step) = (hint + 1, 1);
+        while done + step <= slice.len() && pred(&slice[done + step - 1]) {
+            done += step;
+            step *= 2;
+        }
+        let end = (done + step).min(slice.len());
+        done + slice[done..end].partition_point(pred)
+    } else {
+        // Nothing from `rest` on satisfies `pred`.
+        let (mut rest, mut step) = (hint, 1);
+        while rest >= step && !pred(&slice[rest - step]) {
+            rest -= step;
+            step *= 2;
+        }
+        let start = rest.saturating_sub(step);
+        start + slice[start..rest].partition_point(pred)
+    }
+}
+
+/// Below this many records a scan stays on the caller's thread: the
+/// worker threads would cost more to start than the scan itself.
+const MIN_PARALLEL_RECORDS: usize = 8 * SCAN_RUN_ROWS;
+
+/// Applies `f` to every run, appending to one output vector in run
+/// order. Parallel at run granularity and order-preserving, so the
+/// output equals the sequential fold, which is what runs (pushing into
+/// a single vector) when there is one worker or little to scan.
+fn collect_runs<'m, T, F>(runs: &[&'m [Record]], f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&'m [Record], &mut Vec<T>) + Sync,
+{
+    let records: usize = runs.iter().map(|run| run.len()).sum();
+    if records < MIN_PARALLEL_RECORDS || rayon::current_num_threads() <= 1 {
+        let mut out = Vec::new();
+        for run in runs {
+            f(run, &mut out);
+        }
+        return out;
+    }
+    let parts: Vec<Vec<T>> = runs
+        .par_iter()
+        .map(|run| {
+            let mut out = Vec::new();
+            f(run, &mut out);
+            out
+        })
+        .collect();
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for mut part in parts {
+        out.append(&mut part);
+    }
+    out
+}
+
+/// One qualifying element of a spatial predicate, looked up once per
+/// query.
+#[derive(Clone, Copy)]
+struct Qualifying<'g> {
+    id: GeoId,
+    bbox: BBox,
+    geo: GeoRef<'g>,
+}
+
+impl<'g> Qualifying<'g> {
+    fn new(id: GeoId, geo: GeoRef<'g>) -> Qualifying<'g> {
+        Qualifying {
+            id,
+            bbox: geo.bbox(),
+            geo,
         }
     }
+}
+
+/// The elements of `geos` that `layer` holds, in the given order. Ids
+/// it does not hold are skipped: no index stab could return them.
+fn qualifying<'g>(gis: &'g Gis, layer: LayerId, geos: &[GeoId]) -> Vec<Qualifying<'g>> {
+    let l = gis.layer(layer);
+    geos.iter()
+        .filter_map(|&id| l.geometry(id).ok().map(|geo| Qualifying::new(id, geo)))
+        .collect()
+}
+
+/// `bbox` grown by the within-distance margin, when set.
+fn inflated(bbox: BBox, within: Option<f64>) -> BBox {
+    within.map_or(bbox, |d| bbox.inflated(d))
+}
+
+/// The bounding-box union of the qualifying elements, inflated by the
+/// within-distance margin when set — the conservative spatial bound
+/// behind every index prune: any record or leg matching some qualifying
+/// element (by membership or by distance ≤ `within`) lies inside this
+/// box. No elements yield the empty box, which intersects and contains
+/// nothing — matching the scan, which also matches nothing.
+fn qualifying_bbox(elements: &[Qualifying], within: Option<f64>) -> BBox {
+    let union = elements.iter().fold(BBox::empty(), |b, e| b.union(&e.bbox));
+    inflated(union, within)
+}
+
+/// The exact sample-semantics test: `p` belongs to the element (the
+/// rollup `r^{Pt,G}`), or lies within distance `d` of it.
+fn point_meets(geo: &GeoRef, p: Point, within: Option<f64>) -> bool {
     match within {
-        None => bbox,
-        Some(d) => bbox.inflated(d),
+        None => geo.covers(p),
+        Some(d) => match geo {
+            GeoRef::Node(q) => q.distance(p) <= d,
+            GeoRef::Polyline(line) => line.distance_to_point(p) <= d,
+            GeoRef::Polygon(poly) => {
+                poly.contains(p) || poly.edges().any(|e| e.distance_to_point(p) <= d)
+            }
+        },
     }
+}
+
+/// Emits the time intervals during which one leg meets one element: the
+/// exact clip against a polygon, the exact within-distance solution for
+/// a node, otherwise the whole leg when its midpoint meets the element.
+/// The one per-(leg, element) test behind
+/// [`QueryEngine::legs_intersect_geo`] and
+/// [`QueryEngine::objects_passing_through`].
+fn leg_intervals(
+    leg: &TimedSegment,
+    element: &Qualifying,
+    within: Option<f64>,
+    mut emit: impl FnMut(TimeInterval),
+) {
+    match (&element.geo, within) {
+        (GeoRef::Polygon(poly), None) => {
+            // The clip rejects on this same test; making it here spares
+            // recomputing the polygon's bbox for every leg.
+            if !element.bbox.intersects(&leg.seg.bbox()) {
+                return;
+            }
+            for p in gisolap_geom::clip::clip_segment_to_polygon(&leg.seg, poly) {
+                emit(TimeInterval {
+                    start: leg.param_to_time(p.start),
+                    end: leg.param_to_time(p.end),
+                });
+            }
+        }
+        (GeoRef::Node(q), Some(d)) => {
+            // Solve |p(t) − q| ≤ d on this leg via a one-leg LIT.
+            let t0 = leg.t0.round() as i64;
+            let t1 = leg.t1.round() as i64;
+            if t1 <= t0 {
+                return;
+            }
+            let mini = Lit::new(
+                gisolap_traj::sample::TrajectorySample::from_triples(&[
+                    (t0, leg.seg.a.x, leg.seg.a.y),
+                    (t1, leg.seg.b.x, leg.seg.b.y),
+                ])
+                .expect("two increasing instants"),
+            );
+            ops::intervals_within_distance(&mini, *q, d)
+                .into_iter()
+                .for_each(emit);
+        }
+        (geo, within) => {
+            // Generic fallback: membership of the leg midpoint (for a
+            // polygon, the midpoint itself must lie inside).
+            let mid = leg.seg.midpoint();
+            let hit = match geo {
+                GeoRef::Polygon(poly) => poly.contains(mid),
+                geo => point_meets(geo, mid, within),
+            };
+            if hit {
+                emit(TimeInterval {
+                    start: leg.t0,
+                    end: leg.t1,
+                });
+            }
+        }
+    }
+}
+
+/// Sample-semantics membership for one spatial predicate: its qualifying
+/// elements, ascending by id, registered once per query in a uniform
+/// grid over their (inflated) bounding boxes. A record position stabs one
+/// cell, and only that cell's elements get the bbox test and the exact
+/// test — the same two tests, in the same ascending order, as a stab of
+/// the layer R-tree filtered to the qualifying set.
+struct Membership<'g> {
+    elements: Vec<Qualifying<'g>>,
+    within: Option<f64>,
+    /// [`qualifying_bbox`] of the elements: the index prune's bound.
+    bounds: BBox,
+    /// `None` when nothing qualifies (the bounds are empty).
+    grid: Option<GridIndex>,
+}
+
+impl<'g> Membership<'g> {
+    /// Registers the elements of `geos` (any order, duplicates allowed)
+    /// in a grid of the engine's size.
+    fn new<E: QueryEngine + ?Sized>(
+        engine: &'g E,
+        layer: LayerId,
+        geos: &[GeoId],
+        within: Option<f64>,
+    ) -> Membership<'g> {
+        let mut ids = geos.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let elements = qualifying(engine.gis(), layer, &ids);
+        let bounds = qualifying_bbox(&elements, within);
+        let grid = (!bounds.is_empty()).then(|| {
+            let cells = engine.membership_grid_cells(elements.len());
+            let mut grid = GridIndex::new(bounds, cells, cells);
+            for (i, e) in elements.iter().enumerate() {
+                // A layer holds at most u32::MAX elements (ids are u32).
+                grid.insert(&inflated(e.bbox, within), i as u32);
+            }
+            grid
+        });
+        Membership {
+            elements,
+            within,
+            bounds,
+            grid,
+        }
+    }
+
+    /// The qualifying elements `p` matches, ascending by id.
+    fn matches(&self, p: Point) -> impl Iterator<Item = GeoId> + '_ {
+        // The R-tree stab's bbox test, as the same expression. Built by
+        // `expanded_to` so a NaN coordinate yields the empty box (no
+        // match) instead of tripping the inverted-box assertion.
+        let probe = inflated(BBox::empty().expanded_to(p), self.within);
+        let cell = self.grid.as_ref().map_or(&[][..], |g| g.cell_items(p));
+        cell.iter()
+            .map(|&i| &self.elements[i as usize])
+            .filter(move |e| probe.intersects(&e.bbox) && point_meets(&e.geo, p, self.within))
+            .map(|e| e.id)
+    }
+}
+
+/// The zone-map blocks whose bbox reaches `bounds`, as runs, tallying
+/// every block scanned or pruned.
+fn zone_runs<'m>(
+    idx: &MoftIndex,
+    records: &'m [Record],
+    bounds: &BBox,
+    stats: &EngineStats,
+) -> Vec<&'m [Record]> {
+    let mut runs = Vec::new();
+    for z in idx.zone_map().zones() {
+        if z.bbox.intersects(bounds) {
+            stats.index_zones_scanned.inc();
+            runs.push(&records[z.start as usize..(z.start + z.len) as usize]);
+        } else {
+            stats.index_zones_pruned.inc();
+            stats.index_records_pruned.add(z.len as u64);
+        }
+    }
+    runs
+}
+
+/// Sample semantics over the borrowed runs: one tuple per (time-passing,
+/// allowed record, matching element), in canonical record order with
+/// elements ascending — one pass, no per-record allocation.
+///
+/// With a [`MoftIndex`], no record outside `membership.bounds` can
+/// match. With no time predicate the runs become the zone-map blocks
+/// that reach the bounds, selected in an `index-prune` phase before the
+/// pass. Otherwise each time-passing record is tested against the bounds
+/// inside the pass, and its tallies land in an `index-prune` phase after
+/// it — counted as zone blocks when the time predicates kept every
+/// record, exactly as the no-predicate path counts them. Pruned records
+/// emit nothing under the scan either, so the output is bit-identical.
+fn sample_tuples<E: QueryEngine + ?Sized>(
+    engine: &E,
+    runs: Vec<&[Record]>,
+    preds: &[TimePredicate],
+    layer: LayerId,
+    membership: &Membership,
+    allowed: impl Fn(ObjectId) -> bool + Sync,
+    trace: &mut PhaseTrace,
+) -> Vec<CTuple> {
+    let stats = engine.stats();
+    let time = engine.gis().time();
+    let records = engine.moft().records();
+    let bounds = membership.bounds;
+    let (runs, prune) = match engine.moft_index() {
+        Some(idx) if preds.is_empty() => {
+            let prune_t0 = Instant::now();
+            let zones = zone_runs(idx, records, &bounds, stats);
+            trace.phase(stats, "index-prune", prune_t0);
+            (zones, None)
+        }
+        idx => (runs, idx),
+    };
+    let passed = AtomicU64::new(0);
+    let outside = AtomicU64::new(0);
+    let tuples = collect_runs(&runs, |run, out| {
+        let (mut run_passed, mut run_outside) = (0, 0);
+        for r in run {
+            if !eval_time(preds, time, r.t) {
+                continue;
+            }
+            run_passed += 1;
+            let p = r.pos();
+            if prune.is_some() && !bounds.contains(p) {
+                run_outside += 1;
+                continue;
+            }
+            if allowed(r.oid) {
+                out.extend(membership.matches(p).map(|g| CTuple {
+                    oid: r.oid,
+                    t: r.t,
+                    pos: p,
+                    geo: Some((layer, g)),
+                }));
+            }
+        }
+        passed.fetch_add(run_passed, Ordering::Relaxed);
+        outside.fetch_add(run_outside, Ordering::Relaxed);
+    });
+    if let Some(idx) = prune {
+        if passed.into_inner() == records.len() as u64 {
+            // Only the zone tallies are wanted here, not the runs.
+            zone_runs(idx, records, &bounds, stats);
+        } else {
+            stats.index_records_pruned.add(outside.into_inner());
+        }
+        trace.phase(stats, "index-prune", Instant::now());
+    }
+    tuples
 }
 
 /// A human-readable account of how an engine would evaluate a region —
@@ -1046,7 +1287,7 @@ pub fn explain<E: QueryEngine + ?Sized>(engine: &E, region: &RegionC) -> Result<
             ));
             let probe = match engine.name() {
                 "naive" => "layer scan per record",
-                _ => "R-tree stab per record",
+                _ => "per-query grid stab per record",
             };
             match (region.semantics, spatial.within_distance) {
                 (SpatialSemantics::SampleBased, None) => steps.push(format!(
@@ -1216,21 +1457,16 @@ fn segment_may_match(meta: &SegmentMeta, preds: &[TimePredicate]) -> bool {
 /// Whether any hour-of-day the segment spans falls in `[lo, hi]`
 /// (inclusive, mirroring `TimePredicate::HourOfDayIn`).
 fn segment_covers_hour_of_day(meta: &SegmentMeta, lo: u32, hi: u32) -> bool {
-    if meta.last.0 - meta.first.0 >= 86_400 {
-        return true; // spans a full day: every hour-of-day occurs
+    // The segment visits `steps + 1` consecutive hours starting at
+    // hour-of-day `a`; 24 of them cover every hour-of-day, however short
+    // the span in seconds.
+    let first = meta.first.0.div_euclid(3600);
+    let steps = meta.last.0.div_euclid(3600) - first;
+    if steps >= 23 {
+        return true;
     }
-    let td = TimeDimension::new();
-    let a = td.hour_of_day(meta.first);
-    let b = td.hour_of_day(meta.last);
-    // Hours-of-day covered: a..=b, wrapping past midnight when a > b.
-    let covered = |h: u32| {
-        if a <= b {
-            h >= a && h <= b
-        } else {
-            h >= a || h <= b
-        }
-    };
-    (lo..=hi).any(covered)
+    let a = first.rem_euclid(24);
+    (lo..=hi.min(23)).any(|h| (i64::from(h) - a).rem_euclid(24) <= steps)
 }
 
 /// Cuts a trajectory's legs at hour boundaries and keeps the sub-legs
@@ -1258,10 +1494,12 @@ pub fn time_filtered_legs(
         }
     }
     let mut out = Vec::new();
+    let mut cuts: Vec<f64> = Vec::new();
     for leg in lit.segments() {
         // Cut points: hour boundaries within the leg plus predicate
         // bounds.
-        let mut cuts = vec![leg.t0, leg.t1];
+        cuts.clear();
+        cuts.extend([leg.t0, leg.t1]);
         let mut h = (leg.t0 / HOUR).floor() * HOUR + HOUR;
         while h < leg.t1 {
             cuts.push(h);
@@ -1371,6 +1609,12 @@ impl QueryEngine for NaiveEngine<'_> {
     }
     fn stream_snapshot(&self) -> Option<&StreamSnapshot> {
         self.stream
+    }
+
+    /// One cell: every qualifying element is tested against every
+    /// record — the reference the sized grids are checked against.
+    fn membership_grid_cells(&self, _qualifying: usize) -> usize {
+        1
     }
 
     fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
@@ -2321,6 +2565,27 @@ mod tests {
         assert!(segment_covers_hour_of_day(&wrap, 0, 0));
         assert!(segment_covers_hour_of_day(&wrap, 23, 23));
         assert!(!segment_covers_hour_of_day(&wrap, 12, 12));
+        // A compacted segment from 00:30 to 00:10 the next day spans
+        // 23 h 40 min — less than a day in seconds, yet it visits every
+        // hour-of-day, noon included.
+        let merged = SegmentMeta {
+            first: TimeId(1800),
+            last: TimeId(24 * H + 600),
+            ..meta.clone()
+        };
+        assert!(segment_covers_hour_of_day(&merged, 12, 12));
+        assert!(segment_may_match(
+            &merged,
+            &[TimePredicate::HourOfDayIn { lo: 12, hi: 12 }]
+        ));
+        // One hour step short of a day still leaves one hour out.
+        let short = SegmentMeta {
+            first: TimeId(1800),
+            last: TimeId(22 * H + 600),
+            ..meta.clone()
+        };
+        assert!(segment_covers_hour_of_day(&short, 22, 22));
+        assert!(!segment_covers_hour_of_day(&short, 23, 23));
         // Day-spanning segments never prune on hour-of-day.
         let wide = SegmentMeta {
             first: TimeId(0),
@@ -2328,6 +2593,54 @@ mod tests {
             ..meta
         };
         assert!(segment_covers_hour_of_day(&wide, 12, 12));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn window_search_matches_binary_search(
+            gaps in proptest::collection::vec(
+                proptest::prop_oneof![1i64..20, 1i64..20_000],
+                1..80,
+            ),
+            lo in -20_000i64..900_000,
+            len in 0i64..200_000,
+            hint in 0usize..90,
+        ) {
+            // Bursts and long pauses: the even-spacing guess is often far
+            // off, so both galloping directions run long.
+            let mut t = 0;
+            let track: Vec<Record> = gaps
+                .iter()
+                .map(|g| {
+                    t += g;
+                    Record { oid: ObjectId(1), t: TimeId(t), x: 0.0, y: 0.0 }
+                })
+                .collect();
+            let (lo, hi) = (TimeId(lo), TimeId(lo + len));
+            let before_lo = |r: &Record| r.t < lo;
+            proptest::prop_assert_eq!(
+                partition_near(&track, hint, before_lo),
+                track.partition_point(before_lo)
+            );
+            let index = MoftIndex::build(&Moft::from_records(track.clone()), 256);
+            let want = (
+                track.partition_point(before_lo),
+                track.partition_point(|r| r.t <= hi),
+            );
+            proptest::prop_assert_eq!(window(&track, &index.extents()[0], lo, hi), want);
+        }
+    }
+
+    #[test]
+    fn window_search_survives_extreme_bounds() {
+        let moft = Moft::from_tuples([(1, -5, 0.0, 0.0), (1, 7, 0.0, 0.0), (1, 9, 0.0, 0.0)]);
+        let extent = MoftIndex::build(&moft, 256).extents()[0].clone();
+        let track = moft.records();
+        let all = (TimeId(i64::MIN), TimeId(i64::MAX));
+        assert_eq!(window(track, &extent, all.0, all.1), (0, 3));
+        assert_eq!(window(track, &extent, TimeId(i64::MAX), all.1), (3, 3));
+        assert_eq!(window(track, &extent, all.0, TimeId(i64::MIN)), (0, 0));
+        assert_eq!(window(track, &extent, TimeId(7), TimeId(8)), (1, 2));
     }
 
     #[test]

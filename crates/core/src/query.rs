@@ -11,7 +11,7 @@ use gisolap_traj::ObjectId;
 
 use crate::engine::{dedupe_oid_t, QueryEngine};
 use crate::layer::{GeoId, LayerId};
-use crate::region::RegionC;
+use crate::region::{eval_time, RegionC};
 use crate::result as agg;
 use crate::Result;
 
@@ -131,11 +131,15 @@ impl MoQuery {
                 MoQueryResult::Scalar(agg::count_distinct_objects(&tuples))
             }
             MoAggSpec::RatePerGranule(level) => {
-                let reference: Vec<_> = engine
-                    .time_filtered(&self.region.time)
+                // The granules of the time-filtered MOFT, counted over
+                // its borrowed runs rather than a copy.
+                let preds = &self.region.time;
+                let runs = engine.time_runs(preds);
+                let reference = runs
                     .iter()
-                    .map(|r| r.t)
-                    .collect();
+                    .flat_map(|run| run.iter())
+                    .filter(|r| eval_time(preds, time, r.t))
+                    .map(|r| r.t);
                 MoQueryResult::Scalar(agg::per_granule_rate(&tuples, reference, time, *level))
             }
             MoAggSpec::CountPerGranule(level) => {

@@ -96,7 +96,7 @@ impl TimePredicate {
             TimePredicate::TimeOfDayIs(v) => time.time_of_day(t) == *v,
             TimePredicate::DayOfWeekIs(v) => time.day_of_week(t) == *v,
             TimePredicate::TypeOfDayIs(v) => time.type_of_day(t) == *v,
-            TimePredicate::DayIs(label) => t.day_label() == *label,
+            TimePredicate::DayIs(label) => day_label_is(t, label),
             TimePredicate::HourOfDayIn { lo, hi } => {
                 let h = time.hour_of_day(t);
                 h >= *lo && h <= *hi
@@ -105,6 +105,21 @@ impl TimePredicate {
             TimePredicate::AtInstant(v) => t == *v,
         }
     }
+}
+
+/// `t.day_label() == label` without touching the heap: the same
+/// `{y:04}-{m:02}-{d:02}` rendering, written into a stack buffer. Region
+/// evaluation runs this once per record.
+fn day_label_is(t: TimeId, label: &str) -> bool {
+    use std::io::Write;
+    let (y, m, d) = t.ymd();
+    let mut buf = [0u8; 32];
+    let len = {
+        let mut rest = &mut buf[..];
+        write!(rest, "{y:04}-{m:02}-{d:02}").expect("32 bytes hold any i64 year and -MM-DD");
+        32 - rest.len()
+    };
+    buf[..len] == *label.as_bytes()
 }
 
 /// Evaluates a conjunction of time predicates.
@@ -359,6 +374,39 @@ mod tests {
             &time,
             sat_morning
         ));
+    }
+
+    /// A label for `t`: its own, a neighbour's, a mangled one, or junk.
+    fn label_near(t: TimeId, kind: u8, k: i64) -> String {
+        let own = t.day_label();
+        match kind {
+            0 => own,
+            1 => TimeId(t.0.saturating_add(k * 86_400)).day_label(),
+            2 => own[..own.len().saturating_sub((k.unsigned_abs() % 4) as usize)].to_string(),
+            3 => format!("{own}{}", k.rem_euclid(10)),
+            4 => own.replacen('-', "/", 1),
+            5 => format!("+{own}"),
+            _ => format!("{k}"),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn day_is_agrees_with_the_day_label(
+            // ±~12,700 years: negative years and years past 9999.
+            t in -400_000_000_000i64..400_000_000_000,
+            kind in 0u8..7,
+            k in -3i64..4,
+        ) {
+            let t = TimeId(t);
+            let label = label_near(t, kind, k);
+            let time = TimeDimension::new();
+            proptest::prop_assert_eq!(
+                TimePredicate::DayIs(label.clone()).eval(&time, t),
+                t.day_label() == label,
+                "t = {:?}, label = {:?}", t, label
+            );
+        }
     }
 
     #[test]

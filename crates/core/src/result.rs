@@ -37,27 +37,53 @@ pub fn count(c: &[CTuple]) -> f64 {
 
 /// `COUNT(DISTINCT Oid)` over `C`.
 pub fn count_distinct_objects(c: &[CTuple]) -> f64 {
-    c.iter().map(|t| t.oid).collect::<HashSet<_>>().len() as f64
+    distinct_oids(c).len() as f64
 }
 
 /// Distinct objects in `C`, ascending.
 pub fn objects(c: &[CTuple]) -> Vec<ObjectId> {
-    let mut v: Vec<ObjectId> = c
-        .iter()
-        .map(|t| t.oid)
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .collect();
+    let mut v: Vec<ObjectId> = distinct_oids(c).into_iter().collect();
     v.sort();
     v
+}
+
+fn distinct_oids(c: &[CTuple]) -> HashSet<ObjectId> {
+    let mut oids = HashSet::new();
+    for_each_run(c.iter().map(|t| t.oid), |oid, _| {
+        oids.insert(oid);
+    });
+    oids
+}
+
+/// Calls `f(key, n)` once per maximal run of `n` consecutive equal keys.
+/// `C` comes out of evaluation `(oid, t)`-ordered, so equal objects and
+/// equal granules arrive together and the γ helpers touch their maps
+/// once per run instead of once per tuple; any order stays correct.
+fn for_each_run<K: PartialEq>(keys: impl IntoIterator<Item = K>, mut f: impl FnMut(K, usize)) {
+    let mut run: Option<(K, usize)> = None;
+    for k in keys {
+        match &mut run {
+            Some((cur, n)) if *cur == k => *n += 1,
+            _ => {
+                if let Some((cur, n)) = run.replace((k, 1)) {
+                    f(cur, n);
+                }
+            }
+        }
+    }
+    if let Some((cur, n)) = run {
+        f(cur, n);
+    }
 }
 
 /// Tuple count per time granule, keyed by granule id, ascending.
 pub fn count_per_granule(c: &[CTuple], time: &TimeDimension, level: TimeLevel) -> Vec<(i64, f64)> {
     let mut m: HashMap<i64, f64> = HashMap::new();
-    for t in c {
-        *m.entry(time.granule(t.t, level)).or_insert(0.0) += 1.0;
-    }
+    // Counts stay integers far below 2^53, so adding a run's length at
+    // once is bit-identical to adding 1.0 per tuple.
+    for_each_run(c.iter().map(|t| time.granule(t.t, level)), |g, n| {
+        *m.entry(g).or_insert(0.0) += n as f64;
+    });
     let mut v: Vec<(i64, f64)> = m.into_iter().collect();
     v.sort_by_key(|&(g, _)| g);
     v
@@ -70,9 +96,10 @@ pub fn distinct_objects_per_granule(
     level: TimeLevel,
 ) -> Vec<(i64, f64)> {
     let mut m: HashMap<i64, HashSet<ObjectId>> = HashMap::new();
-    for t in c {
-        m.entry(time.granule(t.t, level)).or_default().insert(t.oid);
-    }
+    let keys = c.iter().map(|t| (time.granule(t.t, level), t.oid));
+    for_each_run(keys, |(g, oid), _| {
+        m.entry(g).or_default().insert(oid);
+    });
     let mut v: Vec<(i64, f64)> = m.into_iter().map(|(g, s)| (g, s.len() as f64)).collect();
     v.sort_by_key(|&(g, _)| g);
     v
@@ -90,10 +117,13 @@ pub fn per_granule_rate(
     time: &TimeDimension,
     level: TimeLevel,
 ) -> f64 {
-    let granules: HashSet<i64> = reference
-        .into_iter()
-        .map(|t| time.granule(t, level))
-        .collect();
+    let mut granules: HashSet<i64> = HashSet::new();
+    for_each_run(
+        reference.into_iter().map(|t| time.granule(t, level)),
+        |g, _| {
+            granules.insert(g);
+        },
+    );
     if granules.is_empty() {
         return 0.0;
     }

@@ -2,8 +2,13 @@
 //!
 //! Divides a bounding box into `cols × rows` equal cells; each item is
 //! registered in every cell its rectangle overlaps. The structure behind
-//! Meratnia & de By's "homogeneous spatial units" (paper §2) and a useful
-//! baseline access method.
+//! Meratnia & de By's "homogeneous spatial units" (paper §2), and the
+//! per-query candidate filter of sample-semantics region evaluation in
+//! `gisolap-core`: the qualifying geometry elements are inserted once per
+//! query and every record position is stabbed with
+//! [`GridIndex::cell_items`].
+
+use std::sync::OnceLock;
 
 use gisolap_geom::{BBox, Point};
 
@@ -15,9 +20,21 @@ pub struct GridIndex {
     rows: usize,
     cell_w: f64,
     cell_h: f64,
-    /// `cells[row * cols + col]` = item ids overlapping the cell.
-    cells: Vec<Vec<u32>>,
+    /// One `(cell, id)` pair per registration, in insertion order; cell
+    /// `row * cols + col`.
+    registrations: Vec<(usize, u32)>,
+    /// The registrations grouped by cell, built by the first query after
+    /// an insert — so a whole build costs a few allocations, not one per
+    /// occupied cell.
+    cells: OnceLock<Cells>,
     len: usize,
+}
+
+/// Cell `c`'s ids, in insertion order, are `ids[offsets[c]..offsets[c + 1]]`.
+#[derive(Debug, Clone)]
+struct Cells {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
 }
 
 impl GridIndex {
@@ -44,7 +61,8 @@ impl GridIndex {
             rows,
             cell_w: bounds.width() / cols as f64,
             cell_h: bounds.height() / rows as f64,
-            cells: vec![Vec::new(); cols * rows],
+            registrations: Vec::new(),
+            cells: OnceLock::new(),
             len: 0,
         }
     }
@@ -94,10 +112,36 @@ impl GridIndex {
         let (c0, r0, c1, r1) = self.cell_range(bbox);
         for r in r0..=r1 {
             for c in c0..=c1 {
-                self.cells[r * self.cols + c].push(id);
+                self.registrations.push((r * self.cols + c, id));
             }
         }
+        self.cells = OnceLock::new();
         self.len += 1;
+    }
+
+    /// The registrations grouped by cell (a counting sort, stable).
+    fn cells(&self) -> &Cells {
+        self.cells.get_or_init(|| {
+            let mut offsets = vec![0; self.cols * self.rows + 1];
+            for &(cell, _) in &self.registrations {
+                offsets[cell + 1] += 1;
+            }
+            for c in 1..offsets.len() {
+                offsets[c] += offsets[c - 1];
+            }
+            let mut next = offsets.clone();
+            let mut ids = vec![0; self.registrations.len()];
+            for &(cell, id) in &self.registrations {
+                ids[next[cell]] = id;
+                next[cell] += 1;
+            }
+            Cells { offsets, ids }
+        })
+    }
+
+    fn cell(&self, index: usize) -> &[u32] {
+        let cells = self.cells();
+        &cells.ids[cells.offsets[index]..cells.offsets[index + 1]]
     }
 
     /// Candidate item ids for a rectangle query (superset of the true
@@ -110,7 +154,7 @@ impl GridIndex {
         let mut out = Vec::new();
         for r in r0..=r1 {
             for c in c0..=c1 {
-                out.extend_from_slice(&self.cells[r * self.cols + c]);
+                out.extend_from_slice(self.cell(r * self.cols + c));
             }
         }
         out.sort_unstable();
@@ -121,6 +165,27 @@ impl GridIndex {
     /// Candidate item ids for a point query.
     pub fn candidates_at(&self, p: Point) -> Vec<u32> {
         self.candidates(&BBox::from_point(p))
+    }
+
+    /// The ids registered in the cell containing `p`, in insertion order —
+    /// an allocation-free point stab. Points outside the bounds clamp to
+    /// the nearest edge cell, as [`GridIndex::insert`] clamps items, and
+    /// cell numbering is monotone in each coordinate, so the slice holds
+    /// every inserted id whose bbox contains `p` (a superset; no bounds
+    /// test is made).
+    ///
+    /// ```
+    /// use gisolap_geom::{BBox, Point};
+    /// use gisolap_index::GridIndex;
+    ///
+    /// let mut grid = GridIndex::new(BBox::new(0.0, 0.0, 8.0, 8.0), 4, 4);
+    /// grid.insert(&BBox::new(0.0, 0.0, 3.0, 3.0), 0);
+    /// grid.insert(&BBox::new(1.0, 1.0, 8.0, 8.0), 1);
+    /// assert_eq!(grid.cell_items(Point::new(2.5, 2.5)), &[0, 1]);
+    /// assert_eq!(grid.cell_items(Point::new(7.0, 7.0)), &[1]);
+    /// ```
+    pub fn cell_items(&self, p: Point) -> &[u32] {
+        self.cell(self.row_of(p.y) * self.cols + self.col_of(p.x))
     }
 
     /// The bounding box of one cell.
@@ -134,7 +199,11 @@ impl GridIndex {
     /// through" histogram of Meratnia & de By's aggregation (§2 of the
     /// paper) when items are trajectory segments.
     pub fn occupancy(&self) -> Vec<usize> {
-        self.cells.iter().map(Vec::len).collect()
+        self.cells()
+            .offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect()
     }
 }
 

@@ -26,7 +26,7 @@
 //! * An empty row run yields a zone map with zero zones that prunes
 //!   nothing and matches nothing.
 
-use gisolap_geom::BBox;
+use gisolap_geom::{BBox, Point};
 
 /// The default number of rows summarized per zone
 /// (`GISOLAP_INDEX_ZONE_ROWS`).
@@ -113,7 +113,9 @@ impl ZoneMap {
             z.oid_max = z.oid_max.max(oid);
             z.t_min = z.t_min.min(t);
             z.t_max = z.t_max.max(t);
-            z.bbox = z.bbox.union(&BBox::new(x, y, x, y));
+            // `expanded_to`, not a point box: a NaN coordinate is then
+            // skipped rather than tripping the inverted-box assertion.
+            z.bbox = z.bbox.expanded_to(Point::new(x, y));
             if z.len == rows_per_zone {
                 zones.push(cur.take().expect("zone in progress"));
             }

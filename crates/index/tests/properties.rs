@@ -76,10 +76,20 @@ proptest! {
     }
 
     #[test]
-    fn grid_candidates_are_a_superset(items in boxes(), q in query_box()) {
+    fn grid_candidates_are_a_superset(items in boxes(), q in query_box(), flatten in 0u8..3) {
         if items.is_empty() {
             return Ok(());
         }
+        // Optionally squash every item onto one vertical or horizontal
+        // line, so the grid's bounds have zero width or height.
+        let items: Vec<(BBox, u32)> = items
+            .into_iter()
+            .map(|(b, id)| match flatten {
+                1 => (BBox::new(3.0, b.min_y, 3.0, b.max_y), id),
+                2 => (BBox::new(b.min_x, -7.0, b.max_x, -7.0), id),
+                _ => (b, id),
+            })
+            .collect();
         let bounds = items
             .iter()
             .fold(BBox::empty(), |b, (bb, _)| b.union(bb));
@@ -94,6 +104,32 @@ proptest! {
                     candidates.contains(id),
                     "grid lost a true hit: {id}"
                 );
+            }
+        }
+        // The point stab: every item corner and every cell corner (cell
+        // edges and the max edge included) finds each item whose bbox
+        // contains it, in ascending (= insertion) order.
+        let corners = |b: &BBox| {
+            [
+                Point::new(b.min_x, b.min_y),
+                Point::new(b.max_x, b.min_y),
+                Point::new(b.min_x, b.max_y),
+                Point::new(b.max_x, b.max_y),
+            ]
+        };
+        let cells = (0..8).flat_map(|c| (0..8).map(move |r| (c, r)));
+        let probes: Vec<Point> = items
+            .iter()
+            .flat_map(|(b, _)| corners(b))
+            .chain(cells.flat_map(|(c, r)| corners(&grid.cell_bbox(c, r))))
+            .collect();
+        for p in probes {
+            let stab = grid.cell_items(p);
+            prop_assert!(stab.windows(2).all(|w| w[0] < w[1]), "not ascending: {:?}", stab);
+            for (b, id) in &items {
+                if b.contains(p) {
+                    prop_assert!(stab.contains(id), "stab at {:?} lost {}", p, id);
+                }
             }
         }
     }

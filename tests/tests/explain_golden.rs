@@ -52,7 +52,7 @@ plan [indexed]
   1. filter the MOFT through Time-dimension rollups: TimeOfDayIs(Morning)
   2. consult the MOFT index: interval tree over 6 object extent(s), BVH + zone map of 1 block(s) (disable with GISOLAP_INDEX=0)
   3. geometric sub-query on Ln: neighborhood.income Lt 1500 → 2 element(s) (computed with R-tree filtering)
-  4. match each record against r^Pt,G via R-tree stab per record (sample semantics)
+  4. match each record against r^Pt,G via per-query grid stab per record (sample semantics)
   5. apply γ aggregation over the resulting (Oid, t) tuples
   stats: queries=0 records_scanned=0 bbox_rejections=0 rtree_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
 ";
@@ -68,7 +68,7 @@ spans:
   eval
     time-filter records_scanned=12 queries=1
     filter-resolve
-    spatial-match bbox_rejections=63
+    spatial-match
     aggregate
-delta: queries=1 records_scanned=12 bbox_rejections=63 rtree_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
+delta: queries=1 records_scanned=12 bbox_rejections=0 rtree_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
 ";
