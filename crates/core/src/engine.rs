@@ -4,7 +4,8 @@
 //! a MOFT, with three interchangeable strategies:
 //!
 //! * [`NaiveEngine`] — reference semantics: full scans, geometric
-//!   relations computed per query.
+//!   relations computed per query, no index of any kind. It is the scan
+//!   every index-assisted answer is proven bit-identical to.
 //! * [`IndexedEngine`] — R-trees over every layer filter point/segment
 //!   candidates; layer×layer relations still computed per query (with
 //!   index acceleration).
@@ -14,8 +15,11 @@
 //!   a Piet-QL style query becomes a lookup, and only the
 //!   trajectory-vs-qualifying-geometry step runs at query time.
 //!
-//! All three implement [`QueryEngine`] and must agree on every query —
-//! integration tests enforce this; the benchmarks measure the difference.
+//! The last two always build a [`MoftIndex`] over the MOFT and consult
+//! it through [`QueryEngine::moft_index`]. All three implement
+//! [`QueryEngine`] and must return the same tuples in the same order —
+//! `tests/engine_equivalence.rs` and `tests/index_equivalence.rs`
+//! enforce this; the ledger measures the difference.
 //!
 //! ## Sample-semantics evaluation
 //!
@@ -52,7 +56,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use gisolap_geom::{BBox, Point};
-use gisolap_index::{GridIndex, RTree};
+use gisolap_index::{GridIndex, RTree, DEFAULT_ZONE_ROWS};
 use gisolap_olap::time::{TimeDimension, TimeId, TimeOfDay};
 use gisolap_stream::{SegmentMeta, StreamSnapshot};
 use gisolap_traj::bead::{Bead, Reachability};
@@ -65,7 +69,7 @@ use crate::layer::{GeoId, GeoRef, GeometryKind, LayerId};
 use crate::mindex::{conservative_window, MoftIndex, ObjectExtent};
 use crate::overlay_cache::{georef_intersects, OverlayCache};
 use crate::region::{
-    eval_time, CmpOp, GeoFilter, RegionC, SpatialPredicate, SpatialSemantics, TimePredicate,
+    eval_time, GeoFilter, RegionC, SpatialPredicate, SpatialSemantics, TimePredicate,
 };
 use crate::result::CTuple;
 use crate::stats::{elapsed_ns, EngineStats, PhaseTrace, StatsSnapshot};
@@ -1254,7 +1258,7 @@ pub fn explain<E: QueryEngine + ?Sized>(engine: &E, region: &RegionC) -> Result<
     if let Some(idx) = engine.moft_index() {
         steps.push(format!(
             "consult the MOFT index: interval tree over {} object extent(s), BVH + zone map of \
-             {} block(s) (disable with GISOLAP_INDEX=0)",
+             {} block(s)",
             idx.extents().len(),
             idx.zone_map().zones().len()
         ));
@@ -1474,7 +1478,7 @@ fn segment_covers_hour_of_day(meta: &SegmentMeta, lo: u32, hi: u32) -> bool {
 /// midpoint — exact for the hour-aligned predicates of the paper's
 /// examples; `Between`/`AtInstant` bounds are honoured by additional
 /// cuts).
-pub fn time_filtered_legs(
+pub(crate) fn time_filtered_legs(
     lit: &Lit,
     preds: &[TimePredicate],
     time: &TimeDimension,
@@ -1653,7 +1657,7 @@ pub struct IndexedEngine<'a> {
     gis: &'a Gis,
     moft: &'a Moft,
     rtrees: HashMap<LayerId, RTree<GeoId>>,
-    mindex: Option<MoftIndex>,
+    mindex: MoftIndex,
     stream: Option<&'a StreamSnapshot>,
     stats: EngineStats,
     obs: Option<QueryObs>,
@@ -1661,11 +1665,13 @@ pub struct IndexedEngine<'a> {
 
 impl<'a> IndexedEngine<'a> {
     /// Creates the engine, building one R-tree per layer plus the
-    /// MOFT-side [`MoftIndex`] (unless `GISOLAP_INDEX=0`) — independent
-    /// precomputations, run in parallel.
+    /// MOFT-side [`MoftIndex`] — independent precomputations, run in
+    /// parallel.
     pub fn new(gis: &'a Gis, moft: &'a Moft) -> IndexedEngine<'a> {
-        let (rtrees, mindex) =
-            rayon::join(|| build_layer_rtrees(gis), || MoftIndex::from_env(moft));
+        let (rtrees, mindex) = rayon::join(
+            || build_layer_rtrees(gis),
+            || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
+        );
         IndexedEngine {
             gis,
             moft,
@@ -1696,7 +1702,7 @@ impl<'a> IndexedEngine<'a> {
 
 /// Builds one STR-packed R-tree per layer of the GIS — one bulk load
 /// per layer, run in parallel (order-irrelevant: the result is a map).
-pub fn build_layer_rtrees(gis: &Gis) -> HashMap<LayerId, RTree<GeoId>> {
+pub(crate) fn build_layer_rtrees(gis: &Gis) -> HashMap<LayerId, RTree<GeoId>> {
     let layers: Vec<LayerId> = gis.layers().map(|(id, _)| id).collect();
     layers
         .par_iter()
@@ -1729,7 +1735,7 @@ impl QueryEngine for IndexedEngine<'_> {
     }
 
     fn moft_index(&self) -> Option<&MoftIndex> {
-        self.mindex.as_ref()
+        Some(&self.mindex)
     }
 
     fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
@@ -1765,7 +1771,7 @@ pub struct OverlayEngine<'a> {
     gis: &'a Gis,
     moft: &'a Moft,
     rtrees: HashMap<LayerId, RTree<GeoId>>,
-    mindex: Option<MoftIndex>,
+    mindex: MoftIndex,
     cache: OverlayCache,
     stream: Option<&'a StreamSnapshot>,
     stats: EngineStats,
@@ -1779,7 +1785,7 @@ impl<'a> OverlayEngine<'a> {
         // precomputations.
         let ((rtrees, cache), mindex) = rayon::join(
             || rayon::join(|| build_layer_rtrees(gis), || OverlayCache::precompute(gis)),
-            || MoftIndex::from_env(moft),
+            || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
         );
         OverlayEngine {
             gis,
@@ -1800,21 +1806,6 @@ impl<'a> OverlayEngine<'a> {
         engine.stream = Some(snapshot);
         crate::streaming::seed_ingest_stats(&engine.stats, &snapshot.stats());
         engine
-    }
-
-    /// Creates the engine with an externally precomputed cache (e.g.
-    /// shared across MOFTs).
-    pub fn with_cache(gis: &'a Gis, moft: &'a Moft, cache: OverlayCache) -> OverlayEngine<'a> {
-        OverlayEngine {
-            gis,
-            moft,
-            rtrees: build_layer_rtrees(gis),
-            mindex: MoftIndex::from_env(moft),
-            cache,
-            stream: None,
-            stats: EngineStats::new(),
-            obs: None,
-        }
     }
 
     /// Attaches an observability bundle (latency histogram, slow-query
@@ -1851,7 +1842,7 @@ impl QueryEngine for OverlayEngine<'_> {
     }
 
     fn moft_index(&self) -> Option<&MoftIndex> {
-        self.mindex.as_ref()
+        Some(&self.mindex)
     }
 
     fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
@@ -1881,45 +1872,11 @@ impl QueryEngine for OverlayEngine<'_> {
     }
 }
 
-/// Convenience: evaluates `region` with all three engines and checks they
-/// agree on the deduplicated `(oid, t, geo)` sets; returns the naive
-/// result. Intended for tests.
-pub fn eval_all_engines_checked(gis: &Gis, moft: &Moft, region: &RegionC) -> Result<Vec<CTuple>> {
-    let naive = NaiveEngine::new(gis, moft).eval(region)?;
-    let indexed = IndexedEngine::new(gis, moft).eval(region)?;
-    let overlay = OverlayEngine::new(gis, moft).eval(region)?;
-    type TupleKey = (ObjectId, TimeId, Option<(LayerId, GeoId)>);
-    let key = |v: &[CTuple]| {
-        let mut k: Vec<TupleKey> = v.iter().map(|t| (t.oid, t.t, t.geo)).collect();
-        k.sort();
-        k
-    };
-    if key(&naive) != key(&indexed) {
-        return Err(CoreError::EngineMismatch {
-            a: "naive".into(),
-            b: "indexed".into(),
-        });
-    }
-    if key(&naive) != key(&overlay) {
-        return Err(CoreError::EngineMismatch {
-            a: "naive".into(),
-            b: "overlay".into(),
-        });
-    }
-    Ok(naive)
-}
-
-/// Helper mirroring the region's attribute comparison for values already
-/// materialized as `f64` (used by Piet-QL execution).
-pub fn cmp_f64(op: CmpOp, a: f64, b: f64) -> bool {
-    op.eval(a.partial_cmp(&b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layer::Layer;
-    use crate::region::GeoFilter;
+    use crate::region::{CmpOp, GeoFilter};
     use gisolap_geom::point::pt;
     use gisolap_geom::{Polygon, Polyline};
     use gisolap_olap::schema::SchemaBuilder;
@@ -2007,7 +1964,10 @@ mod tests {
                 value: Value::Int(1500),
             },
         ));
-        let result = eval_all_engines_checked(&gis, &moft, &region).unwrap();
+        let (naive, indexed, overlay) = engines(&gis, &moft);
+        let result = naive.eval(&region).unwrap();
+        assert_eq!(result, indexed.eval(&region).unwrap());
+        assert_eq!(result, overlay.eval(&region).unwrap());
         // West polygon: samples of object 1 (both) + object 2 at t=0.
         assert_eq!(result.len(), 3);
         assert!(result.iter().all(|t| t.geo == Some((LayerId(0), GeoId(0)))));

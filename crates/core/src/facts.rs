@@ -35,11 +35,6 @@ impl GisFactTable {
         }
     }
 
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The layer whose geometry elements key this table.
     pub fn layer(&self) -> LayerId {
         self.layer

@@ -15,7 +15,6 @@ use gisolap_olap::time::TimeDimension;
 use gisolap_olap::value::Value;
 use gisolap_olap::FactTable;
 
-use crate::facts::{BaseFactTable, GisFactTable};
 use crate::layer::{GeoId, GeometryKind, Layer, LayerId};
 use crate::schema::GisSchema;
 use crate::{CoreError, Result};
@@ -36,7 +35,7 @@ pub struct AlphaBinding {
 
 impl AlphaBinding {
     /// `α(member)`, if bound.
-    pub fn geo_of(&self, member: &str) -> Option<GeoId> {
+    pub(crate) fn geo_of(&self, member: &str) -> Option<GeoId> {
         self.member_to_geo.get(member).copied()
     }
 
@@ -61,8 +60,6 @@ pub struct Gis {
     dimensions: HashMap<String, DimensionInstance>,
     alphas: HashMap<String, AlphaBinding>,
     fact_tables: HashMap<String, FactTable>,
-    gis_facts: HashMap<String, GisFactTable>,
-    base_facts: HashMap<String, BaseFactTable>,
     time: TimeDimension,
 }
 
@@ -146,30 +143,6 @@ impl Gis {
             .ok_or_else(|| CoreError::UnknownFactTable(name.to_string()))
     }
 
-    /// Adds a GIS fact table (Definition 3, geometry level).
-    pub fn add_gis_fact_table(&mut self, ft: GisFactTable) {
-        self.gis_facts.insert(ft.name().to_string(), ft);
-    }
-
-    /// A GIS fact table by name.
-    pub fn gis_fact_table(&self, name: &str) -> Result<&GisFactTable> {
-        self.gis_facts
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownFactTable(name.to_string()))
-    }
-
-    /// Adds a base GIS fact table (Definition 3, point level).
-    pub fn add_base_fact_table(&mut self, ft: BaseFactTable) {
-        self.base_facts.insert(ft.name().to_string(), ft);
-    }
-
-    /// A base GIS fact table by name.
-    pub fn base_fact_table(&self, name: &str) -> Result<&BaseFactTable> {
-        self.base_facts
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownFactTable(name.to_string()))
-    }
-
     /// Registers an α binding: members of `category` (a level of
     /// `dimension`) map to geometry elements of `layer`.
     pub fn bind_alpha(
@@ -218,18 +191,13 @@ impl Gis {
 
     /// `α^{A,G}_L(member)` — the geometry element representing `member`
     /// (paper notation `α_{neighb,Pg,Ln}(n) = pg`).
-    pub fn alpha_geo(&self, category: &str, member: &str) -> Result<(LayerId, GeoId)> {
+    pub(crate) fn alpha_geo(&self, category: &str, member: &str) -> Result<(LayerId, GeoId)> {
         let b = self.alpha(category)?;
         let g = b.geo_of(member).ok_or_else(|| CoreError::UnboundMember {
             category: category.to_string(),
             member: member.to_string(),
         })?;
         Ok((b.layer, g))
-    }
-
-    /// The member represented by a geometry element, if any.
-    pub fn alpha_member(&self, category: &str, geo: GeoId) -> Result<Option<&str>> {
-        Ok(self.alpha(category)?.member_of(geo))
     }
 
     /// An attribute value of an application member (e.g. `n.income`),
@@ -240,17 +208,6 @@ impl Gis {
         let level = dim.schema().level_id(category)?;
         let mid = dim.member_id(level, member)?;
         Ok(dim.attribute(level, mid, attr))
-    }
-
-    /// Attribute value keyed by geometry element: resolves `α⁻¹` first.
-    pub fn geo_attribute(&self, category: &str, geo: GeoId, attr: &str) -> Result<Value> {
-        match self.alpha_member(category, geo)? {
-            Some(member) => {
-                let member = member.to_string();
-                self.member_attribute(category, &member, attr)
-            }
-            None => Ok(Value::Null),
-        }
     }
 
     /// The Time dimension.
@@ -266,7 +223,7 @@ impl Gis {
 
     /// Helper: all geometry ids of a category's layer whose bound member
     /// satisfies a predicate on an attribute value.
-    pub fn geos_where_attr<F: Fn(&Value) -> bool>(
+    pub(crate) fn geos_where_attr<F: Fn(&Value) -> bool>(
         &self,
         category: &str,
         attr: &str,
@@ -288,7 +245,7 @@ impl Gis {
     }
 
     /// Expected geometry kind check for operations that need one.
-    pub fn expect_kind(&self, layer: LayerId, expected: GeometryKind) -> Result<()> {
+    pub(crate) fn expect_kind(&self, layer: LayerId, expected: GeometryKind) -> Result<()> {
         let l = self.layer(layer);
         if l.kind() == expected {
             Ok(())
@@ -363,14 +320,9 @@ mod tests {
         let gis = tiny_gis();
         let (layer, geo) = gis.alpha_geo("neighborhood", "South").unwrap();
         assert_eq!(geo, GeoId(0));
-        assert_eq!(
-            gis.alpha_member("neighborhood", geo).unwrap(),
-            Some("South")
-        );
-        assert_eq!(
-            gis.alpha_member("neighborhood", GeoId(1)).unwrap(),
-            Some("Berchem")
-        );
+        let binding = gis.alpha("neighborhood").unwrap();
+        assert_eq!(binding.member_of(geo), Some("South"));
+        assert_eq!(binding.member_of(GeoId(1)), Some("Berchem"));
         assert_eq!(layer, gis.layer_id("Ln").unwrap());
         assert!(matches!(
             gis.alpha_geo("neighborhood", "Ghost"),
@@ -391,12 +343,7 @@ mod tests {
             Value::Int(1200)
         );
         assert_eq!(
-            gis.geo_attribute("neighborhood", GeoId(1), "income")
-                .unwrap(),
-            Value::Int(2500)
-        );
-        assert_eq!(
-            gis.geo_attribute("neighborhood", GeoId(0), "ghost")
+            gis.member_attribute("neighborhood", "South", "ghost")
                 .unwrap(),
             Value::Null
         );

@@ -39,7 +39,7 @@ pub enum GeometryKind {
 
 /// The elements stored in a layer.
 #[derive(Debug, Clone)]
-pub enum LayerData {
+pub(crate) enum LayerData {
     /// Point elements.
     Nodes(Vec<Point>),
     /// Polyline elements.
@@ -209,7 +209,7 @@ impl Layer {
     /// algebraic rollup relation `r^{Pt,G}_L(x, y, ·)`. Several ids may be
     /// returned ("a point may belong to more than one geometry", paper
     /// Example 1).
-    pub fn elements_covering(&self, p: Point) -> Vec<GeoId> {
+    pub(crate) fn elements_covering(&self, p: Point) -> Vec<GeoId> {
         self.iter()
             .filter(|(_, g)| g.covers(p))
             .map(|(id, _)| id)

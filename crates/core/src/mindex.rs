@@ -3,9 +3,11 @@
 //! canonical record run.
 //!
 //! A [`MoftIndex`] is built once per engine (the `IndexedEngine` and
-//! `OverlayEngine` constructors build it in parallel with their layer
-//! R-trees) and consulted by the default [`crate::engine::QueryEngine`]
-//! methods to prune work *before* touching records:
+//! `OverlayEngine` constructors always build it, with
+//! [`gisolap_index::DEFAULT_ZONE_ROWS`] rows per zone, in parallel with
+//! their layer R-trees) and consulted by the default
+//! [`crate::engine::QueryEngine`] methods to prune work *before*
+//! touching records:
 //!
 //! * time-bounded queries probe the interval tree and scan only the
 //!   candidate objects' record slices;
@@ -22,9 +24,9 @@
 //! the same order. Candidates come back in ascending object-id order
 //! (the interval tree and BVH return hits in insertion order, and
 //! extents are inserted ascending by oid), which matches the canonical
-//! `(oid, t)` record order the scan path walks. `GISOLAP_INDEX=0`
-//! disables consultation entirely; the equivalence proptests compare the
-//! two paths case by case.
+//! `(oid, t)` record order the scan path walks. The scan path is
+//! `NaiveEngine`, which builds no index; the equivalence proptests
+//! compare it with both index-consulting engines case by case.
 
 use gisolap_geom::BBox;
 use gisolap_index::{Bvh, IntervalTree, ZoneMap};
@@ -137,20 +139,6 @@ impl MoftIndex {
         }
     }
 
-    /// Builds the bundle honouring the environment: returns `None` when
-    /// `GISOLAP_INDEX=0` (pure-scan mode), otherwise builds with
-    /// `GISOLAP_INDEX_ZONE_ROWS` rows per zone (default 256).
-    pub fn from_env(moft: &Moft) -> Option<MoftIndex> {
-        if gisolap_obs::config::INDEX.parse_u64() == Some(0) {
-            return None;
-        }
-        let rows = gisolap_obs::config::INDEX_ZONE_ROWS
-            .parse_u64()
-            .map(|v| v.clamp(1, u32::MAX as u64) as u32)
-            .unwrap_or(gisolap_index::DEFAULT_ZONE_ROWS);
-        Some(MoftIndex::build(moft, rows))
-    }
-
     /// Per-object extents, ascending by oid, covering every record
     /// exactly once.
     pub fn extents(&self) -> &[ObjectExtent] {
@@ -221,7 +209,7 @@ impl MoftIndex {
 /// repeat daily and bound nothing). The window may be empty
 /// (`lo > hi`) when bounds contradict — every record then fails the
 /// exact predicates too.
-pub fn conservative_window(preds: &[TimePredicate]) -> Option<(TimeId, TimeId)> {
+pub(crate) fn conservative_window(preds: &[TimePredicate]) -> Option<(TimeId, TimeId)> {
     let mut window: Option<(TimeId, TimeId)> = None;
     for p in preds {
         let (a, b) = match p {

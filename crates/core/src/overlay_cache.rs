@@ -14,13 +14,13 @@ use std::collections::{HashMap, HashSet};
 
 use rayon::prelude::*;
 
-use gisolap_geom::{MultiPolygon, Point};
+use gisolap_geom::MultiPolygon;
 
 use crate::gis::Gis;
 use crate::layer::{GeoId, GeoRef, LayerId};
 
 /// `true` iff two geometry elements share at least one point.
-pub fn georef_intersects(a: &GeoRef<'_>, b: &GeoRef<'_>) -> bool {
+pub(crate) fn georef_intersects(a: &GeoRef<'_>, b: &GeoRef<'_>) -> bool {
     if !a.bbox().intersects(&b.bbox()) {
         return false;
     }
@@ -74,8 +74,6 @@ pub struct OverlayCache {
     /// Polygon×polyline fragments: key is `(polygon layer, polyline
     /// layer)` in canonical order.
     fragments: HashMap<(LayerId, LayerId), Vec<LineFragment>>,
-    /// Which layer pairs have been precomputed.
-    pairs: HashSet<(LayerId, LayerId)>,
 }
 
 fn canon(a: LayerId, b: LayerId) -> ((LayerId, LayerId), bool) {
@@ -112,7 +110,7 @@ impl OverlayCache {
 
     /// Precomputes selected layer pairs only. Pairs are computed in
     /// parallel (each is independent) and merged deterministically.
-    pub fn precompute_pairs(gis: &Gis, pairs: &[(LayerId, LayerId)]) -> OverlayCache {
+    pub(crate) fn precompute_pairs(gis: &Gis, pairs: &[(LayerId, LayerId)]) -> OverlayCache {
         let mut canonical: Vec<(LayerId, LayerId)> = Vec::new();
         for &(a, b) in pairs {
             let (key, _) = canon(a, b);
@@ -126,7 +124,6 @@ impl OverlayCache {
             .collect();
         let mut cache = OverlayCache::default();
         for data in computed {
-            cache.pairs.insert(data.key);
             cache.intersects.insert(data.key, data.rel);
             if let Some(frags) = data.fragments {
                 cache.fragments.insert(data.key, frags);
@@ -234,11 +231,6 @@ fn compute_pair(gis: &Gis, la: LayerId, lb: LayerId) -> PairData {
 }
 
 impl OverlayCache {
-    /// `true` iff this layer pair has been precomputed.
-    pub fn has_pair(&self, a: LayerId, b: LayerId) -> bool {
-        self.pairs.contains(&canon(a, b).0)
-    }
-
     /// `true` iff elements `ga` of layer `a` and `gb` of layer `b`
     /// intersect, per the precomputation. `None` if the pair was not
     /// precomputed.
@@ -249,25 +241,9 @@ impl OverlayCache {
         Some(rel.contains(&key))
     }
 
-    /// Distinct elements of layer `a` intersecting *some* element of layer
-    /// `b` — "cities crossed by a river". `None` if not precomputed.
-    pub fn elements_intersecting_layer(&self, a: LayerId, b: LayerId) -> Option<Vec<GeoId>> {
-        let ((la, lb), swapped) = canon(a, b);
-        let rel = self.intersects.get(&(la, lb))?;
-        // Stored pairs are (element of la, element of lb); pick the side
-        // belonging to layer `a`.
-        let mut out: Vec<GeoId> = rel
-            .iter()
-            .map(|&(x, y)| GeoId(if swapped { y } else { x }))
-            .collect();
-        out.sort();
-        out.dedup();
-        Some(out)
-    }
-
     /// All intersecting pairs `(a-element, b-element)` for a layer pair,
     /// oriented as requested. `None` if not precomputed.
-    pub fn pairs_for(&self, a: LayerId, b: LayerId) -> Option<Vec<(GeoId, GeoId)>> {
+    pub(crate) fn pairs_for(&self, a: LayerId, b: LayerId) -> Option<Vec<(GeoId, GeoId)>> {
         let ((la, lb), swapped) = canon(a, b);
         let rel = self.intersects.get(&(la, lb))?;
         let mut out: Vec<(GeoId, GeoId)> = rel
@@ -289,43 +265,10 @@ impl OverlayCache {
         self.cells.get(&canon(a, b).0).map(Vec::as_slice)
     }
 
-    /// Point location against the precomputed cells: the `(a, b)` pairs
-    /// whose cell contains `p`.
-    pub fn cells_containing(&self, a: LayerId, b: LayerId, p: Point) -> Vec<(GeoId, GeoId)> {
-        let ((la, lb), swapped) = canon(a, b);
-        let Some(cells) = self.cells.get(&(la, lb)) else {
-            return Vec::new();
-        };
-        cells
-            .iter()
-            .filter(|c| c.region.contains(p))
-            .map(|c| if swapped { (c.b, c.a) } else { (c.a, c.b) })
-            .collect()
-    }
-
     /// The polygon×polyline fragments of a layer pair (either argument
     /// order), if materialized.
     pub fn line_fragments(&self, a: LayerId, b: LayerId) -> Option<&[LineFragment]> {
         self.fragments.get(&canon(a, b).0).map(Vec::as_slice)
-    }
-
-    /// Length of polyline `line` (of `line_layer`) inside polygon `poly`
-    /// (of `poly_layer`), from the precomputed fragments. `None` if the
-    /// pair was not precomputed; `Some(0.0)` if they don't intersect.
-    pub fn length_inside(
-        &self,
-        poly_layer: LayerId,
-        poly: GeoId,
-        line_layer: LayerId,
-        line: GeoId,
-    ) -> Option<f64> {
-        let frags = self.line_fragments(poly_layer, line_layer)?;
-        Some(
-            frags
-                .iter()
-                .find(|f| f.poly == poly && f.line == line)
-                .map_or(0.0, |f| f.length),
-        )
     }
 
     /// Total number of precomputed intersecting pairs (for reporting).
@@ -405,14 +348,16 @@ mod tests {
     fn precompute_relations() {
         let (gis, cities, rivers, stores) = build_gis();
         let cache = OverlayCache::precompute(&gis);
-        assert!(cache.has_pair(cities, rivers));
-        assert!(cache.has_pair(rivers, cities)); // order-insensitive
 
         // City 0 is crossed by the river; city 1 is not.
         assert_eq!(
-            cache.elements_intersecting_layer(cities, rivers).unwrap(),
-            vec![GeoId(0)]
+            cache.pairs_for(cities, rivers).unwrap(),
+            vec![(GeoId(0), GeoId(0))]
         );
+        assert_eq!(
+            cache.intersects(rivers, GeoId(0), cities, GeoId(0)),
+            Some(true)
+        ); // order-insensitive
         assert_eq!(
             cache.intersects(cities, GeoId(0), rivers, GeoId(0)),
             Some(true)
@@ -449,17 +394,10 @@ mod tests {
         assert_eq!(cells.len(), 1);
         assert_eq!((cells[0].a, cells[0].b), (GeoId(0), GeoId(0)));
         assert!((cells[0].area - 4.0).abs() < 1e-9);
-        // Point location in cells.
-        assert_eq!(
-            cache.cells_containing(a, b, pt(3.0, 3.0)),
-            vec![(GeoId(0), GeoId(0))]
-        );
-        assert!(cache.cells_containing(a, b, pt(1.0, 1.0)).is_empty());
-        // Swapped orientation flips the pair.
-        assert_eq!(
-            cache.cells_containing(b, a, pt(3.0, 3.0)),
-            vec![(GeoId(0), GeoId(0))]
-        );
+        assert!(cells[0].region.contains(pt(3.0, 3.0)));
+        assert!(!cells[0].region.contains(pt(1.0, 1.0)));
+        // Either argument order finds the same cells.
+        assert_eq!(cache.overlay_cells(b, a).unwrap().len(), 1);
     }
 
     #[test]
@@ -477,15 +415,6 @@ mod tests {
         assert_eq!(frags[0].intervals.len(), 1);
         assert!((frags[0].intervals[0].0 - 5.0).abs() < 1e-9);
         assert!((frags[0].intervals[0].1 - 15.0).abs() < 1e-9);
-        // Point lookup helper.
-        assert_eq!(
-            cache.length_inside(cities, GeoId(0), rivers, GeoId(0)),
-            Some(frags[0].length)
-        );
-        assert_eq!(
-            cache.length_inside(cities, GeoId(1), rivers, GeoId(0)),
-            Some(0.0)
-        );
         // Works with arguments in either order.
         assert!(cache.line_fragments(rivers, cities).is_some());
     }
@@ -516,9 +445,8 @@ mod tests {
     fn selective_precompute() {
         let (gis, cities, rivers, stores) = build_gis();
         let cache = OverlayCache::precompute_pairs(&gis, &[(cities, rivers)]);
-        assert!(cache.has_pair(cities, rivers));
-        assert!(!cache.has_pair(cities, stores));
-        assert!(cache.elements_intersecting_layer(cities, stores).is_none());
+        assert!(cache.pairs_for(cities, rivers).is_some());
+        assert!(cache.pairs_for(cities, stores).is_none());
         assert!(cache
             .intersects(cities, GeoId(0), stores, GeoId(0))
             .is_none());

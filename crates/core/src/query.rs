@@ -91,17 +91,6 @@ pub enum MoQueryResult {
     Objects(Vec<ObjectId>),
 }
 
-impl MoQueryResult {
-    /// The scalar value, when the result is scalar-shaped.
-    pub fn scalar(&self) -> Option<f64> {
-        match self {
-            MoQueryResult::Scalar(v) => Some(*v),
-            MoQueryResult::OptScalar(v) => *v,
-            _ => None,
-        }
-    }
-}
-
 impl MoQuery {
     /// A query with the default `(Oid, t)` set semantics.
     pub fn new(region: RegionC, agg: MoAggSpec) -> MoQuery {
@@ -230,12 +219,14 @@ mod tests {
             .run(&engine)
             .unwrap();
         assert_eq!(max, MoQueryResult::OptScalar(Some(2.0)));
-        assert_eq!(max.scalar(), Some(2.0));
         // Rate: 4 tuples; the unrestricted MOFT spans 3 hour granules.
         let rate = MoQuery::new(region(), MoAggSpec::RatePerGranule(TimeLevel::Hour))
             .run(&engine)
             .unwrap();
-        assert!((rate.scalar().unwrap() - 4.0 / 3.0).abs() < 1e-12);
+        let MoQueryResult::Scalar(rate) = rate else {
+            panic!("rate is scalar-shaped: {rate:?}");
+        };
+        assert!((rate - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::{CoreError, Result};
 
 /// A node of a hierarchy graph: a geometry kind name. The distinguished
 /// names `"point"` and `"All"` play the roles of Definition 1 (d) and (c).
-pub type KindName = String;
+pub(crate) type KindName = String;
 
 /// A hierarchy graph `H(L)` for one layer.
 #[derive(Debug, Clone)]

@@ -66,7 +66,7 @@ impl StatsSnapshot {
     /// (nanoseconds) rather than an event count. Timing fields are the
     /// ones excluded from "identical counts" comparisons between
     /// parallel and sequential runs.
-    pub fn is_timing_field(name: &str) -> bool {
+    pub(crate) fn is_timing_field(name: &str) -> bool {
         name.ends_with("_ns")
     }
 
@@ -122,11 +122,6 @@ impl PhaseTrace {
                 spans: Vec::with_capacity(4),
             }),
         }
-    }
-
-    /// Whether this trace is collecting.
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
     }
 
     /// Closes a phase that began at `started`: attributes every counter
@@ -277,7 +272,6 @@ mod tests {
 
         let t0 = Instant::now();
         let mut trace = PhaseTrace::enabled(&stats);
-        assert!(trace.is_enabled());
 
         let p = Instant::now();
         stats.records_scanned.add(40);
@@ -309,7 +303,6 @@ mod tests {
     fn disabled_phase_trace_is_inert() {
         let stats = EngineStats::new();
         let mut trace = PhaseTrace::disabled();
-        assert!(!trace.is_enabled());
         trace.phase(&stats, "time-filter", Instant::now());
         assert!(trace.finish(&stats, "eval", Instant::now()).is_none());
     }

@@ -76,8 +76,8 @@ pub fn layer_geo_resolver(gis: &Gis, layer: &str) -> Result<GeoResolver> {
 ///
 /// `resolver` must be the geometry resolver (if any) the original
 /// pipeline used — build it with [`layer_geo_resolver`] over the same
-/// layer. The store is opened with [`StoreConfig::from_env`] (the
-/// `GISOLAP_STORE_*` flags) and released when this returns; recovered
+/// layer. The store is opened with [`StoreConfig::from_env`] and
+/// released when this returns; recovered
 /// state is bit-identical to the pre-crash durable state.
 pub fn recover_snapshot(
     dir: &Path,

@@ -34,6 +34,4 @@ pub mod stream;
 pub use city::{CityConfig, CityScenario};
 pub use crowd::EventCrowd;
 pub use fig1::Fig1Scenario;
-pub use stream::{
-    crash_replay, replay_city, replay_fig1, stream_batches, CrashScenario, ReplayConfig,
-};
+pub use stream::{crash_replay, replay_fig1, stream_batches, CrashScenario, ReplayConfig};

@@ -14,9 +14,7 @@ use gisolap_traj::{Moft, Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::city::{CityConfig, CityScenario};
 use crate::fig1::Fig1Scenario;
-use crate::movers::RandomWaypoint;
 
 /// Controls for [`stream_batches`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,25 +65,6 @@ pub fn stream_batches(moft: &Moft, config: &ReplayConfig) -> Vec<Vec<Record>> {
         .collect()
 }
 
-/// Convenience: generates a city scenario with random-waypoint traffic
-/// and replays it as batches. Returns the scenario, the batch-built MOFT
-/// (the reference for equivalence checks) and the batches.
-pub fn replay_city(
-    city: CityConfig,
-    objects: usize,
-    samples_per_object: usize,
-    config: &ReplayConfig,
-) -> (CityScenario, Moft, Vec<Vec<Record>>) {
-    let scenario = CityScenario::generate(city);
-    let moft = RandomWaypoint {
-        seed: config.seed.wrapping_add(1),
-        ..RandomWaypoint::new(scenario.bbox, objects, samples_per_object)
-    }
-    .generate(0);
-    let batches = stream_batches(&moft, config);
-    (scenario, moft, batches)
-}
-
 /// Convenience: replays the paper's Figure 1 MOFT as batches.
 pub fn replay_fig1(config: &ReplayConfig) -> (Fig1Scenario, Vec<Vec<Record>>) {
     let scenario = Fig1Scenario::build();
@@ -130,19 +109,25 @@ pub fn crash_replay(moft: &Moft, config: &ReplayConfig, flush_every: usize) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::city::{CityConfig, CityScenario};
+    use crate::movers::RandomWaypoint;
     use gisolap_traj::ObjectId;
 
     #[test]
     fn replay_preserves_the_multiset_and_bounds_lateness() {
-        let (_, moft, batches) = replay_city(
-            CityConfig {
-                blocks_x: 2,
-                blocks_y: 2,
-                seed: 7,
-                ..CityConfig::default()
-            },
-            6,
-            20,
+        let city = CityScenario::generate(CityConfig {
+            blocks_x: 2,
+            blocks_y: 2,
+            seed: 7,
+            ..CityConfig::default()
+        });
+        let moft = RandomWaypoint {
+            seed: 4,
+            ..RandomWaypoint::new(city.bbox, 6, 20)
+        }
+        .generate(0);
+        let batches = stream_batches(
+            &moft,
             &ReplayConfig {
                 shuffle_seconds: 900,
                 batch_size: 17,

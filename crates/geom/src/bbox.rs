@@ -148,12 +148,6 @@ impl BBox {
         self.width() * self.height()
     }
 
-    /// Half the perimeter — the classic R-tree "margin" metric.
-    #[inline]
-    pub fn half_perimeter(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Center point of the box.
     #[inline]
     pub fn center(&self) -> Point {
@@ -219,7 +213,6 @@ mod tests {
         assert_eq!(b.width(), 3.0);
         assert_eq!(b.height(), 4.0);
         assert_eq!(b.area(), 12.0);
-        assert_eq!(b.half_perimeter(), 7.0);
         assert_eq!(b.center(), pt(1.5, 2.0));
     }
 

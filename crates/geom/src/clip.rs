@@ -106,20 +106,6 @@ pub fn clip_segment_to_polygon(seg: &Segment, poly: &Polygon) -> Vec<ParamInterv
     out
 }
 
-/// Total fraction of `seg` (by parameter, equivalently by length) inside
-/// `poly`.
-pub fn fraction_inside(seg: &Segment, poly: &Polygon) -> f64 {
-    clip_segment_to_polygon(seg, poly)
-        .iter()
-        .map(ParamInterval::length)
-        .sum()
-}
-
-/// `true` iff any positive-length or touching part of `seg` lies in `poly`.
-pub fn segment_enters_polygon(seg: &Segment, poly: &Polygon) -> bool {
-    !clip_segment_to_polygon(seg, poly).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +113,14 @@ mod tests {
 
     fn square() -> Polygon {
         Polygon::rectangle(0.0, 0.0, 4.0, 4.0)
+    }
+
+    /// Total fraction of `seg` (by parameter) inside `poly`.
+    fn fraction_inside(seg: &Segment, poly: &Polygon) -> f64 {
+        clip_segment_to_polygon(seg, poly)
+            .iter()
+            .map(ParamInterval::length)
+            .sum()
     }
 
     #[test]
@@ -147,7 +141,6 @@ mod tests {
     fn fully_outside() {
         let seg = Segment::new(pt(5.0, 5.0), pt(6.0, 6.0));
         assert!(clip_segment_to_polygon(&seg, &square()).is_empty());
-        assert!(!segment_enters_polygon(&seg, &square()));
     }
 
     #[test]
@@ -181,7 +174,6 @@ mod tests {
         assert_eq!(iv.len(), 1);
         assert_eq!(iv[0].start, iv[0].end);
         assert_eq!(fraction_inside(&seg, &square()), 0.0);
-        assert!(segment_enters_polygon(&seg, &square()));
     }
 
     #[test]

@@ -46,13 +46,6 @@ impl Point {
         (self - other).length()
     }
 
-    /// Squared Euclidean distance to `other` (avoids the square root).
-    #[inline]
-    pub fn distance_sq(self, other: Point) -> f64 {
-        let d = self - other;
-        d.dot(d)
-    }
-
     /// Linear interpolation: returns `self` at `t = 0` and `other` at `t = 1`.
     ///
     /// This is the primitive underlying the paper's linear-interpolation
@@ -74,7 +67,7 @@ impl Point {
     /// Total order on points: first by `x`, then by `y` (using IEEE total
     /// ordering so the comparison is well-defined for every finite value).
     #[inline]
-    pub fn lex_cmp(self, other: Point) -> std::cmp::Ordering {
+    pub(crate) fn lex_cmp(self, other: Point) -> std::cmp::Ordering {
         self.x
             .total_cmp(&other.x)
             .then_with(|| self.y.total_cmp(&other.y))
@@ -96,7 +89,7 @@ impl Vec2 {
 
     /// 2-D cross product (the `z` component of the 3-D cross product).
     #[inline]
-    pub fn cross(self, other: Vec2) -> f64 {
+    pub(crate) fn cross(self, other: Vec2) -> f64 {
         self.x * other.y - self.y * other.x
     }
 
@@ -108,7 +101,7 @@ impl Vec2 {
 
     /// Squared Euclidean length.
     #[inline]
-    pub fn length_sq(self) -> f64 {
+    pub(crate) fn length_sq(self) -> f64 {
         self.dot(self)
     }
 
@@ -130,7 +123,7 @@ impl Vec2 {
 
     /// Angle of the vector in radians, in `(-π, π]`, measured from +x axis.
     #[inline]
-    pub fn angle(self) -> f64 {
+    pub(crate) fn angle(self) -> f64 {
         self.y.atan2(self.x)
     }
 }
@@ -210,7 +203,6 @@ mod tests {
     #[test]
     fn distance_is_euclidean() {
         assert_eq!(pt(0.0, 0.0).distance(pt(3.0, 4.0)), 5.0);
-        assert_eq!(pt(1.0, 1.0).distance_sq(pt(4.0, 5.0)), 25.0);
     }
 
     #[test]

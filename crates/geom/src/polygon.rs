@@ -94,12 +94,6 @@ impl Ring {
         &self.vertices
     }
 
-    /// Number of edges (== number of vertices).
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.vertices.len()
-    }
-
     /// Iterator over the ring's edges, including the closing edge.
     pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
         let n = self.vertices.len();
@@ -107,7 +101,7 @@ impl Ring {
     }
 
     /// Signed area: positive because rings are normalized counter-clockwise.
-    pub fn signed_area(&self) -> f64 {
+    pub(crate) fn signed_area(&self) -> f64 {
         shoelace(&self.vertices)
     }
 
@@ -115,11 +109,6 @@ impl Ring {
     #[inline]
     pub fn area(&self) -> f64 {
         self.signed_area().abs()
-    }
-
-    /// Perimeter length.
-    pub fn perimeter(&self) -> f64 {
-        self.edges().map(|e| e.length()).sum()
     }
 
     /// Centroid of the enclosed region.
@@ -194,15 +183,9 @@ impl Ring {
         self.locate(p) != PointLocation::Outside
     }
 
-    /// `true` iff `p` is strictly inside.
-    #[inline]
-    pub fn contains_strict(&self, p: Point) -> bool {
-        self.locate(p) == PointLocation::Inside
-    }
-
     /// Simplicity check: no two non-adjacent edges intersect, and adjacent
     /// edges share only their common vertex.
-    pub fn is_simple(&self) -> bool {
+    pub(crate) fn is_simple(&self) -> bool {
         let edges: Vec<Segment> = self.edges().collect();
         let n = edges.len();
         for i in 0..n {
@@ -301,18 +284,13 @@ impl Polygon {
 
     /// The hole rings.
     #[inline]
-    pub fn holes(&self) -> &[Ring] {
+    pub(crate) fn holes(&self) -> &[Ring] {
         &self.holes
     }
 
     /// Area = exterior area − hole areas.
     pub fn area(&self) -> f64 {
         self.exterior.area() - self.holes.iter().map(Ring::area).sum::<f64>()
-    }
-
-    /// Total boundary length (exterior + holes).
-    pub fn perimeter(&self) -> f64 {
-        self.exterior.perimeter() + self.holes.iter().map(Ring::perimeter).sum::<f64>()
     }
 
     /// Bounding box (of the exterior ring).
@@ -369,14 +347,8 @@ impl Polygon {
         self.locate(p) != PointLocation::Outside
     }
 
-    /// `true` iff `p` is strictly interior.
-    #[inline]
-    pub fn contains_strict(&self, p: Point) -> bool {
-        self.locate(p) == PointLocation::Inside
-    }
-
     /// All rings (exterior first, then holes).
-    pub fn rings(&self) -> impl Iterator<Item = &Ring> {
+    pub(crate) fn rings(&self) -> impl Iterator<Item = &Ring> {
         std::iter::once(&self.exterior).chain(self.holes.iter())
     }
 
@@ -457,7 +429,6 @@ mod tests {
     fn ring_metrics() {
         let r = Ring::new(vec![pt(0.0, 0.0), pt(4.0, 0.0), pt(4.0, 3.0), pt(0.0, 3.0)]).unwrap();
         assert_eq!(r.area(), 12.0);
-        assert_eq!(r.perimeter(), 14.0);
         assert_eq!(r.centroid(), pt(2.0, 1.5));
         assert!(r.is_convex());
     }

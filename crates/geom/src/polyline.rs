@@ -43,12 +43,6 @@ impl Polyline {
         &self.vertices
     }
 
-    /// Number of segments (`vertices - 1`).
-    #[inline]
-    pub fn segment_count(&self) -> usize {
-        self.vertices.len() - 1
-    }
-
     /// Iterator over the constituent segments, in order.
     pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
         self.vertices.windows(2).map(|w| Segment::new(w[0], w[1]))
@@ -98,21 +92,6 @@ impl Polyline {
         self.segments()
             .map(|s| s.distance_to_point(p))
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The point of the polyline nearest to `p`.
-    pub fn closest_point(&self, p: Point) -> Point {
-        let mut best = self.start();
-        let mut best_d = f64::INFINITY;
-        for seg in self.segments() {
-            let q = seg.closest_point(p);
-            let d = q.distance_sq(p);
-            if d < best_d {
-                best_d = d;
-                best = q;
-            }
-        }
-        best
     }
 
     /// `true` iff `p` lies exactly on the polyline.
@@ -181,7 +160,6 @@ mod tests {
     #[test]
     fn length_and_segments() {
         let p = zigzag();
-        assert_eq!(p.segment_count(), 3);
         assert_eq!(p.length(), 6.0);
         assert_eq!(p.start(), pt(0.0, 0.0));
         assert_eq!(p.end(), pt(4.0, 2.0));
@@ -203,7 +181,6 @@ mod tests {
     fn distances() {
         let p = zigzag();
         assert_eq!(p.distance_to_point(pt(1.0, 1.0)), 1.0);
-        assert_eq!(p.closest_point(pt(1.0, -2.0)), pt(1.0, 0.0));
         assert!(p.contains_point(pt(2.0, 1.0)));
         assert!(!p.contains_point(pt(1.0, 1.0)));
     }

@@ -29,7 +29,7 @@ pub enum Orientation {
 impl Orientation {
     /// Maps the sign of a determinant to an orientation.
     #[inline]
-    pub fn from_sign(d: f64) -> Orientation {
+    pub(crate) fn from_sign(d: f64) -> Orientation {
         if d > 0.0 {
             Orientation::CounterClockwise
         } else if d < 0.0 {
@@ -149,7 +149,7 @@ const CCW_ERRBOUND_A: f64 = (3.0 + 16.0 * f64::EPSILON * 0.5) * (f64::EPSILON * 
 ///
 /// Positive ⇒ `c` lies to the left of the directed line `a → b`
 /// (counter-clockwise turn); negative ⇒ right; zero ⇒ exactly collinear.
-pub fn orient2d_sign(a: Point, b: Point, c: Point) -> f64 {
+pub(crate) fn orient2d_sign(a: Point, b: Point, c: Point) -> f64 {
     let detleft = (a.x - c.x) * (b.y - c.y);
     let detright = (a.y - c.y) * (b.x - c.x);
     let det = detleft - detright;
@@ -187,7 +187,7 @@ pub fn orient2d(a: Point, b: Point, c: Point) -> Orientation {
 /// Uses the exact orientation predicate for the collinearity decision and
 /// coordinate comparisons for the betweenness decision, so the answer is
 /// exact.
-pub fn point_on_segment(p: Point, a: Point, b: Point) -> bool {
+pub(crate) fn point_on_segment(p: Point, a: Point, b: Point) -> bool {
     if orient2d(a, b, p) != Orientation::Collinear {
         return false;
     }

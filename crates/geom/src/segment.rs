@@ -52,7 +52,7 @@ impl Segment {
 
     /// `true` iff both endpoints coincide.
     #[inline]
-    pub fn is_degenerate(&self) -> bool {
+    pub(crate) fn is_degenerate(&self) -> bool {
         self.a == self.b
     }
 
@@ -88,7 +88,7 @@ impl Segment {
 
     /// Parameter `t` of the point on the (infinite) supporting line closest
     /// to `p`; `0` for a degenerate segment.
-    pub fn project_param(&self, p: Point) -> f64 {
+    pub(crate) fn project_param(&self, p: Point) -> f64 {
         let d = self.delta();
         let len_sq = d.length_sq();
         if len_sq == 0.0 {
@@ -99,7 +99,7 @@ impl Segment {
     }
 
     /// Closest point *on the segment* to `p`.
-    pub fn closest_point(&self, p: Point) -> Point {
+    pub(crate) fn closest_point(&self, p: Point) -> Point {
         let t = self.project_param(p).clamp(0.0, 1.0);
         self.point_at(t)
     }

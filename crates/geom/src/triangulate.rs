@@ -22,7 +22,7 @@ pub struct Triangle {
 
 impl Triangle {
     /// Signed area (positive for counter-clockwise).
-    pub fn signed_area(&self) -> f64 {
+    pub(crate) fn signed_area(&self) -> f64 {
         ((self.b - self.a).cross(self.c - self.a)) * 0.5
     }
 
@@ -58,7 +58,7 @@ impl Triangle {
 
 /// Triangulates a simple ring by ear clipping. Returns counter-clockwise
 /// triangles whose areas sum to the ring's area.
-pub fn triangulate_ring(ring: &Ring) -> Vec<Triangle> {
+pub(crate) fn triangulate_ring(ring: &Ring) -> Vec<Triangle> {
     let mut verts: Vec<Point> = ring.vertices().to_vec();
     let mut out = Vec::with_capacity(verts.len().saturating_sub(2));
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use gisolap_geom::clip::{clip_segment_to_polygon, fraction_inside};
+use gisolap_geom::clip::clip_segment_to_polygon;
 use gisolap_geom::hull::convex_hull;
 use gisolap_geom::point::Point;
 use gisolap_geom::polygon::{PointLocation, Polygon, Ring};
@@ -127,7 +127,10 @@ proptest! {
         a in point(), b in point(), poly in rect_poly()
     ) {
         let seg = Segment::new(a, b);
-        let f = fraction_inside(&seg, &poly);
+        let f: f64 = clip_segment_to_polygon(&seg, &poly)
+            .iter()
+            .map(|iv| iv.length())
+            .sum();
         prop_assert!((0.0..=1.0 + 1e-12).contains(&f));
         if poly.contains(a) && poly.contains(b) && poly.exterior().is_convex() {
             // Convex region: both endpoints in ⇒ whole segment in.

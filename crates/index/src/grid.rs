@@ -194,17 +194,6 @@ impl GridIndex {
         let y = self.bounds.min_y + row as f64 * self.cell_h;
         BBox::new(x, y, x + self.cell_w, y + self.cell_h)
     }
-
-    /// Per-cell occupancy counts — the "number of times any object passes
-    /// through" histogram of Meratnia & de By's aggregation (§2 of the
-    /// paper) when items are trajectory segments.
-    pub fn occupancy(&self) -> Vec<usize> {
-        self.cells()
-            .offsets
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -229,8 +218,11 @@ mod tests {
         let mut g = grid();
         g.insert(&BBox::new(0.0, 0.0, 10.0, 0.1), 1); // bottom strip
                                                       // Appears in all 5 bottom cells…
-        let occ = g.occupancy();
-        assert_eq!(occ.iter().filter(|&&c| c > 0).count(), 5);
+        for col in 0..5 {
+            let x = 1.0 + 2.0 * col as f64;
+            assert_eq!(g.cell_items(Point::new(x, 0.05)), &[1]);
+        }
+        assert!(g.cell_items(Point::new(1.0, 3.0)).is_empty());
         // …and any bottom query finds it.
         assert_eq!(g.candidates(&BBox::new(7.0, 0.0, 8.0, 0.05)), vec![1]);
     }

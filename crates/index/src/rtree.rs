@@ -357,7 +357,7 @@ impl<T> RTree<T> {
     }
 
     /// Visits every payload whose rectangle intersects `query`.
-    pub fn search_with<'a, F: FnMut(&'a T)>(&'a self, query: &BBox, visit: &mut F) {
+    pub(crate) fn search_with<'a, F: FnMut(&'a T)>(&'a self, query: &BBox, visit: &mut F) {
         if self.entries.is_empty() {
             return;
         }
@@ -446,74 +446,6 @@ impl<T> RTree<T> {
             }
         }
         None
-    }
-
-    /// The `k` payloads nearest to `p`, distance-ascending (best-first
-    /// search; fewer than `k` if the tree is smaller).
-    pub fn nearest_k(&self, p: Point, k: usize) -> Vec<(&T, f64)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let mut out = Vec::with_capacity(k);
-        if self.entries.is_empty() || k == 0 {
-            return out;
-        }
-
-        #[derive(PartialEq)]
-        struct Cand {
-            dist: f64,
-            node: Option<usize>,
-            entry: Option<usize>,
-        }
-        impl Eq for Cand {}
-        impl PartialOrd for Cand {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cand {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.dist.total_cmp(&other.dist)
-            }
-        }
-
-        let mut heap: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-        heap.push(Reverse(Cand {
-            dist: self.nodes[self.root].bbox.distance_to_point(p),
-            node: Some(self.root),
-            entry: None,
-        }));
-        while let Some(Reverse(c)) = heap.pop() {
-            if let Some(e) = c.entry {
-                out.push((&self.entries[e].item, c.dist));
-                if out.len() == k {
-                    break;
-                }
-                continue;
-            }
-            let n = c.node.expect("candidate is node or entry");
-            match &self.nodes[n].kind {
-                NodeKind::Leaf(items) => {
-                    for &i in items {
-                        heap.push(Reverse(Cand {
-                            dist: self.entries[i].bbox.distance_to_point(p),
-                            node: None,
-                            entry: Some(i),
-                        }));
-                    }
-                }
-                NodeKind::Internal(children) => {
-                    for &ch in children {
-                        heap.push(Reverse(Cand {
-                            dist: self.nodes[ch].bbox.distance_to_point(p),
-                            node: Some(ch),
-                            entry: None,
-                        }));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Iterates over all `(bbox, payload)` pairs (arbitrary order).
@@ -615,28 +547,6 @@ mod tests {
         // Far away point: nearest is the closest corner cell.
         let (item, _) = t.nearest(Point::new(100.0, 100.0)).unwrap();
         assert_eq!(*item, 24);
-    }
-
-    #[test]
-    fn nearest_k_is_sorted_and_complete() {
-        let t = RTree::bulk_load(grid_boxes(5));
-        let hits = t.nearest_k(Point::new(0.5, 0.5), 4);
-        assert_eq!(hits.len(), 4);
-        // Distances ascend; the first is the containing cell.
-        assert_eq!(*hits[0].0, 0);
-        assert_eq!(hits[0].1, 0.0);
-        assert!(hits.windows(2).all(|w| w[0].1 <= w[1].1));
-        // Brute-force cross-check for the k-th distance.
-        let items = grid_boxes(5);
-        let mut dists: Vec<f64> = items
-            .iter()
-            .map(|(b, _)| b.distance_to_point(Point::new(0.5, 0.5)))
-            .collect();
-        dists.sort_by(f64::total_cmp);
-        assert!((hits[3].1 - dists[3]).abs() < 1e-12);
-        // k beyond the tree size returns everything.
-        assert_eq!(t.nearest_k(Point::new(0.5, 0.5), 1000).len(), 25);
-        assert!(t.nearest_k(Point::new(0.5, 0.5), 0).is_empty());
     }
 
     #[test]

@@ -28,8 +28,8 @@
 
 use gisolap_geom::{BBox, Point};
 
-/// The default number of rows summarized per zone
-/// (`GISOLAP_INDEX_ZONE_ROWS`).
+/// The number of rows summarized per zone by sealed segments and the
+/// in-memory MOFT index.
 pub const DEFAULT_ZONE_ROWS: u32 = 256;
 
 /// Summary of one contiguous block of canonically ordered rows.

@@ -2,11 +2,13 @@
 //!
 //! Every runtime-tuning environment variable the workspace reads is
 //! declared here as an [`EnvFlag`] and listed in [`ALL`], so there is one
-//! place to discover knobs and one test
-//! (`tests/tests/env_flags.rs`) enforcing that each flag is documented in
-//! `README.md` or `OBSERVABILITY.md`. Crates read their own flags through
-//! these constants (the vendored `rayon` shim keeps its own literal copy
-//! of [`THREADS`]'s name, mirroring the real crate's independence; the
+//! place to discover knobs. A flag sizes a resource or sets a policy; a
+//! choice between two code paths with the same answers is a constant,
+//! not a flag. `tests/tests/env_flags.rs` enforces that each flag
+//! is documented in `README.md` or `OBSERVABILITY.md` and still has a
+//! reader outside this file. Crates read their own flags through these
+//! constants (the vendored `rayon` shim keeps its own literal copy of
+//! [`THREADS`]'s name, mirroring the real crate's independence; the
 //! coverage test pins the two strings together).
 
 /// One documented environment flag.
@@ -76,15 +78,6 @@ pub const STORE_SYNC: EnvFlag = EnvFlag {
     doc: "segment-store WAL fsync policy: always | never | <n> (sync every n appends)",
 };
 
-/// Auto-compaction threshold: when a flush leaves at least this many
-/// sealed segment files on disk, the store merges them into one. `0`
-/// disables automatic compaction.
-pub const STORE_COMPACT_SEGMENTS: EnvFlag = EnvFlag {
-    name: "GISOLAP_STORE_COMPACT_SEGMENTS",
-    default: "0 (disabled)",
-    doc: "segment-file count that triggers store compaction after a flush (0 = off)",
-};
-
 /// Retired WAL generations a replication leader's store keeps on disk
 /// after a flush so followers can tail across rotations; `0` deletes
 /// retired WALs immediately, forcing lagging followers onto snapshot
@@ -137,44 +130,6 @@ pub const SERVE_TENANT_QUOTA: EnvFlag = EnvFlag {
     doc: "concurrent in-flight requests allowed per tenant (0 = unlimited)",
 };
 
-/// Whether a shard coordinator scatters across shards on the rayon
-/// pool (`1`, the default) or queries them sequentially (`0`) —
-/// sequential scatter is mostly a debugging and benchmarking baseline.
-pub const SHARD_PARALLEL: EnvFlag = EnvFlag {
-    name: "GISOLAP_SHARD_PARALLEL",
-    default: "1 (parallel scatter)",
-    doc: "shard coordinator scatter mode: 1 = parallel over the rayon pool, 0 = sequential",
-};
-
-/// Whether engines that build a `MoftIndex` consult it during
-/// evaluation (`1`, the default) or fall back to pure scans (`0`) —
-/// the scan path is the reference the equivalence proptests compare
-/// against.
-pub const INDEX: EnvFlag = EnvFlag {
-    name: "GISOLAP_INDEX",
-    default: "1 (index-assisted evaluation)",
-    doc: "index-assisted query evaluation: 1 = consult MoftIndex, 0 = pure scan",
-};
-
-/// Rows summarized per zone when building zone maps over canonical
-/// record order (segments and the in-memory `MoftIndex`). Smaller zones
-/// prune more precisely but cost more metadata.
-pub const INDEX_ZONE_ROWS: EnvFlag = EnvFlag {
-    name: "GISOLAP_INDEX_ZONE_ROWS",
-    default: "256",
-    doc: "rows per zone-map block for segment and MoftIndex zone maps",
-};
-
-/// Delta checkpoints a store chains after its last full checkpoint
-/// before the next flush writes a full one again. `0` makes every
-/// flush write a full checkpoint (the pre-delta behavior).
-pub const STORE_MAX_DELTAS: EnvFlag = EnvFlag {
-    name: "GISOLAP_STORE_MAX_DELTAS",
-    default: "4",
-    doc:
-        "delta checkpoints chained per full checkpoint before forcing a full one (0 = always full)",
-};
-
 /// Standing subscriptions one evaluator admits; registration past the
 /// cap is refused with an explicit error instead of degrading fold
 /// latency for every subscriber already registered.
@@ -211,22 +166,17 @@ pub const ELASTIC_PROBE_TICKS: EnvFlag = EnvFlag {
 };
 
 /// Every flag the workspace reads, for discovery and doc-coverage tests.
-pub const ALL: [&EnvFlag; 19] = [
+pub const ALL: [&EnvFlag; 14] = [
     &THREADS,
     &SLOW_QUERY_MS,
     &CASES,
     &STORE_SYNC,
-    &STORE_COMPACT_SEGMENTS,
-    &STORE_MAX_DELTAS,
     &REPL_RETAIN_WALS,
     &REPL_MAX_LAG_SEQS,
     &REPL_BACKOFF_MS,
     &SERVE_MAX_CONNS,
     &SERVE_MAX_INFLIGHT,
     &SERVE_TENANT_QUOTA,
-    &SHARD_PARALLEL,
-    &INDEX,
-    &INDEX_ZONE_ROWS,
     &SUB_MAX,
     &SUB_BUFFER,
     &ELASTIC_LEASE_TICKS,

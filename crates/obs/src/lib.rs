@@ -51,5 +51,5 @@ pub mod span;
 pub use counters::{Counter, CounterSet};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
 pub use query_obs::QueryObs;
-pub use slow::{SlowQueryEntry, SlowQueryLog, SLOW_QUERY_ENV};
+pub use slow::{SlowQueryEntry, SlowQueryLog};
 pub use span::{Span, Tracer};

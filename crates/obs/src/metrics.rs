@@ -8,7 +8,7 @@ use crate::counters::CounterSet;
 /// Number of log₂ buckets: upper bounds `2^1 … 2^BUCKETS` nanoseconds
 /// (≈ 2 ns … ≈ 17.6 min), observations above the last bound land in the
 /// implicit `+Inf` overflow.
-pub const BUCKETS: usize = 40;
+pub(crate) const BUCKETS: usize = 40;
 
 /// A log₂-bucketed histogram over nanosecond observations. Bumps are
 /// relaxed atomics, so it is safe (and cheap) to observe from parallel
@@ -87,7 +87,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Upper bound of bucket `i`, in seconds (Prometheus `le` value).
-    pub fn upper_bound_seconds(i: usize) -> f64 {
+    pub(crate) fn upper_bound_seconds(i: usize) -> f64 {
         (1u64 << (i + 1)) as f64 / 1e9
     }
 }

@@ -24,7 +24,7 @@ pub struct QueryObs {
 
 impl QueryObs {
     /// Tracing off, slow-query log configured from
-    /// [`crate::SLOW_QUERY_ENV`].
+    /// [`crate::config::SLOW_QUERY_MS`].
     pub fn from_env() -> QueryObs {
         QueryObs {
             slow: SlowQueryLog::from_env(),

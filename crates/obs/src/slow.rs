@@ -3,14 +3,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable holding the slow-query threshold in whole
-/// milliseconds; unset, empty or unparsable means *disabled*. Declared
-/// in the central flag registry as [`crate::config::SLOW_QUERY_MS`].
-pub const SLOW_QUERY_ENV: &str = crate::config::SLOW_QUERY_MS.name;
-
 /// How many slow queries the ring retains (oldest evicted first). The
 /// `total()` counter keeps counting past the cap.
-pub const SLOW_QUERY_CAP: usize = 64;
+pub(crate) const SLOW_QUERY_CAP: usize = 64;
 
 /// One logged slow query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,26 +36,26 @@ impl SlowQueryLog {
     }
 
     /// A log with an explicit threshold.
-    pub fn with_threshold_ms(ms: u64) -> SlowQueryLog {
+    pub(crate) fn with_threshold_ms(ms: u64) -> SlowQueryLog {
         let log = SlowQueryLog::default();
         log.set_threshold_ms(ms);
         log
     }
 
-    /// A log configured from [`SLOW_QUERY_ENV`]; disabled when the
-    /// variable is unset or unparsable.
+    /// A log configured from [`crate::config::SLOW_QUERY_MS`] (whole
+    /// milliseconds); disabled when the variable is unset or unparsable.
     pub fn from_env() -> SlowQueryLog {
         let ms = crate::config::SLOW_QUERY_MS.parse_u64().unwrap_or(0);
         SlowQueryLog::with_threshold_ms(ms)
     }
 
     /// The active threshold in nanoseconds (0 = disabled).
-    pub fn threshold_ns(&self) -> u64 {
+    pub(crate) fn threshold_ns(&self) -> u64 {
         self.threshold_ns.load(Ordering::Relaxed)
     }
 
     /// Changes the threshold (milliseconds; 0 disables).
-    pub fn set_threshold_ms(&self, ms: u64) {
+    pub(crate) fn set_threshold_ms(&self, ms: u64) {
         self.threshold_ns
             .store(ms.saturating_mul(1_000_000), Ordering::Relaxed);
     }

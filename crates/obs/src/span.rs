@@ -47,22 +47,6 @@ impl Span {
         self.counter(counter) + self.children.iter().map(|c| c.total(counter)).sum::<u64>()
     }
 
-    /// Every counter name appearing anywhere in the subtree, sorted.
-    pub fn counter_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = Vec::new();
-        self.collect_names(&mut names);
-        names.sort_unstable();
-        names.dedup();
-        names
-    }
-
-    fn collect_names(&self, into: &mut Vec<&'static str>) {
-        into.extend(self.counters.iter().map(|(n, _)| *n));
-        for c in &self.children {
-            c.collect_names(into);
-        }
-    }
-
     /// Renders the tree indented, one span per line. With `timings`,
     /// each line carries the span's wall time; without, wall times and
     /// counters named `*_ns` (nanosecond accumulators) are suppressed so
@@ -162,15 +146,6 @@ mod tests {
         assert_eq!(t.total("rtree_probes"), 7);
         assert_eq!(t.total("absent"), 0);
         assert_eq!(t.counter("records_scanned"), 0); // root's own only
-        assert_eq!(
-            t.counter_names(),
-            vec![
-                "queries",
-                "records_scanned",
-                "rtree_probes",
-                "time_filter_ns"
-            ]
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::{OlapError, Result};
 /// A dimension column of a fact table: which dimension and at which level
 /// the column's members live.
 #[derive(Debug, Clone)]
-pub struct DimColumn {
+pub(crate) struct DimColumn {
     /// Column name (unique within the table).
     pub name: String,
     /// Index into the fact table's dimension list.
@@ -92,7 +92,7 @@ impl FactTable {
     }
 
     /// The dimension columns.
-    pub fn dim_cols(&self) -> &[DimColumn] {
+    pub(crate) fn dim_cols(&self) -> &[DimColumn] {
         &self.dim_cols
     }
 
@@ -127,7 +127,7 @@ impl FactTable {
     }
 
     /// Index of a dimension column by name.
-    pub fn dim_col_index(&self, name: &str) -> Result<usize> {
+    pub(crate) fn dim_col_index(&self, name: &str) -> Result<usize> {
         self.dim_cols
             .iter()
             .position(|c| c.name == name)
@@ -135,16 +135,11 @@ impl FactTable {
     }
 
     /// Index of a measure column by name.
-    pub fn measure_index(&self, name: &str) -> Result<usize> {
+    pub(crate) fn measure_index(&self, name: &str) -> Result<usize> {
         self.measure_names
             .iter()
             .position(|m| m == name)
             .ok_or_else(|| OlapError::UnknownColumn(name.to_string()))
-    }
-
-    /// Raw access: dimension coordinates of row `i`.
-    pub fn dim_row(&self, i: usize) -> &[MemberId] {
-        &self.dim_data[i]
     }
 
     /// Raw access: measures of row `i`.

@@ -17,7 +17,7 @@ use crate::{OlapError, Result};
 pub struct MemberId(pub u32);
 
 /// Distinguished sole member of the `All` level.
-pub const ALL_MEMBER: &str = "all";
+pub(crate) const ALL_MEMBER: &str = "all";
 
 /// A dimension instance over a [`DimensionSchema`].
 #[derive(Debug, Clone)]
@@ -208,7 +208,12 @@ impl DimensionInstance {
     }
 
     /// Direct rollup along a schema edge.
-    pub fn rollup_edge(&self, from: LevelId, to: LevelId, member: MemberId) -> Option<MemberId> {
+    pub(crate) fn rollup_edge(
+        &self,
+        from: LevelId,
+        to: LevelId,
+        member: MemberId,
+    ) -> Option<MemberId> {
         self.rollups.get(&(from, to)).map(|v| v[member.0 as usize])
     }
 

@@ -178,7 +178,7 @@ impl DimensionSchema {
     }
 
     /// Number of levels (including `All`).
-    pub fn level_count(&self) -> usize {
+    pub(crate) fn level_count(&self) -> usize {
         self.levels.len()
     }
 
@@ -197,7 +197,7 @@ impl DimensionSchema {
     }
 
     /// Name of a level.
-    pub fn level_name(&self, id: LevelId) -> &str {
+    pub(crate) fn level_name(&self, id: LevelId) -> &str {
         &self.levels[id.0 as usize]
     }
 
@@ -212,7 +212,7 @@ impl DimensionSchema {
     }
 
     /// Direct parents of a level.
-    pub fn parents(&self, id: LevelId) -> &[LevelId] {
+    pub(crate) fn parents(&self, id: LevelId) -> &[LevelId] {
         &self.parents[id.0 as usize]
     }
 

@@ -179,12 +179,12 @@ impl TimeId {
     }
 
     /// Days since the Unix epoch (floor).
-    pub fn day_number(self) -> i64 {
+    pub(crate) fn day_number(self) -> i64 {
         self.0.div_euclid(86_400)
     }
 
     /// Seconds within the day, `[0, 86 400)`.
-    pub fn seconds_of_day(self) -> i64 {
+    pub(crate) fn seconds_of_day(self) -> i64 {
         self.0.rem_euclid(86_400)
     }
 
@@ -194,7 +194,7 @@ impl TimeId {
     }
 
     /// `(hour, minute, second)` of the day.
-    pub fn hms(self) -> (u32, u32, u32) {
+    pub(crate) fn hms(self) -> (u32, u32, u32) {
         let s = self.seconds_of_day();
         ((s / 3600) as u32, ((s % 3600) / 60) as u32, (s % 60) as u32)
     }

@@ -24,21 +24,12 @@ pub enum Value {
 
 impl Value {
     /// Numeric view of the value, if it has one.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
             Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
             Value::Str(_) | Value::Null => None,
-        }
-    }
-
-    /// Integer view of the value, if exact.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Float(f) if f.fract() == 0.0 => Some(*f as i64),
-            _ => None,
         }
     }
 
@@ -48,11 +39,6 @@ impl Value {
             Value::Str(s) => Some(s),
             _ => None,
         }
-    }
-
-    /// `true` iff the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 
     /// Comparison used by filter predicates: numeric values compare
@@ -118,8 +104,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::Str("x".into()).as_f64(), None);
-        assert_eq!(Value::Float(4.0).as_i64(), Some(4));
-        assert_eq!(Value::Float(4.5).as_i64(), None);
         assert_eq!(Value::Bool(true).as_f64(), Some(1.0));
     }
 
@@ -143,6 +127,5 @@ mod tests {
         assert_eq!(Value::from("hi"), Value::Str("hi".into()));
         assert_eq!(Value::from(true).to_string(), "true");
         assert_eq!(Value::Null.to_string(), "NULL");
-        assert!(Value::Null.is_null());
     }
 }

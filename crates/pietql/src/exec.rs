@@ -63,15 +63,6 @@ impl QueryOutput {
             _ => None,
         }
     }
-
-    /// The OLAP rows, if the query produced them.
-    pub fn as_table(&self) -> Option<&[(String, f64)]> {
-        match self {
-            QueryOutput::Table(rows) => Some(rows),
-            QueryOutput::Combined { olap, .. } => Some(olap),
-            _ => None,
-        }
-    }
 }
 
 /// Translates the geometric conditions into a [`GeoFilter`] over the
@@ -400,6 +391,14 @@ mod tests {
     use gisolap_olap::DimensionInstance;
     use gisolap_traj::Moft;
 
+    /// The OLAP rows of a table or combined output.
+    fn table(out: &QueryOutput) -> &[(String, f64)] {
+        match out {
+            QueryOutput::Table(rows) | QueryOutput::Combined { olap: rows, .. } => rows,
+            other => panic!("no OLAP rows in {other:?}"),
+        }
+    }
+
     /// Two cities; a river crosses only city 0; a store only in city 0.
     fn setup() -> (Gis, Moft) {
         let mut gis = Gis::new();
@@ -590,7 +589,7 @@ mod tests {
              | OLAP SUM(census.people) BY neighborhood",
         )
         .unwrap();
-        let rows = out.as_table().unwrap();
+        let rows = table(&out);
         let m: std::collections::HashMap<&str, f64> =
             rows.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         assert_eq!(m.len(), 2);
@@ -606,7 +605,7 @@ mod tests {
              | OLAP SUM(census.people) VIA neighborhood",
         )
         .unwrap();
-        let rows = out.as_table().unwrap();
+        let rows = table(&out);
         assert_eq!(rows.len(), 1);
         assert!((rows[0].1 - 115_000.0).abs() < 1e-6);
     }
@@ -627,7 +626,7 @@ mod tests {
         // The MO scalar is Remark 1's 4/3; the OLAP rows cover both
         // low-income neighborhoods.
         assert!((out.as_scalar().unwrap() - 4.0 / 3.0).abs() < 1e-9);
-        assert_eq!(out.as_table().unwrap().len(), 2);
+        assert_eq!(table(&out).len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::{PietError, Result};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier or keyword (keywords are resolved by the parser,
     /// case-insensitively).
     Ident(String),
@@ -39,7 +39,7 @@ pub enum Token {
 }
 
 /// Tokenizes an input string.
-pub fn lex(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

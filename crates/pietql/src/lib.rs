@@ -37,7 +37,7 @@
 
 pub mod ast;
 pub mod exec;
-pub mod lexer;
+pub(crate) mod lexer;
 pub mod parser;
 
 pub use ast::{GeoCondition, MoAggregate, MoTarget, PietQuery};

@@ -694,18 +694,6 @@ impl<T: Transport> Follower<T> {
         }
     }
 
-    /// [`Follower::snapshot`] under the staleness contract.
-    pub fn snapshot_bounded(&self) -> Result<LagBounded<StreamSnapshot>> {
-        let lag = self.lag();
-        if self.out_of_bounds(&lag) {
-            return Ok(LagBounded::Stale { lag });
-        }
-        Ok(LagBounded::Fresh {
-            value: self.snapshot()?,
-            lag,
-        })
-    }
-
     /// Flushes a durable replica's local store. Errors on in-memory
     /// followers.
     pub fn flush(&mut self) -> Result<FlushReport> {

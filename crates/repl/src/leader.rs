@@ -245,12 +245,6 @@ impl Leader {
         &self.ingest
     }
 
-    /// The wrapped durable pipeline (mutable, for flush/compact
-    /// orchestration beyond the passthroughs).
-    pub fn durable_mut(&mut self) -> &mut DurableIngest {
-        &mut self.ingest
-    }
-
     /// Unwraps the leader back into its pipeline.
     pub fn into_inner(self) -> DurableIngest {
         self.ingest

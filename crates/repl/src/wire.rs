@@ -152,10 +152,6 @@ pub enum Reply {
     Snapshot(SnapshotTransfer),
 }
 
-/// Largest batch one frames reply can carry: the head's entry count is
-/// a `u32`. Bigger batches must be chunked into multiple replies.
-pub const MAX_FRAMES_PER_REPLY: usize = u32::MAX as usize;
-
 /// The smallest framed WAL entry on the wire: 4-byte length prefix +
 /// minimal payload (8-byte seq, 1-byte op tag) + 4-byte CRC. Any head
 /// declaring more entries than `remaining / MIN_ENTRY_FRAME` is lying.
@@ -167,9 +163,9 @@ const MIN_ENTRY_FRAME: usize = 4 + 9 + 4;
 const MIN_SEGMENT_BYTES: usize = 4 + 8 + 3 * 8 + 4;
 
 /// The head's count field for a batch of `len` entries, or an error
-/// when `len` exceeds [`MAX_FRAMES_PER_REPLY`] (the old code did
-/// `len as u32` here, silently truncating oversized batches into a
-/// corrupt frame).
+/// when `len` exceeds `u32::MAX` (the old code did `len as u32` here,
+/// silently truncating oversized batches into a corrupt frame). Bigger
+/// batches must be chunked into multiple replies.
 fn batch_count(len: usize) -> Result<u32> {
     u32::try_from(len).map_err(|_| {
         StoreError::BadConfig(format!(
@@ -180,7 +176,7 @@ fn batch_count(len: usize) -> Result<u32> {
 
 /// Encodes a frames reply: CRC-framed head, then one on-disk-format
 /// frame per WAL entry. Fails (rather than silently truncating the
-/// count) when the batch exceeds [`MAX_FRAMES_PER_REPLY`].
+/// count) when the batch exceeds `u32::MAX` entries.
 pub fn encode_frames_reply(
     epoch: u64,
     entries: &[WalEntry],
@@ -464,8 +460,8 @@ mod tests {
     #[test]
     fn batch_count_guards_the_u32_boundary() {
         assert_eq!(batch_count(0).unwrap(), 0);
-        assert_eq!(batch_count(MAX_FRAMES_PER_REPLY).unwrap(), u32::MAX);
-        let err = batch_count(MAX_FRAMES_PER_REPLY + 1).unwrap_err();
+        assert_eq!(batch_count(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = batch_count(u32::MAX as usize + 1).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadConfig(msg) if msg.contains("4294967296")),
             "want BadConfig naming the batch size, got {err:?}"

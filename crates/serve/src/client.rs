@@ -202,7 +202,11 @@ impl Client {
     /// One replication exchange: ships the opaque
     /// [`gisolap_repl::wire`] request and returns the leader's raw
     /// reply bytes.
-    pub fn repl_exchange(&mut self, tenant: &str, request: &[u8]) -> Result<Vec<u8>, ClientError> {
+    pub(crate) fn repl_exchange(
+        &mut self,
+        tenant: &str,
+        request: &[u8],
+    ) -> Result<Vec<u8>, ClientError> {
         match self.exchange(&ServeRequest::Repl {
             tenant: tenant.to_string(),
             request: request.to_vec(),

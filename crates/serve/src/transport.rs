@@ -82,11 +82,6 @@ impl TcpTransport {
         &self.tenant
     }
 
-    /// Whether a connection is currently held open.
-    pub fn connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     fn connect(&mut self) -> Result<&mut Client, TransportError> {
         if self.conn.is_none() {
             let addr = self.endpoint.get();
@@ -133,7 +128,7 @@ mod tests {
         ep.set("127.0.0.1:2");
         assert_eq!(t.addr(), "127.0.0.1:2");
         assert_eq!(t.tenant(), "acme");
-        assert!(!t.connected());
+        assert!(t.conn.is_none());
     }
 
     #[test]

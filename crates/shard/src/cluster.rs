@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 pub const SHARDS_MANIFEST: &str = "SHARDS";
 
 /// Reads and strictly decodes the cluster manifest under `root`.
-pub fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<ShardManifest> {
+pub(crate) fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<ShardManifest> {
     let bytes = vfs.read(&root.join(SHARDS_MANIFEST))?;
     let body =
         gisolap_store::codec::check_header(&bytes, FileKind::ShardManifest, SHARDS_MANIFEST)?;
@@ -42,7 +42,7 @@ pub fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<ShardManifest> {
 
 /// Atomically publishes `manifest` under `root` — the commit point of
 /// every epoch bump (leadership change, rebalance).
-pub fn write_manifest(vfs: &dyn Vfs, root: &Path, manifest: &ShardManifest) -> Result<()> {
+pub(crate) fn write_manifest(vfs: &dyn Vfs, root: &Path, manifest: &ShardManifest) -> Result<()> {
     let mut bytes = header(FileKind::ShardManifest);
     bytes.extend_from_slice(&frame(&wire::encode_manifest(manifest)));
     vfs.write_atomic(&root.join(SHARDS_MANIFEST), &bytes, true)

@@ -6,9 +6,9 @@
 //!    rule out (spatial clusters skip whole shards before any I/O;
 //!    hash clusters cannot).
 //! 2. **Scatter** — fetch every surviving shard's extracted `(hour,
-//!    geo)` partial cells, in parallel on the rayon pool
-//!    (`GISOLAP_SHARD_PARALLEL=0` forces the sequential baseline), and
-//!    drop out-of-window cells at the fetch edge ([`filter_window`] —
+//!    geo)` partial cells through the rayon shim's `par_iter` (which
+//!    keeps clusters below its 64-item cut-off on the calling thread),
+//!    and drop out-of-window cells at the fetch edge ([`filter_window`] —
 //!    result-neutral because the rollup's `between` masks the same
 //!    hours).
 //! 3. **Gather** — stream the per-shard runs through one k-way merge
@@ -118,26 +118,19 @@ pub struct ShardExplain {
     /// any source reported one (`None` when reading primaries, or when
     /// no replica has synced far enough to know its lag).
     pub max_lag_seqs: Option<u64>,
-    /// Whether the scatter ran on the rayon pool.
-    pub parallel: bool,
 }
 
 impl std::fmt::Display for ShardExplain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shards: {} queried, {} pruned of {}; cells: {} gathered, {} window-pruned, {} merged; scatter: {}",
+            "shards: {} queried, {} pruned of {}; cells: {} gathered, {} window-pruned, {} merged",
             self.shards_queried,
             self.shards_pruned,
             self.shards_total,
             self.cells_gathered,
             self.cells_window_pruned,
             self.cells_merged,
-            if self.parallel {
-                "parallel"
-            } else {
-                "sequential"
-            },
         )?;
         if self.shards_stale > 0 {
             write!(f, "; stale: {} shards", self.shards_stale)?;
@@ -216,7 +209,6 @@ pub trait ShardExecutor: Sync {
 pub struct Coordinator<E> {
     executor: E,
     partitioner: Box<dyn Partitioner>,
-    parallel: bool,
     stats: ShardStats,
     tracer: Tracer,
     spans: Vec<Span>,
@@ -227,7 +219,6 @@ impl<E: std::fmt::Debug> std::fmt::Debug for Coordinator<E> {
         f.debug_struct("Coordinator")
             .field("executor", &self.executor)
             .field("spec", &self.partitioner.spec())
-            .field("parallel", &self.parallel)
             .field("stats", &self.stats)
             .finish()
     }
@@ -248,12 +239,9 @@ impl<E: ShardExecutor> Coordinator<E> {
                 partitioner.shards()
             )));
         }
-        // On by default; only an explicit 0 forces sequential scatter.
-        let parallel = gisolap_obs::config::SHARD_PARALLEL.parse_u64() != Some(0);
         Ok(Coordinator {
             executor,
             partitioner,
-            parallel,
             stats: ShardStats::default(),
             tracer: Tracer::default(),
             spans: Vec::new(),
@@ -319,12 +307,10 @@ impl<E: ShardExecutor> Coordinator<E> {
             }
             Ok((kept, pruned))
         };
-        let fetched: Result<Vec<ShardFetch>> = if self.parallel {
-            targets.par_iter().map(|&s| fetch_one(s)).collect()
-        } else {
-            targets.iter().map(|&s| fetch_one(s)).collect()
-        };
-        let fetched = fetched?;
+        let fetched: Vec<ShardFetch> = targets
+            .par_iter()
+            .map(|&s| fetch_one(s))
+            .collect::<Result<_>>()?;
         let scatter_ns = t_scatter.elapsed().as_nanos() as u64;
         let cells_gathered: u64 = fetched.iter().map(|(c, _)| c.len() as u64).sum();
         let cells_window_pruned: u64 = fetched.iter().map(|&(_, pruned)| pruned).sum();
@@ -351,7 +337,6 @@ impl<E: ShardExecutor> Coordinator<E> {
             cells_merged,
             shards_stale,
             max_lag_seqs,
-            parallel: self.parallel,
         };
         if self.tracer.enabled() {
             self.spans.push(Span {
@@ -431,12 +416,6 @@ impl<E: ShardExecutor> Coordinator<E> {
     /// Collected `shard-eval` span trees (when traced).
     pub fn spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// Forces sequential or parallel scatter, overriding
-    /// `GISOLAP_SHARD_PARALLEL` (benchmarks pin both modes explicitly).
-    pub fn set_parallel(&mut self, on: bool) {
-        self.parallel = on;
     }
 }
 
@@ -786,25 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_scatter_matches_parallel() {
-        let scratch = ScratchDir::new("shard-coord-seq");
-        let batch = records(300);
-        let spec = PartitionerSpec::Spatial {
-            shards: 4,
-            grid: grid(),
-        };
-        let cluster = cluster_with(&scratch, spec, &batch);
-        let q = ShardQuery::new(RollupQuery::new(TimeLevel::Day, Measure::Y, AggFn::Avg));
-        let mut coord = Coordinator::new(ClusterExecutor::new(&cluster), spec).unwrap();
-        coord.set_parallel(true);
-        let par = coord.eval(&q).unwrap();
-        coord.set_parallel(false);
-        let seq = coord.eval(&q).unwrap();
-        assert_eq!(par.rows, seq.rows);
-        assert!(par.explain.parallel && !seq.explain.parallel);
-    }
-
-    #[test]
     fn follower_executor_serves_replica_reads() {
         let scratch = ScratchDir::new("shard-coord-followers");
         let batch = records(200);
@@ -1047,7 +1007,6 @@ mod tests {
                 .map(|s| synth_run(seed ^ (s << 20), (seed >> s) as usize % 50, seed >> (2 * s)))
                 .collect();
             let mut coord = Coordinator::new(StubExecutor { runs: runs.clone() }, hash_spec(shards)).unwrap();
-            coord.set_parallel(seed % 2 == 0);
             let levels = [
                 TimeLevel::Hour,
                 TimeLevel::Day,

@@ -132,23 +132,6 @@ counters! {
     }
 }
 
-impl ElasticStats {
-    /// Folds a committed rebalance into the counters.
-    pub fn note_rebalance(&mut self, report: &RebalanceReport) {
-        self.rebalances_committed += 1;
-        self.cells_reassigned += report.cells_reassigned;
-    }
-
-    /// Folds a crash-recovery outcome into the counters.
-    pub fn note_recovery(&mut self, recovery: RebalanceRecovery) {
-        match recovery {
-            RebalanceRecovery::Clean => {}
-            RebalanceRecovery::RolledForward => self.rebalance_rollforwards += 1,
-            RebalanceRecovery::RolledBack => self.rebalance_rollbacks += 1,
-        }
-    }
-}
-
 /// A [`Transport`] to an in-process leader with an injectable outage:
 /// while the target node's `down` flag is set every exchange fails
 /// [`TransportError::Unavailable`], exactly as a partition or crash
@@ -252,9 +235,6 @@ pub struct ShardGroup {
     lease_expires: u64,
     grants: Vec<LeaseGrant>,
     deposed: Vec<Arc<Mutex<Leader>>>,
-    /// Where to persist epoch bumps, when the group fronts a cluster
-    /// shard (`SHARDS` manifest home).
-    manifest_home: Option<(Arc<dyn Vfs>, PathBuf)>,
     stats: ElasticStats,
 }
 
@@ -322,15 +302,8 @@ impl ShardGroup {
                 tick: 0,
             }],
             deposed: Vec::new(),
-            manifest_home: None,
             stats: ElasticStats::default(),
         })
-    }
-
-    /// Persists future epoch bumps into the `SHARDS` manifest under
-    /// `root`, so a reopened cluster adopts the post-failover epoch.
-    pub fn persist_epochs(&mut self, vfs: Arc<dyn Vfs>, root: &Path) {
-        self.manifest_home = Some((vfs, root.to_path_buf()));
     }
 
     /// Injects an outage on `node` (0 = current construction-time
@@ -410,13 +383,6 @@ impl ShardGroup {
         let node = self.follower_nodes.remove(index);
         let follower = self.followers.remove(index);
         let promoted = follower.promote(new_epoch, Some(self.fence.clone()))?;
-        if let Some((vfs, root)) = &self.manifest_home {
-            let mut manifest = cluster::read_manifest(vfs.as_ref(), root)?;
-            if new_epoch > manifest.epoch {
-                manifest.epoch = new_epoch;
-                cluster::write_manifest(vfs.as_ref(), root, &manifest)?;
-            }
-        }
         let old = std::mem::replace(&mut self.leader, Arc::new(Mutex::new(promoted)));
         self.deposed.push(old);
         self.epoch = new_epoch;
@@ -485,12 +451,6 @@ impl ShardGroup {
     /// prove they stay fenced).
     pub fn deposed(&self) -> &[Arc<Mutex<Leader>>] {
         &self.deposed
-    }
-
-    /// The surviving replicas, in construction order (minus promoted
-    /// ones).
-    pub fn followers_mut(&mut self) -> &mut [Follower<Link>] {
-        &mut self.followers
     }
 
     /// Elasticity counters.
@@ -1366,7 +1326,7 @@ mod tests {
             group.tick().unwrap();
         }
         let expect = lock_leader(&group.leader()).rollup(&q).unwrap();
-        let replica = &mut group.followers_mut()[0];
+        let replica = &mut group.followers[0];
         replica.sync(32).unwrap();
         assert_eq!(replica.rollup(&q).unwrap(), expect);
 
@@ -1441,12 +1401,7 @@ mod tests {
 
     #[test]
     fn elastic_stats_cover_all_counters() {
-        let mut stats = ElasticStats::default();
-        stats.note_recovery(RebalanceRecovery::RolledBack);
-        stats.note_recovery(RebalanceRecovery::RolledForward);
-        stats.note_recovery(RebalanceRecovery::Clean);
-        assert_eq!(stats.rebalance_rollbacks, 1);
-        assert_eq!(stats.rebalance_rollforwards, 1);
+        let stats = ElasticStats::default();
         let mut registry = MetricsRegistry::new();
         registry.fill(&stats, &[]);
         let text = registry.render_prometheus();

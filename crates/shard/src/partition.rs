@@ -108,7 +108,7 @@ impl GridSpec {
     /// keeps exactly the cells whose geo id intersects the region
     /// (cells with no geo id are dropped — they carry positions the
     /// grid never resolved, which a grid-filtered query must not see).
-    pub fn filter_cells(
+    pub(crate) fn filter_cells(
         &self,
         cells: Vec<(GroupKey, CellPartial)>,
         region: &BBox,
@@ -236,7 +236,7 @@ impl SpatialPartitioner {
 
     /// The shard owning grid cell `id` (contiguous range assignment —
     /// monotone in the cell id, so nearby rows land together).
-    pub fn shard_of_cell(&self, id: u32) -> usize {
+    pub(crate) fn shard_of_cell(&self, id: u32) -> usize {
         ((id as u64 * self.shards as u64) / self.grid.cells() as u64) as usize
     }
 }

@@ -47,15 +47,15 @@ use gisolap_traj::{ObjectId, Record};
 use crate::{corrupt, Result};
 
 /// File magic, first 8 bytes of every store file.
-pub const MAGIC: [u8; 8] = *b"GSLPSTOR";
+pub(crate) const MAGIC: [u8; 8] = *b"GSLPSTOR";
 
 /// On-disk format version, bumped on any incompatible layout change.
 /// Version 2 bakes a zone map into every segment file and adds delta
 /// checkpoints (`FileKind::CheckpointDelta`, `Manifest::checkpoint_deltas`).
-pub const FORMAT_VERSION: u16 = 2;
+pub(crate) const FORMAT_VERSION: u16 = 2;
 
 /// Header length in bytes: magic + kind + version.
-pub const HEADER_LEN: usize = 8 + 1 + 2;
+pub(crate) const HEADER_LEN: usize = 8 + 1 + 2;
 
 /// Frames larger than this are rejected as corrupt before allocation.
 const MAX_FRAME: u32 = 1 << 30;
@@ -390,7 +390,7 @@ impl<'a> Dec<'a> {
 
 // --- header and frames -----------------------------------------------
 
-/// Renders a file header for `kind` at the current [`FORMAT_VERSION`].
+/// Renders a file header for `kind` at the current format version.
 pub fn header(kind: FileKind) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(&MAGIC);
@@ -586,13 +586,13 @@ pub fn dec_measure(d: &mut Dec<'_>) -> Result<Measure> {
 
 /// Appends an optional geometry id (the `geo` of a group key or row).
 #[inline]
-pub fn enc_geo(e: &mut Enc, geo: Option<u32>) {
+pub(crate) fn enc_geo(e: &mut Enc, geo: Option<u32>) {
     e.opt(geo, |e, g| e.u32(g));
 }
 
 /// Reads an optional geometry id.
 #[inline]
-pub fn dec_geo(d: &mut Dec<'_>) -> Result<Option<u32>> {
+pub(crate) fn dec_geo(d: &mut Dec<'_>) -> Result<Option<u32>> {
     d.opt("geo", |d| d.u32())
 }
 
@@ -876,7 +876,7 @@ pub fn decode_tail(payload: &[u8], file: &str) -> Result<TailState> {
 
 /// Tail-state changes since the previous checkpoint in a manifest's
 /// chain — what a flush writes instead of a full checkpoint while the
-/// chain stays under `GISOLAP_STORE_MAX_DELTAS`.
+/// chain stays under `StoreConfig::max_checkpoint_deltas`.
 ///
 /// A delta exploits the tail's update pattern: scalars are cheap,
 /// `dead_letters` is append-only (only the suffix travels), and open
@@ -905,7 +905,7 @@ pub struct TailDelta {
 
 impl TailDelta {
     /// The delta turning `base` into `next` (both full tail states).
-    pub fn diff(base: &TailState, next: &TailState) -> TailDelta {
+    pub(crate) fn diff(base: &TailState, next: &TailState) -> TailDelta {
         let new_dead_letters = next.dead_letters[base.dead_letters.len()..].to_vec();
         let changed_buffers = next
             .buffers

@@ -52,8 +52,8 @@ pub struct StoreConfig {
     /// WAL fsync policy (`GISOLAP_STORE_SYNC`).
     pub sync: SyncPolicy,
     /// When a flush leaves at least this many sealed segment files, they
-    /// are compacted into one; `0` disables auto-compaction
-    /// (`GISOLAP_STORE_COMPACT_SEGMENTS`).
+    /// are compacted into one; `0` (the default) disables
+    /// auto-compaction.
     pub compact_min_segments: usize,
     /// Retired WAL generations a flush keeps on disk instead of deleting
     /// (`GISOLAP_REPL_RETAIN_WALS`). A replication leader serves
@@ -63,9 +63,8 @@ pub struct StoreConfig {
     /// snapshot-transfer path.
     pub retain_wal_generations: usize,
     /// Delta checkpoints a flush may chain onto one full checkpoint
-    /// before the next flush is forced to rewrite the whole tail
-    /// (`GISOLAP_STORE_MAX_DELTAS`); `0` makes every flush write a full
-    /// checkpoint.
+    /// before the next flush is forced to rewrite the whole tail (default
+    /// 4); `0` makes every flush write a full checkpoint.
     pub max_checkpoint_deltas: usize,
     /// Collect `wal-append` / `segment-flush` / `recover-replay` spans.
     pub traced: bool,
@@ -84,30 +83,22 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
-    /// The default configuration overridden by the documented
-    /// environment flags ([`gisolap_obs::config::STORE_SYNC`] and
-    /// [`gisolap_obs::config::STORE_COMPACT_SEGMENTS`]). Unset or
-    /// unparsable values fall back to the defaults.
+    /// The default configuration with two fields read from the
+    /// environment: `sync` from [`gisolap_obs::config::STORE_SYNC`] and
+    /// `retain_wal_generations` from
+    /// [`gisolap_obs::config::REPL_RETAIN_WALS`]. Unset or unparsable
+    /// values fall back to the defaults.
     pub fn from_env() -> StoreConfig {
-        let sync = gisolap_obs::config::STORE_SYNC
-            .raw()
-            .and_then(|v| SyncPolicy::parse(&v))
-            .unwrap_or(SyncPolicy::Always);
-        let compact_min_segments = gisolap_obs::config::STORE_COMPACT_SEGMENTS
-            .parse_u64()
-            .unwrap_or(0) as usize;
-        let retain_wal_generations = gisolap_obs::config::REPL_RETAIN_WALS
-            .parse_u64()
-            .unwrap_or(0) as usize;
-        let max_checkpoint_deltas = gisolap_obs::config::STORE_MAX_DELTAS
-            .parse_u64()
-            .unwrap_or(4) as usize;
+        let defaults = StoreConfig::default();
         StoreConfig {
-            sync,
-            compact_min_segments,
-            retain_wal_generations,
-            max_checkpoint_deltas,
-            traced: false,
+            sync: gisolap_obs::config::STORE_SYNC
+                .raw()
+                .and_then(|v| SyncPolicy::parse(&v))
+                .unwrap_or(defaults.sync),
+            retain_wal_generations: gisolap_obs::config::REPL_RETAIN_WALS
+                .parse_u64()
+                .map_or(defaults.retain_wal_generations, |v| v as usize),
+            ..defaults
         }
     }
 }
@@ -556,14 +547,9 @@ impl SegmentStore {
         self.tracer.set_enabled(on);
     }
 
-    /// Sealed segment files currently in the manifest.
-    pub fn segment_files(&self) -> &[SegmentEntry] {
-        &self.segments
-    }
-
     /// Appends one operation to the WAL (fsync per policy). Must be
     /// called **before** the operation is applied to the pipeline.
-    pub fn wal_append(&mut self, op: &ReplayOp) -> Result<u64> {
+    pub(crate) fn wal_append(&mut self, op: &ReplayOp) -> Result<u64> {
         let t0 = Instant::now();
         let bytes_before = self.wal.bytes_written;
         let syncs_before = self.wal.syncs;
@@ -1305,10 +1291,7 @@ mod tests {
         // Nothing new sealed: the second flush rotates the WAL but
         // rewrites no segment.
         assert_eq!(f2.segments_written, 0);
-        assert_eq!(
-            d.store().segment_files().len(),
-            f1.segments_written as usize
-        );
+        assert_eq!(d.store().segments.len(), f1.segments_written as usize);
     }
 
     #[test]
@@ -1324,12 +1307,12 @@ mod tests {
         d.finish().unwrap();
         reference.finish();
         d.flush().unwrap();
-        let files_before = d.store().segment_files().len();
+        let files_before = d.store().segments.len();
         assert!(files_before >= 2);
         let rep = d.compact().unwrap();
         assert_eq!(rep.files_before as usize, files_before);
         assert_eq!(rep.files_after, 1);
-        assert_eq!(d.store().segment_files().len(), 1);
+        assert_eq!(d.store().segments.len(), 1);
         drop(d);
 
         let (r, report) =
@@ -1360,7 +1343,7 @@ mod tests {
         let compaction = flush.compaction.expect("threshold reached");
         assert!(compaction.files_before >= 2);
         assert_eq!(compaction.files_after, 1);
-        assert_eq!(d.store().segment_files().len(), 1);
+        assert_eq!(d.store().segments.len(), 1);
     }
 
     #[test]
@@ -1539,6 +1522,7 @@ mod tests {
         // fallbacks apply.
         let c = StoreConfig::from_env();
         assert_eq!(c.compact_min_segments, 0);
+        assert_eq!(c.max_checkpoint_deltas, 4);
         assert!(matches!(
             c.sync,
             SyncPolicy::Always | SyncPolicy::EveryN(_) | SyncPolicy::Never

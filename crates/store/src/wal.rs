@@ -158,7 +158,7 @@ pub fn scan(vfs: &dyn Vfs, path: &Path, start_seq: u64) -> Result<WalScan> {
 }
 
 /// An open, append-mode WAL.
-pub struct Wal {
+pub(crate) struct Wal {
     vfs: Arc<dyn Vfs>,
     path: PathBuf,
     file: Box<dyn AppendFile>,
@@ -240,11 +240,6 @@ impl Wal {
         self.next_seq
     }
 
-    /// The WAL file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one operation, fsyncing per the policy. Returns the
     /// entry's sequence number.
     pub fn append(&mut self, op: &ReplayOp) -> Result<u64> {
@@ -269,14 +264,6 @@ impl Wal {
             SyncPolicy::Never => {}
         }
         Ok(seq)
-    }
-
-    /// Fsyncs regardless of policy (used before a flush publishes).
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync()?;
-        self.syncs += 1;
-        self.appends_since_sync = 0;
-        Ok(())
     }
 
     /// Deletes this WAL's file (after a flush rotated to a new
@@ -421,8 +408,6 @@ mod tests {
             wal.append(&ReplayOp::Finish).unwrap();
         }
         assert_eq!(wal.syncs, 2); // after the 2nd and 4th appends
-        wal.sync().unwrap();
-        assert_eq!(wal.syncs, 3);
     }
 
     #[test]

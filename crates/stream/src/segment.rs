@@ -1,7 +1,7 @@
 //! Immutable, time-partitioned segments sealed from the ingest buffer.
 
 use gisolap_geom::BBox;
-use gisolap_index::ZoneMap;
+use gisolap_index::{ZoneMap, DEFAULT_ZONE_ROWS};
 use gisolap_olap::time::TimeId;
 use gisolap_traj::{ObjectId, Record};
 
@@ -9,19 +9,13 @@ use crate::config::GeoResolver;
 use crate::delta::{bucket_partials, CellPartial, GroupKey};
 use crate::{Result, StreamError};
 
-/// Rows per zone-map block (`GISOLAP_INDEX_ZONE_ROWS`, default 256).
-pub(crate) fn zone_rows() -> u32 {
-    gisolap_obs::config::INDEX_ZONE_ROWS
-        .parse_u64()
-        .map(|v| v.clamp(1, u32::MAX as u64) as u32)
-        .unwrap_or(gisolap_index::DEFAULT_ZONE_ROWS)
-}
-
-/// Builds the zone map summarizing `records` (already canonical order).
-pub(crate) fn derive_zone_map(records: &[Record], rows_per_zone: u32) -> ZoneMap {
+/// Builds the zone map summarizing `records` (already canonical order),
+/// [`DEFAULT_ZONE_ROWS`] rows per block. Decoded segments keep the
+/// `rows_per_zone` they were written with.
+fn derive_zone_map(records: &[Record]) -> ZoneMap {
     ZoneMap::build(
         records.iter().map(|r| (r.oid.0, r.t.0, r.x, r.y)),
-        rows_per_zone,
+        DEFAULT_ZONE_ROWS,
     )
 }
 
@@ -94,7 +88,7 @@ impl Segment {
             bbox: BBox::from_points(records.iter().map(Record::pos)),
         };
         let partials = bucket_partials(&records, resolver).into_iter().collect();
-        let zone_map = derive_zone_map(&records, zone_rows());
+        let zone_map = derive_zone_map(&records);
         Segment {
             meta,
             records,
@@ -195,7 +189,7 @@ impl Segment {
             last,
             bbox: BBox::from_points(records.iter().map(Record::pos)),
         };
-        let zone_map = derive_zone_map(&records, zone_rows());
+        let zone_map = derive_zone_map(&records);
         Ok(Segment {
             meta,
             records,

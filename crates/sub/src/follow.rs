@@ -2,7 +2,6 @@
 //! own apply path, under replication's staleness contract.
 
 use crate::registry::{SubId, Subscription};
-use crate::sink::Sink;
 use crate::standing::{Notification, StandingEvaluator, SubStats};
 use gisolap_repl::{Follower, LagBounded, PollOutcome, Transport};
 use gisolap_shard::GridSpec;
@@ -36,7 +35,7 @@ impl<T: Transport> StandingFollower<T> {
 
     /// Pairs a follower with a pre-configured evaluator (custom caps,
     /// pre-registered subscriptions).
-    pub fn with_evaluator(
+    pub(crate) fn with_evaluator(
         follower: Follower<T>,
         evaluator: StandingEvaluator,
     ) -> StandingFollower<T> {
@@ -49,11 +48,6 @@ impl<T: Transport> StandingFollower<T> {
     /// Registers a subscription on this replica.
     pub fn register(&mut self, sub: Subscription) -> Result<SubId> {
         self.evaluator.register(sub)
-    }
-
-    /// Attaches a notification sink to the replica's evaluator.
-    pub fn add_sink(&mut self, sink: Box<dyn Sink>) {
-        self.evaluator.add_sink(sink);
     }
 
     /// One replication poll, then folds whatever the apply path sealed.

@@ -116,18 +116,6 @@ impl Subscription {
         }
         Ok(())
     }
-
-    /// Serializes the subscription as one CRC frame (the store codec's
-    /// framing — the same envelope every other wire in the workspace
-    /// uses).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        crate::wire::encode_subscription(self)
-    }
-
-    /// Decodes a [`Subscription::to_bytes`] frame, re-validating it.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Subscription> {
-        crate::wire::decode_subscription(bytes)
-    }
 }
 
 /// The subscription table: validated entries under stable ascending ids,

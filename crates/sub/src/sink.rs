@@ -36,9 +36,9 @@ impl Sink for ChannelSink {
     }
 }
 
-/// Renders the one-line log form of a notification — the same line
-/// [`LogSink`] writes, exposed so the REPL and tests format identically.
-pub fn format_line(n: &Notification) -> String {
+/// Renders the one-line log form of a notification that [`LogSink`]
+/// writes.
+pub(crate) fn format_line(n: &Notification) -> String {
     let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v}"));
     let crossing = match n.crossing {
         Some(crate::standing::Crossing::Up) => " crossing=up",
@@ -57,8 +57,8 @@ pub fn format_line(n: &Notification) -> String {
     )
 }
 
-/// Writes one [`format_line`] per notification to a writer (stderr by
-/// default) — the operator's tail-able feed, in the slow-query log's
+/// Writes one `sub=… seq=… partition=… value=…` line per notification
+/// to a writer (stderr by default) — the operator's tail-able feed, in the slow-query log's
 /// one-line-per-event style.
 pub struct LogSink {
     out: Box<dyn Write + Send>,

@@ -246,12 +246,6 @@ impl StandingEvaluator {
         Ok(id)
     }
 
-    /// Removes a subscription and its running state.
-    pub fn unregister(&mut self, id: SubId) -> Option<Subscription> {
-        self.states.remove(&id);
-        self.registry.unregister(id)
-    }
-
     /// Attaches a notification sink; every emitted notification reaches
     /// every sink, in attach order.
     pub fn add_sink(&mut self, sink: Box<dyn Sink>) {

@@ -48,7 +48,8 @@ pub fn dec_subscription(d: &mut Dec<'_>) -> Result<Subscription> {
     })
 }
 
-/// One CRC frame holding a subscription ([`Subscription::to_bytes`]).
+/// One CRC frame holding a subscription (the store codec's framing, the
+/// envelope every wire in the workspace uses).
 pub fn encode_subscription(sub: &Subscription) -> Vec<u8> {
     let mut e = Enc::new();
     enc_subscription(&mut e, sub);
@@ -169,8 +170,8 @@ mod tests {
     #[test]
     fn subscriptions_roundtrip() {
         for sub in subscriptions() {
-            let bytes = sub.to_bytes();
-            assert_eq!(Subscription::from_bytes(&bytes).unwrap(), sub);
+            let bytes = encode_subscription(&sub);
+            assert_eq!(decode_subscription(&bytes).unwrap(), sub);
         }
     }
 
@@ -179,7 +180,7 @@ mod tests {
         // Encodes fine (the wire is shape-only) but is unanswerable:
         // minute level. Decode must reject it.
         let fine = Subscription::new(TimeLevel::Minute, Measure::X, AggFn::Count);
-        let err = Subscription::from_bytes(&fine.to_bytes()).unwrap_err();
+        let err = decode_subscription(&encode_subscription(&fine)).unwrap_err();
         assert!(err.to_string().contains("finer"), "{err}");
     }
 
@@ -219,12 +220,12 @@ mod tests {
         #[test]
         fn flipped_subscription_bytes_never_roundtrip_wrong(idx in 0usize..200, bit in 0u8..8) {
             let sub = subscriptions().remove(1);
-            let mut bytes = sub.to_bytes();
+            let mut bytes = encode_subscription(&sub);
             let idx = idx % bytes.len();
             bytes[idx] ^= 1 << bit;
             // The CRC envelope rejects the flip; decode never panics and
             // never silently yields a different subscription.
-            if let Ok(got) = Subscription::from_bytes(&bytes) {
+            if let Ok(got) = decode_subscription(&bytes) {
                 prop_assert_eq!(got, sub);
             }
         }

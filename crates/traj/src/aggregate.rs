@@ -10,13 +10,13 @@
 //! [`FlowGrid`] implements that scheme over the linear-interpolation
 //! trajectories of a MOFT: per grid cell it accumulates how many distinct
 //! objects pass through (insensitive to sampling density, because the
-//! *interpolated* path is rasterized, not the samples), how many traversal
-//! events occur, and the mean flow direction. [`FlowGrid::corridor`]
+//! *interpolated* path is rasterized, not the samples) and how many
+//! traversal events occur. [`FlowGrid::corridor`]
 //! extracts the aggregated-trajectory cells above a support threshold.
 
 use std::collections::HashSet;
 
-use gisolap_geom::{BBox, Point, Vec2};
+use gisolap_geom::{BBox, Point};
 
 use crate::moft::Moft;
 
@@ -30,8 +30,6 @@ pub struct FlowGrid {
     object_counts: Vec<u32>,
     /// Total traversal events (an object re-entering counts again).
     visit_counts: Vec<u32>,
-    /// Summed unit flow directions.
-    flow: Vec<Vec2>,
 }
 
 impl FlowGrid {
@@ -48,7 +46,6 @@ impl FlowGrid {
             rows,
             object_counts: vec![0; cols * rows],
             visit_counts: vec![0; cols * rows],
-            flow: vec![Vec2::new(0.0, 0.0); cols * rows],
         }
     }
 
@@ -83,9 +80,8 @@ impl FlowGrid {
     ///
     /// The interpolated path is walked at half-cell resolution; each cell
     /// the path touches gets one *object* count (deduplicated per
-    /// trajectory), a *visit* per maximal entry, and the leg's unit
-    /// direction added to its flow accumulator.
-    pub fn add_trajectory(&mut self, lit: &crate::trajectory::Lit) {
+    /// trajectory) and a *visit* per maximal entry.
+    pub(crate) fn add_trajectory(&mut self, lit: &crate::trajectory::Lit) {
         let cw = self.bounds.width() / self.cols as f64;
         let ch = self.bounds.height() / self.rows as f64;
         let step = (cw.min(ch)) * 0.5;
@@ -93,7 +89,6 @@ impl FlowGrid {
         let mut last_cell: Option<usize> = None;
         for leg in lit.segments() {
             let len = leg.seg.length();
-            let dir = leg.seg.delta().normalized();
             let steps = (len / step).ceil().max(1.0) as usize;
             for k in 0..=steps {
                 let p = leg.seg.point_at(k as f64 / steps as f64);
@@ -106,9 +101,6 @@ impl FlowGrid {
                 }
                 if last_cell != Some(cell) {
                     self.visit_counts[cell] += 1;
-                    if let Some(d) = dir {
-                        self.flow[cell] = self.flow[cell] + d;
-                    }
                     last_cell = Some(cell);
                 }
             }
@@ -132,12 +124,6 @@ impl FlowGrid {
     /// Traversal-event count of a cell.
     pub fn visit_count(&self, col: usize, row: usize) -> u32 {
         self.visit_counts[row * self.cols + col]
-    }
-
-    /// Mean flow direction of a cell (`None` if nothing passed or the
-    /// directions cancel).
-    pub fn flow_direction(&self, col: usize, row: usize) -> Option<Vec2> {
-        self.flow[row * self.cols + col].normalized()
     }
 
     /// The busiest cell: `(col, row, object_count)`.
@@ -212,9 +198,6 @@ mod tests {
             assert_eq!(grid.object_count(col, 1), 1, "col {col}");
         }
         assert_eq!(grid.occupied_cells(), 10);
-        // Flow points east.
-        let dir = grid.flow_direction(5, 1).unwrap();
-        assert!(dir.x > 0.99 && dir.y.abs() < 1e-9);
     }
 
     #[test]
@@ -262,9 +245,6 @@ mod tests {
         let grid = FlowGrid::aggregate(bounds(), 10, 10, &moft);
         assert_eq!(grid.object_count(5, 1), 1);
         assert!(grid.visit_count(5, 1) >= 2);
-        // Opposite directions cancel the mean flow.
-        let f = grid.flow_direction(5, 1);
-        assert!(f.is_none() || f.unwrap().length() < 1e-9);
     }
 
     #[test]

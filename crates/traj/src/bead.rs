@@ -101,7 +101,7 @@ impl Bead {
 
     /// Bounding box of the projected ellipse (conservative: the box of the
     /// disc centred at the ellipse centre with radius = semi-major axis).
-    pub fn projection_bbox(&self) -> BBox {
+    pub(crate) fn projection_bbox(&self) -> BBox {
         let c = self.p1.midpoint(self.p2);
         let a = self.major_axis() / 2.0;
         BBox::new(c.x - a, c.y - a, c.x + a, c.y + a)

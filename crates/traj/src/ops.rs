@@ -91,11 +91,6 @@ pub fn passes_through(lit: &Lit, region: &Polygon) -> bool {
     !intervals_in_region(lit, region).is_empty()
 }
 
-/// First instant the interpolated trajectory enters `region`, if ever.
-pub fn first_entry(lit: &Lit, region: &Polygon) -> Option<f64> {
-    intervals_in_region(lit, region).first().map(|iv| iv.start)
-}
-
 /// Number of maximal visits (connected time intervals inside `region`).
 pub fn visit_count(lit: &Lit, region: &Polygon) -> usize {
     intervals_in_region(lit, region).len()
@@ -189,11 +184,6 @@ pub fn time_within_distance(lit: &Lit, center: Point, radius: f64) -> f64 {
         .sum()
 }
 
-/// `true` iff the trajectory ever comes within `radius` of `center`.
-pub fn ever_within_distance(lit: &Lit, center: Point, radius: f64) -> bool {
-    !intervals_within_distance(lit, center, radius).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +209,6 @@ mod tests {
         assert!((ivs[0].end - 20.0).abs() < 1e-9);
         assert!((time_in_region(&l, &square()) - 10.0).abs() < 1e-9);
         assert_eq!(visit_count(&l, &square()), 1);
-        assert_eq!(first_entry(&l, &square()), Some(10.0));
     }
 
     #[test]
@@ -250,7 +239,6 @@ mod tests {
         let l = lit(&[(0, -5.0, 20.0), (10, 15.0, 20.0)]);
         assert!(!passes_through(&l, &square()));
         assert_eq!(time_in_region(&l, &square()), 0.0);
-        assert_eq!(first_entry(&l, &square()), None);
         assert!(!always_inside(&l, &square()));
     }
 
@@ -340,7 +328,7 @@ mod tests {
         assert_eq!(ivs.len(), 1);
         assert!(ivs[0].duration() < 1e-6);
         // Miss entirely.
-        assert!(!ever_within_distance(&l, pt(0.0, 0.0), 4.0));
+        assert!(intervals_within_distance(&l, pt(0.0, 0.0), 4.0).is_empty());
     }
 
     #[test]

@@ -68,12 +68,12 @@ impl TrajectorySample {
     }
 
     /// First observation instant `t₀`.
-    pub fn start_time(&self) -> TimeId {
+    pub(crate) fn start_time(&self) -> TimeId {
         self.points[0].t
     }
 
     /// Last observation instant `t_N`.
-    pub fn end_time(&self) -> TimeId {
+    pub(crate) fn end_time(&self) -> TimeId {
         self.points[self.points.len() - 1].t
     }
 

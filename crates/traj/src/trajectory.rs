@@ -98,7 +98,7 @@ impl Lit {
     }
 
     /// `true` iff `t` lies in the time domain.
-    pub fn defined_at(&self, t: f64) -> bool {
+    pub(crate) fn defined_at(&self, t: f64) -> bool {
         let (a, b) = self.time_domain();
         t >= a && t <= b
     }

@@ -50,7 +50,7 @@ plan [naive]
 const EXPLAIN_INDEXED: &str = "\
 plan [indexed]
   1. filter the MOFT through Time-dimension rollups: TimeOfDayIs(Morning)
-  2. consult the MOFT index: interval tree over 6 object extent(s), BVH + zone map of 1 block(s) (disable with GISOLAP_INDEX=0)
+  2. consult the MOFT index: interval tree over 6 object extent(s), BVH + zone map of 1 block(s)
   3. geometric sub-query on Ln: neighborhood.income Lt 1500 → 2 element(s) (computed with R-tree filtering)
   4. match each record against r^Pt,G via per-query grid stab per record (sample semantics)
   5. apply γ aggregation over the resulting (Oid, t) tuples

@@ -3,11 +3,10 @@
 //!
 //! Three layers of the determinism contract, property-tested:
 //!
-//! * **Engine**: the same engine built with the index on
-//!   (`GISOLAP_INDEX` unset) and off (`GISOLAP_INDEX=0`) returns
-//!   *raw-identical* tuple vectors for arbitrary region × time-window
-//!   queries, and both agree with `NaiveEngine`, the index-free scan
-//!   reference.
+//! * **Engine**: `IndexedEngine` and `OverlayEngine`, which always
+//!   consult their `MoftIndex`, return tuple vectors *raw-identical* to
+//!   `NaiveEngine`, the index-free scan reference, for arbitrary
+//!   region × time-window queries.
 //! * **Store lifecycle**: the same holds for engines built over a
 //!   durable store snapshot in every lifecycle state — empty, lagging
 //!   in the WAL tail, flushed, compacted, reopened from disk.
@@ -33,16 +32,7 @@ use gisolap_store::{DurableIngest, RealFs, ScratchDir, StoreConfig, SyncPolicy, 
 use gisolap_stream::{Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest};
 use gisolap_traj::{Moft, Record};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
-
-/// Serializes the tests that flip `GISOLAP_INDEX` (read at engine
-/// construction) so concurrent test threads never observe each other's
-/// setting mid-case.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 // ---------------------------------------------------------------- engine
 
@@ -92,18 +82,6 @@ fn sub_window(moft: &Moft, a: u8, b: u8) -> Option<(TimeId, TimeId)> {
         TimeId(t_min + span * fa / 100),
         TimeId(t_min + span * fb / 100),
     ))
-}
-
-fn tuple_keys(engine: &dyn QueryEngine, region: &RegionC) -> Vec<(u64, i64, Option<u32>)> {
-    let mut keys: Vec<(u64, i64, Option<u32>)> = engine
-        .eval(region)
-        .unwrap()
-        .iter()
-        .map(|t| (t.oid.0, t.t.0, t.geo.map(|(_, g)| g.0)))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
 }
 
 fn index_counter_total(engine: &dyn QueryEngine) -> u64 {
@@ -205,12 +183,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
     /// Engine-level bit-identity: the index only decides what is
-    /// *skipped*, never what is *answered*. The same engine with
-    /// `GISOLAP_INDEX=0` must return a raw-identical tuple vector —
-    /// same records, same order, same bits — and the index-free
-    /// `NaiveEngine` must agree on the deduplicated keys.
+    /// *skipped*, never what is *answered*. Both index-consulting
+    /// engines must return the tuple vector of the index-free
+    /// `NaiveEngine` — same records, same order, same bits.
     #[test]
-    fn index_on_and_off_are_raw_identical(
+    fn indexed_engines_are_raw_identical_to_the_scan(
         seed in 0u64..1000,
         filter in geo_filter(),
         wa in 0u8..=100,
@@ -218,7 +195,6 @@ proptest! {
         time_kind in 0u8..3,
         interpolated in proptest::bool::ANY,
     ) {
-        let _guard = env_guard();
         let (city, moft) = scenario(seed);
         let Some((lo, hi)) = sub_window(&moft, wa, wb) else {
             return Ok(());
@@ -241,37 +217,21 @@ proptest! {
             region = region.interpolated();
         }
 
-        std::env::remove_var("GISOLAP_INDEX");
-        let idx_on = IndexedEngine::new(&city.gis, &moft);
-        let ovl_on = OverlayEngine::new(&city.gis, &moft);
-        std::env::set_var("GISOLAP_INDEX", "0");
-        let idx_off = IndexedEngine::new(&city.gis, &moft);
-        let ovl_off = OverlayEngine::new(&city.gis, &moft);
-        std::env::remove_var("GISOLAP_INDEX");
         let naive = NaiveEngine::new(&city.gis, &moft);
+        let indexed = IndexedEngine::new(&city.gis, &moft);
+        let overlay = OverlayEngine::new(&city.gis, &moft);
 
-        // Raw bit-identity, index on vs off, per engine.
-        let a_on = idx_on.eval(&region).unwrap();
-        let a_off = idx_off.eval(&region).unwrap();
-        prop_assert_eq!(&a_on, &a_off, "indexed: on vs off");
-        let b_on = ovl_on.eval(&region).unwrap();
-        let b_off = ovl_off.eval(&region).unwrap();
-        prop_assert_eq!(&b_on, &b_off, "overlay: on vs off");
+        let scan = naive.eval(&region).unwrap();
+        prop_assert_eq!(&scan, &indexed.eval(&region).unwrap(), "naive vs indexed");
+        prop_assert_eq!(&scan, &overlay.eval(&region).unwrap(), "naive vs overlay");
 
-        // Cross-engine agreement against the scan reference.
-        let keys = tuple_keys(&naive, &region);
-        prop_assert_eq!(&keys, &tuple_keys(&idx_on, &region), "naive vs indexed");
-        prop_assert_eq!(&keys, &tuple_keys(&ovl_on, &region), "naive vs overlay");
-
-        // Only the counters may differ: disabled engines (and the scan
-        // reference) never touch an index; the enabled engine consults
-        // the interval tree for the absolute window.
-        prop_assert_eq!(index_counter_total(&idx_off), 0);
-        prop_assert_eq!(index_counter_total(&ovl_off), 0);
+        // Only the counters may differ: the scan reference never
+        // touches an index; the indexed engine consults the interval
+        // tree for the absolute window.
         prop_assert_eq!(index_counter_total(&naive), 0);
         if !interpolated {
             prop_assert!(
-                idx_on.stats().snapshot().index_interval_probes >= 1,
+                indexed.stats().snapshot().index_interval_probes >= 1,
                 "absolute window must probe the interval tree"
             );
         }
@@ -279,8 +239,8 @@ proptest! {
 
     /// Store-lifecycle bit-identity: engines built over a durable
     /// snapshot — empty, lagging in the WAL tail, flushed, compacted,
-    /// or reopened from disk — keep the same on/off raw identity and
-    /// agree with the scan reference over the same snapshot.
+    /// or reopened from disk — return the scan reference's tuple vector
+    /// over the same snapshot.
     #[test]
     fn index_matches_scan_across_store_lifecycles(
         seed in 0u64..1_000_000,
@@ -289,8 +249,6 @@ proptest! {
         wa in 0u8..=100,
         wb in 0u8..=100,
     ) {
-        let _guard = env_guard();
-        std::env::remove_var("GISOLAP_INDEX");
         let (city, moft) = scenario(seed % 1000);
         let records = moft.records().to_vec();
         let scratch = ScratchDir::new("index-eq-store");
@@ -341,20 +299,14 @@ proptest! {
         }
 
         let naive = NaiveEngine::from_snapshot(&city.gis, &snapshot);
-        let idx_on = IndexedEngine::from_snapshot(&city.gis, &snapshot);
-        let ovl_on = OverlayEngine::from_snapshot(&city.gis, &snapshot);
-        std::env::set_var("GISOLAP_INDEX", "0");
-        let idx_off = IndexedEngine::from_snapshot(&city.gis, &snapshot);
-        std::env::remove_var("GISOLAP_INDEX");
+        let indexed = IndexedEngine::from_snapshot(&city.gis, &snapshot);
+        let overlay = OverlayEngine::from_snapshot(&city.gis, &snapshot);
 
-        let a_on = idx_on.eval(&region).unwrap();
-        let a_off = idx_off.eval(&region).unwrap();
-        prop_assert_eq!(&a_on, &a_off, "lifecycle {}: on vs off", lifecycle);
-        let keys = tuple_keys(&naive, &region);
-        prop_assert_eq!(&keys, &tuple_keys(&idx_on, &region), "naive vs indexed");
-        prop_assert_eq!(&keys, &tuple_keys(&ovl_on, &region), "naive vs overlay");
+        let scan = naive.eval(&region).unwrap();
+        prop_assert_eq!(&scan, &indexed.eval(&region).unwrap(), "lifecycle {}: naive vs indexed", lifecycle);
+        prop_assert_eq!(&scan, &overlay.eval(&region).unwrap(), "lifecycle {}: naive vs overlay", lifecycle);
         if lifecycle == 0 {
-            prop_assert!(keys.is_empty(), "empty store must answer empty");
+            prop_assert!(scan.is_empty(), "empty store must answer empty");
         }
     }
 

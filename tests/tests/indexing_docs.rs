@@ -1,10 +1,7 @@
 //! Coverage test for `docs/indexing.md` (same pattern as the
 //! OBSERVABILITY.md checks in `obs_invariants.rs`): the indexing
-//! reference must mention every public index type and every
-//! `GISOLAP_*` index flag, so new access methods cannot ship without a
-//! written determinism contract.
-
-use gisolap_obs::config;
+//! reference must mention every public index type, so new access
+//! methods cannot ship without a written determinism contract.
 
 const DOC: &str = include_str!("../../docs/indexing.md");
 
@@ -40,29 +37,6 @@ fn indexing_doc_covers_every_public_index_type() {
 }
 
 #[test]
-fn indexing_doc_covers_every_index_flag() {
-    // Pull the flags from the central registry rather than a literal
-    // list, so a newly registered GISOLAP_INDEX* knob must be
-    // documented here the moment it exists.
-    let index_flags: Vec<&str> = config::ALL
-        .iter()
-        .map(|f| f.name)
-        .filter(|name| name.contains("INDEX"))
-        .collect();
-    assert!(
-        index_flags.len() >= 2,
-        "expected at least GISOLAP_INDEX / _ZONE_ROWS in the registry, \
-         found {index_flags:?}"
-    );
-    for flag in index_flags {
-        assert!(
-            DOC.contains(flag),
-            "docs/indexing.md does not mention flag `{flag}`"
-        );
-    }
-}
-
-#[test]
 fn indexing_doc_type_list_is_in_sync_with_the_crates() {
     // The list above is a literal; pin it against the actual public
     // API so a rename in the crates fails this test rather than
@@ -80,6 +54,7 @@ fn indexing_doc_type_list_is_in_sync_with_the_crates() {
         gisolap_index::GridIndex::new(gisolap_geom::BBox::new(0.0, 0.0, 1.0, 1.0), 1, 1);
     let _: gisolap_index::ArbTree = gisolap_index::ArbTree::build(&[], []);
     let moft = gisolap_traj::moft::Moft::new();
-    let idx: Option<gisolap_core::MoftIndex> = gisolap_core::MoftIndex::from_env(&moft);
-    let _: &[gisolap_core::ObjectExtent] = idx.as_ref().map_or(&[], |i| i.extents());
+    let idx: gisolap_core::MoftIndex =
+        gisolap_core::MoftIndex::build(&moft, gisolap_index::DEFAULT_ZONE_ROWS);
+    let _: &[gisolap_core::ObjectExtent] = idx.extents();
 }
