@@ -1,12 +1,11 @@
 //! Ablation — access methods behind the engines.
 //!
-//! DESIGN.md calls out three design choices worth isolating:
+//! DESIGN.md calls out two design choices worth isolating:
 //!
-//! 1. point-stab candidate lookup: layer scan vs uniform grid vs R-tree;
-//! 2. R-tree construction: STR bulk load vs incremental insertion;
-//! 3. layer-pair relation: recomputed (with/without index) vs the
-//!    precomputed overlay lookup (already covered by E5, repeated here on
-//!    one size for a single side-by-side table).
+//! 1. point-stab candidate lookup: layer scan vs uniform grid vs BVH;
+//! 2. engine setup: what each strategy precomputes before its first
+//!    query — nothing, layer BVHs + MOFT index, or the full layer overlay
+//!    + MOFT index (the per-query side is covered by E5/E7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,7 +13,7 @@ use std::hint::black_box;
 use gisolap_bench::scenario;
 use gisolap_core::engine::{IndexedEngine, NaiveEngine, OverlayEngine, QueryEngine};
 use gisolap_geom::{BBox, Point};
-use gisolap_index::{GridIndex, RTree};
+use gisolap_index::{Bvh, GridIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,7 +34,7 @@ fn bench_point_stab(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_point_stab");
     for n in [256usize, 1024, 4096] {
         let items = random_boxes(n, 5);
-        let rtree = RTree::bulk_load(items.clone());
+        let bvh = Bvh::build(items.clone());
         let mut grid = GridIndex::new(BBox::new(0.0, 0.0, 1020.0, 1020.0), 32, 32);
         for (b, id) in &items {
             grid.insert(b, *id);
@@ -60,46 +59,13 @@ fn bench_point_stab(c: &mut Criterion) {
                     .sum::<usize>()
             })
         });
-        group.bench_with_input(BenchmarkId::new("rtree", n), &rtree, |b, rtree| {
+        group.bench_with_input(BenchmarkId::new("bvh", n), &bvh, |b, bvh| {
             b.iter(|| {
                 probes
                     .iter()
-                    .map(|&p| rtree.stab(black_box(p)).len())
+                    .map(|&p| bvh.search(&BBox::from_point(black_box(p))).len())
                     .sum::<usize>()
             })
-        });
-    }
-    group.finish();
-}
-
-fn bench_rtree_construction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_rtree_build");
-    for n in [256usize, 1024, 4096] {
-        let items = random_boxes(n, 7);
-        group.bench_with_input(BenchmarkId::new("str_bulk", n), &items, |b, items| {
-            b.iter(|| RTree::bulk_load(black_box(items.clone())))
-        });
-        group.bench_with_input(BenchmarkId::new("insert", n), &items, |b, items| {
-            b.iter(|| {
-                let mut t = RTree::new();
-                for &(bb, id) in items {
-                    t.insert(bb, id);
-                }
-                t
-            })
-        });
-        // Query quality: range search over both.
-        let bulk = RTree::bulk_load(items.clone());
-        let mut incr = RTree::new();
-        for &(bb, id) in &items {
-            incr.insert(bb, id);
-        }
-        let q = BBox::new(200.0, 200.0, 400.0, 400.0);
-        group.bench_with_input(BenchmarkId::new("query_bulk", n), &bulk, |b, t| {
-            b.iter(|| t.search(black_box(&q)).len())
-        });
-        group.bench_with_input(BenchmarkId::new("query_incr", n), &incr, |b, t| {
-            b.iter(|| t.search(black_box(&q)).len())
         });
     }
     group.finish();
@@ -126,6 +92,6 @@ criterion_group! {
     config = Criterion::default().sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(400))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_point_stab, bench_rtree_construction, bench_engine_construction
+    targets = bench_point_stab, bench_engine_construction
 }
 criterion_main!(benches);

@@ -6,9 +6,9 @@
 //! * [`NaiveEngine`] — reference semantics: full scans, geometric
 //!   relations computed per query, no index of any kind. It is the scan
 //!   every index-assisted answer is proven bit-identical to.
-//! * [`IndexedEngine`] — R-trees over every layer filter point/segment
-//!   candidates; layer×layer relations still computed per query (with
-//!   index acceleration).
+//! * [`IndexedEngine`] — one bounding-volume hierarchy ([`Bvh`]) per
+//!   layer; layer×layer relations are still computed per query, each
+//!   element probing the other layer's hierarchy.
 //! * [`OverlayEngine`] — the paper's Section 5 strategy: layer×layer
 //!   relations (and polygon overlay cells) are **precomputed once**
 //!   ([`crate::overlay_cache::OverlayCache`]); the geometric sub-query of
@@ -32,8 +32,8 @@
 //! engines differ in the grid they size
 //! ([`QueryEngine::membership_grid_cells`]): [`NaiveEngine`] keeps one
 //! cell, so it still tests every qualifying element per record; the
-//! others use up to 64×64 cells. The layer R-trees serve
-//! [`QueryEngine::candidates`] and [`QueryEngine::layer_pairs`].
+//! others use up to 64×64 cells. [`IndexedEngine`]'s layer hierarchies
+//! serve its [`QueryEngine::layer_pairs`] and [`IndexedEngine::candidates`].
 //!
 //! ## Parallelism and observability
 //!
@@ -45,9 +45,9 @@
 //! so parallel and sequential evaluation produce **bit-identical**
 //! results; `GISOLAP_THREADS=1` forces sequential execution. Every
 //! engine owns an [`EngineStats`] ([`QueryEngine::stats`]) of cheap
-//! atomic counters — records scanned, bbox rejections, R-tree probes,
-//! overlay cache hits/misses, interpolated legs cut, per-phase wall
-//! times — also surfaced on [`Explain`].
+//! atomic counters — records scanned, layer-hierarchy probes, overlay
+//! cache hits/misses, interpolated legs cut, per-phase wall times — also
+//! surfaced on [`Explain`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +56,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use gisolap_geom::{BBox, Point};
-use gisolap_index::{GridIndex, RTree, DEFAULT_ZONE_ROWS};
+use gisolap_index::{Bvh, GridIndex, DEFAULT_ZONE_ROWS};
 use gisolap_olap::time::{TimeDimension, TimeId, TimeOfDay};
 use gisolap_stream::{SegmentMeta, StreamSnapshot};
 use gisolap_traj::bead::{Bead, Reachability};
@@ -130,10 +130,6 @@ pub trait QueryEngine: Sync {
     fn obs(&self) -> Option<&QueryObs> {
         None
     }
-
-    /// Candidate elements of `layer` whose bbox intersects `bbox`.
-    /// Strategies differ: scan vs. R-tree.
-    fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId>;
 
     /// All intersecting element pairs between two layers. Strategies
     /// differ: computed per call vs. precomputed lookup.
@@ -1002,8 +998,8 @@ fn leg_intervals(
 /// elements, ascending by id, registered once per query in a uniform
 /// grid over their (inflated) bounding boxes. A record position stabs one
 /// cell, and only that cell's elements get the bbox test and the exact
-/// test — the same two tests, in the same ascending order, as a stab of
-/// the layer R-tree filtered to the qualifying set.
+/// test — the same two tests, in the same ascending order, as a point
+/// search of the layer hierarchy filtered to the qualifying set.
 struct Membership<'g> {
     elements: Vec<Qualifying<'g>>,
     within: Option<f64>,
@@ -1046,9 +1042,10 @@ impl<'g> Membership<'g> {
 
     /// The qualifying elements `p` matches, ascending by id.
     fn matches(&self, p: Point) -> impl Iterator<Item = GeoId> + '_ {
-        // The R-tree stab's bbox test, as the same expression. Built by
-        // `expanded_to` so a NaN coordinate yields the empty box (no
-        // match) instead of tripping the inverted-box assertion.
+        // The layer-hierarchy point search's bbox test, as the same
+        // expression. Built by `expanded_to` so a NaN coordinate yields
+        // the empty box (no match) instead of tripping the inverted-box
+        // assertion.
         let probe = inflated(BBox::empty().expanded_to(p), self.within);
         let cell = self.grid.as_ref().map_or(&[][..], |g| g.cell_items(p));
         cell.iter()
@@ -1280,7 +1277,7 @@ pub fn explain<E: QueryEngine + ?Sized>(engine: &E, region: &RegionC) -> Result<
             let n = engine.resolve_filter(layer, &spatial.filter)?.len();
             let how = match engine.name() {
                 "overlay" => "precomputed overlay lookup",
-                "indexed" => "computed with R-tree filtering",
+                "indexed" => "computed with BVH filtering",
                 _ => "computed by full scan",
             };
             steps.push(format!(
@@ -1621,21 +1618,6 @@ impl QueryEngine for NaiveEngine<'_> {
         1
     }
 
-    fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
-        // Full scan with bbox rejection only.
-        let mut scanned = 0u64;
-        let out: Vec<GeoId> = self
-            .gis
-            .layer(layer)
-            .iter()
-            .inspect(|_| scanned += 1)
-            .filter(|(_, g)| g.bbox().intersects(bbox))
-            .map(|(id, _)| id)
-            .collect();
-        self.stats.bbox_rejections.add(scanned - out.len() as u64);
-        out
-    }
-
     fn layer_pairs(&self, a: LayerId, b: LayerId) -> Result<Vec<(GeoId, GeoId)>> {
         self.stats.overlay_misses.inc(); // computed per call, no cache
         let la = self.gis.layer(a);
@@ -1652,11 +1634,11 @@ impl QueryEngine for NaiveEngine<'_> {
     }
 }
 
-/// R-tree accelerated strategy.
+/// Layer-hierarchy accelerated strategy.
 pub struct IndexedEngine<'a> {
     gis: &'a Gis,
     moft: &'a Moft,
-    rtrees: HashMap<LayerId, RTree<GeoId>>,
+    layer_trees: HashMap<LayerId, Bvh<GeoId>>,
     mindex: MoftIndex,
     stream: Option<&'a StreamSnapshot>,
     stats: EngineStats,
@@ -1664,18 +1646,25 @@ pub struct IndexedEngine<'a> {
 }
 
 impl<'a> IndexedEngine<'a> {
-    /// Creates the engine, building one R-tree per layer plus the
+    /// Creates the engine, building one [`Bvh`] per layer plus the
     /// MOFT-side [`MoftIndex`] — independent precomputations, run in
     /// parallel.
     pub fn new(gis: &'a Gis, moft: &'a Moft) -> IndexedEngine<'a> {
-        let (rtrees, mindex) = rayon::join(
-            || build_layer_rtrees(gis),
+        let (layer_trees, mindex) = rayon::join(
+            || {
+                gis.layers()
+                    .map(|(id, layer)| {
+                        let items = layer.iter().map(|(g, r)| (r.bbox(), g)).collect();
+                        (id, Bvh::build(items))
+                    })
+                    .collect()
+            },
             || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
         );
         IndexedEngine {
             gis,
             moft,
-            rtrees,
+            layer_trees,
             mindex,
             stream: None,
             stats: EngineStats::new(),
@@ -1698,20 +1687,17 @@ impl<'a> IndexedEngine<'a> {
         self.obs = Some(obs);
         self
     }
-}
 
-/// Builds one STR-packed R-tree per layer of the GIS — one bulk load
-/// per layer, run in parallel (order-irrelevant: the result is a map).
-pub(crate) fn build_layer_rtrees(gis: &Gis) -> HashMap<LayerId, RTree<GeoId>> {
-    let layers: Vec<LayerId> = gis.layers().map(|(id, _)| id).collect();
-    layers
-        .par_iter()
-        .map(|&id| {
-            let items: Vec<(BBox, GeoId)> =
-                gis.layer(id).iter().map(|(g, r)| (r.bbox(), g)).collect();
-            (id, RTree::bulk_load(items))
-        })
-        .collect()
+    /// Elements of `layer` whose bbox intersects `bbox`, ascending by id
+    /// (one search of the layer's hierarchy).
+    pub fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
+        self.stats.layer_probes.inc();
+        self.layer_trees[&layer]
+            .search(bbox)
+            .into_iter()
+            .copied()
+            .collect()
+    }
 }
 
 impl QueryEngine for IndexedEngine<'_> {
@@ -1738,23 +1724,14 @@ impl QueryEngine for IndexedEngine<'_> {
         Some(&self.mindex)
     }
 
-    fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
-        self.stats.rtree_probes.inc();
-        self.rtrees[&layer]
-            .search(bbox)
-            .into_iter()
-            .copied()
-            .collect()
-    }
-
     fn layer_pairs(&self, a: LayerId, b: LayerId) -> Result<Vec<(GeoId, GeoId)>> {
         self.stats.overlay_misses.inc(); // computed per call, no cache
         let la = self.gis.layer(a);
         let lb = self.gis.layer(b);
-        let tree_b = &self.rtrees[&b];
+        let tree_b = &self.layer_trees[&b];
         let mut out = Vec::new();
         for (ga, ra) in la.iter() {
-            self.stats.rtree_probes.inc();
+            self.stats.layer_probes.inc();
             for &gb in tree_b.search(&ra.bbox()) {
                 let rb = lb.geometry(gb)?;
                 if georef_intersects(&ra, &rb) {
@@ -1766,11 +1743,10 @@ impl QueryEngine for IndexedEngine<'_> {
     }
 }
 
-/// The Piet strategy: precomputed overlay + R-trees.
+/// The Piet strategy: the precomputed layer overlay.
 pub struct OverlayEngine<'a> {
     gis: &'a Gis,
     moft: &'a Moft,
-    rtrees: HashMap<LayerId, RTree<GeoId>>,
     mindex: MoftIndex,
     cache: OverlayCache,
     stream: Option<&'a StreamSnapshot>,
@@ -1781,16 +1757,14 @@ pub struct OverlayEngine<'a> {
 impl<'a> OverlayEngine<'a> {
     /// Creates the engine, precomputing the full layer overlay.
     pub fn new(gis: &'a Gis, moft: &'a Moft) -> OverlayEngine<'a> {
-        // The R-trees, the overlay and the MOFT index are independent
-        // precomputations.
-        let ((rtrees, cache), mindex) = rayon::join(
-            || rayon::join(|| build_layer_rtrees(gis), || OverlayCache::precompute(gis)),
+        // The overlay and the MOFT index are independent precomputations.
+        let (cache, mindex) = rayon::join(
+            || OverlayCache::precompute(gis),
             || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
         );
         OverlayEngine {
             gis,
             moft,
-            rtrees,
             mindex,
             cache,
             stream: None,
@@ -1843,15 +1817,6 @@ impl QueryEngine for OverlayEngine<'_> {
 
     fn moft_index(&self) -> Option<&MoftIndex> {
         Some(&self.mindex)
-    }
-
-    fn candidates(&self, layer: LayerId, bbox: &BBox) -> Vec<GeoId> {
-        self.stats.rtree_probes.inc();
-        self.rtrees[&layer]
-            .search(bbox)
-            .into_iter()
-            .copied()
-            .collect()
     }
 
     fn layer_pairs(&self, a: LayerId, b: LayerId) -> Result<Vec<(GeoId, GeoId)>> {
@@ -2404,7 +2369,7 @@ mod tests {
 
         let indexed = IndexedEngine::new(&gis, &moft);
         indexed.eval(&region).unwrap();
-        assert!(indexed.stats().snapshot().rtree_probes > 0);
+        assert!(indexed.stats().snapshot().layer_probes > 0);
 
         let overlay = OverlayEngine::new(&gis, &moft);
         overlay.eval(&region).unwrap();

@@ -26,7 +26,7 @@
 //!   `C` of Section 3.1 as a typed algebra instead of raw first-order
 //!   formulas, covering all eight query types.
 //! * **The query engine** ([`engine`]) evaluates regions over a MOFT with
-//!   three interchangeable strategies — naive scan, R-tree filtered, and
+//!   three interchangeable strategies — naive scan, BVH filtered, and
 //!   the Piet-style **overlay-precomputed** strategy of Section 5
 //!   ([`overlay_cache`]).
 //! * **Results** ([`result`]) carry the `(Oid, t)` pair sets the paper

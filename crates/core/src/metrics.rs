@@ -73,13 +73,12 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "queries={} records_scanned={} bbox_rejections={} rtree_probes={} \
+            "queries={} records_scanned={} layer_probes={} \
              overlay_hits={} overlay_misses={} legs_cut={} \
              time_filter={:.3}ms filter_resolve={:.3}ms spatial_match={:.3}ms",
             self.queries,
             self.records_scanned,
-            self.bbox_rejections,
-            self.rtree_probes,
+            self.layer_probes,
             self.overlay_hits,
             self.overlay_misses,
             self.legs_cut,
@@ -183,14 +182,14 @@ mod tests {
         let engine = NaiveEngine::new(&gis, &moft);
         let mut registry = MetricsRegistry::new();
         fill_engine_metrics(&mut registry, &engine);
-        engine.stats().rtree_probes.add(9);
+        engine.stats().layer_probes.add(9);
         fill_engine_metrics(&mut registry, &engine);
         let text = registry.render_prometheus();
         assert!(
-            text.contains("gisolap_rtree_probes_total{engine=\"naive\"} 9\n"),
+            text.contains("gisolap_layer_probes_total{engine=\"naive\"} 9\n"),
             "{text}"
         );
-        assert_eq!(text.matches("# TYPE gisolap_rtree_probes_total").count(), 1);
+        assert_eq!(text.matches("# TYPE gisolap_layer_probes_total").count(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! A [`MoftIndex`] is built once per engine (the `IndexedEngine` and
 //! `OverlayEngine` constructors always build it, with
 //! [`gisolap_index::DEFAULT_ZONE_ROWS`] rows per zone, in parallel with
-//! their layer R-trees) and consulted by the default
+//! their other precomputation) and consulted by the default
 //! [`crate::engine::QueryEngine`] methods to prune work *before*
 //! touching records:
 //!

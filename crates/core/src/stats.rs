@@ -2,8 +2,8 @@
 //! [`crate::engine::QueryEngine`].
 //!
 //! Each engine owns an [`EngineStats`] whose counters are bumped with
-//! `Relaxed` atomics on the hot paths (record scans, bbox rejections,
-//! R-tree probes, overlay cache lookups, trajectory leg cutting) plus
+//! `Relaxed` atomics on the hot paths (record scans, layer-hierarchy
+//! probes, overlay cache lookups, trajectory leg cutting) plus
 //! per-phase wall times. Relaxed ordering is sufficient: the counters
 //! are monotone tallies read only through [`EngineStats::snapshot`],
 //! never used for synchronization — and atomics keep them sound under
@@ -20,10 +20,8 @@ counters! {
     pub struct StatsSnapshot["gisolap_", "Engine counter."] cells EngineStats {
         /// MOFT records examined by time filtering.
         records_scanned,
-        /// Geometry elements discarded on bounding box alone.
-        bbox_rejections,
-        /// R-tree searches issued.
-        rtree_probes,
+        /// Layer-geometry BVH searches issued.
+        layer_probes,
         /// Layer-pair lookups answered from the precomputed overlay.
         overlay_hits,
         /// Layer-pair requests computed per call (no precomputation).
@@ -180,16 +178,14 @@ mod tests {
         let stats = EngineStats::new();
         stats.records_scanned.add(10);
         stats.records_scanned.add(5);
-        stats.bbox_rejections.add(3);
-        stats.rtree_probes.add(2);
+        stats.layer_probes.add(2);
         stats.overlay_hits.add(1);
         stats.overlay_misses.add(4);
         stats.legs_cut.add(7);
         stats.queries.inc();
         let snap = stats.snapshot();
         assert_eq!(snap.records_scanned, 15);
-        assert_eq!(snap.bbox_rejections, 3);
-        assert_eq!(snap.rtree_probes, 2);
+        assert_eq!(snap.layer_probes, 2);
         assert_eq!(snap.overlay_hits, 1);
         assert_eq!(snap.overlay_misses, 4);
         assert_eq!(snap.legs_cut, 7);
@@ -221,7 +217,7 @@ mod tests {
         stats.index_records_pruned.add(9);
         let snap = stats.snapshot();
         let fields = snap.fields();
-        assert_eq!(fields.len(), 20);
+        assert_eq!(fields.len(), 19);
         assert!(fields.contains(&("index_interval_probes", 1)));
         assert!(fields.contains(&("index_zones_pruned", 4)));
         assert!(fields.contains(&("index_records_pruned", 9)));
@@ -239,10 +235,10 @@ mod tests {
         stats.records_scanned.add(10);
         let before = stats.snapshot();
         stats.records_scanned.add(7);
-        stats.rtree_probes.add(2);
+        stats.layer_probes.add(2);
         let delta = stats.snapshot().delta(&before);
         assert_eq!(delta.records_scanned, 7);
-        assert_eq!(delta.rtree_probes, 2);
+        assert_eq!(delta.layer_probes, 2);
         assert_eq!(delta.queries, 0);
         // A reset between snapshots saturates to zero, never wraps.
         stats.reset();
@@ -278,7 +274,7 @@ mod tests {
         trace.phase(&stats, "time-filter", p);
 
         let p = Instant::now();
-        stats.rtree_probes.add(3);
+        stats.layer_probes.add(3);
         stats.records_scanned.add(2);
         trace.phase(&stats, "spatial-match", p);
 
@@ -289,7 +285,7 @@ mod tests {
         assert_eq!(root.children.len(), 2);
         assert_eq!(root.children[0].name, "time-filter");
         assert_eq!(root.children[0].counter("records_scanned"), 40);
-        assert_eq!(root.children[1].counter("rtree_probes"), 3);
+        assert_eq!(root.children[1].counter("layer_probes"), 3);
         assert_eq!(root.counter("queries"), 1);
 
         // Counter conservation: subtree totals == the snapshot delta.

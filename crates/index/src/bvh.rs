@@ -1,11 +1,12 @@
 //! A bounding-volume hierarchy over rectangles.
 //!
 //! Built once by recursive median split and queried with rectangle
-//! intersection searches. Compared to [`crate::rtree::RTree`], the BVH is
-//! a *flat, deterministic* structure intended for persistence and for
-//! pruning over per-trajectory bounding boxes: the build makes no
-//! floating-point tile-count decisions and never reorders equal keys, so
-//! the same input always produces the same tree, byte for byte.
+//! intersection searches. It is the workspace's one bounding-box
+//! hierarchy: the query engine keeps one per GIS layer (geometry
+//! filtering and layer-pair probes) and one over per-trajectory bounding
+//! boxes (the MOFT index). The build makes no floating-point tile-count
+//! decisions and never reorders equal keys, so the same input always
+//! produces the same tree, byte for byte.
 //!
 //! # Determinism contract
 //!

@@ -2,9 +2,6 @@
 //!
 //! Access methods for the GISOLAP-MO workspace:
 //!
-//! * [`rtree::RTree`] — an R-tree with STR bulk loading and quadratic-split
-//!   insertion, used by the query engine's indexed evaluation strategy to
-//!   filter candidate geometries.
 //! * [`grid::GridIndex`] — a uniform grid, the simplest spatial filter
 //!   (and the structure behind Meratnia & de By's "homogeneous spatial
 //!   units" trajectory aggregation discussed in the paper's Section 2).
@@ -17,11 +14,11 @@
 //!   `i64` ranges (trajectory/segment time extents), hits in ascending
 //!   insertion order.
 //! * [`bvh::Bvh`] — a deterministic median-split bounding-volume
-//!   hierarchy over rectangles (trajectory bounding boxes), hits in
-//!   ascending insertion order.
+//!   hierarchy over rectangles, hits in ascending insertion order: the
+//!   query engine's filter over layer geometry and over trajectory
+//!   bounding boxes.
 //! * [`zone::ZoneMap`] — per-block pruning metadata over canonically
-//!   ordered rows, baked into segment files by `gisolap-store` and
-//!   validated on decode.
+//!   ordered rows (the MOFT index's record-block prune).
 //!
 //! The interval tree, BVH and zone map carry the written determinism
 //! contracts documented in `docs/indexing.md`: ascending-id hit order,
@@ -35,12 +32,10 @@ pub mod arb;
 pub mod bvh;
 pub mod grid;
 pub mod interval;
-pub mod rtree;
 pub mod zone;
 
 pub use arb::ArbTree;
 pub use bvh::Bvh;
 pub use grid::GridIndex;
 pub use interval::IntervalTree;
-pub use rtree::RTree;
 pub use zone::{Zone, ZoneMap, DEFAULT_ZONE_ROWS};

@@ -9,9 +9,8 @@
 //! bound can then skip whole zones whose summary provably excludes every
 //! row inside, and scan the survivors contiguously.
 //!
-//! Zone maps are *baked into segment files* by `gisolap-store` and
-//! re-derived + compared on decode, so a persisted zone map can never
-//! drift from the rows it summarizes.
+//! Zone maps live in memory only: `gisolap-core`'s MOFT index builds
+//! one over the canonical record run, and nothing persists them.
 //!
 //! # Determinism contract
 //!
@@ -28,8 +27,7 @@
 
 use gisolap_geom::{BBox, Point};
 
-/// The number of rows summarized per zone by sealed segments and the
-/// in-memory MOFT index.
+/// The number of rows summarized per zone by the in-memory MOFT index.
 pub const DEFAULT_ZONE_ROWS: u32 = 256;
 
 /// Summary of one contiguous block of canonically ordered rows.
@@ -153,7 +151,7 @@ impl ZoneMap {
     }
 
     /// `true` iff any zone may hold a row matching the bounds — the
-    /// segment-level prune.
+    /// whole-run prune.
     pub fn may_match(&self, t_lo: i64, t_hi: i64, bbox: Option<&BBox>) -> bool {
         self.candidate_zones(t_lo, t_hi, bbox).next().is_some()
     }

@@ -158,9 +158,9 @@ pub enum Reply {
 const MIN_ENTRY_FRAME: usize = 4 + 9 + 4;
 
 /// The smallest length-prefixed segment inside a snapshot reply: 4-byte
-/// prefix + partition + three empty sequences (records, cells, zones)
-/// + the zone map's `rows_per_zone`.
-const MIN_SEGMENT_BYTES: usize = 4 + 8 + 3 * 8 + 4;
+/// prefix + partition + two empty sequences (records, cells) — exactly
+/// what an empty segment costs, so no legitimate reply is refused.
+const MIN_SEGMENT_BYTES: usize = 4 + 8 + 2 * 8;
 
 /// The head's count field for a batch of `len` entries, or an error
 /// when `len` exceeds `u32::MAX` (the old code did `len as u32` here,
@@ -504,6 +504,57 @@ mod tests {
             err.to_string().contains("declares 4294967295 segments"),
             "want the fail-fast segment-count error, got {err}"
         );
+    }
+
+    /// A snapshot reply `(epoch 1, lateness 0, 3600 s segments, next
+    /// seq 5)` over `segments`, declaring `declared` of them.
+    fn snapshot_declaring(declared: u32, segments: &[Segment], tail: &TailState) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u8(REPLY_SNAPSHOT);
+        e.u64(1);
+        e.i64(0);
+        e.i64(3600);
+        e.u64(5);
+        e.u32(declared);
+        for seg in segments {
+            e.bytes(&encode_segment(seg));
+        }
+        e.bytes(&encode_tail(tail));
+        frame(&e.into_bytes())
+    }
+
+    /// The bound is what an empty segment costs on the wire: a reply of
+    /// nothing but empty segments decodes, however many there are, and
+    /// declaring more segments than were sent is refused.
+    #[test]
+    fn snapshot_of_empty_segments_sits_at_the_bound() {
+        let empty: Vec<Segment> = (0..64)
+            .map(|p| Segment::from_parts(p, Vec::new(), Vec::new()).unwrap())
+            .collect();
+        assert_eq!(4 + encode_segment(&empty[0]).len(), MIN_SEGMENT_BYTES);
+        let tail = TailState {
+            max_event_time: None,
+            sealed_before: 64,
+            records_ingested: 0,
+            segments_sealed: 64,
+            dead_letters: Vec::new(),
+            buffers: Vec::new(),
+        };
+        let bytes = snapshot_declaring(64, &empty, &tail);
+        assert_eq!(bytes, encode_snapshot_reply(1, &empty, &tail, 0, 3600, 5));
+        match decode_reply(&bytes).unwrap() {
+            Reply::Snapshot(s) => {
+                assert_eq!(s.segments.len(), 64);
+                assert!(s.segments.iter().all(|seg| seg.records().is_empty()));
+                assert_eq!(s.tail, tail);
+            }
+            other => panic!("expected snapshot, got {other:?}"),
+        }
+        // One more declared segment reads the tail as a segment and
+        // then finds no tail; two more cannot fit the bytes at all.
+        assert!(decode_reply(&snapshot_declaring(65, &empty, &tail)).is_err());
+        let err = decode_reply(&snapshot_declaring(66, &empty, &tail)).unwrap_err();
+        assert!(err.to_string().contains("declares 66 segments"), "{err}");
     }
 
     mod decode_proptests {

@@ -36,7 +36,6 @@
 //! frames) and call these for every field.
 
 use gisolap_geom::BBox;
-use gisolap_index::{Zone, ZoneMap};
 use gisolap_olap::agg::{AggFn, Partial};
 use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_stream::{
@@ -50,9 +49,12 @@ use crate::{corrupt, Result};
 pub(crate) const MAGIC: [u8; 8] = *b"GSLPSTOR";
 
 /// On-disk format version, bumped on any incompatible layout change.
-/// Version 2 bakes a zone map into every segment file and adds delta
-/// checkpoints (`FileKind::CheckpointDelta`, `Manifest::checkpoint_deltas`).
-pub(crate) const FORMAT_VERSION: u16 = 2;
+/// Version 2 added delta checkpoints (`FileKind::CheckpointDelta`,
+/// `Manifest::checkpoint_deltas`) and a zone map in every segment file.
+/// Version 3 has no zone map: a segment is partition, records, partial
+/// cells. [`check_header`] refuses every other version, so v2 files do
+/// not open (no upgrade path).
+pub(crate) const FORMAT_VERSION: u16 = 3;
 
 /// Header length in bytes: magic + kind + version.
 pub(crate) const HEADER_LEN: usize = 8 + 1 + 2;
@@ -749,78 +751,26 @@ pub fn decode_cells(d: &mut Dec<'_>) -> Result<Vec<(GroupKey, CellPartial)>> {
 
 // --- segment ----------------------------------------------------------
 
-/// Bytes one encoded zone costs: start + len + oid range + t range +
-/// four bbox coordinates.
-const ZONE_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 8 + 32;
-
-fn enc_zone_map(e: &mut Enc, zm: &ZoneMap) {
-    e.u32(zm.rows_per_zone);
-    e.seq(&zm.zones, |e, z| {
-        e.u32(z.start);
-        e.u32(z.len);
-        e.u64(z.oid_min);
-        e.u64(z.oid_max);
-        e.i64(z.t_min);
-        e.i64(z.t_max);
-        enc_bbox(e, &z.bbox);
-    });
-}
-
-fn dec_zone_map(d: &mut Dec<'_>) -> Result<ZoneMap> {
-    let rows_per_zone = d.u32()?;
-    let zones = d.seq("zones", ZONE_BYTES, |d| {
-        Ok(Zone {
-            start: d.u32()?,
-            len: d.u32()?,
-            oid_min: d.u64()?,
-            oid_max: d.u64()?,
-            t_min: d.i64()?,
-            t_max: d.i64()?,
-            bbox: dec_bbox(d)?,
-        })
-    })?;
-    Ok(ZoneMap {
-        rows_per_zone,
-        zones,
-    })
-}
-
 /// Encodes a sealed segment as one frame payload: partition, canonical
-/// records, partial cells, zone map. The summary and per-object index
-/// are *derived* data and are re-derived on decode, so they never drift
-/// from the records; the baked zone map is compared against a fresh
-/// derivation on decode for the same reason.
+/// records, partial cells. The summary and per-object index are
+/// *derived* data and are re-derived on decode, so they never drift from
+/// the records.
 pub fn encode_segment(seg: &Segment) -> Vec<u8> {
     let mut e = Enc::new();
     e.i64(seg.meta().partition);
     enc_records(&mut e, seg.records());
     encode_cells(&mut e, seg.partials());
-    enc_zone_map(&mut e, seg.zone_map());
     e.into_bytes()
 }
 
 /// Decodes a segment payload, re-deriving and validating the canonical
-/// structure via [`Segment::from_parts`]. The baked zone map is
-/// validated against a re-derivation from the decoded records (at the
-/// persisted `rows_per_zone`), so pruning metadata can never drift from
-/// the rows it summarizes.
+/// structure via [`Segment::from_parts`].
 pub fn decode_segment(payload: &[u8], file: &str) -> Result<Segment> {
     let mut d = Dec::new(payload, file);
     let partition = d.i64()?;
     let records = dec_records(&mut d)?;
     let partials = decode_cells(&mut d)?;
-    let baked = dec_zone_map(&mut d)?;
     d.finish()?;
-    let derived = ZoneMap::build(
-        records.iter().map(|r| (r.oid.0, r.t.0, r.x, r.y)),
-        baked.rows_per_zone,
-    );
-    if baked != derived {
-        return Err(corrupt(
-            file,
-            "baked zone map disagrees with the records it summarizes",
-        ));
-    }
     Segment::from_parts(partition, records, partials)
         .map_err(|e| corrupt(file, format!("invalid segment parts: {e}")))
 }
@@ -1206,6 +1156,10 @@ mod tests {
         let mut old = h.clone();
         old[9] = 0xFF;
         assert!(check_header(&old, FileKind::Wal, "t").is_err());
+        // Version 2 files (segments with a baked zone map) are refused.
+        old[9..11].copy_from_slice(&2u16.to_le_bytes());
+        let err = check_header(&old, FileKind::Wal, "t").unwrap_err();
+        assert!(err.to_string().contains("format version 2"), "{err}");
     }
 
     #[test]
@@ -1280,24 +1234,6 @@ mod tests {
         let mut orphaned = m.clone();
         orphaned.checkpoint = None;
         assert!(decode_manifest(&encode_manifest(&orphaned), "t").is_err());
-    }
-
-    #[test]
-    fn segment_zone_map_is_validated_on_decode() {
-        let raw = vec![rec(1, 10, 1.0, 1.0), rec(2, 100, 5.0, -5.0)];
-        let mut ingest =
-            gisolap_stream::StreamIngest::new(gisolap_stream::StreamConfig::new(0, 3600).unwrap())
-                .unwrap();
-        ingest.ingest(&raw);
-        ingest.finish();
-        let seg = &ingest.segments()[0];
-        let mut payload = encode_segment(seg);
-        // The zone map sits at the payload tail; flip a byte inside its
-        // t_min field and the re-derivation check must reject it.
-        let off = payload.len() - 40;
-        payload[off] ^= 0x01;
-        let err = decode_segment(&payload, "t").unwrap_err().to_string();
-        assert!(err.contains("zone map"), "{err}");
     }
 
     #[test]

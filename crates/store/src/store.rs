@@ -252,8 +252,8 @@ fn decode_segment_entry(vfs: &dyn Vfs, dir: &Path, entry: &SegmentEntry) -> Resu
 
 /// Decodes the manifest's segment files on the worker pool by recursive
 /// binary split over `rayon::join`, preserving manifest order. Each file
-/// decodes independently (read + CRC + zone-map validation), so recovery
-/// wall-clock scales with the largest file, not the sum.
+/// decodes independently (read + CRC + canonical-order validation), so
+/// recovery wall-clock scales with the largest file, not the sum.
 fn decode_segments_parallel(
     vfs: &dyn Vfs,
     dir: &Path,

@@ -1,23 +1,12 @@
 //! Immutable, time-partitioned segments sealed from the ingest buffer.
 
 use gisolap_geom::BBox;
-use gisolap_index::{ZoneMap, DEFAULT_ZONE_ROWS};
 use gisolap_olap::time::TimeId;
 use gisolap_traj::{ObjectId, Record};
 
 use crate::config::GeoResolver;
 use crate::delta::{bucket_partials, CellPartial, GroupKey};
 use crate::{Result, StreamError};
-
-/// Builds the zone map summarizing `records` (already canonical order),
-/// [`DEFAULT_ZONE_ROWS`] rows per block. Decoded segments keep the
-/// `rows_per_zone` they were written with.
-fn derive_zone_map(records: &[Record]) -> ZoneMap {
-    ZoneMap::build(
-        records.iter().map(|r| (r.oid.0, r.t.0, r.x, r.y)),
-        DEFAULT_ZONE_ROWS,
-    )
-}
 
 /// Summary of a sealed segment — enough for time/space pruning without
 /// touching the records.
@@ -48,9 +37,6 @@ pub struct Segment {
     object_ranges: Vec<(ObjectId, usize, usize)>,
     /// Per-`(hour, geo)` partials, ascending by key.
     partials: Vec<(GroupKey, CellPartial)>,
-    /// Zone map over `records` — baked into segment files by the store
-    /// and validated against re-derivation on decode.
-    zone_map: ZoneMap,
 }
 
 impl Segment {
@@ -88,13 +74,11 @@ impl Segment {
             bbox: BBox::from_points(records.iter().map(Record::pos)),
         };
         let partials = bucket_partials(&records, resolver).into_iter().collect();
-        let zone_map = derive_zone_map(&records);
         Segment {
             meta,
             records,
             object_ranges,
             partials,
-            zone_map,
         }
     }
 
@@ -127,13 +111,6 @@ impl Segment {
     /// Per-`(hour, geo)` partial aggregates, ascending by key.
     pub fn partials(&self) -> &[(GroupKey, CellPartial)] {
         &self.partials
-    }
-
-    /// The zone map over this segment's records: per-block oid/time/bbox
-    /// summaries in canonical row order, the record-level prune the
-    /// store persists inside the segment file (`docs/indexing.md`).
-    pub fn zone_map(&self) -> &ZoneMap {
-        &self.zone_map
     }
 
     /// Reassembles a segment from its canonical parts — the persistence
@@ -189,13 +166,11 @@ impl Segment {
             last,
             bbox: BBox::from_points(records.iter().map(Record::pos)),
         };
-        let zone_map = derive_zone_map(&records);
         Ok(Segment {
             meta,
             records,
             object_ranges,
             partials,
-            zone_map,
         })
     }
 

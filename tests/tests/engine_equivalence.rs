@@ -608,7 +608,7 @@ fn engine_stats_invariants() {
     assert_eq!(snap.queries, 2, "{snap:?}");
 
     // The same filters on naive/indexed engines never hit an overlay,
-    // and the indexed engine resolves the layer pairs through R-tree
+    // and the indexed engine resolves the layer pairs through BVH
     // probes.
     let naive = NaiveEngine::new(&city.gis, &moft);
     naive.eval(&region).unwrap();
@@ -616,5 +616,5 @@ fn engine_stats_invariants() {
     assert!(naive.stats().snapshot().overlay_misses > 0);
     let indexed = IndexedEngine::new(&city.gis, &moft);
     indexed.eval(&region).unwrap();
-    assert!(indexed.stats().snapshot().rtree_probes > 0);
+    assert!(indexed.stats().snapshot().layer_probes > 0);
 }

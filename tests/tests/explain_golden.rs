@@ -44,17 +44,17 @@ plan [naive]
   2. geometric sub-query on Ln: neighborhood.income Lt 1500 → 2 element(s) (computed by full scan)
   3. match each record against r^Pt,G via layer scan per record (sample semantics)
   4. apply γ aggregation over the resulting (Oid, t) tuples
-  stats: queries=0 records_scanned=0 bbox_rejections=0 rtree_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
+  stats: queries=0 records_scanned=0 layer_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
 ";
 
 const EXPLAIN_INDEXED: &str = "\
 plan [indexed]
   1. filter the MOFT through Time-dimension rollups: TimeOfDayIs(Morning)
   2. consult the MOFT index: interval tree over 6 object extent(s), BVH + zone map of 1 block(s)
-  3. geometric sub-query on Ln: neighborhood.income Lt 1500 → 2 element(s) (computed with R-tree filtering)
+  3. geometric sub-query on Ln: neighborhood.income Lt 1500 → 2 element(s) (computed with BVH filtering)
   4. match each record against r^Pt,G via per-query grid stab per record (sample semantics)
   5. apply γ aggregation over the resulting (Oid, t) tuples
-  stats: queries=0 records_scanned=0 bbox_rejections=0 rtree_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
+  stats: queries=0 records_scanned=0 layer_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
 ";
 
 const EXPLAIN_ANALYZE_NAIVE: &str = "\
@@ -70,5 +70,5 @@ spans:
     filter-resolve
     spatial-match
     aggregate
-delta: queries=1 records_scanned=12 bbox_rejections=0 rtree_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
+delta: queries=1 records_scanned=12 layer_probes=0 overlay_hits=0 overlay_misses=0 legs_cut=0 time_filter=0.000ms filter_resolve=0.000ms spatial_match=0.000ms
 ";

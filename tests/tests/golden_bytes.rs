@@ -574,8 +574,7 @@ fn actual_exposition() -> String {
     let engine = NaiveEngine::new(&gis, &moft);
     let stats = engine.stats();
     stats.records_scanned.add(1);
-    stats.bbox_rejections.add(2);
-    stats.rtree_probes.add(3);
+    stats.layer_probes.add(3);
     stats.overlay_hits.add(4);
     stats.overlay_misses.add(5);
     stats.legs_cut.add(6);
@@ -635,17 +634,17 @@ const GOLDEN_BYTES: &[(&str, &str)] = &[
     ("repl.req.snapshot", "0100000002a18e0c3c"),
     ("repl.reply.frames", "1d000000010b000000000000000200000006000000000000000200000000000000d8eb58bc51000000040000000000000000020000000000000001000000000000000a00000000000000000000000000f03f000000000000004002000000000000001400000000000000000000000000f0bf000000000000e03f7c7e026f09000000050000000000000001776199db"),
     ("repl.reply.compacted", "19000000020200000000000000110000000000000063000000000000008aecb9b6"),
-    ("repl.reply.snapshot", "7c0200000304000000000000000000000000000000100e000000000000090000000000000002000000150100000000000000000000030000000000000001000000000000003200000000000000000000000000c03f000000000000d03f02000000000000006400000000000000000000000000154000000000000016c009000000000000000a000000000000000000000000001c400000000000001c40010000000000000000000000000000000003000000000000000000000000c02840000000000000c03f0000000000001c400300000000000000000000000000fc3f00000000000016c00000000000001c400001000001000000000000000000000003000000010000000000000009000000000000000a000000000000006400000000000000000000000000c03f00000000000016c00000000000001c400000000000001c40d5000000010000000000000001000000000000000100000000000000a00f000000000000000000000000f03f000000000000f03f01000000000000000100000000000000000100000000000000000000000000f03f000000000000f03f000000000000f03f0100000000000000000000000000f03f000000000000f03f000000000000f03f000100000100000000000000000000000100000001000000000000000100000000000000a00f000000000000a00f000000000000000000000000f03f000000000000f03f000000000000f03f000000000000f03f6100000001401f00000000000002000000000000000500000000000000020000000000000000000000000000000100000000000000020000000000000001000000000000000300000000000000401f00000000000000000000000004400000000000000c4053c5bd0a"),
-    ("shard.manifest_file", "47534c5053544f5205020036000000320700000000000000020400000000000000000010c000000000000000c00000000000001040000000000000004008000000040000009936e2e4"),
-    ("shard.journal_file", "47534c5053544f52070200640000004a0900000000000000020400000000000000000010c000000000000000c000000000000010400000000000000040080000000400000001030000000100000000000010c000000000000000c0000000000000104000000000000000400800000004000000b1cb2888"),
+    ("repl.reply.snapshot", "d40100000304000000000000000000000000000000100e000000000000090000000000000002000000c10000000000000000000000030000000000000001000000000000003200000000000000000000000000c03f000000000000d03f02000000000000006400000000000000000000000000154000000000000016c009000000000000000a000000000000000000000000001c400000000000001c40010000000000000000000000000000000003000000000000000000000000c02840000000000000c03f0000000000001c400300000000000000000000000000fc3f00000000000016c00000000000001c4081000000010000000000000001000000000000000100000000000000a00f000000000000000000000000f03f000000000000f03f01000000000000000100000000000000000100000000000000000000000000f03f000000000000f03f000000000000f03f0100000000000000000000000000f03f000000000000f03f000000000000f03f6100000001401f00000000000002000000000000000500000000000000020000000000000000000000000000000100000000000000020000000000000001000000000000000300000000000000401f00000000000000000000000004400000000000000c400df4875a"),
+    ("shard.manifest_file", "47534c5053544f5205030036000000320700000000000000020400000000000000000010c000000000000000c00000000000001040000000000000004008000000040000009936e2e4"),
+    ("shard.journal_file", "47534c5053544f52070300640000004a0900000000000000020400000000000000000010c000000000000000c000000000000010400000000000000040080000000400000001030000000100000000000010c000000000000000c0000000000000104000000000000000400800000004000000b1cb2888"),
     ("shard.spec.hash_bare", "010700000000"),
     ("shard.spec.spatial", "020400000000000000000010c000000000000000c0000000000000104000000000000000400800000004000000"),
     ("shard.cells_payload", "9e000000020000000000000003000000000000000004000000000000000000000000802440000000000000f43f0000000000001240040000000000000000000000000000c0000000000000f8bf000000000000d03f0700000000000000010c000000040000000000000000000000000000c0000000000000f8bf000000000000d03f04000000000000000000000000802440000000000000f43f000000000000124070327979"),
     ("sub.subscription", "3a00000001000000000000f8bf000000000000000000000000000004400000000000002040030104011800000001000000000000244000000000000000401a1e0867"),
     ("sub.subscription_bare", "06000000000900000000d2c3d2bc"),
     ("sub.notification", "510000002a000000000000000700000000000000100e0000000000000200000000000000fdffffffffffffff00000000000000f83f107a0700000000000107000000010000000000f87f01000000000000f0ff000234d1727b"),
-    ("store.segment_file", "47534c5053544f52010200150100000000000000000000030000000000000001000000000000003200000000000000000000000000c03f000000000000d03f02000000000000006400000000000000000000000000154000000000000016c009000000000000000a000000000000000000000000001c400000000000001c40010000000000000000000000000000000003000000000000000000000000c02840000000000000c03f0000000000001c400300000000000000000000000000fc3f00000000000016c00000000000001c400001000001000000000000000000000003000000010000000000000009000000000000000a000000000000006400000000000000000000000000c03f00000000000016c00000000000001c400000000000001c40c1ded572"),
-    ("store.checkpoint_file", "47534c5053544f52040200d100000001841c00000000000001000000000000000600000000000000010000000000000001000000000000000900000000000000ceffffffffffffff000000000000000000000000000000000200000000000000010000000000000002000000000000000100000000000000740e000000000000000000000000104000000000000014400200000000000000d80e00000000000000000000000018400000000000001c40020000000000000001000000000000000300000000000000841c00000000000000000000000020400000000000002240b9ab61be"),
+    ("store.segment_file", "47534c5053544f52010300c10000000000000000000000030000000000000001000000000000003200000000000000000000000000c03f000000000000d03f02000000000000006400000000000000000000000000154000000000000016c009000000000000000a000000000000000000000000001c400000000000001c40010000000000000000000000000000000003000000000000000000000000c02840000000000000c03f0000000000001c400300000000000000000000000000fc3f00000000000016c00000000000001c40a027a542"),
+    ("store.checkpoint_file", "47534c5053544f52040300d100000001841c00000000000001000000000000000600000000000000010000000000000001000000000000000900000000000000ceffffffffffffff000000000000000000000000000000000200000000000000010000000000000002000000000000000100000000000000740e000000000000000000000000104000000000000014400200000000000000d80e00000000000000000000000018400000000000001c40020000000000000001000000000000000300000000000000841c00000000000000000000000020400000000000002240b9ab61be"),
     ("store.checkpoint_empty", "0000000000000000800000000000000000000000000000000000000000000000000000000000000000"),
     ("store.checkpoint_delta", "01841c00000000000001000000000000000600000000000000010000000000000001000000000000000800000000000000ffffffffffffffff000000000000f03f000000000000f03f0100000000000000020000000000000001000000000000000300000000000000841c0000000000000000000000002040000000000000224001000000000000000000000000000000"),
     ("store.wal_entry", "040000000000000000020000000000000001000000000000000a00000000000000000000000000f03f000000000000004002000000000000001400000000000000000000000000f0bf000000000000e03f"),
@@ -656,12 +655,9 @@ const GOLDEN_EXPOSITION: &str = "\
 # HELP gisolap_records_scanned_total MOFT records examined by time filtering.
 # TYPE gisolap_records_scanned_total counter
 gisolap_records_scanned_total{engine=\"naive\"} 1
-# HELP gisolap_bbox_rejections_total Geometry elements discarded on bounding box alone.
-# TYPE gisolap_bbox_rejections_total counter
-gisolap_bbox_rejections_total{engine=\"naive\"} 2
-# HELP gisolap_rtree_probes_total R-tree searches issued.
-# TYPE gisolap_rtree_probes_total counter
-gisolap_rtree_probes_total{engine=\"naive\"} 3
+# HELP gisolap_layer_probes_total Layer-geometry BVH searches issued.
+# TYPE gisolap_layer_probes_total counter
+gisolap_layer_probes_total{engine=\"naive\"} 3
 # HELP gisolap_overlay_hits_total Layer-pair lookups answered from the precomputed overlay.
 # TYPE gisolap_overlay_hits_total counter
 gisolap_overlay_hits_total{engine=\"naive\"} 4

@@ -11,19 +11,23 @@
 //!    (timings zeroed) is identical whether evaluation runs on one
 //!    worker or four.
 //!
-//! Plus a docs-coverage check: every counter of every `counters!`
-//! family (and every span name) must appear in `OBSERVABILITY.md`.
+//! Plus a liveness check — every engine counter has a writer some
+//! engine reaches — and a docs-coverage check: every counter of every
+//! `counters!` family (and every span name) must appear in
+//! `OBSERVABILITY.md`.
 
 use gisolap_core::engine::{
-    explain_analyze, IndexedEngine, NaiveEngine, OverlayEngine, QueryEngine,
+    explain, explain_analyze, IndexedEngine, NaiveEngine, OverlayEngine, QueryEngine,
 };
 use gisolap_core::region::{CmpOp, GeoFilter, RegionC, SpatialPredicate, TimePredicate};
 use gisolap_core::stats::StatsSnapshot;
 use gisolap_datagen::movers::RandomWaypoint;
 use gisolap_datagen::{CityConfig, CityScenario};
 use gisolap_obs::CounterSet;
-use gisolap_olap::time::TimeOfDay;
+use gisolap_olap::time::{TimeId, TimeOfDay};
 use gisolap_olap::value::Value;
+use gisolap_stream::{StreamConfig, StreamIngest};
+use gisolap_traj::{ObjectId, Record};
 use proptest::prelude::*;
 
 fn geo_filter() -> impl Strategy<Value = GeoFilter> {
@@ -144,6 +148,87 @@ proptest! {
             );
         }
     }
+}
+
+/// A city's GIS and a stream snapshot of eight movers sampled every
+/// minute for 80 minutes: objects 0–3 walk a diagonal inside the city,
+/// objects 4–7 one east of it, so the MOFT index has a zone block no
+/// `Ln` polygon reaches. Hour 0 is sealed, hour 1 stays in the tail, one
+/// late hour-0 record is dead-lettered, and one partial extraction
+/// scans the tail.
+fn liveness_fixture() -> (CityScenario, gisolap_stream::StreamSnapshot) {
+    let (city, _) = scenario(3);
+    let b = city.bbox;
+    let record = |oid: u64, k: i64| {
+        let f = k as f64 / 80.0;
+        let x = if oid < 4 {
+            b.min_x + f * b.width()
+        } else {
+            b.max_x + 50.0 + oid as f64
+        };
+        Record {
+            oid: ObjectId(oid),
+            t: TimeId(60 * k),
+            x,
+            y: b.min_y + f * b.height(),
+        }
+    };
+    let records: Vec<Record> = (0..8u64)
+        .flat_map(|oid| (0..80).map(move |k| record(oid, k)))
+        .collect();
+    let (hour0, hour1): (Vec<Record>, Vec<Record>) =
+        records.into_iter().partition(|r| r.t.0 < 3600);
+    let mut ingest = StreamIngest::new(StreamConfig::new(0, 3600).unwrap()).unwrap();
+    ingest.ingest(&hour0);
+    ingest.ingest(&hour1);
+    let late = ingest.ingest(&[record(0, 1)]);
+    assert_eq!(late.late, 1, "the hour-0 straggler is dead-lettered");
+    ingest.extract_partials();
+    let snapshot = ingest.snapshot().unwrap();
+    (city, snapshot)
+}
+
+/// Every `StatsSnapshot` counter has a writer some engine reaches: over
+/// a fixed set of calls — an interval-tree window, a time-free region,
+/// an interpolated region, an `IntersectsLayer` filter, `explain` and
+/// `objects_passing_through` — each field is non-zero on at least one of
+/// the three engines. A counter nothing increments fails here.
+#[test]
+fn every_engine_counter_has_a_live_writer() {
+    let (city, snapshot) = liveness_fixture();
+    let gis = &city.gis;
+    let naive = NaiveEngine::new(gis, snapshot.moft());
+    let indexed = IndexedEngine::from_snapshot(gis, &snapshot);
+    let overlay = OverlayEngine::new(gis, snapshot.moft());
+    let all_ln = SpatialPredicate::in_layer("Ln", GeoFilter::All);
+    let crossed = RegionC::all().with_spatial(SpatialPredicate::in_layer(
+        "Ln",
+        GeoFilter::IntersectsLayer { layer: "Lr".into() },
+    ));
+    let regions = [
+        RegionC::all()
+            .with_time(TimePredicate::Between(TimeId(600), TimeId(1200)))
+            .with_spatial(all_ln.clone()),
+        RegionC::all().with_spatial(all_ln.clone()),
+        RegionC::all().with_spatial(all_ln.clone()).interpolated(),
+        crossed.clone(),
+    ];
+    let engines = [&naive as &dyn QueryEngine, &indexed, &overlay];
+    for engine in engines {
+        for region in &regions {
+            engine.eval(region).unwrap();
+        }
+        explain(engine, &crossed).unwrap();
+        engine.objects_passing_through(&all_ln, &[]).unwrap();
+    }
+    let snaps: Vec<StatsSnapshot> = engines.iter().map(|e| e.stats().snapshot()).collect();
+    let dead: Vec<&str> = StatsSnapshot::NAMES
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| snaps.iter().all(|s| s.fields()[i].1 == 0))
+        .map(|(_, name)| *name)
+        .collect();
+    assert!(dead.is_empty(), "counters no engine wrote: {dead:?}");
 }
 
 /// `OBSERVABILITY.md` names family `C`'s metric pattern and every one of
