@@ -37,13 +37,16 @@
 //!
 //! ## Parallelism and observability
 //!
-//! Evaluation is data-parallel: [`QueryEngine::eval`] partitions the
-//! record runs (sample semantics) and trajectories (interpolated
-//! semantics) across threads, and [`QueryEngine::eval_many`]
-//! additionally fans whole regions out after resolving their shared
-//! geometric sub-queries once. All parallel paths are order-preserving,
-//! so parallel and sequential evaluation produce **bit-identical**
-//! results; `GISOLAP_THREADS=1` forces sequential execution. Every
+//! This module is the only place in the workspace that fans work out
+//! across threads, and it decides by records, not items: a scan over
+//! record runs (sample semantics) or trajectories (interpolated
+//! semantics, passes-through, time-in-region) splits across threads
+//! only when it covers at least 8,192 MOFT records and more than one
+//! worker is configured. The split is order-preserving, so parallel and
+//! sequential evaluation produce **bit-identical** results;
+//! `GISOLAP_THREADS=1` forces sequential execution. Engine
+//! construction, the overlay precomputation and everything outside the
+//! trajectory step run on the caller's thread. Every
 //! engine owns an [`EngineStats`] ([`QueryEngine::stats`]) of cheap
 //! atomic counters — records scanned, layer-hierarchy probes, overlay
 //! cache hits/misses, interpolated legs cut, per-phase wall times — also
@@ -76,36 +79,6 @@ use crate::stats::{elapsed_ns, EngineStats, PhaseTrace, StatsSnapshot};
 use crate::{CoreError, Result};
 
 use gisolap_obs::{CounterSet, QueryObs, Span};
-
-/// Geometric sub-queries resolved ahead of evaluation, keyed by
-/// `(layer name, filter)`. [`QueryEngine::eval_many`] fills one per
-/// batch so regions sharing a filter resolve it once; lookups fall back
-/// to on-demand resolution when a pair is absent.
-#[derive(Debug, Clone, Default)]
-pub struct ResolvedFilters {
-    entries: Vec<(String, GeoFilter, LayerId, Vec<GeoId>)>,
-}
-
-impl ResolvedFilters {
-    /// The resolved element set for `(layer, filter)`, if present.
-    pub fn get(&self, layer: &str, filter: &GeoFilter) -> Option<(LayerId, &[GeoId])> {
-        self.entries
-            .iter()
-            .find(|(l, f, _, _)| l == layer && f == filter)
-            .map(|(_, _, id, geos)| (*id, geos.as_slice()))
-    }
-
-    /// Records a resolved element set.
-    pub fn insert(
-        &mut self,
-        layer_name: impl Into<String>,
-        filter: GeoFilter,
-        layer: LayerId,
-        geos: Vec<GeoId>,
-    ) {
-        self.entries.push((layer_name.into(), filter, layer, geos));
-    }
-}
 
 /// The common interface of the three evaluation strategies.
 ///
@@ -292,7 +265,7 @@ pub trait QueryEngine: Sync {
 
     /// The MOFT records passing the region's time predicates, in
     /// `(oid, t)` order: the passing records of [`QueryEngine::time_runs`],
-    /// collected (parallel at run granularity, order-preserving).
+    /// collected through `collect_runs` (order-preserving).
     fn time_filtered(&self, time_preds: &[TimePredicate]) -> Vec<Record> {
         let t0 = Instant::now();
         let time = self.gis().time();
@@ -313,16 +286,8 @@ pub trait QueryEngine: Sync {
         (8 * (qualifying as f64).sqrt().ceil() as usize).clamp(1, 64)
     }
 
-    /// Resolves a spatial predicate's layer and element set, preferring
-    /// a batch-shared pre-resolution ([`ResolvedFilters`]).
-    fn resolve_spatial(
-        &self,
-        pred: &SpatialPredicate,
-        resolved: &ResolvedFilters,
-    ) -> Result<(LayerId, Vec<GeoId>)> {
-        if let Some((layer, geos)) = resolved.get(&pred.layer, &pred.filter) {
-            return Ok((layer, geos.to_vec()));
-        }
+    /// Resolves a spatial predicate's layer and element set.
+    fn resolve_spatial(&self, pred: &SpatialPredicate) -> Result<(LayerId, Vec<GeoId>)> {
         let layer = self.gis().layer_id(&pred.layer)?;
         let geos = self.resolve_filter(layer, &pred.filter)?;
         Ok((layer, geos))
@@ -336,9 +301,16 @@ pub trait QueryEngine: Sync {
     /// semantics. Interpolated semantics emit one tuple per *entry event*
     /// (the instant a trajectory leg first enters a qualifying geometry).
     ///
-    /// The record runs / trajectories are partitioned across threads in
-    /// order-preserving chunks, so the result is identical to a
-    /// sequential evaluation (`GISOLAP_THREADS=1`).
+    /// A scan covering at least 8,192 records splits its record runs /
+    /// trajectories across threads in order-preserving chunks, so the
+    /// result is identical to a sequential evaluation
+    /// (`GISOLAP_THREADS=1`).
+    ///
+    /// This is also where the observability hooks live: with a
+    /// [`QueryObs`] attached ([`QueryEngine::obs`]), every query bumps
+    /// the eval-latency histogram and is checked against the slow-query
+    /// threshold, and — when the tracer is on — its span tree is stored
+    /// as [`QueryObs::last_span`].
     ///
     /// # Example
     ///
@@ -363,79 +335,9 @@ pub trait QueryEngine: Sync {
     /// # Ok::<(), gisolap_core::CoreError>(())
     /// ```
     fn eval(&self, region: &RegionC) -> Result<Vec<CTuple>> {
-        self.eval_resolved(region, &ResolvedFilters::default())
-    }
-
-    /// Evaluates a batch of regions, resolving each distinct
-    /// `(layer, filter)` geometric sub-query once and fanning the
-    /// regions out in parallel. Returns one result per region, in input
-    /// order — each identical to what [`QueryEngine::eval`] returns for
-    /// that region alone.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use gisolap_core::{GeoFilter, Gis, Layer, NaiveEngine, QueryEngine};
-    /// use gisolap_core::{RegionC, SpatialPredicate, TimePredicate};
-    /// use gisolap_geom::Polygon;
-    /// use gisolap_olap::time::TimeId;
-    /// use gisolap_traj::Moft;
-    ///
-    /// let mut gis = Gis::new();
-    /// gis.add_layer(Layer::polygons(
-    ///     "districts",
-    ///     vec![Polygon::rectangle(0.0, 0.0, 10.0, 10.0)],
-    /// ));
-    /// let moft = Moft::from_tuples([(1, 0, 2.0, 2.0), (1, 7200, 3.0, 3.0)]);
-    /// let engine = NaiveEngine::new(&gis, &moft);
-    ///
-    /// // Two windows over the same spatial filter: the geometric
-    /// // sub-query resolves once for the whole batch.
-    /// let spatial = SpatialPredicate::in_layer("districts", GeoFilter::All);
-    /// let regions = vec![
-    ///     RegionC::all()
-    ///         .with_time(TimePredicate::Between(TimeId(0), TimeId(3599)))
-    ///         .with_spatial(spatial.clone()),
-    ///     RegionC::all()
-    ///         .with_time(TimePredicate::Between(TimeId(7200), TimeId(10799)))
-    ///         .with_spatial(spatial),
-    /// ];
-    /// let results = engine.eval_many(&regions)?;
-    /// assert_eq!(results.len(), 2);
-    /// assert_eq!((results[0].len(), results[1].len()), (1, 1));
-    /// # Ok::<(), gisolap_core::CoreError>(())
-    /// ```
-    fn eval_many(&self, regions: &[RegionC]) -> Result<Vec<Vec<CTuple>>> {
-        let t0 = Instant::now();
-        let mut resolved = ResolvedFilters::default();
-        for region in regions {
-            for pred in region.spatial.iter().chain(region.forbid.iter()) {
-                if resolved.get(&pred.layer, &pred.filter).is_none() {
-                    let layer = self.gis().layer_id(&pred.layer)?;
-                    let geos = self.resolve_filter(layer, &pred.filter)?;
-                    resolved.insert(pred.layer.clone(), pred.filter.clone(), layer, geos);
-                }
-            }
-        }
-        self.stats().filter_resolve_ns.add(elapsed_ns(t0));
-        regions
-            .par_iter()
-            .map(|region| self.eval_resolved(region, &resolved))
-            .collect()
-    }
-
-    /// [`QueryEngine::eval`] against pre-resolved geometric sub-queries;
-    /// pairs missing from `resolved` are resolved on demand.
-    ///
-    /// This is also where the observability hooks live: with a
-    /// [`QueryObs`] attached ([`QueryEngine::obs`]), every query bumps
-    /// the eval-latency histogram and is checked against the slow-query
-    /// threshold, and — when the tracer is on — its span tree is stored
-    /// as [`QueryObs::last_span`].
-    fn eval_resolved(&self, region: &RegionC, resolved: &ResolvedFilters) -> Result<Vec<CTuple>> {
         let Some(obs) = self.obs() else {
             // No observability attached: the untraced fast path.
-            return self.eval_traced(region, resolved, &mut PhaseTrace::disabled());
+            return self.eval_traced(region, &mut PhaseTrace::disabled());
         };
         let started = Instant::now();
         let mut trace = if obs.tracer().enabled() {
@@ -443,7 +345,7 @@ pub trait QueryEngine: Sync {
         } else {
             PhaseTrace::disabled()
         };
-        let result = self.eval_traced(region, resolved, &mut trace);
+        let result = self.eval_traced(region, &mut trace);
         let duration_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         obs.latency().observe_ns(duration_ns);
         if let Some(root) = trace.finish(self.stats(), "eval", started) {
@@ -460,17 +362,12 @@ pub trait QueryEngine: Sync {
         result
     }
 
-    /// The evaluation body behind [`QueryEngine::eval_resolved`], with an
+    /// The evaluation body behind [`QueryEngine::eval`], with an
     /// explicit [`PhaseTrace`] recording phase boundaries (time-filter →
     /// filter-resolve → spatial-match). Called directly by
     /// [`explain_analyze`], which owns the trace and appends its own
     /// aggregate phase.
-    fn eval_traced(
-        &self,
-        region: &RegionC,
-        resolved: &ResolvedFilters,
-        trace: &mut PhaseTrace,
-    ) -> Result<Vec<CTuple>> {
+    fn eval_traced(&self, region: &RegionC, trace: &mut PhaseTrace) -> Result<Vec<CTuple>> {
         let stats = self.stats();
         stats.queries.inc();
         let tf_t0 = Instant::now();
@@ -486,7 +383,7 @@ pub trait QueryEngine: Sync {
         let excluded: Vec<ObjectId> = match &region.forbid {
             None => Vec::new(),
             Some(forbid) => {
-                let (layer, geos) = self.resolve_spatial(forbid, resolved)?;
+                let (layer, geos) = self.resolve_spatial(forbid)?;
                 let forbidden = Membership::new(self, layer, &geos, forbid.within_distance);
                 let mut oids = collect_runs(&runs, |run, out| {
                     for r in run {
@@ -523,7 +420,7 @@ pub trait QueryEngine: Sync {
             }));
         };
 
-        let (layer, geos) = self.resolve_spatial(spatial, resolved)?;
+        let (layer, geos) = self.resolve_spatial(spatial)?;
         let membership = match region.semantics {
             SpatialSemantics::SampleBased => {
                 Some(Membership::new(self, layer, &geos, spatial.within_distance))
@@ -554,35 +451,35 @@ pub trait QueryEngine: Sync {
                     .into_iter()
                     .filter(|&oid| allowed(oid))
                     .collect();
-                let per_object: Result<Vec<Vec<CTuple>>> = oids
-                    .par_iter()
-                    .map(|&oid| {
-                        let Ok(lit) = self.moft().trajectory(oid) else {
-                            return Ok(Vec::new());
-                        };
-                        let legs = time_filtered_legs(&lit, &region.time, time);
-                        stats.legs_cut.add(legs.len() as u64);
-                        let mut out = Vec::new();
-                        for &g in &geos {
-                            let ivs =
-                                self.legs_intersect_geo(&legs, layer, g, spatial.within_distance)?;
-                            for iv in ivs {
-                                let t = TimeId(iv.start.round() as i64);
+                let records = oids
+                    .iter()
+                    .filter_map(|&oid| self.moft().track(oid))
+                    .map(<[Record]>::len)
+                    .sum();
+                let entries = fan_out(&oids, records, |&oid, out| {
+                    let Ok(lit) = self.moft().trajectory(oid) else {
+                        return;
+                    };
+                    let legs = time_filtered_legs(&lit, &region.time, time);
+                    stats.legs_cut.add(legs.len() as u64);
+                    for &g in &geos {
+                        match self.legs_intersect_geo(&legs, layer, g, spatial.within_distance) {
+                            Ok(ivs) => out.extend(ivs.into_iter().map(|iv| {
                                 let pos = lit
                                     .position_at(iv.start)
                                     .unwrap_or_else(|| lit.sample().points()[0].pos);
-                                out.push(CTuple {
+                                Ok(CTuple {
                                     oid,
-                                    t,
+                                    t: TimeId(iv.start.round() as i64),
                                     pos,
                                     geo: Some((layer, g)),
-                                });
-                            }
+                                })
+                            })),
+                            Err(e) => return out.push(Err(e)),
                         }
-                        Ok(out)
-                    })
-                    .collect();
-                let mut out: Vec<CTuple> = per_object?.into_iter().flatten().collect();
+                    }
+                });
+                let mut out: Vec<CTuple> = entries.into_iter().collect::<Result<_>>()?;
                 out.sort_by_key(|t| (t.oid, t.t));
                 Ok(out)
             }
@@ -635,39 +532,36 @@ pub trait QueryEngine: Sync {
         // through. Candidates come back in ascending oid order — the
         // same order `Moft::objects` yields — so the result matches the
         // unpruned evaluation exactly.
-        let oids: Vec<ObjectId> = match self.moft_index() {
+        let (oids, records): (Vec<ObjectId>, usize) = match self.moft_index() {
             Some(idx) => {
                 self.stats().index_bvh_probes.inc();
-                idx.objects_intersecting(&qualifying_bbox(&elements, within))
-                    .into_iter()
-                    .map(|e| e.oid)
-                    .collect()
+                let candidates = idx.objects_intersecting(&qualifying_bbox(&elements, within));
+                let records = candidates.iter().map(|e| e.end - e.start).sum();
+                (candidates.into_iter().map(|e| e.oid).collect(), records)
             }
-            None => self.moft().objects(),
+            None => (self.moft().objects(), self.moft().len()),
         };
-        let out: Vec<ObjectId> = oids
-            .par_iter()
-            .flat_map(|&oid| {
-                let Ok(lit) = self.moft().trajectory(oid) else {
-                    return None;
-                };
-                let legs = time_filtered_legs(&lit, time_preds, self.gis().time());
-                if legs.is_empty() {
-                    return None;
-                }
-                self.stats().legs_cut.add(legs.len() as u64);
-                // Existence only: leg-major, stopping at the first hit.
-                let hit = legs.iter().any(|leg| {
-                    elements.iter().any(|e| {
-                        let mut met = false;
-                        leg_intervals(leg, e, within, |_| met = true);
-                        met
-                    })
-                });
-                hit.then_some(oid)
-            })
-            .collect();
-        Ok(out)
+        Ok(fan_out(&oids, records, |&oid, out| {
+            let Ok(lit) = self.moft().trajectory(oid) else {
+                return;
+            };
+            let legs = time_filtered_legs(&lit, time_preds, self.gis().time());
+            if legs.is_empty() {
+                return;
+            }
+            self.stats().legs_cut.add(legs.len() as u64);
+            // Existence only: leg-major, stopping at the first hit.
+            let hit = legs.iter().any(|leg| {
+                elements.iter().any(|e| {
+                    let mut met = false;
+                    leg_intervals(leg, e, within, |_| met = true);
+                    met
+                })
+            });
+            if hit {
+                out.push(oid);
+            }
+        }))
     }
 
     /// Uncertainty-aware variant of passes-through, under the lifeline-
@@ -695,45 +589,43 @@ pub trait QueryEngine: Sync {
             .expect("kind checked above");
 
         let oids: Vec<ObjectId> = self.moft().objects();
-        let out: Vec<(ObjectId, Reachability)> = oids
-            .par_iter()
-            .flat_map(|&oid| {
-                let track = self.moft().track(oid)?;
-                let mut verdict = Reachability::Impossible;
-                'pairs: for w in track.windows(2) {
-                    let (t1, t2) = (w[0].t.0 as f64, w[1].t.0 as f64);
-                    let (p1, p2) = (w[0].pos(), w[1].pos());
-                    let required = p1.distance(p2) / (t2 - t1);
-                    let bead = match Bead::new(t1, p1, t2, p2, vmax.max(required)) {
-                        Ok(b) => b,
-                        Err(_) => continue, // duplicate timestamps cannot occur post-index
-                    };
-                    for &g in &geos {
-                        match bead.region_reachability(&polys[g.0 as usize]) {
-                            Reachability::Possible => {
-                                verdict = Reachability::Possible;
-                                break 'pairs;
-                            }
-                            Reachability::Unknown => verdict = Reachability::Unknown,
-                            Reachability::Impossible => {}
+        Ok(fan_out(&oids, self.moft().len(), |&oid, out| {
+            let Some(track) = self.moft().track(oid) else {
+                return;
+            };
+            let mut verdict = Reachability::Impossible;
+            'pairs: for w in track.windows(2) {
+                let (t1, t2) = (w[0].t.0 as f64, w[1].t.0 as f64);
+                let (p1, p2) = (w[0].pos(), w[1].pos());
+                let required = p1.distance(p2) / (t2 - t1);
+                let bead = match Bead::new(t1, p1, t2, p2, vmax.max(required)) {
+                    Ok(b) => b,
+                    Err(_) => continue, // duplicate timestamps cannot occur post-index
+                };
+                for &g in &geos {
+                    match bead.region_reachability(&polys[g.0 as usize]) {
+                        Reachability::Possible => {
+                            verdict = Reachability::Possible;
+                            break 'pairs;
                         }
+                        Reachability::Unknown => verdict = Reachability::Unknown,
+                        Reachability::Impossible => {}
                     }
                 }
-                // Single-sample objects: membership of the lone observation.
-                if track.len() == 1 {
-                    let inside = geos
-                        .iter()
-                        .any(|&g| polys[g.0 as usize].contains(track[0].pos()));
-                    verdict = if inside {
-                        Reachability::Possible
-                    } else {
-                        Reachability::Impossible
-                    };
-                }
-                Some((oid, verdict))
-            })
-            .collect();
-        Ok(out)
+            }
+            // Single-sample objects: membership of the lone observation.
+            if track.len() == 1 {
+                let inside = geos
+                    .iter()
+                    .any(|&g| polys[g.0 as usize].contains(track[0].pos()));
+                verdict = if inside {
+                    Reachability::Possible
+                } else {
+                    Reachability::Impossible
+                };
+            }
+            out.push((oid, verdict));
+        }))
     }
 
     /// Per-object total time (seconds) spent inside qualifying geometries
@@ -747,49 +639,46 @@ pub trait QueryEngine: Sync {
         let layer = self.gis().layer_id(&spatial.layer)?;
         let geos = self.resolve_filter(layer, &spatial.filter)?;
         let oids: Vec<ObjectId> = self.moft().objects();
-        let per_object: Result<Vec<Option<(ObjectId, f64)>>> = oids
-            .par_iter()
-            .map(|&oid| {
-                let Ok(lit) = self.moft().trajectory(oid) else {
-                    return Ok(None);
-                };
-                let legs = time_filtered_legs(&lit, time_preds, self.gis().time());
-                if legs.is_empty() {
-                    return Ok(None);
+        let totals = fan_out(&oids, self.moft().len(), |&oid, out| {
+            let Ok(lit) = self.moft().trajectory(oid) else {
+                return;
+            };
+            let legs = time_filtered_legs(&lit, time_preds, self.gis().time());
+            if legs.is_empty() {
+                return;
+            }
+            self.stats().legs_cut.add(legs.len() as u64);
+            // Merge per-geometry intervals so overlapping geometries
+            // don't double-count time.
+            let mut all: Vec<TimeInterval> = Vec::new();
+            for &g in &geos {
+                match self.legs_intersect_geo(&legs, layer, g, spatial.within_distance) {
+                    Ok(ivs) => all.extend(ivs),
+                    Err(e) => return out.push(Err(e)),
                 }
-                self.stats().legs_cut.add(legs.len() as u64);
-                // Merge per-geometry intervals so overlapping geometries
-                // don't double-count time.
-                let mut all: Vec<TimeInterval> = Vec::new();
-                for &g in &geos {
-                    all.extend(self.legs_intersect_geo(
-                        &legs,
-                        layer,
-                        g,
-                        spatial.within_distance,
-                    )?);
-                }
-                all.sort_by(|a, b| a.start.total_cmp(&b.start));
-                let mut total = 0.0;
-                let mut cur: Option<TimeInterval> = None;
-                for iv in all {
-                    match &mut cur {
-                        Some(c) if iv.start <= c.end + 1e-9 => c.end = c.end.max(iv.end),
-                        _ => {
-                            if let Some(c) = cur.take() {
-                                total += c.end - c.start;
-                            }
-                            cur = Some(iv);
+            }
+            all.sort_by(|a, b| a.start.total_cmp(&b.start));
+            let mut total = 0.0;
+            let mut cur: Option<TimeInterval> = None;
+            for iv in all {
+                match &mut cur {
+                    Some(c) if iv.start <= c.end + 1e-9 => c.end = c.end.max(iv.end),
+                    _ => {
+                        if let Some(c) = cur.take() {
+                            total += c.end - c.start;
                         }
+                        cur = Some(iv);
                     }
                 }
-                if let Some(c) = cur {
-                    total += c.end - c.start;
-                }
-                Ok((total > 0.0).then_some((oid, total)))
-            })
-            .collect();
-        Ok(per_object?.into_iter().flatten().collect())
+            }
+            if let Some(c) = cur {
+                total += c.end - c.start;
+            }
+            if total > 0.0 {
+                out.push(Ok((oid, total)));
+            }
+        });
+        totals.into_iter().collect()
     }
 }
 
@@ -837,32 +726,35 @@ fn partition_near(slice: &[Record], hint: usize, pred: impl Fn(&Record) -> bool)
     }
 }
 
-/// Below this many records a scan stays on the caller's thread: the
+/// Below this many records, work stays on the caller's thread: the
 /// worker threads would cost more to start than the scan itself.
 const MIN_PARALLEL_RECORDS: usize = 8 * SCAN_RUN_ROWS;
 
-/// Applies `f` to every run, appending to one output vector in run
-/// order. Parallel at run granularity and order-preserving, so the
-/// output equals the sequential fold, which is what runs (pushing into
-/// a single vector) when there is one worker or little to scan.
-fn collect_runs<'m, T, F>(runs: &[&'m [Record]], f: F) -> Vec<T>
+/// Applies `f` to every item, appending to one output vector in item
+/// order, where the work covers `records` MOFT records. The one place
+/// the workspace decides to go parallel: with more than one worker and
+/// at least [`MIN_PARALLEL_RECORDS`] records, each item appends to a
+/// vector of its own on one of the threads and the vectors are
+/// concatenated in item order, so the output equals the sequential fold
+/// (every item pushing into a single vector).
+fn fan_out<'a, T, R, F>(items: &'a [T], records: usize, f: F) -> Vec<R>
 where
-    T: Send,
-    F: Fn(&'m [Record], &mut Vec<T>) + Sync,
+    T: Sync,
+    R: Send,
+    F: Fn(&'a T, &mut Vec<R>) + Sync,
 {
-    let records: usize = runs.iter().map(|run| run.len()).sum();
     if records < MIN_PARALLEL_RECORDS || rayon::current_num_threads() <= 1 {
         let mut out = Vec::new();
-        for run in runs {
-            f(run, &mut out);
+        for item in items {
+            f(item, &mut out);
         }
         return out;
     }
-    let parts: Vec<Vec<T>> = runs
+    let parts: Vec<Vec<R>> = items
         .par_iter()
-        .map(|run| {
+        .map(|item| {
             let mut out = Vec::new();
-            f(run, &mut out);
+            f(item, &mut out);
             out
         })
         .collect();
@@ -871,6 +763,17 @@ where
         out.append(&mut part);
     }
     out
+}
+
+/// Applies `f` to every run, appending to one output vector in run
+/// order ([`fan_out`] over the runs' records).
+fn collect_runs<'m, T, F>(runs: &[&'m [Record]], f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&'m [Record], &mut Vec<T>) + Sync,
+{
+    let records = runs.iter().map(|run| run.len()).sum();
+    fan_out(runs, records, |run, out| f(run, out))
 }
 
 /// One qualifying element of a spatial predicate, looked up once per
@@ -1415,7 +1318,7 @@ pub fn explain_analyze<E: QueryEngine + ?Sized>(
     let before = engine.stats().snapshot();
     let started = Instant::now();
     let mut trace = PhaseTrace::enabled(engine.stats());
-    let tuples = engine.eval_traced(region, &ResolvedFilters::default(), &mut trace)?;
+    let tuples = engine.eval_traced(region, &mut trace)?;
     let agg_t0 = Instant::now();
     let deduped = dedupe_oid_t(tuples.clone());
     trace.phase(engine.stats(), "aggregate", agg_t0);
@@ -1647,25 +1550,20 @@ pub struct IndexedEngine<'a> {
 
 impl<'a> IndexedEngine<'a> {
     /// Creates the engine, building one [`Bvh`] per layer plus the
-    /// MOFT-side [`MoftIndex`] — independent precomputations, run in
-    /// parallel.
+    /// MOFT-side [`MoftIndex`].
     pub fn new(gis: &'a Gis, moft: &'a Moft) -> IndexedEngine<'a> {
-        let (layer_trees, mindex) = rayon::join(
-            || {
-                gis.layers()
-                    .map(|(id, layer)| {
-                        let items = layer.iter().map(|(g, r)| (r.bbox(), g)).collect();
-                        (id, Bvh::build(items))
-                    })
-                    .collect()
-            },
-            || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
-        );
+        let layer_trees = gis
+            .layers()
+            .map(|(id, layer)| {
+                let items = layer.iter().map(|(g, r)| (r.bbox(), g)).collect();
+                (id, Bvh::build(items))
+            })
+            .collect();
         IndexedEngine {
             gis,
             moft,
             layer_trees,
-            mindex,
+            mindex: MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
             stream: None,
             stats: EngineStats::new(),
             obs: None,
@@ -1757,16 +1655,11 @@ pub struct OverlayEngine<'a> {
 impl<'a> OverlayEngine<'a> {
     /// Creates the engine, precomputing the full layer overlay.
     pub fn new(gis: &'a Gis, moft: &'a Moft) -> OverlayEngine<'a> {
-        // The overlay and the MOFT index are independent precomputations.
-        let (cache, mindex) = rayon::join(
-            || OverlayCache::precompute(gis),
-            || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
-        );
         OverlayEngine {
             gis,
             moft,
-            mindex,
-            cache,
+            mindex: MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
+            cache: OverlayCache::precompute(gis),
             stream: None,
             stats: EngineStats::new(),
             obs: None,
@@ -2308,45 +2201,6 @@ mod tests {
         assert_eq!(legs.len(), 1);
         assert!((legs[0].t0 - H as f64).abs() < 1e-9);
         assert!((legs[0].t1 - 2.0 * H as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn eval_many_matches_individual_evals() {
-        let gis = test_gis();
-        let moft = test_moft();
-        let regions = vec![
-            RegionC::all().with_spatial(SpatialPredicate::in_layer(
-                "Ln",
-                GeoFilter::Member {
-                    category: "neighborhood".into(),
-                    member: "West".into(),
-                },
-            )),
-            RegionC::all().with_spatial(SpatialPredicate::in_layer(
-                "Ln",
-                GeoFilter::IntersectsLayer { layer: "Lr".into() },
-            )),
-            // Shares the first region's filter: resolved once per batch.
-            RegionC::all()
-                .with_spatial(SpatialPredicate::in_layer(
-                    "Ln",
-                    GeoFilter::Member {
-                        category: "neighborhood".into(),
-                        member: "West".into(),
-                    },
-                ))
-                .interpolated(),
-            RegionC::all(),
-        ];
-        let (naive, indexed, overlay) = engines(&gis, &moft);
-        for engine in [&naive as &dyn QueryEngine, &indexed, &overlay] {
-            let batched = engine.eval_many(&regions).unwrap();
-            assert_eq!(batched.len(), regions.len());
-            for (region, batch_result) in regions.iter().zip(&batched) {
-                let single = engine.eval(region).unwrap();
-                assert_eq!(batch_result, &single, "engine {}", engine.name());
-            }
-        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod streaming;
 
 pub use engine::{
     explain, explain_analyze, Explain, ExplainAnalyze, IndexedEngine, NaiveEngine, OverlayEngine,
-    QueryEngine, ResolvedFilters,
+    QueryEngine,
 };
 pub use gis::Gis;
 pub use gisolap_obs::QueryObs;

@@ -12,8 +12,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rayon::prelude::*;
-
 use gisolap_geom::MultiPolygon;
 
 use crate::gis::Gis;
@@ -84,16 +82,6 @@ fn canon(a: LayerId, b: LayerId) -> ((LayerId, LayerId), bool) {
     }
 }
 
-/// Everything computed for one canonical layer pair — produced by
-/// [`compute_pair`] (pure, thus parallelizable) and merged into the
-/// cache's maps on the calling thread.
-struct PairData {
-    key: (LayerId, LayerId),
-    rel: HashSet<(u32, u32)>,
-    fragments: Option<Vec<LineFragment>>,
-    cells: Option<Vec<OverlayCell>>,
-}
-
 impl OverlayCache {
     /// Precomputes every pair of layers in the GIS (including the
     /// polygon×polygon overlay cells).
@@ -108,8 +96,8 @@ impl OverlayCache {
         OverlayCache::precompute_pairs(gis, &pairs)
     }
 
-    /// Precomputes selected layer pairs only. Pairs are computed in
-    /// parallel (each is independent) and merged deterministically.
+    /// Precomputes selected layer pairs only, one after the other in
+    /// first-seen order.
     pub(crate) fn precompute_pairs(gis: &Gis, pairs: &[(LayerId, LayerId)]) -> OverlayCache {
         let mut canonical: Vec<(LayerId, LayerId)> = Vec::new();
         for &(a, b) in pairs {
@@ -118,115 +106,98 @@ impl OverlayCache {
                 canonical.push(key);
             }
         }
-        let computed: Vec<PairData> = canonical
-            .par_iter()
-            .map(|&(a, b)| compute_pair(gis, a, b))
-            .collect();
         let mut cache = OverlayCache::default();
-        for data in computed {
-            cache.intersects.insert(data.key, data.rel);
-            if let Some(frags) = data.fragments {
-                cache.fragments.insert(data.key, frags);
-            }
-            if let Some(cells) = data.cells {
-                cache.cells.insert(data.key, cells);
-            }
+        for (a, b) in canonical {
+            cache.add_pair(gis, a, b);
         }
         cache
     }
-}
 
-/// Computes one canonical (`la <= lb`) layer pair's relation, fragments
-/// and cells. Pure with respect to the cache, so pairs parallelize.
-fn compute_pair(gis: &Gis, la: LayerId, lb: LayerId) -> PairData {
-    let layer_a = gis.layer(la);
-    let layer_b = gis.layer(lb);
-    let mut fragments: Option<Vec<LineFragment>> = None;
-    let mut overlay_cells: Option<Vec<OverlayCell>> = None;
+    /// Computes one canonical (`la <= lb`) layer pair's relation,
+    /// fragments and cells into the cache.
+    fn add_pair(&mut self, gis: &Gis, la: LayerId, lb: LayerId) {
+        let layer_a = gis.layer(la);
+        let layer_b = gis.layer(lb);
 
-    let mut rel: HashSet<(u32, u32)> = HashSet::new();
-    for (ga, ra) in layer_a.iter() {
-        let bba = ra.bbox();
-        for (gb, rb) in layer_b.iter() {
-            if !bba.intersects(&rb.bbox()) {
-                continue;
-            }
-            if georef_intersects(&ra, &rb) {
-                rel.insert((ga.0, gb.0));
+        let mut rel: HashSet<(u32, u32)> = HashSet::new();
+        for (ga, ra) in layer_a.iter() {
+            let bba = ra.bbox();
+            for (gb, rb) in layer_b.iter() {
+                if !bba.intersects(&rb.bbox()) {
+                    continue;
+                }
+                if georef_intersects(&ra, &rb) {
+                    rel.insert((ga.0, gb.0));
+                }
             }
         }
-    }
 
-    // Polygon×polyline: materialize the 1-D fragments (arc-length
-    // intervals of each line inside each intersecting polygon).
-    let line_pair = match (layer_a.as_polygons(), layer_b.as_polylines()) {
-        (Some(polys), Some(lines)) => Some((polys, lines, false)),
-        _ => match (layer_b.as_polygons(), layer_a.as_polylines()) {
-            (Some(polys), Some(lines)) => Some((polys, lines, true)),
-            _ => None,
-        },
-    };
-    if let Some((polys, lines, swapped_roles)) = line_pair {
-        let mut frags = Vec::new();
-        for &(ia, ib) in &rel {
-            let (pi, li) = if swapped_roles { (ib, ia) } else { (ia, ib) };
-            let poly = &polys[pi as usize];
-            let line = &lines[li as usize];
-            let mut intervals: Vec<(f64, f64)> = Vec::new();
-            let mut offset = 0.0;
-            for seg in line.segments() {
-                let len = seg.length();
-                for iv in gisolap_geom::clip::clip_segment_to_polygon(&seg, poly) {
-                    if iv.length() > 0.0 {
-                        intervals.push((offset + iv.start * len, offset + iv.end * len));
+        // Polygon×polyline: materialize the 1-D fragments (arc-length
+        // intervals of each line inside each intersecting polygon).
+        let line_pair = match (layer_a.as_polygons(), layer_b.as_polylines()) {
+            (Some(polys), Some(lines)) => Some((polys, lines, false)),
+            _ => match (layer_b.as_polygons(), layer_a.as_polylines()) {
+                (Some(polys), Some(lines)) => Some((polys, lines, true)),
+                _ => None,
+            },
+        };
+        if let Some((polys, lines, swapped_roles)) = line_pair {
+            let mut frags = Vec::new();
+            for &(ia, ib) in &rel {
+                let (pi, li) = if swapped_roles { (ib, ia) } else { (ia, ib) };
+                let poly = &polys[pi as usize];
+                let line = &lines[li as usize];
+                let mut intervals: Vec<(f64, f64)> = Vec::new();
+                let mut offset = 0.0;
+                for seg in line.segments() {
+                    let len = seg.length();
+                    for iv in gisolap_geom::clip::clip_segment_to_polygon(&seg, poly) {
+                        if iv.length() > 0.0 {
+                            intervals.push((offset + iv.start * len, offset + iv.end * len));
+                        }
+                    }
+                    offset += len;
+                }
+                // Merge touching intervals across segment boundaries.
+                intervals.sort_by(|x, y| x.0.total_cmp(&y.0));
+                let mut merged: Vec<(f64, f64)> = Vec::with_capacity(intervals.len());
+                for iv in intervals {
+                    match merged.last_mut() {
+                        Some(last) if iv.0 <= last.1 + 1e-9 => last.1 = last.1.max(iv.1),
+                        _ => merged.push(iv),
                     }
                 }
-                offset += len;
+                let length = merged.iter().map(|&(s, e)| e - s).sum();
+                frags.push(LineFragment {
+                    poly: GeoId(pi),
+                    line: GeoId(li),
+                    intervals: merged,
+                    length,
+                });
             }
-            // Merge touching intervals across segment boundaries.
-            intervals.sort_by(|x, y| x.0.total_cmp(&y.0));
-            let mut merged: Vec<(f64, f64)> = Vec::with_capacity(intervals.len());
-            for iv in intervals {
-                match merged.last_mut() {
-                    Some(last) if iv.0 <= last.1 + 1e-9 => last.1 = last.1.max(iv.1),
-                    _ => merged.push(iv),
-                }
+            frags.sort_by_key(|f| (f.poly, f.line));
+            self.fragments.insert((la, lb), frags);
+        }
+
+        // Polygon×polygon: materialize the overlay cells.
+        if let (Some(pa), Some(pb)) = (layer_a.as_polygons(), layer_b.as_polygons()) {
+            let mut cells = Vec::new();
+            for &(ia, ib) in &rel {
+                let region = MultiPolygon::from_polygon(pa[ia as usize].clone())
+                    .intersection(&MultiPolygon::from_polygon(pb[ib as usize].clone()));
+                let area = region.area();
+                cells.push(OverlayCell {
+                    a: GeoId(ia),
+                    b: GeoId(ib),
+                    region,
+                    area,
+                });
             }
-            let length = merged.iter().map(|&(s, e)| e - s).sum();
-            frags.push(LineFragment {
-                poly: GeoId(pi),
-                line: GeoId(li),
-                intervals: merged,
-                length,
-            });
+            cells.sort_by_key(|c| (c.a, c.b));
+            self.cells.insert((la, lb), cells);
         }
-        frags.sort_by_key(|f| (f.poly, f.line));
-        fragments = Some(frags);
-    }
 
-    // Polygon×polygon: materialize the overlay cells.
-    if let (Some(pa), Some(pb)) = (layer_a.as_polygons(), layer_b.as_polygons()) {
-        let mut cells = Vec::new();
-        for &(ia, ib) in &rel {
-            let region = MultiPolygon::from_polygon(pa[ia as usize].clone())
-                .intersection(&MultiPolygon::from_polygon(pb[ib as usize].clone()));
-            let area = region.area();
-            cells.push(OverlayCell {
-                a: GeoId(ia),
-                b: GeoId(ib),
-                region,
-                area,
-            });
-        }
-        cells.sort_by_key(|c| (c.a, c.b));
-        overlay_cells = Some(cells);
-    }
-
-    PairData {
-        key: (la, lb),
-        rel,
-        fragments,
-        cells: overlay_cells,
+        self.intersects.insert((la, lb), rel);
     }
 }
 

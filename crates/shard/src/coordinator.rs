@@ -6,11 +6,10 @@
 //!    rule out (spatial clusters skip whole shards before any I/O;
 //!    hash clusters cannot).
 //! 2. **Scatter** — fetch every surviving shard's extracted `(hour,
-//!    geo)` partial cells through the rayon shim's `par_iter` (which
-//!    keeps clusters below its 64-item cut-off on the calling thread),
-//!    and drop out-of-window cells at the fetch edge ([`filter_window`] —
-//!    result-neutral because the rollup's `between` masks the same
-//!    hours).
+//!    geo)` partial cells, one shard after the other in ascending index
+//!    order on the calling thread, and drop out-of-window cells at the
+//!    fetch edge ([`filter_window`] — result-neutral because the
+//!    rollup's `between` masks the same hours).
 //! 3. **Gather** — stream the per-shard runs through one k-way merge
 //!    (`O(n log k)`, ties broken by **ascending shard index**) straight
 //!    into the linear fold ([`fold_rollup`], `O(n)`); no cube is built.
@@ -40,7 +39,6 @@ use gisolap_stream::{
     fold_rollup, hour_in_window, CellPartial, DeltaCube, GroupKey, Measure, RollupQuery, RollupRow,
     StreamIngest,
 };
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{binary_heap::PeekMut, BTreeMap, BinaryHeap};
 use std::time::Instant;
@@ -179,7 +177,7 @@ counters! {
 /// a replica set, or remote serve endpoints — anything that can hand
 /// back shard `i`'s extracted partials, optionally pre-filtered to a
 /// region shard-side.
-pub trait ShardExecutor: Sync {
+pub trait ShardExecutor {
     /// Shard count (must match the coordinator's partitioner).
     fn shards(&self) -> usize;
 
@@ -308,7 +306,7 @@ impl<E: ShardExecutor> Coordinator<E> {
             Ok((kept, pruned))
         };
         let fetched: Vec<ShardFetch> = targets
-            .par_iter()
+            .iter()
             .map(|&s| fetch_one(s))
             .collect::<Result<_>>()?;
         let scatter_ns = t_scatter.elapsed().as_nanos() as u64;
@@ -549,7 +547,7 @@ impl<'a, T> FollowerExecutor<'a, T> {
     }
 }
 
-impl<T: gisolap_repl::Transport + Sync> ShardExecutor for FollowerExecutor<'_, T> {
+impl<T: gisolap_repl::Transport> ShardExecutor for FollowerExecutor<'_, T> {
     fn shards(&self) -> usize {
         self.followers.len()
     }

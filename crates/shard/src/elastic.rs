@@ -108,7 +108,8 @@ impl ElasticConfig {
 }
 
 counters! {
-    /// Counters for elasticity work (failover probing and rebalancing).
+    /// Counters for failover probing. Rebalances report what they did in
+    /// their [`RebalanceReport`] / [`RebalanceRecovery`] instead.
     pub struct ElasticStats["gisolap_elastic_", "Shard elasticity counter."] {
         /// Leader health probes sent.
         probes,
@@ -118,17 +119,6 @@ counters! {
         lease_renewals,
         /// Failovers completed (a replica promoted under a new epoch).
         failovers,
-        /// Rebalances committed (manifest flipped to the new assignment).
-        rebalances_committed,
-        /// Interrupted rebalances rolled back on recovery (crash before
-        /// the manifest flip).
-        rebalance_rollbacks,
-        /// Interrupted rebalances rolled forward on recovery (crash after
-        /// the manifest flip).
-        rebalance_rollforwards,
-        /// Grid cells whose owning shard changed across committed
-        /// rebalances.
-        cells_reassigned,
     }
 }
 

@@ -12,12 +12,12 @@
 //! * [`cluster`] — [`ShardedIngest`]: N per-shard durable stores under
 //!   one root with a persisted membership manifest, routed ingest, and
 //!   per-shard replication leaders/replica sets.
-//! * [`coordinator`] — [`Coordinator`]: prune → parallel scatter →
-//!   gather (a k-way merge of the per-shard runs, ties in ascending
-//!   shard order, streamed into
-//!   [`fold_rollup`](gisolap_stream::fold_rollup)), plus the
-//!   [`eval_single`] reference evaluator the equivalence tests compare
-//!   against.
+//! * [`coordinator`] — [`Coordinator`]: prune → scatter (shards
+//!   fetched in ascending order on the calling thread) → gather (a
+//!   k-way merge of the per-shard runs, ties in ascending shard order,
+//!   streamed into [`fold_rollup`](gisolap_stream::fold_rollup)), plus
+//!   the [`eval_single`] reference evaluator the equivalence tests
+//!   compare against.
 //! * [`wire`] — codecs for manifests, regions, grids and shipped cell
 //!   sets, riding the store's CRC framing.
 //! * [`elastic`] — shard elasticity: [`ShardGroup`], a lease-based

@@ -826,7 +826,8 @@ pub fn decode_tail(payload: &[u8], file: &str) -> Result<TailState> {
 
 /// Tail-state changes since the previous checkpoint in a manifest's
 /// chain — what a flush writes instead of a full checkpoint while the
-/// chain stays under `StoreConfig::max_checkpoint_deltas`.
+/// chain stays under the store's bound of four deltas per full
+/// checkpoint.
 ///
 /// A delta exploits the tail's update pattern: scalars are cheap,
 /// `dead_letters` is append-only (only the suffix travels), and open

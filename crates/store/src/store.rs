@@ -42,6 +42,10 @@ fn seg_name(lo: i64, hi: i64) -> String {
     format!("seg-{lo}-{hi}.seg")
 }
 
+/// Delta checkpoints a flush may chain onto one full checkpoint before
+/// the next flush is forced to rewrite the whole tail.
+const MAX_CHECKPOINT_DELTAS: usize = 4;
+
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -62,10 +66,6 @@ pub struct StoreConfig {
     /// the flush commit point, forcing lagging followers onto the
     /// snapshot-transfer path.
     pub retain_wal_generations: usize,
-    /// Delta checkpoints a flush may chain onto one full checkpoint
-    /// before the next flush is forced to rewrite the whole tail (default
-    /// 4); `0` makes every flush write a full checkpoint.
-    pub max_checkpoint_deltas: usize,
     /// Collect `wal-append` / `segment-flush` / `recover-replay` spans.
     pub traced: bool,
 }
@@ -76,7 +76,6 @@ impl Default for StoreConfig {
             sync: SyncPolicy::Always,
             compact_min_segments: 0,
             retain_wal_generations: 0,
-            max_checkpoint_deltas: 4,
             traced: false,
         }
     }
@@ -250,31 +249,6 @@ fn decode_segment_entry(vfs: &dyn Vfs, dir: &Path, entry: &SegmentEntry) -> Resu
     Ok(seg)
 }
 
-/// Decodes the manifest's segment files on the worker pool by recursive
-/// binary split over `rayon::join`, preserving manifest order. Each file
-/// decodes independently (read + CRC + canonical-order validation), so
-/// recovery wall-clock scales with the largest file, not the sum.
-fn decode_segments_parallel(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    entries: &[SegmentEntry],
-) -> Result<Vec<Segment>> {
-    match entries.len() {
-        0 => Ok(Vec::new()),
-        1 => Ok(vec![decode_segment_entry(vfs, dir, &entries[0])?]),
-        n => {
-            let (a, b) = entries.split_at(n / 2);
-            let (left, right) = rayon::join(
-                || decode_segments_parallel(vfs, dir, a),
-                || decode_segments_parallel(vfs, dir, b),
-            );
-            let mut out = left?;
-            out.extend(right?);
-            Ok(out)
-        }
-    }
-}
-
 /// The durable half of the pipeline: a directory of store files plus the
 /// open WAL. It persists state produced by a [`StreamIngest`] but holds
 /// no pipeline state itself; [`DurableIngest`] pairs the two.
@@ -395,9 +369,14 @@ impl SegmentStore {
             .map_err(StoreError::Stream)?;
 
         // Segments, ascending (the manifest decoder already validated
-        // order and disjointness). Files decode in parallel on the
-        // worker pool; order is preserved by the binary-split merge.
-        let segments = decode_segments_parallel(vfs.as_ref(), dir, &manifest.segments)?;
+        // order and disjointness), decoded in manifest order: read, CRC
+        // and canonical-order checks per file, the first failure
+        // returned.
+        let segments = manifest
+            .segments
+            .iter()
+            .map(|entry| decode_segment_entry(vfs.as_ref(), dir, entry))
+            .collect::<Result<Vec<_>>>()?;
 
         // Checkpoint: the tail state at the last flush — the full base
         // folded through any chained delta checkpoints, oldest first.
@@ -684,12 +663,11 @@ impl SegmentStore {
         // Incremental checkpoint: when a full base exists and the delta
         // chain has room, persist only the diff against the last flushed
         // tail instead of rewriting the whole tail state. The chain is
-        // bounded, so recovery folds at most `max_checkpoint_deltas`
+        // bounded, so recovery folds at most `MAX_CHECKPOINT_DELTAS`
         // files over one base.
-        let write_delta = self.config.max_checkpoint_deltas > 0
-            && self.checkpoint.is_some()
+        let write_delta = self.checkpoint.is_some()
             && self.last_tail.is_some()
-            && self.checkpoint_deltas.len() < self.config.max_checkpoint_deltas;
+            && self.checkpoint_deltas.len() < MAX_CHECKPOINT_DELTAS;
         let (ck, deltas) = if write_delta {
             let base = self.last_tail.as_ref().expect("checked above");
             let name = ckd_name(next_gen);
@@ -1446,31 +1424,36 @@ mod tests {
     #[test]
     fn delta_checkpoints_fold_on_recovery() {
         let dir = ScratchDir::new("store-deltas");
-        let config = StoreConfig {
-            max_checkpoint_deltas: 2,
-            ..StoreConfig::default()
-        };
+        let config = StoreConfig::default();
         let mut d = DurableIngest::create(vfs(), dir.path(), cfg(), config, None).unwrap();
         let mut reference = StreamIngest::new(cfg()).unwrap();
-        let all = batches();
-        // Flush after each of the first three batches: the first writes
-        // the full base, the next two chain deltas onto it.
-        for b in &all[..3] {
+        let mut all = batches();
+        all.push(vec![rec(2, 14600, 8.0, 80.0)]);
+        all.push(vec![rec(1, 18200, 9.0, 90.0)]);
+        let chain = MAX_CHECKPOINT_DELTAS;
+        // Flush after each of the first `1 + chain` batches: the first
+        // writes the full base, the rest chain deltas onto it.
+        for b in &all[..=chain] {
             d.ingest(b).unwrap();
             reference.ingest(b);
             d.flush().unwrap();
         }
         let stats = d.store_stats();
-        assert_eq!((stats.checkpoints, stats.delta_checkpoints), (1, 2));
+        assert_eq!(
+            (stats.checkpoints, stats.delta_checkpoints),
+            (1, chain as u64)
+        );
         let names = file_names(dir.path());
         assert!(names.iter().any(|n| n == "ck-1.ck"), "{names:?}");
-        assert!(names.iter().any(|n| n == "ckd-2.ckd"), "{names:?}");
-        assert!(names.iter().any(|n| n == "ckd-3.ckd"), "{names:?}");
+        for generation in 2..=chain + 1 {
+            let delta = format!("ckd-{generation}.ckd");
+            assert!(names.contains(&delta), "{names:?}");
+        }
 
         // Post-flush traffic lands in the WAL only.
-        d.ingest(&all[3]).unwrap();
-        reference.ingest(&all[3]);
-        drop(d); // crash with a two-delta chain plus a WAL tail
+        d.ingest(&all[chain + 1]).unwrap();
+        reference.ingest(&all[chain + 1]);
+        drop(d); // crash with a full delta chain plus a WAL tail
 
         let (mut r, report) = DurableIngest::recover(vfs(), dir.path(), config, None).unwrap();
         assert!(report.checkpoint_loaded);
@@ -1478,7 +1461,7 @@ mod tests {
         assert_same_state(r.pipeline(), &reference);
 
         // The chain is at capacity, so the next flush forces a full
-        // checkpoint and garbage-collects the base and both deltas.
+        // checkpoint and garbage-collects the base and every delta.
         r.flush().unwrap();
         assert_eq!(r.store_stats().checkpoints, 1);
         assert_eq!(r.store_stats().delta_checkpoints, 0);
@@ -1500,29 +1483,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_max_deltas_always_writes_full_checkpoints() {
-        let dir = ScratchDir::new("store-nodeltas");
-        let config = StoreConfig {
-            max_checkpoint_deltas: 0,
-            ..StoreConfig::default()
-        };
-        let mut d = DurableIngest::create(vfs(), dir.path(), cfg(), config, None).unwrap();
-        for b in batches() {
-            d.ingest(&b).unwrap();
-            d.flush().unwrap();
-        }
-        let stats = d.store_stats();
-        assert_eq!((stats.checkpoints, stats.delta_checkpoints), (4, 0));
-        assert!(!file_names(dir.path()).iter().any(|n| n.ends_with(".ckd")));
-    }
-
-    #[test]
     fn store_config_from_env_defaults() {
         // No env vars set in the test harness by default: the documented
         // fallbacks apply.
         let c = StoreConfig::from_env();
         assert_eq!(c.compact_min_segments, 0);
-        assert_eq!(c.max_checkpoint_deltas, 4);
         assert!(matches!(
             c.sync,
             SyncPolicy::Always | SyncPolicy::EveryN(_) | SyncPolicy::Never

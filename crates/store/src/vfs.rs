@@ -13,10 +13,10 @@ use std::sync::Arc;
 
 use crate::Result;
 
-/// An open append-only file handle. `Sync` because stores holding one
-/// are shared immutably across a shard coordinator's scatter threads
-/// (all methods take `&mut self`, so the bound costs implementations
-/// nothing beyond not using `Cell`-style interior mutability).
+/// An open append-only file handle. `Sync` so stores holding one can
+/// be shared immutably across threads (all methods take `&mut self`, so
+/// the bound costs implementations nothing beyond not using
+/// `Cell`-style interior mutability).
 pub trait AppendFile: Send + Sync {
     /// Appends `bytes` at the end of the file.
     fn append(&mut self, bytes: &[u8]) -> Result<()>;

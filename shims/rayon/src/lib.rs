@@ -2,28 +2,24 @@
 //! build environment), implementing the subset the workspace uses on top
 //! of `std::thread::scope`:
 //!
-//! * `slice.par_iter().map(f).collect::<Vec<_>>()` (also `Result`
-//!   collection via `FromIterator`),
-//! * `slice.par_iter().flat_map(f).collect::<Vec<_>>()`,
-//! * [`join`], [`current_num_threads`].
+//! * `slice.par_iter().map(f).collect()` (also `Result` collection via
+//!   `FromIterator`),
+//! * [`current_num_threads`].
 //!
-//! **Determinism:** all adapters are *order-preserving* — the output of
-//! `collect` is exactly what the sequential `iter()` pipeline would
-//! produce, because each worker owns a contiguous chunk and chunk
-//! results are concatenated in index order. The query engine relies on
-//! this to keep parallel and sequential evaluation bit-identical.
+//! **Determinism:** `collect` is *order-preserving* — its output is
+//! exactly what the sequential `iter()` pipeline would produce, because
+//! each worker owns a contiguous chunk and chunk results are
+//! concatenated in index order. The query engine relies on this to keep
+//! parallel and sequential evaluation bit-identical.
 //!
-//! Inputs shorter than [`MIN_PARALLEL_LEN`] run inline on the calling
-//! thread: spawning OS threads (this shim has no pool) costs more than
-//! scanning a handful of records. Set `GISOLAP_THREADS` to cap or
-//! disable (`1`) worker threads.
+//! Like `rayon`, it fans out whatever it is given; the caller decides
+//! whether the work is worth it. There is no pool: every call spawns
+//! its workers. Set `GISOLAP_THREADS` to cap or disable (`1`) worker
+//! threads.
 
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
-
-/// Below this many items, adapters run sequentially on the caller.
-pub const MIN_PARALLEL_LEN: usize = 64;
 
 /// Number of worker threads parallel adapters will use, honouring the
 /// `GISOLAP_THREADS` environment variable (mirrors rayon's
@@ -38,27 +34,8 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// Runs both closures, potentially in parallel, and returns both
-/// results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon-shim worker panicked"))
-    })
-}
-
-/// Order-preserving parallel map over a slice: the backbone of every
-/// adapter below. Returns exactly `items.iter().map(f).collect()`.
+/// Order-preserving parallel map over a slice. Returns exactly
+/// `items.iter().map(f).collect()`.
 fn par_map_slice<'a, T, R, F>(items: &'a [T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -66,7 +43,7 @@ where
     F: Fn(&'a T) -> R + Sync,
 {
     let threads = current_num_threads().min(items.len());
-    if threads <= 1 || items.len() < MIN_PARALLEL_LEN {
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(threads);
@@ -102,30 +79,6 @@ impl<'a, T: Sync> ParIter<'a, T> {
             f,
         }
     }
-
-    /// Maps each item to an iterator and flattens, preserving order.
-    pub fn flat_map<I, F>(self, f: F) -> FlatMap<'a, T, F>
-    where
-        I: IntoIterator,
-        I::Item: Send,
-        F: Fn(&'a T) -> I + Sync,
-    {
-        FlatMap {
-            items: self.items,
-            f,
-        }
-    }
-
-    /// Keeps items passing the predicate, preserving order.
-    pub fn filter<F>(self, f: F) -> Filter<'a, T, F>
-    where
-        F: Fn(&&'a T) -> bool + Sync,
-    {
-        Filter {
-            items: self.items,
-            f,
-        }
-    }
 }
 
 /// Lazy `map` adapter.
@@ -143,109 +96,6 @@ where
     /// Executes the pipeline and collects in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
         par_map_slice(self.items, self.f).into_iter().collect()
-    }
-}
-
-/// Lazy `flat_map` adapter.
-pub struct FlatMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T, I, F> FlatMap<'a, T, F>
-where
-    T: Sync,
-    I: IntoIterator,
-    I::Item: Send,
-    F: Fn(&'a T) -> I + Sync,
-{
-    /// Executes the pipeline and collects in input order.
-    pub fn collect<C: FromIterator<I::Item>>(self) -> C {
-        let f = self.f;
-        par_map_slice(self.items, |t| f(t).into_iter().collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-/// Lazy `filter` adapter.
-pub struct Filter<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T, F> Filter<'a, T, F>
-where
-    T: Sync,
-    F: Fn(&&'a T) -> bool + Sync,
-{
-    /// Executes the pipeline and collects the surviving references in
-    /// input order.
-    pub fn collect<C: FromIterator<&'a T>>(self) -> C {
-        let f = self.f;
-        par_map_slice(self.items, |t| if f(&t) { Some(t) } else { None })
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-/// Mutable chunk-parallel entry point (subset of rayon's
-/// `ParallelSliceMut`).
-pub trait ParallelSliceMut<T: Send> {
-    /// Splits into non-overlapping mutable chunks of `chunk_size`
-    /// elements (the last may be shorter), processed potentially in
-    /// parallel.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        ParChunksMut {
-            slice: self,
-            chunk_size: chunk_size.max(1),
-        }
-    }
-}
-
-/// Pending parallel iteration over mutable chunks of a slice.
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<T: Send> ParChunksMut<'_, T> {
-    /// Applies `f` to every chunk. Chunks are disjoint, so workers never
-    /// alias; which worker runs which chunk is irrelevant to the result.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        let threads = current_num_threads();
-        if threads <= 1 || self.slice.len() < MIN_PARALLEL_LEN {
-            for chunk in self.slice.chunks_mut(self.chunk_size) {
-                f(chunk);
-            }
-            return;
-        }
-        let mut chunks: Vec<&mut [T]> = self.slice.chunks_mut(self.chunk_size).collect();
-        let per_worker = chunks.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let f = &f;
-            let mut handles = Vec::new();
-            while !chunks.is_empty() {
-                let batch: Vec<&mut [T]> = chunks.drain(..per_worker.min(chunks.len())).collect();
-                handles.push(s.spawn(move || {
-                    for chunk in batch {
-                        f(chunk);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("rayon-shim worker panicked");
-            }
-        });
     }
 }
 
@@ -274,7 +124,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
 /// Glob-import surface mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::IntoParallelRefIterator;
-    pub use crate::ParallelSliceMut;
 }
 
 #[cfg(test)]
@@ -286,25 +135,6 @@ mod tests {
         let v: Vec<i64> = (0..1000).collect();
         let par: Vec<i64> = v.par_iter().map(|x| x * 3).collect();
         let seq: Vec<i64> = v.iter().map(|x| x * 3).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn flat_map_matches_sequential_order() {
-        let v: Vec<u32> = (0..500).collect();
-        let par: Vec<u32> = v
-            .par_iter()
-            .flat_map(|&x| vec![x; (x % 3) as usize])
-            .collect();
-        let seq: Vec<u32> = v.iter().flat_map(|&x| vec![x; (x % 3) as usize]).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn filter_matches_sequential_order() {
-        let v: Vec<i32> = (0..1000).collect();
-        let par: Vec<&i32> = v.par_iter().filter(|x| **x % 7 == 0).collect();
-        let seq: Vec<&i32> = v.iter().filter(|x| **x % 7 == 0).collect();
         assert_eq!(par, seq);
     }
 
@@ -327,24 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
-    }
-
-    #[test]
-    fn par_chunks_mut_sorts_each_chunk() {
-        let mut v: Vec<i64> = (0..1000).rev().collect();
-        let mut expected = v.clone();
-        v.par_chunks_mut(128).for_each(|chunk| chunk.sort());
-        for chunk in expected.chunks_mut(128) {
-            chunk.sort();
-        }
-        assert_eq!(v, expected);
-    }
-
-    #[test]
-    fn below_threshold_runs_inline() {
+    fn short_input_keeps_order() {
         let v = vec![1, 2, 3];
         let out: Vec<i32> = v.par_iter().map(|x| x + 1).collect();
         assert_eq!(out, vec![2, 3, 4]);

@@ -17,9 +17,11 @@
 //!
 //! Plus doc-coverage checks keeping the OBSERVABILITY.md elasticity
 //! tables complete (the `gisolap_elastic_*` counters and the
-//! `GISOLAP_ELASTIC_*` flags).
+//! `GISOLAP_ELASTIC_*` flags), and a liveness check that every
+//! `ElasticStats` counter has a writer.
 
 use gisolap_geom::BBox;
+use gisolap_obs::CounterSet;
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_repl::FollowerConfig;
@@ -334,5 +336,26 @@ proptest! {
             let want = eval_single(&single, Some(grid()), &q).unwrap();
             prop_assert_eq!(bits(&got.rows), bits(&want));
         }
+    }
+}
+
+// --- counter liveness -------------------------------------------------
+
+/// One group renews its lease, loses its leader and fails over: every
+/// `ElasticStats` counter moves, so none is exported without a writer.
+#[test]
+fn every_elastic_counter_has_a_live_writer() {
+    let scratch = ScratchDir::new("elastic-counter-liveness");
+    let mut group = shard_groups(&scratch).swap_remove(0);
+    group.ingest(&workload(7, 0, 20)).unwrap();
+    for _ in 0..6 {
+        group.tick().unwrap();
+    }
+    group.kill(group.holder());
+    let failed_over =
+        (0..20).any(|_| matches!(group.tick().unwrap(), TickOutcome::FailedOver { .. }));
+    assert!(failed_over, "failover within 2x the lease window");
+    for (field, value) in group.stats().fields() {
+        assert!(value > 0, "ElasticStats::{field} never moved");
     }
 }

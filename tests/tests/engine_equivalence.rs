@@ -419,14 +419,17 @@ proptest! {
         filter in geo_filter(),
         time in time_preds(),
         interpolated in proptest::bool::ANY,
+        long_tracks in proptest::bool::ANY,
     ) {
         // The engine promises bit-identical results regardless of the
         // worker count: evaluate each random region with 4 threads and
-        // with 1 (sequential), per engine and batched, and compare the
-        // raw tuple vectors exactly. Evaluation splits work by record
-        // run (once a scan holds 8,192 records) and by trajectory: 100
-        // objects of 100 samples make the day-long window's per-object
-        // runs, and the trajectories, really partition.
+        // with 1 (sequential), per engine, and compare the raw answers
+        // exactly. Work splits by record run or by trajectory once it
+        // covers 8,192 records. Two shapes cross that cut-off: 100
+        // objects of 100 samples (many short runs and trajectories) and
+        // 6 objects of 2,000 samples (few long ones, so the per-object
+        // scans of passes-through and time-in-region fan out too).
+        let (objects, samples) = if long_tracks { (6, 2000) } else { (100, 100) };
         let city = CityScenario::generate(CityConfig {
             blocks_x: 4,
             blocks_y: 2,
@@ -438,33 +441,42 @@ proptest! {
         });
         let moft = RandomWaypoint {
             seed: seed.wrapping_add(13),
-            ..RandomWaypoint::new(city.bbox, 100, 100)
+            ..RandomWaypoint::new(city.bbox, objects, samples)
         }
         .generate(0);
 
-        let mut region = RegionC::all()
-            .with_spatial(SpatialPredicate::in_layer("Ln", filter));
+        let spatial = SpatialPredicate::in_layer("Ln", filter);
+        let mut region = RegionC::all().with_spatial(spatial.clone());
         region.time = time;
         if interpolated {
             region = region.interpolated();
         }
-        let regions = vec![region.clone(), RegionC::all(), region.clone()];
+        let answers = |engine: &dyn QueryEngine| {
+            let seconds: Vec<(ObjectId, u64)> = engine
+                .time_in_region_per_object(&spatial, &region.time)
+                .unwrap()
+                .into_iter()
+                .map(|(oid, s)| (oid, s.to_bits()))
+                .collect();
+            (
+                engine.eval(&region).unwrap(),
+                engine.objects_passing_through(&spatial, &region.time).unwrap(),
+                seconds,
+            )
+        };
 
         let naive = NaiveEngine::new(&city.gis, &moft);
         let indexed = IndexedEngine::new(&city.gis, &moft);
         let overlay = OverlayEngine::new(&city.gis, &moft);
         for engine in [&naive as &dyn QueryEngine, &indexed, &overlay] {
             std::env::set_var("GISOLAP_THREADS", "4");
-            let parallel = engine.eval(&region).unwrap();
-            let parallel_batch = engine.eval_many(&regions).unwrap();
+            let parallel = answers(engine);
             std::env::set_var("GISOLAP_THREADS", "1");
-            let sequential = engine.eval(&region).unwrap();
-            let sequential_batch = engine.eval_many(&regions).unwrap();
+            let sequential = answers(engine);
             std::env::remove_var("GISOLAP_THREADS");
-            prop_assert_eq!(&parallel, &sequential, "engine {}", engine.name());
-            prop_assert_eq!(&parallel_batch, &sequential_batch, "batch, engine {}", engine.name());
-            prop_assert_eq!(&parallel_batch[0], &sequential, "batch[0] vs single");
-            prop_assert_eq!(&parallel_batch[2], &sequential, "batch[2] vs single");
+            prop_assert_eq!(&parallel.0, &sequential.0, "eval, engine {}", engine.name());
+            prop_assert_eq!(&parallel.1, &sequential.1, "passes-through, engine {}", engine.name());
+            prop_assert_eq!(&parallel.2, &sequential.2, "time-in-region, engine {}", engine.name());
         }
     }
 }
@@ -598,14 +610,12 @@ fn engine_stats_invariants() {
         "{snap:?}"
     );
 
-    // A batch sharing one filter resolves (and hits the cache) once.
+    // One evaluation resolves its filter (and hits the cache) once.
     overlay.stats().reset();
-    overlay
-        .eval_many(&[region.clone(), region.clone()])
-        .unwrap();
+    overlay.eval(&region).unwrap();
     let snap = overlay.stats().snapshot();
     assert_eq!(snap.overlay_hits, 1, "{snap:?}");
-    assert_eq!(snap.queries, 2, "{snap:?}");
+    assert_eq!(snap.queries, 1, "{snap:?}");
 
     // The same filters on naive/indexed engines never hit an overlay,
     // and the indexed engine resolves the layer pairs through BVH

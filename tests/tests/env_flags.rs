@@ -11,7 +11,9 @@
 //!    independence, so it cannot link against `gisolap-obs`);
 //! 3. registry entries are well-formed (non-empty docs/defaults);
 //! 4. every registered flag still has a reader, so a flag cannot outlive
-//!    the last code that consults it.
+//!    the last code that consults it;
+//! 5. `GISOLAP_THREADS` has one consumer: `crates/core/src/engine.rs` is
+//!    the only source file that fans work out over the rayon shim.
 
 use gisolap_obs::config;
 use std::path::{Path, PathBuf};
@@ -53,9 +55,10 @@ fn registry_entries_are_well_formed() {
 }
 
 /// The non-test lines of every `src/**/*.rs` file under `crates/*` and
-/// `shims/*`, except the registry itself: comment lines are dropped and
-/// each file is cut at its first `#[cfg(test)]`.
-fn reader_sources() -> Vec<String> {
+/// `shims/*`, except the registry itself, keyed by path relative to the
+/// workspace root: comment lines are dropped and each file is cut at its
+/// first `#[cfg(test)]`.
+fn reader_sources() -> Vec<(PathBuf, String)> {
     fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).unwrap().map(Result::unwrap) {
             let path = entry.path();
@@ -81,13 +84,13 @@ fn reader_sources() -> Vec<String> {
     files
         .into_iter()
         .map(|f| {
-            let text = std::fs::read_to_string(f).unwrap();
+            let text = std::fs::read_to_string(&f).unwrap();
             let code: Vec<&str> = text
                 .lines()
                 .take_while(|l| !l.starts_with("#[cfg(test)]"))
                 .filter(|l| !l.trim_start().starts_with("//"))
                 .collect();
-            code.join("\n")
+            (f.strip_prefix(root).unwrap().to_path_buf(), code.join("\n"))
         })
         .collect()
 }
@@ -120,10 +123,32 @@ fn every_registered_flag_has_a_reader() {
         assert!(
             sources
                 .iter()
-                .any(|code| names(code, &constant) || code.contains(&literal)),
+                .any(|(_, code)| names(code, &constant) || code.contains(&literal)),
             "flag `{}` is registered in config::ALL but no non-test file under \
              crates/*/src or shims/*/src reads `{constant}` or {literal}",
             flag.name
         );
     }
+}
+
+#[test]
+fn only_the_engine_fans_out() {
+    // Parallelism is decided in one place, by records scanned; every
+    // other module runs on the caller's thread.
+    let engine = Path::new("crates/core/src/engine.rs");
+    let offenders: Vec<String> = reader_sources()
+        .into_iter()
+        .filter(|(path, _)| path.starts_with("crates") && path != engine)
+        .flat_map(|(path, code)| {
+            ["rayon::", "par_iter"]
+                .into_iter()
+                .filter(move |needle| code.contains(needle))
+                .map(move |needle| format!("{} uses `{needle}`", path.display()))
+        })
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "only {} may fan work out across threads: {offenders:?}",
+        engine.display()
+    );
 }

@@ -909,18 +909,6 @@ gisolap_elastic_lease_renewals_total 3
 # HELP gisolap_elastic_failovers_total Shard elasticity counter.
 # TYPE gisolap_elastic_failovers_total counter
 gisolap_elastic_failovers_total 4
-# HELP gisolap_elastic_rebalances_committed_total Shard elasticity counter.
-# TYPE gisolap_elastic_rebalances_committed_total counter
-gisolap_elastic_rebalances_committed_total 5
-# HELP gisolap_elastic_rebalance_rollbacks_total Shard elasticity counter.
-# TYPE gisolap_elastic_rebalance_rollbacks_total counter
-gisolap_elastic_rebalance_rollbacks_total 6
-# HELP gisolap_elastic_rebalance_rollforwards_total Shard elasticity counter.
-# TYPE gisolap_elastic_rebalance_rollforwards_total counter
-gisolap_elastic_rebalance_rollforwards_total 7
-# HELP gisolap_elastic_cells_reassigned_total Shard elasticity counter.
-# TYPE gisolap_elastic_cells_reassigned_total counter
-gisolap_elastic_cells_reassigned_total 8
 # HELP gisolap_sub_registered_total Standing-query counter.
 # TYPE gisolap_sub_registered_total counter
 gisolap_sub_registered_total 1
