@@ -217,22 +217,14 @@ impl Leader {
         self.ingest.rollup(q)
     }
 
-    /// Every `(hour, geo)` partial cell the live pipeline holds,
-    /// ascending by key ([`DurableIngest::extract_partials`]) — what a
-    /// shard coordinator gathers from this store.
-    pub fn extract_partials(&self) -> Vec<(gisolap_stream::GroupKey, gisolap_stream::CellPartial)> {
-        self.ingest.extract_partials()
-    }
-
-    /// Like [`Leader::extract_partials`], but refused with
-    /// [`StoreError::StaleEpoch`] once this leader is fenced — the read
-    /// a coordinator pinned to leader handles must use, so a deposed
-    /// leader's (possibly forked-behind) cells never reach a gather.
-    pub fn extract_partials_fenced(
-        &mut self,
-    ) -> Result<Vec<(gisolap_stream::GroupKey, gisolap_stream::CellPartial)>> {
+    /// The live pipeline, refused with [`StoreError::StaleEpoch`] once
+    /// this leader is fenced — the read a coordinator pinned to leader
+    /// handles, and a server answering a shard fetch, must use, so a
+    /// deposed leader's (possibly forked-behind) cells never reach a
+    /// gather.
+    pub fn pipeline_fenced(&mut self) -> Result<&gisolap_stream::StreamIngest> {
         self.check_fence()?;
-        Ok(self.ingest.extract_partials())
+        Ok(self.ingest.pipeline())
     }
 
     /// Leader-side replication counters.

@@ -12,7 +12,7 @@ use std::thread::JoinHandle;
 use gisolap_obs::{config as obs_config, counters};
 use gisolap_repl::Leader;
 use gisolap_shard::{
-    filter_region, ClusterExecutor, Coordinator, GridSpec, ShardQuery, ShardedIngest,
+    fetch_partials, ClusterExecutor, Coordinator, GridSpec, ShardQuery, ShardedIngest,
     SHARDS_MANIFEST,
 };
 use gisolap_store::{DurableIngest, RealFs, StoreConfig};
@@ -342,8 +342,10 @@ impl Shared {
                 self.counters.partials_requests.inc();
                 match self.leader_with_grid(tenant, *grid) {
                     Ok(leader) => {
-                        let leader = leader.lock().expect("leader poisoned");
-                        match filter_region(leader.extract_partials(), *grid, region.as_ref()) {
+                        let mut leader = leader.lock().expect("leader poisoned");
+                        let cells = (leader.pipeline_fenced())
+                            .and_then(|pipeline| fetch_partials(pipeline, *grid, region.as_ref()));
+                        match cells {
                             Ok(cells) => ServeReply::Cells(cells),
                             Err(e) => ServeReply::Err(format!("partials extraction failed: {e}")),
                         }

@@ -4,12 +4,16 @@
 //!
 //! 1. **Prune** — ask the partitioner which shards a region filter can
 //!    rule out (spatial clusters skip whole shards before any I/O;
-//!    hash clusters cannot).
-//! 2. **Scatter** — fetch every surviving shard's extracted `(hour,
-//!    geo)` partial cells, one shard after the other in ascending index
-//!    order on the calling thread, and drop out-of-window cells at the
-//!    fetch edge ([`filter_window`] — result-neutral because the
-//!    rollup's `between` masks the same hours).
+//!    hash clusters cannot). A malformed region — a NaN bound, or a
+//!    minimum above its maximum — is refused before this step.
+//! 2. **Scatter** — fetch every surviving shard's `(hour, geo)` partial
+//!    cells, one shard after the other in ascending index order on the
+//!    calling thread, and drop out-of-window cells at the fetch edge
+//!    ([`filter_window`] — result-neutral because the rollup's
+//!    `between` masks the same hours). Shard-side, every read goes
+//!    through [`fetch_partials`]: one pass over the shard's sealed run
+//!    and its cached tail cells that copies only the cells the region's
+//!    per-cell mask keeps.
 //! 3. **Gather** — stream the per-shard runs through one k-way merge
 //!    (`O(n log k)`, ties broken by **ascending shard index**) straight
 //!    into the linear fold ([`fold_rollup`], `O(n)`); no cube is built.
@@ -249,10 +253,9 @@ impl<E: ShardExecutor> Coordinator<E> {
     /// Evaluates a sharded rollup: prune, scatter, gather.
     pub fn eval(&mut self, q: &ShardQuery) -> Result<ShardResult> {
         let total = self.partitioner.shards();
-        if q.region.is_some() && self.partitioner.grid().is_none() {
-            return Err(StoreError::BadConfig(
-                "a region filter needs a cluster with an overlay grid".to_string(),
-            ));
+        if let Some(region) = &q.region {
+            check_region(region)?;
+            region_grid(self.partitioner.grid())?;
         }
         self.stats.queries += 1;
 
@@ -428,9 +431,31 @@ pub fn is_leadership_error(e: &StoreError) -> bool {
     }
 }
 
-/// Applies the executor-side region filter: with a grid, keep only
-/// intersecting cells; a region without a grid is a config error (the
-/// cells carry no geometry to filter on).
+/// Refuses a malformed region — a NaN bound, or a minimum above its
+/// maximum. No cell intersects one, so answering it would return empty
+/// rows for what is a bad request.
+fn check_region(region: &BBox) -> Result<()> {
+    let ordered = region.min_x <= region.max_x && region.min_y <= region.max_y;
+    if ordered {
+        return Ok(());
+    }
+    Err(StoreError::BadConfig(format!(
+        "region {region:?} has a NaN bound or a minimum above its maximum"
+    )))
+}
+
+/// The grid a region filter tests cells against; a region without a
+/// grid is a config error (the cells carry no geometry to filter on).
+fn region_grid(grid: Option<GridSpec>) -> Result<GridSpec> {
+    grid.ok_or_else(|| {
+        StoreError::BadConfig("a region filter needs a cluster with an overlay grid".to_string())
+    })
+}
+
+/// Applies the region filter to already-copied cells: with a grid, keep
+/// only intersecting cells; a region without a grid is a config error.
+/// The independent reference [`eval_single`] filters this way; shard
+/// reads use [`fetch_partials`], which keeps exactly the same cells.
 pub fn filter_region(
     cells: Vec<(GroupKey, CellPartial)>,
     grid: Option<GridSpec>,
@@ -438,13 +463,29 @@ pub fn filter_region(
 ) -> Result<Vec<(GroupKey, CellPartial)>> {
     match region {
         None => Ok(cells),
+        Some(region) => Ok(region_grid(grid)?.filter_cells(cells, region)),
+    }
+}
+
+/// The one shard-side read every executor and the server's `Partials`
+/// request go through: `pipeline`'s cells, ascending by key, restricted
+/// to cells intersecting `region` when one is given. It keeps exactly
+/// what `filter_region(pipeline.extract_partials(), grid, region)`
+/// keeps, but tests the region once per cell against a mask built once
+/// per call and copies only the kept cells
+/// ([`StreamIngest::partials_where`]). A malformed region is refused
+/// before any cell is read.
+pub fn fetch_partials(
+    pipeline: &StreamIngest,
+    grid: Option<GridSpec>,
+    region: Option<&BBox>,
+) -> Result<Vec<(GroupKey, CellPartial)>> {
+    match region {
+        None => Ok(pipeline.extract_partials()),
         Some(region) => {
-            let grid = grid.ok_or_else(|| {
-                StoreError::BadConfig(
-                    "a region filter needs a cluster with an overlay grid".to_string(),
-                )
-            })?;
-            Ok(grid.filter_cells(cells, region))
+            check_region(region)?;
+            let keep = region_grid(grid)?.region_test(region);
+            Ok(pipeline.partials_where(keep))
         }
     }
 }
@@ -524,8 +565,8 @@ impl ShardExecutor for ClusterExecutor<'_> {
     }
 
     fn fetch(&self, shard: usize, region: Option<&BBox>) -> Result<Vec<(GroupKey, CellPartial)>> {
-        let cells = self.cluster.shards()[shard].extract_partials();
-        filter_region(cells, self.cluster.partitioner().grid(), region)
+        let pipeline = self.cluster.shards()[shard].pipeline();
+        fetch_partials(pipeline, self.cluster.partitioner().grid(), region)
     }
 }
 
@@ -558,7 +599,7 @@ impl<T: gisolap_repl::Transport> ShardExecutor for FollowerExecutor<'_, T> {
                 "replica for shard {shard} has not seeded yet; sync it before serving reads"
             ))
         })?;
-        filter_region(pipeline.extract_partials(), self.grid, region)
+        fetch_partials(pipeline, self.grid, region)
     }
 
     fn lag(&self, shard: usize) -> Option<gisolap_repl::Lag> {
@@ -745,6 +786,54 @@ mod tests {
             coord.eval(&q).unwrap_err(),
             StoreError::BadConfig(_)
         ));
+    }
+
+    /// Regions no cell can intersect: a NaN bound, inverted x, inverted y.
+    fn malformed_regions() -> [BBox; 3] {
+        let bad = |min_x, min_y, max_x, max_y| BBox {
+            min_x,
+            min_y,
+            max_x,
+            max_y,
+        };
+        [
+            bad(0.0, f64::NAN, 4.0, 4.0),
+            bad(5.0, 0.0, 1.0, 4.0),
+            bad(0.0, 3.0, 4.0, 2.0),
+        ]
+    }
+
+    #[test]
+    fn malformed_regions_are_refused_before_any_prune_or_fetch() {
+        let specs = [
+            PartitionerSpec::Spatial {
+                shards: 4,
+                grid: grid(),
+            },
+            hash_spec(3),
+        ];
+        for spec in specs {
+            let scratch = ScratchDir::new("shard-coord-malformed");
+            let cluster = cluster_with(&scratch, spec, &records(120));
+            let mut coord = Coordinator::new(ClusterExecutor::new(&cluster), spec).unwrap();
+            for region in malformed_regions() {
+                let q = ShardQuery::new(RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Sum))
+                    .in_region(region);
+                let err = coord.eval(&q).unwrap_err();
+                assert!(matches!(err, StoreError::BadConfig(_)), "{spec:?}: {err}");
+                let err = coord.executor().fetch(0, Some(&region)).unwrap_err();
+                assert!(matches!(err, StoreError::BadConfig(_)), "{spec:?}: {err}");
+            }
+            assert_eq!(
+                coord.stats(),
+                ShardStats::default(),
+                "nothing pruned or fetched"
+            );
+            // A valid region still answers on the same coordinator.
+            let q = ShardQuery::new(RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Sum))
+                .in_region(BBox::new(0.1, 0.1, 3.9, 3.9));
+            assert!(!coord.eval(&q).unwrap().rows.is_empty());
+        }
     }
 
     #[test]

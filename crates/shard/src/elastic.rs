@@ -450,7 +450,7 @@ impl ShardGroup {
 }
 
 /// A [`ShardExecutor`] pinned to per-shard leader handles. Reads go
-/// through [`Leader::extract_partials_fenced`], so a gather that races
+/// through [`Leader::pipeline_fenced`], so a gather that races
 /// a failover fails with [`StoreError::StaleEpoch`] instead of serving
 /// a deposed leader's (possibly forked-behind) cells;
 /// [`PinnedExecutor::repin`] re-reads current leadership — the
@@ -489,8 +489,8 @@ impl ShardExecutor for PinnedExecutor {
         shard: usize,
         region: Option<&gisolap_geom::BBox>,
     ) -> Result<Vec<(GroupKey, CellPartial)>> {
-        let cells = lock_leader(&self.handles[shard]).extract_partials_fenced()?;
-        crate::coordinator::filter_region(cells, self.grid, region)
+        let mut leader = lock_leader(&self.handles[shard]);
+        crate::coordinator::fetch_partials(leader.pipeline_fenced()?, self.grid, region)
     }
 }
 

@@ -15,9 +15,11 @@
 //! * [`coordinator`] — [`Coordinator`]: prune → scatter (shards
 //!   fetched in ascending order on the calling thread) → gather (a
 //!   k-way merge of the per-shard runs, ties in ascending shard order,
-//!   streamed into [`fold_rollup`](gisolap_stream::fold_rollup)), plus
-//!   the [`eval_single`] reference evaluator the equivalence tests
-//!   compare against.
+//!   streamed into [`fold_rollup`](gisolap_stream::fold_rollup)), the
+//!   one shard-side read [`fetch_partials`] every executor and the
+//!   server's `Partials` request use (it copies only the cells a region
+//!   keeps), plus the [`eval_single`] reference evaluator the
+//!   equivalence tests compare against.
 //! * [`wire`] — codecs for manifests, regions, grids and shipped cell
 //!   sets, riding the store's CRC framing.
 //! * [`elastic`] — shard elasticity: [`ShardGroup`], a lease-based
@@ -45,8 +47,9 @@ pub mod wire;
 
 pub use cluster::{replica_set, shard_dir, RouteStats, ShardedIngest, SHARDS_MANIFEST};
 pub use coordinator::{
-    eval_single, filter_region, filter_window, is_leadership_error, ClusterExecutor, Coordinator,
-    FollowerExecutor, ShardExecutor, ShardExplain, ShardQuery, ShardResult, ShardStats,
+    eval_single, fetch_partials, filter_region, filter_window, is_leadership_error,
+    ClusterExecutor, Coordinator, FollowerExecutor, ShardExecutor, ShardExplain, ShardQuery,
+    ShardResult, ShardStats,
 };
 pub use elastic::{
     rebalance, recover_rebalance, ElasticConfig, ElasticStats, LeaseGrant, Link, PinnedExecutor,

@@ -98,6 +98,18 @@ impl GridSpec {
         out
     }
 
+    /// The region test of a `region`-filtered query, built once as a
+    /// per-cell mask over `0..cells()`: it keeps a cell key iff the key
+    /// has a geo id whose closed cell area intersects `region`. Cells
+    /// with no geo id are dropped — they carry positions the grid never
+    /// resolved, which a grid-filtered query must not see.
+    pub(crate) fn region_test(&self, region: &BBox) -> impl Fn(GroupKey) -> bool {
+        let mask: Vec<bool> = (0..self.cells())
+            .map(|id| self.cell_bbox(id).intersects(region))
+            .collect();
+        move |(_, geo)| geo.is_some_and(|g| mask.get(g as usize) == Some(&true))
+    }
+
     /// A [`GeoResolver`] assigning every position its single grid cell.
     pub fn resolver(&self) -> GeoResolver {
         let spec = *self;
@@ -105,20 +117,14 @@ impl GridSpec {
     }
 
     /// Drops cells that cannot contribute to a `region`-filtered query:
-    /// keeps exactly the cells whose geo id intersects the region
-    /// (cells with no geo id are dropped — they carry positions the
-    /// grid never resolved, which a grid-filtered query must not see).
+    /// keeps exactly the cells [`GridSpec::region_test`] admits.
     pub(crate) fn filter_cells(
         &self,
         cells: Vec<(GroupKey, CellPartial)>,
         region: &BBox,
     ) -> Vec<(GroupKey, CellPartial)> {
-        let allowed: std::collections::BTreeSet<u32> =
-            self.cells_intersecting(region).into_iter().collect();
-        cells
-            .into_iter()
-            .filter(|((_, geo), _)| geo.map(|g| allowed.contains(&g)).unwrap_or(false))
-            .collect()
+        let keep = self.region_test(region);
+        cells.into_iter().filter(|(key, _)| keep(*key)).collect()
     }
 }
 

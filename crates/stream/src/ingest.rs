@@ -2,6 +2,7 @@
 //! letters, incremental rollups and snapshots.
 
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use gisolap_obs::{counters, Counter, Span, Tracer};
@@ -107,6 +108,11 @@ pub struct StreamIngest {
     resolver: Option<GeoResolver>,
     /// Arrival-ordered buffers per still-open partition.
     buffers: BTreeMap<i64, Vec<Record>>,
+    /// The live tail's canonical cells, bucketed by the first read after
+    /// `buffers` last changed. [`StreamIngest::ingest`] and
+    /// [`StreamIngest::finish`] (the only calls that change `buffers`)
+    /// reset it, and so does [`StreamIngest::with_resolver`].
+    tail_cells: OnceLock<BTreeMap<GroupKey, CellPartial>>,
     /// Sealed segments, ascending partition order.
     segments: Vec<Segment>,
     cube: DeltaCube,
@@ -119,7 +125,8 @@ pub struct StreamIngest {
     /// before this instance was restored; keeps `segments_sealed`
     /// convergent across compaction (see [`StreamIngest::restore`]).
     compacted_away: u64,
-    /// Rollups run on `&self`; this counter is the only one they bump.
+    /// Reads run on `&self`; this counter is the only one they bump, by
+    /// the records they bucket (a read of an unchanged tail adds 0).
     tail_records_scanned: Counter,
     /// Span collection switch; off by default.
     tracer: Tracer,
@@ -137,6 +144,7 @@ impl StreamIngest {
             config,
             resolver: None,
             buffers: BTreeMap::new(),
+            tail_cells: OnceLock::new(),
             segments: Vec::new(),
             cube: DeltaCube::new(),
             max_event_time: None,
@@ -182,6 +190,7 @@ impl StreamIngest {
             "resolver must be set before ingesting"
         );
         self.resolver = Some(resolver);
+        self.tail_cells.take();
         self
     }
 
@@ -217,6 +226,9 @@ impl StreamIngest {
             if self.max_event_time.map_or(true, |m| r.t > m) {
                 self.max_event_time = Some(r.t);
             }
+        }
+        if report.accepted > 0 {
+            self.tail_cells.take();
         }
         if let Some(wm) = self.watermark() {
             report.sealed = self.seal_below(wm.0.div_euclid(seg));
@@ -277,6 +289,9 @@ impl StreamIngest {
             self.segments.push(segment);
             sealed += 1;
         }
+        if sealed > 0 {
+            self.tail_cells.take();
+        }
         sealed
     }
 
@@ -321,18 +336,31 @@ impl StreamIngest {
         crate::segment::canonicalize(raw)
     }
 
-    /// Answers a rollup by merging sealed [`DeltaCube`] partials with a
-    /// scan of only the live tail — never a full-table rescan.
-    pub fn rollup(&self, q: &RollupQuery) -> Result<Vec<RollupRow>> {
-        let tail = self.tail_records();
+    /// Buckets the canonical tail records `tail` into cells, counting
+    /// them in `tail_records_scanned`.
+    fn bucket_tail(&self, tail: &[Record]) -> BTreeMap<GroupKey, CellPartial> {
         self.tail_records_scanned.add(tail.len() as u64);
-        let tail_cells = bucket_partials(&tail, self.resolver.as_ref());
-        self.cube.rollup(q, &tail_cells)
+        bucket_partials(tail, self.resolver.as_ref())
+    }
+
+    /// The live tail's canonical cells, bucketed at most once per change
+    /// of the tail.
+    fn tail_cells(&self) -> &BTreeMap<GroupKey, CellPartial> {
+        self.tail_cells
+            .get_or_init(|| self.bucket_tail(&self.tail_records()))
+    }
+
+    /// Answers a rollup by merging sealed [`DeltaCube`] partials with the
+    /// live tail's cells — never a full-table rescan, and the tail is
+    /// bucketed only by the first read after it changed.
+    pub fn rollup(&self, q: &RollupQuery) -> Result<Vec<RollupRow>> {
+        self.cube.rollup(q, self.tail_cells())
     }
 
     /// Every `(hour, geo)` partial cell the pipeline currently holds —
-    /// a copy of the sealed [`DeltaCube`]'s run followed by a canonical
-    /// accumulation of the live tail — strictly ascending by key.
+    /// the sealed [`DeltaCube`]'s run followed by a canonical
+    /// accumulation of the live tail — strictly ascending by key:
+    /// [`StreamIngest::partials_where`] keeping every cell.
     ///
     /// This is the *scatter unit* of sharded evaluation
     /// (`gisolap-shard`). Because partitions are hour-aligned and
@@ -344,12 +372,25 @@ impl StreamIngest {
     /// record. Absorbing these cells into a fresh cube and rolling it
     /// up reproduces [`StreamIngest::rollup`] bit-identically.
     pub fn extract_partials(&self) -> Vec<(GroupKey, CellPartial)> {
-        let tail = self.tail_records();
-        self.tail_records_scanned.add(tail.len() as u64);
-        let tail_cells = bucket_partials(&tail, self.resolver.as_ref());
-        let mut out = Vec::with_capacity(self.cube.len() + tail_cells.len());
-        out.extend_from_slice(self.cube.as_slice());
-        out.extend(tail_cells);
+        self.partials_where(|_| true)
+    }
+
+    /// The cells of [`StreamIngest::extract_partials`] whose key `keep`
+    /// admits, in the same strictly ascending order — one pass over the
+    /// borrowed sealed run and the cached tail cells that copies only
+    /// the cells it keeps (a shard's region fetch costs what it returns).
+    /// Each stretch of kept sealed cells is copied as one slice, so
+    /// keeping everything copies the sealed run in one piece.
+    pub fn partials_where(
+        &self,
+        mut keep: impl FnMut(GroupKey) -> bool,
+    ) -> Vec<(GroupKey, CellPartial)> {
+        let mut out = Vec::new();
+        for kept in self.cube.as_slice().split(|(k, _)| !keep(*k)) {
+            out.extend_from_slice(kept);
+        }
+        let tail = self.tail_cells().iter().filter(|(k, _)| keep(**k));
+        out.extend(tail.map(|(k, c)| (*k, *c)));
         debug_assert!(
             out.windows(2).all(|w| w[0].0 < w[1].0),
             "extracted cells must be strictly ascending by key"
@@ -363,7 +404,10 @@ impl StreamIngest {
     /// tail's partial cells and the segment summaries.
     pub fn snapshot(&self) -> Result<StreamSnapshot> {
         let tail = self.tail_records();
-        let tail_cells = bucket_partials(&tail, self.resolver.as_ref());
+        let tail_cells = self
+            .tail_cells
+            .get_or_init(|| self.bucket_tail(&tail))
+            .clone();
         let mut runs: Vec<&[Record]> = self.segments.iter().map(Segment::records).collect();
         runs.push(&tail);
 
@@ -462,6 +506,7 @@ impl StreamIngest {
             config,
             resolver,
             buffers: tail.buffers.into_iter().collect(),
+            tail_cells: OnceLock::new(),
             segments,
             cube,
             max_event_time: tail.max_event_time,
@@ -772,7 +817,12 @@ mod tests {
                 value: 30.0
             }]
         );
-        assert_eq!(s.stats().tail_records_scanned, 2); // two rollups × tail of 1
+        // Two rollups × tail of 1, but the second reads the cached cells.
+        assert_eq!(s.stats().tail_records_scanned, 1);
+        // A read after the tail changes buckets it again: 2 records now.
+        s.ingest(&[rec(3, 3800, 7.0, 70.0)]);
+        assert_eq!(s.extract_partials().len(), 2);
+        assert_eq!(s.stats().tail_records_scanned, 3);
     }
 
     #[test]

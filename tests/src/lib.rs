@@ -6,6 +6,8 @@
 
 use gisolap_core::engine::{IndexedEngine, NaiveEngine, OverlayEngine, QueryEngine};
 use gisolap_core::gis::Gis;
+use gisolap_olap::agg::Partial;
+use gisolap_stream::{CellPartial, GroupKey};
 use gisolap_traj::Moft;
 
 /// Runs a closure against all three engine strategies, asserting they
@@ -32,4 +34,24 @@ pub fn assert_close(got: f64, want: f64, tol: f64) {
         (got - want).abs() <= tol,
         "expected {want} ± {tol}, got {got}"
     );
+}
+
+/// Partial cells with every float as its bits — count, sum, min, max of
+/// x, then of y — so two cell lists compare bit for bit.
+pub fn cell_bits(cells: &[(GroupKey, CellPartial)]) -> Vec<(GroupKey, [u64; 8])> {
+    let bits = |p: &Partial| {
+        [
+            p.count(),
+            p.sum().to_bits(),
+            p.min().to_bits(),
+            p.max().to_bits(),
+        ]
+    };
+    cells
+        .iter()
+        .map(|(k, c)| {
+            let (x, y) = (bits(&c.x), bits(&c.y));
+            (*k, [x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3]])
+        })
+        .collect()
 }

@@ -17,8 +17,8 @@
 //!
 //! Plus doc-coverage checks keeping the OBSERVABILITY.md elasticity
 //! tables complete (the `gisolap_elastic_*` counters and the
-//! `GISOLAP_ELASTIC_*` flags), and a liveness check that every
-//! `ElasticStats` counter has a writer.
+//! `GISOLAP_ELASTIC_*` flags), and liveness checks that every
+//! `ElasticStats`, `IngestStats` and `ShardStats` counter has a writer.
 
 use gisolap_geom::BBox;
 use gisolap_obs::CounterSet;
@@ -26,9 +26,9 @@ use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_repl::FollowerConfig;
 use gisolap_shard::{
-    eval_single, rebalance, ClusterExecutor, Coordinator, ElasticConfig, GridSpec, Partitioner,
-    PartitionerSpec, PinnedExecutor, ReplicaHome, ShardGroup, ShardQuery, ShardedIngest,
-    SpatialPartitioner, TickOutcome, REBALANCE_JOURNAL,
+    eval_single, rebalance, replica_set, ClusterExecutor, Coordinator, ElasticConfig,
+    FollowerExecutor, GridSpec, Partitioner, PartitionerSpec, PinnedExecutor, ReplicaHome,
+    ShardGroup, ShardQuery, ShardedIngest, SpatialPartitioner, TickOutcome, REBALANCE_JOURNAL,
 };
 use gisolap_store::{
     DurableIngest, FailpointFs, RealFs, ScratchDir, StoreConfig, StoreError, SyncPolicy, Vfs,
@@ -358,4 +358,114 @@ fn every_elastic_counter_has_a_live_writer() {
     for (field, value) in group.stats().fields() {
         assert!(value > 0, "ElasticStats::{field} never moved");
     }
+}
+
+/// Every `IngestStats` and `ShardStats` counter has a live writer: one
+/// fixed sequence of calls leaves none of them at zero.
+///
+/// - Spatial shard groups behind pinned leaders take an hour of records,
+///   a far-future batch that seals it, and a straggler for the sealed
+///   hour. A region query prunes a shard, a windowed query prunes cells,
+///   and both read the leaders' live tails. After a failover, a rerouted
+///   query retries once.
+/// - A hash cluster holds the same records in both shards, so the
+///   gather merges keys. It is read through replicas a lag bound of 0
+///   marks stale.
+#[test]
+fn every_ingest_and_shard_counter_has_a_live_writer() {
+    let scratch = ScratchDir::new("ingest-shard-counter-liveness");
+    let mut groups = shard_groups(&scratch);
+    let part = SpatialPartitioner::new(SHARDS, grid()).unwrap();
+    let early = workload(7, 0, 30);
+    let batches = [early.clone(), workload(7, 2000, 30), early[..1].to_vec()];
+    for batch in &batches {
+        for record in batch {
+            groups[part.route(record)]
+                .ingest(std::slice::from_ref(record))
+                .unwrap();
+        }
+    }
+    let mut pinned = Coordinator::new(
+        PinnedExecutor::pin(&groups, Some(grid())),
+        spatial(SHARDS as u32),
+    )
+    .unwrap();
+    let q = ShardQuery::new(RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Sum));
+    let region = q.clone().in_region(BBox::new(0.5, 0.5, 1.5, 1.5));
+    let window = q.clone().in_window(TimeId(0), TimeId(3599));
+    for q in [&region, &window] {
+        assert!(!pinned.eval(q).unwrap().rows.is_empty());
+    }
+    let mut ingest = gisolap_stream::IngestStats::default();
+    for group in &groups {
+        let leader = group.leader();
+        let stats = leader.lock().unwrap().durable().ingest_stats();
+        ingest = ingest.map(|name, v| v + field(&stats, name));
+    }
+    for group in &mut groups {
+        for _ in 0..6 {
+            group.tick().unwrap();
+        }
+    }
+    let holder = groups[0].holder();
+    groups[0].kill(holder);
+    let failed_over =
+        (0..20).any(|_| matches!(groups[0].tick().unwrap(), TickOutcome::FailedOver { .. }));
+    assert!(failed_over, "failover within 2x the lease window");
+    pinned
+        .eval_rerouted(&q, 2, &mut |executor| {
+            executor.repin(&groups);
+            Ok(())
+        })
+        .unwrap();
+
+    let hash = PartitionerSpec::Hash {
+        shards: 2,
+        grid: Some(grid()),
+    };
+    let vfs: Arc<dyn Vfs> = Arc::new(RealFs);
+    let root = scratch.path().join("hash");
+    let cluster = ShardedIngest::create(vfs, &root, hash, stream_config(), store_config()).unwrap();
+    let leaders = cluster.into_leaders();
+    for leader in &leaders {
+        leader.lock().unwrap().ingest(&early).unwrap();
+    }
+    let lag_bound_zero = FollowerConfig {
+        max_lag_seqs: Some(0),
+        max_batch: 1,
+        backoff_base_ms: 0,
+        ..FollowerConfig::default()
+    };
+    let mut replicas = replica_set(&leaders, &hash, lag_bound_zero);
+    for replica in replicas.iter_mut() {
+        replica.sync(64).unwrap();
+    }
+    for leader in &leaders {
+        let mut leader = leader.lock().unwrap();
+        for batch in [workload(7, 100, 5), workload(7, 200, 5)] {
+            leader.ingest(&batch).unwrap();
+        }
+    }
+    for replica in replicas.iter_mut() {
+        let _ = replica.poll();
+    }
+    let mut stale = Coordinator::new(FollowerExecutor::new(&replicas, hash.grid()), hash).unwrap();
+    stale.eval(&q).unwrap();
+
+    let shard = pinned
+        .stats()
+        .map(|name, v| v + field(&stale.stats(), name));
+    for (name, value) in ingest.fields() {
+        assert!(value > 0, "IngestStats::{name} never moved");
+    }
+    for (name, value) in shard.fields() {
+        assert!(value > 0, "ShardStats::{name} never moved");
+    }
+}
+
+/// The exported counter `name`'s value in `stats`.
+fn field<S: CounterSet>(stats: &S, name: &str) -> u64 {
+    let fields = stats.fields();
+    let found = fields.as_ref().iter().find(|(n, _)| *n == name);
+    found.expect("a counter of this family").1
 }

@@ -1,0 +1,158 @@
+//! Shard reads allocate for what they return, not for the history
+//! behind it.
+//!
+//! A counting global allocator (installed in this test binary only)
+//! tallies the allocations and bytes requested on the calling thread.
+//! Two shapes are pinned: a region fetch keeping two cells allocates the
+//! same bytes whether the shard holds one day of other cells or two, and
+//! a repeated read of an unchanged live tail allocates the same whether
+//! that tail holds `n` records or `2n` — it buckets nothing again.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use gisolap_geom::BBox;
+use gisolap_olap::agg::AggFn;
+use gisolap_olap::time::{TimeId, TimeLevel};
+use gisolap_shard::{ClusterExecutor, GridSpec, PartitionerSpec, ShardExecutor, ShardedIngest};
+use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
+use gisolap_stream::{Measure, RollupQuery, StreamConfig, StreamIngest};
+use gisolap_traj::{ObjectId, Record};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+// SAFETY: every call forwards to `System` with the caller's own
+// arguments, so `System` upholds the `GlobalAlloc` contract; the
+// counter is a const-initialised thread-local `Cell` without a
+// destructor, so touching it never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| {
+            let (count, bytes) = n.get();
+            n.set((count + 1, bytes + layout.size() as u64));
+        });
+        // SAFETY: the caller's `alloc` contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the `(allocations, bytes)` it requested on this
+/// thread.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let (count, bytes) = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let (count_after, bytes_after) = ALLOCATIONS.with(Cell::get);
+    (out, (count_after - count, bytes_after - bytes))
+}
+
+fn grid() -> GridSpec {
+    GridSpec::new(BBox::new(0.0, 0.0, 64.0, 64.0), 16, 16).unwrap()
+}
+
+/// Intersects grid cells 0 and 1 only (the bottom row's first two).
+fn two_cells() -> BBox {
+    BBox::new(0.5, 0.5, 7.5, 3.5)
+}
+
+fn rec(oid: u64, t: i64, x: f64, y: f64) -> Record {
+    Record {
+        oid: ObjectId(oid),
+        t: TimeId(t),
+        x,
+        y,
+    }
+}
+
+/// Hour 0 visits the two region cells; then `hours` more hours of
+/// records spread over cells the region misses.
+fn history(hours: i64) -> Vec<Record> {
+    let mut records = vec![rec(0, 60, 1.0, 1.0), rec(1, 120, 5.0, 2.0)];
+    for h in 1..=hours {
+        for k in 0..20u64 {
+            let (x, y) = ((k * 3 % 64) as f64 + 0.5, (8 + k * 7 % 56) as f64 + 0.5);
+            records.push(rec(k, h * 3600 + k as i64 * 60, x, y));
+        }
+    }
+    records
+}
+
+/// The bytes one region fetch off a sealed one-shard cluster holding
+/// `history(hours)` allocates (measured on the second fetch).
+fn region_fetch_bytes(hours: i64) -> (usize, (u64, u64)) {
+    let scratch = ScratchDir::new("fetch-alloc-region");
+    let vfs: Arc<dyn Vfs> = Arc::new(RealFs);
+    let spec = PartitionerSpec::Spatial {
+        shards: 1,
+        grid: grid(),
+    };
+    let store = StoreConfig {
+        sync: SyncPolicy::Never,
+        ..StoreConfig::default()
+    };
+    let stream = StreamConfig::new(0, 3600).unwrap();
+    let mut cluster = ShardedIngest::create(vfs, scratch.path(), spec, stream, store).unwrap();
+    cluster.ingest(&history(hours)).unwrap();
+    cluster.finish().unwrap();
+    let exec = ClusterExecutor::new(&cluster);
+    let region = two_cells();
+    exec.fetch(0, Some(&region)).unwrap();
+    let (cells, cost) = allocations_during(|| exec.fetch(0, Some(&region)).unwrap());
+    (cells.len(), cost)
+}
+
+#[test]
+fn a_two_cell_region_fetch_does_not_grow_with_history() {
+    let (small_cells, small) = region_fetch_bytes(24);
+    let (large_cells, large) = region_fetch_bytes(48);
+    assert_eq!((small_cells, large_cells), (2, 2));
+    assert_eq!(
+        large, small,
+        "(allocations, bytes) of a two-cell fetch: {small:?} over 24 hours, {large:?} over 48"
+    );
+}
+
+/// A pipeline whose whole history is an unsealed tail of `n` records
+/// over the same four cells whatever `n` is.
+fn tail_of(n: u64) -> StreamIngest {
+    let mut ingest = StreamIngest::new(StreamConfig::new(86_400, 3600).unwrap()).unwrap();
+    let records: Vec<Record> = (0..n)
+        .map(|i| rec(i % 7, (i % 4) as i64 * 3600 + (i / 4) as i64, i as f64, 0.5))
+        .collect();
+    ingest.ingest(&records);
+    assert_eq!(ingest.tail_len() as u64, n);
+    ingest
+}
+
+#[test]
+fn a_repeated_read_of_an_unchanged_tail_buckets_nothing() {
+    let q = RollupQuery::new(TimeLevel::Day, Measure::X, AggFn::Avg);
+    let second_reads = |n: u64| {
+        let ingest = tail_of(n);
+        ingest.rollup(&q).unwrap();
+        let (cells, extract) = allocations_during(|| ingest.extract_partials());
+        let (_, rollup) = allocations_during(|| ingest.rollup(&q).unwrap());
+        assert_eq!(cells.len(), 4);
+        // The copy of four cells is the one allocation the read makes.
+        assert_eq!(extract.0, 1, "extract_partials allocated {extract:?}");
+        (extract, rollup)
+    };
+    let small = second_reads(500);
+    let large = second_reads(1000);
+    assert_eq!(
+        large, small,
+        "(extract, rollup) allocations over a 500-record tail {small:?}, 1000 {large:?}"
+    );
+}

@@ -439,6 +439,61 @@ fn sharded_rollup_over_socket_matches_local() {
     assert!(stats.sharded_requests >= 6);
 }
 
+/// A region with a NaN bound or a minimum above its maximum matches no
+/// cell, so answering it would return empty rows for a bad request. Both
+/// region-carrying requests refuse it — the `Partials` shard fetch and
+/// the server-side sharded rollup — and the same connection then
+/// answers a valid request.
+#[test]
+fn malformed_regions_are_refused_over_socket() {
+    let root = ScratchDir::new("serve-bad-region");
+    let grid = shard_grid();
+    let spec = PartitionerSpec::Spatial { shards: 4, grid };
+    let records = skewed_records(3);
+    {
+        let vfs: Arc<dyn Vfs> = Arc::new(RealFs);
+        let mut cluster = ShardedIngest::create(
+            vfs,
+            &root.path().join("fleet"),
+            spec,
+            StreamConfig::new(0, 3600).unwrap(),
+            store_config(0),
+        )
+        .unwrap();
+        cluster.ingest(&records).unwrap();
+    }
+    let mut server = Server::bind("127.0.0.1:0", root.path(), serve_config(0)).unwrap();
+    let leaf = server.leader_with_grid("leaf", Some(grid)).unwrap();
+    leaf.lock().unwrap().ingest(&records).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let q = RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Sum);
+    let valid = BBox::new(1.0, 1.0, 15.0, 15.0);
+    let nan = BBox {
+        max_x: f64::NAN,
+        ..valid
+    };
+    let inverted = BBox {
+        min_y: 20.0,
+        ..valid
+    };
+    for region in [nan, inverted] {
+        match client.partials("leaf", Some(&grid), Some(&region)) {
+            Err(ClientError::Remote(detail)) => assert!(detail.contains("NaN"), "{detail}"),
+            other => panic!("partials over {region:?}: {other:?}"),
+        }
+        let cells = client.partials("leaf", Some(&grid), Some(&valid)).unwrap();
+        assert!(!cells.is_empty(), "the connection still answers");
+        match client.sharded_rollup("fleet", &q, Some(&region)) {
+            Err(ClientError::Remote(detail)) => assert!(detail.contains("NaN"), "{detail}"),
+            other => panic!("sharded rollup over {region:?}: {other:?}"),
+        }
+        let served = client.sharded_rollup("fleet", &q, Some(&valid)).unwrap();
+        assert!(!served.rows.is_empty(), "the connection still answers");
+    }
+    server.stop();
+}
+
 /// Remote scatter: shard leaves live as plain tenants behind a server;
 /// a local coordinator fans out over [`RemoteShards`] (the `Partials`
 /// request path) and still merges bit-identically to a single store.

@@ -4,7 +4,9 @@
 //! with shards in every lifecycle state a cluster can be caught in
 //! (empty, lagging in the WAL tail, flushed, mid-compaction), with and
 //! without region filters — and the spatial partitioner demonstrably
-//! prunes whole shards on selective regions.
+//! prunes whole shards on selective regions. Every executor's region
+//! fetch keeps exactly the cells `filter_region` keeps from its source's
+//! full extraction, on edge-case regions too.
 //!
 //! The workload is [`SkewedFleet`]: every coordinate sits on the 0.25
 //! lattice, so position sums are exact in f64 and bit-identity is a
@@ -17,11 +19,16 @@ use gisolap_datagen::movers::SkewedFleet;
 use gisolap_geom::BBox;
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::{TimeId, TimeLevel};
+use gisolap_repl::FollowerConfig;
 use gisolap_shard::{
-    eval_single, ClusterExecutor, Coordinator, GridSpec, PartitionerSpec, ShardQuery, ShardedIngest,
+    eval_single, filter_region, replica_set, ClusterExecutor, Coordinator, FollowerExecutor,
+    GridSpec, PartitionerSpec, PinnedExecutor, ShardExecutor, ShardQuery, ShardedIngest,
 };
 use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
-use gisolap_stream::{Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest};
+use gisolap_stream::{
+    CellPartial, GroupKey, Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest,
+};
+use gisolap_tests::cell_bits;
 use gisolap_traj::Record;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -157,6 +164,82 @@ fn assert_equivalent(cluster: &mut ShardedIngest, single: &StreamIngest, label: 
     }
 }
 
+/// Region shapes a fetch must treat exactly as `filter_region` does:
+/// zero-width and zero-area boxes on grid lines, a box exactly on cell
+/// borders, boxes partly outside, touching from outside and wholly
+/// outside the area, the unbounded box, and no region at all.
+fn edge_regions() -> Vec<Option<BBox>> {
+    let inf = f64::INFINITY;
+    [
+        BBox::new(16.0, 0.0, 16.0, 64.0),  // zero width, on a column line
+        BBox::new(32.0, 32.0, 32.0, 32.0), // a point on four cells' corner
+        BBox::new(16.0, 16.0, 32.0, 32.0), // one cell, borders shared
+        BBox::new(-10.0, -10.0, 5.0, 5.0), // partly outside
+        BBox::new(64.0, 0.0, 80.0, 64.0),  // touching the east edge
+        BBox::new(100.0, 100.0, 120.0, 120.0), // wholly outside
+        BBox::new(-inf, -inf, inf, inf),   // unbounded
+        hot(),
+    ]
+    .into_iter()
+    .map(Some)
+    .chain([None])
+    .collect()
+}
+
+/// Each shard's fetch through `exec`, for every edge region, equals
+/// `filter_region` over the full extraction of that shard's `source`.
+fn assert_fetches_exact<E: ShardExecutor>(
+    exec: &E,
+    grid: Option<GridSpec>,
+    source: impl Fn(usize) -> Vec<(GroupKey, CellPartial)>,
+    label: &str,
+) {
+    for shard in 0..exec.shards() {
+        for region in edge_regions() {
+            let got = exec.fetch(shard, region.as_ref()).unwrap();
+            let want = filter_region(source(shard), grid, region.as_ref()).unwrap();
+            assert_eq!(
+                cell_bits(&got),
+                cell_bits(&want),
+                "{label}: shard {shard}, region {region:?}"
+            );
+        }
+    }
+}
+
+/// The cluster, pinned-leader and replica executors over one cluster in
+/// mixed states, each against its own source's extraction.
+fn every_executor_fetches_exactly(cluster: ShardedIngest, label: &str) {
+    let spec = cluster.spec();
+    let grid = spec.grid();
+    let exec = ClusterExecutor::new(&cluster);
+    assert_fetches_exact(
+        &exec,
+        grid,
+        |s| cluster.shards()[s].extract_partials(),
+        label,
+    );
+
+    let leaders = cluster.into_leaders();
+    let pinned = PinnedExecutor::new(leaders.clone(), grid);
+    let leader_cells = |s: usize| leaders[s].lock().unwrap().durable().extract_partials();
+    assert_fetches_exact(&pinned, grid, leader_cells, label);
+
+    let mut replicas = replica_set(&leaders, &spec, FollowerConfig::default());
+    for r in replicas.iter_mut() {
+        r.sync(64).unwrap();
+        assert!(r.caught_up(), "{label}: replica caught up");
+    }
+    let followers = FollowerExecutor::new(&replicas, grid);
+    let replica_cells = |s: usize| replicas[s].pipeline().unwrap().extract_partials();
+    assert_fetches_exact(&followers, grid, replica_cells, label);
+    for (s, replica) in replicas.iter().enumerate() {
+        let want = leader_cells(s);
+        let got = replica.pipeline().unwrap().extract_partials();
+        assert_eq!(cell_bits(&got), cell_bits(&want), "{label}: replica {s}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
@@ -184,6 +267,23 @@ proptest! {
         let mut cluster = cluster_in_mixed_states(&scratch, spec, &records, seed);
         let single = single_pipeline(&records);
         assert_equivalent(&mut cluster, &single, "hash");
+    }
+
+    /// Every executor's region fetch — one pass copying only kept cells
+    /// — equals copy-then-`filter_region`, bit for bit, under both
+    /// partitioners, with shards in mixed lifecycle states.
+    #[test]
+    fn region_fetches_equal_filter_region(seed in 0u64..1_000_000) {
+        let records = workload(seed);
+        let specs = [
+            PartitionerSpec::Spatial { shards: 4, grid: grid() },
+            PartitionerSpec::Hash { shards: 3, grid: Some(grid()) },
+        ];
+        for spec in specs {
+            let scratch = ScratchDir::new("shard-eq-fetch");
+            let cluster = cluster_in_mixed_states(&scratch, spec, &records, seed);
+            every_executor_fetches_exactly(cluster, &format!("{spec:?} seed {seed}"));
+        }
     }
 
     /// Reopening a cluster from disk changes nothing: the manifest

@@ -4,14 +4,18 @@
 //! ingester's lateness) must produce, for every aggregate function and
 //! Time-hierarchy level, exactly the same rollup bits as the same records
 //! ingested as one sorted batch — before *and* after sealing everything —
-//! and the assembled snapshot must equal the batch-built MOFT.
+//! and the assembled snapshot must equal the batch-built MOFT. A random
+//! schedule of ingests, `finish` calls and reads must read, after every
+//! step, exactly what a fresh pipeline fed the same prefix reads: the
+//! cached tail cells are never stale.
 
 use gisolap_datagen::movers::RandomWaypoint;
 use gisolap_datagen::{stream_batches, CityConfig, CityScenario, ReplayConfig};
 use gisolap_olap::agg::{AggFn, Partial};
 use gisolap_olap::time::{TimeDimension, TimeLevel};
-use gisolap_stream::{Measure, RollupQuery, StreamConfig, StreamIngest};
-use gisolap_traj::Moft;
+use gisolap_stream::{GeoResolver, GroupKey, Measure, RollupQuery, StreamConfig, StreamIngest};
+use gisolap_tests::cell_bits;
+use gisolap_traj::{Moft, ObjectId, Record};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -213,5 +217,166 @@ fn count_rollup_matches_record_census() {
             .map(|row| (row.granule, row.value as u64))
             .collect();
         assert_eq!(got, census, "{level:?}");
+    }
+}
+
+/// One step of a random pipeline schedule.
+#[derive(Debug, Clone)]
+enum Step {
+    Ingest(Vec<Record>),
+    Finish,
+    /// Reads only, starting with read kind `first` (so every kind is
+    /// sometimes the one that fills the tail cache).
+    Read {
+        first: usize,
+    },
+}
+
+/// A deterministic schedule from `seed`: batches over a small key space
+/// (so `(oid, t)` keys are re-sent with new values), spanning hours
+/// around a short lateness (so some records arrive late), with full-
+/// mantissa coordinates (so every accumulation order shows in the bits).
+fn schedule(seed: u64) -> Vec<Step> {
+    let mut z = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(11);
+    let mut next = move || {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut x = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    };
+    let steps = 4 + next() % 12;
+    let mut hour_base = 0i64;
+    (0..steps)
+        .map(|_| match next() % 8 {
+            0 => Step::Finish,
+            1 | 2 => Step::Read {
+                first: (next() % 4) as usize,
+            },
+            _ => {
+                // Mostly forward in time, sometimes back past the frontier.
+                hour_base = (hour_base + (next() % 3) as i64 - 1).max(0);
+                let n = 1 + next() % 24;
+                let batch = (0..n)
+                    .map(|_| Record {
+                        oid: ObjectId(next() % 4),
+                        t: gisolap_olap::time::TimeId(hour_base * 3600 + (next() % 90) as i64 * 60),
+                        x: (next() >> 11) as f64 / (1u64 << 40) as f64 - 4096.0,
+                        y: (next() >> 11) as f64 / (1u64 << 44) as f64,
+                    })
+                    .collect();
+                Step::Ingest(batch)
+            }
+        })
+        .collect()
+}
+
+/// Zero, one or two geometry ids per position, so tail cells exercise
+/// the unresolved bucket and multi-geometry fan-out.
+fn resolver() -> GeoResolver {
+    Box::new(|p| match (p.x.abs() as u64) % 3 {
+        0 => vec![],
+        1 => vec![(p.y as u64 % 5) as u32],
+        _ => vec![2, (p.y as u64 % 3) as u32],
+    })
+}
+
+fn pipeline() -> StreamIngest {
+    StreamIngest::new(StreamConfig::new(900, 3600).unwrap())
+        .unwrap()
+        .with_resolver(resolver())
+}
+
+/// Applies one step's mutation, if it has one.
+fn apply(ingest: &mut StreamIngest, step: &Step) {
+    match step {
+        Step::Ingest(batch) => {
+            ingest.ingest(batch);
+        }
+        Step::Finish => {
+            ingest.finish();
+        }
+        Step::Read { .. } => {}
+    }
+}
+
+/// A fresh pipeline fed `steps`, never read.
+fn replay(steps: &[Step]) -> StreamIngest {
+    let mut fresh = pipeline();
+    for step in steps {
+        apply(&mut fresh, step);
+    }
+    fresh
+}
+
+/// A key predicate keeping about half the cells, unevenly.
+fn odd_cells((hour, geo): GroupKey) -> bool {
+    (hour + i64::from(geo.unwrap_or(7))) % 2 == 1
+}
+
+/// Everything one read kind returns, in comparable form.
+fn read(ingest: &StreamIngest, kind: usize) -> String {
+    match kind {
+        0 => format!("{:?}", cell_bits(&ingest.extract_partials())),
+        1 => {
+            let mut out = Vec::new();
+            for (level, f) in [(TimeLevel::Hour, AggFn::Sum), (TimeLevel::Day, AggFn::Min)] {
+                out.extend(rollup_bits(ingest, &RollupQuery::new(level, Measure::X, f)));
+                out.extend(rollup_bits(
+                    ingest,
+                    &RollupQuery::new(level, Measure::Y, AggFn::Avg),
+                ));
+            }
+            format!("{out:?}")
+        }
+        2 => {
+            let snap = ingest.snapshot().unwrap();
+            let q = RollupQuery::new(TimeLevel::Day, Measure::Y, AggFn::Sum);
+            let rows: Vec<_> = (snap.rollup(&q).unwrap().iter())
+                .map(|r| (r.granule, r.geo, r.value.to_bits()))
+                .collect();
+            let records: Vec<_> = (snap.moft().records().iter())
+                .map(|r| (r.oid, r.t, r.x.to_bits(), r.y.to_bits()))
+                .collect();
+            format!("{records:?} {} {rows:?}", snap.tail_len())
+        }
+        _ => format!("{:?}", cell_bits(&ingest.partials_where(odd_cells))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
+
+    /// After every step of a random schedule, each read of the live
+    /// pipeline (whose tail cells are cached across reads) is bit-
+    /// identical to the same read of a fresh pipeline fed the same
+    /// prefix; `partials_where` equals the filtered `extract_partials`;
+    /// and a repeated read of an unchanged tail buckets nothing.
+    #[test]
+    fn cached_tail_reads_match_a_fresh_pipeline(seed in 0u64..1_000_000) {
+        let steps = schedule(seed);
+        let mut live = pipeline();
+        for (i, step) in steps.iter().enumerate() {
+            apply(&mut live, step);
+            let prefix = &steps[..=i];
+            let first = match step {
+                Step::Read { first } => *first,
+                _ => i % 4,
+            };
+            for kind in (0..4).map(|k| (first + k) % 4) {
+                // The fresh side buckets from scratch on every read.
+                let want = read(&replay(prefix), kind);
+                prop_assert_eq!(read(&live, kind), want, "seed {} step {} read {}", seed, i, kind);
+            }
+            let mut filtered = replay(prefix).extract_partials();
+            filtered.retain(|(key, _)| odd_cells(*key));
+            prop_assert_eq!(
+                cell_bits(&live.partials_where(odd_cells)),
+                cell_bits(&filtered)
+            );
+            let scanned = live.stats().tail_records_scanned;
+            read(&live, 0);
+            read(&live, 1);
+            prop_assert_eq!(live.stats().tail_records_scanned, scanned, "unchanged tail");
+        }
     }
 }
