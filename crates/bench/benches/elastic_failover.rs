@@ -77,12 +77,11 @@ fn warm_group(scratch: &ScratchDir, tag: usize, records: u64) -> ShardGroup {
             store_config: store_config(),
         })
         .collect();
-    let resolver: gisolap_repl::SharedResolver = Arc::new(move |p| vec![g.cell_of(p)]);
     let mut group = ShardGroup::new(
         ingest,
         0,
         homes,
-        Some(resolver),
+        Some(g.resolver()),
         FollowerConfig {
             backoff_base_ms: 0,
             ..FollowerConfig::default()

@@ -52,12 +52,11 @@ pub fn layer_geo_resolver(gis: &Gis, layer: &str) -> Result<GeoResolver> {
             (g.0, r.bbox(), owned)
         })
         .collect();
-    Ok(Box::new(move |p: Point| {
-        elements
+    Ok(Arc::new(move |p: Point, out: &mut Vec<u32>| {
+        let covering = elements
             .iter()
-            .filter(|(_, bbox, geo)| bbox.contains(p) && geo.covers(p))
-            .map(|&(id, _, _)| id)
-            .collect()
+            .filter(|(_, bbox, geo)| bbox.contains(p) && geo.covers(p));
+        out.extend(covering.map(|&(id, _, _)| id));
     }))
 }
 
@@ -115,9 +114,14 @@ mod tests {
             ],
         ));
         let resolver = layer_geo_resolver(&gis, "Ln").unwrap();
-        assert_eq!(resolver(pt(2.0, 2.0)), vec![0]);
-        assert_eq!(resolver(pt(7.0, 2.0)), vec![0, 1]);
-        assert_eq!(resolver(pt(20.0, 2.0)), Vec::<u32>::new());
+        let ids = |p| {
+            let mut out = Vec::new();
+            resolver(p, &mut out);
+            out
+        };
+        assert_eq!(ids(pt(2.0, 2.0)), vec![0]);
+        assert_eq!(ids(pt(7.0, 2.0)), vec![0, 1]);
+        assert_eq!(ids(pt(20.0, 2.0)), Vec::<u32>::new());
         assert!(layer_geo_resolver(&gis, "nope").is_err());
     }
 

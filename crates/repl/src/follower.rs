@@ -17,19 +17,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A clonable region resolver. [`GeoResolver`] is a `Box` (not
-/// clonable), but a follower must mint a fresh resolver every time it
-/// installs a snapshot, so it holds an `Arc` and hands out boxed
-/// delegates.
-pub type SharedResolver = Arc<dyn Fn(gisolap_geom::Point) -> Vec<u32> + Send + Sync>;
-
-fn delegate(resolver: &Option<SharedResolver>) -> Option<GeoResolver> {
-    resolver.as_ref().map(|r| {
-        let r = r.clone();
-        Box::new(move |p| r(p)) as GeoResolver
-    })
-}
-
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -194,7 +181,7 @@ struct DurableHome {
 pub struct Follower<T> {
     transport: T,
     config: FollowerConfig,
-    resolver: Option<SharedResolver>,
+    resolver: Option<GeoResolver>,
     state: Option<State>,
     durable_home: Option<DurableHome>,
     /// Next sequence number to apply.
@@ -231,7 +218,7 @@ impl<T> std::fmt::Debug for Follower<T> {
 impl<T: Transport> Follower<T> {
     fn new(
         transport: T,
-        resolver: Option<SharedResolver>,
+        resolver: Option<GeoResolver>,
         config: FollowerConfig,
         state: Option<State>,
         durable_home: Option<DurableHome>,
@@ -263,7 +250,7 @@ impl<T: Transport> Follower<T> {
     /// carries the leader's stream configuration).
     pub fn memory(
         transport: T,
-        resolver: Option<SharedResolver>,
+        resolver: Option<GeoResolver>,
         config: FollowerConfig,
     ) -> Follower<T> {
         Follower::new(transport, resolver, config, None, None, 0)
@@ -279,7 +266,7 @@ impl<T: Transport> Follower<T> {
         vfs: Arc<dyn Vfs>,
         dir: &Path,
         store_config: StoreConfig,
-        resolver: Option<SharedResolver>,
+        resolver: Option<GeoResolver>,
         config: FollowerConfig,
     ) -> Result<Follower<T>> {
         let home = DurableHome {
@@ -289,7 +276,7 @@ impl<T: Transport> Follower<T> {
         };
         if vfs.exists(&dir.join(gisolap_store::store::MANIFEST_NAME)) {
             let (durable, _report) =
-                DurableIngest::recover(vfs, dir, store_config, delegate(&resolver))?;
+                DurableIngest::recover(vfs, dir, store_config, resolver.clone())?;
             let cursor = durable.next_seq();
             Ok(Follower::new(
                 transport,
@@ -498,7 +485,7 @@ impl<T: Transport> Follower<T> {
             None => State::Memory(Box::new(
                 StreamIngest::restore(
                     stream_config,
-                    delegate(&self.resolver),
+                    self.resolver.clone(),
                     snap.segments,
                     snap.tail,
                 )
@@ -509,7 +496,7 @@ impl<T: Transport> Follower<T> {
                 &home.dir,
                 stream_config,
                 home.store_config,
-                delegate(&self.resolver),
+                self.resolver.clone(),
                 snap.segments,
                 snap.tail,
                 snap.next_seq,

@@ -69,9 +69,7 @@ pub mod leader;
 pub mod transport;
 pub mod wire;
 
-pub use follower::{
-    Follower, FollowerConfig, Lag, LagBounded, PollOutcome, ReplStats, SharedResolver,
-};
+pub use follower::{Follower, FollowerConfig, Lag, LagBounded, PollOutcome, ReplStats};
 pub use leader::{EpochFence, Leader, LeaderStats};
 pub use transport::{
     DirectTransport, FaultConfig, FaultStats, FaultTransport, Transport, TransportError,

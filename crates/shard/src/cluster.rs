@@ -291,9 +291,7 @@ pub fn replica_set(
     leaders
         .iter()
         .map(|leader| {
-            let resolver = spec
-                .grid()
-                .map(|g| Arc::new(move |p| vec![g.cell_of(p)]) as gisolap_repl::SharedResolver);
+            let resolver = spec.grid().map(|g| g.resolver());
             Follower::memory(DirectTransport::new(leader.clone()), resolver, config)
         })
         .collect()

@@ -433,8 +433,9 @@ pub fn is_leadership_error(e: &StoreError) -> bool {
 
 /// Refuses a malformed region — a NaN bound, or a minimum above its
 /// maximum. No cell intersects one, so answering it would return empty
-/// rows for what is a bad request.
-fn check_region(region: &BBox) -> Result<()> {
+/// rows for what is a bad request (and a subscription over one would
+/// never fire).
+pub fn check_region(region: &BBox) -> Result<()> {
     let ordered = region.min_x <= region.max_x && region.min_y <= region.max_y;
     if ordered {
         return Ok(());

@@ -51,7 +51,9 @@ use gisolap_repl::{
 use gisolap_store::codec::{frame, header, FileKind};
 use gisolap_store::framing::decode_single_frame;
 use gisolap_store::{DurableIngest, Result, StoreConfig, StoreError, Vfs};
-use gisolap_stream::{CellPartial, GroupKey, IngestReport, Segment, StreamConfig, TailState};
+use gisolap_stream::{
+    CellPartial, GeoResolver, GroupKey, IngestReport, Segment, StreamConfig, TailState,
+};
 use gisolap_traj::Record;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -245,7 +247,7 @@ impl ShardGroup {
         ingest: DurableIngest,
         epoch: u64,
         homes: Vec<ReplicaHome>,
-        resolver: Option<gisolap_repl::SharedResolver>,
+        resolver: Option<GeoResolver>,
         follower_config: FollowerConfig,
         config: ElasticConfig,
     ) -> Result<ShardGroup> {
@@ -1228,8 +1230,7 @@ mod tests {
                 store_config: StoreConfig::default(),
             })
             .collect();
-        let g = grid();
-        let resolver: gisolap_repl::SharedResolver = Arc::new(move |p| vec![g.cell_of(p)]);
+        let resolver = grid().resolver();
         ShardGroup::new(
             ingest,
             0,

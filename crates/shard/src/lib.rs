@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use cluster::{replica_set, shard_dir, RouteStats, ShardedIngest, SHARDS_MANIFEST};
 pub use coordinator::{
-    eval_single, fetch_partials, filter_region, filter_window, is_leadership_error,
+    check_region, eval_single, fetch_partials, filter_region, filter_window, is_leadership_error,
     ClusterExecutor, Coordinator, FollowerExecutor, ShardExecutor, ShardExplain, ShardQuery,
     ShardResult, ShardStats,
 };

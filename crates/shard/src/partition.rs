@@ -13,6 +13,9 @@
 //!   aggregates), and lets a region filter prune whole shards before
 //!   any store is touched.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use gisolap_geom::{BBox, Point};
 use gisolap_store::{Result, StoreError};
 use gisolap_stream::{CellPartial, GeoResolver, GroupKey};
@@ -33,7 +36,8 @@ pub struct GridSpec {
 }
 
 impl GridSpec {
-    /// A validated grid: at least one cell, a non-empty box.
+    /// A validated grid: at least one cell, a box of positive, finite
+    /// width and height.
     pub fn new(bbox: BBox, nx: u32, ny: u32) -> Result<GridSpec> {
         if nx == 0 || ny == 0 {
             return Err(StoreError::BadConfig(format!(
@@ -47,11 +51,13 @@ impl GridSpec {
                 "grid {nx}x{ny} exceeds the u32 cell-id space"
             )));
         }
-        // `> 0.0` fails for NaN extents too, which must be rejected.
-        let positive = |v: f64| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if bbox.is_empty() || !positive(bbox.width()) || !positive(bbox.height()) {
+        // `> 0.0` fails for NaN extents too, which must be rejected. A
+        // finite extent keeps every cell bound finite and monotone in
+        // its index, which the region ranges rely on.
+        let extent = |v: f64| v > 0.0 && v.is_finite();
+        if bbox.is_empty() || !extent(bbox.width()) || !extent(bbox.height()) {
             return Err(StoreError::BadConfig(
-                "grid bbox must have positive area".to_string(),
+                "grid bbox must have positive, finite area".to_string(),
             ));
         }
         Ok(GridSpec { bbox, nx, ny })
@@ -67,8 +73,11 @@ impl GridSpec {
     pub fn cell_of(&self, p: Point) -> u32 {
         let fx = (p.x - self.bbox.min_x) / self.bbox.width() * self.nx as f64;
         let fy = (p.y - self.bbox.min_y) / self.bbox.height() * self.ny as f64;
-        let ix = (fx.floor().max(0.0) as u32).min(self.nx - 1);
-        let iy = (fy.floor().max(0.0) as u32).min(self.ny - 1);
+        // `as u32` truncates toward zero and saturates (NaN → 0), which
+        // for a clamped index is `floor().max(0.0)` without the `floor`
+        // call.
+        let ix = (fx as u32).min(self.nx - 1);
+        let iy = (fy as u32).min(self.ny - 1);
         iy * self.nx + ix
     }
 
@@ -87,33 +96,59 @@ impl GridSpec {
         )
     }
 
-    /// Cell ids whose closed area intersects `region`, ascending.
-    pub fn cells_intersecting(&self, region: &BBox) -> Vec<u32> {
-        let mut out = Vec::new();
-        for id in 0..self.cells() {
-            if self.cell_bbox(id).intersects(region) {
-                out.push(id);
-            }
-        }
-        out
+    /// The columns and rows whose closed cell areas intersect `region`:
+    /// a cell intersects it iff its column and its row both do. Each
+    /// cell bound in [`GridSpec::cell_bbox`] is monotone in its index,
+    /// so on each axis the cells starting at or below the region's
+    /// maximum are a prefix and those ending at or above its minimum a
+    /// suffix; two binary searches per axis find them, with the same
+    /// float expressions `cell_bbox` evaluates.
+    fn region_ranges(&self, region: &BBox) -> (Range<u32>, Range<u32>) {
+        let axis = |n: u32, min: f64, extent: f64, lo: f64, hi: f64| {
+            let step = extent / n as f64;
+            let starts_by_hi = |i: u32| min + i as f64 * step <= hi;
+            let ends_from_lo = |i: u32| lo <= min + (i as f64 + 1.0) * step;
+            let start = first_false(n, |i| !ends_from_lo(i));
+            start..first_false(n, starts_by_hi).max(start)
+        };
+        let b = &self.bbox;
+        (
+            axis(self.nx, b.min_x, b.width(), region.min_x, region.max_x),
+            axis(self.ny, b.min_y, b.height(), region.min_y, region.max_y),
+        )
     }
 
-    /// The region test of a `region`-filtered query, built once as a
-    /// per-cell mask over `0..cells()`: it keeps a cell key iff the key
-    /// has a geo id whose closed cell area intersects `region`. Cells
-    /// with no geo id are dropped — they carry positions the grid never
-    /// resolved, which a grid-filtered query must not see.
+    /// Cell ids whose closed area intersects `region`, ascending.
+    pub fn cells_intersecting(&self, region: &BBox) -> Vec<u32> {
+        let (cols, rows) = self.region_ranges(region);
+        let nx = self.nx;
+        rows.flat_map(|iy| cols.clone().map(move |ix| iy * nx + ix))
+            .collect()
+    }
+
+    /// The region test of a `region`-filtered query: it keeps a cell key
+    /// iff the key has a geo id whose closed cell area intersects
+    /// `region`. Cells with no geo id are dropped — they carry positions
+    /// the grid never resolved, which a grid-filtered query must not
+    /// see. Built once per call from [`GridSpec::region_ranges`], so it
+    /// costs the same whatever the grid's size. The ids from the first
+    /// kept cell to the last are exactly those in the kept rows, so only
+    /// they need their column computed.
     pub(crate) fn region_test(&self, region: &BBox) -> impl Fn(GroupKey) -> bool {
-        let mask: Vec<bool> = (0..self.cells())
-            .map(|id| self.cell_bbox(id).intersects(region))
-            .collect();
-        move |(_, geo)| geo.is_some_and(|g| mask.get(g as usize) == Some(&true))
+        let (cols, rows) = self.region_ranges(region);
+        let nx = self.nx;
+        let ids = if rows.is_empty() || cols.is_empty() {
+            0..0
+        } else {
+            rows.start * nx + cols.start..(rows.end - 1) * nx + cols.end
+        };
+        move |(_, geo)| geo.is_some_and(|g| ids.contains(&g) && cols.contains(&(g % nx)))
     }
 
     /// A [`GeoResolver`] assigning every position its single grid cell.
     pub fn resolver(&self) -> GeoResolver {
         let spec = *self;
-        Box::new(move |p: Point| vec![spec.cell_of(p)])
+        Arc::new(move |p: Point, out: &mut Vec<u32>| out.push(spec.cell_of(p)))
     }
 
     /// Drops cells that cannot contribute to a `region`-filtered query:
@@ -126,6 +161,21 @@ impl GridSpec {
         let keep = self.region_test(region);
         cells.into_iter().filter(|(key, _)| keep(*key)).collect()
     }
+}
+
+/// The first index in `0..n` at which `holds` is false; `holds` must be
+/// true on a prefix of `0..n` and false on the rest.
+fn first_false(n: u32, holds: impl Fn(u32) -> bool) -> u32 {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// How records route to shards, and which shards a region filter can
@@ -341,6 +391,7 @@ mod tests {
     use super::*;
     use gisolap_olap::time::TimeId;
     use gisolap_traj::ObjectId;
+    use proptest::prelude::*;
 
     fn rec(oid: u64, x: f64, y: f64) -> Record {
         Record {
@@ -367,6 +418,10 @@ mod tests {
         assert_eq!(g.cell_of(Point::new(100.0, 100.0)), 31);
         // The max corner belongs to the last cell, not cell nx*ny.
         assert_eq!(g.cell_of(Point::new(8.0, 4.0)), 31);
+        // Just below the box, infinite and NaN coordinates clamp too.
+        assert_eq!(g.cell_of(Point::new(-0.01, 3.5)), 24);
+        assert_eq!(g.cell_of(Point::new(f64::INFINITY, f64::NEG_INFINITY)), 7);
+        assert_eq!(g.cell_of(Point::new(f64::NAN, f64::NAN)), 0);
         // Every cell's bbox contains its own center.
         for id in 0..g.cells() {
             assert_eq!(g.cell_of(g.cell_bbox(id).center()), id);
@@ -377,10 +432,10 @@ mod tests {
     fn resolver_returns_exactly_one_cell() {
         let g = grid();
         let r = g.resolver();
-        assert_eq!(
-            r(Point::new(3.3, 1.1)),
-            vec![g.cell_of(Point::new(3.3, 1.1))]
-        );
+        // It appends to whatever the buffer holds.
+        let mut out = vec![7];
+        r(Point::new(3.3, 1.1), &mut out);
+        assert_eq!(out, vec![7, g.cell_of(Point::new(3.3, 1.1))]);
     }
 
     #[test]
@@ -446,6 +501,129 @@ mod tests {
         }
         .build()
         .is_err());
+    }
+
+    /// A deterministic stream of `u64`s from a seed (splitmix64).
+    fn stream(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mix64(seed)
+        }
+    }
+
+    /// A region shaped by `kind` from `next`'s draws: zero-width, on cell
+    /// borders, outside the box, random, NaN-bounded or inverted.
+    fn region_of(g: &GridSpec, kind: u64, next: &mut impl FnMut() -> u64) -> BBox {
+        let b = g.bbox;
+        let mut coord = |lo: f64, hi: f64| lo + (next() % 1_000_001) as f64 / 1e6 * (hi - lo);
+        let (pad_w, pad_h) = (b.width() / 4.0, b.height() / 4.0);
+        let (x0, x1) = (
+            coord(b.min_x - pad_w, b.max_x + pad_w),
+            coord(b.min_x - pad_w, b.max_x + pad_w),
+        );
+        let (y0, y1) = (
+            coord(b.min_y - pad_h, b.max_y + pad_h),
+            coord(b.min_y - pad_h, b.max_y + pad_h),
+        );
+        let border =
+            |next: &mut dyn FnMut() -> u64| g.cell_bbox((next() % g.cells() as u64) as u32);
+        let raw = |min_x, min_y, max_x, max_y| BBox {
+            min_x,
+            min_y,
+            max_x,
+            max_y,
+        };
+        match kind % 7 {
+            0 => BBox::new(x0, y0, x0, y1.max(y0)),
+            1 => {
+                let (c, d) = (border(&mut *next), border(&mut *next));
+                raw(
+                    c.min_x.min(d.max_x),
+                    c.max_y.min(d.min_y),
+                    c.min_x.max(d.max_x),
+                    c.max_y.max(d.min_y),
+                )
+            }
+            2 => BBox::new(b.max_x + 1.0, b.min_y, b.max_x + 2.0 + x0.abs(), b.max_y),
+            3 => raw(f64::NAN, y0.min(y1), x0.max(x1), y0.max(y1)),
+            4 => raw(x0.max(x1), y0.min(y1), x0.min(x1), y0.max(y1)),
+            _ => BBox::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1)),
+        }
+    }
+
+    /// Checks the region test and `cells_intersecting` against the
+    /// per-cell formula on every id of `ids`.
+    fn agrees_on(
+        g: &GridSpec,
+        region: &BBox,
+        ids: impl Iterator<Item = u32>,
+    ) -> std::result::Result<(), TestCaseError> {
+        let keep = g.region_test(region);
+        let listed = g.cells_intersecting(region);
+        prop_assert!(listed.windows(2).all(|w| w[0] < w[1]));
+        for id in ids {
+            let want = g.cell_bbox(id).intersects(region);
+            prop_assert_eq!(
+                keep((0, Some(id))),
+                want,
+                "cell {} of {:?} in {:?}",
+                id,
+                g,
+                region
+            );
+            prop_assert_eq!(
+                listed.binary_search(&id).is_ok(),
+                want,
+                "listed cell {}",
+                id
+            );
+        }
+        prop_assert!(!keep((0, None)));
+        prop_assert!(!keep((0, Some(g.cells()))) || g.cells() == u32::MAX);
+        Ok(())
+    }
+
+    proptest! {
+        /// The range-derived region test and cell list equal the
+        /// per-cell formula: every cell of small grids, and the cells
+        /// around the ranges' ends plus random ones of huge grids.
+        #[test]
+        fn region_ranges_match_the_per_cell_formula(seed in 0u64..1_000_000) {
+            let mut next = stream(seed);
+            let min_x = (next() % 2001) as f64 / 8.0 - 125.0;
+            let min_y = -((next() % 997) as f64) / 3.0;
+            let (w, h) = (0.001 + (next() % 10_000) as f64 / 7.0, 0.001 + (next() % 10_000) as f64 / 9.0);
+            let bbox = BBox::new(min_x, min_y, min_x + w, min_y + h);
+            let huge = next() % 4 == 0;
+            let (nx, ny) = if huge {
+                (1 + (next() % 65_535) as u32, 1 + (next() % 65_535) as u32)
+            } else {
+                (1 + (next() % 40) as u32, 1 + (next() % 40) as u32)
+            };
+            let g = GridSpec::new(bbox, nx, ny.min(u32::MAX / nx)).unwrap();
+            for kind in 0..7 {
+                let region = region_of(&g, kind, &mut next);
+                if !huge {
+                    agrees_on(&g, &region, 0..g.cells())?;
+                    continue;
+                }
+                // Huge: the ids beside every range end, and random ones.
+                let (cols, rows) = g.region_ranges(&region);
+                let near = |r: &Range<u32>, n: u32| {
+                    [r.start, r.end].into_iter()
+                        .flat_map(|e| [e.saturating_sub(1), e, e + 1])
+                        .filter(move |&i| i < n)
+                        .collect::<Vec<_>>()
+                };
+                let (cs, rs) = (near(&cols, g.nx), near(&rows, g.ny));
+                let edges: Vec<u32> = rs.iter().flat_map(|&iy| cs.iter().map(move |&ix| iy * g.nx + ix)).collect();
+                let random: Vec<u32> = (0..64).map(|_| (next() % g.cells() as u64) as u32).collect();
+                let keep = g.region_test(&region);
+                for id in edges.into_iter().chain(random) {
+                    prop_assert_eq!(keep((0, Some(id))), g.cell_bbox(id).intersects(&region), "cell {} of {:?} in {:?}", id, g, region);
+                }
+            }
+        }
     }
 
     #[test]

@@ -944,15 +944,24 @@ pub fn decode_tail_delta(payload: &[u8], file: &str) -> Result<TailDelta> {
 
 /// Encodes one WAL frame payload: sequence number + operation.
 pub fn encode_wal_entry(seq: u64, op: &ReplayOp) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(seq);
     match op {
-        ReplayOp::Batch(records) => {
-            e.u8(0);
-            enc_records(&mut e, records);
+        ReplayOp::Batch(records) => encode_wal_batch(seq, records),
+        ReplayOp::Finish => {
+            let mut e = Enc::new();
+            e.u64(seq);
+            e.u8(1);
+            e.into_bytes()
         }
-        ReplayOp::Finish => e.u8(1),
     }
+}
+
+/// [`encode_wal_entry`] of `ReplayOp::Batch(records)`, encoded from the
+/// borrowed batch.
+pub(crate) fn encode_wal_batch(seq: u64, records: &[Record]) -> Vec<u8> {
+    let mut e = Enc::with_capacity(17 + 32 * records.len());
+    e.u64(seq);
+    e.u8(0);
+    enc_records(&mut e, records);
     e.into_bytes()
 }
 

@@ -413,31 +413,33 @@ impl SegmentStore {
         // WAL: everything durable since that flush.
         let wal_path = dir.join(&manifest.wal);
         let scan = wal::scan(vfs.as_ref(), &wal_path, manifest.wal_start_seq)?;
-        let ops: Vec<ReplayOp> = scan.entries.iter().map(|e| e.op.clone()).collect();
-        let replayed_records: u64 = ops
-            .iter()
-            .map(|op| match op {
+        let entries = scan.entries.len() as u64;
+        let replayed_records: u64 = (scan.entries.iter())
+            .map(|e| match &e.op {
                 ReplayOp::Batch(b) => b.len() as u64,
                 ReplayOp::Finish => 0,
             })
             .sum();
         let segments_loaded = segments.len() as u64;
         let checkpoint_loaded = manifest.checkpoint.is_some();
+        // The scanned ops move into replay; reopening needs only counts.
+        let ops = scan.entries.into_iter().map(|e| e.op);
         let (ingest, replay) = StreamIngest::recover(stream_config, resolver, segments, tail, ops)
             .map_err(StoreError::Stream)?;
 
         let wal = Wal::reopen(
             vfs.clone(),
             &wal_path,
-            &scan,
-            manifest.wal_start_seq,
+            scan.valid_bytes,
+            scan.truncated_bytes,
+            manifest.wal_start_seq + entries,
             config.sync,
         )?;
 
         let report = RecoveryReport {
             segments_loaded,
             checkpoint_loaded,
-            wal_entries_replayed: scan.entries.len() as u64,
+            wal_entries_replayed: entries,
             wal_records_replayed: replayed_records,
             wal_bytes_truncated: scan.truncated_bytes,
             next_seq: wal.next_seq(),
@@ -526,17 +528,19 @@ impl SegmentStore {
         self.tracer.set_enabled(on);
     }
 
-    /// Appends one operation to the WAL (fsync per policy). Must be
-    /// called **before** the operation is applied to the pipeline.
-    pub(crate) fn wal_append(&mut self, op: &ReplayOp) -> Result<u64> {
+    /// Appends one entry of `records` records to the WAL (fsync per
+    /// policy), `encode` turning its sequence number into the payload
+    /// ([`Wal::append`]). Must be called **before** the operation is
+    /// applied to the pipeline.
+    pub(crate) fn wal_append(
+        &mut self,
+        records: u64,
+        encode: impl FnOnce(u64) -> Vec<u8>,
+    ) -> Result<u64> {
         let t0 = Instant::now();
         let bytes_before = self.wal.bytes_written;
         let syncs_before = self.wal.syncs;
-        let seq = self.wal.append(op)?;
-        let records = match op {
-            ReplayOp::Batch(b) => b.len() as u64,
-            ReplayOp::Finish => 0,
-        };
+        let seq = self.wal.append(encode)?;
         let bytes = self.wal.bytes_written - bytes_before;
         self.stats.wal_appends += 1;
         self.stats.wal_records += records;
@@ -1032,10 +1036,12 @@ impl DurableIngest {
         }
     }
 
-    /// Logs the batch to the WAL, then applies it. On a WAL error the
-    /// batch is **not** applied: memory never runs ahead of the log.
+    /// Logs the batch to the WAL, encoded from the borrowed slice, then
+    /// applies it. On a WAL error the batch is **not** applied: memory
+    /// never runs ahead of the log.
     pub fn ingest(&mut self, batch: &[Record]) -> Result<IngestReport> {
-        self.store.wal_append(&ReplayOp::Batch(batch.to_vec()))?;
+        let records = batch.len() as u64;
+        (self.store).wal_append(records, |seq| codec::encode_wal_batch(seq, batch))?;
         Ok(self.ingest.ingest(batch))
     }
 
@@ -1043,7 +1049,7 @@ impl DurableIngest {
     /// reproduces the close, so records arriving after it dead-letter
     /// identically on both paths.
     pub fn finish(&mut self) -> Result<u64> {
-        self.store.wal_append(&ReplayOp::Finish)?;
+        (self.store).wal_append(0, |seq| codec::encode_wal_entry(seq, &ReplayOp::Finish))?;
         Ok(self.ingest.finish())
     }
 

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use gisolap_stream::ReplayOp;
 
 use crate::codec::{
-    self, check_header, decode_wal_entry, frame, header, read_frame, FileKind, FrameRead,
-    HEADER_LEN,
+    check_header, decode_wal_entry, frame, header, read_frame, FileKind, FrameRead, HEADER_LEN,
 };
 use crate::vfs::{AppendFile, Vfs};
 use crate::Result;
@@ -205,29 +204,32 @@ impl Wal {
         })
     }
 
-    /// Reopens an existing WAL for appending after recovery scanned it.
-    /// `valid_bytes` comes from the scan; any torn tail beyond it is
-    /// truncated away first so new frames start on a clean boundary.
+    /// Reopens an existing WAL for appending after recovery scanned it:
+    /// `valid_bytes` and `truncated_bytes` are the scan's, and `next_seq`
+    /// is its start plus the entries it found. Any torn tail beyond
+    /// `valid_bytes` is truncated away first so new frames start on a
+    /// clean boundary.
     pub fn reopen(
         vfs: Arc<dyn Vfs>,
         path: &Path,
-        scan: &WalScan,
-        start_seq: u64,
+        valid_bytes: u64,
+        truncated_bytes: u64,
+        next_seq: u64,
         policy: SyncPolicy,
     ) -> Result<Wal> {
-        if !vfs.exists(path) || scan.valid_bytes < HEADER_LEN as u64 {
+        if !vfs.exists(path) || valid_bytes < HEADER_LEN as u64 {
             // Never created, or its header tore: start it over.
-            return Wal::create(vfs, path, start_seq, policy);
+            return Wal::create(vfs, path, next_seq, policy);
         }
-        if scan.truncated_bytes > 0 {
-            vfs.truncate(path, scan.valid_bytes)?;
+        if truncated_bytes > 0 {
+            vfs.truncate(path, valid_bytes)?;
         }
         let file = vfs.open_append(path)?;
         Ok(Wal {
             vfs,
             path: path.to_path_buf(),
             file,
-            next_seq: start_seq + scan.entries.len() as u64,
+            next_seq,
             policy,
             appends_since_sync: 0,
             bytes_written: 0,
@@ -240,11 +242,12 @@ impl Wal {
         self.next_seq
     }
 
-    /// Appends one operation, fsyncing per the policy. Returns the
-    /// entry's sequence number.
-    pub fn append(&mut self, op: &ReplayOp) -> Result<u64> {
+    /// Appends one entry, fsyncing per the policy: `encode` turns the
+    /// entry's sequence number into its payload
+    /// ([`crate::codec::encode_wal_entry`]). Returns the sequence number.
+    pub fn append(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64> {
         let seq = self.next_seq;
-        let f = frame(&codec::encode_wal_entry(seq, op));
+        let f = frame(&encode(seq));
         self.file.append(&f)?;
         self.bytes_written += f.len() as u64;
         self.next_seq += 1;
@@ -280,6 +283,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::vfs::{RealFs, ScratchDir};
     use gisolap_olap::time::TimeId;
     use gisolap_traj::{ObjectId, Record};
@@ -297,6 +301,10 @@ mod tests {
         Arc::new(RealFs)
     }
 
+    fn append(wal: &mut Wal, op: &ReplayOp) -> Result<u64> {
+        wal.append(|seq| codec::encode_wal_entry(seq, op))
+    }
+
     #[test]
     fn append_scan_roundtrip() {
         let dir = ScratchDir::new("wal");
@@ -308,7 +316,7 @@ mod tests {
             ReplayOp::Batch(vec![]),
         ];
         for (i, op) in ops.iter().enumerate() {
-            assert_eq!(wal.append(op).unwrap(), 7 + i as u64);
+            assert_eq!(append(&mut wal, op).unwrap(), 7 + i as u64);
         }
         assert_eq!(wal.syncs, 3);
         drop(wal);
@@ -327,8 +335,8 @@ mod tests {
         let dir = ScratchDir::new("wal-torn");
         let path = dir.path().join("wal-0.log");
         let mut wal = Wal::create(vfs(), &path, 0, SyncPolicy::Never).unwrap();
-        wal.append(&ReplayOp::Batch(vec![rec(1, 1)])).unwrap();
-        wal.append(&ReplayOp::Batch(vec![rec(2, 2)])).unwrap();
+        append(&mut wal, &ReplayOp::Batch(vec![rec(1, 1)])).unwrap();
+        append(&mut wal, &ReplayOp::Batch(vec![rec(2, 2)])).unwrap();
         drop(wal);
 
         // Tear the last frame by chopping 3 bytes.
@@ -341,9 +349,17 @@ mod tests {
         assert_eq!(s.valid_bytes + s.truncated_bytes, full.len() as u64 - 3);
 
         // Reopen truncates the tail and continues at seq 1.
-        let mut wal = Wal::reopen(vfs(), &path, &s, 0, SyncPolicy::Always).unwrap();
+        let mut wal = Wal::reopen(
+            vfs(),
+            &path,
+            s.valid_bytes,
+            s.truncated_bytes,
+            1,
+            SyncPolicy::Always,
+        )
+        .unwrap();
         assert_eq!(wal.next_seq(), 1);
-        wal.append(&ReplayOp::Finish).unwrap();
+        append(&mut wal, &ReplayOp::Finish).unwrap();
         drop(wal);
         let s = scan(&RealFs, &path, 0).unwrap();
         assert_eq!(s.truncated_bytes, 0);
@@ -364,7 +380,7 @@ mod tests {
         let dir = ScratchDir::new("wal-seq");
         let path = dir.path().join("wal-0.log");
         let mut wal = Wal::create(vfs(), &path, 5, SyncPolicy::Always).unwrap();
-        wal.append(&ReplayOp::Finish).unwrap();
+        append(&mut wal, &ReplayOp::Finish).unwrap();
         drop(wal);
         // Scanning a rotated log from an older cursor is a recoverable
         // position error (snapshot fallback), not file corruption.
@@ -405,7 +421,7 @@ mod tests {
         let path = dir.path().join("wal-0.log");
         let mut wal = Wal::create(vfs(), &path, 0, SyncPolicy::EveryN(2)).unwrap();
         for _ in 0..5 {
-            wal.append(&ReplayOp::Finish).unwrap();
+            append(&mut wal, &ReplayOp::Finish).unwrap();
         }
         assert_eq!(wal.syncs, 2); // after the 2nd and 4th appends
     }

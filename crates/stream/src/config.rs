@@ -1,14 +1,19 @@
 //! Ingestion configuration.
 
+use std::sync::Arc;
+
 use gisolap_geom::Point;
 
 use crate::{Result, StreamError};
 
-/// Maps an observed position to the ids of the layer geometries covering
-/// it (the stream-side view of the paper's `r^{Pt,G}` rollup relation).
-/// Implementations must be deterministic; ids should be returned sorted.
-/// `gisolap-core` provides a resolver over a GIS layer.
-pub type GeoResolver = Box<dyn Fn(Point) -> Vec<u32> + Send + Sync>;
+/// Appends to `out` the ids of the layer geometries covering an observed
+/// position (the stream-side view of the paper's `r^{Pt,G}` rollup
+/// relation). `out` is a buffer the caller owns and reuses from record to
+/// record: it arrives empty and the resolver only pushes onto it, in any
+/// order and with repeats (the caller sorts and dedups). Implementations
+/// must be deterministic. An `Arc`, so every pipeline a replica re-creates
+/// shares one resolver; `gisolap-core` provides one over a GIS layer.
+pub type GeoResolver = Arc<dyn Fn(Point, &mut Vec<u32>) + Send + Sync>;
 
 /// Tuning knobs for [`crate::StreamIngest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

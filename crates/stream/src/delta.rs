@@ -3,7 +3,9 @@
 //! the linear roll-up fold over such runs, [`fold_rollup`].
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use gisolap_olap::agg::{AggFn, Partial};
 use gisolap_olap::time::{TimeDimension, TimeId, TimeLevel};
@@ -68,37 +70,164 @@ impl CellPartial {
     }
 }
 
-/// Buckets `(Oid, t)`-sorted records into per-`(hour, geo)` cells.
+/// The one cell kernel: buckets canonical records — `(oid, t)`-sorted,
+/// unique keys — fed one at a time into per-`(hour, geo)` cells.
 ///
-/// This is *the* canonical accumulation both sealing and tail scans use:
-/// each cell receives its values in `(Oid, t)`-sorted order, so the
-/// result — floats included — is a function of the record multiset alone,
-/// independent of arrival order.
-pub(crate) fn bucket_partials(
-    records: &[Record],
-    resolver: Option<&GeoResolver>,
-) -> BTreeMap<GroupKey, CellPartial> {
-    let td = TimeDimension::new();
-    let mut cells: BTreeMap<GroupKey, CellPartial> = BTreeMap::new();
-    for r in records {
-        let hour = td.hour(r.t);
-        match resolver {
-            None => cells.entry((hour, None)).or_default().push(r),
-            Some(resolve) => {
-                let mut geos = resolve(r.pos());
-                geos.sort_unstable();
-                geos.dedup();
-                if geos.is_empty() {
-                    cells.entry((hour, None)).or_default().push(r);
-                } else {
-                    for g in geos {
-                        cells.entry((hour, Some(g))).or_default().push(r);
-                    }
+/// Sealing, the live-tail cache and snapshots all accumulate through it:
+/// each cell receives its values in the order records are pushed, so fed
+/// canonical records the result — floats included — is a function of the
+/// record multiset alone, independent of arrival order. It allocates per
+/// cell, not per record: a slot map finds a key's cell (behind a small
+/// direct-mapped memo of recent keys, which answers most lookups without
+/// hashing), the resolver appends into one reused id buffer, and
+/// [`CellKernel::finish`] sorts the few cells once.
+pub(crate) struct CellKernel<'a> {
+    resolver: Option<&'a GeoResolver>,
+    /// Key → index into `cells`.
+    slots: HashMap<GroupKey, usize, SlotState>,
+    /// The cells in first-seen order.
+    cells: Vec<(GroupKey, CellPartial)>,
+    /// The resolver's output for the current record.
+    ids: Vec<u32>,
+    /// Recent keys and their slots, direct-mapped by [`recent_index`].
+    recent: Vec<Option<(GroupKey, usize)>>,
+}
+
+/// Entries in [`CellKernel`]'s memo of recent keys.
+const RECENT: usize = 256;
+
+/// A key's entry in the memo: its geo id's low bits, offset by the
+/// hour, so one hour of a grid of up to [`RECENT`] cells never evicts.
+fn recent_index((hour, geo): GroupKey) -> usize {
+    (geo.map_or(0, |g| g as usize + 1) ^ hour as usize) % RECENT
+}
+
+impl<'a> CellKernel<'a> {
+    /// An empty kernel resolving geometry with `resolver`, if any.
+    pub(crate) fn new(resolver: Option<&'a GeoResolver>) -> CellKernel<'a> {
+        CellKernel {
+            resolver,
+            slots: HashMap::with_hasher(SlotState::new()),
+            cells: Vec::new(),
+            ids: Vec::new(),
+            recent: vec![None; RECENT],
+        }
+    }
+
+    /// Feeds the next canonical record: into `(hour, g)` for each
+    /// distinct id `g` the resolver returns, or into `(hour, None)` when
+    /// it returns none or there is no resolver.
+    pub(crate) fn push(&mut self, r: &Record) {
+        let hour = TimeDimension::new().hour(r.t);
+        let Some(resolve) = self.resolver else {
+            return self.add((hour, None), r);
+        };
+        self.ids.clear();
+        resolve(r.pos(), &mut self.ids);
+        if self.ids.len() > 1 {
+            self.ids.sort_unstable();
+            self.ids.dedup();
+        }
+        match self.ids.len() {
+            0 => self.add((hour, None), r),
+            n => {
+                for i in 0..n {
+                    self.add((hour, Some(self.ids[i])), r);
                 }
             }
         }
     }
-    cells
+
+    fn add(&mut self, key: GroupKey, r: &Record) {
+        let memo = &mut self.recent[recent_index(key)];
+        let slot = match *memo {
+            Some((recent, slot)) if recent == key => slot,
+            _ => *self.slots.entry(key).or_insert_with(|| {
+                self.cells.push((key, CellPartial::default()));
+                self.cells.len() - 1
+            }),
+        };
+        *memo = Some((key, slot));
+        self.cells[slot].1.push(r);
+    }
+
+    /// The cells, strictly ascending by key.
+    pub(crate) fn finish(mut self) -> Vec<(GroupKey, CellPartial)> {
+        self.cells.sort_unstable_by_key(|(key, _)| *key);
+        self.cells
+    }
+}
+
+/// Buckets canonical records through one [`CellKernel`].
+pub(crate) fn bucket_partials(
+    records: &[Record],
+    resolver: Option<&GeoResolver>,
+) -> Vec<(GroupKey, CellPartial)> {
+    let mut kernel = CellKernel::new(resolver);
+    for r in records {
+        kernel.push(r);
+    }
+    kernel.finish()
+}
+
+/// The slot map's hash: FxHash's multiply-rotate over the key's words,
+/// started from a random per-map seed and finished with splitmix64's
+/// finalizer, so a key's slot depends on all of its bits and on the
+/// seed: which keys share a slot cannot be read off the keys (record
+/// times and positions come from clients). Cheaper than the default
+/// SipHash for these two-word keys; no answer depends on it, since the
+/// kernel sorts its cells.
+#[derive(Clone, Copy)]
+struct SlotState(u64);
+
+impl SlotState {
+    fn new() -> SlotState {
+        SlotState(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for SlotState {
+    type Hasher = SlotHasher;
+
+    fn build_hasher(&self) -> SlotHasher {
+        SlotHasher(self.0)
+    }
+}
+
+struct SlotHasher(u64);
+
+impl SlotHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for SlotHasher {
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n.into());
+    }
+
+    fn write_i64(&mut self, n: i64) {
+        self.mix(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.mix(n as u64);
+    }
 }
 
 /// One rollup request against the incremental state.
@@ -279,10 +408,13 @@ impl DeltaCube {
     /// hours in ascending order; since every tail hour is later than every
     /// sealed hour, this is a single ascending-hour fold — the same one a
     /// from-scratch batch build performs, hence bit-identical sums.
-    pub fn rollup(
-        &self,
+    ///
+    /// `tail` is any ascending run of borrowed cells: the pipeline passes
+    /// its cached tail run, and `&BTreeMap::new()` means no tail.
+    pub fn rollup<'a>(
+        &'a self,
         q: &RollupQuery,
-        tail: &BTreeMap<GroupKey, CellPartial>,
+        tail: impl IntoIterator<Item = (&'a GroupKey, &'a CellPartial)>,
     ) -> Result<Vec<RollupRow>> {
         let cells = self.cells().chain(tail);
         fold_rollup(q, cells.map(|(k, c)| (*k, *c.measure(q.measure))))
@@ -386,6 +518,8 @@ fn insert_all(groups: &mut Groups, inserts: &mut Vec<(usize, (Option<u32>, Parti
 mod tests {
     use super::*;
     use gisolap_traj::ObjectId;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn rec(oid: u64, t: i64, x: f64, y: f64) -> Record {
         Record {
@@ -394,6 +528,12 @@ mod tests {
             x,
             y,
         }
+    }
+
+    /// The cell under `key` in a bucketed run.
+    fn cell(cells: &[(GroupKey, CellPartial)], key: GroupKey) -> &CellPartial {
+        let at = cells.binary_search_by_key(&key, |(k, _)| *k).unwrap();
+        &cells[at].1
     }
 
     #[test]
@@ -405,21 +545,26 @@ mod tests {
         ];
         let cells = bucket_partials(&records, None);
         assert_eq!(cells.len(), 2);
-        assert_eq!(cells[&(0, None)].x.count(), 2);
-        assert_eq!(cells[&(1, None)].y.count(), 1);
+        assert_eq!(cell(&cells, (0, None)).x.count(), 2);
+        assert_eq!(cell(&cells, (1, None)).y.count(), 1);
     }
 
     #[test]
     fn resolver_fans_out_and_falls_back() {
-        let resolver: GeoResolver = Box::new(|p| if p.x < 0.0 { vec![] } else { vec![7, 3, 7] });
+        let resolver: GeoResolver = Arc::new(|p, out: &mut Vec<u32>| {
+            if p.x >= 0.0 {
+                out.extend([7, 3, 7]);
+            }
+        });
         let records = [rec(1, 0, 1.0, 0.0), rec(2, 1, -1.0, 0.0)];
         let cells = bucket_partials(&records, Some(&resolver));
         // Covered record lands in (sorted, deduped) geo cells; uncovered
-        // in the None bucket.
-        assert_eq!(cells.len(), 3);
-        assert_eq!(cells[&(0, Some(3))].x.count(), 1);
-        assert_eq!(cells[&(0, Some(7))].x.count(), 1);
-        assert_eq!(cells[&(0, None)].x.count(), 1);
+        // in the None bucket. The run is ascending by key.
+        let keys: Vec<GroupKey> = cells.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [(0, None), (0, Some(3)), (0, Some(7))]);
+        assert_eq!(cell(&cells, (0, Some(3))).x.count(), 1);
+        assert_eq!(cell(&cells, (0, Some(7))).x.count(), 1);
+        assert_eq!(cell(&cells, (0, None)).x.count(), 1);
     }
 
     #[test]
@@ -433,7 +578,6 @@ mod tests {
             ],
             None,
         );
-        let sealed: Vec<_> = sealed.into_iter().collect();
         let outcome = cube.absorb(&sealed);
         assert_eq!(cube.merges(), 3);
         assert_eq!(

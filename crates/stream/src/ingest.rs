@@ -11,7 +11,7 @@ use gisolap_traj::{Moft, Record};
 
 use crate::config::{GeoResolver, StreamConfig};
 use crate::delta::{bucket_partials, CellPartial, DeltaCube, GroupKey, RollupQuery, RollupRow};
-use crate::segment::{Segment, SegmentMeta};
+use crate::segment::{canonicalize, Segment, SegmentMeta};
 use crate::Result;
 
 counters! {
@@ -112,7 +112,7 @@ pub struct StreamIngest {
     /// `buffers` last changed. [`StreamIngest::ingest`] and
     /// [`StreamIngest::finish`] (the only calls that change `buffers`)
     /// reset it, and so does [`StreamIngest::with_resolver`].
-    tail_cells: OnceLock<BTreeMap<GroupKey, CellPartial>>,
+    tail_cells: OnceLock<Vec<(GroupKey, CellPartial)>>,
     /// Sealed segments, ascending partition order.
     segments: Vec<Segment>,
     cube: DeltaCube,
@@ -208,25 +208,32 @@ impl StreamIngest {
 
     /// Ingests one batch of records, in any order; advances the watermark
     /// and seals every partition it has passed.
+    ///
+    /// The batch is routed one run of same-partition records at a time:
+    /// one buffer lookup and one copy per run, not per record.
     pub fn ingest(&mut self, batch: &[Record]) -> IngestReport {
         let mut report = IngestReport::default();
         let seg = self.config.segment_seconds;
-        for &r in batch {
-            if r.t.0.div_euclid(seg) < self.sealed_before {
-                self.dead_letters.push(r);
-                report.late += 1;
+        let partition = |r: &Record| r.t.0.div_euclid(seg);
+        let mut rest = batch;
+        while let Some(first) = rest.first() {
+            let p = partition(first);
+            let len = rest.iter().position(|r| partition(r) != p);
+            let (run, after) = rest.split_at(len.unwrap_or(rest.len()));
+            rest = after;
+            if p < self.sealed_before {
+                self.dead_letters.extend_from_slice(run);
+                report.late += run.len() as u64;
                 continue;
             }
-            self.buffers
-                .entry(r.t.0.div_euclid(seg))
-                .or_default()
-                .push(r);
-            self.records_ingested += 1;
-            report.accepted += 1;
-            if self.max_event_time.map_or(true, |m| r.t > m) {
-                self.max_event_time = Some(r.t);
+            self.buffers.entry(p).or_default().extend_from_slice(run);
+            report.accepted += run.len() as u64;
+            let newest = run.iter().map(|r| r.t).max();
+            if newest > self.max_event_time {
+                self.max_event_time = newest;
             }
         }
+        self.records_ingested += report.accepted;
         if report.accepted > 0 {
             self.tail_cells.take();
         }
@@ -333,19 +340,19 @@ impl StreamIngest {
         for buf in self.buffers.values() {
             raw.extend_from_slice(buf);
         }
-        crate::segment::canonicalize(raw)
+        canonicalize(raw, |_| {})
     }
 
     /// Buckets the canonical tail records `tail` into cells, counting
     /// them in `tail_records_scanned`.
-    fn bucket_tail(&self, tail: &[Record]) -> BTreeMap<GroupKey, CellPartial> {
+    fn bucket_tail(&self, tail: &[Record]) -> Vec<(GroupKey, CellPartial)> {
         self.tail_records_scanned.add(tail.len() as u64);
         bucket_partials(tail, self.resolver.as_ref())
     }
 
-    /// The live tail's canonical cells, bucketed at most once per change
-    /// of the tail.
-    fn tail_cells(&self) -> &BTreeMap<GroupKey, CellPartial> {
+    /// The live tail's canonical cells, ascending by key, bucketed at
+    /// most once per change of the tail.
+    fn tail_cells(&self) -> &[(GroupKey, CellPartial)] {
         self.tail_cells
             .get_or_init(|| self.bucket_tail(&self.tail_records()))
     }
@@ -354,7 +361,8 @@ impl StreamIngest {
     /// live tail's cells — never a full-table rescan, and the tail is
     /// bucketed only by the first read after it changed.
     pub fn rollup(&self, q: &RollupQuery) -> Result<Vec<RollupRow>> {
-        self.cube.rollup(q, self.tail_cells())
+        self.cube
+            .rollup(q, self.tail_cells().iter().map(|(k, c)| (k, c)))
     }
 
     /// Every `(hour, geo)` partial cell the pipeline currently holds —
@@ -377,20 +385,20 @@ impl StreamIngest {
 
     /// The cells of [`StreamIngest::extract_partials`] whose key `keep`
     /// admits, in the same strictly ascending order — one pass over the
-    /// borrowed sealed run and the cached tail cells that copies only
-    /// the cells it keeps (a shard's region fetch costs what it returns).
-    /// Each stretch of kept sealed cells is copied as one slice, so
-    /// keeping everything copies the sealed run in one piece.
+    /// borrowed sealed run and the cached tail run that copies only the
+    /// cells it keeps (a shard's region fetch costs what it returns).
+    /// Each stretch of kept cells is copied as one slice, so keeping
+    /// everything copies each run in one piece.
     pub fn partials_where(
         &self,
         mut keep: impl FnMut(GroupKey) -> bool,
     ) -> Vec<(GroupKey, CellPartial)> {
         let mut out = Vec::new();
-        for kept in self.cube.as_slice().split(|(k, _)| !keep(*k)) {
-            out.extend_from_slice(kept);
+        for run in [self.cube.as_slice(), self.tail_cells()] {
+            for kept in run.split(|(k, _)| !keep(*k)) {
+                out.extend_from_slice(kept);
+            }
         }
-        let tail = self.tail_cells().iter().filter(|(k, _)| keep(**k));
-        out.extend(tail.map(|(k, c)| (*k, *c)));
         debug_assert!(
             out.windows(2).all(|w| w[0].0 < w[1].0),
             "extracted cells must be strictly ascending by key"
@@ -622,7 +630,7 @@ pub struct ReplayReport {
 pub struct StreamSnapshot {
     moft: Moft,
     cube: DeltaCube,
-    tail_cells: BTreeMap<GroupKey, CellPartial>,
+    tail_cells: Vec<(GroupKey, CellPartial)>,
     segments: Vec<SegmentMeta>,
     tail_len: u64,
     stats: IngestStats,
@@ -657,7 +665,8 @@ impl StreamSnapshot {
     /// Answers a rollup from the frozen state (sealed partials + the
     /// tail cells captured at snapshot time).
     pub fn rollup(&self, q: &RollupQuery) -> Result<Vec<RollupRow>> {
-        self.cube.rollup(q, &self.tail_cells)
+        self.cube
+            .rollup(q, self.tail_cells.iter().map(|(k, c)| (k, c)))
     }
 }
 

@@ -5,7 +5,7 @@ use gisolap_olap::time::TimeId;
 use gisolap_traj::{ObjectId, Record};
 
 use crate::config::GeoResolver;
-use crate::delta::{bucket_partials, CellPartial, GroupKey};
+use crate::delta::{CellKernel, CellPartial, GroupKey};
 use crate::{Result, StreamError};
 
 /// Summary of a sealed segment — enough for time/space pruning without
@@ -42,43 +42,27 @@ pub struct Segment {
 impl Segment {
     /// Seals a buffered partition. `raw` is in arrival order and must be
     /// non-empty; every record's partition index must equal `partition`.
+    ///
+    /// After the stable sort, one pass over the records drops superseded
+    /// duplicates and feeds each kept record to the summary and the cell
+    /// kernel at once.
     pub(crate) fn seal(
         partition: i64,
         raw: Vec<Record>,
         resolver: Option<&GeoResolver>,
     ) -> Segment {
         debug_assert!(!raw.is_empty(), "sealing an empty partition");
-        let records = canonicalize(raw);
-
-        let mut object_ranges: Vec<(ObjectId, usize, usize)> = Vec::new();
-        let mut start = 0usize;
-        for i in 1..=records.len() {
-            if i == records.len() || records[i].oid != records[start].oid {
-                object_ranges.push((records[start].oid, start, i));
-                start = i;
-            }
-        }
-
-        let mut first = records[0].t;
-        let mut last = records[0].t;
-        for r in &records {
-            first = first.min(r.t);
-            last = last.max(r.t);
-        }
-        let meta = SegmentMeta {
-            partition,
-            records: records.len(),
-            objects: object_ranges.len(),
-            first,
-            last,
-            bbox: BBox::from_points(records.iter().map(Record::pos)),
-        };
-        let partials = bucket_partials(&records, resolver).into_iter().collect();
+        let mut summary = Summary::new();
+        let mut kernel = CellKernel::new(resolver);
+        let records = canonicalize(raw, |r| {
+            summary.visit(r);
+            kernel.push(r);
+        });
         Segment {
-            meta,
+            meta: summary.meta(partition),
             records,
-            object_ranges,
-            partials,
+            object_ranges: summary.object_ranges,
+            partials: kernel.finish(),
         }
     }
 
@@ -144,32 +128,12 @@ impl Segment {
             ));
         }
 
-        let mut object_ranges: Vec<(ObjectId, usize, usize)> = Vec::new();
-        let mut start = 0usize;
-        for i in 1..=records.len() {
-            if i == records.len() || records[i].oid != records[start].oid {
-                object_ranges.push((records[start].oid, start, i));
-                start = i;
-            }
-        }
-        let (first, last) = records.iter().fold(
-            records
-                .first()
-                .map_or((TimeId(0), TimeId(0)), |r| (r.t, r.t)),
-            |(a, b), r| (a.min(r.t), b.max(r.t)),
-        );
-        let meta = SegmentMeta {
-            partition,
-            records: records.len(),
-            objects: object_ranges.len(),
-            first,
-            last,
-            bbox: BBox::from_points(records.iter().map(Record::pos)),
-        };
+        let mut summary = Summary::new();
+        records.iter().for_each(|r| summary.visit(r));
         Ok(Segment {
-            meta,
+            meta: summary.meta(partition),
             records,
-            object_ranges,
+            object_ranges: summary.object_ranges,
             partials,
         })
     }
@@ -228,18 +192,83 @@ impl Segment {
     }
 }
 
-/// Stable-sorts by `(oid, t)` and deduplicates equal keys keeping the
-/// last arrival — exactly `Moft::rebuild_index`'s policy.
-pub(crate) fn canonicalize(mut raw: Vec<Record>) -> Vec<Record> {
-    raw.sort_by(|a, b| a.oid.cmp(&b.oid).then(a.t.cmp(&b.t)));
-    let mut out: Vec<Record> = Vec::with_capacity(raw.len());
-    for r in raw {
-        match out.last_mut() {
-            Some(last) if last.oid == r.oid && last.t == r.t => *last = r,
-            _ => out.push(r),
+/// What a segment derives from its canonical records, gathered one
+/// record at a time: per-object ranges, time span and bounding box.
+struct Summary {
+    records: usize,
+    /// `(oid, start, end)` ranges into the records, ascending by oid.
+    object_ranges: Vec<(ObjectId, usize, usize)>,
+    /// `(first, last)` observation time, once a record was seen.
+    span: Option<(TimeId, TimeId)>,
+    bbox: BBox,
+}
+
+impl Summary {
+    fn new() -> Summary {
+        Summary {
+            records: 0,
+            object_ranges: Vec::new(),
+            span: None,
+            bbox: BBox::empty(),
         }
     }
-    out
+
+    /// Takes in the next canonical record.
+    fn visit(&mut self, r: &Record) {
+        match self.object_ranges.last_mut() {
+            Some((oid, _, end)) if *oid == r.oid => *end += 1,
+            _ => self
+                .object_ranges
+                .push((r.oid, self.records, self.records + 1)),
+        }
+        self.records += 1;
+        self.span = Some(
+            self.span
+                .map_or((r.t, r.t), |(a, b)| (a.min(r.t), b.max(r.t))),
+        );
+        self.bbox = self.bbox.expanded_to(r.pos());
+    }
+
+    /// The summary of the records seen; with none, `first == last ==
+    /// TimeId(0)` and the bbox is empty.
+    fn meta(&self, partition: i64) -> SegmentMeta {
+        let (first, last) = self.span.unwrap_or((TimeId(0), TimeId(0)));
+        SegmentMeta {
+            partition,
+            records: self.records,
+            objects: self.object_ranges.len(),
+            first,
+            last,
+            bbox: self.bbox,
+        }
+    }
+}
+
+/// Stable-sorts `raw` by `(oid, t)` and keeps the last arrival of each
+/// key — exactly `Moft::rebuild_index`'s policy — compacting `raw` in
+/// place. One pass after the sort hands each kept record to `visit`, in
+/// canonical order.
+pub(crate) fn canonicalize(mut raw: Vec<Record>, mut visit: impl FnMut(&Record)) -> Vec<Record> {
+    raw.sort_by(|a, b| a.oid.cmp(&b.oid).then(a.t.cmp(&b.t)));
+    let mut kept = 0;
+    for i in 0..raw.len() {
+        let r = raw[i];
+        // A later arrival of the same key supersedes this one.
+        if raw
+            .get(i + 1)
+            .is_some_and(|next| (next.oid, next.t) == (r.oid, r.t))
+        {
+            continue;
+        }
+        visit(&r);
+        raw[kept] = r;
+        kept += 1;
+    }
+    raw.truncate(kept);
+    // Sealed segments keep their records; a buffer grown by doubling
+    // would keep up to twice their size.
+    raw.shrink_to_fit();
+    raw
 }
 
 #[cfg(test)]

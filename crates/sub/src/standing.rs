@@ -215,11 +215,16 @@ impl StandingEvaluator {
     }
 
     /// Validates and admits a subscription, resolving its region to the
-    /// overlay cells it intersects. Registering after seals were already
+    /// overlay cells it intersects. A region with a NaN bound or a
+    /// minimum above its maximum is refused first, as shard reads refuse
+    /// it ([`gisolap_shard::check_region`]). Registering after seals were already
     /// folded is allowed — the new subscription starts from the next
     /// seal (or catch up first with [`StandingEvaluator::sync_pipeline`]
     /// before registering).
     pub fn register(&mut self, sub: Subscription) -> Result<SubId> {
+        if let Some(region) = &sub.region {
+            gisolap_shard::check_region(region)?;
+        }
         let geo_filter = match (&sub.region, &self.grid) {
             (Some(region), Some(grid)) => {
                 Some(grid.cells_intersecting(region).into_iter().collect())
@@ -548,6 +553,29 @@ mod tests {
             .unwrap()
             .keys()
             .all(|(_, geo)| *geo == Some(0)));
+
+        // A NaN-bounded or inverted region is refused, not admitted to
+        // never fire.
+        let valid = BBox::new(0.0, 0.0, 3.9, 3.9);
+        for region in [
+            BBox {
+                min_x: f64::NAN,
+                ..valid
+            },
+            BBox {
+                min_y: 5.0,
+                ..valid
+            },
+        ] {
+            let sub =
+                Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Count).in_region(region);
+            let err = eval.register(sub).unwrap_err();
+            assert!(
+                matches!(err, gisolap_store::StoreError::BadConfig(_)),
+                "{err}"
+            );
+        }
+        assert_eq!(eval.stats().registered, 1);
     }
 
     #[test]

@@ -140,12 +140,11 @@ fn shard_groups(scratch: &ScratchDir) -> Vec<ShardGroup> {
                     store_config: store_config(),
                 })
                 .collect();
-            let resolver: gisolap_repl::SharedResolver = Arc::new(move |p| vec![g.cell_of(p)]);
             ShardGroup::new(
                 ingest,
                 0,
                 homes,
-                Some(resolver),
+                Some(g.resolver()),
                 FollowerConfig {
                     backoff_base_ms: 0,
                     ..FollowerConfig::default()

@@ -1,12 +1,15 @@
-//! Shard reads allocate for what they return, not for the history
-//! behind it.
+//! Shard reads allocate for what they return, not for the history or
+//! the grid behind it; sealing allocates per cell, not per record.
 //!
 //! A counting global allocator (installed in this test binary only)
 //! tallies the allocations and bytes requested on the calling thread.
-//! Two shapes are pinned: a region fetch keeping two cells allocates the
-//! same bytes whether the shard holds one day of other cells or two, and
-//! a repeated read of an unchanged live tail allocates the same whether
-//! that tail holds `n` records or `2n` — it buckets nothing again.
+//! Four shapes are pinned: a region fetch keeping two cells allocates the
+//! same bytes whether the shard holds one day of other cells or two; a
+//! repeated read of an unchanged live tail allocates the same whether
+//! that tail holds `n` records or `2n` — it buckets nothing again; a
+//! fetch under a request grid of 16.7 M cells allocates for the cells it
+//! returns, not per grid cell; and sealing a partition through a grid
+//! resolver allocates the same for `2n` records as for `n`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +18,9 @@ use std::sync::Arc;
 use gisolap_geom::BBox;
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::{TimeId, TimeLevel};
-use gisolap_shard::{ClusterExecutor, GridSpec, PartitionerSpec, ShardExecutor, ShardedIngest};
+use gisolap_shard::{
+    fetch_partials, ClusterExecutor, GridSpec, PartitionerSpec, ShardExecutor, ShardedIngest,
+};
 use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
 use gisolap_stream::{Measure, RollupQuery, StreamConfig, StreamIngest};
 use gisolap_traj::{ObjectId, Record};
@@ -154,5 +159,53 @@ fn a_repeated_read_of_an_unchanged_tail_buckets_nothing() {
     assert_eq!(
         large, small,
         "(extract, rollup) allocations over a 500-record tail {small:?}, 1000 {large:?}"
+    );
+}
+
+#[test]
+fn a_fetch_under_a_huge_request_grid_allocates_for_what_it_returns() {
+    // A 4096×4096 grid over the fixture's area: its region test must
+    // not cost a byte per grid cell.
+    let request = GridSpec::new(grid().bbox, 4096, 4096).unwrap();
+    let mut ingest = StreamIngest::new(StreamConfig::new(0, 3600).unwrap())
+        .unwrap()
+        .with_resolver(request.resolver());
+    ingest.ingest(&history(2));
+    let region = two_cells();
+    fetch_partials(&ingest, Some(request), Some(&region)).unwrap();
+    let (cells, (_, bytes)) =
+        allocations_during(|| fetch_partials(&ingest, Some(request), Some(&region)).unwrap());
+    assert_eq!(cells.len(), 2);
+    assert!(
+        bytes < 64 * 1024,
+        "a fetch under a 4096x4096 request grid allocated {bytes} bytes"
+    );
+}
+
+/// The allocations `finish` makes sealing one partition of `n` records
+/// over the same 16 objects and 16 cells, through the grid resolver.
+fn seal_allocations(n: u64) -> u64 {
+    let mut ingest = StreamIngest::new(StreamConfig::new(86_400, 3600).unwrap())
+        .unwrap()
+        .with_resolver(grid().resolver());
+    let records: Vec<Record> = (0..n)
+        .map(|i| {
+            let (x, y) = ((i % 4) as f64 * 4.0 + 1.0, (i / 4 % 4) as f64 * 4.0 + 1.0);
+            rec(i % 16, (i / 16) as i64, x, y)
+        })
+        .collect();
+    ingest.ingest(&records);
+    let (sealed, (count, _)) = allocations_during(|| ingest.finish());
+    assert_eq!(sealed, 1);
+    assert_eq!(ingest.segments()[0].partials().len(), 16);
+    count
+}
+
+#[test]
+fn sealing_allocates_per_cell_not_per_record() {
+    let (small, large) = (seal_allocations(1000), seal_allocations(2000));
+    assert_eq!(
+        large, small,
+        "sealing 1000 records made {small} allocations, 2000 records {large}"
     );
 }

@@ -620,6 +620,38 @@ fn standing_queries_over_socket() {
     assert_eq!(stats.bad_requests, 1);
 }
 
+/// A `Subscribe` whose region has a NaN bound or a minimum above its
+/// maximum is refused with the shard reads' region error — before the
+/// grid-less server's "needs a grid" refusal, and never admitted as a
+/// subscription that cannot fire.
+#[test]
+fn malformed_subscription_regions_are_refused_over_socket() {
+    let root = ScratchDir::new("serve-bad-sub-region");
+    let mut server = Server::bind("127.0.0.1:0", root.path(), serve_config(0)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let valid = BBox::new(0.0, 0.0, 4.0, 4.0);
+    let nan = BBox {
+        min_y: f64::NAN,
+        ..valid
+    };
+    let inverted = BBox {
+        min_x: 9.0,
+        ..valid
+    };
+    for region in [nan, inverted] {
+        let sub = Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum).in_region(region);
+        match client.subscribe("acme", &sub) {
+            Err(ClientError::Remote(detail)) => assert!(detail.contains("NaN"), "{detail}"),
+            other => panic!("subscribe over {region:?}: {other:?}"),
+        }
+    }
+    let whole = Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum);
+    client.subscribe("acme", &whole).unwrap();
+    let stats = server.stop();
+    assert_eq!(stats.subscribe_requests, 3);
+    assert_eq!(stats.bad_requests, 2);
+}
+
 /// A busy server answers `Busy`, and the transport maps it to a
 /// retryable `Unavailable` — load shedding never kills replication.
 #[test]

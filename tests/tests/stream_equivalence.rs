@@ -7,17 +7,21 @@
 //! and the assembled snapshot must equal the batch-built MOFT. A random
 //! schedule of ingests, `finish` calls and reads must read, after every
 //! step, exactly what a fresh pipeline fed the same prefix reads: the
-//! cached tail cells are never stale.
+//! cached tail cells are never stale. The cell kernel, through the tail
+//! cache and through sealing, equals a `BTreeMap` reference bucketing.
 
 use gisolap_datagen::movers::RandomWaypoint;
 use gisolap_datagen::{stream_batches, CityConfig, CityScenario, ReplayConfig};
 use gisolap_olap::agg::{AggFn, Partial};
 use gisolap_olap::time::{TimeDimension, TimeLevel};
-use gisolap_stream::{GeoResolver, GroupKey, Measure, RollupQuery, StreamConfig, StreamIngest};
+use gisolap_stream::{
+    CellPartial, GeoResolver, GroupKey, Measure, RollupQuery, StreamConfig, StreamIngest,
+};
 use gisolap_tests::cell_bits;
 use gisolap_traj::{Moft, ObjectId, Record};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const FNS: [AggFn; 5] = [AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max];
 const LEVELS: [TimeLevel; 3] = [TimeLevel::Hour, TimeLevel::Day, TimeLevel::Month];
@@ -273,10 +277,10 @@ fn schedule(seed: u64) -> Vec<Step> {
 /// Zero, one or two geometry ids per position, so tail cells exercise
 /// the unresolved bucket and multi-geometry fan-out.
 fn resolver() -> GeoResolver {
-    Box::new(|p| match (p.x.abs() as u64) % 3 {
-        0 => vec![],
-        1 => vec![(p.y as u64 % 5) as u32],
-        _ => vec![2, (p.y as u64 % 3) as u32],
+    Arc::new(|p, out: &mut Vec<u32>| match (p.x.abs() as u64) % 3 {
+        0 => {}
+        1 => out.push((p.y as u64 % 5) as u32),
+        _ => out.extend([2, (p.y as u64 % 3) as u32]),
     })
 }
 
@@ -377,6 +381,149 @@ proptest! {
             read(&live, 0);
             read(&live, 1);
             prop_assert_eq!(live.stats().tail_records_scanned, scanned, "unchanged tail");
+        }
+    }
+}
+
+/// Ids with every shape the cell kernel must normalise: none, one,
+/// several unsorted, and repeats; 9 and 265 share a slot of the kernel's
+/// memo of recent keys.
+fn scatter_resolver() -> GeoResolver {
+    Arc::new(|p, out: &mut Vec<u32>| {
+        let k = (p.x.abs() as u64) ^ ((p.y.abs() as u64) << 3);
+        match k % 4 {
+            0 => {}
+            1 => out.push((k % 7) as u32),
+            2 => out.extend([(k % 5) as u32 + 3, 1, (k % 5) as u32 + 3]),
+            _ => out.extend([9, 2, 265, 6]),
+        }
+    })
+}
+
+/// Arrival-ordered records over few objects and times, so `(oid, t)`
+/// keys repeat with other coordinates; some coordinates are NaN, and
+/// some records lie 256 hours later (another hour sharing memo slots).
+fn kernel_records(seed: u64, hours: i64) -> Vec<Record> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let n = 1 + next() % 300;
+    (0..n)
+        .map(|_| {
+            let coord = |v: u64| match v % 23 {
+                0 => f64::NAN,
+                _ => (v >> 8) as f64 / (1u64 << 50) as f64 - 20.0,
+            };
+            Record {
+                oid: ObjectId(next() % 9),
+                t: gisolap_olap::time::TimeId(
+                    (next() % (hours as u64 * 12)) as i64 * 300
+                        + (next() % 8 / 7) as i64 * 256 * 3600,
+                ),
+                x: coord(next()),
+                y: coord(next()),
+            }
+        })
+        .collect()
+}
+
+/// The reference cells: a stable sort by `(oid, t)` keeping each key's
+/// last arrival, then one `BTreeMap` entry per record and geo id (sorted,
+/// deduplicated; `None` when there are none), fed in that order.
+fn reference_cells(
+    raw: &[Record],
+    resolver: Option<&GeoResolver>,
+) -> (Vec<Record>, Vec<(GroupKey, CellPartial)>) {
+    let mut sorted = raw.to_vec();
+    sorted.sort_by_key(|r| (r.oid, r.t));
+    let mut canonical: Vec<Record> = Vec::new();
+    for r in sorted {
+        match canonical.last_mut() {
+            Some(last) if (last.oid, last.t) == (r.oid, r.t) => *last = r,
+            _ => canonical.push(r),
+        }
+    }
+    let mut cells: BTreeMap<GroupKey, CellPartial> = BTreeMap::new();
+    for r in &canonical {
+        let hour = r.t.0.div_euclid(3600);
+        let mut ids = Vec::new();
+        if let Some(resolve) = resolver {
+            resolve(r.pos(), &mut ids);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        if ids.is_empty() {
+            cells.entry((hour, None)).or_default().push(r);
+        }
+        for g in ids {
+            cells.entry((hour, Some(g))).or_default().push(r);
+        }
+    }
+    (canonical, cells.into_iter().collect())
+}
+
+fn record_bits(records: &[Record]) -> Vec<(ObjectId, i64, u64, u64)> {
+    (records.iter())
+        .map(|r| (r.oid, r.t.0, r.x.to_bits(), r.y.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
+
+    /// The cell kernel, through the live-tail cache and through sealing,
+    /// equals the reference bucketing cell for cell by f64 bits — with
+    /// and without a resolver, 1- and 2-hour partitions — and every
+    /// sealed segment's records and summary equal the canonical
+    /// reference of its partition.
+    #[test]
+    fn the_cell_kernel_matches_a_btreemap_reference(seed in 0u64..1_000_000) {
+        for (segment_seconds, resolver) in [
+            (3600, None),
+            (3600, Some(scatter_resolver())),
+            (7200, Some(scatter_resolver())),
+            (7200, None),
+        ] {
+            let raw = kernel_records(seed ^ segment_seconds as u64, 5);
+            let (_, want) = reference_cells(&raw, resolver.as_ref());
+            // Lateness past the records' whole span: nothing dead-letters.
+            let config = StreamConfig::new(300 * 3600, segment_seconds).unwrap();
+            let mut ingest = StreamIngest::new(config).unwrap();
+            if let Some(r) = &resolver {
+                ingest = ingest.with_resolver(r.clone());
+            }
+            for batch in raw.chunks(1 + (seed % 40) as usize) {
+                ingest.ingest(batch);
+            }
+            let label = format!("seed {seed} segment {segment_seconds} resolver {}", resolver.is_some());
+            prop_assert_eq!(cell_bits(&ingest.extract_partials()), cell_bits(&want), "tail {}", &label);
+            ingest.finish();
+            prop_assert_eq!(cell_bits(&ingest.extract_partials()), cell_bits(&want), "sealed {}", &label);
+            for segment in ingest.segments() {
+                let partition = segment.meta().partition;
+                let mine: Vec<Record> = (raw.iter())
+                    .filter(|r| r.t.0.div_euclid(segment_seconds) == partition)
+                    .copied()
+                    .collect();
+                let (records, cells) = reference_cells(&mine, resolver.as_ref());
+                prop_assert_eq!(record_bits(segment.records()), record_bits(&records), "{}", &label);
+                prop_assert_eq!(cell_bits(segment.partials()), cell_bits(&cells), "{}", &label);
+                let meta = segment.meta();
+                let objects = records.windows(2).filter(|w| w[0].oid != w[1].oid).count() + 1;
+                prop_assert_eq!((meta.records, meta.objects), (records.len(), objects));
+                prop_assert_eq!(meta.first, records.iter().map(|r| r.t).min().unwrap());
+                prop_assert_eq!(meta.last, records.iter().map(|r| r.t).max().unwrap());
+                let bbox = gisolap_geom::BBox::from_points(records.iter().map(Record::pos));
+                prop_assert_eq!(format!("{:?}", meta.bbox), format!("{bbox:?}"));
+                for (oid, track) in segment.objects().map(|o| (o, segment.track(o).unwrap())) {
+                    prop_assert!(track.iter().all(|r| r.oid == oid));
+                }
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ use gisolap_datagen::EventCrowd;
 use gisolap_geom::BBox;
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::TimeLevel;
-use gisolap_repl::{DirectTransport, Follower, FollowerConfig, LagBounded, Leader, SharedResolver};
+use gisolap_repl::{DirectTransport, Follower, FollowerConfig, LagBounded, Leader};
 use gisolap_shard::GridSpec;
 use gisolap_store::{DurableIngest, RealFs, ScratchDir, StoreConfig, SyncPolicy};
 use gisolap_stream::{CellPartial, GroupKey, Measure, StreamConfig, StreamIngest};
@@ -224,11 +224,9 @@ proptest! {
         let leader = Arc::new(Mutex::new(Leader::new(durable)));
         let transport = DirectTransport::new(leader.clone());
 
-        let spec = grid();
-        let resolver: SharedResolver = Arc::new(move |p| vec![spec.cell_of(p)]);
         let follower = Follower::memory(
             transport,
-            Some(resolver),
+            Some(grid().resolver()),
             FollowerConfig {
                 backoff_base_ms: 0,
                 max_lag_seqs: Some(0),
