@@ -420,7 +420,7 @@ impl<T: Transport> Follower<T> {
         traced: bool,
         children: &mut Vec<Span>,
     ) -> Option<Reply> {
-        let bytes = wire::encode_request(request);
+        let bytes = request.encode();
         let t0 = Instant::now();
         let raw = match self.transport.exchange(&bytes) {
             Ok(r) => r,
@@ -1224,11 +1224,14 @@ mod tests {
         let stale_reply = leader_b
             .lock()
             .unwrap()
-            .handle(&wire::encode_request(&Request::Frames {
-                from_seq: 0,
-                max: 16,
-                epoch: 1,
-            }))
+            .handle(
+                &Request::Frames {
+                    from_seq: 0,
+                    max: 16,
+                    epoch: 1,
+                }
+                .encode(),
+            )
             .unwrap();
         f.retarget(TestLink::Canned(stale_reply));
         let applied_before = f.stats().entries_applied;

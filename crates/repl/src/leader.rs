@@ -1,7 +1,7 @@
 //! The replication leader: a [`DurableIngest`] that answers follower
 //! requests from its retained + live WAL generations.
 
-use crate::wire::{self, Request};
+use crate::wire::{self, ReplyHead, Request, SnapshotTransfer};
 use gisolap_obs::counters;
 use gisolap_store::{DurableIngest, Result, StoreError, WalFetch};
 use gisolap_stream::{IngestReport, RollupQuery, RollupRow};
@@ -116,8 +116,17 @@ impl Leader {
     /// request whose epoch exceeds this leader's proves a newer leader
     /// exists — answered [`StoreError::NotLeader`], which also counts
     /// as a fenced rejection.
+    ///
+    /// Sync before ship: a reply that hands out WAL entries, or a
+    /// snapshot of the live tail, first fsyncs any unsynced WAL append
+    /// ([`DurableIngest::sync_wal`]). Otherwise a power cut could take
+    /// from the leader a write a follower already holds, and the
+    /// leader's next writes would reuse its sequence numbers — a
+    /// follower past them would skip the new writes and answer wrong,
+    /// not stale. Under [`SyncPolicy::Always`](gisolap_store::SyncPolicy)
+    /// there is never anything to sync.
     pub fn handle(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        let req = match wire::decode_request(request) {
+        let req = match wire::read_request(request) {
             Ok(r) => r,
             Err(e) => {
                 self.stats.bad_requests += 1;
@@ -145,6 +154,9 @@ impl Leader {
                 }
                 match self.ingest.wal_entries_since(from_seq, max)? {
                     WalFetch::Entries(entries) => {
+                        if !entries.is_empty() {
+                            self.ingest.sync_wal()?;
+                        }
                         self.stats.frames_shipped += entries.len() as u64;
                         wire::encode_frames_reply(
                             self.epoch,
@@ -155,11 +167,12 @@ impl Leader {
                     }
                     WalFetch::Compacted { retained_from } => {
                         self.stats.compacted_replies += 1;
-                        Ok(wire::encode_compacted_reply(
-                            self.epoch,
+                        Ok(ReplyHead::Compacted {
+                            epoch: self.epoch,
                             retained_from,
-                            self.ingest.next_seq(),
-                        ))
+                            leader_next_seq: self.ingest.next_seq(),
+                        }
+                        .encode())
                     }
                 }
             }
@@ -170,17 +183,21 @@ impl Leader {
         }
     }
 
-    fn encode_snapshot(&self) -> Result<Vec<u8>> {
+    /// A snapshot of the live pipeline, tail included — so the WAL is
+    /// synced first.
+    fn encode_snapshot(&mut self) -> Result<Vec<u8>> {
+        self.ingest.sync_wal()?;
         let pipeline = self.ingest.pipeline();
         let cfg = self.ingest.store().stream_config();
-        Ok(wire::encode_snapshot_reply(
-            self.epoch,
-            pipeline.segments(),
-            &pipeline.tail_state(),
-            cfg.lateness_seconds,
-            cfg.segment_seconds,
-            self.ingest.next_seq(),
-        ))
+        let transfer = SnapshotTransfer {
+            epoch: self.epoch,
+            lateness_seconds: cfg.lateness_seconds,
+            segment_seconds: cfg.segment_seconds,
+            next_seq: self.ingest.next_seq(),
+            segments: pipeline.segments().to_vec(),
+            tail: pipeline.tail_state(),
+        };
+        Ok(ReplyHead::Snapshot(transfer).encode())
     }
 
     /// Logs and applies a batch ([`DurableIngest::ingest`]); refused

@@ -74,4 +74,4 @@ pub use leader::{EpochFence, Leader, LeaderStats};
 pub use transport::{
     DirectTransport, FaultConfig, FaultStats, FaultTransport, Transport, TransportError,
 };
-pub use wire::{FrameBatch, Reply, Request, SnapshotTransfer};
+pub use wire::{FrameBatch, Reply, ReplyHead, Request, SnapshotTransfer};

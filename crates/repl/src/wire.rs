@@ -10,20 +10,22 @@
 //! snapshot reply   := frame(everything)            // one CRC for all
 //! ```
 //!
-//! WAL entries ship as the exact on-disk framing
-//! (`len | payload | crc32`), so a follower validates each entry
+//! Requests and reply heads are declared once with
+//! `gisolap_store::messages!`. WAL entries ship as the exact on-disk
+//! framing (`len | payload | crc32`), so a follower validates each entry
 //! independently: a byte flip or truncation inside one entry flags that
 //! entry corrupt without poisoning the ones before it, and the reply
 //! head (sequence metadata, counts) carries its own checksum so lag
-//! accounting can never be driven by mangled bytes.
+//! accounting can never be driven by mangled bytes. That trailer of
+//! per-entry frames is the one layout written out by hand here.
 
 use gisolap_store::codec::{
-    decode_segment, decode_tail, decode_wal_entry, encode_segment, encode_tail, encode_wal_entry,
-    frame, read_frame, Dec, Enc, FrameRead,
+    decode_segment, decode_tail, decode_wal_entry, enc_segment, enc_tail, enc_wal_entry,
+    read_frame, read_single_frame, Dec, Enc, FrameRead,
 };
-use gisolap_store::framing::{self, decode_single_frame};
+use gisolap_store::framing;
 use gisolap_store::wal::WalEntry;
-use gisolap_store::{Result, StoreError};
+use gisolap_store::{messages, Result, StoreError};
 use gisolap_stream::{ReplayOp, Segment, TailState};
 
 /// Attribution label for wire-level decode errors.
@@ -33,66 +35,120 @@ fn wire_corrupt(detail: impl Into<String>) -> StoreError {
     framing::wire_corrupt(WIRE, detail)
 }
 
-/// What a follower asks its leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Request {
-    /// WAL entries from `from_seq` onward, at most `max` of them.
-    Frames {
-        /// The follower's cursor: first sequence number it still needs.
-        from_seq: u64,
-        /// Entry cap per reply (`u32::MAX` for unbounded).
-        max: u32,
-        /// Highest leader epoch the follower has seen. A leader served
-        /// a request carrying an epoch above its own has been deposed
-        /// and must answer [`StoreError::NotLeader`] instead of frames
-        /// — the request itself fences it.
-        epoch: u64,
-    },
-    /// A full state transfer (segments + tail + high-water mark).
-    Snapshot,
-}
-
-const REQ_FRAMES: u8 = 1;
-const REQ_SNAPSHOT: u8 = 2;
-const REPLY_FRAMES: u8 = 1;
-const REPLY_COMPACTED: u8 = 2;
-const REPLY_SNAPSHOT: u8 = 3;
-
-/// Encodes a request as one CRC frame.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut e = Enc::new();
-    match req {
-        Request::Frames {
-            from_seq,
-            max,
-            epoch,
-        } => {
-            e.u8(REQ_FRAMES);
-            e.u64(*from_seq);
-            e.u32(*max);
-            e.u64(*epoch);
-        }
-        Request::Snapshot => e.u8(REQ_SNAPSHOT),
-    }
-    frame(&e.into_bytes())
-}
-
-/// Decodes a request (leader side). Any structural damage is
-/// [`StoreError::Corrupt`]; the leader reports it and serves nothing.
-pub fn decode_request(bytes: &[u8]) -> Result<Request> {
-    let payload = decode_single_frame(bytes, WIRE, "request")?;
-    let mut d = Dec::new(payload, WIRE);
-    let req = match d.u8()? {
-        REQ_FRAMES => Request::Frames {
-            from_seq: d.u64()?,
-            max: d.u32()?,
-            epoch: d.u64()?,
+messages! {
+    /// What a follower asks its leader.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Request ["request tag"] {
+        /// WAL entries from `from_seq` onward, at most `max` of them.
+        1 => Frames {
+            /// The follower's cursor: first sequence number it still needs.
+            from_seq: u64 = u64,
+            /// Entry cap per reply (`u32::MAX` for unbounded).
+            max: u32 = u32,
+            /// Highest leader epoch the follower has seen. A leader served
+            /// a request carrying an epoch above its own has been deposed
+            /// and must answer [`StoreError::NotLeader`] instead of frames
+            /// — the request itself fences it.
+            epoch: u64 = u64,
         },
-        REQ_SNAPSHOT => Request::Snapshot,
-        tag => return Err(wire_corrupt(format!("unknown request tag {tag}"))),
-    };
-    d.finish()?;
-    Ok(req)
+        /// A full state transfer (segments + tail + high-water mark).
+        2 => Snapshot,
+    }
+}
+
+/// Decodes a request frame (leader side), strictly. Any structural
+/// damage is [`StoreError::Corrupt`]; the leader reports it and serves
+/// nothing.
+pub(crate) fn read_request(bytes: &[u8]) -> Result<Request> {
+    Request::decode(read_single_frame(bytes, WIRE)?, WIRE)
+}
+
+/// The smallest framed WAL entry on the wire: 4-byte length prefix +
+/// minimal payload (8-byte seq, 1-byte op tag) + 4-byte CRC. Any head
+/// declaring more entries than `remaining / MIN_ENTRY_FRAME` is lying.
+const MIN_ENTRY_FRAME: usize = 4 + 9 + 4;
+
+/// The smallest length-prefixed segment inside a snapshot reply: 4-byte
+/// prefix + partition + two empty sequences (records, cells) — exactly
+/// what an empty segment costs, so no legitimate reply is refused.
+const MIN_SEGMENT_BYTES: usize = 4 + 8 + 2 * 8;
+
+/// Segments as a `u32` count, then each segment payload behind its
+/// `u32` byte length.
+fn enc_segments(e: &mut Enc, segments: &[Segment]) {
+    e.u32(segments.len() as u32);
+    for seg in segments {
+        e.sized(|e| enc_segment(e, seg));
+    }
+}
+
+fn dec_segments(d: &mut Dec<'_>) -> Result<Vec<Segment>> {
+    let n = u64::from(d.u32()?);
+    let n = d.count(n, MIN_SEGMENT_BYTES, "segments")?;
+    let label = d.label();
+    (0..n).map(|_| decode_segment(d.bytes()?, label)).collect()
+}
+
+/// The tail-state payload behind its `u32` byte length.
+fn enc_tail_bytes(e: &mut Enc, tail: &TailState) {
+    e.sized(|e| enc_tail(e, tail));
+}
+
+fn dec_tail_bytes(d: &mut Dec<'_>) -> Result<TailState> {
+    let label = d.label();
+    decode_tail(d.bytes()?, label)
+}
+
+messages! {
+    /// A decoded full state transfer.
+    #[derive(Debug)]
+    pub struct SnapshotTransfer {
+        /// The epoch the answering leader holds (same fencing rules as
+        /// [`FrameBatch::epoch`]).
+        epoch: u64 = u64,
+        /// Stream lateness bound the leader runs under.
+        lateness_seconds: i64 = i64,
+        /// Stream partition width the leader runs under.
+        segment_seconds: i64 = i64,
+        /// First sequence number *after* the snapshot: the follower's new
+        /// cursor.
+        next_seq: u64 = u64,
+        /// Sealed segments, ascending by partition.
+        segments: Vec<Segment> = [enc_segments, dec_segments],
+        /// The leader's tail state at transfer time.
+        tail: TailState = [enc_tail_bytes, dec_tail_bytes],
+    }
+}
+
+messages! {
+    /// The CRC-framed head every leader reply opens with. A `Frames`
+    /// head is followed by `count` WAL entries in frames of their own;
+    /// the other two heads are the whole reply.
+    #[derive(Debug)]
+    pub enum ReplyHead ["reply tag"] {
+        /// WAL entries follow the head.
+        1 => Frames {
+            /// The epoch the answering leader holds.
+            epoch: u64 = u64,
+            /// Entries that follow the head.
+            count: u32 = u32,
+            /// The leader's next sequence number at reply time.
+            leader_next_seq: u64 = u64,
+            /// Oldest sequence number the leader can still serve from WALs.
+            retained_from: u64 = u64,
+        },
+        /// The cursor predates retention; a snapshot transfer is needed.
+        2 => Compacted {
+            /// The epoch the answering leader holds.
+            epoch: u64 = u64,
+            /// Oldest sequence number still servable from WAL files.
+            retained_from: u64 = u64,
+            /// The leader's next sequence number.
+            leader_next_seq: u64 = u64,
+        },
+        /// A full state transfer, one checksum for all of it.
+        3 => Snapshot(transfer: SnapshotTransfer = (msg SnapshotTransfer)),
+    }
 }
 
 /// A decoded batch of WAL entries from a frames reply. Individually
@@ -115,25 +171,6 @@ pub struct FrameBatch {
     pub retained_from: u64,
 }
 
-/// A decoded full state transfer.
-#[derive(Debug)]
-pub struct SnapshotTransfer {
-    /// The epoch the answering leader holds (same fencing rules as
-    /// [`FrameBatch::epoch`]).
-    pub epoch: u64,
-    /// Stream lateness bound the leader runs under.
-    pub lateness_seconds: i64,
-    /// Stream partition width the leader runs under.
-    pub segment_seconds: i64,
-    /// Sealed segments, ascending by partition.
-    pub segments: Vec<Segment>,
-    /// The leader's tail state at transfer time.
-    pub tail: TailState,
-    /// First sequence number *after* the snapshot: the follower's new
-    /// cursor.
-    pub next_seq: u64,
-}
-
 /// What a leader reply decodes to.
 #[derive(Debug)]
 pub enum Reply {
@@ -152,16 +189,6 @@ pub enum Reply {
     Snapshot(SnapshotTransfer),
 }
 
-/// The smallest framed WAL entry on the wire: 4-byte length prefix +
-/// minimal payload (8-byte seq, 1-byte op tag) + 4-byte CRC. Any head
-/// declaring more entries than `remaining / MIN_ENTRY_FRAME` is lying.
-const MIN_ENTRY_FRAME: usize = 4 + 9 + 4;
-
-/// The smallest length-prefixed segment inside a snapshot reply: 4-byte
-/// prefix + partition + two empty sequences (records, cells) — exactly
-/// what an empty segment costs, so no legitimate reply is refused.
-const MIN_SEGMENT_BYTES: usize = 4 + 8 + 2 * 8;
-
 /// The head's count field for a batch of `len` entries, or an error
 /// when `len` exceeds `u32::MAX` (the old code did `len as u32` here,
 /// silently truncating oversized batches into a corrupt frame). Bigger
@@ -174,61 +201,30 @@ fn batch_count(len: usize) -> Result<u32> {
     })
 }
 
-/// Encodes a frames reply: CRC-framed head, then one on-disk-format
-/// frame per WAL entry. Fails (rather than silently truncating the
-/// count) when the batch exceeds `u32::MAX` entries.
+/// Encodes a frames reply: the CRC-framed head, then one on-disk-format
+/// frame per WAL entry, all in one buffer. Fails (rather than silently
+/// truncating the count) when the batch exceeds `u32::MAX` entries.
 pub fn encode_frames_reply(
     epoch: u64,
     entries: &[WalEntry],
     leader_next_seq: u64,
     retained_from: u64,
 ) -> Result<Vec<u8>> {
-    let count = batch_count(entries.len())?;
-    let mut head = Enc::new();
-    head.u8(REPLY_FRAMES);
-    head.u64(epoch);
-    head.u32(count);
-    head.u64(leader_next_seq);
-    head.u64(retained_from);
-    let mut out = frame(&head.into_bytes());
+    let head = ReplyHead::Frames {
+        epoch,
+        count: batch_count(entries.len())?,
+        leader_next_seq,
+        retained_from,
+    };
+    let mut e = Enc::framed();
+    head.encode_to(&mut e);
+    e.end_frame();
     for entry in entries {
-        out.extend_from_slice(&frame(&encode_wal_entry(entry.seq, &entry.op)));
+        e.begin_frame();
+        enc_wal_entry(&mut e, entry.seq, &entry.op);
+        e.end_frame();
     }
-    Ok(out)
-}
-
-/// Encodes a compacted reply (cursor older than retention).
-pub fn encode_compacted_reply(epoch: u64, retained_from: u64, leader_next_seq: u64) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(REPLY_COMPACTED);
-    e.u64(epoch);
-    e.u64(retained_from);
-    e.u64(leader_next_seq);
-    frame(&e.into_bytes())
-}
-
-/// Encodes a snapshot reply as one frame, so a single checksum covers
-/// the entire transferred state.
-pub fn encode_snapshot_reply(
-    epoch: u64,
-    segments: &[Segment],
-    tail: &TailState,
-    lateness_seconds: i64,
-    segment_seconds: i64,
-    next_seq: u64,
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(REPLY_SNAPSHOT);
-    e.u64(epoch);
-    e.i64(lateness_seconds);
-    e.i64(segment_seconds);
-    e.u64(next_seq);
-    e.u32(segments.len() as u32);
-    for seg in segments {
-        e.bytes(&encode_segment(seg));
-    }
-    e.bytes(&encode_tail(tail));
-    frame(&e.into_bytes())
+    Ok(e.into_bytes())
 }
 
 /// Decodes a reply (follower side). The head frame must be intact
@@ -243,89 +239,65 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply> {
             return Err(wire_corrupt(format!("torn reply head: {detail}")))
         }
     };
-    let mut d = Dec::new(payload, WIRE);
-    match d.u8()? {
-        REPLY_FRAMES => {
-            let epoch = d.u64()?;
-            let count = u64::from(d.u32()?);
-            let leader_next_seq = d.u64()?;
-            let retained_from = d.u64()?;
-            d.finish()?;
-            // A head declaring more entries than the bytes after it
-            // could frame is structural damage (a lying head), not a
-            // truncated tail.
-            let count = Dec::new(rest, WIRE).count(count, MIN_ENTRY_FRAME, "entries")?;
-            let mut entries = Vec::with_capacity(count);
-            let mut corrupt_frames = 0u64;
-            for _ in 0..count {
-                match read_frame(rest) {
-                    FrameRead::Ok { payload, rest: r } => {
-                        match decode_wal_entry(payload, WIRE) {
-                            Ok((seq, op)) => entries.push((seq, op)),
-                            Err(_) => {
-                                corrupt_frames += 1;
-                                break;
-                            }
-                        }
-                        rest = r;
-                    }
-                    // Announced entries that never arrived intact: the
-                    // stream is damaged from here on.
-                    FrameRead::End | FrameRead::Torn { .. } => {
-                        corrupt_frames += 1;
-                        break;
-                    }
-                }
-            }
-            Ok(Reply::Frames(FrameBatch {
-                epoch,
-                entries,
-                corrupt_frames,
-                leader_next_seq,
-                retained_from,
-            }))
-        }
-        REPLY_COMPACTED => {
-            let epoch = d.u64()?;
-            let retained_from = d.u64()?;
-            let leader_next_seq = d.u64()?;
-            d.finish()?;
-            Ok(Reply::Compacted {
+    let (epoch, count, leader_next_seq, retained_from) = match ReplyHead::decode(payload, WIRE)? {
+        ReplyHead::Frames {
+            epoch,
+            count,
+            leader_next_seq,
+            retained_from,
+        } => (epoch, count, leader_next_seq, retained_from),
+        ReplyHead::Compacted {
+            epoch,
+            retained_from,
+            leader_next_seq,
+        } => {
+            return Ok(Reply::Compacted {
                 epoch,
                 retained_from,
                 leader_next_seq,
             })
         }
-        REPLY_SNAPSHOT => {
-            let epoch = d.u64()?;
-            let lateness_seconds = d.i64()?;
-            let segment_seconds = d.i64()?;
-            let next_seq = d.u64()?;
-            let n = u64::from(d.u32()?);
-            let n = d.count(n, MIN_SEGMENT_BYTES, "segments")?;
-            let mut segments = Vec::with_capacity(n);
-            for _ in 0..n {
-                segments.push(decode_segment(d.bytes()?, WIRE)?);
+        ReplyHead::Snapshot(transfer) => return Ok(Reply::Snapshot(transfer)),
+    };
+    // A head declaring more entries than the bytes after it could frame
+    // is structural damage (a lying head), not a truncated tail.
+    let count = Dec::new(rest, WIRE).count(count.into(), MIN_ENTRY_FRAME, "entries")?;
+    let mut entries = Vec::with_capacity(count);
+    let mut corrupt_frames = 0u64;
+    for _ in 0..count {
+        match read_frame(rest) {
+            FrameRead::Ok { payload, rest: r } => {
+                match decode_wal_entry(payload, WIRE) {
+                    Ok((seq, op)) => entries.push((seq, op)),
+                    Err(_) => {
+                        corrupt_frames += 1;
+                        break;
+                    }
+                }
+                rest = r;
             }
-            let tail = decode_tail(d.bytes()?, WIRE)?;
-            d.finish()?;
-            Ok(Reply::Snapshot(SnapshotTransfer {
-                epoch,
-                lateness_seconds,
-                segment_seconds,
-                segments,
-                tail,
-                next_seq,
-            }))
+            // Announced entries that never arrived intact: the stream
+            // is damaged from here on.
+            FrameRead::End | FrameRead::Torn { .. } => {
+                corrupt_frames += 1;
+                break;
+            }
         }
-        tag => Err(wire_corrupt(format!("unknown reply tag {tag}"))),
     }
+    Ok(Reply::Frames(FrameBatch {
+        epoch,
+        entries,
+        corrupt_frames,
+        leader_next_seq,
+        retained_from,
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gisolap_olap::time::TimeId;
+    use gisolap_store::codec::{encode_segment, encode_tail};
     use gisolap_traj::{ObjectId, Record};
 
     fn rec(oid: u64, t: i64) -> Record {
@@ -335,6 +307,35 @@ mod tests {
             x: 1.0,
             y: 2.0,
         }
+    }
+
+    fn snapshot_reply(
+        epoch: u64,
+        segments: &[Segment],
+        tail: &TailState,
+        lateness_seconds: i64,
+        segment_seconds: i64,
+        next_seq: u64,
+    ) -> Vec<u8> {
+        ReplyHead::Snapshot(SnapshotTransfer {
+            epoch,
+            lateness_seconds,
+            segment_seconds,
+            next_seq,
+            segments: segments.to_vec(),
+            tail: tail.clone(),
+        })
+        .encode()
+    }
+
+    fn frames_head(count: u32) -> Vec<u8> {
+        ReplyHead::Frames {
+            epoch: 11,
+            count,
+            leader_next_seq: 6,
+            retained_from: 2,
+        }
+        .encode()
     }
 
     fn entries() -> Vec<WalEntry> {
@@ -360,9 +361,9 @@ mod tests {
             },
             Request::Snapshot,
         ] {
-            assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
+            assert_eq!(read_request(&req.encode()).unwrap(), req);
         }
-        assert!(decode_request(b"junk").is_err());
+        assert!(read_request(b"junk").is_err());
     }
 
     #[test]
@@ -423,7 +424,7 @@ mod tests {
             gisolap_stream::StreamIngest::new(gisolap_stream::StreamConfig::new(0, 3600).unwrap())
                 .unwrap();
         ingest.ingest(&[rec(1, 100), rec(2, 4000), rec(1, 8000)]);
-        let bytes = encode_snapshot_reply(4, ingest.segments(), &ingest.tail_state(), 0, 3600, 9);
+        let bytes = snapshot_reply(4, ingest.segments(), &ingest.tail_state(), 0, 3600, 9);
         match decode_reply(&bytes).unwrap() {
             Reply::Snapshot(s) => {
                 assert_eq!(s.epoch, 4);
@@ -444,7 +445,12 @@ mod tests {
 
     #[test]
     fn compacted_roundtrip() {
-        match decode_reply(&encode_compacted_reply(2, 17, 99)).unwrap() {
+        let head = ReplyHead::Compacted {
+            epoch: 2,
+            retained_from: 17,
+            leader_next_seq: 99,
+        };
+        match decode_reply(&head.encode()).unwrap() {
             Reply::Compacted {
                 epoch,
                 retained_from,
@@ -473,14 +479,7 @@ mod tests {
     /// millions of phantom entries).
     #[test]
     fn implausible_frames_count_fails_fast() {
-        let mut head = Enc::new();
-        head.u8(REPLY_FRAMES);
-        head.u64(1); // epoch
-        head.u32(1_000_000);
-        head.u64(9);
-        head.u64(0);
-        let bytes = frame(&head.into_bytes());
-        let err = decode_reply(&bytes).unwrap_err();
+        let err = decode_reply(&frames_head(1_000_000)).unwrap_err();
         assert!(
             err.to_string().contains("declares 1000000 entries"),
             "want the fail-fast count error, got {err}"
@@ -491,14 +490,14 @@ mod tests {
     /// remaining payload could hold is rejected before any allocation.
     #[test]
     fn implausible_snapshot_segment_count_fails_fast() {
-        let mut e = Enc::new();
-        e.u8(REPLY_SNAPSHOT);
+        let mut e = Enc::framed();
+        e.u8(ReplyHead::TAGS[2]); // snapshot
         e.u64(1); // epoch
         e.i64(0);
         e.i64(3600);
         e.u64(5);
         e.u32(u32::MAX);
-        let bytes = frame(&e.into_bytes());
+        let bytes = e.into_framed();
         let err = decode_reply(&bytes).unwrap_err();
         assert!(
             err.to_string().contains("declares 4294967295 segments"),
@@ -509,8 +508,8 @@ mod tests {
     /// A snapshot reply `(epoch 1, lateness 0, 3600 s segments, next
     /// seq 5)` over `segments`, declaring `declared` of them.
     fn snapshot_declaring(declared: u32, segments: &[Segment], tail: &TailState) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u8(REPLY_SNAPSHOT);
+        let mut e = Enc::framed();
+        e.u8(ReplyHead::TAGS[2]); // snapshot
         e.u64(1);
         e.i64(0);
         e.i64(3600);
@@ -520,7 +519,7 @@ mod tests {
             e.bytes(&encode_segment(seg));
         }
         e.bytes(&encode_tail(tail));
-        frame(&e.into_bytes())
+        e.into_framed()
     }
 
     /// The bound is what an empty segment costs on the wire: a reply of
@@ -541,7 +540,7 @@ mod tests {
             buffers: Vec::new(),
         };
         let bytes = snapshot_declaring(64, &empty, &tail);
-        assert_eq!(bytes, encode_snapshot_reply(1, &empty, &tail, 0, 3600, 5));
+        assert_eq!(bytes, snapshot_reply(1, &empty, &tail, 0, 3600, 5));
         match decode_reply(&bytes).unwrap() {
             Reply::Snapshot(s) => {
                 assert_eq!(s.segments.len(), 64);
@@ -592,13 +591,7 @@ mod tests {
             /// flagged.
             #[test]
             fn oversized_declared_count_is_rejected(count in 3u32..u32::MAX) {
-                let mut head = Enc::new();
-                head.u8(REPLY_FRAMES);
-                head.u64(11); // epoch
-                head.u32(count);
-                head.u64(6);
-                head.u64(2);
-                let mut bytes = frame(&head.into_bytes());
+                let mut bytes = frames_head(count);
                 let tail = encode_frames_reply(11, &entries(), 6, 2).unwrap();
                 // Keep the 2 genuine entry frames, swap in our head.
                 let entry_frames = match read_frame(&tail) {
@@ -632,7 +625,7 @@ mod tests {
                 .unwrap();
                 ingest.ingest(&[rec(1, 100), rec(2, 4000)]);
                 let mut bytes =
-                    encode_snapshot_reply(4, ingest.segments(), &ingest.tail_state(), 0, 3600, 9);
+                    snapshot_reply(4, ingest.segments(), &ingest.tail_state(), 0, 3600, 9);
                 let idx = idx % bytes.len();
                 bytes[idx] ^= 1 << bit;
                 prop_assert!(decode_reply(&bytes).is_err());

@@ -17,8 +17,7 @@ use crate::partition::{Partitioner, PartitionerSpec};
 use crate::wire::{self, ShardManifest};
 use gisolap_obs::counters;
 use gisolap_repl::{DirectTransport, Follower, FollowerConfig, Leader};
-use gisolap_store::codec::{frame, header, FileKind};
-use gisolap_store::framing::decode_single_frame;
+use gisolap_store::codec::{check_header, read_single_frame, Enc, FileKind};
 use gisolap_store::{
     CompactionReport, DurableIngest, FlushReport, RecoveryReport, Result, StoreConfig, StoreError,
     Vfs,
@@ -34,18 +33,18 @@ pub const SHARDS_MANIFEST: &str = "SHARDS";
 /// Reads and strictly decodes the cluster manifest under `root`.
 pub(crate) fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<ShardManifest> {
     let bytes = vfs.read(&root.join(SHARDS_MANIFEST))?;
-    let body =
-        gisolap_store::codec::check_header(&bytes, FileKind::ShardManifest, SHARDS_MANIFEST)?;
-    let payload = decode_single_frame(body, SHARDS_MANIFEST, "shard manifest")?;
-    wire::decode_manifest(payload, SHARDS_MANIFEST)
+    let body = check_header(&bytes, FileKind::ShardManifest, SHARDS_MANIFEST)?;
+    let payload = read_single_frame(body, SHARDS_MANIFEST)?;
+    wire::refuse_v1_manifest(payload, SHARDS_MANIFEST)?;
+    ShardManifest::decode(payload, SHARDS_MANIFEST)
 }
 
 /// Atomically publishes `manifest` under `root` — the commit point of
 /// every epoch bump (leadership change, rebalance).
 pub(crate) fn write_manifest(vfs: &dyn Vfs, root: &Path, manifest: &ShardManifest) -> Result<()> {
-    let mut bytes = header(FileKind::ShardManifest);
-    bytes.extend_from_slice(&frame(&wire::encode_manifest(manifest)));
-    vfs.write_atomic(&root.join(SHARDS_MANIFEST), &bytes, true)
+    let mut e = Enc::file(FileKind::ShardManifest);
+    manifest.encode_to(&mut e);
+    vfs.write_atomic(&root.join(SHARDS_MANIFEST), &e.into_framed(), true)
 }
 
 counters! {

@@ -45,11 +45,10 @@ use gisolap_obs::config as obs_config;
 use gisolap_obs::counters;
 use gisolap_olap::time::TimeDimension;
 use gisolap_repl::{
-    wire as repl_wire, DirectTransport, EpochFence, Follower, FollowerConfig, Leader, Request,
-    Transport, TransportError,
+    DirectTransport, EpochFence, Follower, FollowerConfig, Leader, Request, Transport,
+    TransportError,
 };
-use gisolap_store::codec::{frame, header, FileKind};
-use gisolap_store::framing::decode_single_frame;
+use gisolap_store::codec::{check_header, read_single_frame, Enc, FileKind};
 use gisolap_store::{DurableIngest, Result, StoreConfig, StoreError, Vfs};
 use gisolap_stream::{
     CellPartial, GeoResolver, GroupKey, IngestReport, Segment, StreamConfig, TailState,
@@ -324,11 +323,12 @@ impl ShardGroup {
             return Ok(TickOutcome::Idle);
         }
         self.stats.probes += 1;
-        let request = repl_wire::encode_request(&Request::Frames {
+        let request = Request::Frames {
             from_seq: 0,
             max: 0,
             epoch: self.epoch,
-        });
+        }
+        .encode();
         if self.probe.exchange(&request).is_ok() {
             self.stats.lease_renewals += 1;
             self.lease_expires = self.tick + self.config.lease_ticks;
@@ -509,17 +509,16 @@ fn old_dir(root: &Path, index: usize) -> PathBuf {
 }
 
 fn write_journal(vfs: &dyn Vfs, root: &Path, journal: &RebalanceJournal) -> Result<()> {
-    let mut bytes = header(FileKind::RebalanceJournal);
-    bytes.extend_from_slice(&frame(&wire::encode_journal(journal)));
-    vfs.write_atomic(&journal_path(root), &bytes, true)
+    let mut e = Enc::file(FileKind::RebalanceJournal);
+    journal.encode_to(&mut e);
+    vfs.write_atomic(&journal_path(root), &e.into_framed(), true)
 }
 
 fn read_journal(vfs: &dyn Vfs, root: &Path) -> Result<RebalanceJournal> {
     let bytes = vfs.read(&journal_path(root))?;
-    let body =
-        gisolap_store::codec::check_header(&bytes, FileKind::RebalanceJournal, REBALANCE_JOURNAL)?;
-    let payload = decode_single_frame(body, REBALANCE_JOURNAL, "rebalance journal")?;
-    wire::decode_journal(payload, REBALANCE_JOURNAL)
+    let body = check_header(&bytes, FileKind::RebalanceJournal, REBALANCE_JOURNAL)?;
+    let payload = read_single_frame(body, REBALANCE_JOURNAL)?;
+    RebalanceJournal::decode(payload, REBALANCE_JOURNAL)
 }
 
 /// What [`recover_rebalance`] found.

@@ -31,9 +31,19 @@
 //! below. [`Dec::opt`] rejects any flag byte but 0/1 and [`Dec::count`]
 //! (which [`Dec::seq`] applies) rejects a declared count the remaining
 //! bytes cannot hold *before* allocating, so a hostile length can never
-//! drive an allocation ahead of the bytes actually received. Protocol
-//! modules own their message layouts (tags, version bytes, nested
-//! frames) and call these for every field.
+//! drive an allocation ahead of the bytes actually received.
+//!
+//! ## Message layouts
+//!
+//! Every message — each protocol's requests and replies, the shard
+//! manifest and rebalance journal, this store's manifest and delta
+//! checkpoint — is declared once with [`messages!`](crate::messages!),
+//! which emits its type, encoder and decoder from one table of tags and
+//! fields over these field codecs. Encoders write straight into one CRC
+//! frame ([`Enc::framed`], [`Enc::file`]). Three layouts stay written
+//! out here, each for the reason beside it: the segment payload, the
+//! WAL entry and the full checkpoint (plus the replication frames-reply
+//! trailer in `gisolap-repl`).
 
 use gisolap_geom::BBox;
 use gisolap_olap::agg::{AggFn, Partial};
@@ -171,10 +181,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // --- primitive encode/decode -----------------------------------------
 
-/// An append-only little-endian byte sink.
+/// An append-only little-endian byte sink, optionally building one CRC
+/// frame in place: [`Enc::framed`] reserves the frame's length prefix and
+/// [`Enc::into_framed`] patches it and appends the checksum, so a payload
+/// is never copied into a second, framed buffer.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
+    /// Offset of the open frame's length prefix.
+    frame_at: Option<usize>,
 }
 
 impl Enc {
@@ -187,12 +202,71 @@ impl Enc {
     pub fn with_capacity(bytes: usize) -> Enc {
         Enc {
             buf: Vec::with_capacity(bytes),
+            frame_at: None,
         }
+    }
+
+    /// An encoder whose bytes become one frame's payload.
+    pub fn framed() -> Enc {
+        let mut e = Enc::with_capacity(64);
+        e.begin_frame();
+        e
+    }
+
+    /// An encoder for a whole store file: `kind`'s header, then one
+    /// frame holding what is encoded next.
+    pub fn file(kind: FileKind) -> Enc {
+        let mut e = Enc {
+            buf: header(kind),
+            frame_at: None,
+        };
+        e.begin_frame();
+        e
+    }
+
+    /// Opens a frame here: reserves its `u32` length prefix.
+    pub fn begin_frame(&mut self) {
+        debug_assert!(self.frame_at.is_none(), "frames do not nest");
+        self.frame_at = Some(self.buf.len());
+        self.buf.extend_from_slice(&[0; 4]);
+    }
+
+    /// Closes the open frame: patches its length prefix and appends the
+    /// CRC32 of its payload.
+    pub fn end_frame(&mut self) {
+        let at = self.frame_at.take().expect("end_frame without begin_frame");
+        let payload = &self.buf[at + 4..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
+        self.buf[at..at + 4].copy_from_slice(&len);
+        self.buf.extend_from_slice(&crc);
+    }
+
+    /// Closes the open frame ([`Enc::end_frame`]) and returns the bytes.
+    pub fn into_framed(mut self) -> Vec<u8> {
+        self.end_frame();
+        self.buf
     }
 
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Makes room for `bytes` more, plus a frame's 4-byte checksum, so a
+    /// presized payload's closing [`Enc::end_frame`] never reallocates.
+    pub fn reserve(&mut self, bytes: usize) {
+        self.buf.reserve(bytes + 4);
+    }
+
+    /// Appends what `item` encodes behind a `u32` byte-length prefix
+    /// (the form [`Dec::bytes`] reads), encoded in place.
+    pub fn sized(&mut self, item: impl FnOnce(&mut Enc)) {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        item(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Appends one byte.
@@ -267,6 +341,17 @@ impl<'a> Dec<'a> {
     /// A decoder over `buf`, attributing errors to `file`.
     pub fn new(buf: &'a [u8], file: &'a str) -> Dec<'a> {
         Dec { buf, pos: 0, file }
+    }
+
+    /// The label errors are attributed to.
+    pub fn label(&self) -> &'a str {
+        self.file
+    }
+
+    /// A [`StoreError::Corrupt`](crate::StoreError::Corrupt) attributed
+    /// to this decoder's label.
+    pub fn corrupt(&self, detail: impl Into<String>) -> crate::StoreError {
+        corrupt(self.file, detail)
     }
 
     /// Bytes not yet consumed.
@@ -427,13 +512,13 @@ pub fn check_header<'a>(bytes: &'a [u8], kind: FileKind, file: &str) -> Result<&
     Ok(&bytes[HEADER_LEN..])
 }
 
-/// Wraps a payload in a `len | payload | crc32` frame.
+/// Wraps a payload in a `len | payload | crc32` frame (the
+/// [`Enc::framed`] path, for bytes encoded elsewhere).
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+    let mut e = Enc::with_capacity(payload.len() + 8);
+    e.begin_frame();
+    e.buf.extend_from_slice(payload);
+    e.into_framed()
 }
 
 /// How reading one frame from a byte stream ended.
@@ -491,29 +576,31 @@ pub fn read_frame<'a>(bytes: &'a [u8]) -> FrameRead<'a> {
     }
 }
 
-/// Reads the single frame a segment/checkpoint/manifest file holds,
-/// strictly: a torn frame or trailing garbage is `Corrupt`.
-pub fn read_single_frame<'a>(bytes: &'a [u8], file: &str) -> Result<&'a [u8]> {
+/// Reads the single frame a store file body or a wire message holds,
+/// strictly: a missing or torn frame and trailing bytes are `Corrupt`,
+/// attributed to `label` (a file name or a wire label such as
+/// `"repl-wire"`).
+pub fn read_single_frame<'a>(bytes: &'a [u8], label: &str) -> Result<&'a [u8]> {
     match read_frame(bytes) {
         FrameRead::Ok { payload, rest } => {
             if !rest.is_empty() {
                 return Err(corrupt(
-                    file,
+                    label,
                     format!("{} bytes after the frame", rest.len()),
                 ));
             }
             Ok(payload)
         }
-        FrameRead::End => Err(corrupt(file, "missing frame")),
-        FrameRead::Torn { detail } => Err(corrupt(file, detail)),
+        FrameRead::End => Err(corrupt(label, "missing frame")),
+        FrameRead::Torn { detail } => Err(corrupt(label, detail)),
     }
 }
 
 // --- code tables -------------------------------------------------------
 
-/// The wire code of a Time-dimension level.
-pub fn level_code(level: TimeLevel) -> u8 {
-    match level {
+/// Appends a Time-dimension level's wire code.
+pub fn enc_level(e: &mut Enc, level: &TimeLevel) {
+    e.u8(match level {
         TimeLevel::TimeId => 0,
         TimeLevel::Minute => 1,
         TimeLevel::Hour => 2,
@@ -524,7 +611,7 @@ pub fn level_code(level: TimeLevel) -> u8 {
         TimeLevel::DayOfWeekLevel => 7,
         TimeLevel::TypeOfDayLevel => 8,
         TimeLevel::All => 9,
-    }
+    })
 }
 
 /// Reads a Time-dimension level code.
@@ -544,15 +631,15 @@ pub fn dec_level(d: &mut Dec<'_>) -> Result<TimeLevel> {
     })
 }
 
-/// The wire code of an aggregate function (`AGG` of Definition 7).
-pub fn agg_code(f: AggFn) -> u8 {
-    match f {
+/// Appends an aggregate function's wire code (`AGG` of Definition 7).
+pub fn enc_agg(e: &mut Enc, f: &AggFn) {
+    e.u8(match f {
         AggFn::Min => 0,
         AggFn::Max => 1,
         AggFn::Count => 2,
         AggFn::Sum => 3,
         AggFn::Avg => 4,
-    }
+    })
 }
 
 /// Reads an aggregate-function code.
@@ -567,12 +654,12 @@ pub fn dec_agg(d: &mut Dec<'_>) -> Result<AggFn> {
     })
 }
 
-/// The wire code of a measure.
-pub fn measure_code(m: Measure) -> u8 {
-    match m {
+/// Appends a measure's wire code.
+pub fn enc_measure(e: &mut Enc, m: &Measure) {
+    e.u8(match m {
         Measure::X => 0,
         Measure::Y => 1,
-    }
+    })
 }
 
 /// Reads a measure code.
@@ -619,9 +706,9 @@ pub fn dec_bbox(d: &mut Dec<'_>) -> Result<BBox> {
 
 /// Appends a rollup query: level, measure, aggregate, optional window.
 pub fn enc_rollup_query(e: &mut Enc, query: &RollupQuery) {
-    e.u8(level_code(query.level));
-    e.u8(measure_code(query.measure));
-    e.u8(agg_code(query.f));
+    enc_level(e, &query.level);
+    enc_measure(e, &query.measure);
+    enc_agg(e, &query.f);
     e.opt(query.between, |e, (a, b)| {
         e.i64(a.0);
         e.i64(b.0);
@@ -642,12 +729,15 @@ pub fn dec_rollup_query(d: &mut Dec<'_>) -> Result<RollupQuery> {
 /// value bits — the plausibility bound for declared row counts.
 const ROW_MIN_BYTES: usize = 8 + 1 + 8;
 
-/// Largest wire cost of one rollup row (geo id present) — what reply
-/// encoders pre-size their buffers with.
+/// Largest wire cost of one rollup row (geo id present) — what
+/// [`encode_rows`] pre-sizes the buffer with.
 pub const ROW_MAX_BYTES: usize = ROW_MIN_BYTES + 4;
 
-/// Appends rollup rows `(granule, geo, value)`, values bit-exact.
+/// Appends rollup rows `(granule, geo, value)`, values bit-exact. Rows
+/// replies run to hundreds of KB, so the buffer is sized once from the
+/// count.
 pub fn encode_rows(e: &mut Enc, rows: &[RollupRow]) {
+    e.reserve(8 + rows.len() * ROW_MAX_BYTES);
     e.seq(rows, |e, row| {
         e.i64(row.granule);
         enc_geo(e, row.geo);
@@ -713,8 +803,8 @@ fn dec_partial(d: &mut Dec<'_>) -> Result<Partial> {
 /// flag, two 32-byte partials.
 const CELL_MIN_BYTES: usize = 8 + 1 + 2 * 32;
 
-/// Largest wire cost of one cell (geo id present) — what reply encoders
-/// pre-size their buffers with.
+/// Largest wire cost of one cell (geo id present) — what
+/// [`encode_cells`] pre-sizes the buffer with.
 pub const CELL_MAX_BYTES: usize = CELL_MIN_BYTES + 4;
 
 fn dec_cell(d: &mut Dec<'_>) -> Result<(GroupKey, CellPartial)> {
@@ -733,8 +823,10 @@ fn dec_cell(d: &mut Dec<'_>) -> Result<(GroupKey, CellPartial)> {
 /// Encodes a batch of `(key, cell)` partials into `e` — a segment's
 /// partial cells on disk and the scatter payload of the sharding wire.
 /// Keys travel in the given order (the coordinator relies on
-/// ascending-key extraction for its canonical merge order).
+/// ascending-key extraction for its canonical merge order). The buffer
+/// is sized once from the count.
 pub fn encode_cells(e: &mut Enc, cells: &[(GroupKey, CellPartial)]) {
+    e.reserve(8 + cells.len() * CELL_MAX_BYTES);
     e.seq(cells, |e, (key, cell)| {
         e.i64(key.0);
         enc_geo(e, key.1);
@@ -751,16 +843,24 @@ pub fn decode_cells(d: &mut Dec<'_>) -> Result<Vec<(GroupKey, CellPartial)>> {
 
 // --- segment ----------------------------------------------------------
 
+// The segment payload stays hand-written: its records decode in bulk,
+// 32 bytes at a time, and only `Segment::from_parts` may assemble them.
+
 /// Encodes a sealed segment as one frame payload: partition, canonical
 /// records, partial cells. The summary and per-object index are
 /// *derived* data and are re-derived on decode, so they never drift from
 /// the records.
 pub fn encode_segment(seg: &Segment) -> Vec<u8> {
     let mut e = Enc::new();
-    e.i64(seg.meta().partition);
-    enc_records(&mut e, seg.records());
-    encode_cells(&mut e, seg.partials());
+    enc_segment(&mut e, seg);
     e.into_bytes()
+}
+
+/// Appends [`encode_segment`]'s payload to `e`.
+pub fn enc_segment(e: &mut Enc, seg: &Segment) {
+    e.i64(seg.meta().partition);
+    enc_records(e, seg.records());
+    encode_cells(e, seg.partials());
 }
 
 /// Decodes a segment payload, re-deriving and validating the canonical
@@ -791,21 +891,36 @@ fn dec_buffers(d: &mut Dec<'_>) -> Result<Vec<(i64, Vec<Record>)>> {
 }
 
 /// Encodes a checkpointed [`TailState`] as one frame payload.
+/// (`TailState` is the stream crate's, so no declaration here can emit
+/// it; its codec is written out.)
 pub fn encode_tail(tail: &TailState) -> Vec<u8> {
     let mut e = Enc::new();
-    e.opt(tail.max_event_time, |e, t| e.i64(t.0));
+    enc_tail(&mut e, tail);
+    e.into_bytes()
+}
+
+/// Appends [`encode_tail`]'s payload to `e`.
+pub fn enc_tail(e: &mut Enc, tail: &TailState) {
+    enc_watermark(e, &tail.max_event_time);
     e.i64(tail.sealed_before);
     e.u64(tail.records_ingested);
     e.u64(tail.segments_sealed);
-    enc_records(&mut e, &tail.dead_letters);
-    enc_buffers(&mut e, &tail.buffers);
-    e.into_bytes()
+    enc_records(e, &tail.dead_letters);
+    enc_buffers(e, &tail.buffers);
+}
+
+fn enc_watermark(e: &mut Enc, t: &Option<TimeId>) {
+    e.opt(*t, |e, t| e.i64(t.0));
+}
+
+fn dec_watermark(d: &mut Dec<'_>) -> Result<Option<TimeId>> {
+    d.opt("watermark", |d| Ok(TimeId(d.i64()?)))
 }
 
 /// Decodes a checkpoint payload.
 pub fn decode_tail(payload: &[u8], file: &str) -> Result<TailState> {
     let mut d = Dec::new(payload, file);
-    let max_event_time = d.opt("watermark", |d| Ok(TimeId(d.i64()?)))?;
+    let max_event_time = dec_watermark(&mut d)?;
     let sealed_before = d.i64()?;
     let records_ingested = d.u64()?;
     let segments_sealed = d.u64()?;
@@ -824,34 +939,36 @@ pub fn decode_tail(payload: &[u8], file: &str) -> Result<TailState> {
 
 // --- delta checkpoint -------------------------------------------------
 
-/// Tail-state changes since the previous checkpoint in a manifest's
-/// chain — what a flush writes instead of a full checkpoint while the
-/// chain stays under the store's bound of four deltas per full
-/// checkpoint.
-///
-/// A delta exploits the tail's update pattern: scalars are cheap,
-/// `dead_letters` is append-only (only the suffix travels), and open
-/// partition buffers either grow, appear, or seal away (changed buffers
-/// travel whole; sealed ones travel as removal keys). Applying the
-/// chain onto the base checkpoint with [`TailDelta::apply`] reproduces
-/// the flushed [`TailState`] exactly.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TailDelta {
-    /// The watermark source after this delta.
-    pub max_event_time: Option<TimeId>,
-    /// Seal horizon after this delta.
-    pub sealed_before: i64,
-    /// Cumulative accepted records after this delta.
-    pub records_ingested: u64,
-    /// Cumulative sealed segments after this delta.
-    pub segments_sealed: u64,
-    /// Dead letters appended since the previous checkpoint.
-    pub new_dead_letters: Vec<Record>,
-    /// Full contents of partitions that changed or appeared, ascending.
-    pub changed_buffers: Vec<(i64, Vec<Record>)>,
-    /// Partitions that sealed away since the previous checkpoint,
-    /// ascending.
-    pub removed_buffers: Vec<i64>,
+crate::messages! {
+    /// Tail-state changes since the previous checkpoint in a manifest's
+    /// chain — what a flush writes instead of a full checkpoint while the
+    /// chain stays under the store's bound of four deltas per full
+    /// checkpoint.
+    ///
+    /// A delta exploits the tail's update pattern: scalars are cheap,
+    /// `dead_letters` is append-only (only the suffix travels), and open
+    /// partition buffers either grow, appear, or seal away (changed buffers
+    /// travel whole; sealed ones travel as removal keys). Applying the
+    /// chain onto the base checkpoint with [`TailDelta::apply`] reproduces
+    /// the flushed [`TailState`] exactly.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct TailDelta {
+        /// The watermark source after this delta.
+        max_event_time: Option<TimeId> = [enc_watermark, dec_watermark],
+        /// Seal horizon after this delta.
+        sealed_before: i64 = i64,
+        /// Cumulative accepted records after this delta.
+        records_ingested: u64 = u64,
+        /// Cumulative sealed segments after this delta.
+        segments_sealed: u64 = u64,
+        /// Dead letters appended since the previous checkpoint.
+        new_dead_letters: Vec<Record> = [enc_records, dec_records],
+        /// Full contents of partitions that changed or appeared, ascending.
+        changed_buffers: Vec<(i64, Vec<Record>)> = [enc_buffers, dec_buffers],
+        /// Partitions that sealed away since the previous checkpoint,
+        /// ascending.
+        removed_buffers: Vec<i64> = (seq "removed buffers" 8, i64),
+    }
 }
 
 impl TailDelta {
@@ -905,64 +1022,42 @@ impl TailDelta {
     }
 }
 
-/// Encodes a delta checkpoint as one frame payload.
-pub fn encode_tail_delta(delta: &TailDelta) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.opt(delta.max_event_time, |e, t| e.i64(t.0));
-    e.i64(delta.sealed_before);
-    e.u64(delta.records_ingested);
-    e.u64(delta.segments_sealed);
-    enc_records(&mut e, &delta.new_dead_letters);
-    enc_buffers(&mut e, &delta.changed_buffers);
-    e.seq(&delta.removed_buffers, |e, p| e.i64(*p));
-    e.into_bytes()
-}
-
 /// Decodes a delta-checkpoint payload.
 pub fn decode_tail_delta(payload: &[u8], file: &str) -> Result<TailDelta> {
-    let mut d = Dec::new(payload, file);
-    let max_event_time = d.opt("watermark", |d| Ok(TimeId(d.i64()?)))?;
-    let sealed_before = d.i64()?;
-    let records_ingested = d.u64()?;
-    let segments_sealed = d.u64()?;
-    let new_dead_letters = dec_records(&mut d)?;
-    let changed_buffers = dec_buffers(&mut d)?;
-    let removed_buffers = d.seq("removed buffers", 8, |d| d.i64())?;
-    d.finish()?;
-    Ok(TailDelta {
-        max_event_time,
-        sealed_before,
-        records_ingested,
-        segments_sealed,
-        new_dead_letters,
-        changed_buffers,
-        removed_buffers,
-    })
+    TailDelta::decode(payload, file)
 }
 
 // --- WAL entries ------------------------------------------------------
 
+// The WAL entry stays hand-written: a batch is encoded from the
+// borrowed records, where a declared `ReplayOp` field would need the
+// batch cloned into an owned op on every ingest.
+
 /// Encodes one WAL frame payload: sequence number + operation.
 pub fn encode_wal_entry(seq: u64, op: &ReplayOp) -> Vec<u8> {
+    let mut e = Enc::new();
+    enc_wal_entry(&mut e, seq, op);
+    e.into_bytes()
+}
+
+/// Appends [`encode_wal_entry`]'s payload to `e`.
+pub fn enc_wal_entry(e: &mut Enc, seq: u64, op: &ReplayOp) {
     match op {
-        ReplayOp::Batch(records) => encode_wal_batch(seq, records),
+        ReplayOp::Batch(records) => enc_wal_batch(e, seq, records),
         ReplayOp::Finish => {
-            let mut e = Enc::new();
             e.u64(seq);
             e.u8(1);
-            e.into_bytes()
         }
     }
 }
 
-/// [`encode_wal_entry`] of `ReplayOp::Batch(records)`, encoded from the
+/// [`enc_wal_entry`] of `ReplayOp::Batch(records)`, encoded from the
 /// borrowed batch.
-pub(crate) fn encode_wal_batch(seq: u64, records: &[Record]) -> Vec<u8> {
-    let mut e = Enc::with_capacity(17 + 32 * records.len());
+pub(crate) fn enc_wal_batch(e: &mut Enc, seq: u64, records: &[Record]) {
+    e.reserve(17 + 32 * records.len());
     e.u64(seq);
     e.u8(0);
-    enc_records(&mut e, records);
-    e.into_bytes()
+    enc_records(e, records);
 }
 
 /// Decodes one WAL frame payload into `(seq, op)`.
@@ -980,93 +1075,55 @@ pub fn decode_wal_entry(payload: &[u8], file: &str) -> Result<(u64, ReplayOp)> {
 
 // --- manifest ---------------------------------------------------------
 
-/// One sealed segment file the manifest references.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentEntry {
-    /// First partition index covered.
-    pub lo: i64,
-    /// Last partition index covered (`== lo` until compaction merges).
-    pub hi: i64,
-    /// File name, relative to the store directory.
-    pub file: String,
+crate::messages! {
+    /// One sealed segment file the manifest references.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SegmentEntry {
+        /// First partition index covered.
+        lo: i64 = i64,
+        /// Last partition index covered (`== lo` until compaction merges).
+        hi: i64 = i64,
+        /// File name, relative to the store directory.
+        file: String = str,
+    }
 }
 
-/// The decoded manifest: the root of trust naming every live file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Manifest {
-    /// WAL/checkpoint generation counter.
-    pub gen: u64,
-    /// Stream configuration the persisted pipeline runs under.
-    pub lateness_seconds: i64,
-    /// Stream partition width (seconds).
-    pub segment_seconds: i64,
-    /// Sealed segment files, ascending by `lo`.
-    pub segments: Vec<SegmentEntry>,
-    /// The current *base* (full) checkpoint file, if a flush has
-    /// happened.
-    pub checkpoint: Option<String>,
-    /// Delta-checkpoint files applied on top of `checkpoint`, in chain
-    /// order (oldest first). Empty when the last flush wrote a full
-    /// checkpoint.
-    pub checkpoint_deltas: Vec<String>,
-    /// The current WAL file.
-    pub wal: String,
-    /// Sequence number of the first entry the current WAL may hold.
-    pub wal_start_seq: u64,
-}
-
-/// Encodes the manifest as one frame payload.
-pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(m.gen);
-    e.i64(m.lateness_seconds);
-    e.i64(m.segment_seconds);
-    e.seq(&m.segments, |e, s| {
-        e.i64(s.lo);
-        e.i64(s.hi);
-        e.str(&s.file);
-    });
-    e.opt(m.checkpoint.as_deref(), |e, f| e.str(f));
-    e.seq(&m.checkpoint_deltas, |e, f| e.str(f));
-    e.str(&m.wal);
-    e.u64(m.wal_start_seq);
-    e.into_bytes()
+crate::messages! {
+    /// The decoded manifest: the root of trust naming every live file.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Manifest {
+        /// WAL/checkpoint generation counter.
+        gen: u64 = u64,
+        /// Stream configuration the persisted pipeline runs under.
+        lateness_seconds: i64 = i64,
+        /// Stream partition width (seconds).
+        segment_seconds: i64 = i64,
+        /// Sealed segment files, ascending by `lo`.
+        segments: Vec<SegmentEntry> = (seq "segments" 8 + 8 + 4, (msg SegmentEntry)),
+        /// The current *base* (full) checkpoint file, if a flush has
+        /// happened.
+        checkpoint: Option<String> = (opt "checkpoint" str),
+        /// Delta-checkpoint files applied on top of `checkpoint`, in chain
+        /// order (oldest first). Empty when the last flush wrote a full
+        /// checkpoint.
+        checkpoint_deltas: Vec<String> = (seq "checkpoint deltas" 4, str),
+        /// The current WAL file.
+        wal: String = str,
+        /// Sequence number of the first entry the current WAL may hold.
+        wal_start_seq: u64 = u64,
+    }
+    check |m, d| if m.segments.windows(2).any(|w| w[0].hi >= w[1].lo) {
+        Err(d.corrupt("segment entries overlap or are unsorted"))
+    } else if m.checkpoint.is_none() && !m.checkpoint_deltas.is_empty() {
+        Err(d.corrupt("delta chain without a base checkpoint"))
+    } else {
+        Ok(())
+    };
 }
 
 /// Decodes a manifest payload.
 pub fn decode_manifest(payload: &[u8], file: &str) -> Result<Manifest> {
-    let mut d = Dec::new(payload, file);
-    let gen = d.u64()?;
-    let lateness_seconds = d.i64()?;
-    let segment_seconds = d.i64()?;
-    let segments = d.seq("segments", 8 + 8 + 4, |d| {
-        Ok(SegmentEntry {
-            lo: d.i64()?,
-            hi: d.i64()?,
-            file: d.str()?,
-        })
-    })?;
-    if segments.windows(2).any(|w| w[0].hi >= w[1].lo) {
-        return Err(corrupt(file, "segment entries overlap or are unsorted"));
-    }
-    let checkpoint = d.opt("checkpoint", |d| d.str())?;
-    let checkpoint_deltas = d.seq("checkpoint deltas", 4, |d| d.str())?;
-    if checkpoint.is_none() && !checkpoint_deltas.is_empty() {
-        return Err(corrupt(file, "delta chain without a base checkpoint"));
-    }
-    let wal = d.str()?;
-    let wal_start_seq = d.u64()?;
-    d.finish()?;
-    Ok(Manifest {
-        gen,
-        lateness_seconds,
-        segment_seconds,
-        segments,
-        checkpoint,
-        checkpoint_deltas,
-        wal,
-        wal_start_seq,
-    })
+    Manifest::decode(payload, file)
 }
 
 #[cfg(test)]
@@ -1082,6 +1139,52 @@ mod tests {
         }
     }
 
+    /// The unframed payload `encode` writes.
+    fn payload(encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        encode(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn framing_in_place_matches_frame() {
+        let mut e = Enc::framed();
+        e.u64(7);
+        e.str("seven");
+        let inner = payload(|e| {
+            e.u64(7);
+            e.str("seven");
+        });
+        assert_eq!(e.into_framed(), frame(&inner));
+
+        let mut e = Enc::file(FileKind::Manifest);
+        e.u8(1);
+        let mut want = header(FileKind::Manifest);
+        want.extend_from_slice(&frame(&[1]));
+        assert_eq!(e.into_framed(), want);
+
+        let sized = payload(|e| e.sized(|e| e.str("ab")));
+        assert_eq!(sized, payload(|e| e.bytes(&payload(|e| e.str("ab")))));
+    }
+
+    #[test]
+    fn single_frame_strictness() {
+        let framed = frame(b"payload");
+        assert_eq!(read_single_frame(&framed, "w").unwrap(), b"payload");
+
+        let mut trailing = framed.clone();
+        trailing.push(0);
+        let err = read_single_frame(&trailing, "w").unwrap_err();
+        assert!(err.to_string().contains("1 bytes after the frame"), "{err}");
+
+        let err = read_single_frame(&[], "w").unwrap_err();
+        assert!(err.to_string().contains("missing frame"), "{err}");
+
+        let err = read_single_frame(&framed[..framed.len() - 2], "w").unwrap_err();
+        assert!(err.to_string().contains("torn frame"), "{err}");
+        assert!(err.to_string().contains("\"w\""), "{err}");
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // The classic check value for IEEE CRC32.
@@ -1091,7 +1194,7 @@ mod tests {
 
     #[test]
     fn every_level_aggregate_and_measure_code_roundtrips() {
-        let one = |code: u8| [code];
+        let one = |code: &dyn Fn(&mut Enc)| payload(code);
         for level in [
             TimeLevel::TimeId,
             TimeLevel::Minute,
@@ -1104,15 +1207,15 @@ mod tests {
             TimeLevel::TypeOfDayLevel,
             TimeLevel::All,
         ] {
-            let bytes = one(level_code(level));
+            let bytes = one(&|e| enc_level(e, &level));
             assert_eq!(dec_level(&mut Dec::new(&bytes, "t")).unwrap(), level);
         }
         for f in [AggFn::Min, AggFn::Max, AggFn::Count, AggFn::Sum, AggFn::Avg] {
-            let bytes = one(agg_code(f));
+            let bytes = one(&|e| enc_agg(e, &f));
             assert_eq!(dec_agg(&mut Dec::new(&bytes, "t")).unwrap(), f);
         }
         for m in [Measure::X, Measure::Y] {
-            let bytes = one(measure_code(m));
+            let bytes = one(&|e| enc_measure(e, &m));
             assert_eq!(dec_measure(&mut Dec::new(&bytes, "t")).unwrap(), m);
         }
         assert!(dec_level(&mut Dec::new(&[10], "t")).is_err());
@@ -1234,16 +1337,19 @@ mod tests {
             wal: "wal-3.log".to_string(),
             wal_start_seq: 12,
         };
-        assert_eq!(decode_manifest(&encode_manifest(&m), "t").unwrap(), m);
+        let bytes = |m: &Manifest| payload(|e| m.encode_to(e));
+        assert_eq!(decode_manifest(&bytes(&m), "t").unwrap(), m);
 
         let mut bad = m.clone();
         bad.segments[1].lo = 0;
-        assert!(decode_manifest(&encode_manifest(&bad), "t").is_err());
+        let err = decode_manifest(&bytes(&bad), "t").unwrap_err();
+        assert!(err.to_string().contains("overlap"), "{err}");
 
         // A delta chain without a base checkpoint is corruption.
         let mut orphaned = m.clone();
         orphaned.checkpoint = None;
-        assert!(decode_manifest(&encode_manifest(&orphaned), "t").is_err());
+        let err = decode_manifest(&bytes(&orphaned), "t").unwrap_err();
+        assert!(err.to_string().contains("without a base"), "{err}");
     }
 
     #[test]
@@ -1277,7 +1383,7 @@ mod tests {
         assert_eq!(delta.new_dead_letters.len(), 1);
 
         // Wire round-trip is exact.
-        let decoded = decode_tail_delta(&encode_tail_delta(&delta), "t").unwrap();
+        let decoded = decode_tail_delta(&payload(|e| delta.encode_to(e)), "t").unwrap();
         assert_eq!(decoded, delta);
 
         // Applying the decoded delta onto the base reproduces `next`.

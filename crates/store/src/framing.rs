@@ -1,25 +1,23 @@
 //! Shared wire-framing plumbing for every protocol built on the store
 //! codec's CRC32 frames — replication (`gisolap-repl`), serving
 //! (`gisolap-serve`) and sharding (`gisolap-shard`) all speak
-//! "one message = one `frame()`", and all need the same three pieces:
+//! "one message = one frame", and share:
 //!
 //! * [`wire_corrupt`] — a [`StoreError::Corrupt`] attributed to a wire
 //!   label instead of a file;
-//! * [`decode_single_frame`] — the strict single-frame decode (exactly
-//!   one frame, no trailing bytes, torn/empty mapped to `Corrupt`);
 //! * [`read_message`] / [`write_message`] — the socket envelope: a
 //!   capped length prefix ([`MAX_MESSAGE`]) so a mangled prefix can
 //!   never drive a multi-gigabyte allocation, CRC checked before any
 //!   payload byte is trusted.
 //!
-//! Before this module the single-frame decode and the corrupt-error
-//! construction were duplicated per protocol crate; new wire formats
-//! should build on these helpers instead of copying them again.
+//! The strict single-frame decode is the codec's
+//! [`read_single_frame`](crate::codec::read_single_frame), the same for
+//! files and wire messages.
 
 use std::io::{self, Read, Write};
 
-use crate::codec::{crc32, read_frame, FrameRead};
-use crate::{Result, StoreError};
+use crate::codec::crc32;
+use crate::StoreError;
 
 /// Largest message a socket peer accepts: mirrors the codec's frame
 /// cap, so a corrupt length prefix is rejected before allocation.
@@ -31,23 +29,6 @@ pub fn wire_corrupt(label: &str, detail: impl Into<String>) -> StoreError {
     StoreError::Corrupt {
         file: label.to_string(),
         detail: detail.into(),
-    }
-}
-
-/// Decodes `bytes` as exactly one CRC frame and returns its payload.
-///
-/// `what` names the message kind in error details (e.g. `"request"`):
-/// trailing bytes after the frame, an empty input and a torn frame are
-/// all [`StoreError::Corrupt`] attributed to `label`.
-pub fn decode_single_frame<'a>(bytes: &'a [u8], label: &str, what: &str) -> Result<&'a [u8]> {
-    match read_frame(bytes) {
-        FrameRead::Ok { payload, rest: [] } => Ok(payload),
-        FrameRead::Ok { .. } => Err(wire_corrupt(
-            label,
-            format!("trailing bytes after {what} frame"),
-        )),
-        FrameRead::End => Err(wire_corrupt(label, format!("empty {what}"))),
-        FrameRead::Torn { detail } => Err(wire_corrupt(label, format!("torn {what}: {detail}"))),
     }
 }
 
@@ -104,30 +85,6 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 mod tests {
     use super::*;
     use crate::codec::frame;
-
-    #[test]
-    fn single_frame_strictness() {
-        let framed = frame(b"payload");
-        assert_eq!(
-            decode_single_frame(&framed, "w", "request").unwrap(),
-            b"payload"
-        );
-
-        let mut trailing = framed.clone();
-        trailing.push(0);
-        let err = decode_single_frame(&trailing, "w", "request").unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("trailing bytes after request frame"),
-            "{err}"
-        );
-
-        let err = decode_single_frame(&[], "w", "reply").unwrap_err();
-        assert!(err.to_string().contains("empty reply"), "{err}");
-
-        let err = decode_single_frame(&framed[..framed.len() - 2], "w", "reply").unwrap_err();
-        assert!(err.to_string().contains("torn reply"), "{err}");
-    }
 
     #[test]
     fn wire_corrupt_names_the_label() {

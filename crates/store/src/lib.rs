@@ -11,10 +11,13 @@
 //!   a versioned header for segments, checkpoints, manifests and WAL
 //!   frames. Floats are serialized as IEEE-754 bits, so round-trips are
 //!   exact.
+//! * [`messages`](mod@messages) — the [`messages!`] declaration every
+//!   wire message and file payload layout is written in: one table per
+//!   family emits the type, its encoder and its decoder.
 //! * [`framing`] — the wire-side plumbing shared by every protocol
-//!   built on those frames (replication, serving, sharding): strict
-//!   single-frame decode, wire-attributed corruption errors, and the
-//!   capped socket message envelope.
+//!   built on those frames (replication, serving, sharding):
+//!   wire-attributed corruption errors and the capped socket message
+//!   envelope.
 //! * [`wal`] — a write-ahead log of ingest operations
 //!   ([`ReplayOp`](gisolap_stream::ReplayOp)s) with a configurable
 //!   fsync policy ([`SyncPolicy`]). A torn or truncated tail frame is
@@ -51,6 +54,7 @@
 
 pub mod codec;
 pub mod framing;
+pub mod messages;
 pub mod store;
 pub mod vfs;
 pub mod wal;

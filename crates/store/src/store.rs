@@ -16,8 +16,7 @@ use gisolap_stream::{
 use gisolap_traj::Record;
 
 use crate::codec::{
-    self, check_header, frame, header, read_single_frame, FileKind, Manifest, SegmentEntry,
-    TailDelta,
+    self, check_header, read_single_frame, Enc, FileKind, Manifest, SegmentEntry, TailDelta,
 };
 use crate::vfs::Vfs;
 use crate::wal::{self, SyncPolicy, Wal};
@@ -210,15 +209,17 @@ pub enum WalFetch {
     },
 }
 
+/// Writes a `kind` file whose one frame holds what `encode` writes.
 fn write_file(
     vfs: &dyn Vfs,
     path: &Path,
     kind: FileKind,
-    payload: &[u8],
+    encode: impl FnOnce(&mut Enc),
     sync: bool,
 ) -> Result<u64> {
-    let mut bytes = header(kind);
-    bytes.extend_from_slice(&frame(payload));
+    let mut e = Enc::file(kind);
+    encode(&mut e);
+    let bytes = e.into_framed();
     let len = bytes.len() as u64;
     vfs.write_atomic(path, &bytes, sync)?;
     Ok(len)
@@ -324,7 +325,7 @@ impl SegmentStore {
             vfs.as_ref(),
             &dir.join(MANIFEST_NAME),
             FileKind::Manifest,
-            &codec::encode_manifest(&manifest),
+            |e| manifest.encode_to(e),
             true,
         )?;
         let tracer = Tracer::default();
@@ -529,13 +530,13 @@ impl SegmentStore {
     }
 
     /// Appends one entry of `records` records to the WAL (fsync per
-    /// policy), `encode` turning its sequence number into the payload
+    /// policy), `encode` writing the payload for its sequence number
     /// ([`Wal::append`]). Must be called **before** the operation is
     /// applied to the pipeline.
     pub(crate) fn wal_append(
         &mut self,
         records: u64,
-        encode: impl FnOnce(u64) -> Vec<u8>,
+        encode: impl FnOnce(&mut Enc, u64),
     ) -> Result<u64> {
         let t0 = Instant::now();
         let bytes_before = self.wal.bytes_written;
@@ -555,6 +556,17 @@ impl SegmentStore {
             });
         }
         Ok(seq)
+    }
+
+    /// Fsyncs the live WAL if any append is still unsynced — a no-op
+    /// under [`SyncPolicy::Always`]. A replication leader calls this
+    /// before it ships entries or a snapshot, so no follower ever holds
+    /// a write a power cut could take from the leader.
+    pub fn sync_wal(&mut self) -> Result<()> {
+        let syncs_before = self.wal.syncs;
+        self.wal.sync()?;
+        self.stats.wal_syncs += self.wal.syncs - syncs_before;
+        Ok(())
     }
 
     /// The sequence number the next WAL append will get — the
@@ -649,7 +661,7 @@ impl SegmentStore {
                 self.vfs.as_ref(),
                 &self.dir.join(&name),
                 FileKind::Segment,
-                &codec::encode_segment(seg),
+                |e| codec::enc_segment(e, seg),
                 true,
             )?;
             report.segments_written += 1;
@@ -679,7 +691,7 @@ impl SegmentStore {
                 self.vfs.as_ref(),
                 &self.dir.join(&name),
                 FileKind::CheckpointDelta,
-                &codec::encode_tail_delta(&TailDelta::diff(base, &tail)),
+                |e| TailDelta::diff(base, &tail).encode_to(e),
                 true,
             )?;
             let mut chain = self.checkpoint_deltas.clone();
@@ -691,7 +703,7 @@ impl SegmentStore {
                 self.vfs.as_ref(),
                 &self.dir.join(&ck),
                 FileKind::Checkpoint,
-                &codec::encode_tail(&tail),
+                |e| codec::enc_tail(e, &tail),
                 true,
             )?;
             (ck, Vec::new())
@@ -722,7 +734,7 @@ impl SegmentStore {
             self.vfs.as_ref(),
             &self.dir.join(MANIFEST_NAME),
             FileKind::Manifest,
-            &codec::encode_manifest(&manifest),
+            |e| manifest.encode_to(e),
             true,
         )?;
 
@@ -820,7 +832,7 @@ impl SegmentStore {
             self.vfs.as_ref(),
             &self.dir.join(&name),
             FileKind::Segment,
-            &codec::encode_segment(&merged),
+            |e| codec::enc_segment(e, &merged),
             true,
         )?;
 
@@ -841,7 +853,7 @@ impl SegmentStore {
             self.vfs.as_ref(),
             &self.dir.join(MANIFEST_NAME),
             FileKind::Manifest,
-            &codec::encode_manifest(&manifest),
+            |e| manifest.encode_to(e),
             true,
         )?;
 
@@ -898,7 +910,7 @@ impl SegmentStore {
                 vfs.as_ref(),
                 &dir.join(&name),
                 FileKind::Segment,
-                &codec::encode_segment(seg),
+                |e| codec::enc_segment(e, seg),
                 true,
             )?;
             entries.push(SegmentEntry { lo, hi, file: name });
@@ -909,7 +921,7 @@ impl SegmentStore {
             vfs.as_ref(),
             &dir.join(&ck),
             FileKind::Checkpoint,
-            &codec::encode_tail(&tail),
+            |e| codec::enc_tail(e, &tail),
             true,
         )?;
         let wal = Wal::create(
@@ -932,7 +944,7 @@ impl SegmentStore {
             vfs.as_ref(),
             &dir.join(MANIFEST_NAME),
             FileKind::Manifest,
-            &codec::encode_manifest(&manifest),
+            |e| manifest.encode_to(e),
             true,
         )?;
 
@@ -1041,7 +1053,7 @@ impl DurableIngest {
     /// never runs ahead of the log.
     pub fn ingest(&mut self, batch: &[Record]) -> Result<IngestReport> {
         let records = batch.len() as u64;
-        (self.store).wal_append(records, |seq| codec::encode_wal_batch(seq, batch))?;
+        (self.store).wal_append(records, |e, seq| codec::enc_wal_batch(e, seq, batch))?;
         Ok(self.ingest.ingest(batch))
     }
 
@@ -1049,7 +1061,7 @@ impl DurableIngest {
     /// reproduces the close, so records arriving after it dead-letter
     /// identically on both paths.
     pub fn finish(&mut self) -> Result<u64> {
-        (self.store).wal_append(0, |seq| codec::encode_wal_entry(seq, &ReplayOp::Finish))?;
+        (self.store).wal_append(0, |e, seq| codec::enc_wal_entry(e, seq, &ReplayOp::Finish))?;
         Ok(self.ingest.finish())
     }
 
@@ -1090,6 +1102,11 @@ impl DurableIngest {
     /// ([`SegmentStore::next_seq`]).
     pub fn next_seq(&self) -> u64 {
         self.store.next_seq()
+    }
+
+    /// Fsyncs any unsynced WAL append ([`SegmentStore::sync_wal`]).
+    pub fn sync_wal(&mut self) -> Result<()> {
+        self.store.sync_wal()
     }
 
     /// WAL entries with `seq >= from_seq`

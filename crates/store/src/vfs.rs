@@ -175,8 +175,10 @@ struct FailState {
 /// write-byte budget is exhausted, then "crashes": the write in flight
 /// is torn (only the prefix that fit the budget reaches disk, and an
 /// atomic write never renames its temp file), and every subsequent
-/// operation fails. What remains on disk is exactly what a power cut at
-/// that byte would leave.
+/// operation fails. What remains on disk is exactly what a **process
+/// crash** at that byte would leave: every byte written before the
+/// failpoint survives, synced or not. A power cut may also lose writes
+/// that were never fsynced, which this file system does not model.
 #[derive(Debug, Clone)]
 pub struct FailpointFs {
     inner: RealFs,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use gisolap_stream::ReplayOp;
 
 use crate::codec::{
-    check_header, decode_wal_entry, frame, header, read_frame, FileKind, FrameRead, HEADER_LEN,
+    check_header, decode_wal_entry, header, read_frame, Enc, FileKind, FrameRead, HEADER_LEN,
 };
 use crate::vfs::{AppendFile, Vfs};
 use crate::Result;
@@ -164,6 +164,9 @@ pub(crate) struct Wal {
     next_seq: u64,
     policy: SyncPolicy,
     appends_since_sync: u32,
+    /// Every entry below this sequence number is fsynced; the ones from
+    /// here to `next_seq` a power cut may still lose.
+    synced_seq: u64,
     /// Payload+frame bytes appended through this handle.
     pub bytes_written: u64,
     /// Fsyncs issued through this handle.
@@ -199,6 +202,7 @@ impl Wal {
             next_seq: start_seq,
             policy,
             appends_since_sync: 0,
+            synced_seq: start_seq,
             bytes_written: 0,
             syncs: 0,
         })
@@ -232,6 +236,14 @@ impl Wal {
             next_seq,
             policy,
             appends_since_sync: 0,
+            // What the scan found may sit unsynced in the page cache (a
+            // process crash keeps it, a power cut need not): only
+            // `Always` vouches for it.
+            synced_seq: if policy == SyncPolicy::Always {
+                next_seq
+            } else {
+                0
+            },
             bytes_written: 0,
             syncs: 0,
         })
@@ -242,31 +254,42 @@ impl Wal {
         self.next_seq
     }
 
-    /// Appends one entry, fsyncing per the policy: `encode` turns the
-    /// entry's sequence number into its payload
-    /// ([`crate::codec::encode_wal_entry`]). Returns the sequence number.
-    pub fn append(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64> {
+    /// Appends one entry, fsyncing per the policy: `encode` writes the
+    /// payload for the entry's sequence number
+    /// ([`crate::codec::enc_wal_entry`]) straight into its frame.
+    /// Returns the sequence number.
+    pub fn append(&mut self, encode: impl FnOnce(&mut Enc, u64)) -> Result<u64> {
         let seq = self.next_seq;
-        let f = frame(&encode(seq));
+        let mut e = Enc::framed();
+        encode(&mut e, seq);
+        let f = e.into_framed();
         self.file.append(&f)?;
         self.bytes_written += f.len() as u64;
         self.next_seq += 1;
         match self.policy {
-            SyncPolicy::Always => {
-                self.file.sync()?;
-                self.syncs += 1;
-            }
+            SyncPolicy::Always => self.sync()?,
             SyncPolicy::EveryN(n) => {
                 self.appends_since_sync += 1;
                 if self.appends_since_sync >= n {
-                    self.file.sync()?;
-                    self.syncs += 1;
-                    self.appends_since_sync = 0;
+                    self.sync()?;
                 }
             }
             SyncPolicy::Never => {}
         }
         Ok(seq)
+    }
+
+    /// Fsyncs every entry appended so far; does nothing when none is
+    /// unsynced (always the case under [`SyncPolicy::Always`]).
+    pub fn sync(&mut self) -> Result<()> {
+        if self.synced_seq == self.next_seq {
+            return Ok(());
+        }
+        self.file.sync()?;
+        self.syncs += 1;
+        self.appends_since_sync = 0;
+        self.synced_seq = self.next_seq;
+        Ok(())
     }
 
     /// Deletes this WAL's file (after a flush rotated to a new
@@ -302,7 +325,7 @@ mod tests {
     }
 
     fn append(wal: &mut Wal, op: &ReplayOp) -> Result<u64> {
-        wal.append(|seq| codec::encode_wal_entry(seq, op))
+        wal.append(|e, seq| codec::enc_wal_entry(e, seq, op))
     }
 
     #[test]
@@ -402,8 +425,14 @@ mod tests {
         let path = dir.path().join("wal-0.log");
         // Hand-build a log whose frames skip a sequence number: 0 then 2.
         let mut bytes = header(FileKind::Wal);
-        bytes.extend_from_slice(&frame(&codec::encode_wal_entry(0, &ReplayOp::Finish)));
-        bytes.extend_from_slice(&frame(&codec::encode_wal_entry(2, &ReplayOp::Finish)));
+        bytes.extend_from_slice(&codec::frame(&codec::encode_wal_entry(
+            0,
+            &ReplayOp::Finish,
+        )));
+        bytes.extend_from_slice(&codec::frame(&codec::encode_wal_entry(
+            2,
+            &ReplayOp::Finish,
+        )));
         RealFs.write_atomic(&path, &bytes, false).unwrap();
         match scan(&RealFs, &path, 0) {
             Err(crate::StoreError::SequenceGap {
@@ -424,6 +453,15 @@ mod tests {
             append(&mut wal, &ReplayOp::Finish).unwrap();
         }
         assert_eq!(wal.syncs, 2); // after the 2nd and 4th appends
+                                  // An explicit sync covers the 5th; a second one has nothing to do.
+        wal.sync().unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.syncs, 3);
+        // It also restarts the every-N count.
+        append(&mut wal, &ReplayOp::Finish).unwrap();
+        assert_eq!(wal.syncs, 3);
+        append(&mut wal, &ReplayOp::Finish).unwrap();
+        assert_eq!(wal.syncs, 4);
     }
 
     #[test]

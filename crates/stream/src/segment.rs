@@ -29,7 +29,7 @@ pub struct SegmentMeta {
 /// An immutable sealed partition: records sorted by `(Oid, t)` (duplicate
 /// keys keep the last arrival, matching `Moft::rebuild_index`), plus the
 /// summaries and per-hour partial aggregates derived from them.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Segment {
     meta: SegmentMeta,
     records: Vec<Record>,

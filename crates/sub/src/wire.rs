@@ -1,127 +1,68 @@
-//! Wire forms for subscriptions and notifications: single CRC frames
-//! over the store codec, like every other protocol in the workspace.
-//! Every field format and code table (level/aggregate/measure, region
-//! box, rows, optional values) is `gisolap_store::codec`'s; this module
-//! owns only the two message layouts.
+//! Wire forms for subscriptions and notifications, declared once with
+//! `gisolap_store::messages!` for the types `registry` and `standing`
+//! define. Every field format and code table (level/aggregate/measure,
+//! region box, rows, optional values) is `gisolap_store::codec`'s; the
+//! serve protocol nests both inside its `Subscribe` request and
+//! `Notifications` reply.
 
 use crate::registry::{SubId, Subscription, Threshold};
 use crate::standing::{Crossing, Notification};
 use gisolap_store::codec::{
-    agg_code, dec_agg, dec_bbox, dec_level, dec_measure, decode_rows, enc_bbox, encode_rows, frame,
-    level_code, measure_code, Dec, Enc,
+    dec_agg, dec_bbox, dec_level, dec_measure, decode_rows, enc_agg, enc_bbox, enc_level,
+    enc_measure, encode_rows, Dec, Enc,
 };
-use gisolap_store::framing::decode_single_frame;
-use gisolap_store::Result;
+use gisolap_store::{messages, Result};
 
-/// The label corrupt frames are attributed to.
-const WIRE: &str = "sub-wire";
-
-/// Appends a subscription's raw encoding to `e` (no frame) — for
-/// embedding in a larger message (the serve request body).
-pub fn enc_subscription(e: &mut Enc, sub: &Subscription) {
-    e.opt(sub.region.as_ref(), enc_bbox);
-    e.u8(level_code(sub.level));
-    e.u8(measure_code(sub.measure));
-    e.u8(agg_code(sub.agg));
-    e.opt(sub.window_hours, |e, w| e.u32(w));
-    e.opt(sub.threshold, |e, t| {
-        e.f64(t.rise);
-        e.f64(t.fall);
-    });
+messages! {
+    impl struct Threshold {
+        rise: f64 = f64,
+        fall: f64 = f64,
+    }
 }
 
-/// Decodes [`enc_subscription`]'s form. Does **not** re-validate — the
-/// caller does ([`decode_subscription`], or registration itself).
-pub fn dec_subscription(d: &mut Dec<'_>) -> Result<Subscription> {
-    Ok(Subscription {
-        region: d.opt("region", dec_bbox)?,
-        level: dec_level(d)?,
-        measure: dec_measure(d)?,
-        agg: dec_agg(d)?,
-        window_hours: d.opt("window", |d| d.u32())?,
-        threshold: d.opt("threshold", |d| {
-            Ok(Threshold {
-                rise: d.f64()?,
-                fall: d.f64()?,
-            })
-        })?,
-    })
+messages! {
+    // Shape only: registration validates, so the server refuses an
+    // unanswerable subscription with its own error.
+    impl struct Subscription {
+        region: Option<BBox> = (opt "region" [enc_bbox, dec_bbox]),
+        level: TimeLevel = [enc_level, dec_level],
+        measure: Measure = [enc_measure, dec_measure],
+        agg: AggFn = [enc_agg, dec_agg],
+        window_hours: Option<u32> = (opt "window" u32),
+        threshold: Option<Threshold> = (opt "threshold" (msg Threshold)),
+    }
 }
 
-/// One CRC frame holding a subscription (the store codec's framing, the
-/// envelope every wire in the workspace uses).
-pub fn encode_subscription(sub: &Subscription) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_subscription(&mut e, sub);
-    frame(&e.into_bytes())
+messages! {
+    // Values travel as IEEE-754 bit patterns, so even a NaN roundtrips
+    // exactly.
+    impl struct Notification {
+        sub: SubId = (wrap SubId, u64),
+        seq: u64 = u64,
+        partition: i64 = i64,
+        rows: Vec<RollupRow> = [encode_rows, decode_rows],
+        value: Option<f64> = (opt "value" f64),
+        prev: Option<f64> = (opt "previous-value" f64),
+        crossing: Option<Crossing> = [enc_crossing, dec_crossing],
+    }
 }
 
-/// Decodes [`encode_subscription`]'s frame, re-validating the result so
-/// a frame that decodes but describes an unanswerable subscription is
-/// rejected here, not at fold time.
-pub fn decode_subscription(bytes: &[u8]) -> Result<Subscription> {
-    let payload = decode_single_frame(bytes, WIRE, "subscription")?;
-    let mut d = Dec::new(payload, WIRE);
-    let sub = dec_subscription(&mut d)?;
-    d.finish()?;
-    sub.validate()?;
-    Ok(sub)
-}
-
-/// Appends a notification's raw encoding to `e` (no frame) — for
-/// embedding in the serve reply body. Values travel as IEEE-754 bit
-/// patterns, so even a NaN roundtrips exactly.
-pub fn enc_notification(e: &mut Enc, n: &Notification) {
-    e.u64(n.sub.0);
-    e.u64(n.seq);
-    e.i64(n.partition);
-    encode_rows(e, &n.rows);
-    e.opt(n.value, Enc::f64);
-    e.opt(n.prev, Enc::f64);
-    e.u8(match n.crossing {
+/// A crossing as one code byte: 0 none, 1 up, 2 down.
+fn enc_crossing(e: &mut Enc, c: &Option<Crossing>) {
+    e.u8(match c {
         None => 0,
         Some(Crossing::Up) => 1,
         Some(Crossing::Down) => 2,
     });
 }
 
-/// Decodes [`enc_notification`]'s form.
-pub fn dec_notification(d: &mut Dec<'_>) -> Result<Notification> {
-    Ok(Notification {
-        sub: SubId(d.u64()?),
-        seq: d.u64()?,
-        partition: d.i64()?,
-        rows: decode_rows(d)?,
-        value: d.opt("value", Dec::f64)?,
-        prev: d.opt("previous-value", Dec::f64)?,
-        crossing: match d.u8()? {
-            0 => None,
-            1 => Some(Crossing::Up),
-            2 => Some(Crossing::Down),
-            c => {
-                return Err(gisolap_store::framing::wire_corrupt(
-                    WIRE,
-                    format!("unknown crossing code {c}"),
-                ))
-            }
-        },
-    })
-}
-
-/// One CRC frame holding a notification.
-pub fn encode_notification(n: &Notification) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_notification(&mut e, n);
-    frame(&e.into_bytes())
-}
-
-/// Decodes [`encode_notification`]'s frame.
-pub fn decode_notification(bytes: &[u8]) -> Result<Notification> {
-    let payload = decode_single_frame(bytes, WIRE, "notification")?;
-    let mut d = Dec::new(payload, WIRE);
-    let n = dec_notification(&mut d)?;
-    d.finish()?;
-    Ok(n)
+fn dec_crossing(d: &mut Dec<'_>) -> Result<Option<Crossing>> {
+    match d.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(Crossing::Up)),
+        2 => Ok(Some(Crossing::Down)),
+        c => Err(d.corrupt(format!("unknown crossing code {c}"))),
+    }
 }
 
 #[cfg(test)]
@@ -130,8 +71,16 @@ mod tests {
     use gisolap_geom::BBox;
     use gisolap_olap::agg::AggFn;
     use gisolap_olap::time::TimeLevel;
+    use gisolap_store::codec::read_single_frame;
     use gisolap_stream::{Measure, RollupRow};
     use proptest::prelude::*;
+
+    const WIRE: &str = "sub-wire";
+
+    /// Decodes one framed message with `decode`, strictly.
+    fn unframe<T>(bytes: &[u8], decode: fn(&[u8], &str) -> Result<T>) -> Result<T> {
+        decode(read_single_frame(bytes, WIRE)?, WIRE)
+    }
 
     fn subscriptions() -> Vec<Subscription> {
         vec![
@@ -170,24 +119,24 @@ mod tests {
     #[test]
     fn subscriptions_roundtrip() {
         for sub in subscriptions() {
-            let bytes = encode_subscription(&sub);
-            assert_eq!(decode_subscription(&bytes).unwrap(), sub);
+            assert_eq!(unframe(&sub.encode(), Subscription::decode).unwrap(), sub);
         }
     }
 
     #[test]
-    fn decode_revalidates() {
-        // Encodes fine (the wire is shape-only) but is unanswerable:
-        // minute level. Decode must reject it.
+    fn decode_is_shape_only() {
+        // Encodes and decodes fine (the wire is shape-only) but is
+        // unanswerable: minute level. Registration refuses it.
         let fine = Subscription::new(TimeLevel::Minute, Measure::X, AggFn::Count);
-        let err = decode_subscription(&encode_subscription(&fine)).unwrap_err();
+        let back = unframe(&fine.encode(), Subscription::decode).unwrap();
+        let err = back.validate().unwrap_err();
         assert!(err.to_string().contains("finer"), "{err}");
     }
 
     #[test]
     fn notifications_roundtrip_bit_exactly() {
         let n = sample_notification();
-        let got = decode_notification(&encode_notification(&n)).unwrap();
+        let got = unframe(&n.encode(), Notification::decode).unwrap();
         assert_eq!(
             (got.sub, got.seq, got.partition),
             (n.sub, n.seq, n.partition)
@@ -204,14 +153,26 @@ mod tests {
 
     #[test]
     fn implausible_row_count_fails_fast() {
-        let mut e = Enc::new();
+        let mut e = Enc::framed();
         e.u64(1); // sub
         e.u64(2); // seq
         e.i64(0); // partition
         e.u64(u64::MAX / 32); // declared rows
-        let framed = frame(&e.into_bytes());
-        let err = decode_notification(&framed).unwrap_err();
+        let err = unframe(&e.into_framed(), Notification::decode).unwrap_err();
         assert!(err.to_string().contains("declares"), "{err}");
+    }
+
+    #[test]
+    fn unknown_crossing_codes_are_refused() {
+        let mut n = sample_notification();
+        n.crossing = None;
+        let mut framed = n.encode();
+        // The crossing byte is the payload's last, before the checksum.
+        let at = framed.len() - 5;
+        framed[at] = 3;
+        let payload = &framed[4..framed.len() - 4];
+        let err = Notification::decode(payload, WIRE).unwrap_err();
+        assert!(err.to_string().contains("unknown crossing code 3"), "{err}");
     }
 
     proptest! {
@@ -220,21 +181,21 @@ mod tests {
         #[test]
         fn flipped_subscription_bytes_never_roundtrip_wrong(idx in 0usize..200, bit in 0u8..8) {
             let sub = subscriptions().remove(1);
-            let mut bytes = encode_subscription(&sub);
+            let mut bytes = sub.encode();
             let idx = idx % bytes.len();
             bytes[idx] ^= 1 << bit;
             // The CRC envelope rejects the flip; decode never panics and
             // never silently yields a different subscription.
-            if let Ok(got) = decode_subscription(&bytes) {
+            if let Ok(got) = unframe(&bytes, Subscription::decode) {
                 prop_assert_eq!(got, sub);
             }
         }
 
         #[test]
         fn truncated_notifications_never_panic(cut in 0usize..100) {
-            let framed = encode_notification(&sample_notification());
+            let framed = sample_notification().encode();
             let cut = cut % framed.len();
-            prop_assert!(decode_notification(&framed[..cut]).is_err());
+            prop_assert!(unframe(&framed[..cut], Notification::decode).is_err());
         }
     }
 }

@@ -15,12 +15,12 @@ use gisolap_geom::BBox;
 use gisolap_obs::{CounterSet, MetricsRegistry};
 use gisolap_olap::agg::{AggFn, Partial};
 use gisolap_olap::time::{TimeId, TimeLevel};
-use gisolap_repl::{LeaderStats, ReplStats};
+use gisolap_repl::{LeaderStats, ReplStats, ReplyHead, SnapshotTransfer};
 use gisolap_serve::wire::{decode_reply, decode_request, encode_reply, encode_request};
 use gisolap_serve::{ServeReply, ServeRequest, ServeStats};
 use gisolap_shard::wire::{RebalanceJournal, ShardManifest};
 use gisolap_shard::{ElasticStats, GridSpec, PartitionerSpec, RouteStats, ShardStats};
-use gisolap_store::codec::{self, FileKind, Manifest, SegmentEntry, TailDelta};
+use gisolap_store::codec::{self, Enc, FileKind, Manifest, SegmentEntry, TailDelta};
 use gisolap_store::wal::WalEntry;
 use gisolap_store::StoreStats;
 use gisolap_stream::{
@@ -29,6 +29,7 @@ use gisolap_stream::{
 };
 use gisolap_sub::{Crossing, Notification, SubId, SubStats, Subscription};
 use gisolap_traj::{Moft, ObjectId, Record};
+use std::path::{Path, PathBuf};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -128,6 +129,20 @@ fn on_disk(kind: FileKind, payload: &[u8]) -> Vec<u8> {
     let mut bytes = codec::header(kind);
     bytes.extend_from_slice(&codec::frame(payload));
     bytes
+}
+
+/// A store file of `kind` whose one frame holds what `encode` writes.
+fn file(kind: FileKind, encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::file(kind);
+    encode(&mut e);
+    e.into_framed()
+}
+
+/// The unframed payload `encode` writes.
+fn payload(encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::new();
+    encode(&mut e);
+    e.into_bytes()
 }
 
 /// Every pinned byte string, by name.
@@ -233,6 +248,13 @@ fn actual_bytes() -> Vec<(&'static str, Vec<u8>)> {
             }),
         ),
         (
+            "serve.req.subscribe_bare",
+            encode_request(&ServeRequest::Subscribe {
+                tenant: t("acme"),
+                sub: Subscription::new(TimeLevel::All, Measure::X, AggFn::Min),
+            }),
+        ),
+        (
             "serve.req.notifications",
             encode_request(&ServeRequest::Notifications {
                 tenant: t("acme"),
@@ -280,15 +302,16 @@ fn actual_bytes() -> Vec<(&'static str, Vec<u8>)> {
         // --- replication ---
         (
             "repl.req.frames",
-            gisolap_repl::wire::encode_request(&gisolap_repl::Request::Frames {
+            gisolap_repl::Request::Frames {
                 from_seq: 42,
                 max: 7,
                 epoch: 3,
-            }),
+            }
+            .encode(),
         ),
         (
             "repl.req.snapshot",
-            gisolap_repl::wire::encode_request(&gisolap_repl::Request::Snapshot),
+            gisolap_repl::Request::Snapshot.encode(),
         ),
         (
             "repl.reply.frames",
@@ -296,75 +319,62 @@ fn actual_bytes() -> Vec<(&'static str, Vec<u8>)> {
         ),
         (
             "repl.reply.compacted",
-            gisolap_repl::wire::encode_compacted_reply(2, 17, 99),
+            ReplyHead::Compacted {
+                epoch: 2,
+                retained_from: 17,
+                leader_next_seq: 99,
+            }
+            .encode(),
         ),
         (
             "repl.reply.snapshot",
-            gisolap_repl::wire::encode_snapshot_reply(
-                4,
-                ingest.segments(),
-                &ingest.tail_state(),
-                0,
-                3600,
-                9,
-            ),
+            ReplyHead::Snapshot(SnapshotTransfer {
+                epoch: 4,
+                lateness_seconds: 0,
+                segment_seconds: 3600,
+                next_seq: 9,
+                segments: ingest.segments().to_vec(),
+                tail: ingest.tail_state(),
+            })
+            .encode(),
         ),
         // --- sharding ---
         (
             "shard.manifest_file",
-            on_disk(
-                FileKind::ShardManifest,
-                &gisolap_shard::wire::encode_manifest(&ShardManifest {
+            file(FileKind::ShardManifest, |e| {
+                ShardManifest {
                     epoch: 7,
                     spec: spatial,
-                }),
-            ),
+                }
+                .encode_to(e)
+            }),
+        ),
+        (
+            "shard.manifest_hash_bare",
+            file(FileKind::ShardManifest, |e| {
+                ShardManifest {
+                    epoch: 1,
+                    spec: PartitionerSpec::Hash {
+                        shards: 7,
+                        grid: None,
+                    },
+                }
+                .encode_to(e)
+            }),
         ),
         (
             "shard.journal_file",
-            on_disk(
-                FileKind::RebalanceJournal,
-                &gisolap_shard::wire::encode_journal(&RebalanceJournal {
+            file(FileKind::RebalanceJournal, |e| {
+                RebalanceJournal {
                     target_epoch: 9,
                     from: spatial,
                     to: PartitionerSpec::Hash {
                         shards: 3,
                         grid: Some(grid()),
                     },
-                }),
-            ),
-        ),
-        (
-            "shard.spec.hash_bare",
-            gisolap_shard::wire::encode_spec(&PartitionerSpec::Hash {
-                shards: 7,
-                grid: None,
+                }
+                .encode_to(e)
             }),
-        ),
-        (
-            "shard.spec.spatial",
-            gisolap_shard::wire::encode_spec(&spatial),
-        ),
-        (
-            "shard.cells_payload",
-            gisolap_shard::wire::encode_cells_payload(&cells()),
-        ),
-        // --- standing queries ---
-        (
-            "sub.subscription",
-            gisolap_sub::wire::encode_subscription(&subscription()),
-        ),
-        (
-            "sub.subscription_bare",
-            gisolap_sub::wire::encode_subscription(&Subscription::new(
-                TimeLevel::All,
-                Measure::X,
-                AggFn::Min,
-            )),
-        ),
-        (
-            "sub.notification",
-            gisolap_sub::wire::encode_notification(&notification()),
         ),
         // --- on-disk store files ---
         (
@@ -391,13 +401,13 @@ fn actual_bytes() -> Vec<(&'static str, Vec<u8>)> {
         ),
         (
             "store.checkpoint_delta",
-            codec::encode_tail_delta(&tail_delta),
+            payload(|e| tail_delta.encode_to(e)),
         ),
         (
             "store.wal_entry",
             codec::encode_wal_entry(wal[0].seq, &wal[0].op),
         ),
-        ("store.manifest", codec::encode_manifest(&manifest)),
+        ("store.manifest", payload(|e| manifest.encode_to(e))),
     ]
 }
 
@@ -426,7 +436,7 @@ fn wire_and_disk_bytes_are_pinned() {
 /// the same bytes — so a decoder cannot drift while its encoder holds.
 #[test]
 fn pinned_bytes_decode_and_reencode_identically() {
-    let payload = |framed: &[u8]| {
+    let message = |framed: &[u8]| {
         gisolap_serve::wire::read_message(&mut &framed[..])
             .unwrap()
             .unwrap()
@@ -439,14 +449,17 @@ fn pinned_bytes_decode_and_reencode_identically() {
         let bytes = unhex(golden);
         let again = match *name {
             n if n.starts_with("serve.req.") => {
-                encode_request(&decode_request(&payload(&bytes)).unwrap())
+                encode_request(&decode_request(&message(&bytes)).unwrap())
             }
             n if n.starts_with("serve.reply.") => {
-                encode_reply(&decode_reply(&payload(&bytes)).unwrap())
+                encode_reply(&decode_reply(&message(&bytes)).unwrap())
             }
-            n if n.starts_with("repl.req.") => gisolap_repl::wire::encode_request(
-                &gisolap_repl::wire::decode_request(&bytes).unwrap(),
-            ),
+            n if n.starts_with("repl.req.") => gisolap_repl::Request::decode(
+                codec::read_single_frame(&bytes, "golden").unwrap(),
+                "golden",
+            )
+            .unwrap()
+            .encode(),
             "repl.reply.frames" => match gisolap_repl::wire::decode_reply(&bytes).unwrap() {
                 gisolap_repl::Reply::Frames(b) => {
                     assert_eq!(b.corrupt_frames, 0);
@@ -465,61 +478,32 @@ fn pinned_bytes_decode_and_reencode_identically() {
                 }
                 other => panic!("{other:?}"),
             },
-            "repl.reply.compacted" => match gisolap_repl::wire::decode_reply(&bytes).unwrap() {
-                gisolap_repl::Reply::Compacted {
-                    epoch,
-                    retained_from,
-                    leader_next_seq,
-                } => gisolap_repl::wire::encode_compacted_reply(
-                    epoch,
-                    retained_from,
-                    leader_next_seq,
-                ),
-                other => panic!("{other:?}"),
-            },
-            "repl.reply.snapshot" => match gisolap_repl::wire::decode_reply(&bytes).unwrap() {
-                gisolap_repl::Reply::Snapshot(s) => gisolap_repl::wire::encode_snapshot_reply(
-                    s.epoch,
-                    &s.segments,
-                    &s.tail,
-                    s.lateness_seconds,
-                    s.segment_seconds,
-                    s.next_seq,
-                ),
-                other => panic!("{other:?}"),
-            },
-            "shard.manifest_file" => on_disk(
-                FileKind::ShardManifest,
-                &gisolap_shard::wire::encode_manifest(
-                    &gisolap_shard::wire::decode_manifest(
-                        &body(&bytes, FileKind::ShardManifest),
-                        "golden",
-                    )
-                    .unwrap(),
-                ),
-            ),
-            "shard.journal_file" => on_disk(
-                FileKind::RebalanceJournal,
-                &gisolap_shard::wire::encode_journal(
-                    &gisolap_shard::wire::decode_journal(
-                        &body(&bytes, FileKind::RebalanceJournal),
-                        "golden",
-                    )
-                    .unwrap(),
-                ),
-            ),
-            n if n.starts_with("shard.spec.") => gisolap_shard::wire::encode_spec(
-                &gisolap_shard::wire::decode_spec(&bytes, "golden").unwrap(),
-            ),
-            "shard.cells_payload" => gisolap_shard::wire::encode_cells_payload(
-                &gisolap_shard::wire::decode_cells_payload(&bytes).unwrap(),
-            ),
-            n if n.starts_with("sub.subscription") => gisolap_sub::wire::encode_subscription(
-                &gisolap_sub::wire::decode_subscription(&bytes).unwrap(),
-            ),
-            "sub.notification" => gisolap_sub::wire::encode_notification(
-                &gisolap_sub::wire::decode_notification(&bytes).unwrap(),
-            ),
+            "repl.reply.compacted" | "repl.reply.snapshot" => {
+                match gisolap_repl::wire::decode_reply(&bytes).unwrap() {
+                    gisolap_repl::Reply::Compacted {
+                        epoch,
+                        retained_from,
+                        leader_next_seq,
+                    } => ReplyHead::Compacted {
+                        epoch,
+                        retained_from,
+                        leader_next_seq,
+                    }
+                    .encode(),
+                    gisolap_repl::Reply::Snapshot(s) => ReplyHead::Snapshot(s).encode(),
+                    other => panic!("{other:?}"),
+                }
+            }
+            n if n.starts_with("shard.manifest") => {
+                let body = body(&bytes, FileKind::ShardManifest);
+                let m = ShardManifest::decode(&body, "golden").unwrap();
+                file(FileKind::ShardManifest, |e| m.encode_to(e))
+            }
+            "shard.journal_file" => {
+                let body = body(&bytes, FileKind::RebalanceJournal);
+                let j = RebalanceJournal::decode(&body, "golden").unwrap();
+                file(FileKind::RebalanceJournal, |e| j.encode_to(e))
+            }
             "store.segment_file" => on_disk(
                 FileKind::Segment,
                 &codec::encode_segment(
@@ -536,14 +520,16 @@ fn pinned_bytes_decode_and_reencode_identically() {
                 codec::encode_tail(&codec::decode_tail(&bytes, "golden").unwrap())
             }
             "store.checkpoint_delta" => {
-                codec::encode_tail_delta(&codec::decode_tail_delta(&bytes, "golden").unwrap())
+                let delta = codec::decode_tail_delta(&bytes, "golden").unwrap();
+                payload(|e| delta.encode_to(e))
             }
             "store.wal_entry" => {
                 let (seq, op) = codec::decode_wal_entry(&bytes, "golden").unwrap();
                 codec::encode_wal_entry(seq, &op)
             }
             "store.manifest" => {
-                codec::encode_manifest(&codec::decode_manifest(&bytes, "golden").unwrap())
+                let manifest = codec::decode_manifest(&bytes, "golden").unwrap();
+                payload(|e| manifest.encode_to(e))
             }
             other => panic!("fixture {other} has no decoder arm"),
         };
@@ -551,6 +537,365 @@ fn pinned_bytes_decode_and_reencode_identically() {
             hex(&again),
             *golden,
             "{name}: decode → encode changed bytes"
+        );
+    }
+}
+
+/// Every `messages!` family, with the fixture that pins each of its
+/// variants, in `VARIANTS` order. Nested families (grids, specs,
+/// subscriptions, notifications, snapshot transfers, manifest entries)
+/// are pinned inside the message that carries them.
+fn coverage() -> Vec<(&'static str, &'static [&'static str], Vec<&'static str>)> {
+    vec![
+        (
+            "ServeRequest",
+            ServeRequest::VARIANTS,
+            vec![
+                "serve.req.ping",
+                "serve.req.rollup",
+                "serve.req.repl",
+                "serve.req.partials",
+                "serve.req.sharded_rollup",
+                "serve.req.subscribe",
+                "serve.req.notifications",
+            ],
+        ),
+        (
+            "ServeReply",
+            ServeReply::VARIANTS,
+            vec![
+                "serve.reply.pong",
+                "serve.reply.rows",
+                "serve.reply.repl",
+                "serve.reply.busy",
+                "serve.reply.err",
+                "serve.reply.cells",
+                "serve.reply.sharded_rows",
+                "serve.reply.subscribed",
+                "serve.reply.notifications",
+            ],
+        ),
+        (
+            "Request",
+            gisolap_repl::Request::VARIANTS,
+            vec!["repl.req.frames", "repl.req.snapshot"],
+        ),
+        (
+            "ReplyHead",
+            ReplyHead::VARIANTS,
+            vec![
+                "repl.reply.frames",
+                "repl.reply.compacted",
+                "repl.reply.snapshot",
+            ],
+        ),
+        (
+            "SnapshotTransfer",
+            SnapshotTransfer::VARIANTS,
+            vec!["repl.reply.snapshot"],
+        ),
+        ("GridSpec", GridSpec::VARIANTS, vec!["serve.req.partials"]),
+        (
+            "PartitionerSpec",
+            PartitionerSpec::VARIANTS,
+            vec!["shard.manifest_hash_bare", "shard.manifest_file"],
+        ),
+        (
+            "ShardManifest",
+            ShardManifest::VARIANTS,
+            vec!["shard.manifest_file"],
+        ),
+        (
+            "RebalanceJournal",
+            RebalanceJournal::VARIANTS,
+            vec!["shard.journal_file"],
+        ),
+        (
+            "Subscription",
+            Subscription::VARIANTS,
+            vec!["serve.req.subscribe"],
+        ),
+        (
+            "Threshold",
+            gisolap_sub::Threshold::VARIANTS,
+            vec!["serve.req.subscribe"],
+        ),
+        (
+            "Notification",
+            Notification::VARIANTS,
+            vec!["serve.reply.notifications"],
+        ),
+        ("Manifest", Manifest::VARIANTS, vec!["store.manifest"]),
+        (
+            "SegmentEntry",
+            SegmentEntry::VARIANTS,
+            vec!["store.manifest"],
+        ),
+        (
+            "TailDelta",
+            TailDelta::VARIANTS,
+            vec!["store.checkpoint_delta"],
+        ),
+    ]
+}
+
+/// Non-test, non-comment source lines of every `crates/*/src` file.
+fn crate_sources() -> Vec<(PathBuf, Vec<String>)> {
+    fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap().map(Result::unwrap) {
+            let path = entry.path();
+            if path.is_dir() {
+                rs_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+    let mut files = Vec::new();
+    for member in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = member.unwrap().path().join("src");
+        if src.is_dir() {
+            rs_files(&src, &mut files);
+        }
+    }
+    files.sort();
+    files
+        .into_iter()
+        .map(|f| {
+            let text = std::fs::read_to_string(&f).unwrap();
+            let code = text
+                .lines()
+                .take_while(|l| !l.starts_with("#[cfg(test)]"))
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .map(str::to_string)
+                .collect();
+            (f.strip_prefix(root).unwrap().to_path_buf(), code)
+        })
+        .collect()
+}
+
+/// The type each `messages!` invocation in the crates declares.
+fn declared_families() -> Vec<String> {
+    let mut names = Vec::new();
+    for (_, code) in crate_sources() {
+        let mut open = false;
+        for line in &code {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            if !open {
+                open = matches!(words[..], [.., call, "{"] if call.ends_with("messages!"));
+                continue;
+            }
+            if let Some(i) = words.iter().position(|w| *w == "enum" || *w == "struct") {
+                // The macro's own recursion declares `$name`.
+                if !words[i + 1].starts_with('$') {
+                    names.push(words[i + 1].to_string());
+                }
+                open = false;
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_declared_variant_has_a_fixture() {
+    let pinned: Vec<&str> = GOLDEN_BYTES.iter().map(|(name, _)| *name).collect();
+    let coverage = coverage();
+    for (family, variants, fixtures) in &coverage {
+        assert_eq!(
+            variants.len(),
+            fixtures.len(),
+            "{family} declares {variants:?}; coverage() must name one golden fixture per variant"
+        );
+        for (variant, fixture) in variants.iter().zip(fixtures) {
+            assert!(
+                pinned.contains(fixture),
+                "{family}::{variant}: fixture {fixture} is not in GOLDEN_BYTES"
+            );
+        }
+    }
+    let mut declared = declared_families();
+    declared.sort();
+    let mut covered: Vec<String> = coverage.iter().map(|(f, ..)| f.to_string()).collect();
+    covered.sort();
+    assert_eq!(
+        declared, covered,
+        "every messages! family needs a row in coverage()"
+    );
+}
+
+/// Public `encode_*`/`decode_*` functions written by hand, each with the
+/// reason it is not a `messages!` declaration.
+const HAND_WRITTEN: &[(&str, &str, &str)] = &[
+    (
+        "crates/store/src/messages.rs",
+        "encode_to",
+        "the declaration's own",
+    ),
+    (
+        "crates/store/src/messages.rs",
+        "decode_from",
+        "the declaration's own",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "encode_rows",
+        "hot field codec",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "decode_rows",
+        "hot field codec",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "encode_cells",
+        "hot field codec",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "decode_cells",
+        "hot field codec",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "encode_segment",
+        "bulk record decode",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "decode_segment",
+        "bulk record decode",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "encode_wal_entry",
+        "borrowed-batch encode",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "decode_wal_entry",
+        "borrowed-batch encode",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "encode_tail",
+        "TailState is the stream crate's",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "decode_tail",
+        "TailState is the stream crate's",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "decode_manifest",
+        "benchmark-called wrapper",
+    ),
+    (
+        "crates/store/src/codec.rs",
+        "decode_tail_delta",
+        "benchmark-called wrapper",
+    ),
+    (
+        "crates/serve/src/wire.rs",
+        "encode_request",
+        "benchmark-called wrapper",
+    ),
+    (
+        "crates/serve/src/wire.rs",
+        "decode_request",
+        "benchmark-called wrapper",
+    ),
+    (
+        "crates/serve/src/wire.rs",
+        "encode_reply",
+        "benchmark-called wrapper",
+    ),
+    (
+        "crates/serve/src/wire.rs",
+        "decode_reply",
+        "benchmark-called wrapper",
+    ),
+    (
+        "crates/repl/src/wire.rs",
+        "encode_frames_reply",
+        "one CRC per entry",
+    ),
+    (
+        "crates/repl/src/wire.rs",
+        "decode_reply",
+        "one CRC per entry",
+    ),
+];
+
+#[test]
+fn every_codec_is_declared_or_allowlisted() {
+    let mut offenders = Vec::new();
+    for (path, code) in crate_sources() {
+        for line in &code {
+            let Some(rest) = line.trim_start().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            let codec = name.starts_with("encode_") || name.starts_with("decode_");
+            let listed = HAND_WRITTEN
+                .iter()
+                .any(|(file, f, _)| Path::new(file) == path && *f == name);
+            if codec && !listed {
+                offenders.push(format!("{}: pub fn {name}", path.display()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "declare these layouts with messages! (or allowlist them with a reason): {offenders:?}"
+    );
+}
+
+/// Payloads of the fixtures that pinned the framed test-only forms
+/// (`shard::wire::{encode_spec, encode_cells_payload}`,
+/// `sub::wire::{encode_subscription, encode_notification}`), with the
+/// fixture that still carries each one's bytes.
+const ENCLOSED: &[(&str, &str, &str)] = &[
+    ("shard.spec.hash_bare", "010700000000", "shard.manifest_hash_bare"),
+    (
+        "shard.spec.spatial",
+        "020400000000000000000010c000000000000000c0000000000000104000000000000000400800000004000000",
+        "shard.manifest_file",
+    ),
+    (
+        "shard.cells_payload",
+        "020000000000000003000000000000000004000000000000000000000000802440000000000000f43f0000000000001240040000000000000000000000000000c0000000000000f8bf000000000000d03f0700000000000000010c000000040000000000000000000000000000c0000000000000f8bf000000000000d03f04000000000000000000000000802440000000000000f43f0000000000001240",
+        "serve.reply.cells",
+    ),
+    (
+        "sub.subscription",
+        "01000000000000f8bf00000000000000000000000000000440000000000000204003010401180000000100000000000024400000000000000040",
+        "serve.req.subscribe",
+    ),
+    ("sub.subscription_bare", "000900000000", "serve.req.subscribe_bare"),
+    (
+        "sub.notification",
+        "2a000000000000000700000000000000100e0000000000000200000000000000fdffffffffffffff00000000000000f83f107a0700000000000107000000010000000000f87f01000000000000f0ff0002",
+        "serve.reply.notifications",
+    ),
+];
+
+#[test]
+fn removed_fixtures_stay_pinned_inside_enclosing_ones() {
+    for (old, payload, fixture) in ENCLOSED {
+        let (_, hex) = GOLDEN_BYTES
+            .iter()
+            .find(|(name, _)| name == fixture)
+            .unwrap_or_else(|| panic!("{fixture} is not pinned"));
+        assert!(
+            hex.contains(payload),
+            "{old}'s bytes are not inside {fixture}"
         );
     }
 }
@@ -620,6 +965,7 @@ const GOLDEN_BYTES: &[(&str, &str)] = &[
     ("serve.req.partials_bare", "0e000000040700000073686172642d310000c8762c0f"),
     ("serve.req.sharded_rollup", "2f0000000505000000666c6565740200030001000000000000f0bf000000000000f0bf000000000000f03f000000000000f03f60fd5a54"),
     ("serve.req.subscribe", "43000000060400000061636d6501000000000000f8bf0000000000000000000000000000044000000000000020400301040118000000010000000000002440000000000000004062e5ddfa"),
+    ("serve.req.subscribe_bare", "0f000000060400000061636d65000900000000783e3e28"),
     ("serve.req.notifications", "11000000070400000061636d651100000000000000b16b71c5"),
     ("serve.reply.pong", "01000000011bdf05a5"),
     ("serve.reply.rows", "2f000000020200000000000000fdffffffffffffff00000000000000f83f107a0700000000000107000000010000000000f87fc8f7a4c1"),
@@ -636,13 +982,8 @@ const GOLDEN_BYTES: &[(&str, &str)] = &[
     ("repl.reply.compacted", "19000000020200000000000000110000000000000063000000000000008aecb9b6"),
     ("repl.reply.snapshot", "d40100000304000000000000000000000000000000100e000000000000090000000000000002000000c10000000000000000000000030000000000000001000000000000003200000000000000000000000000c03f000000000000d03f02000000000000006400000000000000000000000000154000000000000016c009000000000000000a000000000000000000000000001c400000000000001c40010000000000000000000000000000000003000000000000000000000000c02840000000000000c03f0000000000001c400300000000000000000000000000fc3f00000000000016c00000000000001c4081000000010000000000000001000000000000000100000000000000a00f000000000000000000000000f03f000000000000f03f01000000000000000100000000000000000100000000000000000000000000f03f000000000000f03f000000000000f03f0100000000000000000000000000f03f000000000000f03f000000000000f03f6100000001401f00000000000002000000000000000500000000000000020000000000000000000000000000000100000000000000020000000000000001000000000000000300000000000000401f00000000000000000000000004400000000000000c400df4875a"),
     ("shard.manifest_file", "47534c5053544f5205030036000000320700000000000000020400000000000000000010c000000000000000c00000000000001040000000000000004008000000040000009936e2e4"),
+    ("shard.manifest_hash_bare", "47534c5053544f520503000f00000032010000000000000001070000000064fd8157"),
     ("shard.journal_file", "47534c5053544f52070300640000004a0900000000000000020400000000000000000010c000000000000000c000000000000010400000000000000040080000000400000001030000000100000000000010c000000000000000c0000000000000104000000000000000400800000004000000b1cb2888"),
-    ("shard.spec.hash_bare", "010700000000"),
-    ("shard.spec.spatial", "020400000000000000000010c000000000000000c0000000000000104000000000000000400800000004000000"),
-    ("shard.cells_payload", "9e000000020000000000000003000000000000000004000000000000000000000000802440000000000000f43f0000000000001240040000000000000000000000000000c0000000000000f8bf000000000000d03f0700000000000000010c000000040000000000000000000000000000c0000000000000f8bf000000000000d03f04000000000000000000000000802440000000000000f43f000000000000124070327979"),
-    ("sub.subscription", "3a00000001000000000000f8bf000000000000000000000000000004400000000000002040030104011800000001000000000000244000000000000000401a1e0867"),
-    ("sub.subscription_bare", "06000000000900000000d2c3d2bc"),
-    ("sub.notification", "510000002a000000000000000700000000000000100e0000000000000200000000000000fdffffffffffffff00000000000000f83f107a0700000000000107000000010000000000f87f01000000000000f0ff000234d1727b"),
     ("store.segment_file", "47534c5053544f52010300c10000000000000000000000030000000000000001000000000000003200000000000000000000000000c03f000000000000d03f02000000000000006400000000000000000000000000154000000000000016c009000000000000000a000000000000000000000000001c400000000000001c40010000000000000000000000000000000003000000000000000000000000c02840000000000000c03f0000000000001c400300000000000000000000000000fc3f00000000000016c00000000000001c40a027a542"),
     ("store.checkpoint_file", "47534c5053544f52040300d100000001841c00000000000001000000000000000600000000000000010000000000000001000000000000000900000000000000ceffffffffffffff000000000000000000000000000000000200000000000000010000000000000002000000000000000100000000000000740e000000000000000000000000104000000000000014400200000000000000d80e00000000000000000000000018400000000000001c40020000000000000001000000000000000300000000000000841c00000000000000000000000020400000000000002240b9ab61be"),
     ("store.checkpoint_empty", "0000000000000000800000000000000000000000000000000000000000000000000000000000000000"),

@@ -23,6 +23,8 @@
 //! Case count is `GISOLAP_CASES` (default 16); CI's
 //! replication job raises it.
 
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use gisolap_core::engine::{NaiveEngine, QueryEngine};
@@ -32,10 +34,11 @@ use gisolap_datagen::{crash_replay, CityConfig, CityScenario, ReplayConfig};
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::TimeLevel;
 use gisolap_repl::{
-    DirectTransport, FaultConfig, FaultTransport, Follower, FollowerConfig, Leader,
+    DirectTransport, FaultConfig, FaultTransport, Follower, FollowerConfig, LagBounded, Leader,
 };
 use gisolap_store::{
-    DurableIngest, FailpointFs, RealFs, ScratchDir, StoreConfig, StoreError, SyncPolicy,
+    AppendFile, DurableIngest, FailpointFs, RealFs, ScratchDir, StoreConfig, StoreError,
+    SyncPolicy, Vfs,
 };
 use gisolap_stream::{Measure, ReplayOp, RollupQuery, StreamConfig, StreamIngest};
 use gisolap_traj::Moft;
@@ -424,4 +427,206 @@ fn total_corruption_applies_nothing() {
         s.retries
     );
     assert!(s.corrupt_replies > 0, "flips must be detected: {s:?}");
+}
+
+/// A file system that can lose power: it remembers each file's length
+/// at its last fsync (an atomic write made with `sync` counts as one,
+/// one made without leaves nothing durable), and [`PowerLossFs::cut`]
+/// truncates every file back to that length — what a power cut may
+/// leave of writes that were never synced.
+struct PowerLossFs {
+    real: RealFs,
+    synced: Arc<Mutex<HashMap<PathBuf, u64>>>,
+}
+
+impl PowerLossFs {
+    fn new() -> PowerLossFs {
+        PowerLossFs {
+            real: RealFs,
+            synced: Arc::default(),
+        }
+    }
+
+    /// Cuts the power: every file the store wrote keeps only what was
+    /// synced.
+    fn cut(&self) {
+        for (path, len) in self.synced.lock().unwrap().iter() {
+            if self.real.exists(path) {
+                self.real.truncate(path, *len).unwrap();
+            }
+        }
+    }
+}
+
+struct PowerLossAppend {
+    inner: Box<dyn AppendFile>,
+    path: PathBuf,
+    len: u64,
+    synced: Arc<Mutex<HashMap<PathBuf, u64>>>,
+}
+
+impl AppendFile for PowerLossAppend {
+    fn append(&mut self, bytes: &[u8]) -> gisolap_store::Result<()> {
+        self.inner.append(bytes)?;
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    fn sync(&mut self) -> gisolap_store::Result<()> {
+        self.inner.sync()?;
+        self.synced
+            .lock()
+            .unwrap()
+            .insert(self.path.clone(), self.len);
+        Ok(())
+    }
+}
+
+impl Vfs for PowerLossFs {
+    fn read(&self, path: &Path) -> gisolap_store::Result<Vec<u8>> {
+        self.real.read(path)
+    }
+
+    fn write_atomic(&self, path: &Path, bytes: &[u8], sync: bool) -> gisolap_store::Result<()> {
+        self.real.write_atomic(path, bytes, sync)?;
+        let durable = if sync { bytes.len() as u64 } else { 0 };
+        self.synced
+            .lock()
+            .unwrap()
+            .insert(path.to_path_buf(), durable);
+        Ok(())
+    }
+
+    fn open_append(&self, path: &Path) -> gisolap_store::Result<Box<dyn AppendFile>> {
+        let len = self.real.read(path).map_or(0, |b| b.len() as u64);
+        self.synced
+            .lock()
+            .unwrap()
+            .entry(path.to_path_buf())
+            .or_insert(0);
+        Ok(Box::new(PowerLossAppend {
+            inner: self.real.open_append(path)?,
+            path: path.to_path_buf(),
+            len,
+            synced: self.synced.clone(),
+        }))
+    }
+
+    fn remove_file(&self, path: &Path) -> gisolap_store::Result<()> {
+        self.real.remove_file(path)?;
+        self.synced.lock().unwrap().remove(path);
+        Ok(())
+    }
+
+    fn create_dir_all(&self, path: &Path) -> gisolap_store::Result<()> {
+        self.real.create_dir_all(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.real.exists(path)
+    }
+
+    fn truncate(&self, path: &Path, len: u64) -> gisolap_store::Result<()> {
+        self.real.truncate(path, len)?;
+        if let Some(synced) = self.synced.lock().unwrap().get_mut(path) {
+            *synced = (*synced).min(len);
+        }
+        Ok(())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> gisolap_store::Result<()> {
+        self.real.rename(from, to)?;
+        let mut synced = self.synced.lock().unwrap();
+        if let Some(len) = synced.remove(from) {
+            synced.insert(to.to_path_buf(), len);
+        }
+        Ok(())
+    }
+
+    fn remove_dir_all(&self, path: &Path) -> gisolap_store::Result<()> {
+        self.real.remove_dir_all(path)?;
+        self.synced
+            .lock()
+            .unwrap()
+            .retain(|p, _| !p.starts_with(path));
+        Ok(())
+    }
+}
+
+/// A leader on `SyncPolicy::Never` must not ship a write a power cut can
+/// take back: it ingests A and flushes, ingests B unsynced, and a
+/// follower syncs to cursor 2 (A and B). Power is cut; the leader
+/// recovers and ingests C and D. Had B shipped unsynced, the leader
+/// would hand C and D the sequence numbers 1 and 2, the follower
+/// (already past 1) would apply only D, and answer SUM 1011 against the
+/// leader's 1101 — labelled `Fresh`. Syncing before shipping keeps B,
+/// so both hold A+B+C+D.
+#[test]
+fn a_follower_never_holds_a_write_its_leader_can_lose() {
+    let rec = |t: i64, x: f64| gisolap_traj::Record {
+        oid: gisolap_traj::ObjectId(1),
+        t: gisolap_olap::time::TimeId(t),
+        x,
+        y: 0.0,
+    };
+    let dir = ScratchDir::new("repl-powercut");
+    let fs = Arc::new(PowerLossFs::new());
+    let store_config = StoreConfig {
+        sync: SyncPolicy::Never,
+        ..StoreConfig::default()
+    };
+    let mut durable = DurableIngest::create(
+        fs.clone(),
+        dir.path(),
+        StreamConfig::new(3600, 3600).unwrap(),
+        store_config,
+        None,
+    )
+    .unwrap();
+    durable.ingest(&[rec(100, 1.0)]).unwrap(); // A, seq 0
+    durable.flush().unwrap();
+    durable.ingest(&[rec(200, 10.0)]).unwrap(); // B, seq 1, unsynced
+    let leader = Arc::new(Mutex::new(Leader::new(durable)));
+    let mut follower = Follower::memory(
+        DirectTransport::new(leader.clone()),
+        None,
+        follower_config(),
+    );
+    follower.sync(MAX_POLLS).unwrap();
+    assert!(follower.caught_up());
+    assert_eq!(follower.cursor(), 2);
+
+    drop(leader);
+    fs.cut();
+    let (mut durable, _) =
+        DurableIngest::recover(fs.clone(), dir.path(), store_config, None).unwrap();
+    durable.ingest(&[rec(300, 100.0)]).unwrap(); // C
+    durable.ingest(&[rec(400, 1000.0)]).unwrap(); // D
+    let leader = Arc::new(Mutex::new(Leader::new(durable)));
+    follower.retarget(DirectTransport::new(leader.clone()));
+    follower.sync(MAX_POLLS).unwrap();
+
+    let sum = RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Sum);
+    let bits = |rows: Vec<gisolap_stream::RollupRow>| -> Vec<(i64, Option<u32>, u64)> {
+        rows.into_iter()
+            .map(|r| (r.granule, r.geo, r.value.to_bits()))
+            .collect()
+    };
+    let leader_rows = bits(leader.lock().unwrap().rollup(&sum).unwrap());
+    match follower.rollup_bounded(&sum).unwrap() {
+        LagBounded::Fresh { value, lag } => assert_eq!(
+            bits(value),
+            leader_rows,
+            "the follower answered Fresh (lag {lag:?}) with a history its leader lost"
+        ),
+        LagBounded::Stale { .. } => {}
+    }
+    assert_eq!(
+        leader_rows,
+        bits(vec![gisolap_stream::RollupRow {
+            granule: 0,
+            geo: None,
+            value: 1111.0,
+        }])
+    );
 }

@@ -686,11 +686,12 @@ fn busy_reply_is_retryable_for_transports() {
     }
 
     let mut transport = TcpTransport::new(addr.to_string(), "acme");
-    let request = gisolap_repl::wire::encode_request(&gisolap_repl::Request::Frames {
+    let request = gisolap_repl::Request::Frames {
         from_seq: 0,
         max: 4,
         epoch: 0,
-    });
+    }
+    .encode();
     match transport.exchange(&request) {
         Err(gisolap_repl::TransportError::Unavailable(msg)) => {
             assert!(msg.contains("busy"), "{msg}")
