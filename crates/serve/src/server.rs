@@ -392,9 +392,10 @@ impl Shared {
                         let evaluator = self.sub_evaluator(tenant);
                         let leader = leader.lock().expect("leader poisoned");
                         let mut evaluator = evaluator.lock().expect("sub evaluator poisoned");
-                        // Catch up *before* registering: every
-                        // subscription starts at the current seal
-                        // frontier and observes only seals after it.
+                        // Catch up *before* registering: notifications
+                        // start at the first seal after this request,
+                        // and each reports the batch answer (the
+                        // window, or all history).
                         evaluator.sync_pipeline(leader.durable().pipeline());
                         match evaluator.register(sub.clone()) {
                             Ok(id) => ServeReply::Subscribed(id),

@@ -34,33 +34,6 @@ counters! {
     }
 }
 
-/// What one sealed segment contributed to the [`DeltaCube`], observed
-/// by a registered seal hook ([`StreamIngest::set_seal_hook`]) at the
-/// exact point the cube absorbed it.
-///
-/// The hook sees every *live* seal — watermark advances and
-/// [`StreamIngest::finish`] — but never the reconstruction absorbs of
-/// [`StreamIngest::restore`] / [`StreamIngest::recover`]: a consumer
-/// that rebuilds alongside the pipeline replays the restored segments
-/// itself, so re-firing them here would double-count.
-#[derive(Debug, Clone, Copy)]
-pub struct SealEvent<'a> {
-    /// The sealed partition index (`floor(t / segment_seconds)`).
-    pub partition: i64,
-    /// The segment's `(hour, geo)` partial cells, strictly ascending by
-    /// key — the exact slice [`DeltaCube::absorb`] consumed.
-    pub partials: &'a [(GroupKey, CellPartial)],
-    /// What the absorb did (cells merged vs created).
-    pub outcome: crate::delta::AbsorbOutcome,
-}
-
-/// A callback observing every live segment seal, in seal order.
-/// `Sync` is required so a hook-carrying pipeline can still be shared
-/// behind `&` (shard executors fan rollups out over `&[Follower]`);
-/// hooks with mutable state put it behind a `Mutex` (see
-/// `StandingEvaluator::hook`).
-pub type SealHook = Box<dyn FnMut(&SealEvent<'_>) + Send + Sync>;
-
 /// Outcome of one [`StreamIngest::ingest`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReport {
@@ -132,8 +105,6 @@ pub struct StreamIngest {
     tracer: Tracer,
     /// One `segment-seal` span per sealed segment while tracing.
     spans: Vec<Span>,
-    /// Observer of live seals; `None` unless attached.
-    seal_hook: Option<SealHook>,
 }
 
 impl StreamIngest {
@@ -155,7 +126,6 @@ impl StreamIngest {
             tail_records_scanned: Counter::default(),
             tracer: Tracer::default(),
             spans: Vec::new(),
-            seal_hook: None,
         })
     }
 
@@ -163,15 +133,6 @@ impl StreamIngest {
     /// default; sealing is untimed when off).
     pub fn set_traced(&self, on: bool) {
         self.tracer.set_enabled(on);
-    }
-
-    /// Attaches (or with `None` detaches) the seal observer. The hook
-    /// fires once per live seal, after the [`DeltaCube`] absorbed the
-    /// segment's partials, in ascending partition order — the standing-
-    /// query evaluator (`gisolap-sub`) folds incrementally from here.
-    /// Restore/recover reconstruction absorbs never fire it.
-    pub fn set_seal_hook(&mut self, hook: Option<SealHook>) {
-        self.seal_hook = hook;
     }
 
     /// The `segment-seal` spans collected while tracing was on, in seal
@@ -267,13 +228,6 @@ impl StreamIngest {
             let segment = Segment::seal(partition, raw, self.resolver.as_ref());
             let merge_t0 = Instant::now();
             let outcome = self.cube.absorb(segment.partials());
-            if let Some(hook) = self.seal_hook.as_mut() {
-                hook(&SealEvent {
-                    partition,
-                    partials: segment.partials(),
-                    outcome,
-                });
-            }
             if traced {
                 self.spans.push(Span {
                     name: "segment-seal",
@@ -525,7 +479,6 @@ impl StreamIngest {
             tail_records_scanned: Counter::default(),
             tracer: Tracer::default(),
             spans: Vec::new(),
-            seal_hook: None,
         })
     }
 
@@ -832,52 +785,6 @@ mod tests {
         s.ingest(&[rec(3, 3800, 7.0, 70.0)]);
         assert_eq!(s.extract_partials().len(), 2);
         assert_eq!(s.stats().tail_records_scanned, 3);
-    }
-
-    #[test]
-    fn seal_hook_sees_live_seals_but_not_restore() {
-        use std::sync::{Arc, Mutex};
-
-        let seen: Arc<Mutex<Vec<(i64, usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        let mut s = StreamIngest::new(cfg(0)).unwrap();
-        s.set_seal_hook(Some(Box::new(move |e: &SealEvent<'_>| {
-            sink.lock().unwrap().push((
-                e.partition,
-                e.partials.len(),
-                e.outcome.merged + e.outcome.created,
-            ));
-        })));
-
-        s.ingest(&[rec(1, 100, 1.0, 1.0), rec(2, 200, 2.0, 2.0)]);
-        s.ingest(&[rec(1, 3700, 3.0, 3.0)]); // seals hour 0
-        s.finish(); // seals hour 1
-        assert_eq!(&*seen.lock().unwrap(), &[(0, 1, 1), (1, 1, 1)]);
-
-        // Restoring the same segments re-absorbs them into a fresh cube
-        // but must not fire anyone's hook (there is none to fire, and
-        // the contract is that reconstruction is silent).
-        let rebuilt = s
-            .segments()
-            .iter()
-            .map(|seg| {
-                Segment::from_parts(
-                    seg.meta().partition,
-                    seg.records().to_vec(),
-                    seg.partials().to_vec(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let restored = StreamIngest::restore(cfg(0), None, rebuilt, s.tail_state()).unwrap();
-        assert_eq!(restored.cube().len(), s.cube().len());
-        assert_eq!(seen.lock().unwrap().len(), 2);
-
-        // Detach: further seals are silent.
-        s.set_seal_hook(None);
-        s.ingest(&[rec(3, 9000, 4.0, 4.0)]);
-        s.finish();
-        assert_eq!(seen.lock().unwrap().len(), 2);
     }
 
     #[test]

@@ -62,8 +62,7 @@ pub use delta::{
     RollupQuery, RollupRow,
 };
 pub use ingest::{
-    IngestReport, IngestStats, ReplayOp, ReplayReport, SealEvent, SealHook, StreamIngest,
-    StreamSnapshot, TailState,
+    IngestReport, IngestStats, ReplayOp, ReplayReport, StreamIngest, StreamSnapshot, TailState,
 };
 pub use segment::{Segment, SegmentMeta};
 

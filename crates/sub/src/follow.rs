@@ -8,17 +8,16 @@ use gisolap_shard::GridSpec;
 use gisolap_store::Result;
 
 /// A replication [`Follower`] paired with a [`StandingEvaluator`] that
-/// re-syncs off the follower's pipeline after every poll — so a read
+/// syncs off the follower's pipeline after every poll — so a read
 /// replica serves standing queries from its *own* apply path, never a
 /// round-trip to the leader.
 ///
 /// Reads are **lag-bounded**, reusing the follower's freshness gate: a
 /// replica too far behind answers [`LagBounded::Stale`] with its lag
-/// rather than a value that is silently out of date. State is still
-/// bit-correct whenever served — the evaluator refolds exactly the
-/// segments the follower applied, and the equivalence property test
-/// drives a lagging follower to prove it (stale surfaced, never wrong
-/// values).
+/// rather than a value that is silently out of date. Every value served
+/// reads the replica's own cube at a seal it applied, and the
+/// equivalence property test drives a lagging follower to prove it
+/// (stale surfaced, never wrong values).
 pub struct StandingFollower<T: Transport> {
     follower: Follower<T>,
     evaluator: StandingEvaluator,
@@ -50,11 +49,11 @@ impl<T: Transport> StandingFollower<T> {
         self.evaluator.register(sub)
     }
 
-    /// One replication poll, then folds whatever the apply path sealed.
-    /// A snapshot install (the follower fell off the leader's log and
-    /// re-bootstrapped) rebuilds evaluator state silently — values stay
-    /// bit-correct; buffered notifications from before the install are
-    /// all the catch-up reader gets.
+    /// One replication poll, then notifies whatever the apply path
+    /// sealed. A snapshot install (the follower fell off the leader's
+    /// log and re-bootstrapped) rewrites history: seals the evaluator
+    /// already notified are not notified again, and later values read
+    /// the installed cube.
     pub fn poll(&mut self) -> Result<PollOutcome> {
         let outcome = self.follower.poll()?;
         if let Some(pipeline) = self.follower.pipeline() {
@@ -63,7 +62,7 @@ impl<T: Transport> StandingFollower<T> {
         Ok(outcome)
     }
 
-    /// Polls until caught up (at most `max_polls`), folding after each
+    /// Polls until caught up (at most `max_polls`), syncing after each
     /// apply; returns how many polls made progress.
     pub fn sync(&mut self, max_polls: u64) -> Result<u64> {
         let mut progressed = 0;
@@ -99,7 +98,7 @@ impl<T: Transport> StandingFollower<T> {
         &self.follower
     }
 
-    /// The replica's evaluator (registry, running state, stats).
+    /// The replica's evaluator (registry, values, notifications, stats).
     pub fn evaluator(&self) -> &StandingEvaluator {
         &self.evaluator
     }
@@ -173,9 +172,9 @@ mod tests {
         standing.sync(16).unwrap();
         assert!(standing.follower().caught_up());
 
-        // The evaluator folded the replica's own pipeline: state matches
-        // the leader's cube bit for bit.
-        let want: std::collections::BTreeMap<_, _> = standing
+        // The evaluator read the replica's own cube: its value is the
+        // batch answer over the cells the replica applied.
+        let cube: std::collections::BTreeMap<_, _> = standing
             .follower()
             .pipeline()
             .unwrap()
@@ -183,7 +182,8 @@ mod tests {
             .cells()
             .map(|(k, c)| (*k, *c))
             .collect();
-        assert_eq!(standing.evaluator().cells(id).unwrap(), &want);
+        let sub = standing.evaluator().registry().get(id).unwrap();
+        assert_eq!(crate::window_value(sub, &cube).1, Some(7.0));
 
         match standing.value_bounded(id) {
             LagBounded::Fresh { value, .. } => assert_eq!(value, Some(7.0)),

@@ -1,6 +1,6 @@
 //! Standing queries over the stream: register a spatio-temporal region
-//! and an aggregation **once**, get incremental results pushed as the
-//! pipeline seals segments.
+//! and an aggregation **once**, get a notification each time the
+//! pipeline seals data the region admits.
 //!
 //! The batch engine answers "aggregate of the objects in region *C*
 //! during interval *I*" by rolling up the [`DeltaCube`]'s `(hour, geo)`
@@ -9,17 +9,15 @@
 //! * a [`Registry`] of [`Subscription`]s (region × measure × aggregate ×
 //!   window × threshold) with stable ids, serializable over the store's
 //!   CRC framing ([`wire`]);
-//! * a [`StandingEvaluator`] that observes every segment seal — via the
-//!   pipeline's seal hook ([`StandingEvaluator::hook`]) or by pulling
-//!   ([`StandingEvaluator::sync_pipeline`]) — and folds only the *newly
-//!   sealed* partials into per-subscription running state using the same
-//!   merge algebra [`DeltaCube::absorb`] uses, so incremental state is
-//!   **bit-identical** to re-running the batch query from scratch
-//!   (property-tested in `tests/tests/sub_equivalence.rs`);
+//! * a [`StandingEvaluator`] whose one entry point,
+//!   [`StandingEvaluator::sync_pipeline`], reads each newly sealed
+//!   segment's window straight off the pipeline's [`DeltaCube`]. The
+//!   cube is the only state, so every value is **bit-identical** to the
+//!   batch query at that seal (property-tested in
+//!   `tests/tests/sub_equivalence.rs`);
 //! * [`Notification`]s (value delta, window rollup, threshold crossings
-//!   with hysteresis) delivered through pluggable [`Sink`]s — an
-//!   in-memory channel, a slow-query-style log line, a Prometheus gauge
-//!   per subscription — and buffered for pull-based catch-up;
+//!   with hysteresis) delivered through [`Sink`]s (an in-memory
+//!   [`ChannelSink`]) and buffered for pull-based catch-up;
 //! * a [`StandingFollower`] composing the evaluator with §5f
 //!   replication, so read replicas serve subscriptions off their own
 //!   apply path under the same `Stale { lag }` staleness contract
@@ -29,7 +27,6 @@
 //! OBSERVABILITY.md § Standing-query metrics. Design: DESIGN.md §5j.
 //!
 //! [`DeltaCube`]: gisolap_stream::DeltaCube
-//! [`DeltaCube::absorb`]: gisolap_stream::DeltaCube::absorb
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +39,5 @@ pub mod wire;
 
 pub use follow::StandingFollower;
 pub use registry::{Registry, SubId, Subscription, Threshold};
-pub use sink::{ChannelSink, GaugeSink, LogSink, Sink};
+pub use sink::{ChannelSink, Sink};
 pub use standing::{window_value, Crossing, Notification, StandingEvaluator, SubStats};

@@ -41,7 +41,7 @@ pub struct Threshold {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     /// Spatial restriction; cells whose overlay-grid geometry misses the
-    /// box are never folded. `None` subscribes to everything (and to
+    /// box are never read. `None` subscribes to everything (and to
     /// observations no layer geometry covers).
     pub region: Option<BBox>,
     /// Time-hierarchy level of the window rollup rows (hour or coarser —
@@ -52,7 +52,8 @@ pub struct Subscription {
     /// The aggregate function γ.
     pub agg: AggFn,
     /// Trailing window in whole hours, anchored at the newest sealed
-    /// hour the subscription has seen. `None` aggregates all history.
+    /// hour holding a cell the region admits. `None` aggregates all
+    /// history, including seals made before registration.
     pub window_hours: Option<u32>,
     /// Optional alerting threshold on the scalar window value.
     pub threshold: Option<Threshold>,
@@ -120,7 +121,7 @@ impl Subscription {
 
 /// The subscription table: validated entries under stable ascending ids,
 /// capped at a maximum (`GISOLAP_SUB_MAX`) so one tenant cannot degrade
-/// fold latency for everyone unboundedly.
+/// seal latency for everyone unboundedly.
 #[derive(Debug, Clone)]
 pub struct Registry {
     max: usize,

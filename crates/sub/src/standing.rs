@@ -1,13 +1,17 @@
-//! The incremental standing-query evaluator.
+//! The standing-query evaluator.
 //!
-//! One [`StandingEvaluator`] observes a pipeline's segment seals and
-//! folds each sealed partial slice into per-subscription running state
-//! — the same `(hour, geo) → CellPartial` shape the [`DeltaCube`] keeps,
-//! restricted to the subscription's region. Because the fold applies the
-//! cube's own merge algebra in the cube's own order (ascending
-//! partitions, ascending keys within a seal), the running state is
-//! **bit-identical** to filtering a from-scratch batch cube — the
-//! invariant `tests/tests/sub_equivalence.rs` proves at every seal.
+//! A [`StandingEvaluator`] keeps no cells: the pipeline's [`DeltaCube`]
+//! is its only state. Each subscription holds its region's geo filter,
+//! its last value and its threshold band. [`StandingEvaluator::sync_pipeline`]
+//! walks the sealed segments past the evaluator's cursor (the newest
+//! sealed hour already notified). For every subscription a segment
+//! touches, it evaluates the window over the cube's own sorted run,
+//! bounded above by that segment's newest hour. Partitions are
+//! hour-aligned and late records are dead-lettered, so the cube up to a
+//! sealed hour never changes again (compaction rewrites it bitwise): the
+//! value is **bit-identical** to the batch query at that seal, the
+//! invariant `tests/tests/sub_equivalence.rs` checks at every
+//! notification.
 //!
 //! [`DeltaCube`]: gisolap_stream::DeltaCube
 
@@ -15,14 +19,12 @@ use crate::registry::{Registry, SubId, Subscription};
 use crate::sink::Sink;
 use gisolap_obs::{counters, MetricsRegistry, Span, Tracer};
 use gisolap_olap::agg::Partial;
-use gisolap_olap::time::TimeId;
 use gisolap_shard::GridSpec;
 use gisolap_store::Result;
 use gisolap_stream::{
-    CellPartial, DeltaCube, GroupKey, RollupQuery, RollupRow, SealEvent, SealHook, StreamIngest,
+    fold_rollup, CellPartial, GroupKey, RollupQuery, RollupRow, Segment, StreamIngest,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 counters! {
@@ -32,8 +34,7 @@ counters! {
         registered,
         /// Notifications emitted (to sinks and the catch-up buffer).
         notifications,
-        /// Segment seals folded into running state (silent catch-up folds
-        /// included).
+        /// Sealed segments evaluated against the subscriptions.
         seals_folded,
         /// Threshold crossings fired (up and down).
         threshold_fires,
@@ -49,15 +50,15 @@ pub enum Crossing {
     Down,
 }
 
-/// One push to a subscription: emitted after a seal touched at least one
-/// of the subscription's cells.
+/// One push to a subscription: emitted after a seal added a cell the
+/// subscription's region admits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Notification {
     /// The subscription notified.
     pub sub: SubId,
     /// Evaluator-wide ascending sequence number (the catch-up cursor).
     pub seq: u64,
-    /// The sealed partition that triggered the fold.
+    /// The sealed partition that triggered the evaluation.
     pub partition: i64,
     /// The window rollup at the subscription's level, the same rows the
     /// equivalent batch query returns.
@@ -72,85 +73,68 @@ pub struct Notification {
     pub crossing: Option<Crossing>,
 }
 
-/// Evaluates `sub` against running `cells` the way the batch engine
-/// would: the trailing window is anchored at the newest sealed hour in
-/// `cells`, the rows come from the cube's own rollup finalizer, and the
-/// scalar value merges the in-window measure partials in ascending key
-/// order. Shared by the incremental fold and the from-scratch reference
-/// (`tests/tests/sub_equivalence.rs`, the `sub_latency` bench) so both
-/// sides finalize identically and only the *state construction* differs.
-pub fn window_value(
-    sub: &Subscription,
-    cells: &BTreeMap<GroupKey, CellPartial>,
-) -> (Vec<RollupRow>, Option<f64>) {
-    let Some(frontier) = cells.keys().next_back().map(|k| k.0) else {
+/// Evaluates `sub` over `cells` the way the batch engine would: the
+/// trailing window is anchored at the newest hour in `cells`, the rows
+/// come from the cube's own rollup fold, and the scalar value merges the
+/// in-window measure partials in ascending key order.
+///
+/// `cells` is any ascending run of borrowed cells the subscription's
+/// region admits. The evaluator passes a slice of the pipeline's cube;
+/// the from-scratch references (`tests/tests/sub_equivalence.rs`, the
+/// `sub_latency` bench) pass a `&BTreeMap`. Both finalize here.
+pub fn window_value<'a, I>(sub: &Subscription, cells: I) -> (Vec<RollupRow>, Option<f64>)
+where
+    I: IntoIterator<Item = (&'a GroupKey, &'a CellPartial)>,
+    I::IntoIter: Clone,
+{
+    let cells = cells.into_iter();
+    let Some((&(frontier, _), _)) = cells.clone().last() else {
         return (Vec::new(), None);
     };
-    let window = sub.window_hours.map(|w| {
-        let lo = frontier - (i64::from(w) - 1);
-        (lo, frontier)
-    });
-    let mut q = RollupQuery::new(sub.level, sub.measure, sub.agg);
-    if let Some((lo, hi)) = window {
-        q = q.between(TimeId(lo * 3600), TimeId(hi * 3600));
-    }
-    let rows = DeltaCube::new()
-        .rollup(&q, cells)
-        .expect("subscription level validated at registration");
+    let lo = sub
+        .window_hours
+        .map_or(i64::MIN, |w| frontier - (i64::from(w) - 1));
+    let window = cells.filter(move |(key, _)| key.0 >= lo);
+    let q = RollupQuery::new(sub.level, sub.measure, sub.agg);
+    let rows = fold_rollup(
+        &q,
+        window.clone().map(|(k, c)| (*k, *c.measure(sub.measure))),
+    )
+    .expect("subscription level validated at registration");
     let mut merged = Partial::new();
-    for (&(hour, _), cell) in cells {
-        if let Some((lo, hi)) = window {
-            if hour < lo || hour > hi {
-                continue;
-            }
-        }
+    for (_, cell) in window {
         merged.merge(cell.measure(sub.measure));
     }
     (rows, merged.eval(sub.agg))
 }
 
-/// Per-subscription running state.
+/// Whether a subscription with `geo_filter` admits the cell at `key`.
+fn admits(geo_filter: &Option<BTreeSet<u32>>, key: &GroupKey) -> bool {
+    match (geo_filter, key.1) {
+        (None, _) => true,
+        (Some(cells), Some(geo)) => cells.contains(&geo),
+        // A region subscription never matches observations no layer
+        // geometry covers — their location is unknown.
+        (Some(_), None) => false,
+    }
+}
+
+/// Per-subscription state; the cells are the pipeline cube's.
 #[derive(Debug, Clone)]
 struct SubState {
-    /// The subscription's slice of the cube: only cells its region
-    /// admits, merged in absorb order — bit-identical to filtering a
-    /// batch cube.
-    cells: BTreeMap<GroupKey, CellPartial>,
     /// Overlay cells the region intersects (`None` = no region filter).
     geo_filter: Option<BTreeSet<u32>>,
-    /// Scalar value at the last fold that touched this subscription.
+    /// Scalar value at the last seal that touched this subscription.
     last_value: Option<f64>,
     /// Hysteresis state: currently at-or-above the rise band.
     above: bool,
 }
 
-impl SubState {
-    fn admits(&self, key: &GroupKey) -> bool {
-        match (&self.geo_filter, key.1) {
-            (None, _) => true,
-            (Some(cells), Some(geo)) => cells.contains(&geo),
-            // A region subscription never matches observations no layer
-            // geometry covers — their location is unknown.
-            (Some(_), None) => false,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.cells.clear();
-        self.last_value = None;
-        self.above = false;
-    }
-}
-
-/// The incremental evaluator: a [`Registry`] plus per-subscription
-/// running state, sinks and a bounded catch-up buffer.
-///
-/// Attach it to a pipeline either **push**-style — install
-/// [`StandingEvaluator::hook`] via
-/// [`StreamIngest::set_seal_hook`] — or **pull**-style with
-/// [`StandingEvaluator::sync_pipeline`] after polls/ingests (the serve
-/// layer and replication followers pull). Use one style per evaluator:
-/// mixing them would fold the same seal twice.
+/// The standing-query evaluator: a [`Registry`] plus per-subscription
+/// filter and threshold state, sinks and a bounded catch-up buffer. It
+/// reads a pipeline through [`StandingEvaluator::sync_pipeline`], called
+/// after ingests or replication polls (the serve layer and
+/// [`StandingFollower`](crate::StandingFollower) do).
 pub struct StandingEvaluator {
     grid: Option<GridSpec>,
     registry: Registry,
@@ -162,11 +146,10 @@ pub struct StandingEvaluator {
     stats: SubStats,
     tracer: Tracer,
     spans: Vec<Span>,
-    /// `(partition, records)` signatures of the pipeline segments already
-    /// folded, in order — the pull cursor. A mismatched prefix (store
-    /// compaction merged segments, or a snapshot install replaced the
-    /// pipeline) triggers a silent full rebuild.
-    synced: Vec<(i64, u64)>,
+    /// The newest sealed hour already notified (`i64::MIN` before the
+    /// first seal): a seal is notified once, when this cursor first
+    /// passes it.
+    notified_through: i64,
 }
 
 impl StandingEvaluator {
@@ -200,7 +183,7 @@ impl StandingEvaluator {
             stats: SubStats::default(),
             tracer: Tracer::default(),
             spans: Vec::new(),
-            synced: Vec::new(),
+            notified_through: i64::MIN,
         }
     }
 
@@ -209,7 +192,8 @@ impl StandingEvaluator {
         self.tracer.set_enabled(on);
     }
 
-    /// The `sub-fold` spans collected while tracing, in fold order.
+    /// The `sub-fold` spans collected while tracing, one per evaluated
+    /// seal.
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
@@ -217,10 +201,12 @@ impl StandingEvaluator {
     /// Validates and admits a subscription, resolving its region to the
     /// overlay cells it intersects. A region with a NaN bound or a
     /// minimum above its maximum is refused first, as shard reads refuse
-    /// it ([`gisolap_shard::check_region`]). Registering after seals were already
-    /// folded is allowed — the new subscription starts from the next
-    /// seal (or catch up first with [`StandingEvaluator::sync_pipeline`]
-    /// before registering).
+    /// it ([`gisolap_shard::check_region`]).
+    ///
+    /// Registering after seals is allowed. The subscription's first
+    /// notification comes at the first seal past the evaluator's cursor
+    /// (so sync first to skip the seals already made), and it reports
+    /// the batch query's answer: its window, or all history.
     pub fn register(&mut self, sub: Subscription) -> Result<SubId> {
         if let Some(region) = &sub.region {
             gisolap_shard::check_region(region)?;
@@ -241,7 +227,6 @@ impl StandingEvaluator {
         self.states.insert(
             id,
             SubState {
-                cells: BTreeMap::new(),
                 geo_filter,
                 last_value: None,
                 above: false,
@@ -267,13 +252,8 @@ impl StandingEvaluator {
         self.stats
     }
 
-    /// A subscription's running cells — the bit-identity surface the
-    /// equivalence proptest compares against a batch cube.
-    pub fn cells(&self, id: SubId) -> Option<&BTreeMap<GroupKey, CellPartial>> {
-        self.states.get(&id).map(|s| &s.cells)
-    }
-
-    /// The scalar window value at the subscription's last fold.
+    /// The scalar window value at the last seal that touched the
+    /// subscription.
     pub fn value(&self, id: SubId) -> Option<f64> {
         self.states.get(&id).and_then(|s| s.last_value)
     }
@@ -294,46 +274,66 @@ impl StandingEvaluator {
         }
     }
 
-    /// Folds one sealed partial slice into every subscription's running
-    /// state and emits notifications for the subscriptions it touched.
-    /// Returns how many notifications were emitted.
+    /// Evaluates every sealed segment of `pipeline` that reaches past
+    /// the cursor, in order, and returns how many it evaluated. Each
+    /// subscription the segment touches (the segment holds a cell past
+    /// the cursor that its region admits) gets one notification, its
+    /// window read off the pipeline's cube up to that segment's newest
+    /// hour.
     ///
-    /// `partials` must be the exact slice the cube absorbed for
-    /// `partition` ([`SealEvent::partials`] or
-    /// [`Segment::partials`](gisolap_stream::Segment::partials)), and
-    /// seals must arrive in ascending partition order — that is what
-    /// makes the running state bit-identical to a batch cube.
-    pub fn fold(&mut self, partition: i64, partials: &[(GroupKey, CellPartial)]) -> u64 {
-        self.fold_inner(partition, partials, true)
+    /// History rewritten under the evaluator (store compaction merged
+    /// segments, or a replication snapshot install replaced the
+    /// pipeline) is never re-notified: a seal is notified once, when the
+    /// cursor first passes it, and later values read the rewritten cube.
+    pub fn sync_pipeline(&mut self, pipeline: &StreamIngest) -> u64 {
+        let segs = pipeline.segments();
+        let newest = |s: &Segment| s.partials().last().map(|(k, _)| k.0);
+        let cursor = self.notified_through;
+        // Scanned from the end: the store round-trips empty segments,
+        // which hold no hour to order by.
+        let first = segs
+            .iter()
+            .rposition(|s| newest(s).is_some_and(|h| h <= cursor))
+            .map_or(0, |i| i + 1);
+        let mut evaluated = 0;
+        for seg in &segs[first..] {
+            if let Some(through) = newest(seg) {
+                self.evaluate_seal(seg, through, pipeline.cube().as_slice());
+                self.notified_through = through;
+                evaluated += 1;
+            }
+        }
+        evaluated
     }
 
-    fn fold_inner(
-        &mut self,
-        partition: i64,
-        partials: &[(GroupKey, CellPartial)],
-        emit: bool,
-    ) -> u64 {
+    /// Notifies every subscription `seg` touches past the cursor. `cube`
+    /// is the pipeline's run holding the segment's cells, `through` the
+    /// segment's newest hour.
+    fn evaluate_seal(&mut self, seg: &Segment, through: i64, cube: &[(GroupKey, CellPartial)]) {
         let traced = self.tracer.enabled();
         let t0 = Instant::now();
-        let mut cells_folded = 0u64;
-        let mut emitted = 0u64;
+        let cursor = self.notified_through;
+        let hi = cube.partition_point(|(k, _)| k.0 <= through);
+        let (mut cells_read, mut emitted) = (0u64, 0u64);
         for (&id, state) in &mut self.states {
-            let mut touched = 0u64;
-            for (key, cell) in partials {
-                if !state.admits(key) {
-                    continue;
-                }
-                // The cube's own merge step (Vacant → default + merge),
-                // applied in the cube's own order: bit-identical state.
-                state.cells.entry(*key).or_default().merge(cell);
-                touched += 1;
-            }
-            if touched == 0 {
+            // The newest hour past the cursor the seal adds to the region.
+            let filter = &state.geo_filter;
+            let mut past_cursor = seg
+                .partials()
+                .iter()
+                .rev()
+                .take_while(|(k, _)| k.0 > cursor);
+            let Some(&((frontier, _), _)) = past_cursor.find(|(k, _)| admits(filter, k)) else {
                 continue;
-            }
-            cells_folded += touched;
+            };
             let sub = self.registry.get(id).expect("state implies registration");
-            let (rows, value) = window_value(sub, &state.cells);
+            let lo = sub.window_hours.map_or(0, |w| {
+                let start = frontier - (i64::from(w) - 1);
+                cube[..hi].partition_point(|(k, _)| k.0 < start)
+            });
+            cells_read += (hi - lo) as u64;
+            let window = cube[lo..hi].iter().map(|(k, c)| (k, c));
+            let (rows, value) = window_value(sub, window.filter(|(k, _)| admits(filter, k)));
             let mut crossing = None;
             if let (Some(th), Some(v)) = (sub.threshold, value) {
                 if !state.above && v >= th.rise {
@@ -344,21 +344,16 @@ impl StandingEvaluator {
                     crossing = Some(Crossing::Down);
                 }
             }
-            let prev = state.last_value;
-            state.last_value = value;
-            if !emit {
-                continue;
-            }
             if crossing.is_some() {
                 self.stats.threshold_fires += 1;
             }
             let n = Notification {
                 sub: id,
                 seq: self.next_seq,
-                partition,
+                partition: seg.meta().partition,
                 rows,
                 value,
-                prev,
+                prev: std::mem::replace(&mut state.last_value, value),
                 crossing,
             };
             self.next_seq += 1;
@@ -379,65 +374,12 @@ impl StandingEvaluator {
                 duration_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 counters: vec![
                     ("subs_evaluated", self.states.len() as u64),
-                    ("cells_folded", cells_folded),
+                    ("cells_folded", cells_read),
                     ("sub_notifications", emitted),
                 ],
                 children: Vec::new(),
             });
         }
-        emitted
-    }
-
-    /// Wraps a shared evaluator as a pipeline seal hook
-    /// ([`StreamIngest::set_seal_hook`]): every live seal folds
-    /// immediately, at the absorb point.
-    pub fn hook(evaluator: Arc<Mutex<StandingEvaluator>>) -> SealHook {
-        Box::new(move |e: &SealEvent<'_>| {
-            evaluator
-                .lock()
-                .expect("standing evaluator poisoned")
-                .fold(e.partition, e.partials);
-        })
-    }
-
-    /// Pull-style catch-up: folds every pipeline segment not yet folded,
-    /// in order, and returns how many were. If the pipeline's history no
-    /// longer extends what was folded — store compaction merged sealed
-    /// segments, or a replication snapshot install replaced the pipeline
-    /// wholesale — the running state is rebuilt from scratch *silently*
-    /// (states stay bit-correct; notifications for already-folded seals
-    /// are not re-emitted, and seals first seen during a rebuild are
-    /// state-only). The catch-up buffer is a bounded ring anyway:
-    /// subscribers needing every notification attach a [`Sink`] to a
-    /// hook-driven evaluator instead.
-    pub fn sync_pipeline(&mut self, pipeline: &StreamIngest) -> u64 {
-        let segs = pipeline.segments();
-        let sig = |s: &gisolap_stream::Segment| (s.meta().partition, s.meta().records as u64);
-        let extends = self.synced.len() <= segs.len()
-            && self
-                .synced
-                .iter()
-                .zip(segs.iter())
-                .all(|(have, s)| *have == sig(s));
-        let mut folded = 0u64;
-        if !extends {
-            for state in self.states.values_mut() {
-                state.reset();
-            }
-            self.synced.clear();
-            for s in segs {
-                self.fold_inner(s.meta().partition, s.partials(), false);
-                self.synced.push(sig(s));
-                folded += 1;
-            }
-            return folded;
-        }
-        for s in &segs[self.synced.len()..] {
-            self.fold_inner(s.meta().partition, s.partials(), true);
-            self.synced.push(sig(s));
-            folded += 1;
-        }
-        folded
     }
 
     /// Buffered notifications with `seq >= since`, plus the next cursor
@@ -460,7 +402,7 @@ mod tests {
     use crate::sink::ChannelSink;
     use gisolap_geom::BBox;
     use gisolap_olap::agg::AggFn;
-    use gisolap_olap::time::TimeLevel;
+    use gisolap_olap::time::{TimeId, TimeLevel};
     use gisolap_stream::{Measure, StreamConfig};
     use gisolap_traj::{ObjectId, Record};
 
@@ -485,9 +427,8 @@ mod tests {
     fn fold_matches_batch_cube_and_counts_notifications() {
         let mut ingest = pipeline();
         let mut eval = StandingEvaluator::with_caps(None, Registry::new(8), 16);
-        let id = eval
-            .register(Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum))
-            .unwrap();
+        let sub = Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum);
+        let id = eval.register(sub.clone()).unwrap();
 
         ingest.ingest(&[rec(1, 100, 1.0, 0.0), rec(2, 200, 2.0, 0.0)]);
         ingest.ingest(&[rec(1, 3700, 4.0, 0.0)]); // seals hour 0
@@ -496,13 +437,17 @@ mod tests {
         assert_eq!(eval.stats().seals_folded, 2);
         assert_eq!(eval.stats().notifications, 2);
 
-        // Running state equals the pipeline's own cube, bit for bit.
-        let want: BTreeMap<GroupKey, CellPartial> =
+        // The value is the batch answer over the pipeline's own cube.
+        let cube: BTreeMap<GroupKey, CellPartial> =
             ingest.cube().cells().map(|(k, c)| (*k, *c)).collect();
-        assert_eq!(eval.cells(id).unwrap(), &want);
+        let (rows, value) = window_value(&sub, &cube);
         assert_eq!(eval.value(id), Some(7.0));
+        assert_eq!(value, Some(7.0));
+        let (items, _) = eval.notifications_since(1);
+        assert_eq!(items[0].rows, rows);
+        assert_eq!(items[0].prev, Some(3.0));
 
-        // Idempotent: nothing new to fold.
+        // Idempotent: nothing new to evaluate.
         assert_eq!(eval.sync_pipeline(&ingest), 0);
     }
 
@@ -537,9 +482,9 @@ mod tests {
         ingest.finish();
         eval.sync_pipeline(&ingest);
 
-        // Hour 0 fold: count 2 in-window -> Up. Hour 1 fold: the region
-        // saw nothing, so the subscription is not re-notified (its state
-        // did not change) and stays Up.
+        // Hour 0 seal: count 2 in-window -> Up. Hour 1 seal: the region
+        // saw nothing, so the subscription is not re-notified and stays
+        // Up.
         let first = rx.try_recv().unwrap();
         assert_eq!(first.sub, id);
         assert_eq!(first.value, Some(2.0));
@@ -547,12 +492,9 @@ mod tests {
         assert!(rx.try_recv().is_err());
         assert_eq!(eval.stats().threshold_fires, 1);
 
-        // Only region cells entered the state.
-        assert!(eval
-            .cells(id)
-            .unwrap()
-            .keys()
-            .all(|(_, geo)| *geo == Some(0)));
+        // Only region cells reached the window rows.
+        assert!(!first.rows.is_empty());
+        assert!(first.rows.iter().all(|row| row.geo == Some(0)));
 
         // A NaN-bounded or inverted region is refused, not admitted to
         // never fire.
@@ -583,31 +525,60 @@ mod tests {
         let mut ingest = pipeline();
         let mut eval = StandingEvaluator::with_caps(None, Registry::new(8), 16);
         let id = eval
-            .register(Subscription::new(TimeLevel::Hour, Measure::Y, AggFn::Max))
+            .register(Subscription::new(TimeLevel::Hour, Measure::Y, AggFn::Sum))
             .unwrap();
 
         ingest.ingest(&[rec(1, 100, 0.0, 5.0)]);
         ingest.ingest(&[rec(1, 3700, 0.0, 9.0)]);
-        eval.sync_pipeline(&ingest);
+        eval.sync_pipeline(&ingest); // hour 0 notified
         let before = eval.stats().notifications;
+        assert_eq!(eval.value(id), Some(5.0));
 
-        // Simulate a history rewrite: a replacement pipeline whose first
-        // sealed segment differs (an extra hour-0 record), as a snapshot
-        // install or compaction would present. The prefix signature no
-        // longer matches, so the evaluator must rebuild, not append.
+        // A history rewrite: a replacement pipeline whose first sealed
+        // segment differs (an extra hour-0 record), as a snapshot install
+        // would present. Hour 0 was notified already and is not again;
+        // hours 1 and 2 are, and read the rewritten cube.
         let mut replaced = pipeline();
         replaced.ingest(&[rec(1, 100, 0.0, 5.0), rec(2, 200, 0.0, 1.0)]);
         replaced.ingest(&[rec(1, 3700, 0.0, 9.0)]);
         replaced.ingest(&[rec(1, 7300, 0.0, 2.0)]);
         replaced.finish();
-        eval.sync_pipeline(&replaced);
+        assert_eq!(eval.sync_pipeline(&replaced), 2);
+        assert_eq!(eval.stats().notifications, before + 2);
+        assert_eq!(eval.value(id), Some(17.0));
+    }
 
-        let want: BTreeMap<GroupKey, CellPartial> =
-            replaced.cube().cells().map(|(k, c)| (*k, *c)).collect();
-        assert_eq!(eval.cells(id).unwrap(), &want);
-        assert_eq!(eval.value(id), Some(9.0));
-        // The rebuild was silent: no notification replay.
-        assert_eq!(eval.stats().notifications, before);
+    #[test]
+    fn an_empty_segment_hides_no_later_seal() {
+        let mut live = pipeline();
+        live.ingest(&[rec(1, 100, 1.0, 0.0)]);
+        live.ingest(&[rec(1, 7300, 2.0, 0.0)]); // seals hour 0
+        live.finish(); // seals hour 2
+        let part = |s: &Segment| {
+            let (records, partials) = (s.records().to_vec(), s.partials().to_vec());
+            Segment::from_parts(s.meta().partition, records, partials).unwrap()
+        };
+        let segs = live.segments();
+        let empty = Segment::from_parts(1, Vec::new(), Vec::new()).unwrap();
+        let mut tail = live.tail_state();
+        tail.segments_sealed = 3;
+        let restored = StreamIngest::restore(
+            *live.config(),
+            None,
+            vec![part(&segs[0]), empty, part(&segs[1])],
+            tail,
+        )
+        .unwrap();
+
+        let mut eval = StandingEvaluator::with_caps(None, Registry::new(8), 16);
+        let id = eval
+            .register(Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum))
+            .unwrap();
+        assert_eq!(eval.sync_pipeline(&restored), 2);
+        let (items, _) = eval.notifications_since(0);
+        let partitions: Vec<i64> = items.iter().map(|n| n.partition).collect();
+        assert_eq!(partitions, [0, 2]);
+        assert_eq!(eval.value(id), Some(3.0));
     }
 
     #[test]
@@ -615,39 +586,17 @@ mod tests {
         let mut eval = StandingEvaluator::with_caps(None, Registry::new(8), 2);
         eval.register(Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Count))
             .unwrap();
-        let mut cell = CellPartial::default();
-        cell.push(&rec(1, 10, 1.0, 1.0));
-        for p in 0i64..4 {
-            let shifted: [(GroupKey, CellPartial); 1] = [((p, None), cell)];
-            eval.fold(p, &shifted);
+        let mut ingest = pipeline();
+        for h in 0..4 {
+            ingest.ingest(&[rec(1, h * 3600 + 10, 1.0, 1.0)]);
         }
+        ingest.finish();
+        assert_eq!(eval.sync_pipeline(&ingest), 4);
         let (items, next) = eval.notifications_since(0);
         assert_eq!(next, 4);
         assert_eq!(items.len(), 2); // ring of 2: seqs 2 and 3 survive
         assert_eq!(items[0].seq, 2);
         let (items, _) = eval.notifications_since(3);
         assert_eq!(items.len(), 1);
-    }
-
-    #[test]
-    fn hook_folds_at_the_seal_point() {
-        let eval = Arc::new(Mutex::new(StandingEvaluator::with_caps(
-            None,
-            Registry::new(8),
-            16,
-        )));
-        let id = eval
-            .lock()
-            .unwrap()
-            .register(Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum))
-            .unwrap();
-        let mut ingest = pipeline();
-        ingest.set_seal_hook(Some(StandingEvaluator::hook(eval.clone())));
-        ingest.ingest(&[rec(1, 100, 3.0, 0.0)]);
-        ingest.ingest(&[rec(1, 3700, 4.0, 0.0)]); // seals hour 0
-        assert_eq!(eval.lock().unwrap().value(id), Some(3.0));
-        ingest.finish();
-        assert_eq!(eval.lock().unwrap().value(id), Some(7.0));
-        assert_eq!(eval.lock().unwrap().stats().seals_folded, 2);
     }
 }

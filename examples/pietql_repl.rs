@@ -314,13 +314,13 @@ fn shards(moft: &Moft, n: u32) -> Result<Vec<String>, String> {
 }
 
 /// `\subscribe <region> <agg>`: registers a standing query over the
-/// session MOFT and replays the data through a seal-hooked streaming
-/// pipeline — the subscription is folded incrementally at every seal
-/// point, never by re-scanning. `region` picks a quadrant of the data's
-/// bounding box (`bl`, `br`, `tl`, `tr`) or `all`; `agg` is one of
-/// `count`, `sum`, `avg`, `min`, `max` over x. The final standing value
-/// is checked **bit-identical** against a second evaluator replayed
-/// from scratch — the subsystem's core invariant, live in the REPL.
+/// session MOFT and replays the data through a streaming pipeline,
+/// syncing the evaluator after every batch: each new seal's window is
+/// read off the pipeline's cube, never by re-scanning records. `region`
+/// picks a quadrant of the data's bounding box (`bl`, `br`, `tl`, `tr`)
+/// or `all`; `agg` is one of `count`, `sum`, `avg`, `min`, `max` over
+/// x. The final standing value is checked **bit-identical** against a
+/// second evaluator that reads the whole sealed history in one sync.
 fn subscribe_demo(moft: &Moft, region: &str, agg: &str) -> Result<Vec<String>, String> {
     use gisolap_olap::agg::AggFn;
     use gisolap_olap::time::TimeLevel;
@@ -356,37 +356,40 @@ fn subscribe_demo(moft: &Moft, region: &str, agg: &str) -> Result<Vec<String>, S
         sub = sub.in_region(q);
     }
 
-    let evaluator = Arc::new(Mutex::new(StandingEvaluator::new(Some(grid))));
+    let mut evaluator = StandingEvaluator::new(Some(grid));
     let id = evaluator
-        .lock()
-        .expect("evaluator lock")
         .register(sub.clone())
         .map_err(|e| fail(e.to_string()))?;
 
-    // Lateness beyond any data span: records arrive grouped by object,
-    // not by time, and none may be dropped; `finish` seals every hour.
-    let stream = StreamConfig::new(366 * 86_400, 3600).expect("valid stream config");
+    // Time-sorted, so a zero-lateness pipeline seals each hour as the
+    // next one starts and drops nothing; `finish` seals the last.
+    let mut records = moft.records().to_vec();
+    records.sort_by_key(|r| (r.t, r.oid));
+    let stream = StreamConfig::new(0, 3600).expect("valid stream config");
     let mut pipeline = StreamIngest::new(stream)
         .map_err(|e| fail(e.to_string()))?
         .with_resolver(grid.resolver());
-    pipeline.set_seal_hook(Some(StandingEvaluator::hook(evaluator.clone())));
-    for batch in moft.records().chunks(64) {
+    let mut syncs = 0;
+    for batch in records.chunks(64) {
         pipeline.ingest(batch);
+        evaluator.sync_pipeline(&pipeline);
+        syncs += 1;
     }
     pipeline.finish();
+    evaluator.sync_pipeline(&pipeline);
+    syncs += 1;
 
-    let evaluator = evaluator.lock().expect("evaluator lock");
     let stats = evaluator.stats();
     let (notifications, _next) = evaluator.notifications_since(0);
     let value = evaluator.value(id);
 
-    // The live invariant: a second evaluator replayed from scratch over
-    // the same sealed history lands on the same bits.
+    // The live invariant: a second evaluator reading the same sealed
+    // history in one sync lands on the same bits.
     let mut replay = StandingEvaluator::new(Some(grid));
     let replay_id = replay.register(sub).map_err(|e| fail(e.to_string()))?;
     replay.sync_pipeline(&pipeline);
     if replay.value(replay_id).map(f64::to_bits) != value.map(f64::to_bits) {
-        return Err(fail("incremental value diverged from replay".to_string()));
+        return Err(fail("per-batch value diverged from replay".to_string()));
     }
 
     let shown = value.map_or("-".to_string(), |v| v.to_string());
@@ -396,7 +399,7 @@ fn subscribe_demo(moft: &Moft, region: &str, agg: &str) -> Result<Vec<String>, S
             moft.records().len(),
         ),
         format!(
-            "folded {} seals at the hook, emitted {} notifications",
+            "folded {} seals over {syncs} syncs, emitted {} notifications",
             stats.seals_folded,
             notifications.len(),
         ),
@@ -774,9 +777,9 @@ mod tests {
     }
 
     /// `\subscribe` rejects unknown regions and aggregates in one line;
-    /// with sane arguments it registers a standing query, folds the
-    /// Figure 1 data at the seal hook and verifies the incremental
-    /// value against a from-scratch replay.
+    /// with sane arguments it registers a standing query, syncs it
+    /// through the Figure 1 data batch by batch and verifies the value
+    /// against a from-scratch replay.
     #[test]
     fn subscribe_reports_errors_and_verifies_replay() {
         let s = Fig1Scenario::build();

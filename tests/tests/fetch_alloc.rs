@@ -1,15 +1,18 @@
 //! Shard reads allocate for what they return, not for the history or
-//! the grid behind it; sealing allocates per cell, not per record.
+//! the grid behind it; sealing allocates per cell, not per record; a
+//! standing-query evaluator holds the same heap whatever the history.
 //!
 //! A counting global allocator (installed in this test binary only)
-//! tallies the allocations and bytes requested on the calling thread.
-//! Four shapes are pinned: a region fetch keeping two cells allocates the
-//! same bytes whether the shard holds one day of other cells or two; a
-//! repeated read of an unchanged live tail allocates the same whether
-//! that tail holds `n` records or `2n` — it buckets nothing again; a
-//! fetch under a request grid of 16.7 M cells allocates for the cells it
-//! returns, not per grid cell; and sealing a partition through a grid
-//! resolver allocates the same for `2n` records as for `n`.
+//! tallies the allocations and bytes requested, and the bytes freed, on
+//! the calling thread. Five shapes are pinned: a region fetch keeping two
+//! cells allocates the same bytes whether the shard holds one day of
+//! other cells or two; a repeated read of an unchanged live tail
+//! allocates the same whether that tail holds `n` records or `2n` — it
+//! buckets nothing again; a fetch under a request grid of 16.7 M cells
+//! allocates for the cells it returns, not per grid cell; sealing a
+//! partition through a grid resolver allocates the same for `2n` records
+//! as for `n`; and an evaluator that synced 96 sealed hours frees the
+//! same bytes on drop as one that synced 24.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,18 +26,20 @@ use gisolap_shard::{
 };
 use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
 use gisolap_stream::{Measure, RollupQuery, StreamConfig, StreamIngest};
+use gisolap_sub::{Registry, StandingEvaluator, Subscription};
 use gisolap_traj::{ObjectId, Record};
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every call forwards to `System` with the caller's own
 // arguments, so `System` upholds the `GlobalAlloc` contract; the
-// counter is a const-initialised thread-local `Cell` without a
-// destructor, so touching it never allocates or unwinds.
+// counters are const-initialised thread-local `Cell`s without a
+// destructor, so touching them never allocates or unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| {
@@ -46,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -61,6 +67,13 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
     let out = f();
     let (count_after, bytes_after) = ALLOCATIONS.with(Cell::get);
     (out, (count_after - count, bytes_after - bytes))
+}
+
+/// The bytes `f` frees on this thread.
+fn bytes_freed_by(f: impl FnOnce()) -> u64 {
+    let before = FREED.with(Cell::get);
+    f();
+    FREED.with(Cell::get) - before
 }
 
 fn grid() -> GridSpec {
@@ -207,5 +220,37 @@ fn sealing_allocates_per_cell_not_per_record() {
     assert_eq!(
         large, small,
         "sealing 1000 records made {small} allocations, 2000 records {large}"
+    );
+}
+
+/// The heap held by an evaluator (ring of 1) with two `over_hours(2)`
+/// subscriptions, one over `two_cells()`, after syncing every seal of
+/// `hours` hours of the same hourly traffic: the bytes its drop frees.
+fn evaluator_heap(hours: i64) -> u64 {
+    let mut ingest = StreamIngest::new(StreamConfig::new(0, 3600).unwrap())
+        .unwrap()
+        .with_resolver(grid().resolver());
+    let mut evaluator = StandingEvaluator::with_caps(Some(grid()), Registry::new(8), 1);
+    let sub = Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum).over_hours(2);
+    evaluator.register(sub.clone()).unwrap();
+    evaluator.register(sub.in_region(two_cells())).unwrap();
+    for h in 0..=hours {
+        let hour: Vec<Record> = (0..20u64)
+            .map(|k| rec(k, h * 3600 + k as i64 * 60, (k * 3 % 64) as f64 + 0.5, 0.5))
+            .collect();
+        ingest.ingest(&hour);
+        evaluator.sync_pipeline(&ingest);
+    }
+    assert_eq!(ingest.segments().len() as i64, hours);
+    assert_eq!(evaluator.stats().notifications as i64, 2 * hours);
+    bytes_freed_by(|| drop(evaluator))
+}
+
+#[test]
+fn a_standing_evaluator_holds_the_same_heap_whatever_the_history() {
+    let (day, four_days) = (evaluator_heap(24), evaluator_heap(96));
+    assert_eq!(
+        four_days, day,
+        "evaluator heap after 24 sealed hours {day} bytes, after 96 {four_days}"
     );
 }

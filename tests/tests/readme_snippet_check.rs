@@ -336,7 +336,6 @@ fn readme_standing_query_snippet_compiles_and_runs() {
     use gisolap_shard::GridSpec;
     use gisolap_stream::{Measure, StreamConfig, StreamIngest};
     use gisolap_sub::{StandingEvaluator, Subscription};
-    use std::sync::{Arc, Mutex};
 
     // --- the README snippet, verbatim from here ---
     // A bursty crowd: everyone converges on the venue for the event hours.
@@ -352,35 +351,36 @@ fn readme_standing_query_snippet_compiles_and_runs() {
     // the crowd reaches 100, clear when it falls back to 20 (hysteresis —
     // a value hovering near the line cannot flap).
     let grid = GridSpec::new(area, 2, 2).unwrap();
-    let evaluator = Arc::new(Mutex::new(StandingEvaluator::new(Some(grid))));
+    let mut evaluator = StandingEvaluator::new(Some(grid));
     let sub = Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Count)
         .in_region(venue)
         .over_hours(2)
         .with_threshold(100.0, 20.0);
-    let id = evaluator.lock().unwrap().register(sub.clone()).unwrap();
+    let id = evaluator.register(sub.clone()).unwrap();
 
-    // Hook the evaluator on the pipeline: every seal folds incrementally at
-    // the absorb point — no polling, no batch recomputation.
+    // Sync after each batch: every new seal's window is read straight off
+    // the pipeline's cube — no copy of the cells, no batch recomputation.
     let mut pipeline = StreamIngest::new(StreamConfig::new(0, 3600).unwrap())
         .unwrap()
         .with_resolver(grid.resolver());
-    pipeline.set_seal_hook(Some(StandingEvaluator::hook(evaluator.clone())));
-    pipeline.ingest(&records);
+    for batch in records.chunks(256) {
+        pipeline.ingest(batch);
+        evaluator.sync_pipeline(&pipeline);
+    }
     pipeline.finish();
+    evaluator.sync_pipeline(&pipeline);
 
     // The standing value is live; notifications carry the window rollup,
     // the previous value (the delta to alert on) and threshold crossings.
-    let evaluator = evaluator.lock().unwrap();
     println!("venue count now: {:?}", evaluator.value(id));
     let (notifications, _next) = evaluator.notifications_since(0);
     assert!(notifications.iter().any(|n| n.crossing.is_some())); // the burst fired
 
-    // The contract: incremental state is bit-identical to replaying the
-    // same sealed history from scratch.
+    // The contract: values are the batch query's, bit for bit. A second
+    // evaluator reading the whole sealed history in one sync agrees.
     let mut replay = StandingEvaluator::new(Some(grid));
     let replay_id = replay.register(sub).unwrap();
     replay.sync_pipeline(&pipeline);
-    assert_eq!(replay.cells(replay_id), evaluator.cells(id));
     assert_eq!(
         replay.value(replay_id).map(f64::to_bits),
         evaluator.value(id).map(f64::to_bits),

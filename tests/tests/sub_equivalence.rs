@@ -1,11 +1,13 @@
-//! The standing-query acceptance suite (`DESIGN.md` §5j): at **every
-//! seal point**, the incremental evaluator's per-subscription state is
-//! bit-identical to filtering a from-scratch batch cube, and the
-//! derived window values match the batch finalizer bit for bit — for
-//! global, regional, windowed and thresholded subscriptions at once.
-//! A second leg drives a lagging replica: bounded reads answer
-//! `Stale { lag }` while behind (never a wrong value), and every
-//! `Fresh` answer matches the replica's own apply frontier exactly.
+//! The standing-query acceptance suite (`DESIGN.md` §5j): **every
+//! notification**'s window rows and value are bit-identical to
+//! `window_value` over a from-scratch batch reference at that
+//! notification's own seal — a fresh pipeline fed only the records that
+//! seal had seen — for global, regional, windowed and thresholded
+//! subscriptions at once, and for subscriptions registered after
+//! seals. A second leg drives a lagging replica: bounded reads answer
+//! `Stale { lag }` while behind (never a wrong value), every `Fresh`
+//! answer matches the replica's own apply frontier exactly, and every
+//! notification it emits passes the same from-scratch check.
 //!
 //! The workload is [`EventCrowd`]: a quantized audience whose density
 //! spikes into one venue cell for an event window — so regional
@@ -18,13 +20,16 @@
 
 use gisolap_datagen::EventCrowd;
 use gisolap_geom::BBox;
+use gisolap_obs::CounterSet;
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::TimeLevel;
 use gisolap_repl::{DirectTransport, Follower, FollowerConfig, LagBounded, Leader};
 use gisolap_shard::GridSpec;
 use gisolap_store::{DurableIngest, RealFs, ScratchDir, StoreConfig, SyncPolicy};
 use gisolap_stream::{CellPartial, GroupKey, Measure, StreamConfig, StreamIngest};
-use gisolap_sub::{window_value, StandingEvaluator, StandingFollower, SubId, Subscription};
+use gisolap_sub::{
+    window_value, Notification, StandingEvaluator, StandingFollower, SubId, Subscription,
+};
 use gisolap_traj::Record;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,10 +85,9 @@ fn stream_config() -> StreamConfig {
     StreamConfig::new(0, 3600).unwrap()
 }
 
-/// The from-scratch reference: the batch cube's sealed cells restricted
-/// to the subscription's overlay-cell filter — rebuilt wholesale at
-/// every check, never incrementally.
-fn batch_reference(pipeline: &StreamIngest, sub: &Subscription) -> BTreeMap<GroupKey, CellPartial> {
+/// A pipeline's sealed cube restricted to the subscription's
+/// overlay-cell filter.
+fn cube_reference(pipeline: &StreamIngest, sub: &Subscription) -> BTreeMap<GroupKey, CellPartial> {
     let filter: Option<BTreeSet<u32>> = sub
         .region
         .map(|r| grid().cells_intersecting(&r).into_iter().collect());
@@ -99,22 +103,75 @@ fn batch_reference(pipeline: &StreamIngest, sub: &Subscription) -> BTreeMap<Grou
         .collect()
 }
 
-/// At one seal frontier: state bits and window-value bits, incremental
-/// vs from-scratch, for every subscription.
-fn assert_matches_batch(
+/// The from-scratch batch reference at the seal of `partition`: a fresh
+/// pipeline fed only the records of partitions up to it (the workload is
+/// time-sorted, so those are exactly what that seal had seen), sealed
+/// wholesale and never incrementally.
+fn scratch_pipeline(records: &[Record], partition: i64) -> StreamIngest {
+    let mut pipeline = StreamIngest::new(stream_config())
+        .unwrap()
+        .with_resolver(grid().resolver());
+    let seen: Vec<Record> = records
+        .iter()
+        .filter(|r| r.t.0.div_euclid(3600) <= partition)
+        .copied()
+        .collect();
+    pipeline.ingest(&seen);
+    pipeline.finish();
+    pipeline
+}
+
+/// Checks each notification's rows and value bits against
+/// `window_value` over the from-scratch reference at its own seal;
+/// references are built once per partition into `cache`.
+fn check_notifications(
+    items: &[Notification],
+    ids: &[(SubId, Subscription)],
+    records: &[Record],
+    cache: &mut BTreeMap<i64, StreamIngest>,
+    label: &str,
+) {
+    for n in items {
+        let sub = &ids
+            .iter()
+            .find(|(id, _)| *id == n.sub)
+            .expect("registered")
+            .1;
+        let reference = cache
+            .entry(n.partition)
+            .or_insert_with(|| scratch_pipeline(records, n.partition));
+        let (rows, value) = window_value(sub, &cube_reference(reference, sub));
+        assert_eq!(
+            bits(&n.rows),
+            bits(&rows),
+            "{label}: rows diverged for {sub:?}"
+        );
+        assert_eq!(
+            n.value.map(f64::to_bits),
+            value.map(f64::to_bits),
+            "{label}: value diverged for {sub:?} at partition {}",
+            n.partition
+        );
+    }
+}
+
+fn bits(rows: &[gisolap_stream::RollupRow]) -> Vec<(i64, Option<u32>, u64)> {
+    rows.iter()
+        .map(|r| (r.granule, r.geo, r.value.to_bits()))
+        .collect()
+}
+
+/// Every subscription's current value is the batch answer over the
+/// pipeline's cube as it stands (for subscriptions registered before the
+/// first seal: a later one has no value until its first notification).
+fn assert_values_match_cube(
     evaluator: &StandingEvaluator,
     ids: &[(SubId, Subscription)],
     pipeline: &StreamIngest,
     label: &str,
 ) {
     for (id, sub) in ids {
-        let want = batch_reference(pipeline, sub);
-        assert_eq!(
-            evaluator.cells(*id).expect("registered"),
-            &want,
-            "{label}: state diverged for {sub:?}"
-        );
-        let (_, batch_value) = window_value(sub, &want);
+        let (_, batch_value) = window_value(sub, &cube_reference(pipeline, sub));
         assert_eq!(
             evaluator.value(*id).map(f64::to_bits),
             batch_value.map(f64::to_bits),
@@ -123,71 +180,80 @@ fn assert_matches_batch(
     }
 }
 
+/// Feeds `records` in `chunk`-sized batches and then finishes, syncing
+/// `evaluator` after each step and checking every new notification and
+/// value against the batch references; `on_step` runs after each sync
+/// (it may register subscriptions).
+fn drive(
+    evaluator: &mut StandingEvaluator,
+    ids: &mut Vec<(SubId, Subscription)>,
+    records: &[Record],
+    chunk: usize,
+    mut on_step: impl FnMut(&StreamIngest, &mut StandingEvaluator, &mut Vec<(SubId, Subscription)>),
+) -> StreamIngest {
+    let mut pipeline = StreamIngest::new(stream_config())
+        .unwrap()
+        .with_resolver(grid().resolver());
+    let mut cache = BTreeMap::new();
+    let mut since = 0;
+    let from_the_start = ids.len();
+    for batch in records.chunks(chunk).map(Some).chain([None]) {
+        if let Some(batch) = batch {
+            pipeline.ingest(batch);
+        } else {
+            pipeline.finish();
+        }
+        evaluator.sync_pipeline(&pipeline);
+        let (items, next) = evaluator.notifications_since(since);
+        since = next;
+        check_notifications(&items, ids, records, &mut cache, "incremental");
+        assert_values_match_cube(evaluator, &ids[..from_the_start], &pipeline, "after sync");
+        on_step(&pipeline, evaluator, ids);
+    }
+    pipeline
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
     /// The tentpole invariant: after **every ingest step and the final
-    /// finish** — i.e. at every seal frontier the pipeline ever
-    /// exposes — the hook-driven evaluator is bit-identical to the
-    /// batch cube, and a second evaluator replayed from scratch lands
-    /// on the same bits and the same registry.
+    /// finish**, every notification the evaluator emitted equals the
+    /// from-scratch batch answer at its own seal, bit for bit, and every
+    /// current value equals the batch answer over the cube as it
+    /// stands. A second evaluator reading the whole history in one sync
+    /// emits the same notifications.
     #[test]
     fn incremental_state_matches_batch_at_every_seal(seed in 0u64..1_000_000) {
         let records = workload(seed);
-        let evaluator = Arc::new(Mutex::new(StandingEvaluator::new(Some(grid()))));
+        let mut evaluator = StandingEvaluator::new(Some(grid()));
         let mut ids = Vec::new();
         for sub in subscriptions(seed) {
-            let id = evaluator
-                .lock()
-                .unwrap()
-                .register(sub.clone())
-                .expect("register");
-            ids.push((id, sub));
+            ids.push((evaluator.register(sub.clone()).expect("register"), sub));
         }
-        let mut pipeline = StreamIngest::new(stream_config())
-            .unwrap()
-            .with_resolver(grid().resolver());
-        pipeline.set_seal_hook(Some(StandingEvaluator::hook(evaluator.clone())));
-
         let chunk = 1 + records.len() / (3 + (seed % 5) as usize);
-        for batch in records.chunks(chunk) {
-            pipeline.ingest(batch);
-            assert_matches_batch(&evaluator.lock().unwrap(), &ids, &pipeline, "mid-ingest");
-        }
-        pipeline.finish();
-        let evaluator = evaluator.lock().unwrap();
-        assert_matches_batch(&evaluator, &ids, &pipeline, "finished");
+        let pipeline = drive(&mut evaluator, &mut ids, &records, chunk, |_, _, _| {});
 
-        // The workload really exercised the fold path.
+        // The workload really exercised the seal path.
         let stats = evaluator.stats();
-        prop_assert!(stats.seals_folded > 0, "no seals folded: {stats:?}");
-        prop_assert!(!batch_reference(&pipeline, &ids[0].1).is_empty());
+        prop_assert!(stats.seals_folded > 0, "no seals evaluated: {stats:?}");
+        prop_assert!(!cube_reference(&pipeline, &ids[0].1).is_empty());
 
         // Replay from scratch: same subscriptions, whole history in one
-        // sync — identical bits, value by value.
+        // sync — the same notifications, bit for bit.
         let mut replay = StandingEvaluator::new(Some(grid()));
         for (id, sub) in &ids {
             let replay_id = replay.register(sub.clone()).expect("register replay");
             prop_assert_eq!(replay_id, *id, "replay ids must line up");
         }
         replay.sync_pipeline(&pipeline);
-        for (id, sub) in &ids {
-            prop_assert_eq!(
-                replay.cells(*id).expect("replay registered"),
-                evaluator.cells(*id).expect("registered"),
-                "replay state diverged for {:?}", sub
-            );
-            prop_assert_eq!(
-                replay.value(*id).map(f64::to_bits),
-                evaluator.value(*id).map(f64::to_bits)
-            );
-        }
+        let (want, _) = evaluator.notifications_since(0);
+        let (got, _) = replay.notifications_since(0);
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
 
         // Hysteresis sanity on the burst detector: crossings alternate,
         // starting upward — a value can never cross up twice without
         // falling back through the band.
-        let (notifications, _) = evaluator.notifications_since(0);
-        let crossings: Vec<_> = notifications
+        let crossings: Vec<_> = want
             .iter()
             .filter(|n| n.sub == ids[1].0)
             .filter_map(|n| n.crossing)
@@ -202,13 +268,59 @@ proptest! {
         }
     }
 
+    /// Registration after seals: a windowed and a whole-history
+    /// subscription registered once the evaluator has synced past some
+    /// seals get their first notification at the next seal, and it is
+    /// the batch query's answer — the window, or all history, including
+    /// the seals made before registration.
+    #[test]
+    fn a_subscription_registered_late_reports_the_batch_answer(seed in 0u64..1_000_000) {
+        let records = workload(seed);
+        let mut evaluator = StandingEvaluator::new(Some(grid()));
+        let mut ids = Vec::new();
+        let late = [
+            Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum)
+                .over_hours(2 + (seed % 3) as u32),
+            Subscription::new(TimeLevel::Day, Measure::Y, AggFn::Avg),
+        ];
+        // Register once two seals are synced (sync, then register, as
+        // the server does).
+        let mut registered = None;
+        drive(&mut evaluator, &mut ids, &records, 16, |pipeline, evaluator, ids| {
+            if registered.is_none() && pipeline.segments().len() >= 2 {
+                for sub in &late {
+                    ids.push((evaluator.register(sub.clone()).expect("register"), sub.clone()));
+                }
+                let sealed = pipeline.segments().last().expect("sealed").meta().partition;
+                registered = Some((evaluator.notifications_since(0).1, sealed));
+            }
+        });
+        let (since, sealed) = registered.expect("registered mid-stream");
+        let (items, _) = evaluator.notifications_since(since);
+        for (id, sub) in &ids {
+            let first = items.iter().find(|n| n.sub == *id);
+            let first = first.expect("the next seal notifies a global subscription");
+            prop_assert!(first.partition > sealed, "notified a seal from before registration");
+            prop_assert!(first.prev.is_none(), "a new subscription has no previous value");
+            let reference = scratch_pipeline(&records, first.partition);
+            let (rows, value) = window_value(sub, &cube_reference(&reference, sub));
+            prop_assert_eq!(bits(&first.rows), bits(&rows), "rows diverged for {:?}", sub);
+            prop_assert_eq!(
+                first.value.map(f64::to_bits),
+                value.map(f64::to_bits),
+                "value diverged for {:?}", sub
+            );
+        }
+    }
+
     /// The replica leg: a follower applying the leader's log in
     /// one-entry batches serves standing queries off its own apply
     /// path. While knowingly behind, bounded reads answer `Stale` —
     /// and every `Fresh` value is bit-identical to the batch reference
     /// over the replica's **own** pipeline (its current frontier, not
-    /// the leader's). After full catch-up the replica matches a
-    /// leader-side from-scratch evaluator bit for bit.
+    /// the leader's). Every notification the replica emits passes the
+    /// from-scratch check at its own seal, and after full catch-up the
+    /// replica's values match the leader's cube bit for bit.
     #[test]
     fn lagging_follower_is_stale_never_wrong(seed in 0u64..1_000_000) {
         let scratch = ScratchDir::new("sub-eq-follow");
@@ -242,17 +354,22 @@ proptest! {
 
         // Feed the leader in several batches, partially polling between
         // them so the replica is genuinely behind at the checkpoints.
+        let mut cache = BTreeMap::new();
+        let mut since = 0;
         let chunk = 1 + records.len() / 4;
         for batch in records.chunks(chunk) {
             leader.lock().unwrap().ingest(batch).unwrap();
             standing.poll().unwrap();
+            let (items, next) = standing.evaluator().notifications_since(since);
+            since = next;
+            check_notifications(&items, &ids, &records, &mut cache, "replica");
             let synced = standing.follower().lag().seqs == Some(0);
             for (id, sub) in &ids {
                 match standing.value_bounded(*id) {
                     LagBounded::Fresh { value, .. } => {
                         prop_assert!(synced, "fresh answer while behind");
                         let pipeline = standing.follower().pipeline().expect("bootstrapped");
-                        let (_, want) = window_value(sub, &batch_reference(pipeline, sub));
+                        let (_, want) = window_value(sub, &cube_reference(pipeline, sub));
                         prop_assert_eq!(value.map(f64::to_bits), want.map(f64::to_bits));
                     }
                     LagBounded::Stale { .. } => {
@@ -263,22 +380,17 @@ proptest! {
         }
         standing.sync(10_000).unwrap();
         prop_assert!(standing.follower().caught_up());
+        let (items, _) = standing.evaluator().notifications_since(since);
+        check_notifications(&items, &ids, &records, &mut cache, "replica catch-up");
 
-        // Converged: the replica's standing state equals a from-scratch
-        // evaluator over the leader's own sealed pipeline. (No
-        // `finish()` here — a tail seal is a local pipeline event, not
-        // a log entry, so the shared frontier is what the records
-        // themselves sealed on both sides.)
+        // Converged: the replica's values equal the batch answers over
+        // the leader's own sealed pipeline. (No `finish()` here — a tail
+        // seal is a local pipeline event, not a log entry, so the shared
+        // frontier is what the records themselves sealed on both sides.)
         let leader_guard = leader.lock().unwrap();
         let leader_pipeline = leader_guard.durable().pipeline();
         for (id, sub) in &ids {
-            let want = batch_reference(leader_pipeline, sub);
-            prop_assert_eq!(
-                standing.evaluator().cells(*id).expect("registered"),
-                &want,
-                "replica state diverged for {:?}", sub
-            );
-            let (_, want_value) = window_value(sub, &want);
+            let (_, want_value) = window_value(sub, &cube_reference(leader_pipeline, sub));
             match standing.value_bounded(*id) {
                 LagBounded::Fresh { value, .. } => {
                     prop_assert_eq!(value.map(f64::to_bits), want_value.map(f64::to_bits));
@@ -290,5 +402,22 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Every `SubStats` counter has a live writer: one seeded run with the
+/// §5j subscription mix moves all four.
+#[test]
+fn every_sub_counter_has_a_live_writer() {
+    let seed = 5;
+    let records = workload(seed);
+    let mut evaluator = StandingEvaluator::new(Some(grid()));
+    let mut ids = Vec::new();
+    for sub in subscriptions(seed) {
+        ids.push((evaluator.register(sub.clone()).expect("register"), sub));
+    }
+    drive(&mut evaluator, &mut ids, &records, 16, |_, _, _| {});
+    for (field, value) in evaluator.stats().fields() {
+        assert!(value > 0, "SubStats::{field} never moved");
     }
 }
