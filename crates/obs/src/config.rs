@@ -148,25 +148,8 @@ pub const SUB_BUFFER: EnvFlag = EnvFlag {
     doc: "buffered notifications kept for standing-query catch-up reads (oldest dropped first)",
 };
 
-/// Ticks a shard leader's lease stays valid after its last successful
-/// probe. Failover may begin only once the lease has expired *and* the
-/// current probe failed, so one dropped probe never deposes a healthy
-/// leader.
-pub const ELASTIC_LEASE_TICKS: EnvFlag = EnvFlag {
-    name: "GISOLAP_ELASTIC_LEASE_TICKS",
-    default: "10",
-    doc: "ticks a shard leader's lease stays valid after a successful probe",
-};
-
-/// Controller ticks between leader health probes.
-pub const ELASTIC_PROBE_TICKS: EnvFlag = EnvFlag {
-    name: "GISOLAP_ELASTIC_PROBE_TICKS",
-    default: "2",
-    doc: "controller ticks between shard-leader health probes",
-};
-
 /// Every flag the workspace reads, for discovery and doc-coverage tests.
-pub const ALL: [&EnvFlag; 14] = [
+pub const ALL: [&EnvFlag; 12] = [
     &THREADS,
     &SLOW_QUERY_MS,
     &CASES,
@@ -179,8 +162,6 @@ pub const ALL: [&EnvFlag; 14] = [
     &SERVE_TENANT_QUOTA,
     &SUB_MAX,
     &SUB_BUFFER,
-    &ELASTIC_LEASE_TICKS,
-    &ELASTIC_PROBE_TICKS,
 ];
 
 #[cfg(test)]

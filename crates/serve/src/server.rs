@@ -137,8 +137,8 @@ struct Shared {
     /// Per-tenant standing-query evaluators, created on first subscribe.
     /// Server-side evaluators are grid-less (tenant stores own their
     /// resolvers privately), so region subscriptions are rejected here
-    /// with a clear error; regional standing queries run follower-side
-    /// (`gisolap_sub::StandingFollower`), where the grid is known.
+    /// with a clear error; regional standing queries run on an evaluator
+    /// built with the grid, e.g. one synced off a follower's pipeline.
     subs: Mutex<HashMap<String, Arc<Mutex<StandingEvaluator>>>>,
     tenant_inflight: Mutex<HashMap<String, usize>>,
     /// One socket clone per live connection, keyed by connection id —

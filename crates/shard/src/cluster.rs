@@ -10,13 +10,11 @@
 //! query-time choice: records were *placed* by it, so querying with a
 //! different one would silently misroute pruning. The epoch rises with
 //! every leadership change and committed rebalance; replication fences
-//! it so a superseded configuration can never apply writes (see
-//! [`crate::elastic`]).
+//! it so a superseded configuration can never apply writes.
 
 use crate::partition::{Partitioner, PartitionerSpec};
 use crate::wire::{self, ShardManifest};
 use gisolap_obs::counters;
-use gisolap_repl::{DirectTransport, Follower, FollowerConfig, Leader};
 use gisolap_store::codec::{check_header, read_single_frame, Enc, FileKind};
 use gisolap_store::{
     CompactionReport, DurableIngest, FlushReport, RecoveryReport, Result, StoreConfig, StoreError,
@@ -25,13 +23,18 @@ use gisolap_store::{
 use gisolap_stream::{IngestReport, StreamConfig};
 use gisolap_traj::Record;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Cluster manifest file name under the cluster root.
 pub const SHARDS_MANIFEST: &str = "SHARDS";
 
+/// Rebalance journal file name under the cluster root. Its presence
+/// means a rebalance was interrupted; [`ShardedIngest::open`] refuses
+/// such a root until the rebalance is recovered.
+pub const REBALANCE_JOURNAL: &str = "REBALANCE";
+
 /// Reads and strictly decodes the cluster manifest under `root`.
-pub(crate) fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<ShardManifest> {
+pub fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<ShardManifest> {
     let bytes = vfs.read(&root.join(SHARDS_MANIFEST))?;
     let body = check_header(&bytes, FileKind::ShardManifest, SHARDS_MANIFEST)?;
     let payload = read_single_frame(body, SHARDS_MANIFEST)?;
@@ -41,7 +44,7 @@ pub(crate) fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<ShardManifest>
 
 /// Atomically publishes `manifest` under `root` — the commit point of
 /// every epoch bump (leadership change, rebalance).
-pub(crate) fn write_manifest(vfs: &dyn Vfs, root: &Path, manifest: &ShardManifest) -> Result<()> {
+pub fn write_manifest(vfs: &dyn Vfs, root: &Path, manifest: &ShardManifest) -> Result<()> {
     let mut e = Enc::file(FileKind::ShardManifest);
     manifest.encode_to(&mut e);
     vfs.write_atomic(&root.join(SHARDS_MANIFEST), &e.into_framed(), true)
@@ -130,10 +133,10 @@ impl ShardedIngest {
         })
     }
 
-    /// Reopens the cluster at `root`: completes any rebalance the
-    /// previous process died inside (roll forward past the manifest
-    /// flip, roll back before it — see [`crate::elastic`]), reads the
-    /// membership manifest, rebuilds the partitioner it describes, then
+    /// Reopens the cluster at `root`: refuses a root holding a
+    /// [`REBALANCE_JOURNAL`] (an interrupted rebalance may have swapped
+    /// some shard directories and not others; refusing is stale, never
+    /// wrong), reads the membership manifest, rebuilds the partitioner it describes, then
     /// opens (create-or-recover) every shard store. Per-shard recovery
     /// reports come back positionally (`None` for shards that were
     /// created fresh, e.g. after adding capacity by hand); a per-shard
@@ -144,7 +147,14 @@ impl ShardedIngest {
         stream_config: StreamConfig,
         store_config: StoreConfig,
     ) -> Result<(ShardedIngest, Vec<Option<RecoveryReport>>)> {
-        crate::elastic::recover_rebalance(vfs.as_ref(), root)?;
+        let journal = root.join(REBALANCE_JOURNAL);
+        if vfs.exists(&journal) {
+            return Err(StoreError::BadConfig(format!(
+                "{} is the journal of an interrupted rebalance; recover it before \
+                 opening the cluster",
+                journal.display()
+            )));
+        }
         let manifest = read_manifest(vfs.as_ref(), root)?;
         let spec = manifest.spec;
         let partitioner = spec.build()?;
@@ -265,35 +275,6 @@ impl ShardedIngest {
     pub fn stats(&self) -> RouteStats {
         self.stats
     }
-
-    /// Converts every shard store into a replication [`Leader`], in
-    /// shard order — the handles a replica set fronts each shard with.
-    /// The cluster itself is consumed; keep ingesting through the
-    /// returned leaders.
-    pub fn into_leaders(self) -> Vec<Arc<Mutex<Leader>>> {
-        self.shards
-            .into_iter()
-            .map(|s| Arc::new(Mutex::new(Leader::new(s))))
-            .collect()
-    }
-}
-
-/// One in-process replica per shard leader: each follower tails its
-/// leader over a [`DirectTransport`] and resolves geometry with the
-/// cluster grid, so a coordinator can serve scatter reads from the
-/// replica set instead of the primaries.
-pub fn replica_set(
-    leaders: &[Arc<Mutex<Leader>>],
-    spec: &PartitionerSpec,
-    config: FollowerConfig,
-) -> Vec<Follower<DirectTransport>> {
-    leaders
-        .iter()
-        .map(|leader| {
-            let resolver = spec.grid().map(|g| g.resolver());
-            Follower::memory(DirectTransport::new(leader.clone()), resolver, config)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -301,10 +282,8 @@ mod tests {
     use super::*;
     use crate::partition::GridSpec;
     use gisolap_geom::BBox;
-    use gisolap_olap::agg::AggFn;
-    use gisolap_olap::time::{TimeId, TimeLevel};
+    use gisolap_olap::time::TimeId;
     use gisolap_store::ScratchDir;
-    use gisolap_stream::{Measure, RollupQuery};
     use gisolap_traj::ObjectId;
 
     fn grid() -> GridSpec {
@@ -431,30 +410,5 @@ mod tests {
             std::error::Error::source(&err).is_some(),
             "error should carry the underlying cause"
         );
-    }
-
-    #[test]
-    fn replica_set_serves_each_shard() {
-        let scratch = ScratchDir::new("shard-cluster-replicas");
-        let spec = PartitionerSpec::Spatial {
-            shards: 2,
-            grid: grid(),
-        };
-        let stream = StreamConfig::new(3600, 3600).unwrap();
-        let mut cluster =
-            ShardedIngest::create(vfs(), scratch.path(), spec, stream, StoreConfig::default())
-                .unwrap();
-        cluster.ingest(&records(64)).unwrap();
-        cluster.finish().unwrap();
-        let leaders = cluster.into_leaders();
-        let mut replicas = replica_set(&leaders, &spec, FollowerConfig::default());
-        for (leader, replica) in leaders.iter().zip(replicas.iter_mut()) {
-            replica.sync(16).unwrap();
-            assert!(replica.caught_up());
-            let q = RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Count);
-            let from_leader = leader.lock().unwrap().rollup(&q).unwrap();
-            let from_replica = replica.rollup(&q).unwrap();
-            assert_eq!(from_leader, from_replica);
-        }
     }
 }

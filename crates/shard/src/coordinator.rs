@@ -171,16 +171,12 @@ counters! {
         /// Shard fetches answered by a source past its staleness bound
         /// (served, but flagged in the explain).
         stale_fetches,
-        /// Evaluations re-routed after `NotLeader`/`StaleEpoch` (the
-        /// executor re-read leadership and the query was retried).
-        leadership_retries,
     }
 }
 
-/// Where the coordinator fetches per-shard cells from: a local cluster,
-/// a replica set, or remote serve endpoints — anything that can hand
-/// back shard `i`'s extracted partials, optionally pre-filtered to a
-/// region shard-side.
+/// Where the coordinator fetches per-shard cells from: a local cluster
+/// or remote serve endpoints — anything that can hand back shard `i`'s
+/// extracted partials, optionally pre-filtered to a region shard-side.
 pub trait ShardExecutor {
     /// Shard count (must match the coordinator's partitioner).
     fn shards(&self) -> usize;
@@ -371,34 +367,6 @@ impl<E: ShardExecutor> Coordinator<E> {
         Ok(ShardResult { rows, explain })
     }
 
-    /// Evaluates with a leadership retry loop: when the scatter fails
-    /// because a pinned leader was deposed ([`StoreError::StaleEpoch`])
-    /// or proved superseded ([`StoreError::NotLeader`]), `refresh` is
-    /// called to re-read leadership into the executor (the manifest
-    /// re-read step — e.g.
-    /// [`PinnedExecutor::repin`](crate::elastic::PinnedExecutor::repin))
-    /// and the query is re-evaluated, up to `max_retries` times. Any
-    /// other error, and a leadership error persisting past the budget,
-    /// surfaces unchanged.
-    pub fn eval_rerouted(
-        &mut self,
-        q: &ShardQuery,
-        max_retries: u32,
-        refresh: &mut dyn FnMut(&mut E) -> Result<()>,
-    ) -> Result<ShardResult> {
-        let mut attempts = 0;
-        loop {
-            match self.eval(q) {
-                Err(e) if attempts < max_retries && is_leadership_error(&e) => {
-                    attempts += 1;
-                    self.stats.leadership_retries += 1;
-                    refresh(&mut self.executor)?;
-                }
-                other => return other,
-            }
-        }
-    }
-
     /// The executor (e.g. to reach the underlying cluster or clients).
     pub fn executor(&self) -> &E {
         &self.executor
@@ -417,17 +385,6 @@ impl<E: ShardExecutor> Coordinator<E> {
     /// Collected `shard-eval` span trees (when traced).
     pub fn spans(&self) -> &[Span] {
         &self.spans
-    }
-}
-
-/// Whether `e` means "the leadership you were pinned to is gone, re-read
-/// and retry" — [`StoreError::NotLeader`] or [`StoreError::StaleEpoch`],
-/// possibly wrapped in a per-shard [`StoreError::Shard`] attribution.
-pub fn is_leadership_error(e: &StoreError) -> bool {
-    match e {
-        StoreError::NotLeader { .. } | StoreError::StaleEpoch { .. } => true,
-        StoreError::Shard { source, .. } => is_leadership_error(source),
-        _ => false,
     }
 }
 
@@ -568,47 +525,6 @@ impl ShardExecutor for ClusterExecutor<'_> {
     fn fetch(&self, shard: usize, region: Option<&BBox>) -> Result<Vec<(GroupKey, CellPartial)>> {
         let pipeline = self.cluster.shards()[shard].pipeline();
         fetch_partials(pipeline, self.cluster.partitioner().grid(), region)
-    }
-}
-
-/// Scatter reads off a per-shard replica set instead of the primaries:
-/// follower `i` must replicate shard `i`.
-pub struct FollowerExecutor<'a, T> {
-    followers: &'a [gisolap_repl::Follower<T>],
-    grid: Option<GridSpec>,
-}
-
-impl<'a, T> FollowerExecutor<'a, T> {
-    /// Reads from `followers`, filtering regions with `grid` (pass the
-    /// cluster spec's grid).
-    pub fn new(
-        followers: &'a [gisolap_repl::Follower<T>],
-        grid: Option<GridSpec>,
-    ) -> FollowerExecutor<'a, T> {
-        FollowerExecutor { followers, grid }
-    }
-}
-
-impl<T: gisolap_repl::Transport> ShardExecutor for FollowerExecutor<'_, T> {
-    fn shards(&self) -> usize {
-        self.followers.len()
-    }
-
-    fn fetch(&self, shard: usize, region: Option<&BBox>) -> Result<Vec<(GroupKey, CellPartial)>> {
-        let pipeline = self.followers[shard].pipeline().ok_or_else(|| {
-            StoreError::BadConfig(format!(
-                "replica for shard {shard} has not seeded yet; sync it before serving reads"
-            ))
-        })?;
-        fetch_partials(pipeline, self.grid, region)
-    }
-
-    fn lag(&self, shard: usize) -> Option<gisolap_repl::Lag> {
-        Some(self.followers[shard].lag())
-    }
-
-    fn is_stale(&self, shard: usize) -> bool {
-        self.followers[shard].stale()
     }
 }
 
@@ -850,83 +766,6 @@ mod tests {
             grid: None,
         };
         assert!(Coordinator::new(ClusterExecutor::new(&cluster), wrong).is_err());
-    }
-
-    #[test]
-    fn follower_executor_serves_replica_reads() {
-        let scratch = ScratchDir::new("shard-coord-followers");
-        let batch = records(200);
-        let spec = PartitionerSpec::Spatial {
-            shards: 2,
-            grid: grid(),
-        };
-        let cluster = cluster_with(&scratch, spec, &batch);
-        let single = single_with(&batch);
-        let leaders = cluster.into_leaders();
-        let mut replicas =
-            crate::cluster::replica_set(&leaders, &spec, gisolap_repl::FollowerConfig::default());
-        for r in replicas.iter_mut() {
-            r.sync(16).unwrap();
-            assert!(r.caught_up());
-        }
-        let exec = FollowerExecutor::new(&replicas, spec.grid());
-        let mut coord = Coordinator::new(exec, spec).unwrap();
-        let q = ShardQuery::new(RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Sum))
-            .in_region(BBox::new(0.1, 0.1, 5.9, 5.9));
-        let got = coord.eval(&q).unwrap();
-        assert_eq!(got.rows, eval_single(&single, Some(grid()), &q).unwrap());
-        assert_eq!(coord.stats().queries, 1);
-        assert_eq!(got.explain.shards_stale, 0, "caught-up replicas");
-    }
-
-    #[test]
-    fn stale_followers_flag_the_explain_instead_of_panicking() {
-        let scratch = ScratchDir::new("shard-coord-stale");
-        let spec = PartitionerSpec::Spatial {
-            shards: 2,
-            grid: grid(),
-        };
-        let cluster = cluster_with(&scratch, spec, &records(120));
-        let leaders = cluster.into_leaders();
-        // A zero-sequence staleness bound: any lag at all degrades. A
-        // one-entry poll batch keeps the replicas behind after a single
-        // contact, so the lag is *known* without being caught up.
-        let config = gisolap_repl::FollowerConfig {
-            max_lag_seqs: Some(0),
-            max_batch: 1,
-            ..gisolap_repl::FollowerConfig::default()
-        };
-        let mut replicas = crate::cluster::replica_set(&leaders, &spec, config);
-        for r in replicas.iter_mut() {
-            r.sync(64).unwrap();
-        }
-        // The leaders move on; three new WAL entries per shard.
-        for leader in &leaders {
-            let mut leader = leader.lock().unwrap();
-            for chunk in records(120).chunks(40) {
-                leader.ingest(chunk).unwrap();
-            }
-        }
-        for r in replicas.iter_mut() {
-            // One contact applies one entry and learns the leader
-            // frontier — two entries of visible lag remain.
-            let _ = r.poll();
-        }
-        let stale = replicas.iter().filter(|r| r.stale()).count() as u64;
-        assert!(stale > 0, "bound of 0 with fresh writes must show lag");
-
-        let exec = FollowerExecutor::new(&replicas, spec.grid());
-        let mut coord = Coordinator::new(exec, spec).unwrap();
-        let q = ShardQuery::new(RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Count));
-        let got = coord.eval(&q).unwrap();
-        assert_eq!(got.explain.shards_stale, stale);
-        assert!(got.explain.max_lag_seqs.is_some());
-        assert_eq!(coord.stats().stale_fetches, stale);
-        let line = got.explain.to_string();
-        assert!(
-            line.contains("stale:"),
-            "explain surfaces staleness: {line}"
-        );
     }
 
     /// Hands back canned per-shard runs, region-filtered like a real

@@ -10,8 +10,8 @@
 //!   spatial-by-overlay-cell (disjoint shard key sets, region filters
 //!   prune whole shards before any I/O).
 //! * [`cluster`] — [`ShardedIngest`]: N per-shard durable stores under
-//!   one root with a persisted membership manifest, routed ingest, and
-//!   per-shard replication leaders/replica sets.
+//!   one root with a persisted membership manifest (whose epoch
+//!   replication fences) and routed ingest.
 //! * [`coordinator`] — [`Coordinator`]: prune → scatter (shards
 //!   fetched in ascending order on the calling thread) → gather (a
 //!   k-way merge of the per-shard runs, ties in ascending shard order,
@@ -22,10 +22,6 @@
 //!   equivalence tests compare against.
 //! * [`wire`] — codecs for manifests, regions, grids and shipped cell
 //!   sets, riding the store's CRC framing.
-//! * [`elastic`] — shard elasticity: [`ShardGroup`], a lease-based
-//!   failover controller promoting replicas under epoch fencing, and
-//!   [`rebalance`], journaled cell-range handoff between shard counts
-//!   with crash recovery to a consistent assignment (`DESIGN.md` §5k).
 //!
 //! The correctness core, proved cheap by construction: a shard's
 //! extracted cells
@@ -41,18 +37,12 @@
 
 pub mod cluster;
 pub mod coordinator;
-pub mod elastic;
 pub mod partition;
 pub mod wire;
 
-pub use cluster::{replica_set, shard_dir, RouteStats, ShardedIngest, SHARDS_MANIFEST};
+pub use cluster::{shard_dir, RouteStats, ShardedIngest, REBALANCE_JOURNAL, SHARDS_MANIFEST};
 pub use coordinator::{
-    check_region, eval_single, fetch_partials, filter_region, filter_window, is_leadership_error,
-    ClusterExecutor, Coordinator, FollowerExecutor, ShardExecutor, ShardExplain, ShardQuery,
-    ShardResult, ShardStats,
-};
-pub use elastic::{
-    rebalance, recover_rebalance, ElasticConfig, ElasticStats, LeaseGrant, Link, PinnedExecutor,
-    RebalanceRecovery, RebalanceReport, ReplicaHome, ShardGroup, TickOutcome, REBALANCE_JOURNAL,
+    check_region, eval_single, fetch_partials, filter_region, filter_window, ClusterExecutor,
+    Coordinator, ShardExecutor, ShardExplain, ShardQuery, ShardResult, ShardStats,
 };
 pub use partition::{GridSpec, HashPartitioner, Partitioner, PartitionerSpec, SpatialPartitioner};

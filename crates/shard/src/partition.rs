@@ -292,7 +292,7 @@ impl SpatialPartitioner {
 
     /// The shard owning grid cell `id` (contiguous range assignment —
     /// monotone in the cell id, so nearby rows land together).
-    pub(crate) fn shard_of_cell(&self, id: u32) -> usize {
+    pub fn shard_of_cell(&self, id: u32) -> usize {
         ((id as u64 * self.shards as u64) / self.grid.cells() as u64) as usize
     }
 }

@@ -80,7 +80,8 @@ messages! {
     /// root before any handoff byte moves, deleted only after the swap and
     /// GC complete. Recovery reads it to decide whether a crashed rebalance
     /// rolls forward (the manifest already flipped to `target_epoch`) or
-    /// rolls back (it did not) — see [`crate::elastic::recover_rebalance`].
+    /// rolls back (it did not); until then
+    /// [`ShardedIngest::open`](crate::ShardedIngest::open) refuses the root.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct RebalanceJournal ["rebalance-journal version byte" = 0x4A] {
         /// The epoch the rebalance commits at (current epoch + 1); the

@@ -17,11 +17,12 @@
 //!   `tests/tests/sub_equivalence.rs`);
 //! * [`Notification`]s (value delta, window rollup, threshold crossings
 //!   with hysteresis) delivered through [`Sink`]s (an in-memory
-//!   [`ChannelSink`]) and buffered for pull-based catch-up;
-//! * a [`StandingFollower`] composing the evaluator with §5f
-//!   replication, so read replicas serve subscriptions off their own
-//!   apply path under the same `Stale { lag }` staleness contract
-//!   lag-bounded rollups use.
+//!   [`ChannelSink`]) and buffered for pull-based catch-up.
+//!
+//! A read replica serves subscriptions off its own apply path by
+//! calling [`StandingEvaluator::sync_pipeline`] on its follower's
+//! pipeline after each poll, and gates reads with the follower's
+//! `bounded`, so a lagging replica answers `Stale { lag }`.
 //!
 //! Quickstart: README § Standing queries. Counters and flags:
 //! OBSERVABILITY.md § Standing-query metrics. Design: DESIGN.md §5j.
@@ -31,13 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod follow;
 pub mod registry;
 pub mod sink;
 pub mod standing;
 pub mod wire;
 
-pub use follow::StandingFollower;
 pub use registry::{Registry, SubId, Subscription, Threshold};
 pub use sink::{ChannelSink, Sink};
 pub use standing::{window_value, Crossing, Notification, StandingEvaluator, SubStats};

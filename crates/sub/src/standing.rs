@@ -133,8 +133,7 @@ struct SubState {
 /// The standing-query evaluator: a [`Registry`] plus per-subscription
 /// filter and threshold state, sinks and a bounded catch-up buffer. It
 /// reads a pipeline through [`StandingEvaluator::sync_pipeline`], called
-/// after ingests or replication polls (the serve layer and
-/// [`StandingFollower`](crate::StandingFollower) do).
+/// after ingests (the serve layer does) or replication polls.
 pub struct StandingEvaluator {
     grid: Option<GridSpec>,
     registry: Registry,

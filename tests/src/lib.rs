@@ -3,12 +3,16 @@
 //! The test files under `tests/` implement the experiment index of
 //! DESIGN.md §5 (E1–E9), each reproducing one artifact of Kuijpers &
 //! Vaisman (ICDE 2007). EXPERIMENTS.md records paper-vs-measured.
+//! [`elastic`] is the failover and rebalancing model the shard tests
+//! drive (`DESIGN.md` §5k).
 
 use gisolap_core::engine::{IndexedEngine, NaiveEngine, OverlayEngine, QueryEngine};
 use gisolap_core::gis::Gis;
 use gisolap_olap::agg::Partial;
 use gisolap_stream::{CellPartial, GroupKey};
 use gisolap_traj::Moft;
+
+pub mod elastic;
 
 /// Runs a closure against all three engine strategies, asserting they
 /// produce the same value.

@@ -1,40 +1,46 @@
-//! The shard-elasticity acceptance suite (`DESIGN.md` §5k).
+//! The shard-elasticity acceptance suite (`DESIGN.md` §5k), driving
+//! the logical-tick model in `gisolap_tests::elastic`.
 //!
 //! Two fault-injected properties, swept by `GISOLAP_CASES`
 //! (default 16, raised by CI):
 //!
 //! 1. **Failover never changes an answer** — random kill/failover
-//!    schedules over replicated shard groups: after every round the
-//!    coordinator's rerouted answer is bit-identical to a single-store
-//!    oracle over the same records, lease grants stay strictly
-//!    increasing (at most one leader per epoch), and every deposed
-//!    leader is permanently fenced.
+//!    schedules over replicated shard groups, under a short lease and
+//!    the default one: every failover lands within 2× a lease, after
+//!    every round the coordinator's rerouted answer is bit-identical to
+//!    a single-store oracle over the same records, lease grants stay
+//!    strictly increasing (at most one leader per epoch), and every
+//!    deposed leader is permanently fenced.
 //! 2. **A crash mid-rebalance recovers to a consistent assignment** —
 //!    a `FailpointFs` byte budget tears the staged handoff at a
-//!    seed-chosen write; reopening rolls back or forward to exactly
-//!    the old or the new shard count, with the full cell union intact
-//!    and queries still bit-identical to the oracle.
+//!    seed-chosen write; recovery rolls back or forward to exactly the
+//!    old or the new shard count, with the full cell union intact and
+//!    queries still bit-identical to the oracle.
 //!
-//! Plus doc-coverage checks keeping the OBSERVABILITY.md elasticity
-//! tables complete (the `gisolap_elastic_*` counters and the
-//! `GISOLAP_ELASTIC_*` flags), and liveness checks that every
-//! `ElasticStats`, `IngestStats` and `ShardStats` counter has a writer.
+//! Plus: `ShardedIngest::open` refuses a root an interrupted rebalance
+//! left its journal in, and liveness checks that every `ElasticStats`,
+//! `IngestStats` and `ShardStats` counter has a writer.
 
 use gisolap_geom::BBox;
 use gisolap_obs::CounterSet;
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_repl::FollowerConfig;
+use gisolap_shard::wire::RebalanceJournal;
 use gisolap_shard::{
-    eval_single, rebalance, replica_set, ClusterExecutor, Coordinator, ElasticConfig,
-    FollowerExecutor, GridSpec, Partitioner, PartitionerSpec, PinnedExecutor, ReplicaHome,
-    ShardGroup, ShardQuery, ShardedIngest, SpatialPartitioner, TickOutcome, REBALANCE_JOURNAL,
+    eval_single, ClusterExecutor, Coordinator, GridSpec, Partitioner, PartitionerSpec, ShardQuery,
+    ShardedIngest, SpatialPartitioner, REBALANCE_JOURNAL,
 };
 use gisolap_store::{
     DurableIngest, FailpointFs, RealFs, ScratchDir, StoreConfig, StoreError, SyncPolicy, Vfs,
 };
 use gisolap_stream::{
     CellPartial, GroupKey, Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest,
+};
+use gisolap_tests::elastic::{
+    eval_rerouted, into_leaders, rebalance, recover_rebalance, replica_set, write_journal,
+    ElasticConfig, FollowerExecutor, PinnedExecutor, RebalanceRecovery, ReplicaHome, ShardGroup,
+    TickOutcome,
 };
 use gisolap_traj::{ObjectId, Record};
 use proptest::prelude::*;
@@ -120,7 +126,27 @@ const SHARDS: usize = 2;
 const REPLICAS: usize = 2;
 const ROUNDS: usize = 3;
 
-fn shard_groups(scratch: &ScratchDir) -> Vec<ShardGroup> {
+/// A short lease, and the default one (`lease_ticks: 10, probe_every: 2`).
+const CONFIGS: [ElasticConfig; 2] = [
+    ElasticConfig {
+        lease_ticks: 4,
+        probe_every: 2,
+    },
+    ElasticConfig {
+        lease_ticks: 10,
+        probe_every: 2,
+    },
+];
+
+/// Kills `group`'s lease holder and ticks until a replica is promoted;
+/// returns whether that took at most 2× a lease.
+fn fail_over(group: &mut ShardGroup, config: ElasticConfig) -> bool {
+    group.kill(group.holder());
+    (0..2 * config.lease_ticks)
+        .any(|_| matches!(group.tick().unwrap(), TickOutcome::FailedOver { .. }))
+}
+
+fn shard_groups(scratch: &ScratchDir, config: ElasticConfig) -> Vec<ShardGroup> {
     let fs: Arc<dyn Vfs> = Arc::new(RealFs);
     let g = grid();
     (0..SHARDS)
@@ -149,10 +175,7 @@ fn shard_groups(scratch: &ScratchDir) -> Vec<ShardGroup> {
                     backoff_base_ms: 0,
                     ..FollowerConfig::default()
                 },
-                ElasticConfig {
-                    lease_ticks: 4,
-                    probe_every: 2,
-                },
+                config,
             )
             .unwrap()
         })
@@ -162,13 +185,15 @@ fn shard_groups(scratch: &ScratchDir) -> Vec<ShardGroup> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
 
-    /// Random kill/failover schedules: the rerouted coordinator answer
-    /// stays bit-identical to the single-store oracle after every
-    /// round, grants only ratchet, deposed leaders stay fenced.
+    /// Random kill/failover schedules under either lease: failover
+    /// within 2× the lease, the rerouted coordinator answer stays
+    /// bit-identical to the single-store oracle after every round,
+    /// grants only ratchet, deposed leaders stay fenced.
     #[test]
-    fn failover_schedules_keep_queries_bit_identical(seed in 0u64..1_000_000) {
+    fn failover_schedules_keep_queries_bit_identical(seed in 0u64..1_000_000, c in 0usize..2) {
+        let config = CONFIGS[c];
         let scratch = ScratchDir::new("elastic-sweep-failover");
-        let mut groups = shard_groups(&scratch);
+        let mut groups = shard_groups(&scratch, config);
         let part = SpatialPartitioner::new(SHARDS, grid()).unwrap();
         let mut coordinator = Coordinator::new(
             PinnedExecutor::pin(&groups, Some(grid())),
@@ -201,15 +226,7 @@ proptest! {
                     kills_left[g] -= 1;
                     let old_holder = group.holder();
                     let epoch_before = group.epoch();
-                    group.kill(old_holder);
-                    let mut failed_over = false;
-                    for _ in 0..20 {
-                        if matches!(group.tick().unwrap(), TickOutcome::FailedOver { .. }) {
-                            failed_over = true;
-                            break;
-                        }
-                    }
-                    prop_assert!(failed_over, "failover within 2x the lease window");
+                    prop_assert!(fail_over(group, config), "failover within 2x {:?}", config);
                     prop_assert_eq!(group.epoch(), epoch_before + 1);
                     // The old host comes back — its leader stays fenced.
                     group.revive(old_holder);
@@ -220,12 +237,9 @@ proptest! {
             // the oracle bit for bit.
             let single = oracle(&ingested);
             for q in queries() {
-                let got = coordinator
-                    .eval_rerouted(&q, 2, &mut |executor| {
-                        executor.repin(&groups);
-                        Ok(())
-                    })
-                    .unwrap();
+                let (got, _) =
+                    eval_rerouted(&mut coordinator, &q, 2, |executor| executor.repin(&groups))
+                        .unwrap();
                 let want = eval_single(&single, Some(grid()), &q).unwrap();
                 prop_assert_eq!(bits(&got.rows), bits(&want), "round {}", round);
             }
@@ -312,8 +326,9 @@ proptest! {
             let _ = rebalance(cluster, to, stream_config(), store_config());
         }
 
-        // Recovery: reopening lands on exactly one assignment.
+        // Recovery, then reopening, lands on exactly one assignment.
         let fs: Arc<dyn Vfs> = Arc::new(RealFs);
+        recover_rebalance(fs.as_ref(), scratch.path()).unwrap();
         let (recovered, _) =
             ShardedIngest::open(fs.clone(), scratch.path(), stream_config(), store_config())
                 .unwrap();
@@ -338,6 +353,35 @@ proptest! {
     }
 }
 
+/// A journal an interrupted rebalance left behind makes `open` refuse
+/// the root, naming the journal; recovery clears it, and the cluster
+/// then opens onto its old assignment.
+#[test]
+fn open_refuses_a_root_holding_a_rebalance_journal() {
+    let scratch = ScratchDir::new("elastic-journal-refusal");
+    let fs: Arc<dyn Vfs> = Arc::new(RealFs);
+    build_cluster(fs.clone(), scratch.path(), 2, 7);
+    let journal = RebalanceJournal {
+        target_epoch: 1,
+        from: spatial(2),
+        to: spatial(3),
+    };
+    write_journal(fs.as_ref(), scratch.path(), &journal).unwrap();
+
+    let open = || ShardedIngest::open(fs.clone(), scratch.path(), stream_config(), store_config());
+    let err = open().unwrap_err();
+    assert!(matches!(err, StoreError::BadConfig(_)), "{err}");
+    assert!(err.to_string().contains(REBALANCE_JOURNAL), "{err}");
+
+    let recovery = recover_rebalance(fs.as_ref(), scratch.path()).unwrap();
+    assert_eq!(recovery, RebalanceRecovery::RolledBack);
+    let (cluster, _) = open().unwrap();
+    assert_eq!((cluster.shard_count(), cluster.epoch()), (2, 0));
+    let mut want = oracle(&workload(7, 0, 200)).extract_partials();
+    want.sort_by_key(|(key, _)| *key);
+    assert_eq!(sorted_cells(&cluster), want);
+}
+
 // --- counter liveness -------------------------------------------------
 
 /// One group renews its lease, loses its leader and fails over: every
@@ -345,15 +389,15 @@ proptest! {
 #[test]
 fn every_elastic_counter_has_a_live_writer() {
     let scratch = ScratchDir::new("elastic-counter-liveness");
-    let mut group = shard_groups(&scratch).swap_remove(0);
+    let mut group = shard_groups(&scratch, CONFIGS[0]).swap_remove(0);
     group.ingest(&workload(7, 0, 20)).unwrap();
     for _ in 0..6 {
         group.tick().unwrap();
     }
-    group.kill(group.holder());
-    let failed_over =
-        (0..20).any(|_| matches!(group.tick().unwrap(), TickOutcome::FailedOver { .. }));
-    assert!(failed_over, "failover within 2x the lease window");
+    assert!(
+        fail_over(&mut group, CONFIGS[0]),
+        "failover within 2x the lease"
+    );
     for (field, value) in group.stats().fields() {
         assert!(value > 0, "ElasticStats::{field} never moved");
     }
@@ -365,15 +409,14 @@ fn every_elastic_counter_has_a_live_writer() {
 /// - Spatial shard groups behind pinned leaders take an hour of records,
 ///   a far-future batch that seals it, and a straggler for the sealed
 ///   hour. A region query prunes a shard, a windowed query prunes cells,
-///   and both read the leaders' live tails. After a failover, a rerouted
-///   query retries once.
+///   and both read the leaders' live tails.
 /// - A hash cluster holds the same records in both shards, so the
 ///   gather merges keys. It is read through replicas a lag bound of 0
 ///   marks stale.
 #[test]
 fn every_ingest_and_shard_counter_has_a_live_writer() {
     let scratch = ScratchDir::new("ingest-shard-counter-liveness");
-    let mut groups = shard_groups(&scratch);
+    let mut groups = shard_groups(&scratch, CONFIGS[0]);
     let part = SpatialPartitioner::new(SHARDS, grid()).unwrap();
     let early = workload(7, 0, 30);
     let batches = [early.clone(), workload(7, 2000, 30), early[..1].to_vec()];
@@ -401,22 +444,6 @@ fn every_ingest_and_shard_counter_has_a_live_writer() {
         let stats = leader.lock().unwrap().durable().ingest_stats();
         ingest = ingest.map(|name, v| v + field(&stats, name));
     }
-    for group in &mut groups {
-        for _ in 0..6 {
-            group.tick().unwrap();
-        }
-    }
-    let holder = groups[0].holder();
-    groups[0].kill(holder);
-    let failed_over =
-        (0..20).any(|_| matches!(groups[0].tick().unwrap(), TickOutcome::FailedOver { .. }));
-    assert!(failed_over, "failover within 2x the lease window");
-    pinned
-        .eval_rerouted(&q, 2, &mut |executor| {
-            executor.repin(&groups);
-            Ok(())
-        })
-        .unwrap();
 
     let hash = PartitionerSpec::Hash {
         shards: 2,
@@ -425,7 +452,7 @@ fn every_ingest_and_shard_counter_has_a_live_writer() {
     let vfs: Arc<dyn Vfs> = Arc::new(RealFs);
     let root = scratch.path().join("hash");
     let cluster = ShardedIngest::create(vfs, &root, hash, stream_config(), store_config()).unwrap();
-    let leaders = cluster.into_leaders();
+    let leaders = into_leaders(cluster, store_config()).unwrap();
     for leader in &leaders {
         leader.lock().unwrap().ingest(&early).unwrap();
     }

@@ -19,7 +19,7 @@ use gisolap_repl::{LeaderStats, ReplStats, ReplyHead, SnapshotTransfer};
 use gisolap_serve::wire::{decode_reply, decode_request, encode_reply, encode_request};
 use gisolap_serve::{ServeReply, ServeRequest, ServeStats};
 use gisolap_shard::wire::{RebalanceJournal, ShardManifest};
-use gisolap_shard::{ElasticStats, GridSpec, PartitionerSpec, RouteStats, ShardStats};
+use gisolap_shard::{GridSpec, PartitionerSpec, RouteStats, ShardStats};
 use gisolap_store::codec::{self, Enc, FileKind, Manifest, SegmentEntry, TailDelta};
 use gisolap_store::wal::WalEntry;
 use gisolap_store::StoreStats;
@@ -28,6 +28,7 @@ use gisolap_stream::{
     StreamIngest, TailState,
 };
 use gisolap_sub::{Crossing, Notification, SubId, SubStats, Subscription};
+use gisolap_tests::elastic::ElasticStats;
 use gisolap_traj::{Moft, ObjectId, Record};
 use std::path::{Path, PathBuf};
 
@@ -1229,9 +1230,6 @@ gisolap_shard_gather_merges_total 6
 # HELP gisolap_shard_stale_fetches_total Shard coordinator counter.
 # TYPE gisolap_shard_stale_fetches_total counter
 gisolap_shard_stale_fetches_total 7
-# HELP gisolap_shard_leadership_retries_total Shard coordinator counter.
-# TYPE gisolap_shard_leadership_retries_total counter
-gisolap_shard_leadership_retries_total 8
 # HELP gisolap_shard_routed_batches_total Shard routing counter.
 # TYPE gisolap_shard_routed_batches_total counter
 gisolap_shard_routed_batches_total 1

@@ -254,7 +254,7 @@ fn observability_doc_covers_every_counter_family() {
         undocumented::<gisolap_serve::ServeStats>(doc),
         undocumented::<gisolap_shard::ShardStats>(doc),
         undocumented::<gisolap_shard::RouteStats>(doc),
-        undocumented::<gisolap_shard::ElasticStats>(doc),
+        undocumented::<gisolap_tests::elastic::ElasticStats>(doc),
         undocumented::<gisolap_sub::SubStats>(doc),
     ]
     .concat();

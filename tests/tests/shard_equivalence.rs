@@ -21,14 +21,15 @@ use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_repl::FollowerConfig;
 use gisolap_shard::{
-    eval_single, filter_region, replica_set, ClusterExecutor, Coordinator, FollowerExecutor,
-    GridSpec, PartitionerSpec, PinnedExecutor, ShardExecutor, ShardQuery, ShardedIngest,
+    eval_single, filter_region, ClusterExecutor, Coordinator, GridSpec, PartitionerSpec,
+    ShardExecutor, ShardQuery, ShardedIngest,
 };
 use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
 use gisolap_stream::{
     CellPartial, GroupKey, Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest,
 };
 use gisolap_tests::cell_bits;
+use gisolap_tests::elastic::{into_leaders, replica_set, FollowerExecutor, PinnedExecutor};
 use gisolap_traj::Record;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -220,7 +221,7 @@ fn every_executor_fetches_exactly(cluster: ShardedIngest, label: &str) {
         label,
     );
 
-    let leaders = cluster.into_leaders();
+    let leaders = into_leaders(cluster, store_config()).unwrap();
     let pinned = PinnedExecutor::new(leaders.clone(), grid);
     let leader_cells = |s: usize| leaders[s].lock().unwrap().durable().extract_partials();
     assert_fetches_exact(&pinned, grid, leader_cells, label);

@@ -27,9 +27,7 @@ use gisolap_repl::{DirectTransport, Follower, FollowerConfig, LagBounded, Leader
 use gisolap_shard::GridSpec;
 use gisolap_store::{DurableIngest, RealFs, ScratchDir, StoreConfig, SyncPolicy};
 use gisolap_stream::{CellPartial, GroupKey, Measure, StreamConfig, StreamIngest};
-use gisolap_sub::{
-    window_value, Notification, StandingEvaluator, StandingFollower, SubId, Subscription,
-};
+use gisolap_sub::{window_value, Notification, StandingEvaluator, SubId, Subscription};
 use gisolap_traj::Record;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -119,6 +117,15 @@ fn scratch_pipeline(records: &[Record], partition: i64) -> StreamIngest {
     pipeline.ingest(&seen);
     pipeline.finish();
     pipeline
+}
+
+/// One replication poll, then the replica's evaluator syncs off the
+/// follower's own pipeline.
+fn poll(follower: &mut Follower<DirectTransport>, evaluator: &mut StandingEvaluator) {
+    follower.poll().unwrap();
+    if let Some(pipeline) = follower.pipeline() {
+        evaluator.sync_pipeline(pipeline);
+    }
 }
 
 /// Checks each notification's rows and value bits against
@@ -336,7 +343,7 @@ proptest! {
         let leader = Arc::new(Mutex::new(Leader::new(durable)));
         let transport = DirectTransport::new(leader.clone());
 
-        let follower = Follower::memory(
+        let mut follower = Follower::memory(
             transport,
             Some(grid().resolver()),
             FollowerConfig {
@@ -346,41 +353,63 @@ proptest! {
                 ..FollowerConfig::default()
             },
         );
-        let mut standing = StandingFollower::new(follower, Some(grid()));
+        // The replica's evaluator syncs off the follower's own pipeline
+        // after every poll; reads go through the follower's lag gate.
+        let mut evaluator = StandingEvaluator::new(Some(grid()));
         let mut ids = Vec::new();
         for sub in subscriptions(seed) {
-            ids.push((standing.register(sub.clone()).expect("register"), sub));
+            ids.push((evaluator.register(sub.clone()).expect("register"), sub));
+        }
+        // Never synced: stale, with unknown lag.
+        for (id, _) in &ids {
+            let never_synced = follower.bounded(evaluator.value(*id));
+            prop_assert!(matches!(never_synced, LagBounded::Stale { .. }));
         }
 
-        // Feed the leader in several batches, partially polling between
-        // them so the replica is genuinely behind at the checkpoints.
+        // Feed the leader two log entries at a time and poll one entry
+        // at a time, so each batch is checked once knowingly behind and
+        // once caught up.
         let mut cache = BTreeMap::new();
         let mut since = 0;
+        let (mut stale_answers, mut fresh_answers) = (0, 0);
         let chunk = 1 + records.len() / 4;
         for batch in records.chunks(chunk) {
-            leader.lock().unwrap().ingest(batch).unwrap();
-            standing.poll().unwrap();
-            let (items, next) = standing.evaluator().notifications_since(since);
-            since = next;
-            check_notifications(&items, &ids, &records, &mut cache, "replica");
-            let synced = standing.follower().lag().seqs == Some(0);
-            for (id, sub) in &ids {
-                match standing.value_bounded(*id) {
-                    LagBounded::Fresh { value, .. } => {
-                        prop_assert!(synced, "fresh answer while behind");
-                        let pipeline = standing.follower().pipeline().expect("bootstrapped");
-                        let (_, want) = window_value(sub, &cube_reference(pipeline, sub));
-                        prop_assert_eq!(value.map(f64::to_bits), want.map(f64::to_bits));
-                    }
-                    LagBounded::Stale { .. } => {
-                        prop_assert!(!synced, "stale answer while caught up");
+            let (first, second) = batch.split_at(batch.len() / 2);
+            for half in [first, second].into_iter().filter(|h| !h.is_empty()) {
+                leader.lock().unwrap().ingest(half).unwrap();
+            }
+            for _ in 0..2 {
+                poll(&mut follower, &mut evaluator);
+                let (items, next) = evaluator.notifications_since(since);
+                since = next;
+                check_notifications(&items, &ids, &records, &mut cache, "replica");
+                let synced = follower.lag().seqs == Some(0);
+                for (id, sub) in &ids {
+                    match follower.bounded(evaluator.value(*id)) {
+                        LagBounded::Fresh { value, .. } => {
+                            prop_assert!(synced, "fresh answer while behind");
+                            let pipeline = follower.pipeline().expect("bootstrapped");
+                            let (_, want) = window_value(sub, &cube_reference(pipeline, sub));
+                            prop_assert_eq!(value.map(f64::to_bits), want.map(f64::to_bits));
+                            fresh_answers += 1;
+                        }
+                        LagBounded::Stale { .. } => {
+                            prop_assert!(!synced, "stale answer while caught up");
+                            stale_answers += 1;
+                        }
                     }
                 }
             }
         }
-        standing.sync(10_000).unwrap();
-        prop_assert!(standing.follower().caught_up());
-        let (items, _) = standing.evaluator().notifications_since(since);
+        prop_assert!(stale_answers > 0 && fresh_answers > 0, "both legs ran");
+        for _ in 0..10_000 {
+            if follower.caught_up() {
+                break;
+            }
+            poll(&mut follower, &mut evaluator);
+        }
+        prop_assert!(follower.caught_up());
+        let (items, _) = evaluator.notifications_since(since);
         check_notifications(&items, &ids, &records, &mut cache, "replica catch-up");
 
         // Converged: the replica's values equal the batch answers over
@@ -391,7 +420,7 @@ proptest! {
         let leader_pipeline = leader_guard.durable().pipeline();
         for (id, sub) in &ids {
             let (_, want_value) = window_value(sub, &cube_reference(leader_pipeline, sub));
-            match standing.value_bounded(*id) {
+            match follower.bounded(evaluator.value(*id)) {
                 LagBounded::Fresh { value, .. } => {
                     prop_assert_eq!(value.map(f64::to_bits), want_value.map(f64::to_bits));
                 }
