@@ -3,12 +3,12 @@
 //!
 //! The workload is a large [`EventCrowd`] — 64 objects sampled every 15
 //! minutes over a 2×2 overlay grid, with the event burst every evening
-//! — with the DESIGN.md §5j subscription mix (global sum, a windowed +
-//! thresholded venue count, a regional min). The evaluator keeps no
+//! — with a mix of subscriptions (global sum, a windowed + thresholded
+//! venue count, a regional min). The evaluator keeps no
 //! cells: each seal reads its window off the pipeline's cube. So the
 //! windowed burst detector's cost follows its 2-hour window, not the
 //! history, and its p50 at four days must stay within **1.5×** of its
-//! p50 at one day (hard-asserted; the bar in DESIGN.md §5j). The
+//! p50 at one day (hard-asserted; why it holds: DESIGN.md §6.5). The
 //! whole-history subscriptions answer over all history by definition;
 //! the mix is reported, not asserted.
 //!
@@ -67,7 +67,7 @@ fn burst_detector() -> Subscription {
         .with_threshold(16.0, 4.0)
 }
 
-/// The §5j subscription mix: global sum, burst detector over the venue,
+/// The subscription mix: global sum, burst detector over the venue,
 /// regional min over the quiet corner.
 fn mix() -> Vec<Subscription> {
     vec![

@@ -4,7 +4,7 @@
 //!
 //! The paper's evaluation data (Antwerp layers, bus GPS samples) was never
 //! published; this crate substitutes deterministic generators that
-//! exercise the same code paths (see DESIGN.md §7 for the substitution
+//! exercise the same code paths (see DESIGN.md §1.5 for the substitution
 //! argument):
 //!
 //! * [`fig1`] — the **exact running example** of the paper: Figure 1's

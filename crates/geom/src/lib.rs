@@ -8,7 +8,7 @@
 //! polygons (with holes), together with the operations the query engine
 //! needs — robust orientation predicates, segment intersection (including
 //! collinear overlap), point-in-polygon tests, length/area/centroid,
-//! convex hulls, Douglas–Peucker simplification, segment-against-polygon
+//! Douglas–Peucker simplification, segment-against-polygon
 //! clipping (used for trajectory/region intersection) and a full polygon
 //! boolean overlay (used for the Piet-style overlay precomputation of the
 //! paper's Section 5).
@@ -46,7 +46,6 @@
 
 pub mod bbox;
 pub mod clip;
-pub mod hull;
 pub mod overlay;
 pub mod point;
 pub mod polygon;

@@ -63,15 +63,6 @@ impl Point {
     pub fn midpoint(self, other: Point) -> Point {
         self.lerp(other, 0.5)
     }
-
-    /// Total order on points: first by `x`, then by `y` (using IEEE total
-    /// ordering so the comparison is well-defined for every finite value).
-    #[inline]
-    pub(crate) fn lex_cmp(self, other: Point) -> std::cmp::Ordering {
-        self.x
-            .total_cmp(&other.x)
-            .then_with(|| self.y.total_cmp(&other.y))
-    }
 }
 
 impl Vec2 {
@@ -103,12 +94,6 @@ impl Vec2 {
     #[inline]
     pub(crate) fn length_sq(self) -> f64 {
         self.dot(self)
-    }
-
-    /// A vector rotated 90° counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
     }
 
     /// Unit-length copy of this vector; `None` for the zero vector.
@@ -225,12 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn perp_rotates_ccw() {
-        assert_eq!(Vec2::new(1.0, 0.0).perp(), Vec2::new(0.0, 1.0));
-        assert_eq!(Vec2::new(0.0, 1.0).perp(), Vec2::new(-1.0, 0.0));
-    }
-
-    #[test]
     fn normalized_handles_zero() {
         assert!(Vec2::new(0.0, 0.0).normalized().is_none());
         let n = Vec2::new(3.0, 4.0).normalized().unwrap();
@@ -242,13 +221,5 @@ mod tests {
         assert!(pt(f64::NAN, 0.0).validate().is_err());
         assert!(pt(0.0, f64::INFINITY).validate().is_err());
         assert!(pt(0.0, 0.0).validate().is_ok());
-    }
-
-    #[test]
-    fn lex_cmp_orders_by_x_then_y() {
-        use std::cmp::Ordering::*;
-        assert_eq!(pt(0.0, 5.0).lex_cmp(pt(1.0, 0.0)), Less);
-        assert_eq!(pt(1.0, 0.0).lex_cmp(pt(1.0, 2.0)), Less);
-        assert_eq!(pt(1.0, 2.0).lex_cmp(pt(1.0, 2.0)), Equal);
     }
 }

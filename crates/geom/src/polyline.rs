@@ -99,25 +99,6 @@ impl Polyline {
         self.segments().any(|s| s.contains_point(p))
     }
 
-    /// All intersection points with a segment (proper crossings, touches and
-    /// overlap endpoints), deduplicated.
-    pub fn intersections_with_segment(&self, seg: &Segment) -> Vec<Point> {
-        let mut pts: Vec<Point> = Vec::new();
-        for s in self.segments() {
-            match s.intersect(seg) {
-                SegmentIntersection::None => {}
-                SegmentIntersection::Point(p) => pts.push(p),
-                SegmentIntersection::Overlap(p, q) => {
-                    pts.push(p);
-                    pts.push(q);
-                }
-            }
-        }
-        pts.sort_by(|a, b| a.lex_cmp(*b));
-        pts.dedup();
-        pts
-    }
-
     /// `true` iff the polyline and `other` share at least one point.
     pub fn intersects_polyline(&self, other: &Polyline) -> bool {
         if !self.bbox().intersects(&other.bbox()) {
@@ -183,17 +164,6 @@ mod tests {
         assert_eq!(p.distance_to_point(pt(1.0, 1.0)), 1.0);
         assert!(p.contains_point(pt(2.0, 1.0)));
         assert!(!p.contains_point(pt(1.0, 1.0)));
-    }
-
-    #[test]
-    fn segment_intersections() {
-        let p = zigzag();
-        let cut = Segment::new(pt(1.0, -1.0), pt(1.0, 3.0));
-        assert_eq!(p.intersections_with_segment(&cut), vec![pt(1.0, 0.0)]);
-        let along = Segment::new(pt(-1.0, 0.0), pt(5.0, 0.0));
-        // overlaps the first edge: both overlap endpoints reported
-        let pts = p.intersections_with_segment(&along);
-        assert_eq!(pts, vec![pt(0.0, 0.0), pt(2.0, 0.0)]);
     }
 
     #[test]

@@ -62,15 +62,6 @@ pub fn polygon_to_wkt(poly: &Polygon) -> String {
     format!("POLYGON {}", polygon_body(poly))
 }
 
-/// Serializes a multipolygon as WKT.
-pub fn multipolygon_to_wkt(mp: &MultiPolygon) -> String {
-    if mp.is_empty() {
-        return "MULTIPOLYGON EMPTY".to_string();
-    }
-    let parts: Vec<String> = mp.polygons().iter().map(polygon_body).collect();
-    format!("MULTIPOLYGON ({})", parts.join(", "))
-}
-
 /// Parses one WKT geometry.
 pub fn parse(input: &str) -> crate::Result<WktGeometry> {
     let mut p = Parser { rest: input.trim() };
@@ -270,7 +261,8 @@ mod tests {
             Polygon::rectangle(0.0, 0.0, 1.0, 1.0),
             Polygon::rectangle(2.0, 0.0, 3.0, 1.0),
         ]);
-        let wkt = multipolygon_to_wkt(&mp);
+        let parts: Vec<String> = mp.polygons().iter().map(polygon_body).collect();
+        let wkt = format!("MULTIPOLYGON ({})", parts.join(", "));
         match parse(&wkt).unwrap() {
             WktGeometry::MultiPolygon(m) => assert_eq!(m.area(), 2.0),
             other => panic!("expected multipolygon, got {other:?}"),

@@ -1,10 +1,9 @@
 //! Property-based tests for the geometry substrate.
 
 use gisolap_geom::clip::clip_segment_to_polygon;
-use gisolap_geom::hull::convex_hull;
 use gisolap_geom::point::Point;
 use gisolap_geom::polygon::{PointLocation, Polygon, Ring};
-use gisolap_geom::predicates::orient2d;
+use gisolap_geom::predicates::{orient2d, Orientation};
 use gisolap_geom::segment::{Segment, SegmentIntersection};
 use gisolap_geom::{BooleanOp, MultiPolygon};
 use proptest::prelude::*;
@@ -21,6 +20,38 @@ fn point() -> impl Strategy<Value = Point> {
 fn rect_poly() -> impl Strategy<Value = Polygon> {
     (coord(), coord(), 1u8..=40, 1u8..=40)
         .prop_map(|(x, y, w, h)| Polygon::rectangle(x, y, x + w as f64, y + h as f64))
+}
+
+/// Convex hull (Andrew's monotone chain) as a counter-clockwise vertex
+/// list without a closing vertex; collinear boundary points are dropped.
+/// Fewer than three points come back for degenerate inputs. The
+/// generators below use it to build random convex polygons.
+fn convex_hull(points: &[Point]) -> Vec<Point> {
+    let mut pts = points.to_vec();
+    pts.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+    pts.dedup();
+    if pts.len() <= 2 {
+        return pts;
+    }
+    let mut hull: Vec<Point> = Vec::with_capacity(2 * pts.len());
+    let turns_left = |hull: &[Point], p| {
+        orient2d(hull[hull.len() - 2], hull[hull.len() - 1], p) == Orientation::CounterClockwise
+    };
+    for &p in &pts {
+        while hull.len() >= 2 && !turns_left(&hull, p) {
+            hull.pop();
+        }
+        hull.push(p);
+    }
+    let lower_len = hull.len() + 1;
+    for &p in pts.iter().rev().skip(1) {
+        while hull.len() >= lower_len && !turns_left(&hull, p) {
+            hull.pop();
+        }
+        hull.push(p);
+    }
+    hull.pop(); // the last point repeats the first
+    hull
 }
 
 /// A random convex polygon: convex hull of a handful of random points.

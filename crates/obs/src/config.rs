@@ -140,8 +140,7 @@ pub const SUB_MAX: EnvFlag = EnvFlag {
 };
 
 /// Notifications the standing-query evaluator buffers for catch-up
-/// reads; the oldest are dropped first once the ring is full (sinks
-/// attached directly still see every notification).
+/// reads; the oldest are dropped first once the ring is full.
 pub const SUB_BUFFER: EnvFlag = EnvFlag {
     name: "GISOLAP_SUB_BUFFER",
     default: "1024",

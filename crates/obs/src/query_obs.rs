@@ -40,12 +40,6 @@ impl QueryObs {
         }
     }
 
-    /// Replaces the slow-query log with one using an explicit threshold.
-    pub fn with_slow_query_threshold_ms(mut self, ms: u64) -> QueryObs {
-        self.slow = SlowQueryLog::with_threshold_ms(ms);
-        self
-    }
-
     /// The span-collection switch.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -99,11 +93,5 @@ mod tests {
         assert!(obs.tracer().enabled());
         obs.store_last_span(Span::new("eval"));
         assert_eq!(obs.last_span().unwrap().name, "eval");
-    }
-
-    #[test]
-    fn builder_threshold() {
-        let obs = QueryObs::from_env().with_slow_query_threshold_ms(5);
-        assert_eq!(obs.slow_queries().threshold_ns(), 5_000_000);
     }
 }

@@ -5,8 +5,6 @@
 //! warehouse, with schema (neighborhood, Year, Population)") maps
 //! coordinates in dimension levels to measures.
 
-use std::collections::HashMap;
-
 use crate::agg::{gamma, AggFn};
 use crate::instance::{DimensionInstance, MemberId};
 use crate::schema::LevelId;
@@ -243,28 +241,13 @@ impl FactTable {
         let dim = &self.dimensions[dcol.dimension];
         Ok(dim.attribute(dcol.level, self.dim_data[ri][ci], attr))
     }
-
-    /// Materialized summary: per distinct member of `col` (at its stored
-    /// level), the row count — handy for sanity checks.
-    pub fn cardinality_by(&self, col: &str) -> Result<HashMap<String, usize>> {
-        let ci = self.dim_col_index(col)?;
-        let dcol = &self.dim_cols[ci];
-        let dim = &self.dimensions[dcol.dimension];
-        let mut out = HashMap::new();
-        for ri in 0..self.len() {
-            let name = dim
-                .member_name(dcol.level, self.dim_data[ri][ci])
-                .to_string();
-            *out.entry(name).or_insert(0) += 1;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
+    use std::collections::HashMap;
 
     fn sales_table() -> FactTable {
         let geo = {
@@ -430,13 +413,5 @@ mod tests {
         assert!(ft
             .aggregate(AggFn::Sum, &[("month", "city")], "amount")
             .is_err());
-    }
-
-    #[test]
-    fn cardinality_by_column() {
-        let ft = sales_table();
-        let c = ft.cardinality_by("store").unwrap();
-        assert_eq!(c["S1"], 2);
-        assert_eq!(c["S3"], 2);
     }
 }

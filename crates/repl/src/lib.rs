@@ -6,7 +6,7 @@
 //! [`DurableIngest`](gisolap_store::DurableIngest), and a [`Follower`]
 //! tails them through a pluggable [`Transport`], applying entries via
 //! the **normal ingest path** so replica state converges bit-identically
-//! to the leader's (`DESIGN.md` §5f).
+//! to the leader's (`DESIGN.md` §5.1).
 //!
 //! * [`wire`] — the request/reply codec, built on the store codec's
 //!   CRC32 frames. The reply head and every shipped WAL entry carry
@@ -36,7 +36,7 @@
 //!
 //! Every reply carries the leader's **epoch** — the monotonically
 //! increasing term a failover controller appoints leaders under
-//! (`DESIGN.md` §5k). A [`Leader`] built with an [`EpochFence`] refuses
+//! (`DESIGN.md` §5.3). A [`Leader`] built with an [`EpochFence`] refuses
 //! writes and replication service with
 //! [`StoreError`](gisolap_store::StoreError)`::StaleEpoch` once the
 //! fence moves past its epoch, and answers `NotLeader` to any request

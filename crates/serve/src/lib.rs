@@ -4,7 +4,7 @@
 //! answering **rollup queries** and **replication fetches** against
 //! per-tenant [`DurableIngest`](gisolap_store::DurableIngest) stores,
 //! over the same CRC32-framed codec the store and replication layers
-//! already speak (`DESIGN.md` §5g).
+//! already speak (`DESIGN.md` §6.1).
 //!
 //! * [`wire`] — the request/reply codec: one CRC frame per message, so
 //!   every byte crossing the socket is checksummed; rollup values ship

@@ -112,14 +112,6 @@ pub struct ShardExplain {
     /// Gathered cells that merged into an already-present key (always 0
     /// under a spatial partitioner: shard key sets are disjoint).
     pub cells_merged: u64,
-    /// Queried shards whose source violated its staleness bound (lag-
-    /// bounded replica reads): the answer is still served, but flagged —
-    /// degraded is explicit, never silent.
-    pub shards_stale: u64,
-    /// The largest known replica sequence lag among queried shards, if
-    /// any source reported one (`None` when reading primaries, or when
-    /// no replica has synced far enough to know its lag).
-    pub max_lag_seqs: Option<u64>,
 }
 
 impl std::fmt::Display for ShardExplain {
@@ -133,14 +125,7 @@ impl std::fmt::Display for ShardExplain {
             self.cells_gathered,
             self.cells_window_pruned,
             self.cells_merged,
-        )?;
-        if self.shards_stale > 0 {
-            write!(f, "; stale: {} shards", self.shards_stale)?;
-            if let Some(lag) = self.max_lag_seqs {
-                write!(f, " (max lag {lag} seqs)")?;
-            }
-        }
-        Ok(())
+        )
     }
 }
 
@@ -168,9 +153,6 @@ counters! {
         cells_window_pruned,
         /// Gathered cells merged into an existing key during gather.
         gather_merges,
-        /// Shard fetches answered by a source past its staleness bound
-        /// (served, but flagged in the explain).
-        stale_fetches,
     }
 }
 
@@ -184,22 +166,6 @@ pub trait ShardExecutor {
     /// Shard `shard`'s `(hour, geo)` partial cells, ascending by key,
     /// restricted to cells intersecting `region` when one is given.
     fn fetch(&self, shard: usize, region: Option<&BBox>) -> Result<Vec<(GroupKey, CellPartial)>>;
-
-    /// How far shard `shard`'s source lags behind its leader, when this
-    /// executor reads replicas and knows. Primary-read executors return
-    /// `None` (the default).
-    fn lag(&self, _shard: usize) -> Option<gisolap_repl::Lag> {
-        None
-    }
-
-    /// Whether shard `shard`'s source currently violates its staleness
-    /// bound. Reads still succeed — the coordinator surfaces the
-    /// degradation in [`ShardExplain::shards_stale`] instead of serving
-    /// a wrong answer or panicking. Defaults to `false` (primaries are
-    /// never stale).
-    fn is_stale(&self, _shard: usize) -> bool {
-        false
-    }
 }
 
 /// Merges per-shard partial aggregates into single-store-identical
@@ -269,21 +235,6 @@ impl<E: ShardExecutor> Coordinator<E> {
         self.stats.shards_pruned += (total - targets.len()) as u64;
         self.stats.shards_queried += targets.len() as u64;
 
-        // Staleness: when the executor reads lag-bounded replicas, a
-        // source past its bound still answers, but the degradation is
-        // surfaced in the explain (never silent, never a panic).
-        let mut shards_stale = 0u64;
-        let mut max_lag_seqs: Option<u64> = None;
-        for &s in &targets {
-            if self.executor.is_stale(s) {
-                shards_stale += 1;
-            }
-            if let Some(seqs) = self.executor.lag(s).and_then(|lag| lag.seqs) {
-                max_lag_seqs = Some(max_lag_seqs.map_or(seqs, |m| m.max(seqs)));
-            }
-        }
-        self.stats.stale_fetches += shards_stale;
-
         // Scatter. Each shard's cells pass the time-window prune right at
         // the fetch edge, so out-of-window cells never reach the gather;
         // `in_window` keeps `rollup.between` on the same interval, which
@@ -332,8 +283,6 @@ impl<E: ShardExecutor> Coordinator<E> {
             cells_gathered,
             cells_window_pruned,
             cells_merged,
-            shards_stale,
-            max_lag_seqs,
         };
         if self.tracer.enabled() {
             self.spans.push(Span {

@@ -16,8 +16,8 @@
 //!   batch query at that seal (property-tested in
 //!   `tests/tests/sub_equivalence.rs`);
 //! * [`Notification`]s (value delta, window rollup, threshold crossings
-//!   with hysteresis) delivered through [`Sink`]s (an in-memory
-//!   [`ChannelSink`]) and buffered for pull-based catch-up.
+//!   with hysteresis) buffered in a bounded ring that readers drain
+//!   with [`StandingEvaluator::notifications_since`].
 //!
 //! A read replica serves subscriptions off its own apply path by
 //! calling [`StandingEvaluator::sync_pipeline`] on its follower's
@@ -25,7 +25,7 @@
 //! `bounded`, so a lagging replica answers `Stale { lag }`.
 //!
 //! Quickstart: README § Standing queries. Counters and flags:
-//! OBSERVABILITY.md § Standing-query metrics. Design: DESIGN.md §5j.
+//! OBSERVABILITY.md § Standing-query metrics. Design: DESIGN.md §6.5.
 //!
 //! [`DeltaCube`]: gisolap_stream::DeltaCube
 
@@ -33,10 +33,8 @@
 #![warn(missing_docs)]
 
 pub mod registry;
-pub mod sink;
 pub mod standing;
 pub mod wire;
 
 pub use registry::{Registry, SubId, Subscription, Threshold};
-pub use sink::{ChannelSink, Sink};
 pub use standing::{window_value, Crossing, Notification, StandingEvaluator, SubStats};

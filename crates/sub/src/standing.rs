@@ -16,7 +16,6 @@
 //! [`DeltaCube`]: gisolap_stream::DeltaCube
 
 use crate::registry::{Registry, SubId, Subscription};
-use crate::sink::Sink;
 use gisolap_obs::{counters, MetricsRegistry, Span, Tracer};
 use gisolap_olap::agg::Partial;
 use gisolap_shard::GridSpec;
@@ -32,7 +31,7 @@ counters! {
     pub struct SubStats["gisolap_sub_", "Standing-query counter."] {
         /// Subscriptions admitted by [`StandingEvaluator::register`].
         registered,
-        /// Notifications emitted (to sinks and the catch-up buffer).
+        /// Notifications emitted into the catch-up buffer.
         notifications,
         /// Sealed segments evaluated against the subscriptions.
         seals_folded,
@@ -131,14 +130,13 @@ struct SubState {
 }
 
 /// The standing-query evaluator: a [`Registry`] plus per-subscription
-/// filter and threshold state, sinks and a bounded catch-up buffer. It
+/// filter and threshold state and a bounded catch-up buffer. It
 /// reads a pipeline through [`StandingEvaluator::sync_pipeline`], called
 /// after ingests (the serve layer does) or replication polls.
 pub struct StandingEvaluator {
     grid: Option<GridSpec>,
     registry: Registry,
     states: BTreeMap<SubId, SubState>,
-    sinks: Vec<Box<dyn Sink>>,
     buffer: VecDeque<Notification>,
     buffer_cap: usize,
     next_seq: u64,
@@ -175,7 +173,6 @@ impl StandingEvaluator {
             grid,
             registry,
             states: BTreeMap::new(),
-            sinks: Vec::new(),
             buffer: VecDeque::new(),
             buffer_cap: buffer_cap.max(1),
             next_seq: 0,
@@ -233,12 +230,6 @@ impl StandingEvaluator {
         );
         self.stats.registered += 1;
         Ok(id)
-    }
-
-    /// Attaches a notification sink; every emitted notification reaches
-    /// every sink, in attach order.
-    pub fn add_sink(&mut self, sink: Box<dyn Sink>) {
-        self.sinks.push(sink);
     }
 
     /// The registry (ids, subscriptions).
@@ -356,9 +347,6 @@ impl StandingEvaluator {
                 crossing,
             };
             self.next_seq += 1;
-            for sink in &mut self.sinks {
-                sink.notify(&n);
-            }
             if self.buffer.len() == self.buffer_cap {
                 self.buffer.pop_front();
             }
@@ -398,7 +386,6 @@ impl StandingEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::ChannelSink;
     use gisolap_geom::BBox;
     use gisolap_olap::agg::AggFn;
     use gisolap_olap::time::{TimeId, TimeLevel};
@@ -467,8 +454,6 @@ mod tests {
                     .with_threshold(2.0, 0.0),
             )
             .unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        eval.add_sink(Box::new(ChannelSink::new(tx)));
 
         // Hour 0: two objects inside the region, one outside.
         ingest.ingest(&[
@@ -484,11 +469,12 @@ mod tests {
         // Hour 0 seal: count 2 in-window -> Up. Hour 1 seal: the region
         // saw nothing, so the subscription is not re-notified and stays
         // Up.
-        let first = rx.try_recv().unwrap();
+        let (items, _) = eval.notifications_since(0);
+        assert_eq!(items.len(), 1);
+        let first = &items[0];
         assert_eq!(first.sub, id);
         assert_eq!(first.value, Some(2.0));
         assert_eq!(first.crossing, Some(Crossing::Up));
-        assert!(rx.try_recv().is_err());
         assert_eq!(eval.stats().threshold_fires, 1);
 
         // Only region cells reached the window rows.

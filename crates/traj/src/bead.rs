@@ -73,22 +73,6 @@ impl Bead {
         self.vmax * (self.t2 - self.t1)
     }
 
-    /// `true` iff position `p` is possible at time `t` (the bead contains
-    /// the space-time point `(t, p)`).
-    pub fn contains_at(&self, t: f64, p: Point) -> bool {
-        if t < self.t1 || t > self.t2 {
-            return false;
-        }
-        p.distance(self.p1) <= self.vmax * (t - self.t1) + 1e-12
-            && p.distance(self.p2) <= self.vmax * (self.t2 - t) + 1e-12
-    }
-
-    /// `true` iff `p` lies in the spatial projection of the bead — the
-    /// ellipse with foci `p₁`, `p₂` and major axis `vmax·(t₂ − t₁)`.
-    pub fn projection_contains(&self, p: Point) -> bool {
-        p.distance(self.p1) + p.distance(self.p2) <= self.major_axis() + 1e-12
-    }
-
     /// The earliest time at which `p` could be visited, if any.
     ///
     /// `p` is reachable during `[t₁ + |p−p₁|/vmax, t₂ − |p−p₂|/vmax]`;
@@ -105,34 +89,6 @@ impl Bead {
         let c = self.p1.midpoint(self.p2);
         let a = self.major_axis() / 2.0;
         BBox::new(c.x - a, c.y - a, c.x + a, c.y + a)
-    }
-
-    /// The *alibi query* between two beads of different objects: could the
-    /// two objects have met? True iff their projected ellipses overlap and
-    /// their time intervals overlap (a sound necessary condition; the
-    /// exact 4-D test of Kuijpers–Othman is out of scope and this
-    /// conservative test never reports a false "no").
-    pub fn could_have_met(&self, other: &Bead) -> bool {
-        let t_lo = self.t1.max(other.t1);
-        let t_hi = self.t2.min(other.t2);
-        if t_lo > t_hi {
-            return false;
-        }
-        // Sample the overlapping interval and test disc intersection at
-        // each instant (discs shrink/grow linearly, so a moderately dense
-        // sweep is reliable).
-        const STEPS: usize = 32;
-        for i in 0..=STEPS {
-            let t = t_lo + (t_hi - t_lo) * (i as f64 / STEPS as f64);
-            if self.disc_at(t).zip(other.disc_at(t)).is_some_and(|(a, b)| {
-                let (ca, ra) = a;
-                let (cb, rb) = b;
-                ca.distance(cb) <= ra + rb
-            }) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Could the object have visited `region` between the two
@@ -190,22 +146,6 @@ impl Bead {
         }
         Reachability::Unknown
     }
-
-    /// The disc of possible positions at time `t`: centre and radius of
-    /// the intersection's bounding disc (smaller of the two constraint
-    /// discs, conservatively).
-    fn disc_at(&self, t: f64) -> Option<(Point, f64)> {
-        if t < self.t1 || t > self.t2 {
-            return None;
-        }
-        let r1 = self.vmax * (t - self.t1);
-        let r2 = self.vmax * (self.t2 - t);
-        if r1 <= r2 {
-            Some((self.p1, r1))
-        } else {
-            Some((self.p2, r2))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -219,6 +159,21 @@ mod tests {
         Bead::new(0.0, pt(0.0, 0.0), 10.0, pt(10.0, 0.0), 2.0).unwrap()
     }
 
+    /// The bead's defining test, as a reference: `p` is possible at `t`
+    /// iff it lies in both discs `|p − p₁| ≤ vmax·(t − t₁)` and
+    /// `|p − p₂| ≤ vmax·(t₂ − t)`.
+    fn contains_at(b: &Bead, t: f64, p: Point) -> bool {
+        (b.t1..=b.t2).contains(&t)
+            && p.distance(b.p1) <= b.vmax * (t - b.t1) + 1e-12
+            && p.distance(b.p2) <= b.vmax * (b.t2 - t) + 1e-12
+    }
+
+    /// The projection as a reference: the ellipse with foci `p₁`, `p₂`
+    /// and major axis `vmax·(t₂ − t₁)`.
+    fn projection_contains(b: &Bead, p: Point) -> bool {
+        p.distance(b.p1) + p.distance(b.p2) <= b.major_axis() + 1e-12
+    }
+
     #[test]
     fn construction_enforces_alibi() {
         assert!(Bead::new(0.0, pt(0.0, 0.0), 10.0, pt(10.0, 0.0), 1.0).is_ok()); // exactly reachable
@@ -230,63 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn endpoints_always_contained() {
-        let b = bead();
-        assert!(b.contains_at(0.0, b.p1));
-        assert!(b.contains_at(10.0, b.p2));
-    }
-
-    #[test]
-    fn spacetime_containment() {
-        let b = bead();
-        // At t=5 the object may be up to 10 away from both endpoints.
-        assert!(b.contains_at(5.0, pt(5.0, 0.0)));
-        assert!(b.contains_at(5.0, pt(5.0, 8.0)));
-        assert!(!b.contains_at(5.0, pt(5.0, 9.0)));
-        // Early on it cannot be far from p1.
-        assert!(!b.contains_at(1.0, pt(5.0, 0.0)));
-        assert!(b.contains_at(1.0, pt(2.0, 0.0)));
-        // Outside the interval: never.
-        assert!(!b.contains_at(-1.0, b.p1));
-        assert!(!b.contains_at(11.0, b.p2));
-    }
-
-    #[test]
-    fn projection_is_the_ellipse() {
-        let b = bead();
-        // Foci (0,0), (10,0); major axis 20; on-axis extremes x=-5, 15.
-        assert!(b.projection_contains(pt(-5.0, 0.0)));
-        assert!(b.projection_contains(pt(15.0, 0.0)));
-        assert!(!b.projection_contains(pt(-5.1, 0.0)));
-        // Semi-minor axis: b² = a² − c² = 100 − 25 = 75 → ~8.66 at centre.
-        assert!(b.projection_contains(pt(5.0, 8.6)));
-        assert!(!b.projection_contains(pt(5.0, 8.7)));
-    }
-
-    #[test]
     fn visit_window_matches_containment() {
         let b = bead();
         let q = pt(5.0, 0.0);
         let (lo, hi) = b.visit_window(q).unwrap();
         assert!((lo - 2.5).abs() < 1e-12);
         assert!((hi - 7.5).abs() < 1e-12);
-        assert!(b.contains_at(lo, q) && b.contains_at(hi, q));
+        assert!(contains_at(&b, lo, q) && contains_at(&b, hi, q));
         // Unreachable point has no window.
         assert!(b.visit_window(pt(50.0, 50.0)).is_none());
-    }
-
-    #[test]
-    fn meeting_possibility() {
-        let a = bead();
-        // An object far away in the same interval cannot meet.
-        let far = Bead::new(0.0, pt(100.0, 100.0), 10.0, pt(110.0, 100.0), 2.0).unwrap();
-        assert!(!a.could_have_met(&far));
-        // An object crossing the same corridor can.
-        let near = Bead::new(0.0, pt(5.0, 5.0), 10.0, pt(5.0, -5.0), 2.0).unwrap();
-        assert!(a.could_have_met(&near));
-        // Disjoint time intervals: no.
-        let later = Bead::new(20.0, pt(0.0, 0.0), 30.0, pt(10.0, 0.0), 2.0).unwrap();
-        assert!(!a.could_have_met(&later));
     }
 
     #[test]
@@ -312,7 +219,7 @@ mod tests {
         // ellipse must not be classified Impossible.
         let b = bead();
         let inside = Polygon::rectangle(4.5, 8.0, 5.5, 8.5); // near the top of the ellipse
-        assert!(b.projection_contains(pt(5.0, 8.2)));
+        assert!(projection_contains(&b, pt(5.0, 8.2)));
         assert_ne!(b.region_reachability(&inside), Reachability::Impossible);
     }
 

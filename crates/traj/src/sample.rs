@@ -96,24 +96,6 @@ impl TrajectorySample {
             .map(|i| self.points[i].pos)
     }
 
-    /// Verifies that consecutive observations are reachable at `vmax`
-    /// (the *alibi* precondition for bead construction).
-    pub fn check_max_speed(&self, vmax: f64) -> Result<()> {
-        for (i, w) in self.points.windows(2).enumerate() {
-            let dt = (w[1].t.0 - w[0].t.0) as f64;
-            let dist = w[0].pos.distance(w[1].pos);
-            let required = dist / dt;
-            if required > vmax {
-                return Err(TrajError::SpeedViolation {
-                    at: i,
-                    required,
-                    vmax,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Restriction of the sample to observations with `t ∈ [from, to]`.
     /// Returns `None` if no observation falls in the window.
     pub fn restrict(&self, from: TimeId, to: TimeId) -> Option<TrajectorySample> {
@@ -170,17 +152,6 @@ mod tests {
     fn open_trajectory_not_closed() {
         let s = TrajectorySample::from_triples(&[(0, 0.0, 0.0), (10, 1.0, 1.0)]).unwrap();
         assert!(!s.is_closed());
-    }
-
-    #[test]
-    fn speed_check() {
-        // 5 units in 10 s → 0.5 u/s.
-        let s = TrajectorySample::from_triples(&[(0, 0.0, 0.0), (10, 3.0, 4.0)]).unwrap();
-        assert!(s.check_max_speed(0.5).is_ok());
-        assert!(matches!(
-            s.check_max_speed(0.4),
-            Err(TrajError::SpeedViolation { at: 0, .. })
-        ));
     }
 
     #[test]

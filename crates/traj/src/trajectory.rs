@@ -171,48 +171,6 @@ impl Lit {
     pub fn bbox(&self) -> BBox {
         BBox::from_points(self.sample.points().iter().map(|p| p.pos))
     }
-
-    /// Restricts the trajectory to legs overlapping `[from, to]`, clipping
-    /// the boundary legs in time. Returns the clipped legs.
-    pub fn clip_time(&self, from: f64, to: f64) -> Vec<TimedSegment> {
-        let mut out = Vec::new();
-        for leg in self.segments() {
-            if leg.t1 <= from || leg.t0 >= to {
-                continue;
-            }
-            let c0 = leg.t0.max(from);
-            let c1 = leg.t1.min(to);
-            let p0 = leg.position_at(c0);
-            let p1 = leg.position_at(c1);
-            out.push(TimedSegment {
-                t0: c0,
-                t1: c1,
-                seg: Segment::new(p0, p1),
-            });
-        }
-        out
-    }
-
-    /// Time-weighted centroid of the motion (integral of position over the
-    /// time domain divided by the duration). For a single point, the point
-    /// itself.
-    pub fn time_weighted_centroid(&self) -> Point {
-        let pts = self.sample.points();
-        if pts.len() == 1 {
-            return pts[0].pos;
-        }
-        let mut wx = 0.0;
-        let mut wy = 0.0;
-        let mut wt = 0.0;
-        for leg in self.segments() {
-            let dt = leg.duration();
-            let mid = leg.seg.midpoint();
-            wx += mid.x * dt;
-            wy += mid.y * dt;
-            wt += dt;
-        }
-        Point::new(wx / wt, wy / wt)
-    }
 }
 
 #[cfg(test)]
@@ -271,7 +229,6 @@ mod tests {
         assert_eq!(l.length(), 0.0);
         assert_eq!(l.average_speed(), None);
         assert!(l.image_polyline().is_none());
-        assert_eq!(l.time_weighted_centroid(), Point::new(2.0, 3.0));
     }
 
     #[test]
@@ -281,38 +238,9 @@ mod tests {
     }
 
     #[test]
-    fn clip_time_trims_legs() {
-        let l = lit(&[(0, 0.0, 0.0), (10, 10.0, 0.0)]);
-        let clipped = l.clip_time(2.0, 6.0);
-        assert_eq!(clipped.len(), 1);
-        assert_eq!(clipped[0].t0, 2.0);
-        assert_eq!(clipped[0].t1, 6.0);
-        assert_eq!(clipped[0].seg.a, Point::new(2.0, 0.0));
-        assert_eq!(clipped[0].seg.b, Point::new(6.0, 0.0));
-        // Outside the domain → empty.
-        assert!(l.clip_time(20.0, 30.0).is_empty());
-        // Window covering everything returns the whole leg.
-        let full = l.clip_time(-5.0, 50.0);
-        assert_eq!(
-            full[0].seg,
-            Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0))
-        );
-    }
-
-    #[test]
     fn image_polyline_matches_length() {
         let l = lit(&[(0, 0.0, 0.0), (10, 2.0, 0.0), (20, 2.0, 2.0)]);
         let pl = l.image_polyline().unwrap();
         assert_eq!(pl.length(), l.length());
-    }
-
-    #[test]
-    fn time_weighted_centroid_weights_by_duration() {
-        // Spends 10 s on the left leg, 30 s stationaryish on the right...
-        // two legs: (0,0)→(2,0) in 10 s, then (2,0)→(2,0.0)? use distinct.
-        let l = lit(&[(0, 0.0, 0.0), (10, 2.0, 0.0), (40, 2.0, 0.0000001)]);
-        let c = l.time_weighted_centroid();
-        // Second (slow) leg dominates: centroid x close to 2.
-        assert!(c.x > 1.7);
     }
 }

@@ -612,8 +612,9 @@ fn main() {
         println!("piet> \\shards 4");
         handle_line(&s.gis, &moft, "\\shards 4");
         println!();
-        // A standing query over the bottom-left quadrant, evaluated
-        // incrementally at the seal hook and checked against a replay.
+        // A standing query over the bottom-left quadrant, synced off
+        // the pipeline's cube after each batch and checked against a
+        // replay.
         println!("piet> \\subscribe bl count");
         handle_line(&s.gis, &moft, "\\subscribe bl count");
         println!();

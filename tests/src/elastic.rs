@@ -1,4 +1,4 @@
-//! A logical-tick model of shard elasticity (`DESIGN.md` §5k): lease
+//! A logical-tick model of shard elasticity (`DESIGN.md` §5.6): lease
 //! failover between in-process replicas, the executors that read them,
 //! and journaled rebalancing between shard counts.
 //!
@@ -35,7 +35,7 @@ use gisolap_geom::BBox;
 use gisolap_obs::counters;
 use gisolap_olap::time::TimeDimension;
 use gisolap_repl::{
-    DirectTransport, EpochFence, Follower, FollowerConfig, Lag, Leader, Request, Transport,
+    DirectTransport, EpochFence, Follower, FollowerConfig, Leader, Request, Transport,
     TransportError,
 };
 use gisolap_shard::cluster::{read_manifest, write_manifest};
@@ -50,7 +50,7 @@ use gisolap_stream::{
     CellPartial, GeoResolver, GroupKey, IngestReport, Segment, StreamConfig, TailState,
 };
 use gisolap_traj::Record;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -444,17 +444,45 @@ impl ShardExecutor for PinnedExecutor {
 }
 
 /// Scatter reads off a per-shard replica set instead of the primaries:
-/// follower `i` must replicate shard `i`.
+/// follower `i` must replicate shard `i`. A replica past its staleness
+/// bound still answers; the executor counts those fetches, so the
+/// degradation is reported, never silent.
 pub struct FollowerExecutor<'a, T> {
     followers: &'a [Follower<T>],
     grid: Option<GridSpec>,
+    stale_fetches: Cell<u64>,
+    max_lag_seqs: Cell<Option<u64>>,
 }
 
 impl<'a, T> FollowerExecutor<'a, T> {
     /// Reads from `followers`, filtering regions with `grid` (pass the
     /// cluster spec's grid).
     pub fn new(followers: &'a [Follower<T>], grid: Option<GridSpec>) -> FollowerExecutor<'a, T> {
-        FollowerExecutor { followers, grid }
+        FollowerExecutor {
+            followers,
+            grid,
+            stale_fetches: Cell::new(0),
+            max_lag_seqs: Cell::new(None),
+        }
+    }
+
+    /// Fetches answered by a replica past its staleness bound.
+    pub fn stale_fetches(&self) -> u64 {
+        self.stale_fetches.get()
+    }
+
+    /// The largest sequence lag a fetched replica knew of (`None` until
+    /// one has synced far enough to know its lag).
+    pub fn max_lag_seqs(&self) -> Option<u64> {
+        self.max_lag_seqs.get()
+    }
+
+    /// One line for an explain: `stale: N fetches (max lag L seqs)`.
+    pub fn staleness(&self) -> String {
+        let lag = self
+            .max_lag_seqs()
+            .map_or(String::new(), |l| format!(" (max lag {l} seqs)"));
+        format!("stale: {} fetches{lag}", self.stale_fetches())
     }
 }
 
@@ -464,20 +492,20 @@ impl<T: Transport> ShardExecutor for FollowerExecutor<'_, T> {
     }
 
     fn fetch(&self, shard: usize, region: Option<&BBox>) -> Result<Vec<(GroupKey, CellPartial)>> {
-        let pipeline = self.followers[shard].pipeline().ok_or_else(|| {
+        let follower = &self.followers[shard];
+        let pipeline = follower.pipeline().ok_or_else(|| {
             StoreError::BadConfig(format!(
                 "replica for shard {shard} has not seeded yet; sync it before serving reads"
             ))
         })?;
+        if follower.stale() {
+            self.stale_fetches.set(self.stale_fetches.get() + 1);
+        }
+        if let Some(seqs) = follower.lag().seqs {
+            let max = self.max_lag_seqs.get().map_or(seqs, |m| m.max(seqs));
+            self.max_lag_seqs.set(Some(max));
+        }
         fetch_partials(pipeline, self.grid, region)
-    }
-
-    fn lag(&self, shard: usize) -> Option<Lag> {
-        Some(self.followers[shard].lag())
-    }
-
-    fn is_stale(&self, shard: usize) -> bool {
-        self.followers[shard].stale()
     }
 }
 
@@ -851,7 +879,7 @@ fn cluster_fingerprint(shards: &[DurableIngest]) -> (Vec<(GroupKey, CellPartial)
 /// cell-range handoff, consuming the cluster and returning the
 /// reopened one under the new assignment.
 ///
-/// Stages (`DESIGN.md` §5k): journal → build `shard-NNN.next` stores →
+/// Stages (`DESIGN.md` §5.6): journal → build `shard-NNN.next` stores →
 /// verify (reopen every staged store through the CRC framing and
 /// require its union to equal the sources' exactly) → commit by
 /// atomically publishing the epoch-bumped `SHARDS` manifest → swap
@@ -1503,7 +1531,7 @@ mod tests {
         let got = coord.eval(&q).unwrap();
         assert_eq!(got.rows, eval_single(&single, Some(grid()), &q).unwrap());
         assert_eq!(coord.stats().queries, 1);
-        assert_eq!(got.explain.shards_stale, 0, "caught-up replicas");
+        assert_eq!(coord.executor().stale_fetches(), 0, "caught-up replicas");
     }
 
     #[test]
@@ -1542,14 +1570,14 @@ mod tests {
         let exec = FollowerExecutor::new(&replicas, spec.grid());
         let mut coord = Coordinator::new(exec, spec).unwrap();
         let q = ShardQuery::new(RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Count));
-        let got = coord.eval(&q).unwrap();
-        assert_eq!(got.explain.shards_stale, stale);
-        assert!(got.explain.max_lag_seqs.is_some());
-        assert_eq!(coord.stats().stale_fetches, stale);
-        let line = got.explain.to_string();
+        coord.eval(&q).unwrap();
+        let exec = coord.executor();
+        assert_eq!(exec.stale_fetches(), stale);
+        assert!(exec.max_lag_seqs().is_some());
+        let line = exec.staleness();
         assert!(
             line.contains("stale:"),
-            "explain surfaces staleness: {line}"
+            "the executor surfaces staleness: {line}"
         );
     }
 }

@@ -1227,9 +1227,6 @@ gisolap_shard_cells_window_pruned_total 5
 # HELP gisolap_shard_gather_merges_total Shard coordinator counter.
 # TYPE gisolap_shard_gather_merges_total counter
 gisolap_shard_gather_merges_total 6
-# HELP gisolap_shard_stale_fetches_total Shard coordinator counter.
-# TYPE gisolap_shard_stale_fetches_total counter
-gisolap_shard_stale_fetches_total 7
 # HELP gisolap_shard_routed_batches_total Shard routing counter.
 # TYPE gisolap_shard_routed_batches_total counter
 gisolap_shard_routed_batches_total 1

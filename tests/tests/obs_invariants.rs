@@ -1,6 +1,6 @@
 //! Property tests for the observability layer.
 //!
-//! Two invariants from DESIGN.md §5d, checked on random cities, traffic
+//! Two invariants from DESIGN.md §2.5, checked on random cities, traffic
 //! and filters across all three engines:
 //!
 //! 1. **Counter conservation** — the span tree returned by

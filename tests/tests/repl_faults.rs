@@ -25,22 +25,26 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gisolap_core::engine::{NaiveEngine, QueryEngine};
 use gisolap_core::region::{GeoFilter, RegionC, SpatialPredicate};
 use gisolap_datagen::movers::RandomWaypoint;
 use gisolap_datagen::{crash_replay, CityConfig, CityScenario, ReplayConfig};
+use gisolap_obs::CounterSet;
 use gisolap_olap::agg::AggFn;
 use gisolap_olap::time::TimeLevel;
 use gisolap_repl::{
-    DirectTransport, FaultConfig, FaultTransport, Follower, FollowerConfig, LagBounded, Leader,
+    DirectTransport, EpochFence, FaultConfig, FaultTransport, Follower, FollowerConfig, LagBounded,
+    Leader, Request, Transport, TransportError,
 };
 use gisolap_store::{
     AppendFile, DurableIngest, FailpointFs, RealFs, ScratchDir, StoreConfig, StoreError,
     SyncPolicy, Vfs,
 };
 use gisolap_stream::{Measure, ReplayOp, RollupQuery, StreamConfig, StreamIngest};
+use gisolap_tests::{counter, dead_counters};
 use gisolap_traj::Moft;
 use proptest::prelude::*;
 
@@ -628,5 +632,114 @@ fn a_follower_never_holds_a_write_its_leader_can_lose() {
             geo: None,
             value: 1111.0,
         }])
+    );
+}
+
+// --- counter liveness -------------------------------------------------
+
+/// A follower's link: a live leader behind injected faults, or one
+/// canned reply — how a deposed leader's reply reaches a follower that
+/// has already adopted a newer epoch.
+enum Link {
+    Live(FaultTransport<DirectTransport>),
+    Canned(Vec<u8>),
+}
+
+impl Transport for Link {
+    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        match self {
+            Link::Live(transport) => transport.exchange(request),
+            Link::Canned(reply) => Ok(reply.clone()),
+        }
+    }
+}
+
+/// Every `LeaderStats` and `ReplStats` counter has a live writer.
+///
+/// - Leader A, appointed at epoch 2 under a fence, ships a workload
+///   through drops, duplicates, reorders, flips, truncations and
+///   partitions; a flush with no WAL retention then answers the
+///   follower `Compacted`, and it falls back to a snapshot. A junk
+///   request is refused, and a write after the fence moves past epoch 2
+///   is fenced.
+/// - Leader B, deposed at epoch 1, answers one request; the follower,
+///   at epoch 2, drops that reply.
+#[test]
+fn every_leader_and_follower_counter_has_a_live_writer() {
+    let config = StreamConfig::new(0, 3600).unwrap();
+    let store = StoreConfig {
+        sync: SyncPolicy::Never,
+        ..StoreConfig::default()
+    };
+    let leader_at = |dir: &Path, epoch, fence| {
+        let durable = DurableIngest::create(Arc::new(RealFs), dir, config, store, None).unwrap();
+        Arc::new(Mutex::new(Leader::with_epoch(durable, epoch, fence)))
+    };
+    let records = random_moft(7).records().to_vec();
+
+    let dir_a = ScratchDir::new("repl-liveness-a");
+    let fence: EpochFence = Arc::new(AtomicU64::new(2));
+    let a = leader_at(dir_a.path(), 2, Some(fence.clone()));
+    let faults = FaultConfig {
+        drop_permille: 100,
+        duplicate_permille: 200,
+        reorder_permille: 200,
+        flip_permille: 100,
+        truncate_permille: 100,
+        partition_permille: 50,
+        seed: 11,
+        ..FaultConfig::default()
+    };
+    let transport = FaultTransport::new(DirectTransport::new(a.clone()), faults);
+    let mut follower = Follower::memory(Link::Live(transport), None, follower_config());
+    // One record per WAL entry, three entries per poll: replies carry
+    // several frames to reorder and stale duplicates repeat applied ones.
+    for (i, record) in records.chunks(1).enumerate() {
+        a.lock().unwrap().ingest(record).unwrap();
+        if i % 3 == 2 {
+            follower.poll().unwrap();
+        }
+    }
+    // The follower is behind when the WAL it would tail is discarded.
+    {
+        let mut a = a.lock().unwrap();
+        a.ingest(&records).unwrap();
+        a.flush().unwrap();
+    }
+    for _ in 0..200 {
+        follower.poll().unwrap();
+    }
+    assert!(a.lock().unwrap().handle(b"junk").is_err());
+    fence.store(3, Ordering::SeqCst);
+    assert!(a.lock().unwrap().ingest(&records).is_err());
+
+    let dir_b = ScratchDir::new("repl-liveness-b");
+    let b = leader_at(dir_b.path(), 1, None);
+    b.lock().unwrap().ingest(&records).unwrap();
+    let request = Request::Frames {
+        from_seq: 0,
+        max: 16,
+        epoch: 1,
+    };
+    let stale = b.lock().unwrap().handle(&request.encode()).unwrap();
+    follower.retarget(Link::Canned(stale));
+    follower.poll().unwrap();
+
+    let b_stats = b.lock().unwrap().stats();
+    let leader = a
+        .lock()
+        .unwrap()
+        .stats()
+        .map(|name, v| v + counter(&b_stats, name));
+    let repl = follower.stats();
+    assert!(
+        dead_counters(&leader).is_empty(),
+        "LeaderStats: {:?}",
+        dead_counters(&leader)
+    );
+    assert!(
+        dead_counters(&repl).is_empty(),
+        "ReplStats: {:?} {repl:?}",
+        dead_counters(&repl)
     );
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the network front door: real sockets, real
 //! per-tenant stores, a real follower tailing a served leader.
 //!
-//! The acceptance bar (`DESIGN.md` §5g): a durable follower replicating
+//! The acceptance bar (`DESIGN.md` §6): a durable follower replicating
 //! over [`TcpTransport`] — including one forced server shutdown and
 //! restart mid-catch-up — converges **bit-identically** both to the
 //! leader and to an in-process follower tailing the same leader through
@@ -27,6 +27,7 @@ use gisolap_shard::{
 use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
 use gisolap_stream::{Measure, RollupQuery, StreamConfig, StreamIngest};
 use gisolap_sub::Subscription;
+use gisolap_tests::dead_counters;
 use gisolap_traj::{Moft, ObjectId, Record};
 
 fn workload(seed: u64) -> Moft {
@@ -703,4 +704,85 @@ fn busy_reply_is_retryable_for_transports() {
     assert!(parked.join().unwrap().unwrap() > 0);
     let stats = server.stop();
     assert!(stats.quota_rejections >= 1);
+}
+
+/// Every `ServeStats` counter has a live writer. One server, capped at
+/// four connections, two requests in flight and one per tenant, serves
+/// each request type once and refuses an inadmissible tenant. A rollup
+/// parked on tenant `hog`'s leader lock then fills `hog`'s quota, a
+/// second parked on `hog2` fills the in-flight cap, and a fifth
+/// connection finds the connection cap full.
+#[test]
+fn every_serve_counter_has_a_live_writer() {
+    let root = ScratchDir::new("serve-liveness");
+    let config = ServeConfig::with_caps(
+        StreamConfig::new(0, 3600).unwrap(),
+        store_config(0),
+        4,
+        2,
+        1,
+    );
+    let mut server = Server::bind("127.0.0.1:0", root.path(), config).unwrap();
+    let addr = server.addr();
+    let leader = server.leader("acme").unwrap();
+    leader
+        .lock()
+        .unwrap()
+        .ingest(workload(3).records())
+        .unwrap();
+
+    let q = RollupQuery::new(TimeLevel::Hour, Measure::X, AggFn::Count);
+    let mut client = Client::connect(addr).unwrap();
+    client.ping("acme").unwrap();
+    assert!(!client.rollup("acme", &q).unwrap().is_empty());
+    assert!(!client.partials("acme", None, None).unwrap().is_empty());
+    let sub = Subscription::new(TimeLevel::Hour, Measure::X, AggFn::Sum);
+    client.subscribe("acme", &sub).unwrap();
+    client.notifications("acme", 0).unwrap();
+    // A plain tenant holds no shard cluster, and `..` is no tenant.
+    assert!(client.sharded_rollup("acme", &q, None).is_err());
+    assert!(client.ping("..").is_err());
+    let transport = TcpTransport::new(addr.to_string(), "acme");
+    let mut follower = Follower::memory(transport, None, follower_config());
+    follower.sync(64).unwrap();
+
+    // A parked rollup holds its in-flight and tenant slots while it
+    // waits for a leader lock the test holds.
+    let hog = server.leader("hog").unwrap();
+    let hog2 = server.leader("hog2").unwrap();
+    let guards = (hog.lock().unwrap(), hog2.lock().unwrap());
+    let park = |tenant: &'static str| {
+        let before = server.stats().rollup_requests;
+        let parked = std::thread::spawn(move || Client::connect(addr).unwrap().rollup(tenant, &q));
+        let t0 = std::time::Instant::now();
+        while server.stats().rollup_requests == before {
+            assert!(
+                t0.elapsed().as_secs() < 10,
+                "{tenant}'s rollup never arrived"
+            );
+            std::thread::yield_now();
+        }
+        parked
+    };
+    let busy = |reply: Result<(), ClientError>, cap: &str| match reply {
+        Err(ClientError::Busy(detail)) => assert!(detail.contains(cap), "{detail}"),
+        other => panic!("expected Busy at the {cap} cap, got {other:?}"),
+    };
+    let mut parked = vec![park("hog")];
+    busy(client.ping("hog"), "quota");
+    parked.push(park("hog2"));
+    busy(client.ping("acme"), "in-flight");
+    // Open now: `client`, the follower's and the two parked: the cap.
+    busy(Client::connect(addr).unwrap().ping("acme"), "connections");
+    drop(guards);
+    for parked in parked {
+        assert!(parked.join().unwrap().is_ok());
+    }
+
+    let stats = server.stop();
+    assert!(
+        dead_counters(&stats).is_empty(),
+        "ServeStats: {:?}",
+        dead_counters(&stats)
+    );
 }

@@ -1,4 +1,4 @@
-//! The sharding acceptance suite (`DESIGN.md` §5h): scatter-gather over
+//! The sharding acceptance suite (`DESIGN.md` §5.5): scatter-gather over
 //! a partitioned cluster is **bit-identical** to evaluating the same
 //! records through one unsharded pipeline — under both partitioners,
 //! with shards in every lifecycle state a cluster can be caught in
@@ -28,8 +28,8 @@ use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
 use gisolap_stream::{
     CellPartial, GroupKey, Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest,
 };
-use gisolap_tests::cell_bits;
 use gisolap_tests::elastic::{into_leaders, replica_set, FollowerExecutor, PinnedExecutor};
+use gisolap_tests::{cell_bits, dead_counters};
 use gisolap_traj::Record;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -392,5 +392,26 @@ fn spatial_pruning_is_observable() {
     assert_eq!(
         bits(&got.rows),
         bits(&eval_single(&single, Some(grid()), &windowed).unwrap())
+    );
+}
+
+/// Every `RouteStats` counter has a live writer: one ingest through a
+/// spatial cluster routes a batch and its records.
+#[test]
+fn every_route_counter_has_a_live_writer() {
+    let scratch = ScratchDir::new("shard-route-liveness");
+    let spec = PartitionerSpec::Spatial {
+        shards: 2,
+        grid: grid(),
+    };
+    let vfs: Arc<dyn Vfs> = Arc::new(RealFs);
+    let mut cluster =
+        ShardedIngest::create(vfs, scratch.path(), spec, stream_config(), store_config()).unwrap();
+    cluster.ingest(&workload(3)).unwrap();
+    let stats = cluster.stats();
+    assert!(
+        dead_counters(&stats).is_empty(),
+        "RouteStats: {:?}",
+        dead_counters(&stats)
     );
 }

@@ -22,13 +22,15 @@ use std::sync::Arc;
 
 use gisolap_datagen::movers::RandomWaypoint;
 use gisolap_datagen::{crash_replay, CityConfig, CityScenario, ReplayConfig};
+use gisolap_obs::CounterSet;
 use gisolap_olap::agg::AggFn;
-use gisolap_olap::time::TimeLevel;
+use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_store::{
     DurableIngest, FailpointFs, RealFs, ScratchDir, StoreConfig, StoreError, SyncPolicy, Vfs,
 };
 use gisolap_stream::{Measure, ReplayOp, RollupQuery, StreamConfig, StreamIngest};
-use gisolap_traj::Moft;
+use gisolap_tests::{counter, dead_counters};
+use gisolap_traj::{Moft, ObjectId, Record};
 use proptest::prelude::*;
 
 fn random_moft(seed: u64) -> Moft {
@@ -363,4 +365,81 @@ fn recovery_never_panics_on_tiny_budgets() {
             Err(e) => panic!("budget {budget}: unexpected recovery error {e}"),
         }
     }
+}
+
+// --- counter liveness -------------------------------------------------
+
+/// Four records inside hour `hour`.
+fn hour_batch(hour: i64) -> Vec<Record> {
+    (0..4)
+        .map(|i| Record {
+            oid: ObjectId(i),
+            t: TimeId(hour * 3600 + 60 * i as i64),
+            x: i as f64,
+            y: hour as f64,
+        })
+        .collect()
+}
+
+/// Creates a store in `dir` on `vfs`, logs hour 0, flushes, then logs
+/// hour 1; returns the store with nothing after that flush applied.
+fn flushed_then_appended(vfs: Arc<dyn Vfs>, dir: &std::path::Path) -> DurableIngest {
+    let config = StreamConfig::new(0, 3600).unwrap();
+    let mut durable =
+        DurableIngest::create(vfs, dir, config, StoreConfig::default(), None).unwrap();
+    durable.ingest(&hour_batch(0)).unwrap();
+    durable.flush().unwrap();
+    durable.ingest(&hour_batch(1)).unwrap();
+    durable
+}
+
+/// Every `StoreStats` counter has a live writer. One store appends
+/// under `SyncPolicy::Never`, syncs its WAL, flushes twice (a full
+/// checkpoint, then a delta) and compacts. A second is torn by a
+/// `FailpointFs` budget in the middle of a WAL append and recovered,
+/// which replays the surviving entries and truncates the torn frame.
+#[test]
+fn every_store_counter_has_a_live_writer() {
+    let dir = ScratchDir::new("store-liveness-written");
+    let store_config = StoreConfig {
+        sync: SyncPolicy::Never,
+        ..StoreConfig::default()
+    };
+    let config = StreamConfig::new(0, 3600).unwrap();
+    let mut written =
+        DurableIngest::create(Arc::new(RealFs), dir.path(), config, store_config, None).unwrap();
+    for hour in 0..2 {
+        written.ingest(&hour_batch(hour)).unwrap();
+    }
+    written.sync_wal().unwrap();
+    written.flush().unwrap();
+    written.ingest(&hour_batch(2)).unwrap();
+    written.flush().unwrap();
+    written.compact().unwrap();
+
+    // A dry run sizes the crash: the budget runs out 16 bytes into the
+    // hour-2 append, which is a WAL frame of four records.
+    let dry_dir = ScratchDir::new("store-liveness-dry");
+    let dry_fs = FailpointFs::new(u64::MAX);
+    drop(flushed_then_appended(
+        Arc::new(dry_fs.clone()),
+        dry_dir.path(),
+    ));
+    let torn_dir = ScratchDir::new("store-liveness-torn");
+    let crash_fs = FailpointFs::new(dry_fs.bytes_consumed() + 16);
+    let mut torn = flushed_then_appended(Arc::new(crash_fs.clone()), torn_dir.path());
+    assert!(torn.ingest(&hour_batch(2)).is_err());
+    assert!(crash_fs.crashed());
+    let (recovered, _) =
+        DurableIngest::recover(Arc::new(RealFs), torn_dir.path(), store_config, None).unwrap();
+
+    let recovered = recovered.store_stats();
+    let stats = written
+        .store_stats()
+        .map(|name, v| v + counter(&recovered, name));
+    assert!(
+        dead_counters(&stats).is_empty(),
+        "StoreStats: {:?}",
+        dead_counters(&stats)
+    );
 }

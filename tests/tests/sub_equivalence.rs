@@ -1,4 +1,4 @@
-//! The standing-query acceptance suite (`DESIGN.md` §5j): **every
+//! The standing-query acceptance suite (`DESIGN.md` §6.5): **every
 //! notification**'s window rows and value are bit-identical to
 //! `window_value` over a from-scratch batch reference at that
 //! notification's own seal — a fresh pipeline fed only the records that
@@ -435,7 +435,7 @@ proptest! {
 }
 
 /// Every `SubStats` counter has a live writer: one seeded run with the
-/// §5j subscription mix moves all four.
+/// subscription mix of the sweep above moves all four.
 #[test]
 fn every_sub_counter_has_a_live_writer() {
     let seed = 5;
