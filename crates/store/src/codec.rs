@@ -49,7 +49,8 @@ use gisolap_geom::BBox;
 use gisolap_olap::agg::{AggFn, Partial};
 use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_stream::{
-    CellPartial, GroupKey, Measure, ReplayOp, RollupQuery, RollupRow, Segment, TailState,
+    CellPartial, EncodedRecords, GroupKey, Measure, ReplayOp, RollupQuery, RollupRow, Segment,
+    TailState,
 };
 use gisolap_traj::{ObjectId, Record};
 
@@ -111,11 +112,14 @@ impl FileKind {
 
 // --- CRC32 (IEEE 802.3, reflected) -----------------------------------
 
+/// The IEEE polynomial, reflected (bit 31 is `x^0`).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
 /// Slice-by-16 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-
 /// time table; table *j* advances a byte seen *j* positions earlier
 /// through the remaining width, so sixteen lookups retire sixteen bytes
 /// with no serial dependency between them.
-const CRC_TABLES: [[u32; 256]; 16] = {
+static CRC_TABLES: [[u32; 256]; 16] = {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
@@ -123,7 +127,7 @@ const CRC_TABLES: [[u32; 256]; 16] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -146,37 +150,132 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 };
 
 /// The IEEE CRC32 of `bytes` (the checksum every frame carries).
+///
+/// Frames of at least [`CRC_LANE_MIN_BYTES`] are split into four
+/// contiguous quarters whose CRCs run as four independent chains in one
+/// loop, so their table lookups overlap instead of waiting on each
+/// other; the lanes are then joined by shifting each partial register
+/// over the next quarter's length in GF(2) (zlib's `crc32_combine`).
+/// The result is the same IEEE CRC32 the serial loop computes.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    if bytes.len() < CRC_LANE_MIN_BYTES {
+        return !crc32_serial(!0, bytes);
+    }
+    // Four lanes of `q` bytes (a multiple of 16); the < 64-byte rest
+    // runs serially after the join.
+    let q = bytes.len() / 64 * 16;
+    let (lanes, rest) = bytes.split_at(4 * q);
+    let (a, b) = lanes.split_at(2 * q);
+    let ((a0, a1), (b0, b1)) = (a.split_at(q), b.split_at(q));
+    let mut r = [!0u32, 0, 0, 0];
+    for (((w, x), y), z) in (a0.chunks_exact(16))
+        .zip(a1.chunks_exact(16))
+        .zip(b0.chunks_exact(16))
+        .zip(b1.chunks_exact(16))
+    {
+        r[0] = crc32_step16(r[0], w);
+        r[1] = crc32_step16(r[1], x);
+        r[2] = crc32_step16(r[2], y);
+        r[3] = crc32_step16(r[3], z);
+    }
+    // The register is linear in its input: the register over `A ‖ B`
+    // is the register over `A` fed |B| zero bytes, xor the register
+    // over `B` from zero.
+    let shift = x8n_mod_p(q as u64);
+    let joined = r[1..]
+        .iter()
+        .fold(r[0], |c, &lane| gf2_mul(shift, c) ^ lane);
+    !crc32_serial(joined, rest)
+}
+
+/// Frames shorter than this run the serial loop; longer ones split
+/// into four lanes (the join costs about what 300 serial bytes do).
+pub const CRC_LANE_MIN_BYTES: usize = 4096;
+
+/// Advances the CRC register `c` (`!0` at a frame's start) over
+/// `bytes`, sixteen bytes per step.
+fn crc32_serial(mut c: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(16);
     for chunk in &mut chunks {
-        // Fold the running CRC into the first word, then retire all
-        // sixteen bytes with one independent lookup per table.
-        let a = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
-        let b = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-        let d = u32::from_le_bytes(chunk[8..12].try_into().unwrap());
-        let e = u32::from_le_bytes(chunk[12..16].try_into().unwrap());
-        c = CRC_TABLES[15][(a & 0xFF) as usize]
-            ^ CRC_TABLES[14][((a >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[13][((a >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[12][(a >> 24) as usize]
-            ^ CRC_TABLES[11][(b & 0xFF) as usize]
-            ^ CRC_TABLES[10][((b >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[9][((b >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[8][(b >> 24) as usize]
-            ^ CRC_TABLES[7][(d & 0xFF) as usize]
-            ^ CRC_TABLES[6][((d >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((d >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(d >> 24) as usize]
-            ^ CRC_TABLES[3][(e & 0xFF) as usize]
-            ^ CRC_TABLES[2][((e >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((e >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(e >> 24) as usize];
+        c = crc32_step16(c, chunk);
     }
     for &b in chunks.remainder() {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// Retires one 16-byte `chunk`: folds the register into its first word,
+/// then one independent lookup per table.
+#[inline(always)]
+fn crc32_step16(c: u32, chunk: &[u8]) -> u32 {
+    let a = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
+    let b = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
+    let d = u32::from_le_bytes(chunk[8..12].try_into().unwrap());
+    let e = u32::from_le_bytes(chunk[12..16].try_into().unwrap());
+    CRC_TABLES[15][(a & 0xFF) as usize]
+        ^ CRC_TABLES[14][((a >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[13][((a >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[12][(a >> 24) as usize]
+        ^ CRC_TABLES[11][(b & 0xFF) as usize]
+        ^ CRC_TABLES[10][((b >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[9][((b >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[8][(b >> 24) as usize]
+        ^ CRC_TABLES[7][(d & 0xFF) as usize]
+        ^ CRC_TABLES[6][((d >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[5][((d >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[4][(d >> 24) as usize]
+        ^ CRC_TABLES[3][(e & 0xFF) as usize]
+        ^ CRC_TABLES[2][((e >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[1][((e >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[0][(e >> 24) as usize]
+}
+
+/// `a · b` modulo the CRC polynomial, both in the reflected bit order
+/// the register uses (bit 31 is `x^0`).
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+    }
+    p
+}
+
+/// `X2N[k]` is `x^(2^k)` modulo the CRC polynomial.
+static X2N: [u32; 64] = {
+    let mut t = [0u32; 64];
+    t[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 64 {
+        t[k] = gf2_mul(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// `x^(8·n)` modulo the CRC polynomial: the operator that feeds `n`
+/// zero bytes through the register.
+fn x8n_mod_p(mut n: u64) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+                            // A byte is x^8 = x^(2^3); a slice's n < 2^61 keeps k below 64.
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = gf2_mul(X2N[k], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
 }
 
 // --- primitive encode/decode -----------------------------------------
@@ -767,21 +866,62 @@ fn enc_records(e: &mut Enc, records: &[Record]) {
     });
 }
 
+/// Wire width of one record: oid, t, x, y.
+const RECORD_BYTES: usize = 32;
+
 fn dec_records(d: &mut Dec<'_>) -> Result<Vec<Record>> {
+    let bytes = take_records(d)?;
+    Ok(decode_record_run(bytes))
+}
+
+/// Takes a record run's count and its fixed-width records in one
+/// bounds check, undecoded.
+fn take_records<'a>(d: &mut Dec<'a>) -> Result<&'a [u8]> {
     let declared = d.u64()?;
-    let n = d.count(declared, 32, "records")?;
-    // Records are fixed-width: take the whole run in one bounds check
-    // and decode per 32-byte chunk — the recovery hot loop.
-    let bytes = d.take(n * 32)?;
-    Ok(bytes
-        .chunks_exact(32)
+    let n = d.count(declared, RECORD_BYTES, "records")?;
+    d.take(n * RECORD_BYTES)
+}
+
+/// Decodes a run of whole records, one 32-byte chunk each — the
+/// recovery hot loop.
+fn decode_record_run(bytes: &[u8]) -> Vec<Record> {
+    bytes
+        .chunks_exact(RECORD_BYTES)
         .map(|c| Record {
             oid: ObjectId(u64::from_le_bytes(c[0..8].try_into().unwrap())),
             t: TimeId(i64::from_le_bytes(c[8..16].try_into().unwrap())),
             x: f64::from_bits(u64::from_le_bytes(c[16..24].try_into().unwrap())),
             y: f64::from_bits(u64::from_le_bytes(c[24..32].try_into().unwrap())),
         })
-        .collect())
+        .collect()
+}
+
+/// Checks a record run strictly ascending by `(oid, t)` on its raw
+/// bytes, reading 16 of each record's 32.
+fn check_record_order(bytes: &[u8], file: &str) -> Result<()> {
+    let key = |c: &[u8]| {
+        (
+            u64::from_le_bytes(c[0..8].try_into().unwrap()),
+            i64::from_le_bytes(c[8..16].try_into().unwrap()),
+        )
+    };
+    let mut chunks = bytes.chunks_exact(RECORD_BYTES).map(key);
+    let Some(mut prev) = chunks.next() else {
+        return Ok(());
+    };
+    for (i, next) in chunks.enumerate() {
+        if prev >= next {
+            return Err(corrupt(
+                file,
+                format!(
+                    "invalid segment parts: records not strictly (oid, t)-sorted at index {}",
+                    i + 1
+                ),
+            ));
+        }
+        prev = next;
+    }
+    Ok(())
 }
 
 fn enc_partial(e: &mut Enc, p: &Partial) {
@@ -843,8 +983,9 @@ pub fn decode_cells(d: &mut Dec<'_>) -> Result<Vec<(GroupKey, CellPartial)>> {
 
 // --- segment ----------------------------------------------------------
 
-// The segment payload stays hand-written: its records decode in bulk,
-// 32 bytes at a time, and only `Segment::from_parts` may assemble them.
+// The segment payload stays hand-written: its records are fixed-width,
+// so open checks them on the raw bytes and decodes them only when the
+// segment is first touched ([`open_segment`]).
 
 /// Encodes a sealed segment as one frame payload: partition, canonical
 /// records, partial cells. The summary and per-object index are
@@ -858,7 +999,7 @@ pub fn encode_segment(seg: &Segment) -> Vec<u8> {
 
 /// Appends [`encode_segment`]'s payload to `e`.
 pub fn enc_segment(e: &mut Enc, seg: &Segment) {
-    e.i64(seg.meta().partition);
+    e.i64(seg.partition());
     enc_records(e, seg.records());
     encode_cells(e, seg.partials());
 }
@@ -872,6 +1013,32 @@ pub fn decode_segment(payload: &[u8], file: &str) -> Result<Segment> {
     let partials = decode_cells(&mut d)?;
     d.finish()?;
     Segment::from_parts(partition, records, partials)
+        .map_err(|e| corrupt(file, format!("invalid segment parts: {e}")))
+}
+
+/// Opens a segment file read whole (`bytes`, header included) without
+/// decoding its records: checks the header and the frame's CRC, checks
+/// the records strictly ascending by `(oid, t)` on their raw bytes and
+/// decodes the partial cells. The record section stays in `bytes`
+/// (the cells' bytes are cut off) inside the returned segment, which
+/// decodes it on first touch ([`Segment::from_encoded`]). Every file
+/// [`decode_segment`] refuses, this refuses too.
+pub fn open_segment(mut bytes: Vec<u8>, file: &str) -> Result<Segment> {
+    let payload = read_single_frame(check_header(&bytes, FileKind::Segment, file)?, file)?;
+    let mut d = Dec::new(payload, file);
+    let partition = d.i64()?;
+    let records = take_records(&mut d)?;
+    check_record_order(records, file)?;
+    let partials = decode_cells(&mut d)?;
+    d.finish()?;
+    // The record run follows the header, the frame's length prefix, the
+    // partition and the count.
+    let start = HEADER_LEN + 4 + 8 + 8;
+    let end = start + records.len();
+    bytes.truncate(end);
+    bytes.shrink_to_fit();
+    let records = EncodedRecords::new(bytes, start..end, decode_record_run);
+    Segment::from_encoded(partition, records, partials)
         .map_err(|e| corrupt(file, format!("invalid segment parts: {e}")))
 }
 

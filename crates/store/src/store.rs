@@ -225,23 +225,29 @@ fn write_file(
     Ok(len)
 }
 
-fn read_file(vfs: &dyn Vfs, dir: &Path, name: &str, kind: FileKind) -> Result<Vec<u8>> {
+/// Reads a one-frame `kind` file and decodes its CRC-checked payload,
+/// borrowed from the read buffer.
+fn read_file<T>(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    name: &str,
+    kind: FileKind,
+    decode: impl FnOnce(&[u8]) -> Result<T>,
+) -> Result<T> {
     let bytes = vfs.read(&dir.join(name))?;
-    let body = check_header(&bytes, kind, name)?;
-    Ok(read_single_frame(body, name)?.to_vec())
+    decode(read_single_frame(check_header(&bytes, kind, name)?, name)?)
 }
 
-/// Reads and decodes one manifest segment entry, validating its
-/// partition against the manifest.
-fn decode_segment_entry(vfs: &dyn Vfs, dir: &Path, entry: &SegmentEntry) -> Result<Segment> {
-    let payload = read_file(vfs, dir, &entry.file, FileKind::Segment)?;
-    let seg = codec::decode_segment(&payload, &entry.file)?;
-    if seg.meta().partition != entry.lo {
+/// Opens one manifest segment entry (its records stay encoded until
+/// first touched), validating its partition against the manifest.
+fn open_segment_entry(vfs: &dyn Vfs, dir: &Path, entry: &SegmentEntry) -> Result<Segment> {
+    let seg = codec::open_segment(vfs.read(&dir.join(&entry.file))?, &entry.file)?;
+    if seg.partition() != entry.lo {
         return Err(corrupt(
             &entry.file,
             format!(
                 "segment partition {} disagrees with manifest entry {}..={}",
-                seg.meta().partition,
+                seg.partition(),
                 entry.lo,
                 entry.hi
             ),
@@ -364,19 +370,20 @@ impl SegmentStore {
         resolver: Option<GeoResolver>,
     ) -> Result<(SegmentStore, StreamIngest, RecoveryReport)> {
         let t0 = Instant::now();
-        let manifest_bytes = read_file(vfs.as_ref(), dir, MANIFEST_NAME, FileKind::Manifest)?;
-        let manifest = codec::decode_manifest(&manifest_bytes, MANIFEST_NAME)?;
+        let manifest = read_file(vfs.as_ref(), dir, MANIFEST_NAME, FileKind::Manifest, |p| {
+            codec::decode_manifest(p, MANIFEST_NAME)
+        })?;
         let stream_config = StreamConfig::new(manifest.lateness_seconds, manifest.segment_seconds)
             .map_err(StoreError::Stream)?;
 
         // Segments, ascending (the manifest decoder already validated
-        // order and disjointness), decoded in manifest order: read, CRC
+        // order and disjointness), opened in manifest order: read, CRC
         // and canonical-order checks per file, the first failure
-        // returned.
+        // returned. Their records are decoded on first touch.
         let segments = manifest
             .segments
             .iter()
-            .map(|entry| decode_segment_entry(vfs.as_ref(), dir, entry))
+            .map(|entry| open_segment_entry(vfs.as_ref(), dir, entry))
             .collect::<Result<Vec<_>>>()?;
 
         // Checkpoint: the tail state at the last flush — the full base
@@ -384,11 +391,14 @@ impl SegmentStore {
         // A never-flushed store has neither checkpoint nor segments.
         let tail = match &manifest.checkpoint {
             Some(name) => {
-                let payload = read_file(vfs.as_ref(), dir, name, FileKind::Checkpoint)?;
-                let mut tail = codec::decode_tail(&payload, name)?;
+                let mut tail = read_file(vfs.as_ref(), dir, name, FileKind::Checkpoint, |p| {
+                    codec::decode_tail(p, name)
+                })?;
                 for dname in &manifest.checkpoint_deltas {
-                    let payload = read_file(vfs.as_ref(), dir, dname, FileKind::CheckpointDelta)?;
-                    codec::decode_tail_delta(&payload, dname)?.apply(&mut tail);
+                    read_file(vfs.as_ref(), dir, dname, FileKind::CheckpointDelta, |p| {
+                        codec::decode_tail_delta(p, dname)
+                    })?
+                    .apply(&mut tail);
                 }
                 tail
             }
@@ -652,7 +662,7 @@ impl SegmentStore {
         };
         let mut new_entries = Vec::new();
         for seg in ingest.segments() {
-            let p = seg.meta().partition;
+            let p = seg.partition();
             if p <= self.flushed_hi {
                 continue;
             }
@@ -820,9 +830,9 @@ impl SegmentStore {
         }
         let mut parts = Vec::with_capacity(self.segments.len());
         for entry in &self.segments {
-            let payload = read_file(self.vfs.as_ref(), &self.dir, &entry.file, FileKind::Segment)?;
-            rep.bytes_before += (codec::HEADER_LEN + payload.len() + 8) as u64;
-            parts.push(codec::decode_segment(&payload, &entry.file)?);
+            let bytes = self.vfs.read(&self.dir.join(&entry.file))?;
+            rep.bytes_before += bytes.len() as u64;
+            parts.push(codec::open_segment(bytes, &entry.file)?);
         }
         let merged = Segment::merged(&parts).map_err(StoreError::Stream)?;
         let lo = self.segments.first().expect("len >= 2").lo;
@@ -891,15 +901,17 @@ impl SegmentStore {
         stream_config.validate().map_err(StoreError::Stream)?;
         vfs.create_dir_all(dir)?;
         let next_gen = if vfs.exists(&dir.join(MANIFEST_NAME)) {
-            let bytes = read_file(vfs.as_ref(), dir, MANIFEST_NAME, FileKind::Manifest)?;
-            codec::decode_manifest(&bytes, MANIFEST_NAME)?.gen + 1
+            read_file(vfs.as_ref(), dir, MANIFEST_NAME, FileKind::Manifest, |p| {
+                codec::decode_manifest(p, MANIFEST_NAME)
+            })?
+            .gen + 1
         } else {
             0
         };
 
         let mut entries = Vec::with_capacity(segments.len());
         for seg in &segments {
-            let lo = seg.meta().partition;
+            let lo = seg.partition();
             let hi = if seg.records().is_empty() {
                 lo
             } else {

@@ -11,7 +11,7 @@ use gisolap_traj::{Moft, Record};
 
 use crate::config::{GeoResolver, StreamConfig};
 use crate::delta::{bucket_partials, CellPartial, DeltaCube, GroupKey, RollupQuery, RollupRow};
-use crate::segment::{canonicalize, Segment, SegmentMeta};
+use crate::segment::{Segment, SegmentMeta};
 use crate::Result;
 
 counters! {
@@ -294,7 +294,7 @@ impl StreamIngest {
         for buf in self.buffers.values() {
             raw.extend_from_slice(buf);
         }
-        canonicalize(raw, |_| {})
+        gisolap_traj::canonical::canonicalize(raw)
     }
 
     /// Buckets the canonical tail records `tail` into cells, counting
@@ -440,7 +440,7 @@ impl StreamIngest {
         config.validate()?;
         if segments
             .windows(2)
-            .any(|w| w[0].meta().partition >= w[1].meta().partition)
+            .any(|w| w[0].partition() >= w[1].partition())
         {
             return Err(crate::StreamError::BadSegment(
                 "restored segments must be ascending by partition".to_string(),

@@ -64,7 +64,7 @@ pub use delta::{
 pub use ingest::{
     IngestReport, IngestStats, ReplayOp, ReplayReport, StreamIngest, StreamSnapshot, TailState,
 };
-pub use segment::{Segment, SegmentMeta};
+pub use segment::{EncodedRecords, Segment, SegmentMeta};
 
 use gisolap_olap::time::TimeLevel;
 use gisolap_traj::TrajError;

@@ -1,7 +1,11 @@
 //! Immutable, time-partitioned segments sealed from the ingest buffer.
 
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
+
 use gisolap_geom::BBox;
 use gisolap_olap::time::TimeId;
+use gisolap_traj::canonical::canonicalize;
 use gisolap_traj::{ObjectId, Record};
 
 use crate::config::GeoResolver;
@@ -29,66 +33,178 @@ pub struct SegmentMeta {
 /// An immutable sealed partition: records sorted by `(Oid, t)` (duplicate
 /// keys keep the last arrival, matching `Moft::rebuild_index`), plus the
 /// summaries and per-hour partial aggregates derived from them.
-#[derive(Debug, Clone)]
+///
+/// A segment opened from its file ([`Segment::from_encoded`]) holds its
+/// partition and partial cells decoded, and its record section still
+/// encoded: the records, [`SegmentMeta`] and per-object ranges are built
+/// on the first call that needs them, once, and the encoded bytes are
+/// then released. Rollups, fetches and recovery read only the cells.
+#[derive(Debug)]
 pub struct Segment {
+    partition: i64,
+    /// Per-`(hour, geo)` partials, ascending by key.
+    partials: Vec<(GroupKey, CellPartial)>,
+    /// The records and what derives from them.
+    body: OnceLock<Body>,
+    /// The encoded record section `body` is built from on first touch,
+    /// for a segment opened from its file; taken by that build.
+    encoded: Mutex<Option<EncodedRecords>>,
+}
+
+/// A segment's records and the summary derived from them.
+#[derive(Debug, Clone)]
+struct Body {
     meta: SegmentMeta,
     records: Vec<Record>,
     /// `(oid, start, end)` ranges into `records`, ascending by oid.
     object_ranges: Vec<(ObjectId, usize, usize)>,
-    /// Per-`(hour, geo)` partials, ascending by key.
-    partials: Vec<(GroupKey, CellPartial)>,
+}
+
+impl Body {
+    /// The body of canonical `records`, summarised in one pass that also
+    /// hands each record to `visit`.
+    fn new(partition: i64, records: Vec<Record>, mut visit: impl FnMut(&Record)) -> Body {
+        let mut summary = Summary::new();
+        for r in &records {
+            summary.visit(r);
+            visit(r);
+        }
+        Body {
+            meta: summary.meta(partition),
+            records,
+            object_ranges: summary.object_ranges,
+        }
+    }
+}
+
+/// A segment's record section in its stored form, and the codec
+/// function that decodes it: the store's codec stays the only owner of
+/// the record layout while the segment decides when to decode.
+#[derive(Clone)]
+pub struct EncodedRecords {
+    bytes: Vec<u8>,
+    range: Range<usize>,
+    decode: fn(&[u8]) -> Vec<Record>,
+}
+
+impl EncodedRecords {
+    /// The records `decode(&bytes[range])` yields. The caller has checked
+    /// that they are strictly ascending by `(oid, t)`.
+    pub fn new(bytes: Vec<u8>, range: Range<usize>, decode: fn(&[u8]) -> Vec<Record>) -> Self {
+        assert!(range.end <= bytes.len(), "record section past the buffer");
+        EncodedRecords {
+            bytes,
+            range,
+            decode,
+        }
+    }
+
+    fn decode(&self) -> Vec<Record> {
+        (self.decode)(&self.bytes[self.range.clone()])
+    }
+}
+
+impl std::fmt::Debug for EncodedRecords {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodedRecords")
+            .field("bytes", &self.range.len())
+            .finish()
+    }
+}
+
+impl Clone for Segment {
+    fn clone(&self) -> Segment {
+        let encoded = lock(&self.encoded).clone();
+        // Still encoded: the copy decodes on its own first touch. Taken:
+        // the body is built, or being built (`body()` waits for it).
+        let body = match encoded {
+            Some(_) => OnceLock::new(),
+            None => OnceLock::from(self.body().clone()),
+        };
+        Segment {
+            partition: self.partition,
+            partials: self.partials.clone(),
+            body,
+            encoded: Mutex::new(encoded),
+        }
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Segment {
     /// Seals a buffered partition. `raw` is in arrival order and must be
     /// non-empty; every record's partition index must equal `partition`.
     ///
-    /// After the stable sort, one pass over the records drops superseded
-    /// duplicates and feeds each kept record to the summary and the cell
-    /// kernel at once.
+    /// After the canonical sort ([`canonicalize`]), one pass over the
+    /// kept records feeds each to the summary and the cell kernel at
+    /// once.
     pub(crate) fn seal(
         partition: i64,
         raw: Vec<Record>,
         resolver: Option<&GeoResolver>,
     ) -> Segment {
         debug_assert!(!raw.is_empty(), "sealing an empty partition");
-        let mut summary = Summary::new();
         let mut kernel = CellKernel::new(resolver);
-        let records = canonicalize(raw, |r| {
-            summary.visit(r);
-            kernel.push(r);
-        });
+        let body = Body::new(partition, canonicalize(raw), |r| kernel.push(r));
         Segment {
-            meta: summary.meta(partition),
-            records,
-            object_ranges: summary.object_ranges,
+            partition,
             partials: kernel.finish(),
+            body: OnceLock::from(body),
+            encoded: Mutex::new(None),
         }
+    }
+
+    /// The records and summary, built from the encoded section on the
+    /// first call.
+    fn body(&self) -> &Body {
+        self.body.get_or_init(|| {
+            let encoded = lock(&self.encoded)
+                .take()
+                .expect("a segment without a body holds its encoded records");
+            let records = encoded.decode();
+            debug_assert!(
+                records
+                    .windows(2)
+                    .all(|w| (w[0].oid, w[0].t) < (w[1].oid, w[1].t)),
+                "encoded records must be strictly (oid, t)-ascending"
+            );
+            Body::new(self.partition, records, |_| {})
+        })
+    }
+
+    /// Partition index: `floor(t / segment_seconds)` of every record
+    /// (the partition of [`Segment::meta`], without building it).
+    pub fn partition(&self) -> i64 {
+        self.partition
     }
 
     /// The segment's summary.
     pub fn meta(&self) -> &SegmentMeta {
-        &self.meta
+        &self.body().meta
     }
 
     /// All records, sorted by `(oid, t)`, unique keys.
     pub fn records(&self) -> &[Record] {
-        &self.records
+        &self.body().records
     }
 
     /// Distinct object ids, ascending.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.object_ranges.iter().map(|&(oid, _, _)| oid)
+        self.body().object_ranges.iter().map(|&(oid, _, _)| oid)
     }
 
     /// The time-sorted records of one object, or `None` if absent.
     pub fn track(&self, oid: ObjectId) -> Option<&[Record]> {
-        self.object_ranges
+        let body = self.body();
+        body.object_ranges
             .binary_search_by_key(&oid, |&(o, _, _)| o)
             .ok()
             .map(|i| {
-                let (_, a, b) = self.object_ranges[i];
-                &self.records[a..b]
+                let (_, a, b) = body.object_ranges[i];
+                &body.records[a..b]
             })
     }
 
@@ -122,19 +238,31 @@ impl Segment {
                 w[1].oid, w[1].t.0
             )));
         }
-        if partials.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(StreamError::BadSegment(
-                "partials not strictly key-sorted".to_string(),
-            ));
-        }
-
-        let mut summary = Summary::new();
-        records.iter().for_each(|r| summary.visit(r));
+        check_partials(&partials)?;
         Ok(Segment {
-            meta: summary.meta(partition),
-            records,
-            object_ranges: summary.object_ranges,
+            partition,
             partials,
+            body: OnceLock::from(Body::new(partition, records, |_| {})),
+            encoded: Mutex::new(None),
+        })
+    }
+
+    /// A segment whose records stay encoded until first touched — the
+    /// store's open path. `records` must hold strictly `(oid, t)`-ascending
+    /// records (the codec checks that on the raw bytes); `partials` must
+    /// be strictly ascending by key. Every accessor answers as
+    /// [`Segment::from_parts`] over the decoded records would.
+    pub fn from_encoded(
+        partition: i64,
+        records: EncodedRecords,
+        partials: Vec<(GroupKey, CellPartial)>,
+    ) -> Result<Segment> {
+        check_partials(&partials)?;
+        Ok(Segment {
+            partition,
+            partials,
+            body: OnceLock::new(),
+            encoded: Mutex::new(Some(records)),
         })
     }
 
@@ -158,28 +286,26 @@ impl Segment {
                 "cannot merge zero segments".to_string(),
             ));
         }
-        if parts
-            .windows(2)
-            .any(|w| w[0].meta.partition >= w[1].meta.partition)
-        {
+        if parts.windows(2).any(|w| w[0].partition >= w[1].partition) {
             return Err(StreamError::BadSegment(
                 "merge inputs must be ascending by partition".to_string(),
             ));
         }
-        let total: usize = parts.iter().map(|s| s.records.len()).sum();
+        let runs: Vec<&[Record]> = parts.iter().map(Segment::records).collect();
+        let total: usize = runs.iter().map(|r| r.len()).sum();
         let mut merged: Vec<Record> = Vec::with_capacity(total);
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, i64, usize)>> =
             std::collections::BinaryHeap::new();
-        let mut cursors = vec![0usize; parts.len()];
-        for (i, s) in parts.iter().enumerate() {
-            if let Some(r) = s.records.first() {
+        let mut cursors = vec![0usize; runs.len()];
+        for (i, run) in runs.iter().enumerate() {
+            if let Some(r) = run.first() {
                 heap.push(std::cmp::Reverse((r.oid.0, r.t.0, i)));
             }
         }
         while let Some(std::cmp::Reverse((_, _, i))) = heap.pop() {
-            merged.push(parts[i].records[cursors[i]]);
+            merged.push(runs[i][cursors[i]]);
             cursors[i] += 1;
-            if let Some(r) = parts[i].records.get(cursors[i]) {
+            if let Some(r) = runs[i].get(cursors[i]) {
                 heap.push(std::cmp::Reverse((r.oid.0, r.t.0, i)));
             }
         }
@@ -188,7 +314,7 @@ impl Segment {
         for s in parts {
             partials.extend_from_slice(&s.partials);
         }
-        Segment::from_parts(parts[0].meta.partition, merged, partials)
+        Segment::from_parts(parts[0].partition, merged, partials)
     }
 }
 
@@ -244,31 +370,14 @@ impl Summary {
     }
 }
 
-/// Stable-sorts `raw` by `(oid, t)` and keeps the last arrival of each
-/// key — exactly `Moft::rebuild_index`'s policy — compacting `raw` in
-/// place. One pass after the sort hands each kept record to `visit`, in
-/// canonical order.
-pub(crate) fn canonicalize(mut raw: Vec<Record>, mut visit: impl FnMut(&Record)) -> Vec<Record> {
-    raw.sort_by(|a, b| a.oid.cmp(&b.oid).then(a.t.cmp(&b.t)));
-    let mut kept = 0;
-    for i in 0..raw.len() {
-        let r = raw[i];
-        // A later arrival of the same key supersedes this one.
-        if raw
-            .get(i + 1)
-            .is_some_and(|next| (next.oid, next.t) == (r.oid, r.t))
-        {
-            continue;
-        }
-        visit(&r);
-        raw[kept] = r;
-        kept += 1;
+/// Partial cells must be strictly ascending by key.
+fn check_partials(partials: &[(GroupKey, CellPartial)]) -> Result<()> {
+    if partials.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(StreamError::BadSegment(
+            "partials not strictly key-sorted".to_string(),
+        ));
     }
-    raw.truncate(kept);
-    // Sealed segments keep their records; a buffer grown by doubling
-    // would keep up to twice their size.
-    raw.shrink_to_fit();
-    raw
+    Ok(())
 }
 
 #[cfg(test)]

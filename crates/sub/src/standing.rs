@@ -340,7 +340,7 @@ impl StandingEvaluator {
             let n = Notification {
                 sub: id,
                 seq: self.next_seq,
-                partition: seg.meta().partition,
+                partition: seg.partition(),
                 rows,
                 value,
                 prev: std::mem::replace(&mut state.last_value, value),

@@ -15,6 +15,8 @@
 //!   `(Oid, t, x, y)`, where `Oid` is the identifier of the moving object,
 //!   `t` is a time instant, and `(x, y)` are the coordinates of the object
 //!   at instant `t`" — see [`moft::Moft`].
+//! * The MOFT's **canonical order** — `(Oid, t)`, last arrival wins —
+//!   as one radix kernel: [`canonical::canonicalize`].
 //! * **Trajectory/region operations** used by query types 6–8:
 //!   time-in-region, passes-through, within-distance intervals — see
 //!   [`ops`].
@@ -38,6 +40,7 @@
 
 pub mod aggregate;
 pub mod bead;
+pub mod canonical;
 pub mod moft;
 pub mod ops;
 pub mod sample;

@@ -100,19 +100,10 @@ impl Moft {
     }
 
     /// Sorts records and rebuilds the object and time indexes. Duplicate
-    /// `(oid, t)` pairs keep the last pushed position.
+    /// `(oid, t)` pairs keep the last pushed position
+    /// ([`crate::canonical::canonicalize`]).
     pub fn rebuild_index(&mut self) {
-        self.records
-            .sort_by(|a, b| a.oid.cmp(&b.oid).then(a.t.cmp(&b.t)));
-        // Deduplicate (oid, t), keeping the last occurrence.
-        let mut dedup: Vec<Record> = Vec::with_capacity(self.records.len());
-        for r in self.records.drain(..) {
-            match dedup.last_mut() {
-                Some(last) if last.oid == r.oid && last.t == r.t => *last = r,
-                _ => dedup.push(r),
-            }
-        }
-        self.records = dedup;
+        self.records = crate::canonical::canonicalize(std::mem::take(&mut self.records));
         self.index_sorted_records();
     }
 

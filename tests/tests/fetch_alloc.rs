@@ -11,8 +11,10 @@
 //! buckets nothing again; a fetch under a request grid of 16.7 M cells
 //! allocates for the cells it returns, not per grid cell; sealing a
 //! partition through a grid resolver allocates the same for `2n` records
-//! as for `n`; and an evaluator that synced 96 sealed hours frees the
-//! same bytes on drop as one that synced 24.
+//! as for `n`; recovering a flushed store and fetching its whole area
+//! allocates the same for `2n` records per segment as for `n` (open
+//! decodes cells, not records); and an evaluator that synced 96 sealed
+//! hours frees the same bytes on drop as one that synced 24.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,7 +26,7 @@ use gisolap_olap::time::{TimeId, TimeLevel};
 use gisolap_shard::{
     fetch_partials, ClusterExecutor, GridSpec, PartitionerSpec, ShardExecutor, ShardedIngest,
 };
-use gisolap_store::{RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
+use gisolap_store::{DurableIngest, RealFs, ScratchDir, StoreConfig, SyncPolicy, Vfs};
 use gisolap_stream::{Measure, RollupQuery, StreamConfig, StreamIngest};
 use gisolap_sub::{Registry, StandingEvaluator, Subscription};
 use gisolap_traj::{ObjectId, Record};
@@ -220,6 +222,58 @@ fn sealing_allocates_per_cell_not_per_record() {
     assert_eq!(
         large, small,
         "sealing 1000 records made {small} allocations, 2000 records {large}"
+    );
+}
+
+/// The allocations that recovering a flushed store of four hour
+/// segments, each `n` records of `n / 10` objects over the same 16
+/// cells, and then one whole-area fetch make.
+fn recovery_allocations(n: u64) -> u64 {
+    let scratch = ScratchDir::new("fetch-alloc-recover");
+    let vfs: Arc<dyn Vfs> = Arc::new(RealFs);
+    let store = StoreConfig {
+        sync: SyncPolicy::Never,
+        ..StoreConfig::default()
+    };
+    let stream = StreamConfig::new(0, 3600).unwrap();
+    let mut durable = DurableIngest::create(
+        vfs.clone(),
+        scratch.path(),
+        stream,
+        store,
+        Some(grid().resolver()),
+    )
+    .unwrap();
+    for hour in 0..4 {
+        let records: Vec<Record> = (0..n)
+            .map(|i| {
+                let (x, y) = ((i % 4) as f64 * 4.0 + 1.0, (i / 4 % 4) as f64 * 4.0 + 1.0);
+                rec(i % (n / 10), hour * 3600 + (i / (n / 10)) as i64, x, y)
+            })
+            .collect();
+        durable.ingest(&records).unwrap();
+    }
+    durable.finish().unwrap();
+    durable.flush().unwrap();
+    drop(durable);
+
+    let resolver = grid().resolver();
+    let (cells, (count, _)) = allocations_during(|| {
+        let (recovered, report) =
+            DurableIngest::recover(vfs, scratch.path(), store, Some(resolver)).unwrap();
+        assert_eq!(report.segments_loaded, 4);
+        fetch_partials(recovered.pipeline(), None, None).unwrap()
+    });
+    assert_eq!(cells.len(), 4 * 16);
+    count
+}
+
+#[test]
+fn recovery_allocates_per_cell_not_per_record() {
+    let (small, large) = (recovery_allocations(1000), recovery_allocations(2000));
+    assert_eq!(
+        large, small,
+        "recovery plus a whole-area fetch made {small} allocations over 1000-record segments, {large} over 2000"
     );
 }
 

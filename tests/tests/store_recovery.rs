@@ -443,3 +443,259 @@ fn every_store_counter_has_a_live_writer() {
         dead_counters(&stats)
     );
 }
+
+// --- CRC32 ------------------------------------------------------------
+
+/// The byte-at-a-time CRC32 register step (reflected IEEE polynomial,
+/// one 256-entry table): the reference the lane-parallel `crc32` must
+/// equal.
+fn crc32_bytewise_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *slot = c;
+    }
+    table
+}
+
+fn crc32_bytewise(table: &[u32; 256], bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |c, &b| {
+        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    })
+}
+
+/// A deterministic pseudo-random buffer (splitmix64 words).
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut s = seed;
+    let mut out = Vec::with_capacity(len + 8);
+    while out.len() < len {
+        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+    }
+    out.truncate(len);
+    out
+}
+
+/// Every length from 0 to three lane thresholds + 17, at every start
+/// offset 0–15: the serial path, the lane split at and around its
+/// threshold, and every remainder the lanes leave.
+#[test]
+fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+    use gisolap_store::codec::{crc32, CRC_LANE_MIN_BYTES};
+    let table = crc32_bytewise_table();
+    let max = 3 * CRC_LANE_MIN_BYTES + 17;
+    let buf = noise(max + 16, 7);
+    for offset in 0..16 {
+        let bytes = &buf[offset..offset + max];
+        // The reference register runs once over the whole buffer; its
+        // value after `len` bytes is the CRC of that prefix.
+        let mut reg = !0u32;
+        for len in 0..=max {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                !reg,
+                "length {len} at offset {offset}"
+            );
+            if let Some(&b) = bytes.get(len) {
+                reg = table[((reg ^ b as u32) & 0xFF) as usize] ^ (reg >> 8);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
+
+    /// Random buffers up to 1 MiB, at random start offsets.
+    #[test]
+    fn crc32_equals_the_bytewise_reference_on_random_buffers(
+        len in 0usize..=1 << 20,
+        offset in 0usize..16,
+        seed in 0u64..u64::MAX,
+    ) {
+        let buf = noise(len + offset, seed);
+        let bytes = &buf[offset..];
+        let table = crc32_bytewise_table();
+        prop_assert_eq!(gisolap_store::codec::crc32(bytes), crc32_bytewise(&table, bytes));
+    }
+}
+
+// --- open decodes cells, not records ------------------------------------
+
+/// A store in `dir` holding `random_moft(seed)` replayed and flushed
+/// twice (so several segment files), closed with a WAL tail; returns
+/// the live pipeline's extracted partials and every rollup it answered.
+fn flushed_store(dir: &std::path::Path, seed: u64) -> StreamIngest {
+    let moft = random_moft(seed);
+    let config = StreamConfig::new(120, 3600).unwrap();
+    let scenario = crash_replay(
+        &moft,
+        &ReplayConfig {
+            shuffle_seconds: 120,
+            batch_size: 16,
+            seed,
+        },
+        2,
+    );
+    let (applied, outcome) = drive(
+        Arc::new(RealFs),
+        dir,
+        config,
+        StoreConfig::default(),
+        &scenario.ops,
+        &scenario.flush_after,
+    );
+    assert!(outcome.is_ok());
+    reference_prefix(config, &scenario.ops, applied)
+}
+
+/// Every rollup's `(granule, geo, value bits)` rows.
+fn every_rollup(p: &StreamIngest) -> Vec<Vec<(i64, Option<u32>, u64)>> {
+    let mut out = Vec::new();
+    for level in [TimeLevel::Hour, TimeLevel::Day, TimeLevel::Month] {
+        for measure in [Measure::X, Measure::Y] {
+            for f in [AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max] {
+                let rows = p.rollup(&RollupQuery::new(level, measure, f)).unwrap();
+                out.push(
+                    rows.into_iter()
+                        .map(|r| (r.granule, r.geo, r.value.to_bits()))
+                        .collect(),
+                );
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
+
+    /// A recovered store answers every rollup and `extract_partials`
+    /// from its cells before any record is touched, bit for bit; then,
+    /// on first touch (through whichever accessor comes first, or a
+    /// clone), each segment's records, summary, objects and tracks equal
+    /// the live pipeline's and an eagerly decoded copy of its file.
+    #[test]
+    fn recovered_segments_answer_from_cells_and_decode_on_first_touch(
+        seed in 0u64..200,
+        first_touch in 0u8..4,
+    ) {
+        let dir = ScratchDir::new("lazy-open");
+        let live = flushed_store(dir.path(), seed);
+        let (recovered, report) =
+            DurableIngest::recover(Arc::new(RealFs), dir.path(), StoreConfig::default(), None)
+                .unwrap();
+        prop_assert!(report.segments_loaded > 0);
+        let p = recovered.pipeline();
+        use gisolap_store::codec;
+        let bits = |cells: Vec<(gisolap_stream::GroupKey, gisolap_stream::CellPartial)>| {
+            cells
+                .into_iter()
+                .map(|(k, c)| (k, [c.x, c.y].map(|m| (m.count(), m.sum().to_bits(), m.min().to_bits(), m.max().to_bits()))))
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(p.extract_partials()), bits(live.extract_partials()));
+        prop_assert_eq!(every_rollup(p), every_rollup(&live));
+
+        // Nothing compacted: the recovered segments are the live
+        // pipeline's, and the first `segments_loaded` were opened from
+        // one file each (the rest were sealed again by WAL replay).
+        prop_assert_eq!(p.segments().len(), live.segments().len());
+        for (i, (seg, want)) in p.segments().iter().zip(live.segments()).enumerate() {
+            let seg = match first_touch {
+                0 => { seg.meta(); seg.clone() }
+                1 => { seg.track(gisolap_traj::ObjectId(0)); seg.clone() }
+                2 => { seg.objects().count(); seg.clone() }
+                _ => seg.clone(), // a clone of an untouched segment decodes on its own
+            };
+            prop_assert_eq!(seg.partition(), want.partition());
+            prop_assert_eq!(seg.records(), want.records());
+            prop_assert_eq!(seg.meta(), want.meta());
+            prop_assert_eq!(seg.objects().collect::<Vec<_>>(), want.objects().collect::<Vec<_>>());
+            for oid in seg.objects().chain([gisolap_traj::ObjectId(u64::MAX)]) {
+                prop_assert_eq!(seg.track(oid), want.track(oid));
+            }
+            if (i as u64) < report.segments_loaded {
+                let file = dir.path().join(format!("seg-{0}-{0}.seg", seg.partition()));
+                let (bytes, name) = (std::fs::read(&file).unwrap(), file.to_str().unwrap());
+                let body = codec::check_header(&bytes, codec::FileKind::Segment, name).unwrap();
+                let payload = codec::read_single_frame(body, name).unwrap();
+                let eager = codec::decode_segment(payload, name).unwrap();
+                prop_assert_eq!(seg.records(), eager.records());
+                prop_assert_eq!(seg.meta(), eager.meta());
+                prop_assert_eq!(codec::encode_segment(&seg), payload.to_vec());
+            }
+        }
+    }
+}
+
+/// A segment file whose frame checksum is valid but whose records are
+/// out of `(oid, t)` order — or repeat a key — is `Corrupt` at open, as
+/// it was when open decoded every record.
+#[test]
+fn a_crc_valid_segment_with_unordered_records_is_corrupt_at_open() {
+    use gisolap_store::codec::{self, FileKind};
+    for (i, j) in [(0, 1), (3, 1)] {
+        let dir = ScratchDir::new("lazy-unordered");
+        let config = StreamConfig::new(0, 3600).unwrap();
+        let mut durable = DurableIngest::create(
+            Arc::new(RealFs),
+            dir.path(),
+            config,
+            StoreConfig::default(),
+            None,
+        )
+        .unwrap();
+        durable.ingest(&hour_batch(0)).unwrap();
+        durable.ingest(&hour_batch(1)).unwrap();
+        durable.flush().unwrap();
+        drop(durable);
+
+        let file = dir.path().join("seg-0-0.seg");
+        let bytes = std::fs::read(&file).unwrap();
+        let name = file.to_str().unwrap();
+        let payload = codec::read_single_frame(
+            codec::check_header(&bytes, FileKind::Segment, name).unwrap(),
+            name,
+        )
+        .unwrap();
+        // Partition, count, then 32-byte records: overwrite record `j`'s
+        // key with record `i`'s (a swap for (0, 1), a repeat for (3, 1)).
+        let mut bad = payload.to_vec();
+        let key = |r: usize| 16 + 32 * r..16 + 32 * r + 16;
+        let (ki, kj) = (bad[key(i)].to_vec(), bad[key(j)].to_vec());
+        bad[key(j)].copy_from_slice(&ki);
+        if (i, j) == (0, 1) {
+            bad[key(i)].copy_from_slice(&kj);
+        }
+        let mut file_bytes = codec::header(FileKind::Segment);
+        file_bytes.extend_from_slice(&codec::frame(&bad));
+        std::fs::write(&file, &file_bytes).unwrap();
+
+        assert!(matches!(
+            codec::open_segment(file_bytes.clone(), name),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            codec::decode_segment(&bad, name),
+            Err(StoreError::Corrupt { .. })
+        ));
+        match DurableIngest::recover(Arc::new(RealFs), dir.path(), StoreConfig::default(), None) {
+            Err(StoreError::Corrupt { .. }) => {}
+            other => panic!(
+                "recovery over unordered records: {:?}",
+                other.map(|(_, r)| r)
+            ),
+        }
+    }
+}

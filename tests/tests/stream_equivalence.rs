@@ -527,3 +527,107 @@ proptest! {
         }
     }
 }
+
+/// The canonical order by definition: a stable `(oid, t)` comparison
+/// sort, then each key's last arrival.
+fn sort_by_then_last_arrival(raw: &[Record]) -> Vec<Record> {
+    let mut sorted = raw.to_vec();
+    sorted.sort_by(|a, b| a.oid.cmp(&b.oid).then(a.t.cmp(&b.t)));
+    let mut out: Vec<Record> = Vec::with_capacity(sorted.len());
+    for r in sorted {
+        match out.last_mut() {
+            Some(last) if (last.oid, last.t) == (r.oid, r.t) => *last = r,
+            _ => out.push(r),
+        }
+    }
+    out
+}
+
+/// `n` records whose arrival index is their x, with oids drawn by
+/// `oid_mode` and times from `t0 + [0, t_span)` (or, for `t_span == 0`,
+/// from the extremes of `i64`). Small spans repeat keys.
+fn radix_records(seed: u64, n: usize, oid_mode: u8, t0: i64, t_span: i64) -> Vec<Record> {
+    let mut s = seed;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        s >> 17
+    };
+    (0..n)
+        .map(|i| {
+            let oid = match oid_mode {
+                0 => 7,                             // a single object
+                1 => next() % 5,                    // a few, many repeats
+                2 => u64::MAX - next() % 300,       // high ids, small span
+                _ => [0, u64::MAX, 1 << 40][i % 3], // a span no key fits
+            };
+            let t = if t_span == 0 {
+                [i64::MIN, i64::MAX, 0, -1, i64::MIN + 1][(next() % 5) as usize]
+            } else {
+                t0 + (next() % t_span as u64) as i64
+            };
+            Record {
+                oid: ObjectId(oid),
+                t: gisolap_olap::time::TimeId(t),
+                x: i as f64,
+                y: next() as f64,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(gisolap_obs::config::cases()))]
+
+    /// The one canonical-order kernel (radix over packed keys, or the
+    /// comparison sort it falls back to) equals `sort_by((oid, t))` plus
+    /// last-arrival dedup, through `Moft::rebuild_index` and through
+    /// sealing: duplicate keys, negative and extreme `t`, a single
+    /// object, oid spans that force the fallback, sizes on both sides
+    /// of either radix cutoff, and input already in order.
+    #[test]
+    fn the_canonical_order_kernel_matches_sort_by_and_last_arrival(
+        seed in 0u64..1_000_000,
+        size in 0usize..5,
+        oid_mode in 0u8..4,
+        t_mode in 0u8..4,
+    ) {
+        use gisolap_traj::canonical::{RADIX_MAX_RECORDS, RADIX_MIN_RECORDS};
+        let n = match size {
+            0 => (seed % 8) as usize,
+            1 => RADIX_MIN_RECORDS - 2 + (seed % 4) as usize,
+            2 => RADIX_MIN_RECORDS + (seed % 300) as usize,
+            3 => 2_000 + (seed % 100) as usize,
+            _ => RADIX_MAX_RECORDS - 1 + (seed % 3) as usize,
+        };
+        // One hour partition for sealing: negative, zero, or the last
+        // whole hour before `i64::MAX`.
+        let hour = [-5 * 3600, 0, i64::MAX.div_euclid(3600) * 3600 - 3600, 7 * 3600][t_mode as usize];
+        let span = if t_mode == 3 { 40 } else { 3600 };
+        let raw = radix_records(seed, n, oid_mode, hour, span);
+        let want = record_bits(&sort_by_then_last_arrival(&raw));
+
+        prop_assert_eq!(record_bits(Moft::from_records(raw.clone()).records()), want.clone());
+        // Input already in `(oid, t)` order, repeated keys included,
+        // skips the sort and still keeps each key's last arrival.
+        let mut in_order = raw.clone();
+        in_order.sort_by(|a, b| a.oid.cmp(&b.oid).then(a.t.cmp(&b.t)));
+        prop_assert_eq!(record_bits(Moft::from_records(in_order).records()), want.clone());
+
+        let mut ingest = StreamIngest::new(StreamConfig::new(0, 3600).unwrap()).unwrap();
+        ingest.ingest(&raw);
+        ingest.finish();
+        let sealed: Vec<Record> = ingest.segments().iter().flat_map(|s| s.records().to_vec()).collect();
+        prop_assert_eq!(ingest.segments().len(), usize::from(n > 0));
+        prop_assert_eq!(record_bits(&sealed), want);
+
+        // Times at the extremes of i64 (a span no key fits) and times
+        // near them (a key that fits only by wrapping subtraction).
+        for (t0, t_span) in [(0, 0), (i64::MIN, 50), (i64::MAX - 50, 50)] {
+            let raw = radix_records(seed ^ 1, n, oid_mode, t0, t_span);
+            let want = record_bits(&sort_by_then_last_arrival(&raw));
+            prop_assert_eq!(record_bits(Moft::from_records(raw).records()), want);
+        }
+    }
+}
